@@ -39,14 +39,13 @@ bench:
 # gate's normalization median spans every row, so baseline and gate must
 # sample the family at the same iteration scale or the ingest rows skew
 # the machine-speed factor for everything else).
-BASELINE_CORE := BenchmarkFZF|BenchmarkFZFScratch|BenchmarkVerifierReuse|BenchmarkTraceParse|BenchmarkTraceCheckParallel|BenchmarkStreamCheck$$|BenchmarkHotKey|BenchmarkStreamCheckZipf
+BASELINE_CORE := BenchmarkFZF|BenchmarkFZFScratch|BenchmarkVerifierReuse|BenchmarkTraceParse|BenchmarkTraceCheckParallel|BenchmarkStreamCheck$$|BenchmarkHotKey|BenchmarkStreamCheckZipf|BenchmarkSmallestDelta
 BASELINE_BENCHES := $(BASELINE_CORE)|BenchmarkOnlineIngest
 
 #
 # BenchmarkMultiProperty likewise records in its own pass at the gate's
-# -benchtime: one iteration is a full 16k-op streaming pass (and the Δ
-# binary search makes props=all ~10× props=k), so the default benchtime
-# would burn minutes per count; -short skips its 1M-op replay rows, which
+# -benchtime: one iteration is a full 16k-op streaming pass, so the default
+# benchtime would oversample it; -short skips its 1M-op replay rows, which
 # are recorded by bench-pr9 instead.
 #
 # BenchmarkChurningKeyspace records at the gate's -benchtime too: one
@@ -143,7 +142,11 @@ fuzz-crash:
 # fill one 512-op batch. BenchmarkMultiProperty runs in a third pass at a
 # LOWER -benchtime: one iteration is a full 16k-op streaming pass, so 500
 # iterations would take minutes per count (-short also skips its 1M rows).
-GATE_BENCHES := BenchmarkFZFScratch|BenchmarkVerifierReuse|BenchmarkTraceParse|BenchmarkTraceCheckParallel|BenchmarkStreamCheck$$
+#
+# The ROADMAP's ratio target rides along as a same-run pair (-pair): props=all
+# at most 2.0x props=k, medians of this run only — machine-independent, and
+# not satisfiable by merely beating an old props=all baseline row.
+GATE_BENCHES := BenchmarkFZFScratch|BenchmarkVerifierReuse|BenchmarkTraceParse|BenchmarkTraceCheckParallel|BenchmarkStreamCheck$$|BenchmarkSmallestDelta
 
 benchcmp:
 	$(GO) test -short -run '^$$' -bench '$(GATE_BENCHES)' -benchtime 500x -benchmem -count 4 . > bench_current.txt || (cat bench_current.txt; exit 1)
@@ -151,4 +154,4 @@ benchcmp:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkMultiProperty' -benchtime 20x -benchmem -count 4 . >> bench_current.txt || (cat bench_current.txt; exit 1)
 	$(GO) test -short -run '^$$' -bench 'BenchmarkChurningKeyspace' -benchtime 200x -benchmem -count 4 . >> bench_current.txt || (cat bench_current.txt; exit 1)
 	cat bench_current.txt
-	$(GO) run ./scripts/benchcmp -baseline BENCH_baseline.json bench_current.txt
+	$(GO) run ./scripts/benchcmp -baseline BENCH_baseline.json -pair 'BenchmarkMultiProperty/props=all,BenchmarkMultiProperty/props=k,2.0' bench_current.txt

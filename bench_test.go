@@ -9,7 +9,7 @@
 //	E7  BenchmarkQuorumVerify      — end-to-end verification of simulated stores
 //	E8  BenchmarkSmallestK         — smallest-k search
 //	E10 BenchmarkAblationDeepening — LBT deepening on/off, benign + trap
-//	E12 BenchmarkSmallestDelta     — time-staleness binary search
+//	E12 BenchmarkSmallestDelta     — smallest time-staleness (one prepare + summary search)
 //	     BenchmarkZones1AV         — the k=1 zone test for reference
 //	     BenchmarkTraceCheck       — multi-register locality dispatch
 //	     BenchmarkBandwidth        — §VI GBW: RCM heuristic vs exact
@@ -256,7 +256,8 @@ func BenchmarkQuorumVerify(b *testing.B) {
 	}
 }
 
-// E8: smallest-k search end to end (normalize + dispatch + binary search).
+// E8: smallest-k search end to end (normalize + dispatch + climb from the
+// forced-staleness bound).
 func BenchmarkSmallestK(b *testing.B) {
 	for _, depth := range []int{0, 1, 3} {
 		h := generator.KAtomic(generator.Config{
@@ -304,8 +305,10 @@ func BenchmarkAblationDeepening(b *testing.B) {
 	}
 }
 
-// Δ-atomicity: smallest time-staleness bound (binary search over zone
-// checks) on histories of graded staleness.
+// Δ-atomicity: smallest time-staleness bound on histories of graded
+// staleness — one normalize+prepare for the anomalies, then a binary search
+// over the per-cluster summary, whose probes do not allocate (allocs/op is
+// the same at depth 0, where no search runs, and at depth 2).
 func BenchmarkSmallestDelta(b *testing.B) {
 	for _, depth := range []int{0, 2} {
 		h := generator.KAtomic(generator.Config{
@@ -502,10 +505,11 @@ func BenchmarkStream1M(b *testing.B) {
 // safe-cut segmentation, one work-stealing pool, extra checkers per segment.
 // props=k is the legacy single-property baseline; props=all adds Δ and
 // regularity. The 16k-op rows feed the benchcmp regression gate (in a
-// second pass at a low -benchtime: one iteration is a full streaming pass,
-// and the Δ binary search makes props=all ~10× props=k); the 1M-op replay
-// (the trace behind BenchmarkStream1M) records the headline numbers and is
-// skipped under -short.
+// second pass at a low -benchtime: one iteration is a full streaming pass)
+// and its same-run pair check, props=all <= 2.0x props=k: every checker
+// reads the segment's one prepare, so the extras cost a summary and two
+// linear scans. The 1M-op replay (the trace behind BenchmarkStream1M)
+// records the headline numbers and is skipped under -short.
 func BenchmarkMultiProperty(b *testing.B) {
 	run := func(b *testing.B, text string, props root.PropertySet) {
 		b.SetBytes(int64(len(text)))

@@ -135,10 +135,11 @@ func CheckWeighted(h *history.History, bound int64, opts Options) (Report, error
 }
 
 // SmallestK computes the least k for which the history is k-atomic, using
-// the fast checkers for k=1,2 and binary search with the exact oracle above
-// that (Section II-B: given a k-AV solution, binary-search the smallest k).
-// Every anomaly-free history is W-atomic where W is its number of writes, so
-// the search is bounded. One-shot form of Verifier.SmallestK.
+// the fast checkers for k=1,2 and a search with the exact oracle above that
+// (Section II-B: given a k-AV solution, search for the smallest k; see
+// Verifier.SmallestKPrepared for the order of the probes). Every
+// anomaly-free history is W-atomic where W is its number of writes, so the
+// search is bounded. One-shot form of Verifier.SmallestK.
 func SmallestK(h *history.History, opts Options) (int, error) {
 	return NewVerifier().SmallestK(h, opts)
 }

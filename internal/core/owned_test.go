@@ -7,6 +7,30 @@ import (
 	"kat/internal/history"
 )
 
+// The owned path is what the streaming engine runs per segment: one
+// PrepareOwned into the Verifier's scratch, then the *Prepared entry points.
+
+func checkOwned(v *Verifier, h *history.History, k int) (Report, error) {
+	p, err := v.PrepareOwned(h)
+	if err != nil {
+		return Report{}, err
+	}
+	return v.CheckPrepared(p, k, Options{})
+}
+
+func smallestKOwned(v *Verifier, h *history.History) (int, error) {
+	p, err := v.PrepareOwned(h)
+	if err != nil {
+		return 0, err
+	}
+	return v.SmallestKPrepared(p, Options{})
+}
+
+func scanOwned(v *Verifier, h *history.History) error {
+	_, err := v.PrepareOwned(h)
+	return err
+}
+
 func TestCheckOwnedMatchesCheck(t *testing.T) {
 	v := NewVerifier()
 	for seed := int64(0); seed < 15; seed++ {
@@ -19,7 +43,7 @@ func TestCheckOwnedMatchesCheck(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Check: %v", err)
 			}
-			got, err := v.CheckOwned(h.Clone(), k, Options{})
+			got, err := checkOwned(v, h.Clone(), k)
 			if err != nil {
 				t.Fatalf("CheckOwned: %v", err)
 			}
@@ -40,7 +64,7 @@ func TestSmallestKOwnedDeepHistories(t *testing.T) {
 			Seed: int64(depth), Ops: 80, Concurrency: 1,
 			StalenessDepth: depth, ForceDepth: true, ReadFraction: 0.5,
 		})
-		k, err := v.SmallestKOwned(h.Clone(), Options{})
+		k, err := smallestKOwned(v, h.Clone())
 		if err != nil {
 			t.Fatalf("SmallestKOwned: %v", err)
 		}
@@ -74,7 +98,7 @@ func TestSmallestKOwnedMatchesSmallestK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SmallestK: %v", err)
 		}
-		got, err := v.SmallestKOwned(h.Clone(), Options{})
+		got, err := smallestKOwned(v, h.Clone())
 		if err != nil {
 			t.Fatalf("SmallestKOwned: %v", err)
 		}
@@ -86,14 +110,14 @@ func TestSmallestKOwnedMatchesSmallestK(t *testing.T) {
 
 func TestScanOwned(t *testing.T) {
 	v := NewVerifier()
-	if err := v.ScanOwned(history.MustParse("w 1 0 10; r 1 20 30")); err != nil {
+	if err := scanOwned(v, history.MustParse("w 1 0 10; r 1 20 30")); err != nil {
 		t.Fatalf("clean history: %v", err)
 	}
-	if err := v.ScanOwned(history.MustParse("w 1 0 10; r 2 20 30")); err == nil {
+	if err := scanOwned(v, history.MustParse("w 1 0 10; r 2 20 30")); err == nil {
 		t.Fatal("dangling read not reported")
 	}
 	// Scratch survives the error path.
-	if err := v.ScanOwned(history.MustParse("w 1 0 10")); err != nil {
+	if err := scanOwned(v, history.MustParse("w 1 0 10")); err != nil {
 		t.Fatalf("after error: %v", err)
 	}
 }

@@ -181,36 +181,12 @@ func (c *Ctx) Check(h *history.History, k int, opts Options) (Report, error) {
 	return c.CheckPrepared(p, k, opts)
 }
 
-// CheckOwned is Check for histories the caller owns (see
-// Verifier.CheckOwned); the streaming engine's segment unit. The Report may
-// alias the worker and is valid only until the unit returns.
-func (c *Ctx) CheckOwned(h *history.History, k int, opts Options) (Report, error) {
-	if k < 1 {
-		return Report{}, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	p, err := c.v.prepareOwned(h)
-	if err != nil {
-		return Report{}, err
-	}
-	return c.CheckPrepared(p, k, opts)
-}
-
 // SmallestK computes the smallest k for a raw history with the search fanned
 // out over safe-cut segments.
 func (c *Ctx) SmallestK(h *history.History, opts Options) (int, error) {
 	p, err := history.PrepareInPlace(history.Normalize(h))
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
-	}
-	return c.SmallestKPrepared(p, opts)
-}
-
-// SmallestKOwned is SmallestK for owned histories (the streaming engine's
-// smallest-k segment unit).
-func (c *Ctx) SmallestKOwned(h *history.History, opts Options) (int, error) {
-	p, err := c.v.prepareOwned(h)
-	if err != nil {
-		return 0, err
 	}
 	return c.SmallestKPrepared(p, opts)
 }

@@ -35,6 +35,8 @@ type Verifier struct {
 	// buffer used for memo hashing and order translation.
 	zone zone.Scratch
 	ops  []int
+	// oracleProbes counts smallest-k oracle calls (read by tests only).
+	oracleProbes int
 }
 
 // NewVerifier returns a fresh engine.
@@ -92,42 +94,15 @@ func (v *Verifier) Check(h *history.History, k int, opts Options) (Report, error
 	return v.CheckPrepared(p, k, opts)
 }
 
-// CheckOwned is Check for callers that own h and will not use it afterwards:
-// normalization rewrites h in place and the prepared index reuses the
-// Verifier's scratch buffers, so a stream of segment checks allocates no
-// fresh index per segment at steady state. The Report's Prepared (and
-// Witness) alias the Verifier and are valid only until its next call.
-func (v *Verifier) CheckOwned(h *history.History, k int, opts Options) (Report, error) {
-	if k < 1 {
-		return Report{}, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	p, err := v.prepareOwned(h)
-	if err != nil {
-		return Report{}, err
-	}
-	return v.CheckPrepared(p, k, opts)
-}
-
-// SmallestKOwned is SmallestK for owned histories (see CheckOwned).
-func (v *Verifier) SmallestKOwned(h *history.History, opts Options) (int, error) {
-	p, err := v.prepareOwned(h)
-	if err != nil {
-		return 0, err
-	}
-	return v.SmallestKPrepared(p, opts)
-}
-
-// ScanOwned normalizes and prepares an owned history purely for anomaly
-// detection, returning the error Prepare would report (nil when the history
-// satisfies the model assumptions). The streaming engine uses it to keep
-// scanning segments of keys whose verdict is already settled, so anomaly
-// reporting matches the monolithic checkers.
-func (v *Verifier) ScanOwned(h *history.History) error {
-	_, err := v.prepareOwned(h)
-	return err
-}
-
-func (v *Verifier) prepareOwned(h *history.History) (*history.Prepared, error) {
+// PrepareOwned normalizes and prepares a history the caller owns and will
+// not use afterwards: normalization rewrites h in place and the prepared
+// index reuses the Verifier's scratch buffers, so a stream of segments
+// allocates no fresh index per segment at steady state. The result aliases
+// the Verifier and is valid only until its next PrepareOwned. The streaming
+// engine prepares every closed segment once this way and hands the result to
+// each property checker (or, for keys whose verdict is already settled, keeps
+// only the anomaly error).
+func (v *Verifier) PrepareOwned(h *history.History) (*history.Prepared, error) {
 	p, err := history.PrepareInPlaceScratch(history.NormalizeInPlace(h), &v.prep)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -190,10 +165,11 @@ func (v *Verifier) CheckPrepared(p *history.Prepared, k int, opts Options) (Repo
 }
 
 // SmallestK computes the least k for which the history is k-atomic, using
-// the fast checkers for k=1,2 and binary search with the exact oracle above
-// that (Section II-B: given a k-AV solution, binary-search the smallest k).
-// Every anomaly-free history is W-atomic where W is its number of writes, so
-// the search is bounded.
+// the fast checkers for k=1,2 and a search with the exact oracle above that
+// (Section II-B: given a k-AV solution, search for the smallest k; see
+// Verifier.SmallestKPrepared for the order of the probes). Every
+// anomaly-free history is W-atomic where W is its number of writes, so the
+// search is bounded.
 func (v *Verifier) SmallestK(h *history.History, opts Options) (int, error) {
 	p, err := history.PrepareInPlace(history.Normalize(h))
 	if err != nil {
@@ -203,10 +179,12 @@ func (v *Verifier) SmallestK(h *history.History, opts Options) (int, error) {
 }
 
 // SmallestKPrepared is SmallestK for prepared histories. After the cheap
-// k=1 probe, the search starts from the forced-staleness lower bound
-// (writes pinned between a read and its dictating write by real time
-// alone), so deeply stale histories skip the k=2 probe and binary-search a
-// tighter range.
+// k=1 probe the search climbs from the forced-staleness lower bound lb
+// (writes pinned between a read and its dictating write by real time alone):
+// FZF when lb <= 2, then the oracle at max(3, lb), +1, +3, +7, ... until a
+// probe succeeds, then a bisection of the last gap. The oracle's cost grows
+// with k and real staleness sits at or just above lb, so the cost tracks the
+// answer instead of the number of writes; answer == lb is one oracle call.
 func (v *Verifier) SmallestKPrepared(p *history.Prepared, opts Options) (int, error) {
 	if p.Len() == 0 {
 		return 1, nil
@@ -222,31 +200,47 @@ func (v *Verifier) SmallestKPrepared(p *history.Prepared, opts Options) (int, er
 			return 2, nil
 		}
 	}
-	// Binary search in [max(3, lb), writes]; monotone because a k-atomic
-	// order is also (k+1)-atomic.
-	lo, hi := max(3, lb), p.H.Writes()
-	if hi < lo {
-		hi = lo
-	}
-	// Verify the upper bound holds (it must, for anomaly-free histories).
-	res, err := oracle.CheckK(p, hi, oracle.Options{MaxStates: opts.OracleStates})
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	if !res.Atomic {
-		return 0, fmt.Errorf("core: history not even %d-atomic; input may violate model assumptions", hi)
+	// Every anomaly-free history is W-atomic for W its number of writes, so
+	// the climb is capped there; monotone because a k-atomic order is also
+	// (k+1)-atomic. lo-1 is the largest k known not to work.
+	lo := max(3, lb)
+	hi := max(lo, p.H.Writes())
+	for k, step := lo, 1; ; k, step = min(k+step, hi), 2*step {
+		ok, err := v.oracleK(p, k, opts)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = k
+			break
+		}
+		if k == hi {
+			return 0, fmt.Errorf("core: history not even %d-atomic; input may violate model assumptions", hi)
+		}
+		lo = k + 1
 	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		res, err := oracle.CheckK(p, mid, oracle.Options{MaxStates: opts.OracleStates})
+		ok, err := v.oracleK(p, mid, opts)
 		if err != nil {
-			return 0, fmt.Errorf("core: %w", err)
+			return 0, err
 		}
-		if res.Atomic {
+		if ok {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return lo, nil
+}
+
+// oracleK is one probe of the smallest-k search. An exhausted OracleStates
+// budget is an error, never a verdict.
+func (v *Verifier) oracleK(p *history.Prepared, k int, opts Options) (bool, error) {
+	v.oracleProbes++
+	res, err := oracle.CheckK(p, k, oracle.Options{MaxStates: opts.OracleStates})
+	if err != nil {
+		return false, fmt.Errorf("core: %w", err)
+	}
+	return res.Atomic, nil
 }

@@ -299,7 +299,17 @@ func intsFor(buf []int, n int) []int {
 	return buf[:n]
 }
 
+// PrepareHook, when non-nil, is called at the start of every prepare
+// (Prepare, PrepareInPlace and PrepareInPlaceScratch all funnel through one
+// function). Tests use it to pin how often a pipeline prepares — the
+// streaming engine owes exactly one prepare per dispatched segment; nothing
+// else sets it, and it must only change while no prepare is running.
+var PrepareHook func()
+
 func prepareSorted(cp *History, s *PrepareScratch) (*Prepared, error) {
+	if PrepareHook != nil {
+		PrepareHook()
+	}
 	if s == nil {
 		// One-shot path: a fresh scratch per call keeps the returned
 		// Prepared independent while sharing the code below.

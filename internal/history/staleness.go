@@ -16,8 +16,10 @@ import (
 //
 // Histories with no reads return 1. The bound is exact when operations are
 // totally ordered in real time and never exceeds the true smallest k.
-// Verifier.SmallestKPrepared starts its upward search here instead of
-// always probing k=1,2,3,...
+// core.Verifier.SmallestKPrepared starts its upward search here: once the
+// zone test has ruled out k=1 it probes max(3, bound) first (FZF settles
+// k=2 when the bound allows it) and climbs in doubling steps, so a history
+// whose staleness is all forced costs one oracle call.
 //
 // Cost: O(n log n) — one sweep over writes ordered by start with a Fenwick
 // tree counting write finish ranks.

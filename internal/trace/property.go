@@ -168,17 +168,29 @@ type staleReadEvidence struct {
 	safe bool
 }
 
+// Segment is one closed safe-cut segment as every checker sees it.
+// verifySegment builds it once per dispatch — IDs renumbered by position (so
+// normalization breaks ties as the offline checkers do on the whole key
+// history; window-local IDs may collide after merges), then one normalize
+// and one prepare into the worker's scratch — and it is read-only from then
+// on, so checkers run in any order.
+type Segment struct {
+	// P is the normalized, prepared segment; it aliases the worker's scratch
+	// and is valid only during CheckSegment.
+	P *history.Prepared
+	// Delta is the Δ summary, taken on the raw time scale before
+	// normalization; empty unless PropertyDelta is enabled.
+	Delta delta.Summary
+}
+
 // PropertyChecker computes one property over closed safe-cut segments and
 // folds per-segment verdicts into a per-key one.
 type PropertyChecker interface {
 	// Property identifies the checker.
 	Property() Property
-	// CheckSegment computes the property's verdict over one closed segment.
-	// It runs on a verification worker and MUST NOT mutate h or its
-	// operations: the k-atomicity checker runs last in the same pass and
-	// normalizes the buffer in place, so every other checker sees (and must
-	// preserve) the raw input timestamps.
-	CheckSegment(c *core.Ctx, h *history.History, opts core.Options) (PropertyVerdict, error)
+	// CheckSegment computes the property's verdict over one closed,
+	// anomaly-free segment. It runs on a verification worker.
+	CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (PropertyVerdict, error)
 	// Fold merges a segment verdict into the key's accumulated verdict.
 	// Folds must be commutative and associative: segments land in whatever
 	// order the pool finishes them.
@@ -210,14 +222,14 @@ type kAtomicityChecker struct {
 
 func (kAtomicityChecker) Property() Property { return PropertyKAtomicity }
 
-func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, h *history.History, opts core.Options) (PropertyVerdict, error) {
+func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (PropertyVerdict, error) {
 	pv := PropertyVerdict{Property: PropertyKAtomicity, Atomic: true}
 	if kc.mode == modeCheck {
-		rep, err := c.CheckOwned(h, kc.k, opts)
+		rep, err := c.CheckPrepared(seg.P, kc.k, opts)
 		pv.Atomic = rep.Atomic
 		return pv, err
 	}
-	k, err := c.SmallestKOwned(h, opts)
+	k, err := c.SmallestKPrepared(seg.P, opts)
 	pv.K = k
 	return pv, err
 }
@@ -247,10 +259,8 @@ type deltaChecker struct{}
 
 func (deltaChecker) Property() Property { return PropertyDelta }
 
-func (deltaChecker) CheckSegment(_ *core.Ctx, h *history.History, _ core.Options) (PropertyVerdict, error) {
-	// delta.Smallest clones before relaxing, so the segment buffer keeps its
-	// raw timestamps for the checkers that follow.
-	d, err := delta.Smallest(h)
+func (deltaChecker) CheckSegment(_ *core.Ctx, seg Segment, _ core.Options) (PropertyVerdict, error) {
+	d, err := seg.Delta.Smallest()
 	return PropertyVerdict{Property: PropertyDelta, Atomic: true, Delta: d}, err
 }
 
@@ -273,24 +283,10 @@ type regularityChecker struct{}
 
 func (regularityChecker) Property() Property { return PropertyRegularity }
 
-func (regularityChecker) CheckSegment(_ *core.Ctx, h *history.History, _ core.Options) (PropertyVerdict, error) {
-	pv := PropertyVerdict{Property: PropertyRegularity, Atomic: true}
-	// Clone (Normalize copies) and renumber IDs by position so normalization
-	// tie-breaking matches what the offline checker sees on the whole key
-	// history: segment ops keep their arrival order, and window-local IDs
-	// may collide after merges.
-	cp := &history.History{Ops: append([]history.Operation(nil), h.Ops...)}
-	for i := range cp.Ops {
-		cp.Ops[i].ID = i
-	}
-	p, err := history.Prepare(history.NormalizeInPlace(cp))
-	if err != nil {
-		return pv, err
-	}
-	v := regularity.Check(p)
-	pv.UnsafeReads = len(v.UnsafeReads)
-	pv.IrregularReads = len(v.IrregularReads)
-	return pv, nil
+func (regularityChecker) CheckSegment(_ *core.Ctx, seg Segment, _ core.Options) (PropertyVerdict, error) {
+	v := regularity.Check(seg.P)
+	return PropertyVerdict{Property: PropertyRegularity, Atomic: true,
+		UnsafeReads: len(v.UnsafeReads), IrregularReads: len(v.IrregularReads)}, nil
 }
 
 func (regularityChecker) Fold(acc *PropertyVerdict, seg PropertyVerdict) {

@@ -73,6 +73,7 @@ import (
 	"sync/atomic"
 
 	"kat/internal/core"
+	"kat/internal/delta"
 	"kat/internal/history"
 	"kat/internal/wire"
 	"kat/internal/zone"
@@ -632,8 +633,7 @@ type engine struct {
 
 	// checkers verify each closed segment, one verdict per enabled
 	// property; checkers[0] is always the k-atomicity checker (the engine's
-	// own mode) and runs last on each segment — it owns and normalizes the
-	// buffer in place, so the extras before it see raw timestamps.
+	// own mode). All of them read the one Segment verifySegment prepares.
 	checkers []PropertyChecker
 
 	// store/spillMin enable segment spill-to-disk (see StreamOptions.Store);
@@ -1288,31 +1288,40 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 	n := len(j.ops)
 	h := history.History{Ops: j.ops}
 	verdict := SegmentVerdict{Key: j.ks.key, Seq: j.seq, Ops: n, Atomic: true}
+	// One normalize+prepare per dispatch, whatever is enabled: every checker
+	// reads the same prepared segment (and Δ its raw-scale summary, which
+	// has to be taken before normalization rewrites the timestamps). A
+	// scan-only segment stops at the prepare, whose error is all it owes.
+	for i := range h.Ops {
+		h.Ops[i].ID = i
+	}
+	var seg Segment
+	if !j.scanOnly && e.sopts.Properties.Has(PropertyDelta) {
+		seg.Delta = delta.Summarize(&h)
+	}
+	seg.P, verdict.Err = c.Verifier().PrepareOwned(&h)
 	var kv PropertyVerdict
-	if j.scanOnly {
-		verdict.Err = c.Verifier().ScanOwned(&h)
-	} else {
-		// Extra checkers first: they clone before relaxing/normalizing, so
-		// the raw segment buffer survives for the k checker, which runs
-		// last and normalizes it in place. Any checker's error is the same
-		// class of anomaly (the segment is shared), so the first one wins
-		// with the k checker's preferred for message stability.
-		var extraErr error
-		if len(e.checkers) > 1 {
-			verdict.Props = make([]PropertyVerdict, 0, len(e.checkers)-1)
-			for _, ck := range e.checkers[1:] {
-				pv, err := ck.CheckSegment(c, &h, e.opts)
-				if err != nil && extraErr == nil {
-					extraErr = err
+	if !j.scanOnly {
+		if extra := len(e.checkers) - 1; extra > 0 {
+			verdict.Props = make([]PropertyVerdict, extra)
+		}
+		for i, ck := range e.checkers {
+			// An anomalous segment has no verdicts, only the error, which
+			// dominates every property.
+			pv := PropertyVerdict{Property: ck.Property()}
+			if seg.P != nil {
+				var err error
+				if pv, err = ck.CheckSegment(c, seg, e.opts); verdict.Err == nil {
+					verdict.Err = err
 				}
-				verdict.Props = append(verdict.Props, pv)
+			}
+			if i == 0 {
+				kv = pv
+			} else {
+				verdict.Props[i-1] = pv
 			}
 		}
-		kv, verdict.Err = e.checkers[0].CheckSegment(c, &h, e.opts)
 		verdict.Atomic, verdict.K = kv.Atomic, kv.K
-		if verdict.Err == nil {
-			verdict.Err = extraErr
-		}
 	}
 	e.settle(j.ks, func() {
 		ks := j.ks

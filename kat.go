@@ -506,10 +506,15 @@ func WorstK(t *Trace, opts Options) (k int, key string, ok bool) {
 // CheckDelta reports whether the history is Δ-atomic for the given time
 // bound: atomic once every read may be up to d time units stale (the
 // time-based staleness measure of Golab, Li, Shah, PODC 2011 — the paper's
-// reference [10]).
+// reference [10]). d is on h's own time scale; h must be anomaly-free and is
+// not modified. Costs one normalize+prepare (the anomaly scan) and one probe
+// of the per-cluster summary the verdict depends on.
 func CheckDelta(h *History, d int64) (bool, error) { return delta.Check(h, d) }
 
-// SmallestDelta returns the least Δ for which the history is Δ-atomic.
+// SmallestDelta returns the least Δ, on h's own time scale, for which the
+// history is Δ-atomic (0 iff it is atomic). h must be anomaly-free and is not
+// modified. Costs one normalize+prepare plus a binary search over the
+// per-cluster summary — no probe touches the operations again.
 func SmallestDelta(h *History) (int64, error) { return delta.Smallest(h) }
 
 // SmallestKDistributionParallel is SmallestKDistribution over a worker pool

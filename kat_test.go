@@ -1,10 +1,14 @@
 package kat_test
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"kat"
+	"kat/internal/generator"
+	"kat/internal/history"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -205,5 +209,96 @@ func TestPublicProperties(t *testing.T) {
 	rep, err := kat.Check(h, 2, kat.Options{})
 	if err != nil || !rep.Atomic {
 		t.Errorf("2-atomic check: %v %+v", err, rep)
+	}
+}
+
+// TestStreamSharedPrepareAcrossProperties: a closed segment is renumbered,
+// normalized and prepared once and every checker reads that one result. The
+// trace below is built to make the sharing visible: timestamps are coarsened
+// so that normalization has ties to break by operation ID, and every
+// quiescent point closes a window (MinSegmentOps 1) so that stale reads merge
+// earlier windows back — merged windows carry colliding window-local IDs.
+// props=all, the three single-property runs and the offline checkers on the
+// whole key history must all agree, and props=all must cost exactly one
+// prepare per dispatched segment.
+func TestStreamSharedPrepareAcrossProperties(t *testing.T) {
+	tr := kat.NewTrace()
+	for key := 0; key < 6; key++ {
+		h := generator.KAtomic(generator.Config{
+			Seed: int64(70 + key), Ops: 400, Concurrency: 1 + key%3,
+			StalenessDepth: 1 + key%3, ReadFraction: 0.5,
+		})
+		for _, op := range h.Ops {
+			op.Start, op.Finish = op.Start/4, op.Finish/4
+			tr.Add(fmt.Sprintf("key-%d", key), op)
+		}
+	}
+	text := serializeByStart(tr)
+	tr, err := kat.ParseTraceReader(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(props kat.PropertySet) ([]kat.OnlineKeyVerdict, kat.StreamStats, int64) {
+		var prepares atomic.Int64
+		history.PrepareHook = func() { prepares.Add(1) }
+		defer func() { history.PrepareHook = nil }()
+		kvs, stats, err := kat.StreamVerdictsByKey(strings.NewReader(text), kat.Options{},
+			kat.StreamOptions{Workers: 2, MinSegmentOps: 1, Properties: props})
+		if err != nil {
+			t.Fatalf("props=%s: %v", props, err)
+		}
+		return kvs, stats, prepares.Load()
+	}
+	all, stats, prepares := run(kat.PropertySetAll)
+	if stats.Merges == 0 || stats.StaleReads != 0 {
+		t.Fatalf("setup: %d merges, %d cross-boundary stale reads; want merges and no stale reads", stats.Merges, stats.StaleReads)
+	}
+	if prepares != stats.Segments {
+		t.Errorf("props=all: %d prepares for %d dispatched segments, want one each", prepares, stats.Segments)
+	}
+	t.Logf("%d segments, %d merges, %d prepares", stats.Segments, stats.Merges, prepares)
+	onlyK, _, _ := run(kat.PropertySetK)
+	onlyDelta, _, _ := run(kat.PropertySetDelta)
+	onlyReg, _, _ := run(kat.PropertySetRegularity)
+
+	maxK, maxDelta, irregular := 0, int64(0), 0
+	for i, kv := range all {
+		if kv.Err != nil {
+			t.Fatalf("key %s: %v", kv.Key, kv.Err)
+		}
+		if kv.SmallestK != onlyK[i].SmallestK || kv.SmallestK != onlyDelta[i].SmallestK || kv.SmallestK != onlyReg[i].SmallestK {
+			t.Errorf("key %s: k = %d with props=all, %d/%d/%d in the single-property runs", kv.Key,
+				kv.SmallestK, onlyK[i].SmallestK, onlyDelta[i].SmallestK, onlyReg[i].SmallestK)
+		}
+		if kv.SmallestDelta != onlyDelta[i].SmallestDelta {
+			t.Errorf("key %s: Δ = %d with props=all, %d alone", kv.Key, kv.SmallestDelta, onlyDelta[i].SmallestDelta)
+		}
+		if kv.UnsafeReads != onlyReg[i].UnsafeReads || kv.IrregularReads != onlyReg[i].IrregularReads {
+			t.Errorf("key %s: regularity %d/%d with props=all, %d/%d alone", kv.Key,
+				kv.UnsafeReads, kv.IrregularReads, onlyReg[i].UnsafeReads, onlyReg[i].IrregularReads)
+		}
+		h := tr.Keys[kv.Key]
+		wantK, err := kat.SmallestK(h, kat.Options{})
+		if err != nil || kv.SmallestK != wantK {
+			t.Errorf("key %s: k = %d, offline %d (%v)", kv.Key, kv.SmallestK, wantK, err)
+		}
+		wantDelta, err := kat.SmallestDelta(h)
+		if err != nil || kv.SmallestDelta != wantDelta {
+			t.Errorf("key %s: Δ = %d, offline %d (%v)", kv.Key, kv.SmallestDelta, wantDelta, err)
+		}
+		p, err := kat.Prepare(kat.Normalize(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv := kat.CheckProperties(p)
+		if kv.UnsafeReads != len(rv.UnsafeReads) || kv.IrregularReads != len(rv.IrregularReads) {
+			t.Errorf("key %s: regularity %d/%d, offline %d/%d", kv.Key,
+				kv.UnsafeReads, kv.IrregularReads, len(rv.UnsafeReads), len(rv.IrregularReads))
+		}
+		maxK, maxDelta, irregular = max(maxK, kv.SmallestK), max(maxDelta, kv.SmallestDelta), irregular+kv.IrregularReads
+	}
+	if maxK < 3 || maxDelta == 0 || irregular == 0 {
+		t.Errorf("setup: max k %d, max Δ %d, %d irregular reads; the trace exercises no search", maxK, maxDelta, irregular)
 	}
 }

@@ -23,6 +23,13 @@
 // (large interquartile range relative to its median, in either run) gets a
 // proportionally wider gate, while tight benchmarks keep the strict one.
 // -iqr-mult scales the widening (0 disables it).
+//
+// Same-run pairs: -pair NUM,DEN,MAX (repeatable) additionally fails when the
+// median ns/op of benchmark NUM exceeds MAX times that of DEN, both taken
+// from the current run. No baseline and no machine-speed factor is involved,
+// so a ratio target ("props=all costs at most 2x props=k") is gated where it
+// is machine-independent, and cannot slide back while still beating an old
+// recorded row.
 package main
 
 import (
@@ -50,7 +57,26 @@ type baselineDoc struct {
 	} `json:"benchmarks"`
 }
 
+// pairGate is one -pair: median(num) <= max * median(den) in the current run.
+type pairGate struct {
+	num, den string
+	max      float64
+}
+
 func main() {
+	var pairs []pairGate
+	flag.Func("pair", "same-run gate `NUM,DEN,MAX`: fail when NUM's median ns/op exceeds MAX x DEN's in the current run (repeatable)", func(v string) error {
+		f := strings.Split(v, ",")
+		if len(f) != 3 {
+			return fmt.Errorf("want NUM,DEN,MAX")
+		}
+		m, err := strconv.ParseFloat(f[2], 64)
+		if err != nil || m <= 0 {
+			return fmt.Errorf("bad MAX %q", f[2])
+		}
+		pairs = append(pairs, pairGate{num: f[0], den: f[1], max: m})
+		return nil
+	})
 	var (
 		baselinePath = flag.String("baseline", "BENCH_baseline.json", "baseline JSON (from scripts/benchjson)")
 		benchRe      = flag.String("bench", "", "regexp of benchmark names to gate (default: all in both runs)")
@@ -150,11 +176,27 @@ func main() {
 		fmt.Printf("  %-60s time x%.2f (gate x%.2f)  allocs %.0f->%.0f  %s\n",
 			r.name, rel, gate, r.allocFrom, r.allocTo, status)
 	}
+	for _, pg := range pairs {
+		num, den := cur[pg.num], cur[pg.den]
+		if num == nil || den == nil || len(num.ns) == 0 || len(den.ns) == 0 {
+			// A renamed benchmark must not turn the pair gate off.
+			fmt.Printf("  pair %s / %s: missing from the current run  FAIL\n", pg.num, pg.den)
+			failed = true
+			continue
+		}
+		ratio := median(num.ns) / median(den.ns)
+		status := "ok"
+		if ratio > pg.max {
+			status = "PAIR REGRESSION"
+			failed = true
+		}
+		fmt.Printf("  pair %s / %s: x%.2f (gate x%.2f, same run)  %s\n", pg.num, pg.den, ratio, pg.max, status)
+	}
 	if failed {
 		fmt.Println("benchcmp: FAIL")
 		os.Exit(1)
 	}
-	fmt.Printf("benchcmp: ok (%d benchmarks within threshold)\n", len(rows))
+	fmt.Printf("benchcmp: ok (%d benchmarks within threshold, %d same-run pairs)\n", len(rows), len(pairs))
 }
 
 func fatal(err error) {
