@@ -83,8 +83,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	// Several paths below need the prepared form; build it once, lazily
-	// (plain Check normalizes internally and may accept histories whose
-	// anomalies Prepare reports differently, so don't prepare eagerly).
+	// (-delta and -weighted take the raw history and report its anomalies
+	// themselves, so don't prepare eagerly).
 	var prepared *kat.Prepared
 	prepare := func() (*kat.Prepared, error) {
 		if prepared == nil {
@@ -125,19 +125,11 @@ func run(args []string, out io.Writer) error {
 		st.Ops, st.Writes, st.Reads, st.MaxConcurrentWrites, st.ForcedStaleness)
 
 	if *smallest {
-		var kMin int
-		var err error
-		if *workers != 1 {
-			// Chunk-level parallelism for a single register: per-segment
-			// smallest-k probes fan out over the work-stealing pool.
-			p, perr := prepare()
-			if perr != nil {
-				return perr
-			}
-			kMin, err = kat.SmallestKPreparedParallel(p, kat.Options{}, *workers)
-		} else {
-			kMin, err = kat.SmallestK(h, kat.Options{})
+		p, err := prepare()
+		if err != nil {
+			return err
 		}
+		kMin, err := kat.SmallestKPreparedParallel(p, kat.Options{}, *workers)
 		if err != nil {
 			return err
 		}
@@ -172,18 +164,14 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
-	var rep kat.Report
-	if *workers != 1 && *algo != "lbt" {
-		// Chunk-level parallelism for a single register: the history's
-		// chunks (or safe-cut segments, k >= 3) verify concurrently.
-		p, perr := prepare()
-		if perr != nil {
-			return perr
-		}
-		rep, err = kat.CheckPreparedParallel(p, *k, opts, *workers)
-	} else {
-		rep, err = kat.Check(h, *k, opts)
+	p, err := prepare()
+	if err != nil {
+		return err
 	}
+	// One engine for every -workers: a big register's chunks (k = 2) or
+	// safe-cut segments (k >= 3) spread over the pool, and with one worker
+	// the same units run inline.
+	rep, err := kat.CheckPreparedParallel(p, *k, opts, *workers)
 	if err != nil {
 		return err
 	}

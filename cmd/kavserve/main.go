@@ -63,7 +63,6 @@ func run(args []string, out io.Writer) error {
 		horizon  = fs.Int("horizon", 0, "smallest-k staleness horizon in writes (0 = default)")
 		minSeg   = fs.Int("min-segment-ops", 0, "minimum open-window size before a quiescent cut (0 = default)")
 		maxBuf   = fs.Int("max-buffered-ops", 0, "cap on live buffered operations across keys (0 = uncapped)")
-		memo     = fs.Bool("memo", true, "cache segment verdicts by content hash")
 		shards   = fs.Int("ingest-shards", 0, "ingest shard count: concurrent producers contend only per key-hash shard (0 = default)")
 		propSet  = fs.String("properties", "k", "comma-separated properties verified in the same pass: k (always on), delta (smallest Δ), regularity (Lamport safety/regularity)")
 		pprofOn  = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ with mutex and block profiling enabled (ingest-contention observability)")
@@ -161,9 +160,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if cfg.HardWatermarkBytes, err = parseByteSize(*hardWM, "-hard-watermark"); err != nil {
 		return err
-	}
-	if *memo {
-		cfg.Opts.Memo = kat.NewMemo()
 	}
 	if *tenants != "" {
 		if *dataDir != "" {

@@ -39,6 +39,10 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"positional"}, &out); err == nil {
 		t.Error("positional argument accepted")
 	}
+	// The verdict memo is gone from the service, and so is its flag.
+	if err := run([]string{"-memo=false"}, &out); err == nil || !strings.Contains(err.Error(), "not defined: -memo") {
+		t.Errorf("-memo=false: %v, want a flag-parsing error", err)
+	}
 	if err := run([]string{"-addr", "256.256.256.256:0"}, &out); err == nil {
 		t.Error("unlistenable address accepted")
 	}

@@ -30,22 +30,14 @@ const (
 	AlgoOracle
 )
 
+var algoNames = [...]string{AlgoAuto: "auto", AlgoZones: "zones", AlgoLBT: "lbt", AlgoFZF: "fzf", AlgoOracle: "oracle"}
+
 // String names the algorithm.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgoAuto:
-		return "auto"
-	case AlgoZones:
-		return "zones"
-	case AlgoLBT:
-		return "lbt"
-	case AlgoFZF:
-		return "fzf"
-	case AlgoOracle:
-		return "oracle"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
+	if a >= AlgoAuto && int(a) < len(algoNames) {
+		return algoNames[a]
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // ErrAlgorithmMismatch is returned when a forced algorithm cannot decide the
@@ -63,25 +55,24 @@ type Options struct {
 	// SkipWitnessCheck skips the internal re-validation of positive
 	// results (on by default as a safety net; cost O(n^2) on acceptance).
 	SkipWitnessCheck bool
-	// Memo, when non-nil, lets the chunk-parallel verification paths
-	// (Ctx.CheckPrepared, CheckPreparedParallel, the streaming engine)
-	// cache per-chunk and per-segment verdicts by content hash, so
-	// repeated or incremental verification of overlapping traces skips
-	// already-proved work units. The sequential paths ignore it.
+	// Memo, when non-nil, caches the verdicts of the engine's expensive
+	// units by content hash — FZF chunks, and safe-cut segments handed to
+	// the oracle — so re-verifying a prepared trace that grew skips
+	// already-proved units (an offline aid: the streaming engine ignores
+	// it). It is consulted on the units the history's decomposition
+	// produces and never decides which units exist.
 	Memo *Memo
-	// MinParallelOps is the smallest history (in operations) the parallel
-	// entry points split into chunk/segment work units; smaller histories
-	// run on the calling worker's sequential scratch path, whose verdicts
-	// are identical, so tiny keys don't pay fork overhead. 0 uses
-	// DefaultMinParallelOps; negative forces chunk scheduling regardless
-	// of size (equivalence tests and fuzzing). A non-nil Memo also forces
-	// the chunk path (caching requires the unit decomposition).
+	// MinParallelOps is the smallest history (in operations) whose units a
+	// pool worker forks for other workers to steal; smaller histories run
+	// the same units one after another on the calling worker, so tiny keys
+	// don't pay fork overhead. 0 uses DefaultMinParallelOps; negative forks
+	// regardless of size and worker count (equivalence tests and fuzzing).
 	MinParallelOps int
 }
 
 // DefaultMinParallelOps is the Options.MinParallelOps default: below this
-// many operations a single register's verification is cheaper to run
-// sequentially than to schedule as chunk units.
+// many operations a single register's units are cheaper to run one after
+// another than to schedule.
 const DefaultMinParallelOps = 2048
 
 // Report is the outcome of a verification run.

@@ -8,12 +8,13 @@ import (
 )
 
 // Memo is a concurrency-safe verdict cache keyed by work-unit content hash.
-// The (key, chunk) scheduler consults it before verifying a chunk (k=2 FZF)
-// or a safe-cut segment (fixed-k oracle check, smallest-k search): repeated
-// or incremental verification of overlapping traces — re-checking a trace
-// that grew, re-running smallest-k after a fixed-k check, many keys sharing
-// identical traffic patterns — skips every unit whose content was already
-// proved.
+// The engine consults it before verifying a chunk (k=2 FZF) or handing a
+// safe-cut segment to the oracle (fixed-k check, smallest-k climb): offline
+// re-verification of overlapping traces — re-checking a trace that grew,
+// many keys sharing identical traffic patterns — skips every unit whose
+// content was already proved. It is an offline aid: content includes
+// absolute timestamps, which never repeat in a live stream, so the
+// streaming engine does not use it.
 //
 // Keys are 128-bit content hashes (two FNV-1a passes with distinct offset
 // bases) over the unit's operations (kind, value, start, finish, weight)
@@ -68,10 +69,10 @@ type memoKey struct {
 
 type memoEntry struct {
 	ok     bool
-	k      int32
-	order  []int32 // unit-relative placed order for positive verdicts
+	k      int
+	order  []int // unit-relative placed order for positive verdicts
 	reason string
-	tried  int32
+	tried  int
 }
 
 // NewMemo returns an empty verdict memo.
@@ -117,6 +118,25 @@ func (m *Memo) put(key memoKey, e memoEntry) {
 		m.size.Add(1)
 	}
 	sh.mu.Unlock()
+}
+
+// segment returns the verdict of one safe-cut segment unit (tag, k): the
+// stored entry when the view's content was verified before, otherwise what
+// compute returns, which is stored unless it failed. A nil Memo computes.
+func (m *Memo) segment(view *history.Prepared, tag uint8, k int, compute func() (memoEntry, error)) (memoEntry, error) {
+	if m == nil {
+		return compute()
+	}
+	h1, h2 := hashOpsAll(view)
+	key := memoKey{h1, h2, tag, int32(k)}
+	if e, hit := m.get(key); hit {
+		return e, nil
+	}
+	e, err := compute()
+	if err == nil {
+		m.put(key, e)
+	}
+	return e, err
 }
 
 // FNV-1a constants; the second pass uses a distinct offset basis so the two

@@ -1,35 +1,44 @@
 package core
 
-// Chunk-parallel verification on the work-stealing pool.
+// The engine: one fixed-k dispatch (CheckPrepared) and one smallest-k ladder
+// (SmallestKPrepared), both methods of Verifier. A pool worker's Verifier
+// has idle workers to fork units onto; a standalone one runs every unit
+// inline.
 //
-// The sequential engine (verifier.go) serializes each history: FZF walks
-// chunks one by one, the smallest-k search probes the oracle segment by
-// segment. But the paper's own structure makes the units independent — a
-// prepared history decomposes into chunks (Stage 1 of FZF) whose Stage 2
-// verdicts never interact, and into safe-cut segments whose k-atomicity
-// verdicts compose exactly (the segment-equivalence lemma in
-// internal/trace/stream.go and internal/zone/cut.go). The methods on Ctx
-// below exploit that: they fork (key, chunk) and (key, segment) units onto
-// the pool, so a single hot key saturates every worker instead of one.
+// One decomposition, fixed by the prepared history. The paper's own structure
+// makes the units independent: a history decomposes into chunks (Stage 1 of
+// FZF) whose Stage 2 verdicts never interact, and into safe-cut segments
+// whose k-atomicity verdicts compose exactly (the segment-equivalence lemma
+// in internal/zone/cut.go). k=2 verifies chunk by chunk. The exact oracle —
+// exponential, so unit size is what matters — only ever sees one safe-cut
+// segment at a time, in the fixed-k check and in the smallest-k ladder alike,
+// and the ladder computes the cuts only once its polynomial rungs (zones,
+// forced-staleness bound, FZF) have failed to settle the unit. Options.Memo,
+// when set, is consulted on exactly those chunk and oracle-segment units; it
+// never decides which units exist. Oracle state budgets (OracleStates) apply
+// per segment.
 //
-// Equivalence to the sequential paths, for any worker count:
+// When it forks. Whether units go onto the pool or run one after another is
+// decided by Verifier.forks — more than one worker and at least
+// Options.MinParallelOps operations — and by nothing else. It affects
+// scheduling only: the verdict, the smallest k, the oracle's units and the
+// number of oracle probes are the same for a standalone Verifier and a pool
+// of any size (TestEngineInvariance). The one thing a fork adds is that a
+// smallest-k search first cuts its history into a few runs of segments, so
+// the polynomial rungs spread over the workers too; each run then climbs the
+// same ladder. Details per algorithm:
 //
-//   - k=1 (zones): Atomic matches Check1Atomic exactly (see
-//     zone.Chunk.OneAtomic for the proof); the witness comes from the same
-//     oracle call the sequential path makes.
+//   - k=1 (zones): one unit; the witness comes from one oracle call on the
+//     whole history, which is fast on 1-atomic input.
 //   - k=2 (FZF): Atomic, FailedChunk, Reason, Chunks, Dangling, and the
-//     Witness are byte-identical to fzf.CheckScratch — per-chunk verdicts
-//     are position-independent, failures combine by minimum chunk index,
-//     and fzf.Assemble reproduces the sequential concatenation.
-//     OrdersTried may exceed the sequential count on rejection (the
-//     sequential path stops at the first failing chunk; parallel workers
-//     may have tried later chunks already).
-//   - k>=3 (oracle) and smallest-k: verdicts and smallest-k values match by
-//     the segment-equivalence lemma; a positive witness is the in-order
-//     concatenation of per-segment witnesses (valid, and validated, but not
-//     necessarily the same total order the whole-history oracle would
-//     emit). Oracle state budgets apply per segment, so a pathological
-//     history can exhaust the budget in one path and not the other.
+//     Witness of the forked form are byte-identical to fzf.CheckScratch —
+//     per-chunk verdicts are position-independent, failures combine by
+//     minimum chunk index, and fzf.Assemble reproduces the sequential
+//     concatenation. OrdersTried may exceed the inline count on rejection
+//     (inline stops at the first failing chunk; forked workers may have
+//     tried later chunks already).
+//   - k>=3 (oracle) and smallest-k: a positive witness is the in-order
+//     concatenation of per-segment witnesses.
 //
 // All combining is commutative (AND of verdicts, min failing index, max
 // smallest-k), so results are deterministic for any schedule.
@@ -42,17 +51,16 @@ import (
 
 	"kat/internal/fzf"
 	"kat/internal/history"
+	"kat/internal/lbt"
 	"kat/internal/oracle"
 	"kat/internal/witness"
 	"kat/internal/zone"
 )
 
-// CheckPreparedParallel is Verifier.CheckPrepared with chunk-level
-// parallelism: chunk and segment work units fan out over a work-stealing
+// CheckPreparedParallel is CheckPrepared run from inside a work-stealing
 // pool of the given size (workers <= 0 uses GOMAXPROCS), so even a single
-// register saturates multiple cores. The report is equivalent to the
-// sequential one for any worker count (see the package comment on
-// equivalence).
+// big register spreads its units over several cores. The report equals
+// Verifier.CheckPrepared's for any worker count (see the comment above).
 //
 // This one-shot form starts and tears down a pool (cold scratch arenas) per
 // call; callers verifying many histories should go through the trace entry
@@ -61,41 +69,29 @@ import (
 func CheckPreparedParallel(p *history.Prepared, k int, opts Options, workers int) (Report, error) {
 	var rep Report
 	var err error
-	Run(workers, func(c *Ctx) { rep, err = c.CheckPrepared(p, k, opts) })
+	Run(workers, func(c *Ctx) { rep, err = c.v.CheckPrepared(p, k, opts) })
 	return rep, err
 }
 
-// SmallestKPreparedParallel is Verifier.SmallestKPrepared with the search
-// fanned out over safe-cut segments on a work-stealing pool (workers <= 0
-// uses GOMAXPROCS). The result equals the sequential search by the
-// segment-equivalence lemma.
+// SmallestKPreparedParallel is SmallestKPrepared run from inside a
+// work-stealing pool (workers <= 0 uses GOMAXPROCS).
 func SmallestKPreparedParallel(p *history.Prepared, opts Options, workers int) (int, error) {
 	var k int
 	var err error
-	Run(workers, func(c *Ctx) { k, err = c.SmallestKPrepared(p, opts) })
+	Run(workers, func(c *Ctx) { k, err = c.v.SmallestKPrepared(p, opts) })
 	return k, err
 }
 
-// sequentialPreferred reports whether a history should skip chunk scheduling
-// and run on the calling worker's sequential scratch path (identical
-// verdicts, no fork overhead): single-worker pools, and histories below the
-// Options.MinParallelOps floor. A Memo forces the chunk path — caching
-// operates on the unit decomposition.
-func (c *Ctx) sequentialPreferred(p *history.Prepared, opts Options) bool {
-	if opts.Memo != nil {
-		return false
-	}
+// forks reports whether a unit of n operations is worth spreading over the
+// pool: there must be other workers to take the pieces, and enough work to
+// pay for scheduling them (Options.MinParallelOps; negative always forks,
+// which on one worker runs the forked form inline).
+func (v *Verifier) forks(n int, opts Options) bool {
 	minOps := opts.MinParallelOps
 	if minOps == 0 {
 		minOps = DefaultMinParallelOps
 	}
-	if minOps < 0 {
-		// Forced chunk scheduling — honored even on one worker, where the
-		// units run inline (how tests pin a deterministic schedule while
-		// still exercising the chunk path).
-		return false
-	}
-	return c.Workers() == 1 || p.Len() < minOps
+	return minOps < 0 || (v.workers() > 1 && n >= minOps)
 }
 
 // resolveAlgo applies the AlgoAuto defaulting rule.
@@ -114,15 +110,13 @@ func resolveAlgo(k int, opts Options) Algorithm {
 	return algo
 }
 
-// CheckPrepared decides k-atomicity from inside the pool, forking chunk and
-// segment units so idle workers steal them. With one worker and no memo it
-// is exactly the sequential Verifier.CheckPrepared.
-func (c *Ctx) CheckPrepared(p *history.Prepared, k int, opts Options) (Report, error) {
+// CheckPrepared is Check for histories already normalized and prepared: the
+// engine's one algorithm switch. On a pool worker it forks chunk and segment
+// units for idle workers to steal when the history is big enough to be worth
+// it.
+func (v *Verifier) CheckPrepared(p *history.Prepared, k int, opts Options) (Report, error) {
 	if k < 1 {
 		return Report{}, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if c.sequentialPreferred(p, opts) {
-		return c.v.CheckPrepared(p, k, opts)
 	}
 	algo := resolveAlgo(k, opts)
 	rep := Report{K: k, Algorithm: algo, Prepared: p}
@@ -131,156 +125,164 @@ func (c *Ctx) CheckPrepared(p *history.Prepared, k int, opts Options) (Report, e
 		if k != 1 {
 			return Report{}, fmt.Errorf("%w: zones requires k=1, got k=%d", ErrAlgorithmMismatch, k)
 		}
-		rep.Atomic = c.oneAtomicChunks(p)
+		rep.Atomic, _ = zone.Check1Atomic(p)
 		if rep.Atomic {
-			// Same witness source as the sequential path: the oracle,
-			// which is fast on 1-atomic histories.
+			// The zone test does not produce an order; obtain one from the
+			// oracle, which is fast on 1-atomic histories.
 			res, err := oracle.CheckK(p, 1, oracle.Options{MaxStates: opts.OracleStates})
 			if err == nil && res.Atomic {
 				rep.Witness = res.Witness
 			}
 		}
 	case AlgoLBT:
-		// LBT's epochs are inherently sequential; delegate.
-		return c.v.CheckPrepared(p, k, opts)
+		if k != 2 {
+			return Report{}, fmt.Errorf("%w: LBT requires k=2, got k=%d", ErrAlgorithmMismatch, k)
+		}
+		// LBT's epochs are inherently sequential: one unit.
+		res := lbt.Check(p, lbt.Options{NoDeepening: opts.LBTNoDeepening})
+		rep.Atomic, rep.Witness = res.Atomic, res.Witness
 	case AlgoFZF:
 		if k != 2 {
 			return Report{}, fmt.Errorf("%w: FZF requires k=2, got k=%d", ErrAlgorithmMismatch, k)
 		}
-		res := c.fzfChunks(p, opts.Memo)
-		rep.Atomic = res.Atomic
-		rep.Witness = res.Witness
-	case AlgoOracle:
-		ok, wit, err := c.oracleSegments(p, k, opts)
-		if err != nil {
-			return Report{}, fmt.Errorf("core: %w", err)
+		var res fzf.Result
+		if opts.Memo == nil && !v.forks(p.Len(), opts) {
+			// The same chunks walked in place: no per-chunk order buffers,
+			// so a reused Verifier allocates nothing.
+			res = fzf.CheckScratch(p, &v.fzf)
+		} else {
+			res = v.fzfChunks(p, opts.Memo)
 		}
-		rep.Atomic = ok
-		rep.Witness = wit
+		rep.Atomic, rep.Witness = res.Atomic, res.Witness
+	case AlgoOracle:
+		var err error
+		if rep.Atomic, rep.Witness, err = v.oracleSegments(p, k, opts); err != nil {
+			return Report{}, err
+		}
 	default:
 		return Report{}, fmt.Errorf("core: unknown algorithm %v", algo)
 	}
 	if rep.Atomic && rep.Witness != nil && !opts.SkipWitnessCheck {
-		if err := witness.ValidateScratch(p, rep.Witness, k, &c.v.wit); err != nil {
+		if err := witness.ValidateScratch(p, rep.Witness, k, &v.wit); err != nil {
 			return Report{}, fmt.Errorf("core: internal error, invalid witness: %w", err)
 		}
 	}
 	return rep, nil
 }
 
-// Check is CheckPrepared for raw histories (normalize + prepare first), the
-// per-key unit of the parallel trace checker.
-func (c *Ctx) Check(h *history.History, k int, opts Options) (Report, error) {
-	if k < 1 {
-		return Report{}, fmt.Errorf("core: k must be >= 1, got %d", k)
+// SmallestKPrepared is SmallestK for prepared histories, computed with the
+// one ladder below. A history big enough to fork is first cut into a few
+// runs of safe-cut segments so the ladder's polynomial rungs spread over the
+// workers too; that changes neither the answer nor what reaches the oracle
+// (a run's own cuts are the history's cuts inside it).
+func (v *Verifier) SmallestKPrepared(p *history.Prepared, opts Options) (int, error) {
+	if v.forks(p.Len(), opts) {
+		if runs := groupSegments(segmentsOf(p), 4*v.workers()); len(runs) > 1 {
+			return v.maxSmallestK(p, runs, opts, false)
+		}
 	}
-	p, err := history.PrepareInPlace(history.Normalize(h))
-	if err != nil {
-		return Report{}, fmt.Errorf("core: %w", err)
-	}
-	return c.CheckPrepared(p, k, opts)
+	return v.smallestK(p, opts, false)
 }
 
-// SmallestK computes the smallest k for a raw history with the search fanned
-// out over safe-cut segments.
-func (c *Ctx) SmallestK(h *history.History, opts Options) (int, error) {
-	p, err := history.PrepareInPlace(history.Normalize(h))
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	return c.SmallestKPrepared(p, opts)
-}
-
-// SmallestKPrepared computes the smallest k from inside the pool: the
-// history splits at its safe cuts and each segment's smallest-k (computed
-// with the usual probe ladder: zones, FZF, bounded oracle search) forks as
-// its own unit; the answer is the maximum, per the segment-equivalence
-// lemma.
-func (c *Ctx) SmallestKPrepared(p *history.Prepared, opts Options) (int, error) {
-	if c.sequentialPreferred(p, opts) {
-		return c.v.SmallestKPrepared(p, opts)
-	}
+// smallestK is the smallest-k ladder (Section II-B) on one unit. The cheap
+// rungs run on the unit as given: the zone test (healthy workloads are mostly
+// 1-atomic), the forced-staleness lower bound lb (writes pinned between a
+// read and its dictating write by real time alone), FZF when lb <= 2. Only a
+// unit that must go on to the exponential oracle is split at its safe cuts:
+// the answer is the maximum over segments by the segment-equivalence lemma,
+// each segment climbs this ladder itself (segment set: it cannot split
+// again, and it skips the zone test, since the maximum is already known to
+// exceed 2), and the oracle's cost is set by segment size. A segment's climb
+// starts at max(3, lb) and probes +1, +3, +7, ... until a probe succeeds,
+// then bisects the last gap: the oracle's cost grows with k and real
+// staleness sits at or just above lb, so the cost tracks the answer instead
+// of the number of writes; answer == lb is one oracle call.
+func (v *Verifier) smallestK(p *history.Prepared, opts Options, segment bool) (int, error) {
 	if p.Len() == 0 {
 		return 1, nil
 	}
-	segs := segmentsOf(p)
-	if len(segs) == 1 && opts.Memo == nil {
-		return c.v.SmallestKPrepared(p, opts)
+	if !segment {
+		if ok, _ := zone.Check1Atomic(p); ok {
+			return 1, nil
+		}
 	}
-	if opts.Memo == nil {
-		// The lemma holds for any subset of the safe cuts, so adjacent
-		// segments coalesce into a few units per worker: same verdict,
-		// same parallelism, a fraction of the per-unit overhead (view
-		// construction, probe setup). With a memo the fine units stay —
-		// small stable segments are what make incremental runs hit.
-		segs = groupSegments(segs, 4*c.Workers())
+	lb := history.ForcedStaleness(p)
+	if lb <= 2 && fzf.CheckScratch(p, &v.fzf).Atomic {
+		return 2, nil
 	}
-	ks := make([]int, len(segs))
-	errs := make([]error, len(segs))
-	c.forkUnits(len(segs), func(cc *Ctx, i int) {
-		view, err := history.SubPrepared(p, segs[i][0], segs[i][1])
-		if err != nil {
-			errs[i] = fmt.Errorf("core: %w", err)
-			return
+	if !segment {
+		if segs := segmentsOf(p); len(segs) > 1 {
+			return v.maxSmallestK(p, segs, opts, true)
 		}
-		memo := opts.Memo
-		var key memoKey
-		if memo != nil {
-			h1, h2 := hashOpsAll(view)
-			key = memoKey{h1, h2, memoSegSmallestK, 0}
-			if e, hit := memo.get(key); hit {
-				ks[i] = int(e.k)
-				return
-			}
-		}
-		k, err := cc.v.SmallestKPrepared(view, opts)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		ks[i] = k
-		if memo != nil {
-			memo.put(key, memoEntry{ok: true, k: int32(k)})
-		}
+	}
+	e, err := opts.Memo.segment(p, memoSegSmallestK, 0, func() (memoEntry, error) {
+		k, err := v.climb(p, max(3, lb), opts)
+		return memoEntry{ok: true, k: k}, err
 	})
-	best := 1
-	for i := range segs {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		if ks[i] > best {
-			best = ks[i]
-		}
-	}
-	return best, nil
+	return e.k, err
 }
 
-// oneAtomicChunks applies the Gibbons–Korach conditions chunk by chunk
-// (zone.Chunk.OneAtomic); verdicts are O(1) per chunk, so the fork mainly
-// matters when a huge key yields very many chunks.
-func (c *Ctx) oneAtomicChunks(p *history.Prepared) bool {
-	dec := zone.DecomposeScratch(p, &c.v.zone)
-	nc := len(dec.Chunks)
-	var bad atomic.Bool
-	batches := batchCount(nc, 4*c.Workers())
-	c.Fork(batches, func(cc *Ctx, b int) {
-		lo, hi := batchRange(nc, batches, b)
-		for ci := lo; ci < hi && !bad.Load(); ci++ {
-			if !dec.Chunks[ci].OneAtomic() {
-				bad.Store(true)
-				return
-			}
-		}
+// maxSmallestK runs the ladder on each [lo, hi) range of p — runs of
+// segments, or single segments — and returns the maximum.
+func (v *Verifier) maxSmallestK(p *history.Prepared, segs [][2]int, opts Options, segment bool) (int, error) {
+	ks := make([]int, len(segs))
+	err := v.overSegments(p, segs, opts, func(w *Verifier, i int, view *history.Prepared) (err error) {
+		ks[i], err = w.smallestK(view, opts, segment)
+		return err
 	})
-	return !bad.Load()
+	return slices.Max(ks), err
+}
+
+// climb searches [lo, W] for the smallest k the oracle accepts, W the number
+// of writes: every anomaly-free history is W-atomic, and the search is
+// monotone because a k-atomic order is also (k+1)-atomic. lo-1 is the
+// largest k known not to work. An exhausted OracleStates budget is an error,
+// never a verdict.
+func (v *Verifier) climb(p *history.Prepared, lo int, opts Options) (int, error) {
+	probe := func(k int) (bool, error) {
+		v.oracleProbes++
+		res, err := oracle.CheckK(p, k, oracle.Options{MaxStates: opts.OracleStates})
+		if err != nil {
+			return false, fmt.Errorf("core: %w", err)
+		}
+		return res.Atomic, nil
+	}
+	hi := max(lo, p.H.Writes())
+	for k, step := lo, 1; ; k, step = min(k+step, hi), 2*step {
+		ok, err := probe(k)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = k
+			break
+		}
+		if k == hi {
+			return 0, fmt.Errorf("core: history not even %d-atomic; input may violate model assumptions", hi)
+		}
+		lo = k + 1
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		ok, err := probe(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, nil
 }
 
 // fzfChunks is the chunk-parallel form of fzf.CheckScratch: Stage 1 runs on
 // the calling worker, Stage 2 verdicts fork as chunk units (memoized by
 // content hash when a Memo is supplied), and Stage 3 combines them — first
 // failing chunk by index, or the Lemma 4.1 witness assembly.
-func (c *Ctx) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
-	dec := zone.DecomposeScratch(p, &c.v.zone)
+func (v *Verifier) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
+	dec := zone.DecomposeScratch(p, &v.zone)
 	res := fzf.Result{
 		Chunks:      len(dec.Chunks),
 		Dangling:    len(dec.Dangling),
@@ -292,11 +294,9 @@ func (c *Ctx) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
 	var tried atomic.Int64
 	var minFailed atomic.Int64
 	minFailed.Store(math.MaxInt64)
-	batches := batchCount(nc, 4*c.Workers())
-	c.Fork(batches, func(cc *Ctx, b int) {
-		wv := cc.v
-		lo, hi := batchRange(nc, batches, b)
-		for ci := lo; ci < hi; ci++ {
+	batches := min(nc, 4*v.workers())
+	v.fork(batches, func(wv *Verifier, b int) {
+		for ci := nc * b / batches; ci < nc*(b+1)/batches; ci++ {
 			if minFailed.Load() < int64(ci) {
 				// A strictly earlier chunk already failed; this chunk can
 				// no longer affect the (min-index) verdict.
@@ -304,11 +304,9 @@ func (c *Ctx) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
 			}
 			ch := dec.Chunks[ci]
 			var key memoKey
-			var chunkOps []int
 			if memo != nil {
 				wv.ops = fzf.AppendChunkOps(p, ch, wv.ops[:0])
-				chunkOps = wv.ops
-				h1, h2 := hashOpsSubset(p, chunkOps)
+				h1, h2 := hashOpsSubset(p, wv.ops)
 				key = memoKey{h1, h2, memoChunkFZF, 2}
 				if e, hit := memo.get(key); hit {
 					tried.Add(int64(e.tried))
@@ -317,34 +315,32 @@ func (c *Ctx) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
 						atomicMin(&minFailed, int64(ci))
 						continue
 					}
-					ord := make([]int, len(e.order))
+					orders[ci] = make([]int, len(e.order))
 					for i, r := range e.order {
-						ord[i] = chunkOps[r]
+						orders[ci][i] = wv.ops[r]
 					}
-					orders[ci] = ord
 					continue
 				}
 			}
 			ord, tr, reason := fzf.CheckChunk(p, ch, &wv.fzf)
 			tried.Add(int64(tr))
+			e := memoEntry{ok: ord != nil, reason: reason, tried: tr}
 			if ord == nil {
 				reasons[ci] = reason
 				atomicMin(&minFailed, int64(ci))
+			} else {
+				orders[ci] = slices.Clone(ord)
 				if memo != nil {
-					memo.put(key, memoEntry{reason: reason, tried: int32(tr)})
+					// Chunk-relative, so a hit on the same content at other
+					// indices reconstructs its own order.
+					e.order = make([]int, len(ord))
+					for i, a := range ord {
+						e.order[i], _ = slices.BinarySearch(wv.ops, a)
+					}
 				}
-				continue
 			}
-			out := make([]int, len(ord))
-			copy(out, ord)
-			orders[ci] = out
 			if memo != nil {
-				rel := make([]int32, len(out))
-				for i, a := range out {
-					j, _ := slices.BinarySearch(chunkOps, a)
-					rel[i] = int32(j)
-				}
-				memo.put(key, memoEntry{ok: true, order: rel, tried: int32(tr)})
+				memo.put(key, e)
 			}
 		}
 	})
@@ -361,77 +357,80 @@ func (c *Ctx) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
 
 // oracleSegments runs the exact decider per safe-cut segment and combines:
 // atomic iff every segment is, witness = in-order concatenation.
-func (c *Ctx) oracleSegments(p *history.Prepared, k int, opts Options) (bool, []int, error) {
+func (v *Verifier) oracleSegments(p *history.Prepared, k int, opts Options) (bool, []int, error) {
 	segs := segmentsOf(p)
-	type segResult struct {
-		atomic bool
-		wit    []int // local indices
-		err    error
-	}
-	results := make([]segResult, len(segs))
-	c.forkUnits(len(segs), func(cc *Ctx, i int) {
-		view, err := history.SubPrepared(p, segs[i][0], segs[i][1])
-		if err != nil {
-			results[i] = segResult{err: err}
-			return
-		}
-		memo := opts.Memo
-		var key memoKey
-		if memo != nil {
-			h1, h2 := hashOpsAll(view)
-			key = memoKey{h1, h2, memoSegCheck, int32(k)}
-			if e, hit := memo.get(key); hit {
-				r := segResult{atomic: e.ok}
-				if e.ok {
-					r.wit = make([]int, len(e.order))
-					for j, v := range e.order {
-						r.wit[j] = int(v)
-					}
-				}
-				results[i] = r
-				return
+	results := make([]memoEntry, len(segs))
+	err := v.overSegments(p, segs, opts, func(_ *Verifier, i int, view *history.Prepared) (err error) {
+		results[i], err = opts.Memo.segment(view, memoSegCheck, k, func() (memoEntry, error) {
+			res, err := oracle.CheckK(view, k, oracle.Options{MaxStates: opts.OracleStates})
+			if err != nil {
+				return memoEntry{}, fmt.Errorf("core: %w", err)
 			}
-		}
-		res, err := oracle.CheckK(view, k, oracle.Options{MaxStates: opts.OracleStates})
-		if err != nil {
-			results[i] = segResult{err: err}
-			return
-		}
-		results[i] = segResult{atomic: res.Atomic, wit: res.Witness}
-		if memo != nil {
-			e := memoEntry{ok: res.Atomic}
-			if res.Atomic {
-				e.order = make([]int32, len(res.Witness))
-				for j, v := range res.Witness {
-					e.order[j] = int32(v)
-				}
-			}
-			memo.put(key, e)
-		}
+			return memoEntry{ok: res.Atomic, order: res.Witness}, nil
+		})
+		return err
 	})
+	if err != nil {
+		return false, nil, err
+	}
 	wit := make([]int, 0, p.Len())
 	for i, r := range results {
-		if r.err != nil {
-			return false, nil, r.err
-		}
-		if !r.atomic {
+		if !r.ok {
 			return false, nil, nil
 		}
-		lo := segs[i][0]
-		for _, v := range r.wit {
-			wit = append(wit, lo+v)
+		for _, v := range r.order {
+			wit = append(wit, segs[i][0]+v)
 		}
 	}
 	return true, wit, nil
+}
+
+// overSegments runs f on a view of each [lo, hi) range of p (p itself when
+// there is one range) and returns the first error in range order. The units
+// fork onto the pool when p is big enough (forks), batched only when their
+// count is extreme, which bounds scheduler bookkeeping without hurting load
+// balance; otherwise they run one after another on this worker. f writes its
+// result into a per-i slot.
+func (v *Verifier) overSegments(p *history.Prepared, segs [][2]int, opts Options, f func(w *Verifier, i int, view *history.Prepared) error) error {
+	if len(segs) == 1 {
+		return f(v, 0, p)
+	}
+	errs := make([]error, len(segs))
+	unit := func(w *Verifier, i int) {
+		view, err := history.SubPrepared(p, segs[i][0], segs[i][1])
+		if err != nil {
+			errs[i] = fmt.Errorf("core: %w", err)
+			return
+		}
+		errs[i] = f(w, i, view)
+	}
+	const maxUnits = 2048
+	switch n := len(segs); {
+	case !v.forks(p.Len(), opts):
+		for i := range segs {
+			unit(v, i)
+		}
+	case n <= maxUnits:
+		v.fork(n, unit)
+	default:
+		v.fork(maxUnits, func(w *Verifier, b int) {
+			for i := n * b / maxUnits; i < n*(b+1)/maxUnits; i++ {
+				unit(w, i)
+			}
+		})
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // groupSegments coalesces adjacent safe-cut segments into at most target
 // contiguous ranges of roughly equal operation count. Every boundary of the
 // result is still a safe cut, so verdicts are unchanged.
 func groupSegments(segs [][2]int, target int) [][2]int {
-	if target < 1 {
-		target = 1
-	}
 	if len(segs) <= target {
 		return segs
 	}
@@ -461,35 +460,6 @@ func segmentsOf(p *history.Prepared) [][2]int {
 		lo = cut
 	}
 	return append(segs, [2]int{lo, p.Len()})
-}
-
-// forkUnits forks one unit per index, batching only when the unit count is
-// extreme (bounding scheduler bookkeeping without hurting load balance).
-func (c *Ctx) forkUnits(n int, f func(cc *Ctx, i int)) {
-	const maxUnits = 2048
-	if n <= maxUnits {
-		c.Fork(n, f)
-		return
-	}
-	c.Fork(maxUnits, func(cc *Ctx, b int) {
-		lo, hi := batchRange(n, maxUnits, b)
-		for i := lo; i < hi; i++ {
-			f(cc, i)
-		}
-	})
-}
-
-// batchCount sizes a fork of n tiny units into at most target batches.
-func batchCount(n, target int) int {
-	if n < target {
-		return n
-	}
-	return target
-}
-
-// batchRange returns batch b's [lo, hi) share of n units.
-func batchRange(n, batches, b int) (int, int) {
-	return n * b / batches, n * (b + 1) / batches
 }
 
 // atomicMin lowers v to x if x is smaller.

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"kat/internal/generator"
 	"kat/internal/history"
+	"kat/internal/refcheck"
 	"kat/internal/witness"
 )
 
@@ -162,5 +165,114 @@ func TestMemoSequentialWorkerConsistency(t *testing.T) {
 	}
 	if memo.Stats().Hits == 0 {
 		t.Fatal("no hits with workers=1")
+	}
+}
+
+// engine is one way of running the engine in TestEngineInvariance: run
+// executes f against one of its Verifiers and returns once f and everything
+// it forked has finished; probes sums (and resets) the oracle probes of all
+// its Verifiers.
+type engine struct {
+	name   string
+	run    func(f func(v *Verifier))
+	probes func() int
+}
+
+func poolEngine(t *testing.T, workers int) engine {
+	p := NewPool(workers)
+	t.Cleanup(p.Close)
+	return engine{
+		name: fmt.Sprintf("pool%d", workers),
+		run: func(f func(v *Verifier)) {
+			done := make(chan struct{})
+			p.Submit(func(c *Ctx) { f(c.v); close(done) })
+			<-done
+		},
+		probes: func() (n int) {
+			for i := range p.vs {
+				n += p.vs[i].oracleProbes
+				p.vs[i].oracleProbes = 0
+			}
+			return n
+		},
+	}
+}
+
+// TestEngineInvariance: what the engine computes is a function of the
+// prepared history alone. A standalone Verifier and a worker of 1- and
+// 4-worker pools, with and without a Memo, with the default fork threshold and with
+// forking forced, return the same smallest k in the same number of oracle
+// probes, the same fixed-k verdicts for k = 1..4, and for k = 2 the same
+// witness byte for byte.
+func TestEngineInvariance(t *testing.T) {
+	v := NewVerifier()
+	engines := []engine{
+		{"verifier", func(f func(v *Verifier)) { f(v) }, func() int { n := v.oracleProbes; v.oracleProbes = 0; return n }},
+		poolEngine(t, 1),
+		poolEngine(t, 4),
+	}
+	type outcome struct {
+		k, probes int
+		kErr      bool
+		atomic    [4]bool
+		checkErr  [4]bool
+		witness   []int
+	}
+	observe := func(e engine, p *history.Prepared, opts Options) (o outcome) {
+		e.run(func(v *Verifier) {
+			k, err := v.SmallestKPrepared(p, opts)
+			o.k, o.kErr = k, err != nil
+			for k := 1; k <= 4; k++ {
+				rep, err := v.CheckPrepared(p, k, opts)
+				o.atomic[k-1], o.checkErr[k-1] = rep.Atomic, err != nil
+				if k == 2 {
+					o.witness = slices.Clone(rep.Witness)
+				}
+			}
+		})
+		o.probes = e.probes()
+		return o
+	}
+	histories, searched := 0, 0
+	check := func(id string, p *history.Prepared) {
+		histories++
+		want := observe(engines[0], p, Options{})
+		if want.probes > 0 {
+			searched++
+		}
+		for _, e := range engines {
+			for _, memo := range []bool{false, true} {
+				for _, minOps := range []int{0, -1} {
+					opts := Options{MinParallelOps: minOps}
+					if memo {
+						opts.Memo = NewMemo()
+					}
+					got := observe(e, p, opts)
+					if got.k != want.k || got.kErr != want.kErr || got.probes != want.probes ||
+						got.atomic != want.atomic || got.checkErr != want.checkErr || !slices.Equal(got.witness, want.witness) {
+						t.Fatalf("%s: %s memo=%v MinParallelOps=%d: %+v, standalone Verifier %+v", id, e.name, memo, minOps, got, want)
+					}
+				}
+			}
+		}
+	}
+	for depth := 0; depth <= 6; depth++ {
+		for conc := 1; conc <= 4; conc++ {
+			p := prepGen(t, generator.Config{
+				Seed: int64(10*depth + conc), Ops: 90, Concurrency: conc,
+				StalenessDepth: depth, ForceDepth: true, ReadFraction: 0.5,
+			}, "katomic")
+			check(fmt.Sprintf("depth %d conc %d", depth, conc), p)
+		}
+	}
+	for n := 1; n <= 4; n++ {
+		refcheck.EnumerateHistories(n, func(h *history.History) {
+			if p, err := history.Prepare(history.Normalize(h)); err == nil {
+				check(h.String(), p)
+			}
+		})
+	}
+	if searched == 0 {
+		t.Fatalf("none of %d histories reached the oracle; the probe comparison is vacuous", histories)
 	}
 }

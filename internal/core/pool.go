@@ -24,7 +24,8 @@ import (
 type Pool struct {
 	nw     int
 	deques []deque
-	global []task // external injection queue (FIFO), guarded by mu
+	vs     []Verifier // the workers' engines, by worker id
+	global []task     // external injection queue (FIFO), guarded by mu
 	wg     sync.WaitGroup
 
 	mu          sync.Mutex
@@ -147,7 +148,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{nw: workers, deques: make([]deque, workers)}
+	p := &Pool{nw: workers, deques: make([]deque, workers), vs: make([]Verifier, workers)}
 	p.workCond = sync.NewCond(&p.mu)
 	p.idleCond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
@@ -195,7 +196,8 @@ func Run(workers int, root func(*Ctx)) {
 
 func (p *Pool) workerLoop(id int) {
 	defer p.wg.Done()
-	c := &Ctx{pool: p, id: id, v: NewVerifier()}
+	c := &Ctx{pool: p, id: id, v: &p.vs[id]}
+	c.v.ctx = c
 	for {
 		if t, ok := p.findWork(id); ok {
 			p.runTask(c, t)

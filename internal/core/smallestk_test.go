@@ -52,14 +52,16 @@ func refSmallestKTopDown(p *history.Prepared, opts Options) (int, error) {
 	return lo, nil
 }
 
-// TestSmallestKClimbMatchesTopDown: the bottom-up search returns what the
-// top-down one did across staleness depths 0–6 and concurrency 1–4, and
-// spends exactly one oracle call when the answer is the forced-staleness
-// lower bound (none at all below 3, where zones and FZF decide) and at most
-// 2·⌈log2(g+1)⌉ when it sits g above it.
+// TestSmallestKClimbMatchesTopDown: the ladder returns what the top-down
+// search did across staleness depths 0–6 and concurrency 1–4, and its oracle
+// probes are pinned per safe-cut segment, the only unit the oracle sees: a
+// history whose every segment is at most 2-atomic costs none (zones and FZF
+// decide), a segment whose answer is max(3, its forced-staleness bound)
+// costs exactly one, and one whose answer sits g above that at most
+// 2·⌈log2(g+1)⌉. The whole history costs the sum over its segments.
 func TestSmallestKClimbMatchesTopDown(t *testing.T) {
 	v := NewVerifier()
-	pinned, above := 0, 0
+	pinned, above, split := 0, 0, 0
 	for depth := 0; depth <= 6; depth++ {
 		for conc := 1; conc <= 4; conc++ {
 			for seed := int64(0); seed < 3; seed++ {
@@ -71,37 +73,66 @@ func TestSmallestKClimbMatchesTopDown(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Prepare: %v", err)
 				}
+				id := fmt.Sprintf("depth %d conc %d seed %d", depth, conc, seed)
 				want, err := refSmallestKTopDown(p, Options{})
 				if err != nil {
-					t.Fatalf("depth %d conc %d seed %d: reference: %v", depth, conc, seed, err)
+					t.Fatalf("%s: reference: %v", id, err)
 				}
 				v.oracleProbes = 0
 				got, err := v.SmallestKPrepared(p, Options{})
 				if err != nil || got != want {
-					t.Fatalf("depth %d conc %d seed %d: climb = %d, %v; top-down %d", depth, conc, seed, got, err, want)
+					t.Fatalf("%s: climb = %d, %v; top-down %d", id, got, err, want)
 				}
-				lb := history.ForcedStaleness(p)
-				switch {
-				case got <= 2 && v.oracleProbes != 0:
-					t.Errorf("depth %d conc %d seed %d: k=%d took %d oracle calls, want 0", depth, conc, seed, got, v.oracleProbes)
-				case got >= 3 && got == max(3, lb):
-					pinned++
-					if v.oracleProbes != 1 {
-						t.Errorf("depth %d conc %d seed %d: k=%d == lower bound took %d oracle calls, want 1", depth, conc, seed, got, v.oracleProbes)
+				whole := v.oracleProbes
+				if got <= 2 {
+					if whole != 0 {
+						t.Errorf("%s: k=%d took %d oracle calls, want 0", id, got, whole)
 					}
-				case got >= 3:
-					above++
-					// bits.Len(g) is ⌈log2(g+1)⌉.
-					if g := got - max(3, lb); v.oracleProbes > 2*bits.Len(uint(g)) {
-						t.Errorf("depth %d conc %d seed %d: k=%d, %d above the lower bound, took %d oracle calls, want <= %d",
-							depth, conc, seed, got, g, v.oracleProbes, 2*bits.Len(uint(g)))
+					continue
+				}
+				segs := segmentsOf(p)
+				if len(segs) > 1 {
+					split++
+				}
+				sum, worst := 0, 0
+				for _, s := range segs {
+					view, err := history.SubPrepared(p, s[0], s[1])
+					if err != nil {
+						t.Fatalf("%s: segment %v: %v", id, s, err)
 					}
+					v.oracleProbes = 0
+					k, err := v.SmallestKPrepared(view, Options{})
+					if err != nil {
+						t.Fatalf("%s: segment %v: %v", id, s, err)
+					}
+					probes := v.oracleProbes
+					sum, worst = sum+probes, max(worst, k)
+					floor := max(3, history.ForcedStaleness(view))
+					switch {
+					case k <= 2 && probes != 0:
+						t.Errorf("%s: segment %v: k=%d took %d oracle calls, want 0", id, s, k, probes)
+					case k >= 3 && k == floor:
+						pinned++
+						if probes != 1 {
+							t.Errorf("%s: segment %v: k=%d == lower bound took %d oracle calls, want 1", id, s, k, probes)
+						}
+					case k >= 3:
+						above++
+						// bits.Len(g) is ⌈log2(g+1)⌉.
+						if g := k - floor; probes > 2*bits.Len(uint(g)) {
+							t.Errorf("%s: segment %v: k=%d, %d above the lower bound, took %d oracle calls, want <= %d",
+								id, s, k, g, probes, 2*bits.Len(uint(g)))
+						}
+					}
+				}
+				if worst != got || sum != whole {
+					t.Errorf("%s: segments give k=%d in %d oracle calls, the whole history k=%d in %d", id, worst, sum, got, whole)
 				}
 			}
 		}
 	}
-	if pinned == 0 || above == 0 {
-		t.Fatalf("%d answers at the lower bound, %d above it; a probe-count pin is vacuous", pinned, above)
+	if pinned == 0 || above == 0 || split == 0 {
+		t.Fatalf("%d segments at the lower bound, %d above it, %d histories split; a probe-count pin is vacuous", pinned, above, split)
 	}
 }
 

@@ -7,19 +7,21 @@ import (
 
 // SmallestKDistributionParallel is SmallestKDistribution with a worker pool:
 // each history's smallest-k search is independent, so a corpus verifies
-// embarrassingly parallel. Workers fan out through core.ForEachWorker — one
-// reusable Verifier per worker, results in disjoint slots — so the result
-// is identical to the sequential version regardless of worker count.
+// embarrassingly parallel. The histories fork as units of one core.Run pool
+// — one reusable Verifier per worker, results in disjoint slots — so the
+// result is identical to the sequential version regardless of worker count.
 // workers <= 0 uses GOMAXPROCS.
 func SmallestKDistributionParallel(corpus []*history.History, opts core.Options, workers int) KDistribution {
 	// results[i] holds history i's smallest k, or 0 on error.
 	results := make([]int, len(corpus))
-	core.ForEachWorker(len(corpus), workers, func(v *core.Verifier, i int) {
-		k, err := v.SmallestK(corpus[i], opts)
-		if err != nil {
-			k = 0
-		}
-		results[i] = k
+	core.Run(workers, func(c *core.Ctx) {
+		c.Fork(len(corpus), func(c *core.Ctx, i int) {
+			k, err := c.Verifier().SmallestK(corpus[i], opts)
+			if err != nil {
+				k = 0
+			}
+			results[i] = k
+		})
 	})
 
 	d := KDistribution{Counts: make(map[int]int), Total: len(corpus)}

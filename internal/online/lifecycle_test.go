@@ -529,4 +529,26 @@ func TestTenantQuotasAndIsolation(t *testing.T) {
 		t.Fatalf("aggregate verdicts: drained alpha=%v beta=%v tenants=%d",
 			docs["alpha"].Drained, docs["beta"].Drained, len(docs))
 	}
+
+	// /healthz: the node is "ok" while any tenant still accepts ingest and
+	// "draining" — what a router's probe reads — once none does.
+	nodeHealth := func() (h struct {
+		Status  string
+		Tenants map[string]Health
+	}) {
+		_, hb := getBody(t, ts.URL+"/healthz")
+		if err := json.Unmarshal([]byte(hb), &h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	if h := nodeHealth(); h.Status != "ok" || !h.Tenants["alpha"].Draining || h.Tenants["beta"].Draining {
+		t.Fatalf("healthz with only alpha drained: %+v", h)
+	}
+	if err := m.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	if h := nodeHealth(); h.Status != "draining" || h.Tenants["beta"].Status != "draining" {
+		t.Fatalf("healthz with every tenant drained: %+v", h)
+	}
 }

@@ -58,8 +58,8 @@ type Config struct {
 	// K is the staleness bound keys are judged against in the verdict
 	// status field; <= 0 defaults to 2 (the paper's headline case).
 	K int
-	// Opts tunes verification; supply Opts.Memo to cache repeated segment
-	// verdicts across the service lifetime.
+	// Opts tunes verification. Opts.Memo is not used: the streaming engine
+	// never consults a verdict memo.
 	Opts core.Options
 	// Stream tunes the underlying session (workers or shared pool,
 	// horizon, segment batching, buffer cap). Stream.Properties selects
@@ -449,20 +449,6 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 		func() float64 { return float64(s.sess.Keys()) })
 	s.reg.Gauge("kavserve_peak_buffered_ops", "Peak live operations observed.",
 		func() float64 { return float64(s.sess.PeakBufferedOps()) })
-	if memo := cfg.Opts.Memo; memo != nil {
-		s.reg.Gauge("kavserve_memo_hits", "Memo lookups served from cache.",
-			func() float64 { return float64(memo.Stats().Hits) })
-		s.reg.Gauge("kavserve_memo_misses", "Memo lookups that missed.",
-			func() float64 { return float64(memo.Stats().Misses) })
-		s.reg.Gauge("kavserve_memo_hit_rate", "Hits / (hits + misses), 0 when idle.",
-			func() float64 {
-				st := memo.Stats()
-				if st.Hits+st.Misses == 0 {
-					return 0
-				}
-				return float64(st.Hits) / float64(st.Hits+st.Misses)
-			})
-	}
 	// Lifecycle families exist only when retirement can happen (a
 	// retirement TTL or a soft watermark), so plain servers' exposition
 	// is unchanged. All of them read lock-free session atomics.
@@ -644,13 +630,18 @@ type Health struct {
 	RetiredKeys int64 `json:"retiredKeys,omitempty"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// health builds the /healthz document.
+func (s *Server) health() Health {
 	h := Health{Status: "ok", BufferedOps: s.sess.BufferedOps(), Keys: s.sess.Keys(),
 		RetiredKeys: s.sess.RetiredKeys()}
 	if s.Draining() {
 		h.Status, h.Draining = "draining", true
 	}
-	writeJSON(w, h)
+	return h
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, s.health())
 }
 
 // Drain flushes the session to final verdicts: open windows are committed,

@@ -154,7 +154,8 @@ func TestIngestVerdictMetricsDrain(t *testing.T) {
 		t.Fatalf("unknown key: %s, want 404", resp.Status)
 	}
 
-	// Metrics: ops ingested matches, memo gauges exposed.
+	// Metrics: ops ingested matches; the configured memo is neither exposed
+	// nor touched (the streaming engine does not consult one).
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestIngestVerdictMetricsDrain(t *testing.T) {
 	resp.Body.Close()
 	metricsText := string(metricsBody)
 	wantLine := fmt.Sprintf("kavserve_ops_ingested_total %d", tr.Len())
-	for _, frag := range []string{wantLine, "kavserve_segments_closed_total", "kavserve_open_window_ops", "kavserve_memo_hit_rate",
+	for _, frag := range []string{wantLine, "kavserve_segments_closed_total", "kavserve_open_window_ops",
 		`kavserve_shard_ingested_ops_total{shard="0"}`, `kavserve_shard_open_window_ops{shard="0"}`,
 		"# TYPE kavserve_shard_ingested_ops_total counter",
 		`kavserve_ingest_requests_by_size_total{bucket="le256"} 2`,
@@ -171,6 +172,9 @@ func TestIngestVerdictMetricsDrain(t *testing.T) {
 		if !strings.Contains(metricsText, frag) {
 			t.Fatalf("metrics output missing %q:\n%s", frag, metricsText)
 		}
+	}
+	if st := memo.Stats(); strings.Contains(metricsText, "kavserve_memo_") || st != (core.MemoStats{}) {
+		t.Fatalf("memo %+v after a served trace, want untouched and no kavserve_memo_* family:\n%s", st, metricsText)
 	}
 	// Per-shard ingest totals must sum to the overall total.
 	var shardSum, total float64

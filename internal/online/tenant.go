@@ -77,8 +77,7 @@ type tenant struct {
 // Base config fields apply to every tenant (K, properties, lifecycle,
 // watermarks); Stream.Pool should be set so tenants share workers —
 // when it is nil each tenant gets its own pool, multiplying worker
-// goroutines by the tenant count. The base Opts.Memo, if any, is shared:
-// segment verdicts are content-addressed, so cross-tenant hits are sound.
+// goroutines by the tenant count.
 func NewMulti(base Config, tenants []TenantConfig) (*Multi, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("no tenants configured")
@@ -157,14 +156,14 @@ func (m *Multi) Handler() http.Handler {
 		m.writeMetrics(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		// The node's own status follows the single-tenant rule a router
+		// probes for: "draining" once no tenant accepts ingest any more.
 		health := make(map[string]Health, len(m.names))
-		status := "ok"
+		status := "draining"
 		for _, name := range m.names {
-			t := m.tenants[name]
-			h := Health{Status: "ok", BufferedOps: t.srv.sess.BufferedOps(),
-				Keys: t.srv.sess.Keys(), RetiredKeys: t.srv.sess.RetiredKeys()}
-			if t.srv.Draining() {
-				h.Status, h.Draining = "draining", true
+			h := m.tenants[name].srv.health()
+			if !h.Draining {
+				status = "ok"
 			}
 			health[name] = h
 		}

@@ -225,11 +225,11 @@ func (kAtomicityChecker) Property() Property { return PropertyKAtomicity }
 func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (PropertyVerdict, error) {
 	pv := PropertyVerdict{Property: PropertyKAtomicity, Atomic: true}
 	if kc.mode == modeCheck {
-		rep, err := c.CheckPrepared(seg.P, kc.k, opts)
+		rep, err := c.Verifier().CheckPrepared(seg.P, kc.k, opts)
 		pv.Atomic = rep.Atomic
 		return pv, err
 	}
-	k, err := c.SmallestKPrepared(seg.P, opts)
+	k, err := c.Verifier().SmallestKPrepared(seg.P, opts)
 	pv.K = k
 	return pv, err
 }

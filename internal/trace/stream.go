@@ -776,6 +776,10 @@ func newEngine(mode streamMode, k, threshold int, opts core.Options, sopts Strea
 	} else if nshards > maxIngestShards {
 		nshards = maxIngestShards
 	}
+	// No verdict memo here: it is keyed by content, a live segment's content
+	// includes its absolute timestamps, so it never hits (0 of 257 144
+	// lookups replaying serve-text-wal-churn) and grows with every segment.
+	opts.Memo = nil
 	e := &engine{
 		mode:      mode,
 		k:         k,

@@ -109,37 +109,6 @@ func TestStreamCheckMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestStreamMemoRepeatedRun re-streams the same trace with a shared verdict
-// memo: the second pass must produce an identical report while serving
-// segment verdicts from content-hash hits (the incremental re-verification
-// path of the chunk scheduler).
-func TestStreamMemoRepeatedRun(t *testing.T) {
-	text := streamText(buildStreamTrace(12, 5))
-	memo := core.NewMemo()
-	opts := core.Options{Memo: memo}
-	sopts := StreamOptions{Workers: 3, MinSegmentOps: 1}
-	first, _, err := StreamCheck(strings.NewReader(text), 2, opts, sopts)
-	if err != nil {
-		t.Fatalf("first pass: %v", err)
-	}
-	second, _, err := StreamCheck(strings.NewReader(text), 2, opts, sopts)
-	if err != nil {
-		t.Fatalf("second pass: %v", err)
-	}
-	assertStreamMatches(t, first, second)
-	st := memo.Stats()
-	if st.Hits == 0 || st.Entries == 0 {
-		t.Fatalf("re-streaming produced no memo hits: %+v", st)
-	}
-	// And against the plain monolithic verdicts, to rule out a memo that is
-	// self-consistently wrong.
-	tr, err := ParseReader(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStreamMatches(t, CheckParallel(tr, 2, core.Options{}, 1), second)
-}
-
 func TestStreamSmallestKMatchesMonolithic(t *testing.T) {
 	text := streamText(buildStreamTrace(40, 99))
 	tr, err := ParseReader(strings.NewReader(text))

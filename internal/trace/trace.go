@@ -211,7 +211,7 @@ func Check(t *Trace, k int, opts core.Options) Report {
 
 // CheckParallel is Check with verification fanned out over one work-stealing
 // pool of (key, chunk) units. workers <= 0 uses GOMAXPROCS. Each key forks
-// as a unit that prepares the register and then forks its chunk (k=1, 2) or
+// as a unit that prepares the register and then forks its chunk (k=2) or
 // safe-cut segment (k >= 3) sub-units back onto the same pool, so a skewed
 // trace with one hot key still saturates every worker — idle workers steal
 // chunks instead of waiting at key boundaries. Every outcome is written into
@@ -224,7 +224,7 @@ func CheckParallel(t *Trace, k int, opts core.Options, workers int) Report {
 		key := keys[i]
 		h := t.Keys[key]
 		kr := KeyReport{Key: key, Ops: h.Len()}
-		r, err := c.Check(h, k, opts)
+		r, err := c.Verifier().Check(h, k, opts)
 		if err != nil {
 			kr.Err = err
 		} else {
@@ -250,7 +250,7 @@ func SmallestKByKeyParallel(t *Trace, opts core.Options, workers int) map[string
 	keys := t.SortedKeys()
 	results := make([]int, len(keys))
 	forEachKey(keys, workers, func(c *core.Ctx, i int) {
-		k, err := c.SmallestK(t.Keys[keys[i]], opts)
+		k, err := c.Verifier().SmallestK(t.Keys[keys[i]], opts)
 		if err != nil {
 			k = 0
 		}
@@ -268,9 +268,6 @@ func SmallestKByKeyParallel(t *Trace, opts core.Options, workers int) map[string
 // results land in disjoint slots, so output is deterministic. workers <= 0
 // uses GOMAXPROCS.
 func forEachKey(keys []string, workers int, fn func(c *core.Ctx, i int)) {
-	if len(keys) == 0 {
-		return
-	}
 	core.Run(workers, func(c *core.Ctx) {
 		c.Fork(len(keys), fn)
 	})
@@ -280,10 +277,8 @@ func forEachKey(keys []string, workers int, fn func(c *core.Ctx, i int)) {
 // staleness bound) and the key exhibiting it. Keys that fail verification
 // are skipped; ok is false if no key verified.
 func WorstK(t *Trace, opts core.Options) (k int, key string, ok bool) {
-	v := core.NewVerifier()
-	for cand, h := range t.Keys {
-		ck, err := v.SmallestK(h, opts)
-		if err != nil {
+	for cand, ck := range SmallestKByKey(t, opts) {
+		if ck == 0 {
 			continue
 		}
 		if !ok || ck > k || (ck == k && cand < key) {

@@ -41,10 +41,12 @@
 // of FZF) and safe-cut segments, so a skewed trace with one hot key — or a
 // single huge register checked via CheckPreparedParallel /
 // SmallestKPreparedParallel — still saturates every worker: idle workers
-// steal chunk units instead of waiting at key boundaries. Supplying a Memo
-// via Options.Memo additionally caches chunk and segment verdicts by content
-// hash, so repeated or incremental verification of overlapping traces skips
-// already-proved units.
+// steal chunk units instead of waiting at key boundaries. It is one engine
+// throughout: a standalone Verifier runs the same units inline, so verdicts
+// do not depend on the worker count. Options.Memo is an offline aid on top:
+// it caches chunk and oracle-segment verdicts by content hash, so
+// re-verifying a prepared trace that grew skips already-proved units. The
+// streaming and online forms below ignore it (live segments never repeat).
 //
 // # Streaming
 //
@@ -132,9 +134,9 @@ type (
 	Algorithm = core.Algorithm
 	// Verifier is a reusable verification engine whose scratch buffers
 	// persist across Check/SmallestK calls, making the k=2 hot path
-	// allocation-free at steady state. Not safe for concurrent use; a
-	// Report's Witness is valid only until the next call on the same
-	// Verifier.
+	// allocation-free at steady state. It is the engine the pool's workers
+	// run, with every unit inline. Not safe for concurrent use; a Report's
+	// Witness is valid only until the next call on the same Verifier.
 	Verifier = core.Verifier
 )
 
@@ -142,9 +144,9 @@ type (
 func NewVerifier() *Verifier { return core.NewVerifier() }
 
 // Memo is a concurrency-safe verdict cache keyed by work-unit content hash:
-// the chunk-parallel verification paths consult it before verifying a chunk
-// or safe-cut segment, so repeated or incremental verification of
-// overlapping traces skips already-proved units. Share one via Options.Memo.
+// the offline checkers consult it before verifying an FZF chunk or handing a
+// safe-cut segment to the oracle, so re-verifying a trace that grew skips
+// already-proved units. Share one via Options.Memo; sessions ignore it.
 type Memo = core.Memo
 
 // MemoStats reports a Memo's hit/miss/entry counters.
@@ -154,7 +156,7 @@ type MemoStats = core.MemoStats
 func NewMemo() *Memo { return core.NewMemo() }
 
 // CheckPreparedParallel is CheckPrepared with chunk-level parallelism: the
-// history's chunks (k=1, 2) or safe-cut segments (k >= 3) verify
+// history's chunks (k=2) or safe-cut segments (k >= 3) verify
 // concurrently on a work-stealing pool of the given size (workers <= 0 uses
 // GOMAXPROCS), so even a single register saturates multiple cores. Verdicts
 // are identical to CheckPrepared for any worker count; for k=2 the witness
@@ -163,9 +165,10 @@ func CheckPreparedParallel(p *Prepared, k int, opts Options, workers int) (Repor
 	return core.CheckPreparedParallel(p, k, opts, workers)
 }
 
-// SmallestKPreparedParallel is the smallest-k search with per-segment probes
-// fanned out over a work-stealing pool (workers <= 0 uses GOMAXPROCS); the
-// result equals the sequential search by the segment-equivalence lemma.
+// SmallestKPreparedParallel is the smallest-k search run on a work-stealing
+// pool (workers <= 0 uses GOMAXPROCS): a big register's runs of safe-cut
+// segments, and the segments that reach the oracle, spread over the workers.
+// The result and the oracle probes equal SmallestKPrepared's.
 func SmallestKPreparedParallel(p *Prepared, opts Options, workers int) (int, error) {
 	return core.SmallestKPreparedParallel(p, opts, workers)
 }
