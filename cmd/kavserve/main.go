@@ -79,10 +79,10 @@ func run(args []string, out io.Writer) error {
 		hardWM    = fs.String("hard-watermark", "", "live-heap size above which /ingest sheds with a typed memory_pressure 503 + Retry-After instead of growing toward OOM (empty = off)")
 
 		// Multi-tenant mode.
-		tenants     = fs.String("tenants", "", "multi-tenant mode: comma-separated tenant names, each an isolated session behind /ingest/{tenant} and /verdict/{tenant}, all sharing one verification pool")
-		tenantOps   = fs.Int64("tenant-max-ops", 0, "per-tenant lifetime operation quota; exceeding it rejects with quota_exceeded (0 = unlimited)")
-		tenantKeys  = fs.Int64("tenant-max-keys", 0, "per-tenant distinct-key quota (0 = unlimited)")
-		tenantBuf   = fs.Int64("tenant-max-buffered", 0, "per-tenant live buffered-operation quota — the tenant memory bound; rejects are 503 + Retry-After and clear as verification catches up (0 = unlimited)")
+		tenants    = fs.String("tenants", "", "multi-tenant mode: comma-separated tenant names, each an isolated session behind /ingest/{tenant} and /verdict/{tenant}, all sharing one verification pool")
+		tenantOps  = fs.Int64("tenant-max-ops", 0, "per-tenant lifetime operation quota; exceeding it rejects with quota_exceeded (0 = unlimited)")
+		tenantKeys = fs.Int64("tenant-max-keys", 0, "per-tenant distinct-key quota (0 = unlimited)")
+		tenantBuf  = fs.Int64("tenant-max-buffered", 0, "per-tenant live buffered-operation quota — the tenant memory bound; rejects are 503 + Retry-After and clear as verification catches up (0 = unlimited)")
 
 		// Router mode.
 		route       = fs.String("route", "", "router mode: comma-separated member base URLs; this process forwards by key hash instead of verifying locally")
@@ -104,6 +104,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if *tenants == "" && (*tenantOps > 0 || *tenantKeys > 0 || *tenantBuf > 0) {
+		return fmt.Errorf("-tenant-max-ops, -tenant-max-keys and -tenant-max-buffered need -tenants: quotas are per tenant, and without it nothing would enforce them")
 	}
 	ht := httpTimeouts{readHeader: *readHeaderTO, read: *readTO, idle: *idleTO, shutdown: *shutdownTO}
 	if *route != "" {
@@ -282,23 +285,37 @@ type httpTimeouts struct {
 	readHeader, read, idle, shutdown time.Duration
 }
 
-func newHTTPServer(h http.Handler, ht httpTimeouts) *http.Server {
-	return &http.Server{
+// serveHTTP is the serving loop of every mode: it serves h on ln until the
+// listener fails on its own (that error is returned — there is nothing to
+// drain into) or a shutdown signal arrives, then runs onShutdown (the mode's
+// drain and final report) with the server still answering, so a client's
+// /drain or /verdict read completes, and shuts down: in-flight responses get
+// ht.shutdown to finish (Shutdown, not Close) before connections are closed
+// outright.
+func serveHTTP(ln net.Listener, h http.Handler, ht httpTimeouts, shutdown <-chan os.Signal, onShutdown func()) error {
+	hs := &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: ht.readHeader,
 		ReadTimeout:       ht.read,
 		IdleTimeout:       ht.idle,
 	}
-}
-
-// shutdownHTTP gives in-flight responses ht.shutdown to finish, then
-// closes connections outright.
-func shutdownHTTP(hs *http.Server, ht httpTimeouts) {
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+	select {
+	case err := <-serveErr:
+		return err
+	case <-shutdown:
+	}
+	onShutdown()
 	ctx, cancel := context.WithTimeout(context.Background(), ht.shutdown)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		hs.Close()
 	}
+	if err := <-serveErr; err != http.ErrServerClosed {
+		return err
+	}
+	return nil
 }
 
 // serveRouter runs cluster-router mode: no local verification, only
@@ -316,22 +333,11 @@ func serveRouter(ln net.Listener, cfg cluster.Config, ht httpTimeouts, shutdown 
 	}
 	rt.Start()
 	defer rt.Close()
-	hs := newHTTPServer(rt.Handler(), ht)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-shutdown:
-	}
-	// The router holds no verdict state; members keep theirs. A cluster
-	// drain is explicit (POST /drain) — shutdown just stops routing.
-	fmt.Fprintln(out, "kavserve: router shutting down (members keep their state)")
-	shutdownHTTP(hs, ht)
-	if err := <-serveErr; err != http.ErrServerClosed {
-		return err
-	}
-	return nil
+	return serveHTTP(ln, rt.Handler(), ht, shutdown, func() {
+		// The router holds no verdict state; members keep theirs. A cluster
+		// drain is explicit (POST /drain) — shutdown just stops routing.
+		fmt.Fprintln(out, "kavserve: router shutting down (members keep their state)")
+	})
 }
 
 // withPprof mounts the net/http/pprof handlers next to the service mux and
@@ -379,34 +385,20 @@ func serve(ln net.Listener, cfg online.Config, mgr *checkpoint.Manager, ckptIval
 	if pprofOn {
 		handler = withPprof(handler)
 	}
-	hs := newHTTPServer(handler, ht)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		// The listener failed on its own; nothing to drain into.
-		return err
-	case <-shutdown:
-	}
-	fmt.Fprintln(out, "kavserve: draining...")
-	if err := srv.Drain(); err != nil {
-		fmt.Fprintf(out, "kavserve: drain error: %v\n", err)
-	}
-	if mgr != nil {
-		// Terminal checkpoint: the drained (Flushed) session state lands on
-		// disk, so a restart serves final verdicts with zero WAL replay.
-		if err := mgr.Checkpoint(); err != nil {
-			fmt.Fprintf(out, "kavserve: terminal checkpoint error: %v\n", err)
+	return serveHTTP(ln, handler, ht, shutdown, func() {
+		fmt.Fprintln(out, "kavserve: draining...")
+		if err := srv.Drain(); err != nil {
+			fmt.Fprintf(out, "kavserve: drain error: %v\n", err)
 		}
-	}
-	srv.Verdict().WriteText(out, "kavserve: final")
-	// Shutdown (not Close): verdicts must stay queryable until in-flight
-	// responses — a client's /drain or /verdict read — have completed.
-	shutdownHTTP(hs, ht)
-	if err := <-serveErr; err != http.ErrServerClosed {
-		return err
-	}
-	return nil
+		if mgr != nil {
+			// Terminal checkpoint: the drained (Flushed) session state lands
+			// on disk, so a restart serves final verdicts with zero WAL replay.
+			if err := mgr.Checkpoint(); err != nil {
+				fmt.Fprintf(out, "kavserve: terminal checkpoint error: %v\n", err)
+			}
+		}
+		srv.Verdict().WriteText(out, "kavserve: final")
+	})
 }
 
 // serveMulti runs multi-tenant mode: one isolated session per tenant on a
@@ -416,25 +408,14 @@ func serveMulti(ln net.Listener, multi *online.Multi, pprofOn bool, ht httpTimeo
 	if pprofOn {
 		handler = withPprof(handler)
 	}
-	hs := newHTTPServer(handler, ht)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-shutdown:
-	}
-	fmt.Fprintln(out, "kavserve: draining all tenants...")
-	if err := multi.DrainAll(); err != nil {
-		fmt.Fprintf(out, "kavserve: drain error: %v\n", err)
-	}
-	for _, name := range multi.Tenants() {
-		srv, _ := multi.Tenant(name)
-		srv.Verdict().WriteText(out, "kavserve: final ["+name+"]")
-	}
-	shutdownHTTP(hs, ht)
-	if err := <-serveErr; err != http.ErrServerClosed {
-		return err
-	}
-	return nil
+	return serveHTTP(ln, handler, ht, shutdown, func() {
+		fmt.Fprintln(out, "kavserve: draining all tenants...")
+		if err := multi.DrainAll(); err != nil {
+			fmt.Fprintf(out, "kavserve: drain error: %v\n", err)
+		}
+		for _, name := range multi.Tenants() {
+			srv, _ := multi.Tenant(name)
+			srv.Verdict().WriteText(out, "kavserve: final ["+name+"]")
+		}
+	})
 }

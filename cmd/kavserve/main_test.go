@@ -58,6 +58,13 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"-route", "http://localhost:1", "-data-dir", "/tmp/x"}, &out); err == nil {
 		t.Error("-route with -data-dir accepted")
 	}
+	// A quota without -tenants used to start an unbounded single-tenant
+	// server without a word.
+	for _, quota := range []string{"-tenant-max-ops", "-tenant-max-keys", "-tenant-max-buffered"} {
+		if err := run([]string{quota, "10"}, &out); err == nil || !strings.Contains(err.Error(), "need -tenants") {
+			t.Errorf("%s without -tenants: err = %v, want a need--tenants reject", quota, err)
+		}
+	}
 }
 
 // TestServeRouterMode boots two real member serve loops and a router serve

@@ -1060,7 +1060,6 @@ func mergeStats(dst *trace.StreamStats, s trace.StreamStats) {
 	if s.MaxOpenOps > dst.MaxOpenOps {
 		dst.MaxOpenOps = s.MaxOpenOps
 	}
-	dst.Stopped = dst.Stopped || s.Stopped
 }
 
 func (rt *Router) handleVerdictKey(w http.ResponseWriter, r *http.Request) {

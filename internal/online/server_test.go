@@ -314,7 +314,7 @@ func TestDurableServerCrashRestart(t *testing.T) {
 			t.Fatalf("key %s recovered %d ops, only %d sent", ks.Key, ks.Ops, len(pfx))
 		}
 		for _, line := range pfx[:ks.Ops] {
-			if _, err := ref.sess.AppendTrace(strings.NewReader(line)); err != nil {
+			if _, err := ref.sess.AppendTraceBatch(strings.NewReader(line)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -347,7 +347,7 @@ func TestDurableServerDrainedRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.sess.AppendTrace(strings.NewReader(text)); err != nil {
+	if _, err := srv.sess.AppendTraceBatch(strings.NewReader(text)); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Drain(); err != nil {

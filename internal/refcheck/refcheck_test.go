@@ -153,7 +153,7 @@ func verifyAllEngines(t *testing.T, e *engines, h *history.History) {
 			t.Fatalf("%s: stream accepted anomalous history", desc)
 		}
 		sess := kat.NewOnlineSmallestKSession(kat.Options{}, kat.StreamOptions{Pool: e.pool, MinSegmentOps: 1})
-		if _, err := sess.AppendTrace(strings.NewReader(canon)); err != nil {
+		if _, err := sess.AppendTraceBatch(strings.NewReader(canon)); err != nil {
 			t.Fatalf("%s: online ingest: %v", desc, err)
 		}
 		sess.Flush()
@@ -212,7 +212,7 @@ func verifyAllEngines(t *testing.T, e *engines, h *history.History) {
 	// Online sessions: verdicts must match both the oracle and the
 	// reader-driven stream engine on the same input.
 	onlineK := kat.NewOnlineSmallestKSession(kat.Options{}, sopts)
-	if _, err := onlineK.AppendTrace(strings.NewReader(canon)); err != nil {
+	if _, err := onlineK.AppendTraceBatch(strings.NewReader(canon)); err != nil {
 		t.Fatalf("%s: online ingest: %v", desc, err)
 	}
 	if err := onlineK.Flush(); err != nil {
@@ -233,7 +233,7 @@ func verifyAllEngines(t *testing.T, e *engines, h *history.History) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.AppendTrace(strings.NewReader(canon)); err != nil {
+		if _, err := sess.AppendTraceBatch(strings.NewReader(canon)); err != nil {
 			t.Fatalf("%s: online ingest: %v", desc, err)
 		}
 		if err := sess.Flush(); err != nil {
@@ -366,7 +366,7 @@ func TestDifferentialMultiKey(t *testing.T) {
 			t.Fatalf("stream %v, oracle %v\ntrace:\n%s", got, want, tr)
 		}
 		sess := kat.NewOnlineSmallestKSession(kat.Options{}, sopts)
-		if _, err := sess.AppendTrace(strings.NewReader(canon)); err != nil {
+		if _, err := sess.AppendTraceBatch(strings.NewReader(canon)); err != nil {
 			t.Fatalf("online ingest: %v", err)
 		}
 		sess.Flush()

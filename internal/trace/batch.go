@@ -1,12 +1,13 @@
 package trace
 
-// Batch-granular session ingest.
+// Batch-granular session ingest: the grouping argument (session.go has the
+// overview of how operations enter the engine).
 //
-// The op-granular Append takes its key's shard lock once per operation —
-// correct, but at "many concurrent producers" rates the lock traffic itself
-// dominates: every operation pays an acquire/release plus the cache-line
-// bounce of the lock word. The batch entry points amortize that the way a
-// lock-striped memtable does: parse (AppendTraceBatch) or accept
+// Append takes its key's shard lock once per operation — correct, but at
+// "many concurrent producers" rates the lock traffic itself dominates: every
+// operation pays an acquire/release plus the cache-line bounce of the lock
+// word. The batch entry points amortize that the way a lock-striped memtable
+// does: parse (AppendTraceBatch), decode (AppendWire) or accept
 // (AppendBatch) a whole chunk of operations, group them by ingest shard
 // with one counting pass, and feed each shard's group under a single lock
 // acquisition — lock acquisitions per operation drop by roughly the batch
@@ -46,8 +47,8 @@ type KeyedOp = wire.Op
 const defaultBatchChunk = 256 << 10
 
 // maxBatchLine caps the AppendTraceBatch buffer growth on newline-free
-// input — the same 1 GiB backstop the op-granular path's scanner enforces,
-// so a malicious or corrupt producer cannot balloon the server's memory
+// input — the same 1 GiB backstop ParseStream's scanner enforces, so a
+// malicious or corrupt producer cannot balloon the server's memory
 // with an unterminated line.
 const maxBatchLine = 1 << 30
 
@@ -116,8 +117,8 @@ func (s *Session) putScratch(sc *batchScratch) {
 
 // feedGrouped walks the grouped scratch (counts/order as built by group)
 // and feeds each non-empty shard group under a single counted lock
-// acquisition: gate recheck under the lock, settleAdd per operation, and
-// the sticky-error unwind — the one copy of the locking discipline the
+// acquisition: gate recheck under the lock, one admission per operation,
+// and the sticky-error unwind — the one copy of the locking discipline the
 // batch entry points share. add hands operation i to the engine (the input
 // forms differ only there); enc, when a ShardLogger is attached, builds the
 // shard group's write-ahead encoding, and the accepted prefix is logged
@@ -154,19 +155,16 @@ func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int3
 			enc.begin()
 		}
 		for _, i := range group {
-			ok, err := s.settleAdd(add(sh, i))
-			if ok {
-				appended++
-				if logger != nil {
-					enc.add(i)
-				}
-			}
-			if err != nil {
+			if err := s.stick(add(sh, i)); err != nil {
 				if logger != nil {
 					s.logShard(logger, si, enc.finish()) // accepted prefix; err already sticky
 				}
 				unlock()
 				return appended, err
+			}
+			appended++
+			if logger != nil {
+				enc.add(i)
 			}
 		}
 		if logger != nil {
@@ -221,11 +219,9 @@ func (sc *batchScratch) group(n, nshards int) {
 // AppendBatch feeds a batch of already-parsed operations, grouping them by
 // ingest shard and taking each shard's lock once for its whole group
 // instead of once per operation. It returns the number of operations
-// actually appended (operations silently dropped after a StopOnViolation
-// early exit are not counted) and the first error, which is sticky exactly
-// like Append's. Per-key input order is preserved; see the package comment
-// in batch.go for the cross-producer interleaving and non-transactionality
-// fine print.
+// appended and the first error, which is sticky exactly like Append's.
+// Per-key input order is preserved; see the package comment in batch.go for
+// the cross-producer interleaving and non-transactionality fine print.
 func (s *Session) AppendBatch(ops []KeyedOp) (int, error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -245,12 +241,20 @@ func (s *Session) AppendBatch(ops []KeyedOp) (int, error) {
 		}
 	}
 	appended, err := s.feedKeyedOps(sc, ops, &sc.walKeyed)
+	return appended, s.commitBatch(err)
+}
+
+// commitBatch is the tail of every batch entry point: with a ShardLogger
+// attached the call is the group-commit unit, so the logger commits once
+// before the call returns — on the error exits too. err is the feed's error,
+// which a commit failure does not displace.
+func (s *Session) commitBatch(err error) error {
 	if logger := s.shardLogger(); logger != nil {
-		if cerr := s.commitLog(logger); cerr != nil && err == nil {
+		if cerr := s.commitLog(logger); err == nil {
 			err = cerr
 		}
 	}
-	return appended, err
+	return err
 }
 
 // feedKeyedOps groups a slice of keyed operations by ingest shard and feeds
@@ -291,12 +295,7 @@ func (s *Session) feedKeyedOps(sc *batchScratch, ops []KeyedOp, enc *walEnc) (in
 // exactly as on AppendTraceBatch.
 func (s *Session) AppendWire(r io.Reader) (int64, error) {
 	n, err := s.appendWire(r)
-	if logger := s.shardLogger(); logger != nil {
-		if cerr := s.commitLog(logger); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return n, err
+	return n, s.commitBatch(err)
 }
 
 func (s *Session) appendWire(r io.Reader) (int64, error) {
@@ -358,21 +357,15 @@ func (s *Session) appendWire(r io.Reader) (int64, error) {
 // error aborts mid-stream with the operations before the failing one (in
 // parse order; for admission errors, per shard group) already appended.
 // Engine admission errors (ErrOutOfOrder, ErrBufferLimit) are sticky
-// exactly like Append's; parse and reader errors reject only this request,
-// as on the op-granular AppendTrace path, where a malformed line aborts the
-// read before touching session state.
+// exactly like Append's; parse and reader errors reject only this request
+// and leave the session usable.
 //
 // When a ShardLogger is attached, the call is also the group-commit unit:
 // accepted operations log shard-by-shard as chunks feed, and the logger
 // commits once before the call returns — on the error exits too.
 func (s *Session) AppendTraceBatch(r io.Reader) (int64, error) {
 	n, err := s.appendTraceBatch(r)
-	if logger := s.shardLogger(); logger != nil {
-		if cerr := s.commitLog(logger); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return n, err
+	return n, s.commitBatch(err)
 }
 
 func (s *Session) appendTraceBatch(r io.Reader) (int64, error) {
@@ -395,7 +388,7 @@ func (s *Session) appendTraceBatch(r io.Reader) (int64, error) {
 	for {
 		if carry == len(buf) {
 			// One line longer than the buffer: grow and keep reading, up
-			// to the same backstop the op-granular scanner enforces.
+			// to the same backstop ParseStream's scanner enforces.
 			if len(buf) >= maxBatchLine {
 				sc.buf = buf
 				return n, fmt.Errorf("trace: %w", bufio.ErrTooLong)
@@ -414,9 +407,9 @@ func (s *Session) appendTraceBatch(r io.Reader) (int64, error) {
 		case rerr != nil:
 			// A reader error tokenizes like EOF before it surfaces:
 			// everything buffered — including a final unterminated line —
-			// is ingested first, exactly as the op-granular path's scanner
-			// emits its remaining buffer (final partial token included)
-			// before reporting the error.
+			// is ingested first, exactly as a bufio.Scanner emits its
+			// remaining buffer (final partial token included) before
+			// reporting the error.
 			added, err := s.ingestChunk(sc, buf[:carry])
 			n += int64(added)
 			sc.buf = buf
@@ -450,8 +443,8 @@ func (s *Session) appendTraceBatch(r io.Reader) (int64, error) {
 // ingestChunk parses one chunk of complete lines into the scratch, groups
 // by shard, and feeds each group under a single shard-lock acquisition.
 // On a parse error the operations parsed before the failing segment are
-// still ingested first (matching AppendTrace's per-operation semantics),
-// then the parse error is returned.
+// still ingested first (ingest is per-operation, not transactional), then
+// the parse error is returned.
 func (s *Session) ingestChunk(sc *batchScratch, data []byte) (int, error) {
 	e := s.e
 	sc.ops = sc.ops[:0]

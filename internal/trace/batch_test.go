@@ -140,14 +140,14 @@ func TestAppendBatchConcurrentProducers(t *testing.T) {
 // TestAppendTraceBatchMatchesAppendTrace drives the chunked byte path with
 // tiny chunk sizes (forcing partial-line carries across reads), ';'
 // separators, and comments, checking verdict and count equivalence with the
-// op-granular AppendTrace.
+// op-granular side (a scanner feeding Append, see appendPerOp).
 func TestAppendTraceBatchMatchesAppendTrace(t *testing.T) {
 	text := genSessionTrace(7, 4, 70)
 	// Exercise the multi-segment-line and comment paths too.
 	text = "# leading comment\n" + strings.Replace(text, "\n", "; ", 3) + "# trailing\n"
 
 	ref := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1})
-	refN, err := ref.AppendTrace(strings.NewReader(text))
+	refN, err := appendPerOp(ref, strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,10 @@ func TestAppendTraceBatchLongLine(t *testing.T) {
 	}
 }
 
-// TestAppendTraceBatchParseError pins AppendTrace's partial-ingest contract
-// on the batch path: operations parsed before the malformed segment are
-// ingested, the error names the segment, and it is NOT sticky (parse errors
-// reject the request, not the session — only engine admission errors
-// poison it). This matches the op-granular path, where a malformed line
-// aborts the read before any session state is touched.
+// TestAppendTraceBatchParseError pins the partial-ingest contract of the
+// batch path: operations parsed before the malformed segment are ingested,
+// the error names the segment, and it is NOT sticky (parse errors reject the
+// request, not the session — only engine admission errors poison it).
 func TestAppendTraceBatchParseError(t *testing.T) {
 	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 2})
 	n, err := s.AppendTraceBatch(strings.NewReader("w a 1 0 1\nw a 2 10 11\nbogus line\nw a 3 30 31\n"))
@@ -258,7 +256,7 @@ func TestAppendTraceBatchReaderErrorParity(t *testing.T) {
 	boom := errors.New("connection reset")
 	payload := "w a 1 0 1\nw b 1 0 1" // no trailing newline
 	ref := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1})
-	refN, refErr := ref.AppendTrace(&errAfterReader{data: []byte(payload), err: boom})
+	refN, refErr := appendPerOp(ref, &errAfterReader{data: []byte(payload), err: boom})
 	ref.Flush()
 	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 4})
 	n, err := s.AppendTraceBatch(&errAfterReader{data: []byte(payload), err: boom})

@@ -42,6 +42,7 @@ package trace
 // satisfies this by construction.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -108,9 +109,7 @@ func (s *Session) logShard(l ShardLogger, shard int, buf []byte) error {
 		return nil
 	}
 	if err := l.LogShardBatch(shard, buf); err != nil {
-		werr := &DurabilityError{err}
-		s.err.CompareAndSwap(nil, &stickyIngestErr{werr})
-		return werr
+		return s.stick(&DurabilityError{err})
 	}
 	return nil
 }
@@ -118,9 +117,7 @@ func (s *Session) logShard(l ShardLogger, shard int, buf []byte) error {
 // commitLog runs the logger's group-commit point and stickies any failure.
 func (s *Session) commitLog(l ShardLogger) error {
 	if err := l.Commit(); err != nil {
-		werr := &DurabilityError{err}
-		s.err.CompareAndSwap(nil, &stickyIngestErr{werr})
-		return werr
+		return s.stick(&DurabilityError{err})
 	}
 	return nil
 }
@@ -182,7 +179,7 @@ func parseOpsText(data []byte, base int) ([]history.Operation, error) {
 	seg := 0
 	for len(data) > 0 {
 		line := data
-		if j := indexByte(data, '\n'); j >= 0 {
+		if j := bytes.IndexByte(data, '\n'); j >= 0 {
 			line, data = data[:j], data[j+1:]
 		} else {
 			data = nil
@@ -196,15 +193,6 @@ func parseOpsText(data []byte, base int) ([]history.Operation, error) {
 		}
 	}
 	return ops, nil
-}
-
-func indexByte(b []byte, c byte) int {
-	for i := range b {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // ---- spill ----
@@ -408,7 +396,6 @@ type SessionCheckpoint struct {
 	K          int          `json:"k,omitempty"`
 	Threshold  int          `json:"threshold"`
 	Flushed    bool         `json:"flushed,omitempty"`
-	Stopped    bool         `json:"stopped,omitempty"`
 	Err        string       `json:"err,omitempty"`
 	Stats      CarriedStats `json:"stats"`
 	Keys       []KeyState   `json:"keys"`
@@ -424,11 +411,29 @@ type SessionCheckpoint struct {
 	Epochs       []EpochStats      `json:"epochs,omitempty"` // Folded aggregate included, if any
 }
 
-func modeName(m streamMode) string {
-	if m == modeCheck {
+// modeName is SessionCheckpoint.Mode for an engine bound k (k > 0 is a
+// fixed-k check).
+func modeName(k int) string {
+	if k > 0 {
 		return "check"
 	}
 	return "smallestk"
+}
+
+// propStates renders the extra properties' accumulators (props[1:]; the k
+// verdict rides the legacy Atomic/MaxK/Saturated fields) for a checkpoint.
+func propStates(extras []PropertyVerdict) []PropState {
+	var out []PropState
+	for _, pv := range extras {
+		out = append(out, PropState{
+			Property:  pv.Property.String(),
+			Delta:     pv.Delta,
+			Unsafe:    pv.UnsafeReads,
+			Irregular: pv.IrregularReads,
+			Saturated: pv.Saturated,
+		})
+	}
+	return out
 }
 
 // Checkpoint snapshots the session at a frozen instant: every shard lock is
@@ -465,12 +470,11 @@ func (s *Session) Checkpoint(frozen func() error) (*SessionCheckpoint, error) {
 func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 	e := s.e
 	cp := &SessionCheckpoint{
-		Mode:       modeName(e.mode),
+		Mode:       modeName(e.k),
 		Properties: e.sopts.Properties.String(),
 		K:          e.k,
 		Threshold:  e.threshold,
 		Flushed:    s.flushed.Load(),
-		Stopped:    e.stopped.Load(),
 		Stats: CarriedStats{
 			Segments:        e.segments.Load(),
 			Merges:          e.merges.Load(),
@@ -501,18 +505,10 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 				Atomic:          rk.props[0].Atomic,
 				MaxK:            rk.props[0].K,
 				Saturated:       rk.props[0].Saturated,
+				Props:           propStates(rk.props[1:]),
 			}
 			if rk.err != nil {
 				st.Err = rk.err.Error()
-			}
-			for _, pv := range rk.props[1:] {
-				st.Props = append(st.Props, PropState{
-					Property:  pv.Property.String(),
-					Delta:     pv.Delta,
-					Unsafe:    pv.UnsafeReads,
-					Irregular: pv.IrregularReads,
-					Saturated: pv.Saturated,
-				})
 			}
 			cp.Retired = append(cp.Retired, st)
 		}
@@ -584,15 +580,7 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 			}
 			st.MaxK = ks.props[0].K
 			st.Saturated = ks.props[0].Saturated
-			for _, pv := range ks.props[1:] {
-				st.Props = append(st.Props, PropState{
-					Property:  pv.Property.String(),
-					Delta:     pv.Delta,
-					Unsafe:    pv.UnsafeReads,
-					Irregular: pv.IrregularReads,
-					Saturated: pv.Saturated,
-				})
-			}
+			st.Props = propStates(ks.props[1:])
 			ks.mu.Unlock()
 			cp.Keys = append(cp.Keys, st)
 		}
@@ -611,7 +599,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 	if e.opsIngested() != 0 || e.keyCount.Load() != 0 {
 		return errors.New("trace: RestoreCheckpoint on a session that already ingested")
 	}
-	if got := modeName(e.mode); got != cp.Mode {
+	if got := modeName(e.k); got != cp.Mode {
 		return fmt.Errorf("trace: checkpoint mode %q does not match session mode %q", cp.Mode, got)
 	}
 	// Older checkpoints carry no Properties field; they were written by
@@ -622,7 +610,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 	if cp.Properties == "" && e.sopts.Properties.String() != "k" {
 		return fmt.Errorf("trace: k-only checkpoint does not match session properties %q", e.sopts.Properties.String())
 	}
-	if e.mode == modeCheck && e.k != cp.K {
+	if e.k != cp.K {
 		return fmt.Errorf("trace: checkpoint k=%d does not match session k=%d", cp.K, e.k)
 	}
 	if e.threshold != cp.Threshold {
@@ -684,34 +672,15 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		if n := int64(len(ks.open)); n > sh.maxOpen.Load() {
 			sh.maxOpen.Store(n)
 		}
-		ks.props[0].Atomic = st.Atomic
+		ks.props = e.propsFromCheckpoint(st.Atomic, max(st.MaxK, st.KFloor), st.Saturated, st.Props)
 		if st.Err != "" {
 			ks.err = errors.New(st.Err)
 			ks.errSeq = st.ErrSeq
 		}
-		ks.props[0].K = max(st.MaxK, st.KFloor)
-		ks.props[0].Saturated = st.Saturated
 		if st.Saturated {
 			e.saturatedKeys.Add(1)
 		}
-		for _, ps := range st.Props {
-			for i := range ks.props {
-				if ks.props[i].Property.String() != ps.Property {
-					continue
-				}
-				ks.props[i].Delta = ps.Delta
-				ks.props[i].UnsafeReads = ps.Unsafe
-				ks.props[i].IrregularReads = ps.Irregular
-				ks.props[i].Saturated = ps.Saturated
-				break
-			}
-		}
-		bad := ks.err != nil || !ks.props[0].Atomic
-		if e.mode == modeCheck && len(e.checkers) == 1 {
-			ks.settled.Store(bad)
-		} else {
-			ks.settled.Store(ks.err != nil)
-		}
+		e.resettle(ks)
 	}
 	for _, st := range cp.Retired {
 		sh := e.shards[e.shardIndex(st.Key)]
@@ -768,12 +737,8 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 	e.spills.Store(cp.Stats.Spills)
 	e.opsSpilled.Store(cp.Stats.OpsSpilled)
 	e.spillLoads.Store(cp.Stats.SpillLoads)
-	if cp.Stopped {
-		e.stopped.Store(true)
-		e.stop.Store(true)
-	}
 	if cp.Err != "" {
-		s.err.CompareAndSwap(nil, &stickyIngestErr{errors.New(cp.Err)})
+		s.stick(errors.New(cp.Err))
 	}
 	if cp.Flushed {
 		s.flushed.Store(true)

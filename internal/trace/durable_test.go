@@ -119,8 +119,8 @@ func smallestKOf(t *testing.T, text string, sopts StreamOptions) map[string]int 
 
 // TestShardLoggerReplayEquivalence checks the WAL invariant end to end at
 // the session layer: replaying the logged per-shard payloads through a
-// fresh session reproduces the original verdicts, across all four ingest
-// paths and a different replay shard count.
+// fresh session reproduces the original verdicts, across the text-logging
+// ingest paths and a different replay shard count.
 func TestShardLoggerReplayEquivalence(t *testing.T) {
 	text := genSessionTrace(11, 5, 120)
 	base := StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 4}
@@ -131,11 +131,6 @@ func TestShardLoggerReplayEquivalence(t *testing.T) {
 		run  func(t *testing.T, s *Session)
 	}{
 		{"Append", func(t *testing.T, s *Session) { feedPerOp(t, s, text) }},
-		{"AppendTrace", func(t *testing.T, s *Session) {
-			if _, err := s.AppendTrace(strings.NewReader(text)); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"AppendTraceBatch", func(t *testing.T, s *Session) {
 			if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
 				t.Fatal(err)

@@ -48,7 +48,7 @@ package trace
 // last hour k-atomic" without retaining per-key state per window. Epoch
 // attribution happens at quiescent cuts — the only instants a verdict
 // exists — and summaries are monotone aggregates, so late-landing verdicts
-// fold in regardless of worker scheduling. At most RetainEpochs summaries
+// fold in regardless of worker scheduling. At most retainedEpochs summaries
 // are kept; older ones fold into a single cumulative aggregate.
 
 import (
@@ -64,11 +64,10 @@ import (
 // amortizes to noise.
 const DefaultRetireSweepOps = 4096
 
-// DefaultRetainEpochs caps retained epoch summaries when
-// StreamOptions.RetainEpochs is zero. Each summary is a few dozen bytes, so
-// the default keeps days of hourly epochs while still bounding an
+// retainedEpochs caps retained epoch summaries. Each summary is a few dozen
+// bytes, so this keeps days of hourly epochs while still bounding an
 // adversarial tiny-epoch configuration.
-const DefaultRetainEpochs = 1024
+const retainedEpochs = 1024
 
 // retiredKey is the compact residue of a retired key: everything needed to
 // report its final verdict and to seed a re-admitted lifetime. ~100 bytes
@@ -109,8 +108,8 @@ type EpochStats struct {
 	// Epoch is the window index; for the Folded aggregate it is the highest
 	// epoch folded in.
 	Epoch int64 `json:"epoch"`
-	// Folded marks the cumulative aggregate of epochs evicted past
-	// RetainEpochs.
+	// Folded marks the cumulative aggregate of epochs evicted past the
+	// retain cap.
 	Folded bool `json:"folded,omitempty"`
 	// Ops counts operations whose verdicts landed in this epoch (verified
 	// segment operations plus dropped stale reads); Segments counts verified
@@ -159,6 +158,7 @@ type epochTracker struct {
 	mu     sync.Mutex
 	epochs map[int64]*EpochStats
 	folded *EpochStats // aggregate of epochs evicted past the retain cap
+	retain int         // the cap: retainedEpochs (tests shrink it)
 }
 
 // watermark is the global ingest high-water mark: the largest operation
@@ -201,7 +201,7 @@ func (e *engine) foldEpoch(ep int64, fn func(*EpochStats)) {
 		}
 		es = &EpochStats{Epoch: ep}
 		t.epochs[ep] = es
-		for len(t.epochs) > e.retainEpochs {
+		for len(t.epochs) > t.retain {
 			oldest := int64(math.MaxInt64)
 			for k := range t.epochs {
 				if k < oldest {
@@ -224,8 +224,7 @@ func (e *engine) foldEpoch(ep int64, fn func(*EpochStats)) {
 }
 
 // maybeSweep is the ingest-path retirement trigger: every RetireSweepOps
-// operations routed into a shard, sweep it. The caller owns the shard
-// (ingest lock or the single reader-driven goroutine).
+// operations routed into a shard, sweep it. The caller holds sh.mu.
 func (e *engine) maybeSweep(sh *ingestShard) error {
 	sh.sinceSweep++
 	if sh.sinceSweep < e.sweepEvery {
@@ -250,13 +249,12 @@ func (e *engine) sweepWatermark(sh *ingestShard) int64 {
 // maybeSweepAll is the cold-shard retirement trigger. The ingest-path sweep
 // in maybeSweep only ever visits the shard receiving the operation, so a
 // shard whose keys all went quiescent — no traffic at all — would never be
-// swept and its keys never retired. Session entry points and the
-// reader-driven loops count every operation here, and every
-// RetireSweepOps*shards operations one pass sweeps every shard. wm is the
-// idleness reference: the watermark before the counted operations arrived.
-// lock says whether to take the shard locks (sessions) or the caller owns
-// every shard (the single goroutine of a reader-driven run).
-func (e *engine) maybeSweepAll(n int64, wm int64, lock bool) error {
+// swept and its keys never retired. The session entry points count every
+// operation here, and every RetireSweepOps*shards operations one pass sweeps
+// every shard, taking each shard's lock in turn (the caller holds none). wm
+// is the idleness reference: the watermark before the counted operations
+// arrived.
+func (e *engine) maybeSweepAll(n int64, wm int64) error {
 	if e.retireTTL <= 0 || wm == math.MinInt64 {
 		return nil
 	}
@@ -267,13 +265,9 @@ func (e *engine) maybeSweepAll(n int64, wm int64, lock bool) error {
 	}
 	var firstErr error
 	for _, sh := range e.shards {
-		if lock {
-			sh.mu.Lock()
-		}
+		sh.mu.Lock()
 		err := e.sweepShard(sh, e.retireTTL, wm)
-		if lock {
-			sh.mu.Unlock()
-		}
+		sh.mu.Unlock()
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -283,8 +277,8 @@ func (e *engine) maybeSweepAll(n int64, wm int64, lock bool) error {
 
 // sweepShard retires every key of sh that has been idle — no operation
 // within ttl of the global watermark — and finalizes keys whose earlier
-// retirement was waiting out in-flight verification. The caller owns the
-// shard. Retirement is two-phase because workers never take shard locks
+// retirement was waiting out in-flight verification. The caller holds
+// sh.mu. Retirement is two-phase because workers never take shard locks
 // (the checkpoint freeze invariant): the sweep commits the final cut and
 // dispatches under the shard, and a later sweep (or the same one, when
 // verification already drained) folds the verdict and frees the state.
@@ -325,7 +319,7 @@ func (e *engine) sweepShard(sh *ingestShard, ttl, wm int64) error {
 
 // finalizeRetire completes phase two of a retirement: once the key's last
 // in-flight segment verdict has folded, collapse it to a retiredKey and
-// free the keyState. The caller owns the shard. The inflight load
+// free the keyState. The caller holds sh.mu. The inflight load
 // synchronizes with the worker's decrement, so the verdict fields read
 // below include every fold.
 func (e *engine) finalizeRetire(sh *ingestShard, ks *keyState) {
@@ -372,12 +366,7 @@ func (e *engine) readmit(ks *keyState, rk *retiredKey) {
 	if ks.err != nil {
 		ks.errSeq = math.MinInt
 	}
-	bad := ks.err != nil || !ks.props[0].Atomic
-	if e.mode == modeCheck && len(e.checkers) == 1 {
-		ks.settled.Store(bad)
-	} else {
-		ks.settled.Store(ks.err != nil)
-	}
+	e.resettle(ks)
 	e.retiredNow.Add(-1)
 	e.retiredOps.Add(int64(-rk.ops))
 	e.readmissions.Add(1)
@@ -461,10 +450,7 @@ func (s *Session) RetireIdle(minIdle int64) error {
 			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		s.err.CompareAndSwap(nil, &stickyIngestErr{firstErr})
-	}
-	return firstErr
+	return s.stick(firstErr)
 }
 
 // sweepAllSticky runs the cold-shard sweep pass for a session feeder that
@@ -474,11 +460,7 @@ func (s *Session) sweepAllSticky(n int64, wm int64) error {
 	if s.flushed.Load() {
 		return nil
 	}
-	err := s.e.maybeSweepAll(n, wm, true)
-	if err != nil {
-		s.err.CompareAndSwap(nil, &stickyIngestErr{err})
-	}
-	return err
+	return s.stick(s.e.maybeSweepAll(n, wm))
 }
 
 // SpillOpenWindows spills every key's in-memory open-window tail to the
@@ -498,10 +480,7 @@ func (s *Session) SpillOpenWindows() error {
 		}
 		sh.mu.Unlock()
 	}
-	if firstErr != nil {
-		s.err.CompareAndSwap(nil, &stickyIngestErr{firstErr})
-	}
-	return firstErr
+	return s.stick(firstErr)
 }
 
 // RetiredSummary aggregates the session's retired keys. The per-key floor

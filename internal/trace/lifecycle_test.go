@@ -253,12 +253,12 @@ func TestEpochWindows(t *testing.T) {
 	}
 }
 
-// TestEpochEviction drives more windows than RetainEpochs and expects the
+// TestEpochEviction drives more windows than the retain cap and expects the
 // oldest to fold into the cumulative aggregate.
 func TestEpochEviction(t *testing.T) {
-	sopts := StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 1,
-		EpochLength: 10, RetainEpochs: 3}
+	sopts := StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 1, EpochLength: 10}
 	s := NewSmallestKSession(core.Options{}, sopts)
+	s.e.epochT.retain = 3 // retainedEpochs is a constant; shrink it for the test
 	for i := int64(0); i < 100; i++ {
 		start := i * 10 // one op per window: far more windows than retained
 		if err := s.Append("k", history.Operation{Kind: history.KindWrite, Value: i + 1, Start: start, Finish: start + 2}); err != nil {

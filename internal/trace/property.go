@@ -58,7 +58,7 @@ type Property uint8
 
 const (
 	// PropertyKAtomicity is the paper's bounded-version-staleness property;
-	// always enabled (the engine's modes are its two forms).
+	// always enabled (fixed-k or smallest-k, as the session).
 	PropertyKAtomicity Property = iota
 	// PropertyDelta is Δ-atomicity: bounded time staleness (smallest Δ).
 	PropertyDelta
@@ -137,9 +137,9 @@ func ParseProperties(list string) (PropertySet, error) {
 type PropertyVerdict struct {
 	// Property says which checker produced the verdict.
 	Property Property
-	// Atomic is the fixed-k verdict (k-atomicity checker, check mode).
+	// Atomic is the fixed-k verdict (k-atomicity checker, fixed-k sessions).
 	Atomic bool
-	// K is the smallest k (k-atomicity checker, smallest-k mode).
+	// K is the smallest k (k-atomicity checker, smallest-k sessions).
 	K int
 	// Delta is the smallest Δ (Δ-atomicity checker), on the input time scale.
 	Delta int64
@@ -200,10 +200,10 @@ type PropertyChecker interface {
 	FoldStale(acc *PropertyVerdict, ev staleReadEvidence)
 }
 
-// checkersFor builds the engine's checker slice: k-atomicity first (the
-// engine's own mode), then any extra properties in canonical order.
-func checkersFor(mode streamMode, k int, set PropertySet) []PropertyChecker {
-	out := []PropertyChecker{kAtomicityChecker{mode: mode, k: k}}
+// checkersFor builds the engine's checker slice: k-atomicity first (at the
+// engine's bound k), then any extra properties in canonical order.
+func checkersFor(k int, set PropertySet) []PropertyChecker {
+	out := []PropertyChecker{kAtomicityChecker{k: k}}
 	if set.Has(PropertyDelta) {
 		out = append(out, deltaChecker{})
 	}
@@ -213,18 +213,15 @@ func checkersFor(mode streamMode, k int, set PropertySet) []PropertyChecker {
 	return out
 }
 
-// kAtomicityChecker is the existing engine verdict behind the interface:
-// fixed-k in check mode, smallest-k otherwise.
-type kAtomicityChecker struct {
-	mode streamMode
-	k    int
-}
+// kAtomicityChecker is the engine's own verdict behind the interface: the
+// fixed-k check at bound k when k > 0, smallest-k when k == 0.
+type kAtomicityChecker struct{ k int }
 
 func (kAtomicityChecker) Property() Property { return PropertyKAtomicity }
 
 func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (PropertyVerdict, error) {
 	pv := PropertyVerdict{Property: PropertyKAtomicity, Atomic: true}
-	if kc.mode == modeCheck {
+	if kc.k > 0 {
 		rep, err := c.Verifier().CheckPrepared(seg.P, kc.k, opts)
 		pv.Atomic = rep.Atomic
 		return pv, err
@@ -242,7 +239,7 @@ func (kAtomicityChecker) Fold(acc *PropertyVerdict, seg PropertyVerdict) {
 }
 
 func (kc kAtomicityChecker) FoldStale(acc *PropertyVerdict, ev staleReadEvidence) {
-	if kc.mode == modeCheck {
+	if kc.k > 0 {
 		// forcedWrites >= threshold == k, so staleness > k: definitive.
 		acc.Atomic = false
 		return

@@ -258,7 +258,7 @@ func TestStreamVerdictsByKeyMatchesOffline(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			sopts := StreamOptions{MinSegmentOps: 1, IngestShards: shards, Properties: PropertySetAll, Workers: 2}
 			sess := NewSmallestKSession(core.Options{}, sopts)
-			if _, err := sess.AppendTrace(strings.NewReader(text)); err != nil {
+			if _, err := sess.AppendTraceBatch(strings.NewReader(text)); err != nil {
 				t.Fatalf("seed %d shards %d: AppendTrace: %v", seed, shards, err)
 			}
 			if err := sess.Flush(); err != nil {

@@ -1,30 +1,38 @@
 package trace
 
-// Push-driven streaming verification.
+// Session: the one driver of the streaming engine.
 //
-// StreamCheck and StreamSmallestKByKey own their input: they pull operations
-// out of an io.Reader until it is exhausted. An online monitor cannot hand
-// over a reader — operations arrive one RPC at a time, from many concurrent
-// clients, with no end in sight — so Session exposes the same engine in push
-// form: Append routes single operations into the per-key segment
-// accumulators, verdicts accumulate on the verification pool exactly as in
-// the reader-driven form, Snapshot reads the live per-key state at any
-// moment, and Flush is the graceful drain: it commits every open window,
-// verifies everything still held, and waits, after which the reports are
-// final and identical to what the reader-driven engine would have produced
-// on the concatenation of everything appended (the segment-equivalence
-// lemma in stream.go carries over unchanged — the cut rules never depended
-// on who drives the parser).
+// Everything that reaches engine.addOp goes through a Session, in one of two
+// admission shapes that differ in something a caller can observe:
+//
+//   - Append: one operation under one shard-lock acquisition. Producers
+//     interleave at operation granularity, nothing is buffered or grouped,
+//     and the call does not allocate — the shape for a caller that has one
+//     operation in hand.
+//   - a batch through feedGrouped (batch.go): AppendBatch takes parsed
+//     operations, AppendWire decodes wire frames, AppendTraceBatch parses
+//     keyed text in chunks; each groups its operations by ingest shard and
+//     feeds every shard's group under one lock acquisition.
+//
+// The reader-driven functions (StreamCheck, StreamSmallestKByKey,
+// StreamVerdictsByKey in stream.go) are a Session too: opened, fed from the
+// reader by AppendWire or AppendTraceBatch, flushed. So are kavserve's ingest
+// handlers and write-ahead-log recovery. The segment-equivalence lemma in
+// stream.go never depended on who feeds the engine: per-key arrival order is
+// all it needs, and both shapes preserve it.
+//
+// Verdicts accumulate on the verification pool as segments close, Snapshot
+// reads the live per-key state at any moment, and Flush is the graceful
+// drain: it commits every open window, verifies everything still held, and
+// waits, after which the reports are final — the same for any admission
+// shape, shard count, or batch boundaries over the same operations.
 //
 // Concurrency shape: there is no session-wide lock. Per-key state is
 // striped over StreamOptions.IngestShards independently locked shards
 // (key-hash routed), the session-level admission flags (sticky ingest
 // error, flushed) are atomics, and every statistic reads lock-free — so
 // producers contend only when their keys share a shard, and monitoring
-// never queues behind a backpressured producer. The batch entry points
-// (AppendBatch, AppendTraceBatch in batch.go) push this further: they
-// group a whole chunk of operations by shard first and take each shard
-// lock once per batch instead of once per operation.
+// never queues behind a backpressured producer.
 //
 // Many sessions may share one verification pool via StreamOptions.Pool; a
 // session only ever waits on its own dispatched segments.
@@ -32,7 +40,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,19 +58,18 @@ var ErrSessionFlushed = errors.New("trace: session already flushed")
 // atomic.Pointer (admission gating without a lock).
 type stickyIngestErr struct{ err error }
 
-// Session is the push-driven form of the streaming engine. Create one with
-// NewCheckSession (fixed-k verdicts) or NewSmallestKSession (per-key
-// smallest-k); feed it with Append, AppendTrace, or the batch forms
-// AppendBatch / AppendTraceBatch; observe it with Snapshot, Stats, Report,
-// or SmallestKByKey; and retire it with Flush.
+// Session drives the streaming engine. Create one with NewCheckSession
+// (fixed-k verdicts) or NewSmallestKSession (per-key smallest-k); feed it
+// with Append or the batch forms AppendBatch / AppendWire /
+// AppendTraceBatch; observe it with Snapshot, Stats, Report, or
+// SmallestKByKey; and retire it with Flush.
 //
 // All methods are safe for concurrent use: appends from many goroutines
 // interleave at operation granularity (batch appends at shard-batch
 // granularity; per-key operations must still arrive in nondecreasing start
 // order across quiescent gaps, so route each key through one producer — see
-// ErrOutOfOrder). Ingest errors are sticky: after an Append fails, every
-// later Append returns the same error and Flush reports it, mirroring the
-// reader-driven engine's abort-on-error semantics.
+// ErrOutOfOrder). Ingest errors are sticky: after an append fails, every
+// later append returns the same error and Flush reports it.
 type Session struct {
 	e *engine
 
@@ -88,43 +94,32 @@ type Session struct {
 	// ingest paths, keeping them allocation-free at steady state.
 	batchScratches sync.Pool
 	// batchChunk overrides the AppendTraceBatch read-chunk size (bytes);
-	// 0 uses defaultBatchChunk. Tests shrink it to exercise chunk-boundary
-	// carry handling.
+	// 0 uses defaultBatchChunk. Reader-driven runs set streamChunk; tests
+	// shrink it to exercise chunk-boundary carry handling.
 	batchChunk int
 }
 
-// NewCheckSession returns a session verifying every key at bound k, the push
-// form of StreamCheck.
+// NewCheckSession returns a session verifying every key at bound k.
 func NewCheckSession(k int, opts core.Options, sopts StreamOptions) (*Session, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("trace: k must be >= 1, got %d", k)
 	}
-	if sopts.IngestShards <= 0 {
-		sopts.IngestShards = DefaultIngestShards
-	}
-	return &Session{e: newEngine(modeCheck, k, k, opts, sopts)}, nil
+	return &Session{e: newEngine(k, opts, sopts)}, nil
 }
 
-// NewSmallestKSession returns a session computing each key's smallest k, the
-// push form of StreamSmallestKByKey (same horizon semantics).
+// NewSmallestKSession returns a session computing each key's smallest k,
+// exact up to StreamOptions.Horizon (see DefaultHorizon).
 func NewSmallestKSession(opts core.Options, sopts StreamOptions) *Session {
-	horizon := sopts.Horizon
-	if horizon <= 0 {
-		horizon = DefaultHorizon
-	}
-	if sopts.IngestShards <= 0 {
-		sopts.IngestShards = DefaultIngestShards
-	}
-	return &Session{e: newEngine(modeSmallestK, 0, horizon, opts, sopts)}
+	return &Session{e: newEngine(0, opts, sopts)}
 }
 
-// Append routes one operation into its key's segment accumulator. The
+// Append routes one operation into its key's segment accumulator — the only
+// per-operation admission there is (every other entry point is a batch
+// through feedGrouped): one operation under one acquisition of its key's
+// shard lock, so producers working disjoint shards never contend. The
 // operation's ID is assigned internally. Append blocks when verification
-// falls behind the configured in-flight budget (backpressure, as in the
-// reader-driven engine). After StopOnViolation fires, appends become no-ops
-// and Stats reports Stopped. Only the key's shard lock is taken, so
-// producers working disjoint shards never contend; batches of operations
-// amortize even that via AppendBatch.
+// falls behind the configured in-flight budget (backpressure). Batches
+// amortize the lock via AppendBatch.
 func (s *Session) Append(key string, op history.Operation) error {
 	if err := s.gate(); err != nil {
 		return err
@@ -141,21 +136,18 @@ func (s *Session) Append(key string, op history.Operation) error {
 		sh.mu.Unlock()
 		return err
 	}
-	ok, err := s.settleAdd(s.e.addStringIn(sh, key, op))
-	if ok && logger != nil {
+	err := s.stick(s.e.addStringIn(sh, key, op))
+	if err == nil && logger != nil {
 		sc := s.getScratch()
 		sc.wal = appendKeyedOpText(sc.wal[:0], key, op)
-		lerr := s.logShard(logger, si, sc.wal)
+		err = s.logShard(logger, si, sc.wal)
 		s.putScratch(sc)
-		if lerr != nil && err == nil {
-			err = lerr
-		}
 	}
 	sh.mu.Unlock()
-	if ok && logger != nil && err == nil {
+	if err == nil && logger != nil {
 		err = s.commitLog(logger)
 	}
-	if ok && err == nil {
+	if err == nil {
 		err = s.sweepAllSticky(1, preWM)
 	}
 	return err
@@ -167,83 +159,18 @@ func (s *Session) gate() error {
 	if s.flushed.Load() {
 		return ErrSessionFlushed
 	}
-	if p := s.err.Load(); p != nil {
-		return p.err
-	}
-	return nil
+	return s.stickyErr()
 }
 
-// settleAdd folds an engine admission result into the session state;
-// accepted reports whether the operation actually entered the engine
-// (false for operations silently dropped after StopOnViolation fired).
-// The first error wins the sticky slot; concurrent appends that were
-// already past the gate may still report their own errors, every later
+// stick publishes err as the session's sticky ingest error (nil is a no-op)
+// and returns it. The first error wins the slot; concurrent appends that
+// were already past the gate may still report their own errors, every later
 // admission returns the published one.
-func (s *Session) settleAdd(err error) (accepted bool, _ error) {
-	if errors.Is(err, errStopped) {
-		s.e.stopped.Store(true) // live Stats report the early exit immediately
-		return false, nil
-	}
+func (s *Session) stick(err error) error {
 	if err != nil {
 		s.err.CompareAndSwap(nil, &stickyIngestErr{err})
-		return false, err
 	}
-	return true, nil
-}
-
-// AppendTrace streams the keyed text format from r into the session,
-// returning the number of operations actually appended (operations dropped
-// after a StopOnViolation early exit are not counted). The key's shard lock
-// is taken per operation, so concurrent AppendTrace calls (one per ingesting
-// client) interleave at operation granularity instead of serializing whole
-// requests; AppendTraceBatch is the higher-throughput form that takes each
-// shard lock once per parsed chunk. The key reaches the engine as a
-// line-buffer view, keeping this path allocation-free past each key's first
-// sighting. A parse or ingest error aborts the read mid-stream; operations
-// already appended stay appended (ingest is per-operation, not
-// transactional).
-func (s *Session) AppendTrace(r io.Reader) (int64, error) {
-	var n int64
-	logger := s.shardLogger()
-	var sc *batchScratch
-	if logger != nil {
-		sc = s.getScratch()
-		defer s.putScratch(sc)
-	}
-	err := parseStreamBytes(r, func(key []byte, op history.Operation) error {
-		if err := s.gate(); err != nil {
-			return err
-		}
-		preWM := s.e.watermark() // idleness reference for the cold-shard sweep
-		si := s.e.shardIndexBytes(key)
-		sh := s.e.shards[si]
-		sh.lockIngest()
-		if err := s.gate(); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		ok, err := s.settleAdd(s.e.addIn(sh, key, op))
-		if ok {
-			n++
-			if logger != nil {
-				sc.wal = appendKeyedOpText(sc.wal[:0], key, op)
-				if lerr := s.logShard(logger, si, sc.wal); lerr != nil && err == nil {
-					err = lerr
-				}
-			}
-		}
-		sh.mu.Unlock()
-		if ok && err == nil {
-			err = s.sweepAllSticky(1, preWM)
-		}
-		return err
-	})
-	if logger != nil {
-		if cerr := s.commitLog(logger); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return n, err
+	return err
 }
 
 // Flush drains the session: it commits every open window, dispatches all
@@ -251,8 +178,8 @@ func (s *Session) AppendTrace(r io.Reader) (int64, error) {
 // engine-owned pool — releases the workers. After Flush the session is
 // terminal (Append returns ErrSessionFlushed) and Report, SmallestKByKey,
 // and Snapshot are final. Flush returns the sticky ingest error, if any;
-// as in the reader-driven engine, a session that erred drains only what was
-// already dispatched. Flush is idempotent.
+// a session that erred drains only what was already dispatched. Flush is
+// idempotent.
 func (s *Session) Flush() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
@@ -268,16 +195,9 @@ func (s *Session) Flush() error {
 	for _, sh := range s.e.shards {
 		sh.mu.Lock()
 	}
-	// A stopped session drains like the reader-driven engine's early exit:
-	// only what was already dispatched, so the report covers the same
-	// consumed prefix StreamCheck would report.
-	if s.e.stopped.Load() {
-		s.e.drain(errStopped)
-	} else if derr := s.e.drain(s.stickyErr()); derr != nil {
-		// A spill reload failing during the drain is this session's first
-		// error — record it so Flush and the reports surface it.
-		s.err.CompareAndSwap(nil, &stickyIngestErr{derr})
-	}
+	// A spill reload failing during the drain is this session's first error
+	// — record it so Flush and the reports surface it.
+	s.stick(s.e.drain(s.stickyErr()))
 	for i := len(s.e.shards) - 1; i >= 0; i-- {
 		s.e.shards[i].mu.Unlock()
 	}
@@ -346,21 +266,34 @@ func (s *Session) Snapshot() []KeyVerdict {
 	return s.e.keyVerdicts()
 }
 
-// Report returns the fixed-k trace report of a check session, in the shape
-// StreamCheck produces. Before Flush it covers only the segments verified so
-// far (keys with undispatched operations may still flip); after Flush it is
-// final and identical to StreamCheck on the same operation sequence.
+// Report projects the Snapshot onto the fixed-k trace report of a check
+// session, the shape CheckParallel produces. Before Flush it covers only the
+// segments verified so far (keys with undispatched operations may still
+// flip); after Flush it is final.
 func (s *Session) Report() (Report, StreamStats) {
-	return s.e.checkReport(), s.e.finalStats()
+	kvs := s.e.keyVerdicts()
+	rep := Report{K: s.e.k, Keys: make([]KeyReport, len(kvs))}
+	for i, kv := range kvs {
+		rep.Keys[i] = KeyReport{Key: kv.Key, Ops: kv.Ops, Atomic: kv.Atomic, Err: kv.Err}
+	}
+	return rep, s.e.finalStats()
 }
 
-// SmallestKByKey returns each key's smallest k in the shape
-// StreamSmallestKByKey produces (0 for keys that failed verification).
-// Before Flush the values are lower bounds; after Flush they are final and
-// identical to StreamSmallestKByKey on the same operation sequence, with the
-// same horizon caveat (Saturated keys report the floor).
+// SmallestKByKey projects the Snapshot onto the map SmallestKByKeyParallel
+// produces (0 for keys that failed verification). Before Flush the values
+// are lower bounds; after Flush they are final, up to the horizon (Saturated
+// keys report the floor).
 func (s *Session) SmallestKByKey() (map[string]int, StreamStats) {
-	return s.e.smallestKMap(), s.e.finalStats()
+	kvs := s.e.keyVerdicts()
+	out := make(map[string]int, len(kvs))
+	for _, kv := range kvs {
+		if kv.Err == nil {
+			out[kv.Key] = max(1, kv.SmallestK)
+		} else {
+			out[kv.Key] = 0
+		}
+	}
+	return out, s.e.finalStats()
 }
 
 // Stats returns the session's streaming statistics so far. Entirely
@@ -423,7 +356,7 @@ func (s *Session) SnapshotKey(key string) (KeyVerdict, bool) {
 }
 
 // keyVerdictOf builds one key's verdict; the caller holds the key's shard
-// lock (for the parser-side fields), and the verdict fields are read under
+// lock (for the ingest-side fields), and the verdict fields are read under
 // the key's own lock.
 func keyVerdictOf(ks *keyState) KeyVerdict {
 	pending := ks.totalOpen()
@@ -443,8 +376,9 @@ func keyVerdictOf(ks *keyState) KeyVerdict {
 	return kv
 }
 
-// keyVerdicts builds the key-sorted per-key verdict list (the Snapshot and
-// StreamVerdictsByKey shape) under the standard locking discipline.
+// keyVerdicts builds the key-sorted per-key verdict list — the one walk over
+// the shards every per-key result (Snapshot, Report, SmallestKByKey) is read
+// from. Each shard is read under its own lock, one shard at a time.
 func (e *engine) keyVerdicts() []KeyVerdict {
 	var out []KeyVerdict
 	e.eachShardLocked(func(sh *ingestShard) {
@@ -461,59 +395,4 @@ func (e *engine) keyVerdicts() []KeyVerdict {
 
 func sortKeyVerdicts(kvs []KeyVerdict) {
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
-}
-
-// checkReport assembles the per-key fixed-k report. Each shard's keys are
-// read under the shard lock (parser-side fields) and each key's verdict
-// fields under its own lock, so live (pre-drain) callers race with nothing.
-func (e *engine) checkReport() Report {
-	rep := Report{K: e.k}
-	e.eachShardLocked(func(sh *ingestShard) {
-		for _, ks := range sh.keys {
-			ks.mu.Lock()
-			rep.Keys = append(rep.Keys, KeyReport{
-				Key:    ks.key,
-				Ops:    ks.ops,
-				Atomic: ks.err == nil && ks.props[0].Atomic,
-				Err:    ks.err,
-			})
-			ks.mu.Unlock()
-		}
-		for key, rk := range sh.retired {
-			rep.Keys = append(rep.Keys, KeyReport{
-				Key:    key,
-				Ops:    rk.ops,
-				Atomic: rk.err == nil && rk.props[0].Atomic,
-				Err:    rk.err,
-			})
-		}
-	})
-	sort.Slice(rep.Keys, func(i, j int) bool { return rep.Keys[i].Key < rep.Keys[j].Key })
-	return rep
-}
-
-// smallestKMap assembles the per-key smallest-k map under the same locking
-// discipline as checkReport.
-func (e *engine) smallestKMap() map[string]int {
-	out := make(map[string]int, e.keyCount.Load())
-	e.eachShardLocked(func(sh *ingestShard) {
-		for _, ks := range sh.keys {
-			ks.mu.Lock()
-			switch {
-			case ks.err != nil:
-				out[ks.key] = 0
-			default:
-				out[ks.key] = max(1, ks.props[0].K)
-			}
-			ks.mu.Unlock()
-		}
-		for key, rk := range sh.retired {
-			if rk.err != nil {
-				out[key] = 0
-			} else {
-				out[key] = max(1, rk.props[0].K)
-			}
-		}
-	})
-	return out
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -54,14 +55,27 @@ func genSessionTrace(seed int64, keys, opsPerKey int) string {
 	return b.String()
 }
 
+// appendPerOp is the per-operation side of the "batch ≡ op-granular"
+// differentials: it scans the keyed text from r and pushes every operation
+// through Append, one shard-lock acquisition each, returning how many were
+// appended and the first parse, reader or admission error.
+func appendPerOp(s *Session, r io.Reader) (int64, error) {
+	var n int64
+	err := ParseStream(r, func(key string, op history.Operation) error {
+		if err := s.Append(key, op); err != nil {
+			return err
+		}
+		n++
+		return nil
+	})
+	return n, err
+}
+
 // feedPerOp pushes the canonical text into the session one operation at a
 // time through Append (exercising the string-key path).
 func feedPerOp(t *testing.T, s *Session, text string) {
 	t.Helper()
-	err := ParseStream(strings.NewReader(text), func(key string, op history.Operation) error {
-		return s.Append(key, op)
-	})
-	if err != nil {
+	if _, err := appendPerOp(s, strings.NewReader(text)); err != nil {
 		t.Fatalf("feed: %v", err)
 	}
 }
@@ -104,7 +118,7 @@ func TestSessionMatchesStreamCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 2, MinSegmentOps: 1})
-		if _, err := s.AppendTrace(strings.NewReader(text)); err != nil {
+		if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Flush(); err != nil {
@@ -135,7 +149,7 @@ func TestSessionSharedPool(t *testing.T) {
 				return
 			}
 			s := NewSmallestKSession(core.Options{}, StreamOptions{Pool: pool, MinSegmentOps: 1})
-			if _, err := s.AppendTrace(strings.NewReader(text)); err != nil {
+			if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -235,8 +249,8 @@ func TestSessionAppendAfterFlush(t *testing.T) {
 	if !errors.Is(err, ErrSessionFlushed) {
 		t.Fatalf("append after flush: %v, want ErrSessionFlushed", err)
 	}
-	if _, err := s.AppendTrace(strings.NewReader("w a 9 9 10\n")); !errors.Is(err, ErrSessionFlushed) {
-		t.Fatalf("AppendTrace after flush: %v, want ErrSessionFlushed", err)
+	if _, err := s.AppendTraceBatch(strings.NewReader("w a 9 9 10\n")); !errors.Is(err, ErrSessionFlushed) {
+		t.Fatalf("AppendTraceBatch after flush: %v, want ErrSessionFlushed", err)
 	}
 }
 
@@ -309,84 +323,6 @@ func TestSessionSnapshotLifecycle(t *testing.T) {
 	st := s.Stats()
 	if st.Ops != 60 || st.Keys != 1 || st.Segments == 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestSessionStopMatchesStreamOnViolation pins the early-exit contract: a
-// stopped session drains only what was already dispatched, so keys the
-// reader-driven engine never verified (stopped before dispatch) must report
-// identically — not get flushed to a different verdict at Flush.
-func TestSessionStopMatchesStreamOnViolation(t *testing.T) {
-	// The stale read r a 1 becomes a cross-boundary violation when its
-	// window closes at w a 4 — detected synchronously by the parser, so the
-	// stop lands at a deterministic input position in both engines: w b 1
-	// is never admitted, key b must not exist, and the held key-a segments
-	// must not be flushed to extra verdicts.
-	canon := "w a 1 0 10\nw a 2 20 30\nw a 3 40 50\nr a 1 60 70\nw a 4 80 90\nw b 1 100 110\n"
-	sopts := StreamOptions{Workers: 1, MinSegmentOps: 1, StopOnViolation: true}
-	want, wantStats, err := StreamCheck(strings.NewReader(canon), 1, core.Options{}, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wantStats.Stopped || len(want.Keys) != 1 {
-		t.Fatalf("scenario must stop mid-parse with only key a: %+v %+v", want, wantStats)
-	}
-	s, err := NewCheckSession(1, core.Options{}, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedPerOp(t, s, canon)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, gotStats := s.Report()
-	if gotStats.Stopped != wantStats.Stopped {
-		t.Fatalf("stopped: session %v, stream %v", gotStats.Stopped, wantStats.Stopped)
-	}
-	if gotStats.Segments != wantStats.Segments {
-		t.Fatalf("segments: session %d, stream %d (stopped session must not flush)", gotStats.Segments, wantStats.Segments)
-	}
-	if len(got.Keys) != len(want.Keys) {
-		t.Fatalf("key counts differ: %+v vs %+v", got.Keys, want.Keys)
-	}
-	for i := range want.Keys {
-		w, g := want.Keys[i], got.Keys[i]
-		if w.Key != g.Key || w.Atomic != g.Atomic || (w.Err == nil) != (g.Err == nil) {
-			t.Fatalf("key %s: stream %+v vs session %+v", w.Key, w, g)
-		}
-	}
-}
-
-func TestSessionStopOnViolation(t *testing.T) {
-	s, err := NewCheckSession(1, core.Options{},
-		StreamOptions{Workers: 1, MinSegmentOps: 1, StopOnViolation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Key becomes non-1-atomic: a read two writes back.
-	text := "w a 1 0 1\nw a 2 10 11\nw a 3 20 21\nr a 1 30 31\n"
-	if _, err := s.AppendTrace(strings.NewReader(text)); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	// Keep appending until the violation verdict lands and trips the stop
-	// flag; appends then become silent no-ops rather than errors.
-	clock := int64(100)
-	for i := 0; i < 10_000 && !s.Stats().Stopped; i++ {
-		op := history.Operation{Kind: history.KindWrite, Value: int64(100 + i), Start: clock, Finish: clock + 1}
-		clock += 10
-		if err := s.Append("a", op); err != nil {
-			t.Fatalf("append during stop race: %v", err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, stats := s.Report()
-	if !stats.Stopped {
-		t.Fatal("violation did not stop the session")
-	}
-	if len(rep.Keys) != 1 || rep.Keys[0].Atomic {
-		t.Fatalf("report: %+v", rep)
 	}
 }
 

@@ -4,10 +4,11 @@ package trace
 //
 // The monolithic checkers materialize a whole trace before the first
 // verification step runs, so peak memory and time-to-first-verdict are both
-// O(trace). This file verifies a trace from an io.Reader in O(open-window)
+// O(trace). The engine in this file verifies a trace in O(open-window)
 // memory instead, by cutting each register's history at *safe cut points*
-// and dispatching every closed segment to a verifier pool while parsing
-// continues.
+// and dispatching every closed segment to a verifier pool while ingest
+// continues. This header holds the lemma and the cut rules; how operations
+// reach the engine (always through a Session) is described in session.go.
 //
 // A cut between a prefix A and a suffix B of one register's history is safe
 // when (see zone.SafeCut for the offline form):
@@ -93,9 +94,6 @@ var (
 	ErrBufferLimit = errors.New("trace: buffered operations exceed MaxBufferedOps")
 )
 
-// errStopped aborts parsing after an early exit; it never escapes.
-var errStopped = errors.New("trace: stream stopped")
-
 // DefaultHorizon is the smallest-k dispatch horizon when
 // StreamOptions.Horizon is zero: a closed segment is verified (and its
 // operations released) once this many writes have closed behind it.
@@ -150,8 +148,8 @@ type StreamOptions struct {
 	// IngestShards partitions a Session's per-key ingest state over this
 	// many independently locked shards (key-hash routed), so concurrent
 	// producers contend only when their keys share a shard. <= 0 uses
-	// DefaultIngestShards for sessions; the reader-driven streams default
-	// to one shard (a single parser goroutine has nothing to contend
+	// DefaultIngestShards for sessions and one shard for the reader-driven
+	// Stream* functions (their single producer has nothing to contend
 	// with). Verdicts are identical for any value — keys never share
 	// state, so routing them to different locks cannot change a verdict.
 	IngestShards int
@@ -159,10 +157,6 @@ type StreamOptions struct {
 	// segments + in-flight verification) across all keys; 0 means no cap.
 	// Exceeding it fails the stream with ErrBufferLimit.
 	MaxBufferedOps int
-	// StopOnViolation stops parsing as soon as any key's verdict turns
-	// negative (early exit); the report then covers only the consumed
-	// prefix and Stats.Stopped is set.
-	StopOnViolation bool
 	// Store, when non-nil, enables segment spill-to-disk: open windows and
 	// held segments larger than SpillThresholdOps move their operations to
 	// the store and reload only when the cut rules next need them (close,
@@ -199,9 +193,6 @@ type StreamOptions struct {
 	// trace time [N*EpochLength, (N+1)*EpochLength)), so infinite streams
 	// answer windowed verdict queries (Session.Epochs, EpochSummary).
 	EpochLength int64
-	// RetainEpochs caps retained epoch summaries (<= 0 uses
-	// DefaultRetainEpochs); older epochs fold into one cumulative aggregate.
-	RetainEpochs int
 }
 
 // SegmentVerdict is the outcome of one verified segment.
@@ -226,9 +217,10 @@ type SegmentVerdict struct {
 	Err error
 }
 
-// StreamStats describes a finished (or stopped) streaming run.
+// StreamStats describes a session's streaming run so far (final after
+// Flush).
 type StreamStats struct {
-	// Ops and Keys count parsed operations and distinct registers.
+	// Ops and Keys count ingested operations and distinct registers.
 	Ops  int64
 	Keys int
 	// Segments counts dispatched segments; Merges counts deque segments
@@ -248,11 +240,9 @@ type StreamStats struct {
 	// SaturatedKeys counts keys whose smallest-k is only a lower bound
 	// because a read reached past the horizon.
 	SaturatedKeys int
-	// FirstVerdictOps is the parse position (in operations) when the first
-	// segment verdict landed; 0 if no verdict arrived before the end.
+	// FirstVerdictOps is the ingest position (in operations) when the first
+	// segment verdict landed; 0 if no verdict arrived before Flush.
 	FirstVerdictOps int64
-	// Stopped reports an early exit via StopOnViolation.
-	Stopped bool
 	// Spills / OpsSpilled / SpillLoads count spill-to-disk activity when a
 	// StreamOptions.Store is configured: spill events, cumulative
 	// operations written to the store, and reload events.
@@ -450,6 +440,40 @@ func ParseReader(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
+// streamChunk is the text read-chunk size of a reader-driven run. Its one
+// producer parses a whole chunk before feeding any of it, so at the server's
+// defaultBatchChunk the 2×workers dispatch queue drains while the next chunk
+// parses, and a small run pays megabytes of one-shot scratch
+// (BenchmarkStreamCheckZipf/workers=1 +18 %, BenchmarkMultiProperty/props=k
+// 6.8 → 11 MB/op); 32 KiB keeps the workers fed and the scratch small.
+const streamChunk = 32 << 10
+
+// streamRun is the reader-driven form of the engine, the one body behind
+// StreamCheck, StreamSmallestKByKey and StreamVerdictsByKey: a Session (fixed
+// k when k > 0, smallest-k otherwise) fed from r and flushed. Binary wire
+// streams open with a magic no valid text trace can start with, so either
+// codec is accepted without being told which. An input error ends the run
+// where it stands — it becomes the session's sticky error, so operations
+// before it stay ingested and reported and the windows still open are not
+// flushed. The returned session is drained, its reports final.
+func streamRun(r io.Reader, k int, opts core.Options, sopts StreamOptions) (*Session, error) {
+	if sopts.IngestShards <= 0 {
+		sopts.IngestShards = 1
+	}
+	s := &Session{e: newEngine(k, opts, sopts), batchChunk: streamChunk}
+	// Small on purpose: it only has to hold the sniffed magic, and chunk
+	// reads larger than it pass straight through to r.
+	br := bufio.NewReaderSize(r, 512)
+	var err error
+	if head, _ := br.Peek(4); wire.IsMagic(head) {
+		_, err = s.AppendWire(br)
+	} else {
+		_, err = s.AppendTraceBatch(br)
+	}
+	s.stick(err)
+	return s, s.Flush()
+}
+
 // StreamCheck verifies every register of the trace read from r at bound k,
 // with parse, segmentation, and verification overlapped: closed segments
 // dispatch to a worker pool while parsing continues, so verdicts start
@@ -462,9 +486,9 @@ func StreamCheck(r io.Reader, k int, opts core.Options, sopts StreamOptions) (Re
 	if k < 1 {
 		return Report{}, StreamStats{}, fmt.Errorf("trace: k must be >= 1, got %d", k)
 	}
-	e := newEngine(modeCheck, k, k, opts, sopts)
-	err := e.run(r)
-	return e.checkReport(), e.finalStats(), err
+	s, err := streamRun(r, k, opts, sopts)
+	rep, stats := s.Report()
+	return rep, stats, err
 }
 
 // StreamSmallestKByKey computes each register's smallest k from a streamed
@@ -473,13 +497,9 @@ func StreamCheck(r io.Reader, k int, opts core.Options, sopts StreamOptions) (Re
 // verification report 0, like SmallestKByKey. Keys with reads staler than
 // the horizon report a lower bound and are counted in Stats.SaturatedKeys.
 func StreamSmallestKByKey(r io.Reader, opts core.Options, sopts StreamOptions) (map[string]int, StreamStats, error) {
-	horizon := sopts.Horizon
-	if horizon <= 0 {
-		horizon = DefaultHorizon
-	}
-	e := newEngine(modeSmallestK, 0, horizon, opts, sopts)
-	err := e.run(r)
-	return e.smallestKMap(), e.finalStats(), err
+	s, err := streamRun(r, 0, opts, sopts)
+	ks, stats := s.SmallestKByKey()
+	return ks, stats, err
 }
 
 // StreamVerdictsByKey computes every enabled property's verdict per key
@@ -489,21 +509,9 @@ func StreamSmallestKByKey(r io.Reader, opts core.Options, sopts StreamOptions) (
 // verify. The result is key-sorted KeyVerdicts in the shape Session.Snapshot
 // produces, final for the consumed input.
 func StreamVerdictsByKey(r io.Reader, opts core.Options, sopts StreamOptions) ([]KeyVerdict, StreamStats, error) {
-	horizon := sopts.Horizon
-	if horizon <= 0 {
-		horizon = DefaultHorizon
-	}
-	e := newEngine(modeSmallestK, 0, horizon, opts, sopts)
-	err := e.run(r)
-	return e.keyVerdicts(), e.finalStats(), err
+	s, err := streamRun(r, 0, opts, sopts)
+	return s.Snapshot(), s.Stats(), err
 }
-
-type streamMode int
-
-const (
-	modeCheck streamMode = iota
-	modeSmallestK
-)
 
 // closedSeg is a quiescence-closed, not-yet-dispatched segment. When
 // spilled, ops is nil, spill holds the blob id, and nops remembers the
@@ -520,14 +528,12 @@ type closedSeg struct {
 }
 
 // ingestShard is one stripe of the engine's per-key state. Every key hashes
-// to exactly one shard, which owns that key's map entry and parser-side
-// accumulator fields; taking mu grants exclusive access to all of them.
-// Sessions lock the shard per operation (Append) or once per batch
-// (AppendBatch / AppendTraceBatch); the reader-driven engine is a single
-// goroutine and does not lock at all. The atomic counters below mu are the
-// shard's observability surface — they are written on the ingest and
-// verification paths and read lock-free by gauges, so scraping never queues
-// behind a backpressured producer.
+// to exactly one shard, which owns that key's map entry and ingest-side
+// accumulator fields; mu guards all of them, taken once per operation
+// (Append) or once per batch group (feedGrouped). The atomic counters below
+// mu are the shard's observability surface — they are written on the ingest
+// and verification paths and read lock-free by gauges, so scraping never
+// queues behind a backpressured producer.
 type ingestShard struct {
 	mu   sync.Mutex
 	keys map[string]*keyState
@@ -543,19 +549,19 @@ type ingestShard struct {
 	// windows + held segments + in-flight verification).
 	buffered atomic.Int64
 	// maxOpen tracks the largest open window among this shard's keys.
-	// Written only under the shard's exclusive ingest access (plain
-	// store), read lock-free by finalStats, which folds a max over
-	// shards — keeping the per-op hot path off any cross-shard cacheline.
+	// Written only under mu (plain store), read lock-free by finalStats,
+	// which folds a max over shards — keeping the per-op hot path off any
+	// cross-shard cacheline.
 	maxOpen atomic.Int64
 	// maxStart is the largest operation start routed into this shard
-	// (math.MinInt64 before any). Written under the shard's exclusive
-	// ingest access, read lock-free cross-shard by the watermark fold that
-	// drives retirement TTLs and the current-epoch gauge.
+	// (math.MinInt64 before any). Written under mu, read lock-free
+	// cross-shard by the watermark fold that drives retirement TTLs and the
+	// current-epoch gauge.
 	maxStart atomic.Int64
 
 	// sinceSweep counts operations since the last retirement sweep and
 	// retired holds the compact records of this shard's retired keys; both
-	// owned under the shard's exclusive access (see lifecycle.go).
+	// guarded by mu (see lifecycle.go).
 	sinceSweep int
 	retired    map[string]*retiredKey
 	// sweepWM caps the watermark retirement sweeps may use while a batch
@@ -564,15 +570,13 @@ type ingestShard struct {
 	// group, so mid-group the cross-shard maxStart fold includes
 	// operations that arrived *simultaneously* with the ones still being
 	// fed here — no evidence of idleness. feedGrouped pins this to the
-	// pre-batch watermark for the group's duration; owned under the
-	// shard's exclusive access.
+	// pre-batch watermark for the group's duration; guarded by mu.
 	sweepWM int64
 }
 
 // keyState is one register's accumulator plus its verdict aggregation.
-// The key's ingest shard owns everything above mu (exclusive access under
-// the shard lock, or the single parser goroutine in reader-driven runs);
-// workers only touch the fields below it (under mu) and the settled flag.
+// The key's shard lock guards everything above mu; workers only touch the
+// fields below it (under mu) and the settled flag.
 type keyState struct {
 	key               string
 	sh                *ingestShard
@@ -624,7 +628,9 @@ type job struct {
 }
 
 type engine struct {
-	mode      streamMode
+	// k > 0 is a fixed-k check at that bound; k == 0 computes each key's
+	// smallest k. threshold is the dispatch horizon in writes: k itself for
+	// a fixed-k check, StreamOptions.Horizon otherwise.
 	k         int
 	threshold int
 	minSeg    int
@@ -632,8 +638,9 @@ type engine struct {
 	sopts     StreamOptions
 
 	// checkers verify each closed segment, one verdict per enabled
-	// property; checkers[0] is always the k-atomicity checker (the engine's
-	// own mode). All of them read the one Segment verifySegment prepares.
+	// property; checkers[0] is always the k-atomicity checker (fixed-k or
+	// smallest-k, as the engine). All of them read the one Segment
+	// verifySegment prepares.
 	checkers []PropertyChecker
 
 	// store/spillMin enable segment spill-to-disk (see StreamOptions.Store);
@@ -642,20 +649,18 @@ type engine struct {
 	spillMin  int
 	spillBufs sync.Pool
 
-	// shards stripe the per-key state (see ingestShard). Reader-driven
-	// engines run one shard; sessions default to DefaultIngestShards.
+	// shards stripe the per-key state (see ingestShard).
 	shards []*ingestShard
 
 	// vpool is the shared (key, chunk) work-stealing pool: segment jobs are
-	// submitted from the parser and may fork chunk sub-units, so one hot
-	// key's segments spread over every worker. sem bounds in-flight
-	// submissions (the parser blocks when verification falls behind,
-	// keeping buffered operations bounded exactly like the former
-	// fixed-capacity job channel). bufPool recycles operation buffers.
-	// ownPool records whether the engine created vpool (and so must close
-	// it) or borrowed a shared one via StreamOptions.Pool; wg joins this
-	// engine's own dispatched segments, which is the only wait a borrowed
-	// pool allows.
+	// submitted from the ingest paths and may fork chunk sub-units, so one
+	// hot key's segments spread over every worker. sem bounds in-flight
+	// submissions (a producer blocks when verification falls behind,
+	// keeping buffered operations bounded). bufPool recycles operation
+	// buffers. ownPool records whether the engine created vpool (and so
+	// must close it) or borrowed a shared one via StreamOptions.Pool; wg
+	// joins this engine's own dispatched segments, which is the only wait a
+	// borrowed pool allows.
 	vpool   *core.Pool
 	ownPool bool
 	wg      sync.WaitGroup
@@ -664,16 +669,14 @@ type engine struct {
 
 	// Keyspace lifecycle (lifecycle.go): retirement TTL + sweep cadence,
 	// epoch windowing, and the epoch summary tracker. sinceSweepAll gates
-	// the cold-shard sweep pass (maybeSweepAll) that the session entry
-	// points and reader-driven loops drive.
+	// the cold-shard sweep pass (maybeSweepAll) the session entry points
+	// drive.
 	retireTTL     int64
 	sweepEvery    int
 	epochLen      int64
-	retainEpochs  int
 	epochT        epochTracker
 	sinceSweepAll atomic.Int64
 
-	stop      atomic.Bool
 	parseDone atomic.Bool
 
 	// Every statistic below is an atomic so StreamStats assembles without
@@ -685,7 +688,6 @@ type engine struct {
 	peakBuffered  atomic.Int64
 	merges        atomic.Int64
 	segments      atomic.Int64
-	stopped       atomic.Bool
 	staleReads    atomic.Int64
 	saturatedKeys atomic.Int64
 	firstVerdict  atomic.Int64
@@ -759,7 +761,13 @@ func (sh *ingestShard) lockIngest() {
 	sh.mu.Lock()
 }
 
-func newEngine(mode streamMode, k, threshold int, opts core.Options, sopts StreamOptions) *engine {
+func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
+	threshold := k
+	if k == 0 {
+		if threshold = sopts.Horizon; threshold <= 0 {
+			threshold = DefaultHorizon
+		}
+	}
 	workers := sopts.Workers
 	if sopts.Pool != nil {
 		workers = sopts.Pool.Workers()
@@ -772,7 +780,7 @@ func newEngine(mode streamMode, k, threshold int, opts core.Options, sopts Strea
 	}
 	nshards := sopts.IngestShards
 	if nshards <= 0 {
-		nshards = 1
+		nshards = DefaultIngestShards
 	} else if nshards > maxIngestShards {
 		nshards = maxIngestShards
 	}
@@ -781,13 +789,12 @@ func newEngine(mode streamMode, k, threshold int, opts core.Options, sopts Strea
 	// lookups replaying serve-text-wal-churn) and grows with every segment.
 	opts.Memo = nil
 	e := &engine{
-		mode:      mode,
 		k:         k,
 		threshold: threshold,
 		minSeg:    minSeg,
 		opts:      opts,
 		sopts:     sopts,
-		checkers:  checkersFor(mode, k, sopts.Properties),
+		checkers:  checkersFor(k, sopts.Properties),
 		shards:    make([]*ingestShard, nshards),
 		sem:       make(chan struct{}, 2*workers),
 	}
@@ -801,10 +808,7 @@ func newEngine(mode streamMode, k, threshold int, opts core.Options, sopts Strea
 		e.sweepEvery = DefaultRetireSweepOps
 	}
 	e.epochLen = sopts.EpochLength
-	e.retainEpochs = sopts.RetainEpochs
-	if e.retainEpochs <= 0 {
-		e.retainEpochs = DefaultRetainEpochs
-	}
+	e.epochT.retain = retainedEpochs
 	if e.epochLen > 0 {
 		e.epochT.epochs = make(map[int64]*EpochStats)
 	}
@@ -825,66 +829,11 @@ func newEngine(mode streamMode, k, threshold int, opts core.Options, sopts Strea
 	return e
 }
 
-func (e *engine) run(r io.Reader) error {
-	// Sniff the codec: binary wire streams open with a fixed magic that no
-	// valid text trace can start with, so reader-driven runs (kavcheck
-	// -stream, StreamCheck, StreamSmallestKByKey) accept either format
-	// without being told which.
-	br := bufio.NewReaderSize(r, 64*1024)
-	var input error
-	if head, err := br.Peek(4); err == nil && wire.IsMagic(head) {
-		input = e.runWire(br)
-	} else {
-		// The single parser goroutine owns every shard, and feeds in strict
-		// input order — the live watermark is exactly the arrival position,
-		// so the cold-shard sweep needs no batch floor here.
-		input = parseStreamBytes(br, func(key []byte, op history.Operation) error {
-			if err := e.add(key, op); err != nil {
-				return err
-			}
-			return e.maybeSweepAll(1, e.watermark(), false)
-		})
-	}
-	err := e.drain(input)
-	e.finish()
-	return err
-}
-
-// runWire feeds a binary wire stream through the same per-operation entry
-// point the text parser uses; decoded keys are already interned strings.
-func (e *engine) runWire(r io.Reader) error {
-	dec := wire.NewDecoder(r)
-	for {
-		ops, err := dec.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for i := range ops {
-			sh := e.shards[e.shardIndex(ops[i].Key)]
-			if err := e.addStringIn(sh, ops[i].Key, ops[i].Op); err != nil {
-				return err
-			}
-			if err := e.maybeSweepAll(1, e.watermark(), false); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// drain finalizes the parser side after input ends: it marks the parse done,
-// absorbs the early-exit sentinel, and — on clean input — commits every open
-// window and dispatches everything still held. The caller must own every
-// shard's parser-side state (the single parser goroutine of a reader-driven
-// run, or Session.Flush holding every shard lock).
+// drain finalizes the ingest side (Session.Flush, holding every shard lock):
+// it marks ingest done and — unless the session already erred — commits every
+// open window and dispatches everything still held.
 func (e *engine) drain(err error) error {
 	e.parseDone.Store(true)
-	if errors.Is(err, errStopped) {
-		e.stopped.Store(true)
-		return nil
-	}
 	if err == nil {
 		for _, sh := range e.shards {
 			for _, ks := range sh.keys {
@@ -907,21 +856,10 @@ func (e *engine) finish() {
 	}
 }
 
-// add is the per-operation entry point (parser goroutine). The key is a
-// view into the line buffer; the no-copy map lookup makes the hot path
-// allocation-free, and only a first sighting clones it. Locking the shard
-// is the caller's job: the reader-driven engine (one goroutine) never
-// locks, sessions lock per op or per batch.
-func (e *engine) add(key []byte, op history.Operation) error {
-	return e.addIn(e.shards[e.shardIndexBytes(key)], key, op)
-}
-
-// addIn is add with the shard already routed (batch ingest groups first,
-// then feeds each shard under one lock).
+// addIn admits one operation whose key is a view into a read buffer; the
+// caller holds sh.mu. The no-copy map lookup keeps the hot path
+// allocation-free, and only a key's first sighting clones it.
 func (e *engine) addIn(sh *ingestShard, key []byte, op history.Operation) error {
-	if e.stop.Load() {
-		return errStopped
-	}
 	ks := sh.keys[string(key)]
 	if ks == nil {
 		ks = e.newKey(sh, string(key))
@@ -930,12 +868,8 @@ func (e *engine) addIn(sh *ingestShard, key []byte, op history.Operation) error 
 }
 
 // addStringIn is addIn for callers that already hold the key as a string
-// (Session.Append / AppendBatch), so the public per-op path stays
-// allocation-free too.
+// (Append, AppendBatch, AppendWire).
 func (e *engine) addStringIn(sh *ingestShard, key string, op history.Operation) error {
-	if e.stop.Load() {
-		return errStopped
-	}
 	ks := sh.keys[key]
 	if ks == nil {
 		ks = e.newKey(sh, key)
@@ -971,7 +905,7 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 	ks.ops++
 	ks.sh.ingested.Add(1)
 	if op.Start > ks.sh.maxStart.Load() {
-		ks.sh.maxStart.Store(op.Start) // single writer per shard: no CAS needed
+		ks.sh.maxStart.Store(op.Start) // written only under sh.mu: no CAS needed
 	}
 	if ks.retiring {
 		// A retirement sweep flushed this key but an operation landed before
@@ -1023,7 +957,7 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 		ks.openWrites++
 	}
 	if n := int64(ks.totalOpen()); n > ks.sh.maxOpen.Load() {
-		ks.sh.maxOpen.Store(n) // single writer per shard: no CAS needed
+		ks.sh.maxOpen.Store(n) // written only under sh.mu: no CAS needed
 	}
 	ks.sh.buffered.Add(1)
 	cur := e.buffered.Add(1)
@@ -1211,7 +1145,7 @@ func (e *engine) foldStaleReads(ks *keyState, kept, dropped []history.Operation,
 			e.foldEpoch(e.epochOf(op.Start), func(es *EpochStats) {
 				es.StaleReads++
 				es.Ops++
-				if e.mode == modeCheck {
+				if e.k > 0 {
 					es.Violations++
 				} else if ev.forcedWrites+1 > es.MaxK {
 					es.MaxK = ev.forcedWrites + 1
@@ -1231,26 +1165,27 @@ func (e *engine) foldStaleReads(ks *keyState, kept, dropped []history.Operation,
 }
 
 // settle applies a verdict mutation under the key's lock and updates the
-// settled fast path and early-exit flag. Parser and workers both funnel
-// through here, and every mutation is commutative (AND / max / min-seq), so
-// the outcome is deterministic for any scheduling.
+// settled fast path. Ingest and workers both funnel through here, and every
+// mutation is commutative (AND / max / min-seq), so the outcome is
+// deterministic for any scheduling.
 func (e *engine) settle(ks *keyState, apply func()) {
 	ks.mu.Lock()
 	apply()
-	bad := ks.err != nil || !ks.props[0].Atomic
-	if e.mode == modeCheck && len(e.checkers) == 1 {
-		// k-only fixed-k checks downgrade a violated key to anomaly-scan;
-		// with extra properties enabled, later segments still owe their Δ
-		// and regularity verdicts, so only an error (which dominates every
-		// property) settles the key.
-		ks.settled.Store(bad)
-	} else {
-		ks.settled.Store(ks.err != nil)
-	}
+	e.resettle(ks)
 	ks.mu.Unlock()
-	if bad && e.sopts.StopOnViolation {
-		e.stop.Store(true)
+}
+
+// resettle recomputes the settled fast path from the key's verdict state
+// (the caller holds ks.mu, or owns a key no worker can reach yet). An error
+// dominates every property, so it always settles the key to anomaly-scan; a
+// k-only fixed-k check also settles on a violation, but with extra properties
+// enabled later segments still owe their Δ and regularity verdicts.
+func (e *engine) resettle(ks *keyState) {
+	settled := ks.err != nil
+	if e.k > 0 && len(e.checkers) == 1 {
+		settled = settled || !ks.props[0].Atomic
 	}
+	ks.settled.Store(settled)
 }
 
 func (e *engine) dispatch(ks *keyState, seg closedSeg) {
@@ -1351,7 +1286,7 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 				if kv.K > es.MaxK {
 					es.MaxK = kv.K
 				}
-				if e.mode == modeCheck && !kv.Atomic {
+				if e.k > 0 && !kv.Atomic {
 					es.Violations++
 				}
 				for _, pv := range verdict.Props {
@@ -1374,7 +1309,7 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 	j.ks.sh.buffered.Add(-int64(n))
 	e.buffered.Add(-int64(n))
 	// FirstVerdictOps documents the pipelining win, so only verdicts
-	// landing while input is still being consumed count.
+	// landing before Flush count.
 	if !e.parseDone.Load() {
 		e.firstVerdict.CompareAndSwap(0, e.opsIngested())
 	}
@@ -1385,9 +1320,8 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 }
 
 // eachShardLocked runs fn on every shard under that shard's lock, one shard
-// at a time. The read paths (reports, snapshots) use it so they can touch
-// parser-side key state even while session producers are appending; for the
-// reader-driven engine the locks are simply uncontended.
+// at a time. The read paths (snapshots, summaries) use it so they can touch
+// ingest-side key state while producers are appending.
 func (e *engine) eachShardLocked(fn func(*ingestShard)) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
@@ -1409,7 +1343,6 @@ func (e *engine) finalStats() StreamStats {
 		StaleReads:      e.staleReads.Load(),
 		SaturatedKeys:   int(e.saturatedKeys.Load()),
 		FirstVerdictOps: e.firstVerdict.Load(),
-		Stopped:         e.stopped.Load(),
 		Spills:          e.spills.Load(),
 		OpsSpilled:      e.opsSpilled.Load(),
 		SpillLoads:      e.spillLoads.Load(),

@@ -302,57 +302,6 @@ func TestStreamVerdictBeforeEOF(t *testing.T) {
 	}
 }
 
-func TestStreamStopOnViolation(t *testing.T) {
-	// A violating key up front (one window whose segment is not 1-atomic,
-	// plus two closer ops so the segment dispatches at threshold k=1),
-	// then a long tail the engine should skip.
-	var b strings.Builder
-	b.WriteString("w bad 100 0 1000\n" + // long write holds the window open
-		"w bad 1 10 20\nw bad 2 30 40\nr bad 1 50 60\n" + // forced staleness 2
-		"w bad 3 2000 2010\nw bad 4 2020 2030\n")
-	tail := New()
-	for i := 0; i < 8; i++ {
-		h := generator.KAtomic(generator.Config{Seed: int64(i), Ops: 2000, Concurrency: 1})
-		for _, op := range h.Ops {
-			op.Start += 1000
-			op.Finish += 1000
-			tail.Add(fmt.Sprintf("tail-%d", i), op)
-		}
-	}
-	text := b.String() + streamText(tail)
-	cut := len(b.String()) + len(text[len(b.String()):])/2
-	release := make(chan struct{})
-	var once atomic.Bool
-	g := &gateReader{
-		pre:     strings.NewReader(text[:cut]),
-		rest:    strings.NewReader(text[cut:]),
-		release: release,
-	}
-	rep, stats, err := StreamCheck(g, 1, core.Options{}, StreamOptions{
-		StopOnViolation: true,
-		MinSegmentOps:   1,
-		OnSegment: func(sv SegmentVerdict) {
-			if !sv.Atomic && once.CompareAndSwap(false, true) {
-				close(release)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatalf("StreamCheck: %v", err)
-	}
-	if g.timedOut {
-		t.Fatal("violation verdict never arrived")
-	}
-	if !stats.Stopped {
-		t.Fatalf("engine did not stop early: %+v", stats)
-	}
-	for _, kr := range rep.Keys {
-		if kr.Key == "bad" && kr.Atomic {
-			t.Error("violating key reported atomic")
-		}
-	}
-}
-
 func TestStreamDuplicateValueAcrossSegments(t *testing.T) {
 	const text = "w k 1 0 10\nw k 2 20 30\nw k 1 40 50\n"
 	tr, _ := ParseReader(strings.NewReader(text))

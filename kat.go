@@ -63,24 +63,21 @@
 //
 // # Online monitoring
 //
-// The same engine runs push-driven: an OnlineSession accepts operations as
+// The engine has one driver, the OnlineSession: it accepts operations as
 // they happen (NewOnlineCheckSession / NewOnlineSmallestKSession), exposes
-// live per-key verdict state, and drains to final verdicts on Flush —
-// identical to the reader-driven forms on the same operations. Sessions can
-// share one verification Pool, which is how cmd/kavserve serves many
-// concurrent ingest clients with a single set of workers.
+// live per-key verdict state, and drains to final verdicts on Flush. The
+// streaming functions above are that session opened, fed from the reader,
+// and flushed. Sessions can share one verification Pool, which is how
+// cmd/kavserve serves many ingest clients with a single set of workers.
 //
-// Session ingest is sharded and batch-friendly: per-key state stripes over
-// StreamOptions.IngestShards independently locked shards (so producers
-// contend only on key-hash collisions, and stats read without any lock),
-// and the batch entry points AppendBatch (pre-parsed KeyedOp slices),
-// AppendTraceBatch (raw keyed text, zero-copy parsed in chunks), and
-// AppendWire (the binary wire frame format of internal/wire, decoded
-// without materializing text at all — WriteTraceWireArrivalOrder emits it)
-// group each call's operations by shard and take each shard lock once per
-// batch instead of once per operation — the ingest analogue of the
-// verification pool's (key, chunk) fan-out. Verdicts are identical to
-// op-granular Append for any shard count, batch boundaries, and codec.
+// Per-key state stripes over StreamOptions.IngestShards independently
+// locked shards, and operations enter in one of two shapes: Append, one
+// operation under one shard lock, or a batch — AppendBatch (parsed KeyedOp
+// slices), AppendTraceBatch (keyed text, zero-copy parsed in chunks),
+// AppendWire (the binary frames of internal/wire, as
+// WriteTraceWireArrivalOrder emits them) — which groups its operations by
+// shard and takes each shard lock once per batch. Verdicts are identical
+// for either shape, any shard count, batch boundaries, and codec.
 package kat
 
 import (
@@ -348,13 +345,13 @@ func NewPool(workers int) *Pool { return core.NewPool(workers) }
 
 // Online (push-driven) verification types.
 type (
-	// OnlineSession is the push-driven streaming engine: operations are
-	// appended one at a time (from any number of goroutines) or in
-	// shard-grouped batches (AppendBatch / AppendTraceBatch, which take
-	// each ingest-shard lock once per batch), per-key verdict state is
+	// OnlineSession drives the streaming engine: operations are appended
+	// one at a time (from any number of goroutines) or in shard-grouped
+	// batches (AppendBatch / AppendWire / AppendTraceBatch, which take each
+	// ingest-shard lock once per batch), per-key verdict state is
 	// observable live, and Flush is the graceful drain that makes the
-	// verdicts final — identical to the reader-driven StreamCheckTrace /
-	// StreamSmallestKByKey on the same operations.
+	// verdicts final. StreamCheckTrace / StreamSmallestKByKey /
+	// StreamVerdictsByKey are a session fed from their reader and flushed.
 	OnlineSession = trace.Session
 	// OnlineKeyVerdict is one key's live state in an OnlineSession
 	// snapshot.
@@ -364,14 +361,14 @@ type (
 	KeyedOp = trace.KeyedOp
 )
 
-// NewOnlineCheckSession opens a session verifying every key at bound k (the
-// push form of StreamCheckTrace).
+// NewOnlineCheckSession opens a session verifying every key at bound k (what
+// StreamCheckTrace feeds from its reader).
 func NewOnlineCheckSession(k int, opts Options, sopts StreamOptions) (*OnlineSession, error) {
 	return trace.NewCheckSession(k, opts, sopts)
 }
 
 // NewOnlineSmallestKSession opens a session computing each key's smallest k
-// (the push form of StreamSmallestKByKey, same horizon semantics).
+// (what StreamSmallestKByKey feeds from its reader, same horizon semantics).
 func NewOnlineSmallestKSession(opts Options, sopts StreamOptions) *OnlineSession {
 	return trace.NewSmallestKSession(opts, sopts)
 }
@@ -379,7 +376,7 @@ func NewOnlineSmallestKSession(opts Options, sopts StreamOptions) *OnlineSession
 // Streaming verification types.
 type (
 	// StreamOptions tunes the streaming engine (workers, staleness
-	// horizon, buffer cap, early exit, segment callbacks).
+	// horizon, buffer cap, ingest shards, segment callbacks).
 	StreamOptions = trace.StreamOptions
 	// StreamStats describes a finished streaming run: segments, merges,
 	// peak buffered operations, first-verdict position.
@@ -450,11 +447,13 @@ func WriteTraceWireArrivalOrder(w io.Writer, t *Trace, frameOps int, compress bo
 	return trace.WriteWireArrivalOrder(w, t, frameOps, compress)
 }
 
-// StreamCheckTrace verifies a multi-register trace read from r at bound k
-// with parse, segmentation, and verification overlapped: memory stays
-// bounded by the open segment windows and the report matches
-// CheckTraceParallel on the same input (which must arrive in nondecreasing
-// start order per key).
+// StreamCheckTrace verifies a multi-register trace read from r (keyed text
+// or wire frames, sniffed) at bound k with parse, segmentation, and
+// verification overlapped: memory stays bounded by the open segment windows
+// and the report matches CheckTraceParallel on the same input (which must
+// arrive in nondecreasing start order per key). It is an OnlineSession fed
+// from r and flushed; an input error ends the run with the operations before
+// it still reported.
 func StreamCheckTrace(r io.Reader, k int, opts Options, sopts StreamOptions) (TraceReport, StreamStats, error) {
 	return trace.StreamCheck(r, k, opts, sopts)
 }
