@@ -589,18 +589,6 @@ func BenchmarkHotKey(b *testing.B) {
 			}
 		})
 	}
-	// The memo row: identical repeated verification with a shared verdict
-	// cache — every chunk is a content-hash hit after the first iteration.
-	memo := root.NewMemo()
-	b.Run("check-k2/workers=4/memo", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := root.CheckPreparedParallel(check, 2, root.Options{Memo: memo}, 4)
-			if err != nil || !rep.Atomic {
-				b.Fatalf("check: %v %+v", err, rep)
-			}
-		}
-	})
 }
 
 // Zipf-skewed streaming verification: 32 keys, 128k ops, exponent 1.3 —

@@ -292,8 +292,7 @@ func FuzzOnlineSessionEquivalence(f *testing.F) {
 // chunk-scheduled verdicts and smallest-k values are identical to the
 // sequential path for every worker count, at both trace level
 // (CheckTraceParallel / SmallestKByKeyParallel) and single-register level
-// (CheckPreparedParallel / SmallestKPreparedParallel), and that verdicts are
-// unchanged when a shared Memo serves content-hash hits on a repeated run.
+// (CheckPreparedParallel / SmallestKPreparedParallel).
 func FuzzSchedulerEquivalence(f *testing.F) {
 	seeds := []string{
 		"w a 1 0 10; r a 1 20 30; w b 1 5 15",
@@ -311,7 +310,6 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 		if err != nil || tr.Len() == 0 || tr.Len() > 100 || len(tr.Keys) > 8 {
 			return
 		}
-		memo := kat.NewMemo()
 		for _, k := range []int{1, 2, 3} {
 			if k >= 3 && tr.Len() > 40 {
 				continue // keep the oracle tractable
@@ -321,13 +319,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 			// fuzz traces, which would otherwise take the sequential path.
 			for _, workers := range []int{2, 3, 4} {
 				par := kat.CheckTraceParallel(tr, k, kat.Options{MinParallelOps: -1}, workers)
-				diffTraceReports(t, "plain", k, workers, seq, par, text)
-			}
-			// Two memoized passes: the first mostly misses, the second is
-			// all content-hash hits; both must match the sequential report.
-			for pass := 0; pass < 2; pass++ {
-				par := kat.CheckTraceParallel(tr, k, kat.Options{Memo: memo}, 3)
-				diffTraceReports(t, "memo", k, 3, seq, par, text)
+				diffTraceReports(t, k, workers, seq, par, text)
 			}
 		}
 		seqK := kat.SmallestKByKeyParallel(tr, kat.Options{}, 1)
@@ -378,16 +370,16 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	})
 }
 
-func diffTraceReports(t *testing.T, mode string, k, workers int, seq, par kat.TraceReport, text string) {
+func diffTraceReports(t *testing.T, k, workers int, seq, par kat.TraceReport, text string) {
 	t.Helper()
 	if len(par.Keys) != len(seq.Keys) {
-		t.Fatalf("%s k=%d workers=%d: key counts differ (%q)", mode, k, workers, text)
+		t.Fatalf("k=%d workers=%d: key counts differ (%q)", k, workers, text)
 	}
 	for i := range seq.Keys {
 		s, p := seq.Keys[i], par.Keys[i]
 		if s.Key != p.Key || s.Ops != p.Ops || s.Atomic != p.Atomic || (s.Err == nil) != (p.Err == nil) {
-			t.Fatalf("%s k=%d workers=%d key %s: sequential %+v vs scheduled %+v (%q)",
-				mode, k, workers, s.Key, s, p, text)
+			t.Fatalf("k=%d workers=%d key %s: sequential %+v vs scheduled %+v (%q)",
+				k, workers, s.Key, s, p, text)
 		}
 	}
 }

@@ -804,8 +804,7 @@ func (rt *Router) clusterDoc(w http.ResponseWriter, r *http.Request, method, pat
 	wg.Wait()
 
 	out := ClusterVerdict{Cluster: true}
-	out.Drained = true
-	reachable := 0
+	var reachable []online.VerdictDoc
 	for i, md := range docs {
 		m := rt.members[i]
 		nv := NodeVerdict{
@@ -817,27 +816,17 @@ func (rt *Router) clusterDoc(w http.ResponseWriter, r *http.Request, method, pat
 		if md.err != nil {
 			nv.Err = md.err.Error()
 			out.Partial = true
-			out.Drained = false
 			out.Unreachable = append(out.Unreachable, rt.slice(m))
-			out.Nodes = append(out.Nodes, nv)
-			continue
+		} else {
+			nv.Keys = len(md.doc.Keys)
+			nv.Ops = md.doc.Stats.Ops
+			reachable = append(reachable, md.doc)
 		}
-		reachable++
-		nv.Keys = len(md.doc.Keys)
-		nv.Ops = md.doc.Stats.Ops
 		out.Nodes = append(out.Nodes, nv)
-		if out.K == 0 {
-			out.K = md.doc.K
-		}
-		if out.Properties == "" {
-			out.Properties = md.doc.Properties
-		}
-		out.Drained = out.Drained && md.doc.Drained
-		out.Keys = append(out.Keys, md.doc.Keys...)
-		mergeStats(&out.Stats, md.doc.Stats)
 	}
-	out.Keys = foldKeys(out.Keys)
-	if reachable == 0 {
+	out.VerdictDoc = MergeDocs(reachable)
+	out.Drained = out.Drained && !out.Partial
+	if len(reachable) == 0 {
 		rt.degradedVerdicts.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -876,36 +865,17 @@ func MergeDocs(docs []online.VerdictDoc) online.VerdictDoc {
 		out.Drained = out.Drained && d.Drained
 		out.Keys = append(out.Keys, d.Keys...)
 		mergeStats(&out.Stats, d.Stats)
-		mergeRetired(&out.Retired, d.Retired)
+		if d.Retired != nil {
+			if out.Retired == nil {
+				out.Retired = new(trace.RetiredSummary)
+			}
+			out.Retired.Fold(*d.Retired)
+		}
 		out.Epochs = append(out.Epochs, d.Epochs...)
 	}
 	out.Keys = foldKeys(out.Keys)
 	out.Epochs = foldEpochs(out.Epochs)
 	return out
-}
-
-// mergeRetired folds one member's retired-key summary into the cluster
-// total: counts sum, worst-case per-property floors take the max. Cloned
-// before mutation — the source pointer belongs to the member document.
-func mergeRetired(dst **trace.RetiredSummary, src *trace.RetiredSummary) {
-	if src == nil {
-		return
-	}
-	if *dst == nil {
-		cp := *src
-		*dst = &cp
-		return
-	}
-	d := *dst
-	d.Keys += src.Keys
-	d.Ops += src.Ops
-	d.Retirements += src.Retirements
-	d.Readmissions += src.Readmissions
-	d.MaxK = max(d.MaxK, src.MaxK)
-	d.MaxDelta = max(d.MaxDelta, src.MaxDelta)
-	d.UnsafeReads += src.UnsafeReads
-	d.IrregularReads += src.IrregularReads
-	d.Errors += src.Errors
 }
 
 // foldEpochs merges per-member epoch windows by epoch number (epochs are
@@ -926,12 +896,12 @@ func foldEpochs(all []trace.EpochStats) []trace.EpochStats {
 			if folded == nil {
 				folded = &es
 			} else {
-				foldEpochStats(folded, es)
+				folded.Fold(es)
 			}
 			continue
 		}
 		if cur, ok := byEpoch[es.Epoch]; ok {
-			foldEpochStats(cur, es)
+			cur.Fold(es)
 		} else {
 			byEpoch[es.Epoch] = &es
 		}
@@ -949,22 +919,6 @@ func foldEpochs(all []trace.EpochStats) []trace.EpochStats {
 		out = append(out, *byEpoch[ep])
 	}
 	return out
-}
-
-// foldEpochStats folds src into dst: counts sum, floors max; the epoch
-// index takes the max (meaningful only for the Folded aggregate, whose
-// index is "highest epoch folded in" — same-epoch merges are equal).
-func foldEpochStats(dst *trace.EpochStats, src trace.EpochStats) {
-	dst.Epoch = max(dst.Epoch, src.Epoch)
-	dst.Ops += src.Ops
-	dst.Segments += src.Segments
-	dst.StaleReads += src.StaleReads
-	dst.MaxK = max(dst.MaxK, src.MaxK)
-	dst.MaxDelta = max(dst.MaxDelta, src.MaxDelta)
-	dst.Violations += src.Violations
-	dst.UnsafeReads += src.UnsafeReads
-	dst.IrregularReads += src.IrregularReads
-	dst.Errors += src.Errors
 }
 
 // foldKeys key-sorts the concatenated per-member entries and folds

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -658,6 +659,46 @@ func TestClusterPerPropertyVerdictMatchesSingleNode(t *testing.T) {
 	}
 	if doc.Stats.Ops != want.Stats.Ops {
 		t.Fatalf("merged ops %d, single node %d", doc.Stats.Ops, want.Stats.Ops)
+	}
+}
+
+// TestRouterVerdictIsMergeDocs: the router's drained document is MergeDocs
+// over its members' own documents — the retired summary and the epoch
+// windows included, which an inline merge in the router used to drop.
+func TestRouterVerdictIsMergeDocs(t *testing.T) {
+	fastRouterRetries(t)
+	mcfg := online.Config{K: 2}
+	mcfg.Stream = trace.StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 1,
+		EpochLength: 1000, RetireTTL: 100, RetireSweepOps: 1}
+	tc := newTestClusterMembers(t, 3, nil, Config{}, mcfg)
+
+	// Three arrival instants far apart: when the third lands, the first
+	// one's keys have idled past the TTL on every member.
+	for round := 0; round < 3; round++ {
+		var b strings.Builder
+		for k := 0; k < 12; k++ {
+			fmt.Fprintf(&b, "w r%d-k%d 1 %d %d\n", round, k, 5000*round, 5000*round+10)
+		}
+		if resp, payload := postIngestText(t, tc.rts.URL, b.String()); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest: %s: %s", resp.Status, payload)
+		}
+	}
+	doc := getClusterVerdict(t, tc.rts.URL, "/drain", http.StatusOK)
+
+	var docs []online.VerdictDoc
+	for _, m := range tc.members {
+		docs = append(docs, m.Verdict())
+	}
+	want := MergeDocs(docs)
+	if want.Retired == nil || want.Retired.Retirements == 0 || len(want.Epochs) != 3 {
+		t.Fatalf("members report no lifecycle to merge: retired %+v, epochs %+v", want.Retired, want.Epochs)
+	}
+	if !reflect.DeepEqual(doc.Retired, want.Retired) || !reflect.DeepEqual(doc.Epochs, want.Epochs) {
+		t.Fatalf("router retired %+v epochs %+v, MergeDocs over the members %+v %+v",
+			doc.Retired, doc.Epochs, want.Retired, want.Epochs)
+	}
+	if !reflect.DeepEqual(doc.VerdictDoc, want) {
+		t.Fatalf("router document\n%+v\nMergeDocs over the members\n%+v", doc.VerdictDoc, want)
 	}
 }
 

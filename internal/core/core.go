@@ -50,17 +50,9 @@ type Options struct {
 	Algorithm Algorithm
 	// OracleStates bounds the oracle's search (0 = package default).
 	OracleStates int
-	// LBTNoDeepening disables iterative deepening inside LBT (ablation).
-	LBTNoDeepening bool
-	// SkipWitnessCheck skips the internal re-validation of positive
-	// results (on by default as a safety net; cost O(n^2) on acceptance).
-	SkipWitnessCheck bool
-	// Memo, when non-nil, caches the verdicts of the engine's expensive
-	// units by content hash — FZF chunks, and safe-cut segments handed to
-	// the oracle — so re-verifying a prepared trace that grew skips
-	// already-proved units (an offline aid: the streaming engine ignores
-	// it). It is consulted on the units the history's decomposition
-	// produces and never decides which units exist.
+	// Memo is ignored: the verdict cache it selected is gone (see Memo). The
+	// field is a compile shim for bench/child.go, which only a benchmark PR
+	// may edit; the next one drops that line and deletes field and type.
 	Memo *Memo
 	// MinParallelOps is the smallest history (in operations) whose units a
 	// pool worker forks for other workers to steal; smaller histories run
@@ -117,7 +109,7 @@ func CheckWeighted(h *history.History, bound int64, opts Options) (Report, error
 	}
 	rep := Report{K: int(bound), Atomic: res.Atomic, Witness: res.Witness,
 		Algorithm: AlgoOracle, Prepared: p}
-	if rep.Atomic && !opts.SkipWitnessCheck {
+	if rep.Atomic {
 		if err := witness.ValidateWeighted(p, rep.Witness, bound); err != nil {
 			return Report{}, fmt.Errorf("core: internal error, invalid witness: %w", err)
 		}

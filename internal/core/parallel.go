@@ -13,10 +13,8 @@ package core
 // exponential, so unit size is what matters — only ever sees one safe-cut
 // segment at a time, in the fixed-k check and in the smallest-k ladder alike,
 // and the ladder computes the cuts only once its polynomial rungs (zones,
-// forced-staleness bound, FZF) have failed to settle the unit. Options.Memo,
-// when set, is consulted on exactly those chunk and oracle-segment units; it
-// never decides which units exist. Oracle state budgets (OracleStates) apply
-// per segment.
+// forced-staleness bound, FZF) have failed to settle the unit. Oracle state
+// budgets (OracleStates) apply per segment.
 //
 // When it forks. Whether units go onto the pool or run one after another is
 // decided by Verifier.forks — more than one worker and at least
@@ -139,19 +137,19 @@ func (v *Verifier) CheckPrepared(p *history.Prepared, k int, opts Options) (Repo
 			return Report{}, fmt.Errorf("%w: LBT requires k=2, got k=%d", ErrAlgorithmMismatch, k)
 		}
 		// LBT's epochs are inherently sequential: one unit.
-		res := lbt.Check(p, lbt.Options{NoDeepening: opts.LBTNoDeepening})
+		res := lbt.Check(p, lbt.Options{})
 		rep.Atomic, rep.Witness = res.Atomic, res.Witness
 	case AlgoFZF:
 		if k != 2 {
 			return Report{}, fmt.Errorf("%w: FZF requires k=2, got k=%d", ErrAlgorithmMismatch, k)
 		}
 		var res fzf.Result
-		if opts.Memo == nil && !v.forks(p.Len(), opts) {
+		if !v.forks(p.Len(), opts) {
 			// The same chunks walked in place: no per-chunk order buffers,
 			// so a reused Verifier allocates nothing.
 			res = fzf.CheckScratch(p, &v.fzf)
 		} else {
-			res = v.fzfChunks(p, opts.Memo)
+			res = v.fzfChunks(p)
 		}
 		rep.Atomic, rep.Witness = res.Atomic, res.Witness
 	case AlgoOracle:
@@ -162,7 +160,7 @@ func (v *Verifier) CheckPrepared(p *history.Prepared, k int, opts Options) (Repo
 	default:
 		return Report{}, fmt.Errorf("core: unknown algorithm %v", algo)
 	}
-	if rep.Atomic && rep.Witness != nil && !opts.SkipWitnessCheck {
+	if rep.Atomic && rep.Witness != nil {
 		if err := witness.ValidateScratch(p, rep.Witness, k, &v.wit); err != nil {
 			return Report{}, fmt.Errorf("core: internal error, invalid witness: %w", err)
 		}
@@ -215,11 +213,7 @@ func (v *Verifier) smallestK(p *history.Prepared, opts Options, segment bool) (i
 			return v.maxSmallestK(p, segs, opts, true)
 		}
 	}
-	e, err := opts.Memo.segment(p, memoSegSmallestK, 0, func() (memoEntry, error) {
-		k, err := v.climb(p, max(3, lb), opts)
-		return memoEntry{ok: true, k: k}, err
-	})
-	return e.k, err
+	return v.climb(p, max(3, lb), opts)
 }
 
 // maxSmallestK runs the ladder on each [lo, hi) range of p — runs of
@@ -278,10 +272,10 @@ func (v *Verifier) climb(p *history.Prepared, lo int, opts Options) (int, error)
 }
 
 // fzfChunks is the chunk-parallel form of fzf.CheckScratch: Stage 1 runs on
-// the calling worker, Stage 2 verdicts fork as chunk units (memoized by
-// content hash when a Memo is supplied), and Stage 3 combines them — first
-// failing chunk by index, or the Lemma 4.1 witness assembly.
-func (v *Verifier) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
+// the calling worker, Stage 2 verdicts fork as chunk units, and Stage 3
+// combines them — first failing chunk by index, or the Lemma 4.1 witness
+// assembly.
+func (v *Verifier) fzfChunks(p *history.Prepared) fzf.Result {
 	dec := zone.DecomposeScratch(p, &v.zone)
 	res := fzf.Result{
 		Chunks:      len(dec.Chunks),
@@ -302,45 +296,13 @@ func (v *Verifier) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
 				// no longer affect the (min-index) verdict.
 				continue
 			}
-			ch := dec.Chunks[ci]
-			var key memoKey
-			if memo != nil {
-				wv.ops = fzf.AppendChunkOps(p, ch, wv.ops[:0])
-				h1, h2 := hashOpsSubset(p, wv.ops)
-				key = memoKey{h1, h2, memoChunkFZF, 2}
-				if e, hit := memo.get(key); hit {
-					tried.Add(int64(e.tried))
-					if !e.ok {
-						reasons[ci] = e.reason
-						atomicMin(&minFailed, int64(ci))
-						continue
-					}
-					orders[ci] = make([]int, len(e.order))
-					for i, r := range e.order {
-						orders[ci][i] = wv.ops[r]
-					}
-					continue
-				}
-			}
-			ord, tr, reason := fzf.CheckChunk(p, ch, &wv.fzf)
+			ord, tr, reason := fzf.CheckChunk(p, dec.Chunks[ci], &wv.fzf)
 			tried.Add(int64(tr))
-			e := memoEntry{ok: ord != nil, reason: reason, tried: tr}
 			if ord == nil {
 				reasons[ci] = reason
 				atomicMin(&minFailed, int64(ci))
 			} else {
 				orders[ci] = slices.Clone(ord)
-				if memo != nil {
-					// Chunk-relative, so a hit on the same content at other
-					// indices reconstructs its own order.
-					e.order = make([]int, len(ord))
-					for i, a := range ord {
-						e.order[i], _ = slices.BinarySearch(wv.ops, a)
-					}
-				}
-			}
-			if memo != nil {
-				memo.put(key, e)
 			}
 		}
 	})
@@ -359,15 +321,11 @@ func (v *Verifier) fzfChunks(p *history.Prepared, memo *Memo) fzf.Result {
 // atomic iff every segment is, witness = in-order concatenation.
 func (v *Verifier) oracleSegments(p *history.Prepared, k int, opts Options) (bool, []int, error) {
 	segs := segmentsOf(p)
-	results := make([]memoEntry, len(segs))
+	results := make([]oracle.Result, len(segs))
 	err := v.overSegments(p, segs, opts, func(_ *Verifier, i int, view *history.Prepared) (err error) {
-		results[i], err = opts.Memo.segment(view, memoSegCheck, k, func() (memoEntry, error) {
-			res, err := oracle.CheckK(view, k, oracle.Options{MaxStates: opts.OracleStates})
-			if err != nil {
-				return memoEntry{}, fmt.Errorf("core: %w", err)
-			}
-			return memoEntry{ok: res.Atomic, order: res.Witness}, nil
-		})
+		if results[i], err = oracle.CheckK(view, k, oracle.Options{MaxStates: opts.OracleStates}); err != nil {
+			err = fmt.Errorf("core: %w", err)
+		}
 		return err
 	})
 	if err != nil {
@@ -375,10 +333,10 @@ func (v *Verifier) oracleSegments(p *history.Prepared, k int, opts Options) (boo
 	}
 	wit := make([]int, 0, p.Len())
 	for i, r := range results {
-		if !r.ok {
+		if !r.Atomic {
 			return false, nil, nil
 		}
-		for _, v := range r.order {
+		for _, v := range r.Witness {
 			wit = append(wit, segs[i][0]+v)
 		}
 	}

@@ -105,69 +105,6 @@ func TestSmallestKParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMemoHitsPreserveVerdicts re-verifies every workload with a shared memo
-// and checks (a) verdicts are unchanged on the hit path and (b) hits
-// actually occur on the second pass.
-func TestMemoHitsPreserveVerdicts(t *testing.T) {
-	memo := NewMemo()
-	opts := Options{Memo: memo}
-	for name, p := range workloads(t) {
-		for _, k := range []int{1, 2, 3} {
-			if k >= 3 && p.Len() > 200 {
-				continue
-			}
-			first, err1 := CheckPreparedParallel(p, k, opts, 2)
-			second, err2 := CheckPreparedParallel(p, k, opts, 2)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s k=%d: memo changed error: %v vs %v", name, k, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if first.Atomic != second.Atomic {
-				t.Fatalf("%s k=%d: memo changed verdict %v -> %v", name, k, first.Atomic, second.Atomic)
-			}
-			if second.Atomic && second.Witness != nil {
-				if err := witness.Validate(p, second.Witness, k); err != nil {
-					t.Fatalf("%s k=%d: memoized witness invalid: %v", name, k, err)
-				}
-			}
-		}
-		kA, errA := SmallestKPreparedParallel(p, opts, 2)
-		kB, errB := SmallestKPreparedParallel(p, opts, 2)
-		if (errA == nil) != (errB == nil) || kA != kB {
-			t.Fatalf("%s: memoized smallest-k diverged: %d/%v vs %d/%v", name, kA, errA, kB, errB)
-		}
-	}
-	st := memo.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("no memo hits across repeated verification: %+v", st)
-	}
-	if st.Entries == 0 {
-		t.Fatalf("no memo entries stored: %+v", st)
-	}
-}
-
-// TestMemoSequentialWorkerConsistency checks the memo path also engages (and
-// stays correct) at workers=1, where the pool runs units inline.
-func TestMemoSequentialWorkerConsistency(t *testing.T) {
-	p := prepGen(t, generator.Config{Seed: 9, Ops: 400, Concurrency: 4, StalenessDepth: 1, ReadFraction: 0.6}, "katomic")
-	memo := NewMemo()
-	seq, err := NewVerifier().CheckPrepared(p, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		rep, err := CheckPreparedParallel(p, 2, Options{Memo: memo}, 1)
-		if err != nil || rep.Atomic != seq.Atomic {
-			t.Fatalf("pass %d: %v atomic=%v want %v", pass, err, rep.Atomic, seq.Atomic)
-		}
-	}
-	if memo.Stats().Hits == 0 {
-		t.Fatal("no hits with workers=1")
-	}
-}
-
 // engine is one way of running the engine in TestEngineInvariance: run
 // executes f against one of its Verifiers and returns once f and everything
 // it forked has finished; probes sums (and resets) the oracle probes of all
@@ -200,8 +137,8 @@ func poolEngine(t *testing.T, workers int) engine {
 
 // TestEngineInvariance: what the engine computes is a function of the
 // prepared history alone. A standalone Verifier and a worker of 1- and
-// 4-worker pools, with and without a Memo, with the default fork threshold and with
-// forking forced, return the same smallest k in the same number of oracle
+// 4-worker pools, with the default fork threshold and with forking forced,
+// return the same smallest k in the same number of oracle
 // probes, the same fixed-k verdicts for k = 1..4, and for k = 2 the same
 // witness byte for byte.
 func TestEngineInvariance(t *testing.T) {
@@ -241,17 +178,11 @@ func TestEngineInvariance(t *testing.T) {
 			searched++
 		}
 		for _, e := range engines {
-			for _, memo := range []bool{false, true} {
-				for _, minOps := range []int{0, -1} {
-					opts := Options{MinParallelOps: minOps}
-					if memo {
-						opts.Memo = NewMemo()
-					}
-					got := observe(e, p, opts)
-					if got.k != want.k || got.kErr != want.kErr || got.probes != want.probes ||
-						got.atomic != want.atomic || got.checkErr != want.checkErr || !slices.Equal(got.witness, want.witness) {
-						t.Fatalf("%s: %s memo=%v MinParallelOps=%d: %+v, standalone Verifier %+v", id, e.name, memo, minOps, got, want)
-					}
+			for _, minOps := range []int{0, -1} {
+				got := observe(e, p, Options{MinParallelOps: minOps})
+				if got.k != want.k || got.kErr != want.kErr || got.probes != want.probes ||
+					got.atomic != want.atomic || got.checkErr != want.checkErr || !slices.Equal(got.witness, want.witness) {
+					t.Fatalf("%s: %s MinParallelOps=%d: %+v, standalone Verifier %+v", id, e.name, minOps, got, want)
 				}
 			}
 		}

@@ -30,11 +30,8 @@ type Verifier struct {
 	fzf  fzf.Scratch
 	wit  witness.Scratch
 	prep history.PrepareScratch
-	// zone and ops back the chunk units: zone holds the chunk decomposition
-	// a forked verification reads, ops is the chunk-op index buffer used for
-	// memo hashing and order translation.
+	// zone holds the chunk decomposition a forked verification reads.
 	zone zone.Scratch
-	ops  []int
 	// oracleProbes counts smallest-k oracle calls (read by tests only).
 	oracleProbes int
 	// ctx is the pool worker that owns this Verifier; nil for a standalone

@@ -58,8 +58,7 @@ type Config struct {
 	// K is the staleness bound keys are judged against in the verdict
 	// status field; <= 0 defaults to 2 (the paper's headline case).
 	K int
-	// Opts tunes verification. Opts.Memo is not used: the streaming engine
-	// never consults a verdict memo.
+	// Opts tunes verification.
 	Opts core.Options
 	// Stream tunes the underlying session (workers or shared pool,
 	// horizon, segment batching, buffer cap). Stream.Properties selects
@@ -292,12 +291,15 @@ type Server struct {
 	decodeNanosText atomic.Int64
 	decodeNanosWire atomic.Int64
 	// Per-property families, fed from segment verdicts in the OnSegment
-	// chain. The counters index by property name; the max gauges track the
-	// worst per-segment verdict observed (monotone under the per-key fold,
-	// so they agree with the final document's worst key after drain, up to
-	// cross-boundary stale-read floors which land only in /verdict).
-	propSegments   map[trace.Property]*metrics.Counter
-	irregularReads *metrics.Counter
+	// chain. kSegments counts every segment, extraSegments (one counter per
+	// enabled extra property) only the verified ones, not those merely
+	// scanned for anomalies; the max gauges track the worst per-segment
+	// verdict observed (monotone under the per-key fold, so they agree with
+	// the final document's worst key after drain, up to cross-boundary
+	// stale-read floors which land only in /verdict).
+	kSegments      *metrics.Counter
+	extraSegments  []*metrics.Counter
+	irregularReads *metrics.Counter // nil unless regularity is enabled, like unsafeReads
 	unsafeReads    *metrics.Counter
 	maxSegK        atomic.Int64
 	maxSegDelta    atomic.Int64
@@ -378,23 +380,21 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 	// Per-property families exist only for enabled properties, so a k-only
 	// server's exposition is unchanged.
 	props := cfg.Stream.Properties
-	s.propSegments = map[trace.Property]*metrics.Counter{
-		trace.PropertyKAtomicity: s.reg.CounterL("kavserve_property_segments_total",
-			"Segment verdicts carrying each property's result.", `property="k"`),
-	}
+	const segmentsHelp = "Segment verdicts carrying each property's result."
+	s.kSegments = s.reg.CounterL("kavserve_property_segments_total", segmentsHelp, `property="k"`)
 	s.reg.Gauge("kavserve_segment_smallest_k_max",
 		"Largest per-segment smallest k observed (lower bound on the worst key's final k).",
 		func() float64 { return float64(s.maxSegK.Load()) })
 	if props.Has(trace.PropertyDelta) {
-		s.propSegments[trace.PropertyDelta] = s.reg.CounterL("kavserve_property_segments_total",
-			"Segment verdicts carrying each property's result.", `property="delta"`)
+		s.extraSegments = append(s.extraSegments,
+			s.reg.CounterL("kavserve_property_segments_total", segmentsHelp, `property="delta"`))
 		s.reg.Gauge("kavserve_segment_smallest_delta_max",
 			"Largest per-segment smallest Δ observed (lower bound on the worst key's final Δ).",
 			func() float64 { return float64(s.maxSegDelta.Load()) })
 	}
 	if props.Has(trace.PropertyRegularity) {
-		s.propSegments[trace.PropertyRegularity] = s.reg.CounterL("kavserve_property_segments_total",
-			"Segment verdicts carrying each property's result.", `property="regularity"`)
+		s.extraSegments = append(s.extraSegments,
+			s.reg.CounterL("kavserve_property_segments_total", segmentsHelp, `property="regularity"`))
 		s.irregularReads = s.reg.Counter("kavserve_irregular_reads_total",
 			"Reads violating regularity, from segment verdicts (cross-boundary stale reads are folded into /verdict directly).")
 		s.unsafeReads = s.reg.Counter("kavserve_unsafe_reads_total",
@@ -404,21 +404,21 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 	chained := cfg.Stream.OnSegment
 	cfg.Stream.OnSegment = func(v trace.SegmentVerdict) {
 		s.segmentsClosed.Inc()
-		s.propSegments[trace.PropertyKAtomicity].Inc()
-		atomicMax(&s.maxSegK, int64(v.K))
-		for _, pv := range v.Props {
-			if c := s.propSegments[pv.Property]; c != nil {
+		s.kSegments.Inc()
+		if !v.ScanOnly {
+			for _, c := range s.extraSegments {
 				c.Inc()
 			}
-			switch pv.Property {
-			case trace.PropertyDelta:
-				atomicMax(&s.maxSegDelta, pv.Delta)
-			case trace.PropertyRegularity:
-				s.irregularReads.Add(int64(pv.IrregularReads))
-				s.unsafeReads.Add(int64(pv.UnsafeReads))
-			}
 		}
-		if bad := v.Err != nil || v.K > s.cfg.K; bad {
+		// Fields of a property that is off, or of a scan-only segment, are
+		// zero: they lift no maximum and add nothing.
+		atomicMax(&s.maxSegK, int64(v.SmallestK))
+		atomicMax(&s.maxSegDelta, v.SmallestDelta)
+		if s.irregularReads != nil {
+			s.irregularReads.Add(int64(v.IrregularReads))
+			s.unsafeReads.Add(int64(v.UnsafeReads))
+		}
+		if bad := v.Err != nil || v.SmallestK > s.cfg.K; bad {
 			s.violations.Inc()
 			s.recordViolation(v)
 		}
@@ -588,7 +588,7 @@ func atomicMax(a *atomic.Int64, v int64) {
 func (s *Server) recordViolation(v trace.SegmentVerdict) {
 	s.mu.Lock()
 	if cur, seen := s.firstViols[v.Key]; !seen || v.Seq < cur.Seq {
-		viol := Violation{Seq: v.Seq, Ops: v.Ops, K: v.K}
+		viol := Violation{Seq: v.Seq, Ops: v.Ops, K: v.SmallestK}
 		if v.Err != nil {
 			viol.Err = v.Err.Error()
 		}

@@ -79,8 +79,7 @@ func postDrain(t *testing.T, base string) VerdictDoc {
 }
 
 func TestIngestVerdictMetricsDrain(t *testing.T) {
-	memo := core.NewMemo()
-	srv := New(Config{K: 2, Opts: core.Options{Memo: memo}, Stream: trace.StreamOptions{Workers: 2, MinSegmentOps: 1}})
+	srv := New(Config{K: 2, Stream: trace.StreamOptions{Workers: 2, MinSegmentOps: 1}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -173,8 +172,8 @@ func TestIngestVerdictMetricsDrain(t *testing.T) {
 			t.Fatalf("metrics output missing %q:\n%s", frag, metricsText)
 		}
 	}
-	if st := memo.Stats(); strings.Contains(metricsText, "kavserve_memo_") || st != (core.MemoStats{}) {
-		t.Fatalf("memo %+v after a served trace, want untouched and no kavserve_memo_* family:\n%s", st, metricsText)
+	if strings.Contains(metricsText, "kavserve_memo_") {
+		t.Fatalf("want no kavserve_memo_* family:\n%s", metricsText)
 	}
 	// Per-shard ingest totals must sum to the overall total.
 	var shardSum, total float64

@@ -345,23 +345,57 @@ type KeyState struct {
 	CumWrites         []int64        `json:"cumWrites,omitempty"`
 	CumMaxFinish      []int64        `json:"cumMaxFinish,omitempty"`
 	TotalClosed       int64          `json:"totalClosed,omitempty"`
-	Atomic            bool           `json:"atomic"`
 	Err               string         `json:"err,omitempty"`
 	ErrSeq            int            `json:"errSeq,omitempty"`
-	MaxK              int            `json:"maxK,omitempty"`
-	KFloor            int            `json:"kFloor,omitempty"`
-	Saturated         bool           `json:"saturated,omitempty"`
-	Props             []PropState    `json:"props,omitempty"`
+	// KFloor is read, never written: older checkpoints kept the stale-read
+	// floor apart from MaxK.
+	KFloor int `json:"kFloor,omitempty"`
+	verdictState
 }
 
-// PropState is one extra property's accumulated verdict in a checkpoint
-// (the k verdict rides the legacy Atomic/MaxK/Saturated fields above).
+// verdictState is the shape a key's Verdict has in a checkpoint (KeyState
+// and RetiredKeyState embed it). The shape predates the flat Verdict and
+// must not move, so this is the one place that maps between the two: the k
+// verdict in atomic/maxK/saturated, one PropState per enabled extra
+// property in canonical order.
+type verdictState struct {
+	Atomic    bool        `json:"atomic"`
+	MaxK      int         `json:"maxK,omitempty"`
+	Saturated bool        `json:"saturated,omitempty"`
+	Props     []PropState `json:"props,omitempty"`
+}
+
+// PropState is one extra property's accumulated verdict in a checkpoint.
 type PropState struct {
 	Property  string `json:"property"`
 	Delta     int64  `json:"delta,omitempty"`
 	Unsafe    int    `json:"unsafe,omitempty"`
 	Irregular int    `json:"irregular,omitempty"`
 	Saturated bool   `json:"saturated,omitempty"`
+}
+
+func (e *engine) verdictState(v Verdict) verdictState {
+	st := verdictState{Atomic: !v.Violation, MaxK: v.SmallestK, Saturated: v.Saturated}
+	if e.sopts.Properties.Has(PropertyDelta) {
+		st.Props = append(st.Props, PropState{Property: PropertyDelta.String(), Delta: v.SmallestDelta, Saturated: v.DeltaSaturated})
+	}
+	if e.sopts.Properties.Has(PropertyRegularity) {
+		st.Props = append(st.Props, PropState{Property: PropertyRegularity.String(), Unsafe: v.UnsafeReads, Irregular: v.IrregularReads})
+	}
+	return st
+}
+
+func (st verdictState) verdict() Verdict {
+	v := Verdict{Violation: !st.Atomic, SmallestK: st.MaxK, Saturated: st.Saturated}
+	for _, ps := range st.Props {
+		switch ps.Property {
+		case PropertyDelta.String():
+			v.SmallestDelta, v.DeltaSaturated = ps.Delta, ps.Saturated
+		case PropertyRegularity.String():
+			v.UnsafeReads, v.IrregularReads = ps.Unsafe, ps.Irregular
+		}
+	}
+	return v
 }
 
 // CarriedStats are the monotonic counters a checkpoint carries forward so a
@@ -379,14 +413,11 @@ type CarriedStats struct {
 
 // RetiredKeyState is one retired key's compact record in a checkpoint.
 type RetiredKeyState struct {
-	Key             string      `json:"key"`
-	Ops             int         `json:"ops"`
-	MaxClosedFinish int64       `json:"maxClosedFinish"`
-	Atomic          bool        `json:"atomic"`
-	MaxK            int         `json:"maxK,omitempty"`
-	Saturated       bool        `json:"saturated,omitempty"`
-	Err             string      `json:"err,omitempty"`
-	Props           []PropState `json:"props,omitempty"`
+	Key             string `json:"key"`
+	Ops             int    `json:"ops"`
+	MaxClosedFinish int64  `json:"maxClosedFinish"`
+	Err             string `json:"err,omitempty"`
+	verdictState
 }
 
 // SessionCheckpoint is an exact snapshot of a frozen session.
@@ -418,22 +449,6 @@ func modeName(k int) string {
 		return "check"
 	}
 	return "smallestk"
-}
-
-// propStates renders the extra properties' accumulators (props[1:]; the k
-// verdict rides the legacy Atomic/MaxK/Saturated fields) for a checkpoint.
-func propStates(extras []PropertyVerdict) []PropState {
-	var out []PropState
-	for _, pv := range extras {
-		out = append(out, PropState{
-			Property:  pv.Property.String(),
-			Delta:     pv.Delta,
-			Unsafe:    pv.UnsafeReads,
-			Irregular: pv.IrregularReads,
-			Saturated: pv.Saturated,
-		})
-	}
-	return out
 }
 
 // Checkpoint snapshots the session at a frozen instant: every shard lock is
@@ -502,10 +517,7 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 				Key:             key,
 				Ops:             rk.ops,
 				MaxClosedFinish: rk.maxClosedFinish,
-				Atomic:          rk.props[0].Atomic,
-				MaxK:            rk.props[0].K,
-				Saturated:       rk.props[0].Saturated,
-				Props:           propStates(rk.props[1:]),
+				verdictState:    e.verdictState(rk.verdict),
 			}
 			if rk.err != nil {
 				st.Err = rk.err.Error()
@@ -573,14 +585,11 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 				}
 			}
 			ks.mu.Lock()
-			st.Atomic = ks.props[0].Atomic
+			st.verdictState = e.verdictState(ks.verdict)
 			if ks.err != nil {
 				st.Err = ks.err.Error()
 				st.ErrSeq = ks.errSeq
 			}
-			st.MaxK = ks.props[0].K
-			st.Saturated = ks.props[0].Saturated
-			st.Props = propStates(ks.props[1:])
 			ks.mu.Unlock()
 			cp.Keys = append(cp.Keys, st)
 		}
@@ -672,7 +681,8 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		if n := int64(len(ks.open)); n > sh.maxOpen.Load() {
 			sh.maxOpen.Store(n)
 		}
-		ks.props = e.propsFromCheckpoint(st.Atomic, max(st.MaxK, st.KFloor), st.Saturated, st.Props)
+		ks.verdict = st.verdict()
+		ks.verdict.Fold(Verdict{SmallestK: st.KFloor})
 		if st.Err != "" {
 			ks.err = errors.New(st.Err)
 			ks.errSeq = st.ErrSeq
@@ -696,7 +706,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		rk := &retiredKey{
 			ops:             st.Ops,
 			maxClosedFinish: st.MaxClosedFinish,
-			props:           e.propsFromCheckpoint(st.Atomic, st.MaxK, st.Saturated, st.Props),
+			verdict:         st.verdict(),
 		}
 		if st.Err != "" {
 			rk.err = errors.New(st.Err)

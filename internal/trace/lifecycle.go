@@ -75,7 +75,7 @@ const retainedEpochs = 1024
 type retiredKey struct {
 	ops             int
 	maxClosedFinish int64
-	props           []PropertyVerdict
+	verdict         Verdict
 	err             error
 }
 
@@ -98,6 +98,28 @@ type RetiredSummary struct {
 	UnsafeReads    int64 `json:"unsafeReads,omitempty"`
 	IrregularReads int64 `json:"irregularReads,omitempty"`
 	Errors         int64 `json:"errors,omitempty"`
+}
+
+// Fold merges another session's summary into s (a cluster's members hold
+// disjoint keys): counts sum, worst-case floors take the maximum.
+func (s *RetiredSummary) Fold(o RetiredSummary) {
+	s.Keys += o.Keys
+	s.Ops += o.Ops
+	s.Retirements += o.Retirements
+	s.Readmissions += o.Readmissions
+	s.MaxK = max(s.MaxK, o.MaxK)
+	s.MaxDelta = max(s.MaxDelta, o.MaxDelta)
+	s.UnsafeReads += o.UnsafeReads
+	s.IrregularReads += o.IrregularReads
+	s.Errors += o.Errors
+}
+
+// observe accounts one retired key's verdict.
+func (s *RetiredSummary) observe(v Verdict) {
+	s.MaxK = max(s.MaxK, v.SmallestK)
+	s.MaxDelta = max(s.MaxDelta, v.SmallestDelta)
+	s.UnsafeReads += int64(v.UnsafeReads)
+	s.IrregularReads += int64(v.IrregularReads)
 }
 
 // EpochStats is one epoch window's verdict summary (Session.Epochs). Epoch N
@@ -131,25 +153,32 @@ type EpochStats struct {
 	Errors         int64 `json:"errors,omitempty"`
 }
 
-// foldInto merges src into dst (commutative sums and maxes; Epoch keeps the
-// maximum so a folded aggregate reports the newest epoch it covers).
-func (dst *EpochStats) foldInto(src *EpochStats) {
-	if src.Epoch > dst.Epoch {
-		dst.Epoch = src.Epoch
+// Fold merges o into es: counts sum, floors take the maximum, and Epoch keeps
+// the maximum so a folded aggregate reports the newest epoch it covers.
+// Commutative, so late-landing verdicts, evicted windows and the same window
+// on a cluster's members all combine through it in any order.
+func (es *EpochStats) Fold(o EpochStats) {
+	es.Epoch = max(es.Epoch, o.Epoch)
+	es.Ops += o.Ops
+	es.Segments += o.Segments
+	es.StaleReads += o.StaleReads
+	es.MaxK = max(es.MaxK, o.MaxK)
+	es.MaxDelta = max(es.MaxDelta, o.MaxDelta)
+	es.Violations += o.Violations
+	es.UnsafeReads += o.UnsafeReads
+	es.IrregularReads += o.IrregularReads
+	es.Errors += o.Errors
+}
+
+// observe accounts one segment's or one stale read's verdict.
+func (es *EpochStats) observe(v Verdict) {
+	es.MaxK = max(es.MaxK, v.SmallestK)
+	es.MaxDelta = max(es.MaxDelta, v.SmallestDelta)
+	if v.Violation {
+		es.Violations++
 	}
-	dst.Ops += src.Ops
-	dst.Segments += src.Segments
-	dst.StaleReads += src.StaleReads
-	if src.MaxK > dst.MaxK {
-		dst.MaxK = src.MaxK
-	}
-	if src.MaxDelta > dst.MaxDelta {
-		dst.MaxDelta = src.MaxDelta
-	}
-	dst.Violations += src.Violations
-	dst.UnsafeReads += src.UnsafeReads
-	dst.IrregularReads += src.IrregularReads
-	dst.Errors += src.Errors
+	es.UnsafeReads += int64(v.UnsafeReads)
+	es.IrregularReads += int64(v.IrregularReads)
 }
 
 // epochTracker owns the per-epoch summaries; a mutex suffices because folds
@@ -183,44 +212,36 @@ func (e *engine) epochOf(t int64) int64 {
 	return d
 }
 
-// foldEpoch applies fn to the summary of epoch ep, creating it (and evicting
-// past the retain cap) as needed. Late folds into an already-evicted epoch
-// land in the cumulative aggregate.
-func (e *engine) foldEpoch(ep int64, fn func(*EpochStats)) {
-	if e.epochLen <= 0 {
-		return
-	}
+// foldEpoch folds d, one verdict's contribution, into the summary of epoch
+// d.Epoch, creating it (and evicting past the retain cap) as needed. Late
+// folds into an already-evicted epoch land in the cumulative aggregate.
+func (e *engine) foldEpoch(d EpochStats) {
 	t := &e.epochT
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	es := t.epochs[ep]
-	if es == nil {
-		if t.folded != nil && ep <= t.folded.Epoch {
-			fn(t.folded)
-			return
-		}
-		es = &EpochStats{Epoch: ep}
-		t.epochs[ep] = es
-		for len(t.epochs) > t.retain {
-			oldest := int64(math.MaxInt64)
-			for k := range t.epochs {
-				if k < oldest {
-					oldest = k
-				}
-			}
-			if t.folded == nil {
-				t.folded = &EpochStats{Epoch: math.MinInt64, Folded: true}
-			}
-			t.folded.foldInto(t.epochs[oldest])
-			delete(t.epochs, oldest)
-			es = t.epochs[ep] // may have just been evicted
-		}
-		if es == nil { // the new epoch itself was the oldest
-			fn(t.folded)
-			return
-		}
+	if es := t.epochs[d.Epoch]; es != nil {
+		es.Fold(d)
+		return
 	}
-	fn(es)
+	if t.folded != nil && d.Epoch <= t.folded.Epoch {
+		t.folded.Fold(d)
+		return
+	}
+	first := d
+	t.epochs[d.Epoch] = &first
+	for len(t.epochs) > t.retain {
+		oldest := int64(math.MaxInt64)
+		for k := range t.epochs {
+			if k < oldest {
+				oldest = k
+			}
+		}
+		if t.folded == nil {
+			t.folded = &EpochStats{Epoch: math.MinInt64, Folded: true}
+		}
+		t.folded.Fold(*t.epochs[oldest]) // the new epoch itself, when it is the oldest
+		delete(t.epochs, oldest)
+	}
 }
 
 // maybeSweep is the ingest-path retirement trigger: every RetireSweepOps
@@ -336,7 +357,7 @@ func (e *engine) finalizeRetire(sh *ingestShard, ks *keyState) {
 	rk := &retiredKey{
 		ops:             ks.ops,
 		maxClosedFinish: ks.maxClosedFinish,
-		props:           append([]PropertyVerdict(nil), ks.props...),
+		verdict:         ks.verdict,
 		err:             ks.err,
 	}
 	ks.mu.Unlock()
@@ -361,7 +382,7 @@ func (e *engine) readmit(ks *keyState, rk *retiredKey) {
 	ks.ops = rk.ops
 	ks.closedAny = true
 	ks.maxClosedFinish = rk.maxClosedFinish
-	copy(ks.props, rk.props)
+	ks.verdict = rk.verdict
 	ks.err = rk.err
 	if ks.err != nil {
 		ks.errSeq = math.MinInt
@@ -370,66 +391,6 @@ func (e *engine) readmit(ks *keyState, rk *retiredKey) {
 	e.retiredNow.Add(-1)
 	e.retiredOps.Add(int64(-rk.ops))
 	e.readmissions.Add(1)
-}
-
-// propsFromCheckpoint rebuilds a per-property accumulator slice in checker
-// order from checkpointed verdict fields (the k verdict rides the legacy
-// Atomic/MaxK/Saturated fields, extras ride PropState records).
-func (e *engine) propsFromCheckpoint(atomicK bool, maxK int, sat bool, extras []PropState) []PropertyVerdict {
-	props := make([]PropertyVerdict, len(e.checkers))
-	for i, ck := range e.checkers {
-		props[i] = PropertyVerdict{Property: ck.Property(), Atomic: true}
-	}
-	props[0].Atomic = atomicK
-	props[0].K = maxK
-	props[0].Saturated = sat
-	for _, ps := range extras {
-		for i := range props {
-			if props[i].Property.String() != ps.Property {
-				continue
-			}
-			props[i].Delta = ps.Delta
-			props[i].UnsafeReads = ps.Unsafe
-			props[i].IrregularReads = ps.Irregular
-			props[i].Saturated = ps.Saturated
-			break
-		}
-	}
-	return props
-}
-
-// retiredVerdictOf is keyVerdictOf for a retired record.
-func retiredVerdictOf(key string, rk *retiredKey) KeyVerdict {
-	kv := KeyVerdict{
-		Key:        key,
-		Ops:        rk.ops,
-		Properties: PropertySetK,
-		Retired:    true,
-		Err:        rk.err,
-	}
-	applyPropVerdicts(&kv, rk.props, rk.err)
-	return kv
-}
-
-// applyPropVerdicts fills a KeyVerdict's per-property fields from an
-// accumulator slice (shared by the live and retired verdict builders).
-func applyPropVerdicts(kv *KeyVerdict, props []PropertyVerdict, err error) {
-	for _, pv := range props {
-		switch pv.Property {
-		case PropertyKAtomicity:
-			kv.Atomic = err == nil && pv.Atomic
-			kv.SmallestK = pv.K
-			kv.Saturated = pv.Saturated
-		case PropertyDelta:
-			kv.Properties |= PropertySetDelta
-			kv.SmallestDelta = pv.Delta
-			kv.DeltaSaturated = pv.Saturated
-		case PropertyRegularity:
-			kv.Properties |= PropertySetRegularity
-			kv.UnsafeReads = pv.UnsafeReads
-			kv.IrregularReads = pv.IrregularReads
-		}
-	}
 }
 
 // RetireIdle sweeps every shard, retiring keys idle for at least minIdle
@@ -498,21 +459,7 @@ func (s *Session) RetiredSummary() RetiredSummary {
 			if rk.err != nil {
 				sum.Errors++
 			}
-			for _, pv := range rk.props {
-				switch pv.Property {
-				case PropertyKAtomicity:
-					if pv.K > sum.MaxK {
-						sum.MaxK = pv.K
-					}
-				case PropertyDelta:
-					if pv.Delta > sum.MaxDelta {
-						sum.MaxDelta = pv.Delta
-					}
-				case PropertyRegularity:
-					sum.UnsafeReads += int64(pv.UnsafeReads)
-					sum.IrregularReads += int64(pv.IrregularReads)
-				}
-			}
+			sum.observe(rk.verdict)
 		}
 	})
 	return sum

@@ -5,7 +5,8 @@ package trace
 // The engine in stream.go does one parse/cut/schedule pass per trace; this
 // file makes the *verdict* computed over each closed segment pluggable, so
 // one ingest produces k-atomicity, Δ-atomicity, and regularity/safety
-// verdicts side by side instead of three replays.
+// verdicts side by side instead of three replays. Every checker answers in
+// the same flat Verdict, and one Verdict.Fold combines them everywhere.
 //
 // Soundness rests on extending the segment-equivalence lemma (stream.go) to
 // the other two properties:
@@ -30,8 +31,9 @@ package trace
 //     whole-history counts. (TestCutsPreserveRegularity checks this.)
 //
 // Cross-boundary stale reads (value from an already-dispatched segment)
-// never reach a segment verifier, so each property folds them from evidence
-// gathered at drop time: k-atomicity keeps its forced-writes floor,
+// never reach a segment verifier, so each property turns the evidence
+// gathered at drop time into a verdict of its own, folded like a segment's:
+// k-atomicity keeps its forced-writes floor,
 // Δ-atomicity gets the sound floor r.Start − cumMaxFinish[s'] (s' the first
 // write-bearing segment after the value's), and regularity counts the read
 // as irregular definitively (the forced writes all fall between the read and
@@ -131,25 +133,42 @@ func ParseProperties(list string) (PropertySet, error) {
 	return s, nil
 }
 
-// PropertyVerdict is one property's verdict over a single verified segment
-// and, via the checker's Fold, a key's accumulated verdict across segments.
-// Fields not belonging to the verdict's Property stay zero.
-type PropertyVerdict struct {
-	// Property says which checker produced the verdict.
-	Property Property
-	// Atomic is the fixed-k verdict (k-atomicity checker, fixed-k sessions).
-	Atomic bool
-	// K is the smallest k (k-atomicity checker, smallest-k sessions).
-	K int
-	// Delta is the smallest Δ (Δ-atomicity checker), on the input time scale.
-	Delta int64
+// Verdict is everything the engine knows about a register's consistency:
+// one closed segment's result, a cross-boundary stale read's contribution, or
+// a key's accumulation of both. Each property owns the fields named for it
+// and fields of a disabled property stay zero. The zero Verdict says nothing
+// and is Fold's identity.
+type Verdict struct {
+	// Violation is the fixed-k verdict: some segment is not k-atomic, or a
+	// read is definitively staler than k (fixed-k sessions).
+	Violation bool
+	// SmallestK is the smallest k (smallest-k sessions); Saturated reports
+	// that a cross-boundary stale read reduced it to a lower-bound floor.
+	SmallestK int
+	Saturated bool
+	// SmallestDelta is the smallest Δ, on the input time scale, and
+	// DeltaSaturated its floor marker (Δ-atomicity property).
+	SmallestDelta  int64
+	DeltaSaturated bool
 	// UnsafeReads and IrregularReads count reads violating Lamport safety
-	// and regularity (regularity checker).
+	// and regularity (regularity property).
 	UnsafeReads    int
 	IrregularReads int
-	// Saturated reports that a cross-boundary stale read reduced K or Delta
-	// to a lower-bound floor.
-	Saturated bool
+}
+
+// Fold merges o into v the way the decomposition lemmas above prescribe:
+// a violation anywhere is a violation, smallest k and smallest Δ are maxima
+// over segments, offending reads sum. It is commutative and associative, so
+// verdicts combine the same in whatever order the pool finishes segments,
+// across a key's retired lifetimes, and across checkpoints.
+func (v *Verdict) Fold(o Verdict) {
+	v.Violation = v.Violation || o.Violation
+	v.SmallestK = max(v.SmallestK, o.SmallestK)
+	v.Saturated = v.Saturated || o.Saturated
+	v.SmallestDelta = max(v.SmallestDelta, o.SmallestDelta)
+	v.DeltaSaturated = v.DeltaSaturated || o.DeltaSaturated
+	v.UnsafeReads += o.UnsafeReads
+	v.IrregularReads += o.IrregularReads
 }
 
 // staleReadEvidence is what the engine knows about a cross-boundary stale
@@ -166,6 +185,9 @@ type staleReadEvidence struct {
 	// one write of its own closing window — the only writes that can be
 	// concurrent with it.
 	safe bool
+	// verdict is the fold of what each enabled property makes of the read:
+	// its contribution to its key and epoch.
+	verdict Verdict
 }
 
 // Segment is one closed safe-cut segment as every checker sees it.
@@ -183,25 +205,20 @@ type Segment struct {
 	Delta delta.Summary
 }
 
-// PropertyChecker computes one property over closed safe-cut segments and
-// folds per-segment verdicts into a per-key one.
+// PropertyChecker computes one property. Both methods return a Verdict with
+// only the property's own fields set, which the engine folds like any other
+// (Verdict.Fold).
 type PropertyChecker interface {
-	// Property identifies the checker.
-	Property() Property
-	// CheckSegment computes the property's verdict over one closed,
-	// anomaly-free segment. It runs on a verification worker.
-	CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (PropertyVerdict, error)
-	// Fold merges a segment verdict into the key's accumulated verdict.
-	// Folds must be commutative and associative: segments land in whatever
-	// order the pool finishes them.
-	Fold(acc *PropertyVerdict, seg PropertyVerdict)
-	// FoldStale accounts a cross-boundary stale read, which never reaches a
-	// segment verifier.
-	FoldStale(acc *PropertyVerdict, ev staleReadEvidence)
+	// CheckSegment computes the property over one closed, anomaly-free
+	// segment. It runs on a verification worker.
+	CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (Verdict, error)
+	// Stale turns the evidence of a cross-boundary stale read, which never
+	// reaches a segment verifier, into the property's verdict of it.
+	Stale(ev staleReadEvidence) Verdict
 }
 
-// checkersFor builds the engine's checker slice: k-atomicity first (at the
-// engine's bound k), then any extra properties in canonical order.
+// checkersFor builds the engine's checkers: k-atomicity (at the engine's
+// bound k), then any extra properties in canonical order.
 func checkersFor(k int, set PropertySet) []PropertyChecker {
 	out := []PropertyChecker{kAtomicityChecker{k: k}}
 	if set.Has(PropertyDelta) {
@@ -217,88 +234,52 @@ func checkersFor(k int, set PropertySet) []PropertyChecker {
 // fixed-k check at bound k when k > 0, smallest-k when k == 0.
 type kAtomicityChecker struct{ k int }
 
-func (kAtomicityChecker) Property() Property { return PropertyKAtomicity }
-
-func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (PropertyVerdict, error) {
-	pv := PropertyVerdict{Property: PropertyKAtomicity, Atomic: true}
+func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (Verdict, error) {
 	if kc.k > 0 {
 		rep, err := c.Verifier().CheckPrepared(seg.P, kc.k, opts)
-		pv.Atomic = rep.Atomic
-		return pv, err
+		return Verdict{Violation: !rep.Atomic}, err
 	}
 	k, err := c.Verifier().SmallestKPrepared(seg.P, opts)
-	pv.K = k
-	return pv, err
+	return Verdict{SmallestK: k}, err
 }
 
-func (kAtomicityChecker) Fold(acc *PropertyVerdict, seg PropertyVerdict) {
-	acc.Atomic = acc.Atomic && seg.Atomic
-	if seg.K > acc.K {
-		acc.K = seg.K
-	}
-}
-
-func (kc kAtomicityChecker) FoldStale(acc *PropertyVerdict, ev staleReadEvidence) {
+func (kc kAtomicityChecker) Stale(ev staleReadEvidence) Verdict {
 	if kc.k > 0 {
 		// forcedWrites >= threshold == k, so staleness > k: definitive.
-		acc.Atomic = false
-		return
+		return Verdict{Violation: true}
 	}
-	acc.Saturated = true
-	if ev.forcedWrites+1 > acc.K {
-		acc.K = ev.forcedWrites + 1
-	}
+	return Verdict{SmallestK: ev.forcedWrites + 1, Saturated: true}
 }
 
-// deltaChecker computes each segment's smallest Δ; the fold is max, per the
-// Δ decomposition lemma in the package comment.
+// deltaChecker computes each segment's smallest Δ.
 type deltaChecker struct{}
 
-func (deltaChecker) Property() Property { return PropertyDelta }
-
-func (deltaChecker) CheckSegment(_ *core.Ctx, seg Segment, _ core.Options) (PropertyVerdict, error) {
+func (deltaChecker) CheckSegment(_ *core.Ctx, seg Segment, _ core.Options) (Verdict, error) {
 	d, err := seg.Delta.Smallest()
-	return PropertyVerdict{Property: PropertyDelta, Atomic: true, Delta: d}, err
+	return Verdict{SmallestDelta: d}, err
 }
 
-func (deltaChecker) Fold(acc *PropertyVerdict, seg PropertyVerdict) {
-	if seg.Delta > acc.Delta {
-		acc.Delta = seg.Delta
-	}
+func (deltaChecker) Stale(ev staleReadEvidence) Verdict {
+	return Verdict{SmallestDelta: ev.deltaFloor, DeltaSaturated: true}
 }
 
-func (deltaChecker) FoldStale(acc *PropertyVerdict, ev staleReadEvidence) {
-	acc.Saturated = true
-	if ev.deltaFloor > acc.Delta {
-		acc.Delta = ev.deltaFloor
-	}
-}
-
-// regularityChecker counts each segment's safety/regularity offenders; the
-// fold is a sum, per the per-read decomposition in the package comment.
+// regularityChecker counts each segment's safety/regularity offenders.
 type regularityChecker struct{}
 
-func (regularityChecker) Property() Property { return PropertyRegularity }
-
-func (regularityChecker) CheckSegment(_ *core.Ctx, seg Segment, _ core.Options) (PropertyVerdict, error) {
+func (regularityChecker) CheckSegment(_ *core.Ctx, seg Segment, _ core.Options) (Verdict, error) {
 	v := regularity.Check(seg.P)
-	return PropertyVerdict{Property: PropertyRegularity, Atomic: true,
-		UnsafeReads: len(v.UnsafeReads), IrregularReads: len(v.IrregularReads)}, nil
+	return Verdict{UnsafeReads: len(v.UnsafeReads), IrregularReads: len(v.IrregularReads)}, nil
 }
 
-func (regularityChecker) Fold(acc *PropertyVerdict, seg PropertyVerdict) {
-	acc.UnsafeReads += seg.UnsafeReads
-	acc.IrregularReads += seg.IrregularReads
-}
-
-func (regularityChecker) FoldStale(acc *PropertyVerdict, ev staleReadEvidence) {
+func (regularityChecker) Stale(ev staleReadEvidence) Verdict {
 	// The forced writes all fall between the read and its (cross-boundary)
 	// dictating write, so the read is definitively irregular; it is unsafe
 	// unless it overlaps a write of its own closing window.
-	acc.IrregularReads++
+	v := Verdict{IrregularReads: 1}
 	if !ev.safe {
-		acc.UnsafeReads++
+		v.UnsafeReads = 1
 	}
+	return v
 }
 
 // staleReadSafety decides, for each dropped cross-boundary read, whether the

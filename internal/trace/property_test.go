@@ -2,10 +2,12 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"kat/internal/core"
 	"kat/internal/delta"
@@ -15,6 +17,24 @@ import (
 	"kat/internal/regularity"
 	"kat/internal/zone"
 )
+
+// TestVerdictFoldLaws: the zero Verdict is Fold's identity, and Fold commutes
+// and associates — what lets a fresh key start from nothing, segments land in
+// any order, and a retired floor seed the next lifetime. (Smallest k and Δ
+// are never negative; quick's values are made so.)
+func TestVerdictFoldLaws(t *testing.T) {
+	fold := func(a, b Verdict) Verdict { a.Fold(b); return a }
+	laws := func(a, b, c Verdict) bool {
+		for _, v := range []*Verdict{&a, &b, &c} {
+			v.SmallestK, v.SmallestDelta = v.SmallestK&math.MaxInt, v.SmallestDelta&math.MaxInt64
+		}
+		return fold(a, Verdict{}) == a && fold(Verdict{}, a) == a && fold(a, b) == fold(b, a) &&
+			fold(fold(a, b), c) == fold(a, fold(b, c))
+	}
+	if err := quick.Check(laws, nil); err != nil {
+		t.Error(err)
+	}
+}
 
 func TestParseProperties(t *testing.T) {
 	for _, tc := range []struct {

@@ -227,28 +227,15 @@ type KeyVerdict struct {
 	// sessions; true until a violating segment lands, final after Flush).
 	// False whenever Err is set.
 	Atomic bool
-	// SmallestK is the largest per-segment smallest k verified so far
-	// (smallest-k sessions) — a lower bound on the key's final smallest k
-	// until Flush, 0 before any segment verdict and in check sessions.
-	SmallestK int
-	// Saturated reports a read staler than the session horizon; SmallestK
-	// is then only the horizon floor even after Flush.
-	Saturated bool
 	// Properties is the set of properties verified for this key (always
-	// includes k-atomicity; extras per StreamOptions.Properties). The
-	// fields below are populated only for enabled properties.
+	// includes k-atomicity; extras per StreamOptions.Properties).
 	Properties PropertySet
-	// SmallestDelta is the largest per-segment smallest Δ verified so far
-	// (Δ-atomicity property), on the input time scale — a lower bound until
-	// Flush, 0 before any segment verdict.
-	SmallestDelta int64
-	// DeltaSaturated reports that a read staler than the session horizon
-	// reduced SmallestDelta to a floor even after Flush.
-	DeltaSaturated bool
-	// UnsafeReads and IrregularReads count reads violating Lamport safety
-	// and regularity (regularity property) over everything verified so far.
-	UnsafeReads    int
-	IrregularReads int
+	// Verdict is the fold of every segment verified and every stale-read
+	// floor so far, over all the key's lifetimes: SmallestK and SmallestDelta
+	// are lower bounds until Flush and 0 before any segment verdict, the
+	// read counts cover everything verified so far, and a Saturated or
+	// DeltaSaturated value stays a floor even after Flush.
+	Verdict
 	// Retired reports that the key was retired after its TTL of quiescence:
 	// the verdict is its folded final state (identical to what a
 	// never-retired run reports) and its live state has been freed. A later
@@ -345,34 +332,46 @@ func (s *Session) SnapshotKey(key string) (KeyVerdict, bool) {
 	sh := s.e.shards[s.e.shardIndex(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ks, ok := sh.keys[key]
-	if !ok {
-		if rk, rok := sh.retired[key]; rok {
-			return retiredVerdictOf(key, rk), true
-		}
-		return KeyVerdict{}, false
+	if ks, ok := sh.keys[key]; ok {
+		return s.e.liveVerdict(ks), true
 	}
-	return keyVerdictOf(ks), true
+	if rk, ok := sh.retired[key]; ok {
+		return s.e.retiredVerdict(key, rk), true
+	}
+	return KeyVerdict{}, false
 }
 
-// keyVerdictOf builds one key's verdict; the caller holds the key's shard
+// keyVerdict builds the verdict of a live or a retired key from its folded
+// state.
+func (e *engine) keyVerdict(key string, ops int, v Verdict, err error) KeyVerdict {
+	return KeyVerdict{
+		Key:        key,
+		Ops:        ops,
+		Atomic:     err == nil && !v.Violation,
+		Properties: PropertySetK | e.sopts.Properties,
+		Verdict:    v,
+		Err:        err,
+	}
+}
+
+// liveVerdict builds one key's verdict; the caller holds the key's shard
 // lock (for the ingest-side fields), and the verdict fields are read under
 // the key's own lock.
-func keyVerdictOf(ks *keyState) KeyVerdict {
-	pending := ks.totalOpen()
-	for _, seg := range ks.deque {
-		pending += seg.nops
-	}
+func (e *engine) liveVerdict(ks *keyState) KeyVerdict {
 	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	kv := KeyVerdict{
-		Key:        ks.key,
-		Ops:        ks.ops,
-		PendingOps: pending,
-		Properties: PropertySetK,
-		Err:        ks.err,
+	kv := e.keyVerdict(ks.key, ks.ops, ks.verdict, ks.err)
+	ks.mu.Unlock()
+	kv.PendingOps = ks.totalOpen()
+	for _, seg := range ks.deque {
+		kv.PendingOps += seg.nops
 	}
-	applyPropVerdicts(&kv, ks.props, ks.err)
+	return kv
+}
+
+// retiredVerdict is liveVerdict for a retired record.
+func (e *engine) retiredVerdict(key string, rk *retiredKey) KeyVerdict {
+	kv := e.keyVerdict(key, rk.ops, rk.verdict, rk.err)
+	kv.Retired = true
 	return kv
 }
 
@@ -383,10 +382,10 @@ func (e *engine) keyVerdicts() []KeyVerdict {
 	var out []KeyVerdict
 	e.eachShardLocked(func(sh *ingestShard) {
 		for _, ks := range sh.keys {
-			out = append(out, keyVerdictOf(ks))
+			out = append(out, e.liveVerdict(ks))
 		}
 		for key, rk := range sh.retired {
-			out = append(out, retiredVerdictOf(key, rk))
+			out = append(out, e.retiredVerdict(key, rk))
 		}
 	})
 	sortKeyVerdicts(out)

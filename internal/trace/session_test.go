@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"kat/internal/core"
-	"kat/internal/generator"
 	"kat/internal/history"
 )
 
@@ -323,51 +321,5 @@ func TestSessionSnapshotLifecycle(t *testing.T) {
 	st := s.Stats()
 	if st.Ops != 60 || st.Keys != 1 || st.Segments == 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestSessionIgnoresMemo: the streaming engine never reads or writes a
-// verdict memo (live segments hash their absolute timestamps, so it could
-// not hit). A session handed Options.Memo — a trace deep enough to reach the
-// oracle, in both modes — returns the Snapshot a nil-memo session returns and
-// leaves the memo untouched.
-func TestSessionIgnoresMemo(t *testing.T) {
-	tr := New()
-	for key := 0; key < 6; key++ {
-		h := generator.KAtomic(generator.Config{
-			Seed: int64(key), Ops: 120, Concurrency: 3,
-			StalenessDepth: key % 4, ForceDepth: true, ReadFraction: 0.5,
-		})
-		for _, op := range h.Ops {
-			tr.Add(fmt.Sprintf("key-%d", key), op)
-		}
-	}
-	text := streamText(tr)
-	memo := core.NewMemo()
-	sopts := StreamOptions{Workers: 2, MinSegmentOps: 1, Properties: PropertySetAll}
-	for name, open := range map[string]func(core.Options) *Session{
-		"check": func(o core.Options) *Session {
-			s, err := NewCheckSession(3, o, sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"smallestk": func(o core.Options) *Session { return NewSmallestKSession(o, sopts) },
-	} {
-		run := func(opts core.Options) []KeyVerdict {
-			s := open(opts)
-			feedPerOp(t, s, text)
-			if err := s.Flush(); err != nil {
-				t.Fatalf("%s: Flush: %v", name, err)
-			}
-			return s.Snapshot()
-		}
-		if with, without := run(core.Options{Memo: memo}), run(core.Options{}); !reflect.DeepEqual(with, without) {
-			t.Fatalf("%s: snapshot with a memo\n%+v\nwithout\n%+v", name, with, without)
-		}
-	}
-	if st := memo.Stats(); st != (core.MemoStats{}) {
-		t.Fatalf("session touched its memo: %+v", st)
 	}
 }

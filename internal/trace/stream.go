@@ -176,7 +176,7 @@ type StreamOptions struct {
 	// over its segments (k-atomicity is always on; the zero value selects it
 	// alone). Extra properties ride the same parse/cut/schedule pass: each
 	// closed segment is checked once per enabled property by the same
-	// worker, and per-key verdicts fold per property (see PropertyChecker).
+	// worker into one Verdict, and per-key verdicts fold (see Verdict.Fold).
 	Properties PropertySet
 	// RetireTTL enables quiescent-key retirement: a key idle for at least
 	// this many trace-time units against the global ingest watermark is
@@ -204,15 +204,13 @@ type SegmentVerdict struct {
 	Seq int
 	// Ops is the segment length.
 	Ops int
-	// Atomic is the fixed-k verdict (true for anomaly-scan-only segments
-	// of already-settled keys).
-	Atomic bool
-	// K is the segment's smallest k in smallest-k mode (0 otherwise).
-	K int
-	// Props holds the extra enabled properties' segment verdicts (Δ,
-	// regularity — the k verdict is Atomic/K above), in checker order.
-	// Empty for anomaly-scan-only segments of settled keys.
-	Props []PropertyVerdict
+	// ScanOnly marks a segment of an already-settled key: it was scanned for
+	// anomalies only, so the Verdict is empty and Err is all it carries.
+	ScanOnly bool
+	// Verdict is every enabled property's verdict over the segment; empty
+	// when Err is set, except that a fixed-k session counts an anomalous
+	// segment as a Violation.
+	Verdict
 	// Err is the segment's anomaly error, if any.
 	Err error
 }
@@ -612,11 +610,9 @@ type keyState struct {
 	mu     sync.Mutex
 	err    error
 	errSeq int
-	// props accumulates one verdict per enabled property, index-aligned
-	// with engine.checkers (props[0] is always the k-atomicity verdict;
-	// stale-read floors fold straight into it, so props[0].K is already
-	// max(segment maxima, floors)).
-	props []PropertyVerdict
+	// verdict accumulates every segment verdict and stale-read floor of the
+	// key, across retired lifetimes (Verdict.Fold).
+	verdict Verdict
 }
 
 type job struct {
@@ -637,10 +633,8 @@ type engine struct {
 	opts      core.Options
 	sopts     StreamOptions
 
-	// checkers verify each closed segment, one verdict per enabled
-	// property; checkers[0] is always the k-atomicity checker (fixed-k or
-	// smallest-k, as the engine). All of them read the one Segment
-	// verifySegment prepares.
+	// checkers verify each closed segment, one per enabled property, all
+	// reading the one Segment verifySegment prepares.
 	checkers []PropertyChecker
 
 	// store/spillMin enable segment spill-to-disk (see StreamOptions.Store);
@@ -784,10 +778,6 @@ func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
 	} else if nshards > maxIngestShards {
 		nshards = maxIngestShards
 	}
-	// No verdict memo here: it is keyed by content, a live segment's content
-	// includes its absolute timestamps, so it never hits (0 of 257 144
-	// lookups replaying serve-text-wal-churn) and grows with every segment.
-	opts.Memo = nil
 	e := &engine{
 		k:         k,
 		threshold: threshold,
@@ -884,10 +874,6 @@ func (e *engine) newKey(sh *ingestShard, key string) *keyState {
 		maxClosedFinish:   math.MinInt64,
 		dispatchedThrough: -1,
 		values:            make(map[int64]int32),
-		props:             make([]PropertyVerdict, len(e.checkers)),
-	}
-	for i, ck := range e.checkers {
-		ks.props[i] = PropertyVerdict{Property: ck.Property(), Atomic: true}
 	}
 	if rk, ok := sh.retired[key]; ok {
 		// Re-admission: the retired record seeds the new lifetime's verdict
@@ -1098,12 +1084,12 @@ func (e *engine) closeOpen(ks *keyState) error {
 // (values from already-dispatched segments). At least `threshold` writes
 // closed between each read's dictating segment and this window, all forced
 // between the dictating write and the read in every valid total order; the
-// reads never reach a segment verifier, so each enabled property folds the
-// evidence gathered here into its per-key verdict instead (for fixed-k
-// checks the k verdict is definitive: forced >= threshold == k means
-// staleness >= k+1). Runs before the close is recorded, so cumWrites and
-// cumMaxFinish still end at the previous close — exactly the segments
-// behind the dropped reads.
+// reads never reach a segment verifier, so each enabled property makes a
+// verdict of the evidence gathered here instead, which folds into the key
+// and the read's epoch like a segment's (for fixed-k checks the k verdict is
+// definitive: forced >= threshold == k means staleness >= k+1). Runs before
+// the close is recorded, so cumWrites and cumMaxFinish still end at the
+// previous close — exactly the segments behind the dropped reads.
 func (e *engine) foldStaleReads(ks *keyState, kept, dropped []history.Operation, droppedSeq []int) {
 	e.staleReads.Add(int64(len(dropped)))
 	evs := make([]staleReadEvidence, len(dropped))
@@ -1128,38 +1114,25 @@ func (e *engine) foldStaleReads(ks *keyState, kept, dropped []history.Operation,
 			evs[i].safe = safe[i]
 		}
 	}
-	e.settle(ks, func() {
-		wasSat := ks.props[0].Saturated
-		for _, ev := range evs {
-			for i, ck := range e.checkers {
-				ck.FoldStale(&ks.props[i], ev)
-			}
+	for i := range evs {
+		for _, ck := range e.checkers {
+			evs[i].verdict.Fold(ck.Stale(evs[i]))
 		}
-		if !wasSat && ks.props[0].Saturated {
+	}
+	e.settle(ks, func() {
+		wasSat := ks.verdict.Saturated
+		for i := range evs {
+			ks.verdict.Fold(evs[i].verdict)
+		}
+		if !wasSat && ks.verdict.Saturated {
 			e.saturatedKeys.Add(1)
 		}
 	})
 	if e.epochLen > 0 {
 		for i, op := range dropped {
-			ev := evs[i]
-			e.foldEpoch(e.epochOf(op.Start), func(es *EpochStats) {
-				es.StaleReads++
-				es.Ops++
-				if e.k > 0 {
-					es.Violations++
-				} else if ev.forcedWrites+1 > es.MaxK {
-					es.MaxK = ev.forcedWrites + 1
-				}
-				if ev.deltaFloor > es.MaxDelta {
-					es.MaxDelta = ev.deltaFloor
-				}
-				if e.sopts.Properties.Has(PropertyRegularity) {
-					es.IrregularReads++
-					if !ev.safe {
-						es.UnsafeReads++
-					}
-				}
-			})
+			es := EpochStats{Epoch: e.epochOf(op.Start), Ops: 1, StaleReads: 1}
+			es.observe(evs[i].verdict)
+			e.foldEpoch(es)
 		}
 	}
 }
@@ -1183,7 +1156,7 @@ func (e *engine) settle(ks *keyState, apply func()) {
 func (e *engine) resettle(ks *keyState) {
 	settled := ks.err != nil
 	if e.k > 0 && len(e.checkers) == 1 {
-		settled = settled || !ks.props[0].Atomic
+		settled = settled || ks.verdict.Violation
 	}
 	ks.settled.Store(settled)
 }
@@ -1226,11 +1199,10 @@ func (e *engine) flush(ks *keyState) error {
 func (e *engine) verifySegment(c *core.Ctx, j job) {
 	n := len(j.ops)
 	h := history.History{Ops: j.ops}
-	verdict := SegmentVerdict{Key: j.ks.key, Seq: j.seq, Ops: n, Atomic: true}
+	verdict := SegmentVerdict{Key: j.ks.key, Seq: j.seq, Ops: n, ScanOnly: j.scanOnly}
 	// One normalize+prepare per dispatch, whatever is enabled: every checker
 	// reads the same prepared segment (and Δ its raw-scale summary, which
-	// has to be taken before normalization rewrites the timestamps). A
-	// scan-only segment stops at the prepare, whose error is all it owes.
+	// has to be taken before normalization rewrites the timestamps).
 	for i := range h.Ops {
 		h.Ops[i].ID = i
 	}
@@ -1239,28 +1211,20 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 		seg.Delta = delta.Summarize(&h)
 	}
 	seg.P, verdict.Err = c.Verifier().PrepareOwned(&h)
-	var kv PropertyVerdict
-	if !j.scanOnly {
-		if extra := len(e.checkers) - 1; extra > 0 {
-			verdict.Props = make([]PropertyVerdict, extra)
-		}
-		for i, ck := range e.checkers {
-			// An anomalous segment has no verdicts, only the error, which
-			// dominates every property.
-			pv := PropertyVerdict{Property: ck.Property()}
-			if seg.P != nil {
-				var err error
-				if pv, err = ck.CheckSegment(c, seg, e.opts); verdict.Err == nil {
-					verdict.Err = err
-				}
-			}
-			if i == 0 {
-				kv = pv
-			} else {
-				verdict.Props[i-1] = pv
+	switch {
+	case j.scanOnly: // the prepare's error is all a settled key still owes
+	case seg.P == nil:
+		// An anomalous segment has no verdicts, only the error, which
+		// dominates every property; a fixed-k check counts it as a violation.
+		verdict.Violation = e.k > 0
+	default:
+		for _, ck := range e.checkers {
+			v, err := ck.CheckSegment(c, seg, e.opts)
+			verdict.Fold(v)
+			if verdict.Err == nil {
+				verdict.Err = err
 			}
 		}
-		verdict.Atomic, verdict.K = kv.Atomic, kv.K
 	}
 	e.settle(j.ks, func() {
 		ks := j.ks
@@ -1268,40 +1232,17 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 			if ks.err == nil || j.seq < ks.errSeq {
 				ks.err, ks.errSeq = verdict.Err, j.seq
 			}
-		} else if !j.scanOnly {
-			e.checkers[0].Fold(&ks.props[0], kv)
-			for i, pv := range verdict.Props {
-				e.checkers[i+1].Fold(&ks.props[i+1], pv)
-			}
+		} else {
+			ks.verdict.Fold(verdict.Verdict)
 		}
 	})
 	if e.epochLen > 0 {
-		e.foldEpoch(e.epochOf(j.cutAt), func(es *EpochStats) {
-			es.Segments++
-			es.Ops += int64(n)
-			if verdict.Err != nil {
-				es.Errors++
-			}
-			if !j.scanOnly {
-				if kv.K > es.MaxK {
-					es.MaxK = kv.K
-				}
-				if e.k > 0 && !kv.Atomic {
-					es.Violations++
-				}
-				for _, pv := range verdict.Props {
-					switch pv.Property {
-					case PropertyDelta:
-						if pv.Delta > es.MaxDelta {
-							es.MaxDelta = pv.Delta
-						}
-					case PropertyRegularity:
-						es.UnsafeReads += int64(pv.UnsafeReads)
-						es.IrregularReads += int64(pv.IrregularReads)
-					}
-				}
-			}
-		})
+		es := EpochStats{Epoch: e.epochOf(j.cutAt), Segments: 1, Ops: int64(n)}
+		if verdict.Err != nil {
+			es.Errors = 1
+		}
+		es.observe(verdict.Verdict)
+		e.foldEpoch(es)
 	}
 	// The decrement must follow the settle fold: a retirement finalizer that
 	// observes inflight == 0 reads verdict state that includes this segment.

@@ -86,35 +86,37 @@ func (t *Trace) String() string {
 	return b.String()
 }
 
-// WriteArrivalOrder renders the trace in the keyed text format ordered by
-// operation start time — the arrival order of an operation log, which is
-// exactly what the streaming engine requires of its input (nondecreasing
-// starts per key).
-func WriteArrivalOrder(w io.Writer, t *Trace) error {
-	type rec struct {
-		key string
-		op  history.Operation
-	}
-	recs := make([]rec, 0, t.Len())
+// arrivalOrder lists the trace's operations by start time — the arrival
+// order of an operation log, which is exactly what the streaming engine
+// requires of its input (nondecreasing starts per key); ties break by key,
+// then by ID.
+func arrivalOrder(t *Trace) []KeyedOp {
+	ops := make([]KeyedOp, 0, t.Len())
 	for key, h := range t.Keys {
 		for _, op := range h.Ops {
-			recs = append(recs, rec{key, op})
+			ops = append(ops, KeyedOp{Key: key, Op: op})
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.op.Start != b.op.Start {
-			return a.op.Start < b.op.Start
+	sort.Slice(ops, func(i, j int) bool {
+		a, b := ops[i], ops[j]
+		if a.Op.Start != b.Op.Start {
+			return a.Op.Start < b.Op.Start
 		}
-		if a.key != b.key {
-			return a.key < b.key
+		if a.Key != b.Key {
+			return a.Key < b.Key
 		}
-		return a.op.ID < b.op.ID
+		return a.Op.ID < b.Op.ID
 	})
+	return ops
+}
+
+// WriteArrivalOrder renders the trace in the keyed text format in arrival
+// order (see arrivalOrder).
+func WriteArrivalOrder(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
-	for _, r := range recs {
-		kind, rest, _ := strings.Cut(r.op.String(), " ")
-		fmt.Fprintf(bw, "%s %s %s\n", kind, r.key, rest)
+	for _, r := range arrivalOrder(t) {
+		kind, rest, _ := strings.Cut(r.Op.String(), " ")
+		fmt.Fprintf(bw, "%s %s %s\n", kind, r.Key, rest)
 	}
 	return bw.Flush()
 }
@@ -128,34 +130,15 @@ func WriteWireArrivalOrder(w io.Writer, t *Trace, frameOps int, compress bool) e
 	if frameOps <= 0 {
 		frameOps = 512
 	}
-	type rec struct {
-		key string
-		op  history.Operation
-	}
-	recs := make([]rec, 0, t.Len())
-	for key, h := range t.Keys {
-		for _, op := range h.Ops {
-			recs = append(recs, rec{key, op})
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.op.Start != b.op.Start {
-			return a.op.Start < b.op.Start
-		}
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.op.ID < b.op.ID
-	})
 	enc := wire.NewEncoder()
 	enc.SetCompress(compress)
 	var buf []byte
-	for i, r := range recs {
-		if err := enc.Add(r.key, r.op); err != nil {
+	ops := arrivalOrder(t)
+	for i, r := range ops {
+		if err := enc.Add(r.Key, r.Op); err != nil {
 			return err
 		}
-		if enc.Pending() >= frameOps || i == len(recs)-1 {
+		if enc.Pending() >= frameOps || i == len(ops)-1 {
 			buf = enc.AppendFrame(buf[:0])
 			if _, err := w.Write(buf); err != nil {
 				return err

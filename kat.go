@@ -43,10 +43,7 @@
 // SmallestKPreparedParallel — still saturates every worker: idle workers
 // steal chunk units instead of waiting at key boundaries. It is one engine
 // throughout: a standalone Verifier runs the same units inline, so verdicts
-// do not depend on the worker count. Options.Memo is an offline aid on top:
-// it caches chunk and oracle-segment verdicts by content hash, so
-// re-verifying a prepared trace that grew skips already-proved units. The
-// streaming and online forms below ignore it (live segments never repeat).
+// do not depend on the worker count.
 //
 // # Streaming
 //
@@ -140,16 +137,12 @@ type (
 // NewVerifier returns a reusable verification engine (see Verifier).
 func NewVerifier() *Verifier { return core.NewVerifier() }
 
-// Memo is a concurrency-safe verdict cache keyed by work-unit content hash:
-// the offline checkers consult it before verifying an FZF chunk or handing a
-// safe-cut segment to the oracle, so re-verifying a trace that grew skips
-// already-proved units. Share one via Options.Memo; sessions ignore it.
+// Memo is inert: the verdict cache behind it is gone and Options.Memo is
+// ignored. It and NewMemo remain as a compile shim for bench/ until the next
+// benchmark PR drops its use.
 type Memo = core.Memo
 
-// MemoStats reports a Memo's hit/miss/entry counters.
-type MemoStats = core.MemoStats
-
-// NewMemo returns an empty verdict memo.
+// NewMemo returns an inert Memo (see the type).
 func NewMemo() *Memo { return core.NewMemo() }
 
 // CheckPreparedParallel is CheckPrepared with chunk-level parallelism: the
@@ -354,7 +347,8 @@ type (
 	// StreamVerdictsByKey are a session fed from their reader and flushed.
 	OnlineSession = trace.Session
 	// OnlineKeyVerdict is one key's live state in an OnlineSession
-	// snapshot.
+	// snapshot: its operation counts, error, and the embedded Verdict folded
+	// over everything verified so far.
 	OnlineKeyVerdict = trace.KeyVerdict
 	// KeyedOp pairs a register name with one operation — the element of
 	// OnlineSession.AppendBatch.
@@ -381,8 +375,8 @@ type (
 	// StreamStats describes a finished streaming run: segments, merges,
 	// peak buffered operations, first-verdict position.
 	StreamStats = trace.StreamStats
-	// SegmentVerdict is the outcome of one verified segment, delivered to
-	// StreamOptions.OnSegment.
+	// SegmentVerdict is the outcome of one verified segment — its Verdict, or
+	// its anomaly — delivered to StreamOptions.OnSegment.
 	SegmentVerdict = trace.SegmentVerdict
 	// Property identifies one consistency property the streaming engine can
 	// verify (k-atomicity, Δ-atomicity, regularity/safety).
@@ -390,9 +384,11 @@ type (
 	// PropertySet selects the properties verified over one ingest pass
 	// (StreamOptions.Properties); the zero value is k-atomicity only.
 	PropertySet = trace.PropertySet
-	// PropertyVerdict is one property's verdict over a verified segment
-	// (SegmentVerdict.Props).
-	PropertyVerdict = trace.PropertyVerdict
+	// Verdict is every enabled property's verdict in one flat record — of a
+	// segment (SegmentVerdict), or folded over a key (OnlineKeyVerdict). Its
+	// zero value says nothing and Verdict.Fold, commutative, is the one way
+	// verdicts combine.
+	Verdict = trace.Verdict
 )
 
 // Property identifiers and property-set masks (see StreamOptions.Properties).

@@ -3,16 +3,18 @@
 # verdicts identical to the offline checker on the merged trace, with a
 # chaos proxy injecting faults between the router and one member.
 #
-#  1. start 3 kavserve member nodes
+#  1. start 3 kavserve member nodes (with -epoch, so the merged document
+#     has epoch windows to carry)
 #  2. front member 1 with kavchaos (503 sheds, resets, dropped bodies,
 #     torn responses on /ingest)
 #  3. start kavserve -route over [member0, chaos(member1), member2]
 #  4. replay a generated trace through the router and drain the cluster —
 #     the router's retry/reconcile machinery must absorb every fault, so
 #     the replay client sees only clean acks
-#  5. assert the chaos actually fired (router retry metrics + the kavchaos
+#  5. assert the router's merged /verdict carries the members' epoch windows
+#  6. assert the chaos actually fired (router retry metrics + the kavchaos
 #     shutdown summary)
-#  6. diff the merged cluster per-key smallest-k verdicts against the
+#  7. diff the merged cluster per-key smallest-k verdicts against the
 #     offline checker (kavcheck -stream -smallest) on the same trace
 #
 # Usage: scripts/cluster_smoke.sh [baseport]
@@ -45,7 +47,7 @@ echo "== start 3 member nodes"
 members=()
 for i in 0 1 2; do
   addr=127.0.0.1:$((base + 1 + i))
-  "$bin/kavserve" -addr "$addr" > "$work/member$i.log" 2>&1 &
+  "$bin/kavserve" -addr "$addr" -epoch 1000 > "$work/member$i.log" 2>&1 &
   pids+=($!)
   disown
   members+=("http://$addr")
@@ -71,6 +73,12 @@ wait_up "$router_url"
 echo "== replay through the router (chaos between router and member 1)"
 "$bin/kavgen" -replay "$router_url" -batch-ops 128 -drain "$work/trace.txt" > "$work/replay.log"
 grep -q "replayed" "$work/replay.log"
+
+echo "== the router's /verdict must carry the members' epoch windows"
+if ! curl -sf "$router_url/verdict" | grep -q '"epochs"'; then
+  echo "FAIL: router /verdict has no epochs" >&2
+  exit 1
+fi
 
 echo "== chaos must actually have fired"
 curl -sf "$router_url/metrics" > "$work/metrics.txt"
