@@ -7,34 +7,30 @@ package main
 // server's streaming engine requires, while connections interleave freely
 // (the production shape: many clients, disjoint key sets).
 //
-// Each connection sends its lines in batches of -batch-ops, strictly
-// sequentially: a key's next batch never leaves before the previous one is
-// acknowledged. Transient failures — connection errors, 503 overload or
-// buffer-limit shedding — retry with exponential backoff and jitter,
-// honoring Retry-After. A connection error leaves the batch's fate unknown,
-// so before resending the client reconciles against /verdict: the server's
-// per-key op counts are authoritative (this connection owns its keys), and
-// exactly the unacknowledged suffix is retried — no op is ever ingested
-// twice. 409 draining is terminal. -resume applies the same reconcile at
-// startup, skipping per-key prefixes a previous run already delivered.
+// Each connection sends its operations in batches of -batch-ops, strictly
+// sequentially, through a cluster.Sender — the same exactly-once client of
+// the ingest protocol the router forwards with: a key's next batch never
+// leaves before the previous one is delivered, and what a failure means and
+// when a resend is safe is the Sender's business, not this file's. What is
+// replay's own is the key-hash buckets, the pacing, node-list pre-routing,
+// -resume (each connection's Sender starts from the per-key counts the
+// server already holds, and those prefixes are skipped) and the verdict
+// printout.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"kat"
 	"kat/internal/cluster"
 	"kat/internal/online"
-	"kat/internal/trace"
 	"kat/internal/wire"
 )
 
@@ -60,60 +56,69 @@ type replayOpts struct {
 	quietVerdict bool
 }
 
-// runReplay sends the trace's lines to baseURL/ingest over o.clients
+// runReplay sends the trace's operations to target/ingest over o.clients
 // concurrent connections at an approximate aggregate o.rate ops/second
 // (0 = unlimited), then optionally drains the server and prints its final
-// verdicts. baseURL may be a comma-separated member node list: the trace
+// verdicts. target may be a comma-separated member node list: the trace
 // is then pre-routed per node with the cluster key hash (bypassing any
-// router) and each node gets its own connections, acks, and reconciles.
-func runReplay(baseURL string, traceText []byte, o replayOpts, out io.Writer) error {
-	if nodes := splitNodeList(baseURL); len(nodes) > 1 {
-		return runReplayCluster(nodes, traceText, o, out)
-	}
-	clients := o.clients
-	if clients < 1 {
-		clients = 1
-	}
-	if o.batchOps < 1 {
-		o.batchOps = 512
-	}
-	if o.retries < 1 {
-		o.retries = 1
-	}
-	lines, err := splitTraceOps(traceText)
+// router) and each node gets its own connections.
+//
+// The trace is parsed into operations once, up front: the grammar allows
+// ';'-separated multi-op lines that may mix keys, and both routings — the
+// per-connection buckets and the per-node split — hash one key per
+// operation, never per line.
+func runReplay(target string, traceText []byte, o replayOpts, out io.Writer) error {
+	ops, err := cluster.ParseText(bytes.NewReader(traceText))
 	if err != nil {
 		return err
 	}
-	buckets := make([][][]byte, clients)
-	total := len(lines)
-	for _, line := range lines {
+	if nodes := splitNodeList(target); len(nodes) > 1 {
+		return replayCluster(nodes, ops, o, out)
+	}
+	return replayNode(target, ops, o, out)
+}
+
+// replayNode replays ops against one base URL (a node or a router).
+func replayNode(baseURL string, ops []wire.Op, o replayOpts, out io.Writer) error {
+	clients := max(o.clients, 1)
+	if o.batchOps < 1 {
+		o.batchOps = 512
+	}
+	ctx := context.Background()
+	// newSender builds one connection's Sender, told what the server already
+	// holds for its keys — nothing, unless -resume found otherwise.
+	newSender := func(held map[string]int64) *cluster.Sender {
+		s := cluster.NewSender(baseURL, http.DefaultClient, max(o.retries, 1), held)
+		s.RetryBase, s.RetryMax = retryBaseDelay, retryMaxDelay
+		return s
+	}
+	buckets := make([][]wire.Op, clients)
+	for _, op := range ops {
 		h := fnv.New32a()
-		h.Write(keyOf(line))
+		io.WriteString(h, op.Key)
 		b := int(h.Sum32() % uint32(clients))
-		buckets[b] = append(buckets[b], line)
+		buckets[b] = append(buckets[b], op)
 	}
 
 	// -resume: ask the server what it already has and skip those per-key
 	// prefixes; a crashed replay continues where its acknowledgments stopped.
-	resumed := map[string]int{}
+	var held map[string]int64
 	if o.resume {
-		counts, err := fetchServerCounts(baseURL)
-		if err != nil {
+		var err error
+		if held, err = newSender(nil).Counts(ctx); err != nil {
 			return fmt.Errorf("resume: %w", err)
 		}
 		skipped := 0
+		skip := map[string]int64{}
 		for b, bucket := range buckets {
 			remaining := bucket[:0]
-			skip := map[string]int{}
-			for _, line := range bucket {
-				key := string(keyOf(line))
-				if skip[key] < counts[key] {
-					skip[key]++
-					resumed[key]++
+			for _, op := range bucket {
+				if skip[op.Key] < held[op.Key] {
+					skip[op.Key]++
 					skipped++
 					continue
 				}
-				remaining = append(remaining, line)
+				remaining = append(remaining, op)
 			}
 			buckets[b] = remaining
 		}
@@ -149,42 +154,44 @@ func runReplay(baseURL string, traceText []byte, o replayOpts, out io.Writer) er
 		sent atomic.Int64
 		errs = make(chan error, clients)
 	)
-	for ci, bucket := range buckets {
+	for _, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(ci int, bucket [][]byte) {
+		go func(bucket []wire.Op) {
 			defer wg.Done()
 			var tb *tokenBucket
 			if perConnRate > 0 {
 				tb = newTokenBucket(perConnRate, grant, pacerDone)
 			}
-			r := &connReplayer{
-				base:        baseURL,
-				acked:       map[string]int{},
-				maxAttempts: o.retries,
-				rng:         rand.New(rand.NewSource(int64(ci) + 1)),
-				sent:        &sent,
-				stop:        pacerDone,
-				wire:        o.wire,
+			// Start from the resumed prefixes, if any, so a later reconcile
+			// doesn't mistake them for this run's deliveries.
+			own := map[string]int64{}
+			for _, op := range bucket {
+				own[op.Key] = held[op.Key]
 			}
-			for _, line := range bucket {
-				// Seed acknowledgments with the resumed prefixes so a later
-				// reconcile doesn't mistake them for this run's deliveries.
-				key := string(keyOf(line))
-				if _, ok := r.acked[key]; !ok {
-					r.acked[key] = resumed[key]
+			s := newSender(own)
+			// Sequential batches: the next one leaves only after the previous
+			// is fully delivered, so a key's operations are never pipelined
+			// past an unacknowledged batch.
+			for off := 0; off < len(bucket); off += o.batchOps {
+				batch := bucket[off:min(off+o.batchOps, len(bucket))]
+				if tb != nil && !tb.take(len(batch)) {
+					return
+				}
+				n, _, err := s.Send(ctx, batch, o.wire)
+				sent.Add(n)
+				if err != nil {
+					errs <- fmt.Errorf("ingest: %w", err)
+					return
 				}
 			}
-			if err := r.replay(bucket, tb, o.batchOps); err != nil {
-				errs <- err
-			}
-		}(ci, bucket)
+		}(bucket)
 	}
 	wg.Wait()
 	close(errs)
-	fmt.Fprintf(out, "replayed %d/%d ops over %d connection(s)\n", sent.Load(), total, active)
+	fmt.Fprintf(out, "replayed %d/%d ops over %d connection(s)\n", sent.Load(), len(ops), active)
 	if err := <-errs; err != nil {
 		return err
 	}
@@ -208,27 +215,6 @@ func runReplay(baseURL string, traceText []byte, o replayOpts, out io.Writer) er
 	return printServerVerdict(out, resp.Body, false)
 }
 
-// splitTraceOps parses the keyed trace text and re-renders it one operation
-// per line (trailing newline stripped). Routing — the per-connection buckets
-// of runReplay and the per-node pre-routing of runReplayCluster — hashes one
-// key per line, but the trace grammar allows ';'-separated multi-op lines
-// that may mix keys; routing such a line whole would send every op to the
-// first op's owner, breaking per-key ordering (single node) and partition
-// placement (cluster). One op per line also makes line acknowledgments equal
-// server-side op counts, which the /verdict reconcile arithmetic depends on.
-func splitTraceOps(traceText []byte) ([][]byte, error) {
-	var lines [][]byte
-	err := trace.ParseStreamBytes(bytes.NewReader(traceText), func(key []byte, op kat.Operation) error {
-		line := trace.AppendKeyedOpText(nil, key, op)
-		lines = append(lines, bytes.TrimSuffix(line, []byte("\n")))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return lines, nil
-}
-
 // splitNodeList parses a comma-separated -replay target list.
 func splitNodeList(target string) []string {
 	var nodes []string
@@ -240,29 +226,21 @@ func splitNodeList(target string) []string {
 	return nodes
 }
 
-// runReplayCluster replays against member nodes directly, bypassing any
-// router: lines pre-route per node with the same FNV-1a key-hash partition
-// the router uses, so every key's operations land wholly on its owner in
-// order. Each node runs the full single-node machinery — its own
-// connections, sequential acked batches, retry/backoff, and per-node
-// /verdict reconciliation — then the nodes are drained together and one
+// replayCluster replays against member nodes directly, bypassing any
+// router: operations pre-route per node with the same FNV-1a key-hash
+// partition the router uses, so every key's operations land wholly on its
+// owner in order. Each node gets the full single-node treatment — its own
+// connections and Senders — then the nodes are drained together and one
 // merged cluster verdict is printed.
-func runReplayCluster(nodes []string, traceText []byte, o replayOpts, out io.Writer) error {
+func replayCluster(nodes []string, ops []wire.Op, o replayOpts, out io.Writer) error {
 	part, err := cluster.NewPartition(len(nodes), 0)
 	if err != nil {
 		return err
 	}
-	// Pre-route per operation, not per raw line: splitTraceOps has already
-	// broken ';'-separated multi-key lines apart, so each rendered line
-	// carries exactly the one key its owner is chosen by.
-	lines, err := splitTraceOps(traceText)
-	if err != nil {
-		return err
-	}
-	perNode := make([][]byte, len(nodes))
-	for _, line := range lines {
-		n := part.Owner(keyOf(line))
-		perNode[n] = append(append(perNode[n], line...), '\n')
+	perNode := make([][]wire.Op, len(nodes))
+	for _, op := range ops {
+		n := part.OwnerString(op.Key)
+		perNode[n] = append(perNode[n], op)
 	}
 	// Connections divide across nodes (at least one each); so does the
 	// aggregate rate, in proportion to each node's share of the ops.
@@ -280,16 +258,16 @@ func runReplayCluster(nodes []string, traceText []byte, o replayOpts, out io.Wri
 	var wg sync.WaitGroup
 	outputs := make([]bytes.Buffer, len(nodes))
 	errs := make([]error, len(nodes))
-	for n, text := range perNode {
-		if len(text) == 0 {
+	for n, ops := range perNode {
+		if len(ops) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(n int, text []byte) {
+		go func(n int, ops []wire.Op) {
 			defer wg.Done()
 			fmt.Fprintf(&outputs[n], "node %d (%s): ", n, nodes[n])
-			errs[n] = runReplay(nodes[n], text, perNodeOpts, &outputs[n])
-		}(n, text)
+			errs[n] = replayNode(nodes[n], ops, perNodeOpts, &outputs[n])
+		}(n, ops)
 	}
 	wg.Wait()
 	for n := range outputs {
@@ -410,277 +388,6 @@ func (b *tokenBucket) take(n int) bool {
 			return false
 		}
 	}
-}
-
-// connReplayer drives one connection's bucket: sequential acknowledged
-// batches with retry, backoff, and exact-suffix reconciliation.
-type connReplayer struct {
-	base        string
-	acked       map[string]int // per-key ops the server has acknowledged
-	maxAttempts int
-	rng         *rand.Rand
-	sent        *atomic.Int64
-	stop        <-chan struct{}
-	wire        bool          // post binary wire frames instead of text
-	enc         *wire.Encoder // lazily built; reused across batches
-}
-
-// encodeBatch renders one batch as a single self-contained wire frame.
-// Retries re-encode from the (possibly trimmed) line suffix, so a partial
-// acceptance never resends applied operations.
-func (r *connReplayer) encodeBatch(batch [][]byte) ([]byte, error) {
-	if r.enc == nil {
-		r.enc = wire.NewEncoder()
-		// Every request is its own decode stream server-side, so each
-		// frame must carry its own dictionary.
-		r.enc.SetSelfContained(true)
-	}
-	err := trace.ParseStream(bytes.NewReader(joinLines(batch)), func(key string, op kat.Operation) error {
-		return r.enc.Add(key, op)
-	})
-	if err != nil {
-		r.enc.Reset()
-		return nil, err
-	}
-	return r.enc.AppendFrame(nil), nil
-}
-
-// replay sends the bucket in sequential batches: the next batch leaves only
-// after the previous one is fully acknowledged, so a key's operations are
-// never pipelined past an unacknowledged batch.
-func (r *connReplayer) replay(bucket [][]byte, tb *tokenBucket, batchOps int) error {
-	for off := 0; off < len(bucket); off += batchOps {
-		end := off + batchOps
-		if end > len(bucket) {
-			end = len(bucket)
-		}
-		if tb != nil && !tb.take(end-off) {
-			return nil // pacer stopped: another connection failed terminally
-		}
-		if err := r.postBatch(bucket[off:end]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// postBatch delivers one batch, retrying transient failures until the whole
-// batch is acknowledged. Partial acceptance (IngestReject.Ingested, or a
-// /verdict reconcile after an ambiguous connection error) shrinks the batch
-// to its unacknowledged suffix before the next attempt.
-func (r *connReplayer) postBatch(batch [][]byte) error {
-	attempts := 0
-	delay := retryBaseDelay
-	ambiguous := false // a connection error left in-flight ops unaccounted
-	for len(batch) > 0 {
-		if ambiguous {
-			counts, err := fetchServerCounts(r.base)
-			if err != nil {
-				attempts++
-				if attempts >= r.maxAttempts {
-					return fmt.Errorf("ingest reconcile: %w (after %d attempts)", err, attempts)
-				}
-				if !r.backoff(&delay, 0) {
-					return nil
-				}
-				continue
-			}
-			batch = r.trimAcked(batch, counts)
-			ambiguous = false
-			continue
-		}
-		payload, ctype := joinLines(batch), "text/plain"
-		if r.wire {
-			frame, err := r.encodeBatch(batch)
-			if err != nil {
-				return fmt.Errorf("wire encode: %w", err)
-			}
-			payload, ctype = frame, wire.ContentType
-		}
-		resp, err := http.Post(r.base+"/ingest", ctype, bytes.NewReader(payload))
-		if err != nil {
-			// The connection died with the batch in flight: the server may
-			// have applied any prefix of it. Never resend blind — mark the
-			// outcome ambiguous and reconcile before the next attempt.
-			attempts++
-			if attempts >= r.maxAttempts {
-				return fmt.Errorf("ingest: %w (after %d attempts)", err, attempts)
-			}
-			if !r.backoff(&delay, 0) {
-				return nil
-			}
-			ambiguous = true
-			continue
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			r.noteAcked(batch)
-			return nil
-		}
-		var rej online.IngestReject
-		_ = json.Unmarshal(body, &rej)
-		if rej.Code == "degraded" {
-			// A cluster router split this batch per member node, so Ingested
-			// is NOT a batch prefix — some middle of the batch may have
-			// landed on healthy nodes. Prefix-trimming would corrupt the
-			// stream; reconcile per key against /verdict instead. The
-			// reconcile only trusts a complete (200) verdict: while the
-			// cluster is partial the fate of the dead slice's ops is
-			// unknowable and resending blind could double-ingest.
-			attempts++
-			if attempts >= r.maxAttempts {
-				return fmt.Errorf("ingest: %s: %s (after %d attempts)", resp.Status, bytes.TrimSpace(body), attempts)
-			}
-			var retryAfter time.Duration
-			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-				retryAfter = time.Duration(s) * time.Second
-			}
-			if !r.backoff(&delay, retryAfter) {
-				return nil
-			}
-			ambiguous = true
-			continue
-		}
-		if rej.Ingested > 0 {
-			// The server applied a prefix before rejecting; acknowledge it
-			// and keep only the suffix.
-			n := int(rej.Ingested)
-			if n > len(batch) {
-				n = len(batch)
-			}
-			r.noteAcked(batch[:n])
-			batch = batch[n:]
-		}
-		switch {
-		case rej.Code == "draining":
-			return fmt.Errorf("server is draining; %d op(s) of this batch unsent", len(batch))
-		case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode >= 500:
-			// Overload shedding, buffer-limit pushback, or a durability
-			// fault the operator may repair: transient, retry.
-			attempts++
-			if attempts >= r.maxAttempts {
-				return fmt.Errorf("ingest: %s: %s (after %d attempts)", resp.Status, bytes.TrimSpace(body), attempts)
-			}
-			var retryAfter time.Duration
-			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-				retryAfter = time.Duration(s) * time.Second
-			}
-			if !r.backoff(&delay, retryAfter) {
-				return nil
-			}
-		default:
-			// Malformed input, out-of-order ops, or any other client error:
-			// retrying cannot help.
-			return fmt.Errorf("ingest: %s: %s", resp.Status, bytes.TrimSpace(body))
-		}
-	}
-	return nil
-}
-
-// backoff sleeps the jittered current delay (at least retryAfter when the
-// server named one) and doubles it for next time, capped. Returns false if
-// the pacer stop channel closed mid-sleep.
-func (r *connReplayer) backoff(delay *time.Duration, retryAfter time.Duration) bool {
-	d := *delay
-	if retryAfter > d {
-		d = retryAfter
-	}
-	*delay *= 2
-	if *delay > retryMaxDelay {
-		*delay = retryMaxDelay
-	}
-	// Full jitter on the top half: uniform in [d/2, d] keeps retries from
-	// synchronizing across connections while preserving the floor.
-	jittered := d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
-	t := time.NewTimer(jittered)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.stop:
-		return false
-	}
-}
-
-// noteAcked records lines the server acknowledged.
-func (r *connReplayer) noteAcked(lines [][]byte) {
-	for _, line := range lines {
-		r.acked[string(keyOf(line))]++
-	}
-	r.sent.Add(int64(len(lines)))
-}
-
-// trimAcked drops the leading lines of each key that the server's reported
-// counts say were already applied — the delta between the server's per-key
-// count and what this connection has acknowledged. Sound because every key
-// routes through exactly one connection, and that connection sends strictly
-// sequentially: only the current batch can be partially applied.
-func (r *connReplayer) trimAcked(batch [][]byte, counts map[string]int) [][]byte {
-	applied := map[string]int{}
-	for key, have := range r.acked {
-		if extra := counts[key] - have; extra > 0 {
-			applied[key] = extra
-		}
-	}
-	remaining := batch[:0:0]
-	for _, line := range batch {
-		key := string(keyOf(line))
-		if applied[key] > 0 {
-			applied[key]--
-			r.noteAcked([][]byte{line})
-			continue
-		}
-		remaining = append(remaining, line)
-	}
-	return remaining
-}
-
-// fetchServerCounts reads /verdict and returns the server's authoritative
-// per-key ingested-op counts (verified + pending).
-func fetchServerCounts(baseURL string) (map[string]int, error) {
-	resp, err := http.Get(baseURL + "/verdict")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("verdict: %s", resp.Status)
-	}
-	var doc online.VerdictDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, err
-	}
-	counts := make(map[string]int, len(doc.Keys))
-	for _, ks := range doc.Keys {
-		counts[ks.Key] = ks.Ops
-	}
-	return counts, nil
-}
-
-// joinLines flattens a batch into one newline-terminated request body.
-func joinLines(lines [][]byte) []byte {
-	n := 0
-	for _, line := range lines {
-		n += len(line) + 1
-	}
-	body := make([]byte, 0, n)
-	for _, line := range lines {
-		body = append(body, line...)
-		body = append(body, '\n')
-	}
-	return body
-}
-
-// keyOf extracts the key column (second whitespace-separated field) of a
-// keyed trace line; partitioning only needs it as a hash input, so malformed
-// lines (rejected server-side) may map anywhere.
-func keyOf(line []byte) []byte {
-	fields := bytes.Fields(line)
-	if len(fields) >= 2 {
-		return fields[1]
-	}
-	return line
 }
 
 // printServerVerdict renders a kavserve verdict document like kavserve's own

@@ -366,9 +366,9 @@ func TestReplayMultiOpLinesReconcileExactly(t *testing.T) {
 // degradedOnce fronts an online server like a cluster router under partial
 // failure: the first /ingest applies only the batch's even-keyed lines (a
 // non-prefix subset, exactly what a per-node split produces) and answers
-// 503 code "degraded". A client that prefix-trimmed by Ingested would
-// corrupt the stream; the reconcile path must resend exactly the odd-keyed
-// lines.
+// 503 code "degraded" naming the failed slice, as a router does. A client
+// that prefix-trimmed by Ingested would corrupt the stream; the reconcile
+// path must resend exactly the odd-keyed lines.
 type degradedOnce struct {
 	backend http.Handler
 	fired   atomic.Bool
@@ -396,14 +396,21 @@ func (p *degradedOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Retry-After", "0")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
-	fmt.Fprintf(w, `{"code":"degraded","error":"test: slice down","ingested":%d}`, applied)
+	fmt.Fprintf(w, `{"code":"degraded","error":"test: slice down","ingested":%d,"slices":[{"slice":"odd keys","error":"down"}]}`, applied)
 }
 
 func TestReplayDegradedReconcilesWithoutPrefixTrim(t *testing.T) {
 	fastRetries(t)
 	text, total := writeTrace(4, 12) // keys k0..k3: k0/k2 "healthy", k1/k3 degraded
 	srv := online.New(online.Config{K: 2})
-	out, err := replayAgainst(t, &degradedOnce{backend: srv.Handler()}, text, total, false)
+	ts := httptest.NewServer(&degradedOnce{backend: srv.Handler()})
+	defer ts.Close()
+	// One connection, so the one batch mixes healthy and degraded keys: two
+	// connections bucket k0/k2 apart from k1/k3 and the subset the proxy
+	// applies is then all of a batch or none of it — a prefix after all.
+	var sb strings.Builder
+	err := runReplay(ts.URL, []byte(text), replayOpts{clients: 1, drain: true, batchOps: total, retries: 8}, &sb)
+	out := sb.String()
 	if err != nil {
 		t.Fatalf("replay: %v\n%s", err, out)
 	}
@@ -446,5 +453,67 @@ func TestGrantSizeBounds(t *testing.T) {
 		if got != tc.want {
 			t.Fatalf("grantSize(%g) = %d, want %d", tc.rate, got, tc.want)
 		}
+	}
+}
+
+// TestReplayThroughRouterSurvivesMemberShed is the regression test for a
+// corruption the router and the replay client used to produce together: one
+// member sheds its first request with memory_pressure, which the router
+// treated as terminal and surfaced under the member's code with an ingested
+// count summed over both members, which the client then trimmed off the
+// batch as a prefix — operations lost on one member and duplicated on the
+// other, and the replay still reported success.
+func TestReplayThroughRouterSurvivesMemberShed(t *testing.T) {
+	fastRetries(t)
+	var members []*online.Server
+	var nodes []string
+	for i := 0; i < 2; i++ {
+		cfg := online.Config{K: 2}
+		if i == 1 {
+			var polled atomic.Bool
+			cfg.HardWatermarkBytes = 100
+			cfg.MemUsage = func() uint64 {
+				if polled.CompareAndSwap(false, true) {
+					return 1000
+				}
+				return 0
+			}
+		}
+		srv := online.New(cfg)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		members = append(members, srv)
+		nodes = append(nodes, ts.URL)
+	}
+	rt, err := cluster.NewRouter(cluster.Config{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+
+	text, total := writeTrace(8, 12)
+	var out strings.Builder
+	if err := runReplay(rts.URL, []byte(text), replayOpts{clients: 1, batchOps: 16, retries: 8}, &out); err != nil {
+		t.Fatalf("replay: %v\n%s", err, out.String())
+	}
+	if want := fmt.Sprintf("replayed %d/%d ops", total, total); !strings.Contains(out.String(), want) {
+		t.Fatalf("missing %q:\n%s", want, out.String())
+	}
+	keys := 0
+	for i, srv := range members {
+		if err := srv.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ks := range srv.Verdict().Keys {
+			keys++
+			if ks.Ops != 12 || ks.Status == "error" {
+				t.Errorf("member %d key %s: %d ops [%s] %s, want exactly 12 and no error", i, ks.Key, ks.Ops, ks.Status, ks.Err)
+			}
+		}
+	}
+	if keys != 8 {
+		t.Errorf("members hold %d keys, want 8", keys)
 	}
 }

@@ -29,12 +29,14 @@ package chaosproxy
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"time"
+
+	"kat/internal/online"
 )
 
 // Faults configures a Proxy's fault budgets and shaping.
@@ -103,10 +105,13 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case p.shed.Add(-1) >= 0:
 		p.injectedShed.Add(1)
+		// The server's own shed, except that Retry-After names no delay, so
+		// tests need not wait out the real one.
+		row := online.RejectOverload
 		w.Header().Set("Retry-After", "0")
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"code":"overload","error":"chaosproxy: shedding","ingested":0}`)
+		w.WriteHeader(row.Status)
+		json.NewEncoder(w).Encode(online.IngestReject{Code: row.Code, Error: "chaosproxy: shedding"})
 	case p.reset.Add(-1) >= 0:
 		p.injectedReset.Add(1)
 		// Nothing reaches the backend; the client's connection just dies.

@@ -138,8 +138,8 @@ func TestHundredConcurrentReplayClientsCluster(t *testing.T) {
 	}
 	var retries, reconciles int64
 	for _, m := range rt.members {
-		retries += m.fwdRetries.Value()
-		reconciles += m.reconciles.Value()
+		retries += m.Retries.Value()
+		reconciles += m.Reconciles.Value()
 	}
 	if retries == 0 {
 		t.Fatalf("no forward retries despite %d injected faults", injected)
@@ -250,9 +250,9 @@ func TestClusterFailoverAndReadmission(t *testing.T) {
 	waitState := func(want BreakerState) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for rt.members[1].breaker.State() != want {
+		for rt.members[1].Breaker.State() != want {
 			if time.Now().After(deadline) {
-				t.Fatalf("node 1 breaker never reached %s (now %s)", want, rt.members[1].breaker.State())
+				t.Fatalf("node 1 breaker never reached %s (now %s)", want, rt.members[1].Breaker.State())
 			}
 			time.Sleep(time.Millisecond)
 		}

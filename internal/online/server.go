@@ -9,10 +9,11 @@
 //	POST /ingest        newline-delimited keyed trace format by default, or
 //	                    binary wire frames when the request carries
 //	                    Content-Type: application/x-kav-wire (chunked bodies
-//	                    fine either way); returns {"ingested": n}. 400 on
-//	                    malformed input (wire frames report the byte offset
-//	                    of the defect), 409 on ordering/buffer violations,
-//	                    503 once draining. Text bodies flow through the
+//	                    fine either way); returns {"ingested": n}, or on
+//	                    failure an IngestReject whose code, status and
+//	                    meaning are a row of the table in reject.go (wire
+//	                    frames also report the byte offset of a defect).
+//	                    Text bodies flow through the
 //	                    session's batch-granular path: parsed in chunks,
 //	                    grouped by ingest shard, one shard-lock take per
 //	                    chunk. Binary bodies skip parsing entirely: frames
@@ -69,9 +70,9 @@ type Config struct {
 	Stream trace.StreamOptions
 	// OverloadOps, when > 0, sheds /ingest load before reading the body
 	// once the session's live buffered operations reach this bound: the
-	// request is rejected with 503, a Retry-After header, and a
-	// {"code":"overload"} body, telling well-behaved producers to back off
-	// rather than pile onto verification backpressure.
+	// request is rejected with RejectOverload (503, Retry-After), telling
+	// well-behaved producers to back off rather than pile onto verification
+	// backpressure.
 	OverloadOps int64
 	// SoftWatermarkBytes, when > 0, is the live-heap size at which the
 	// ingest path starts reclaiming memory aggressively: quiescent keys
@@ -81,11 +82,11 @@ type Config struct {
 	// not one per request.
 	SoftWatermarkBytes uint64
 	// HardWatermarkBytes, when > 0, is the live-heap size at which
-	// /ingest sheds load before reading the body with a typed
-	// {"code":"memory_pressure"} 503 + Retry-After. Unlike
-	// "buffer_limit" this is not sticky: no operations are lost, and
-	// requests are accepted again as soon as relief (or GC) brings the
-	// heap back under the watermark.
+	// /ingest sheds load before reading the body with
+	// RejectMemoryPressure (503, Retry-After). Unlike RejectBufferLimit
+	// this is not sticky: no operations are lost, and requests are
+	// accepted again as soon as relief (or GC) brings the heap back under
+	// the watermark.
 	HardWatermarkBytes uint64
 	// MemUsage overrides the live-heap probe used for the watermarks
 	// (default: the runtime's heap-objects byte class, polled at most
@@ -263,10 +264,7 @@ type Server struct {
 	opsIngested    *metrics.Counter
 	ingestReqs     *metrics.Counter
 	ingestErrors   *metrics.Counter
-	rejectDraining *metrics.Counter
-	rejectOverload *metrics.Counter
-	rejectMemory   *metrics.Counter
-	rejectQuota    *metrics.Counter
+	sheds          map[string]*metrics.Counter // by code, one per Shed row of the reject table
 	segmentsClosed *metrics.Counter
 	violations     *metrics.Counter
 	reliefs        *metrics.Counter
@@ -351,14 +349,13 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 	s.opsIngested = s.reg.Counter("kavserve_ops_ingested_total", "Operations accepted by /ingest.")
 	s.ingestReqs = s.reg.Counter("kavserve_ingest_requests_total", "Requests to /ingest.")
 	s.ingestErrors = s.reg.Counter("kavserve_ingest_errors_total", "Failed /ingest requests.")
-	s.rejectDraining = s.reg.CounterL("kavserve_ingest_rejected_total",
-		"Ingest requests shed before reading the body, by reason.", `reason="draining"`)
-	s.rejectOverload = s.reg.CounterL("kavserve_ingest_rejected_total",
-		"Ingest requests shed before reading the body, by reason.", `reason="overload"`)
-	s.rejectMemory = s.reg.CounterL("kavserve_ingest_rejected_total",
-		"Ingest requests shed before reading the body, by reason.", `reason="memory_pressure"`)
-	s.rejectQuota = s.reg.CounterL("kavserve_ingest_rejected_total",
-		"Ingest requests shed before reading the body, by reason.", `reason="quota_exceeded"`)
+	s.sheds = make(map[string]*metrics.Counter)
+	for _, row := range Rejects {
+		if row.Shed {
+			s.sheds[row.Code] = s.reg.CounterL("kavserve_ingest_rejected_total",
+				"Ingest requests shed before reading the body, by reason.", `reason="`+row.Code+`"`)
+		}
+	}
 	s.segmentsClosed = s.reg.Counter("kavserve_segments_closed_total", "Segments verified.")
 	s.violations = s.reg.Counter("kavserve_violations_total", "Violating segment verdicts.")
 	for _, bucket := range ingestSizeBuckets {
@@ -641,7 +638,7 @@ func (s *Server) health() Health {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.health())
+	WriteJSON(w, http.StatusOK, s.health())
 }
 
 // Drain flushes the session to final verdicts: open windows are committed,
@@ -699,58 +696,18 @@ func (s *Server) recordIngestSize(n int64) {
 	}
 }
 
-// IngestReject is the JSON body of a failed /ingest request. Code is a
-// stable machine-readable discriminator:
-//
-//	"draining"     drain in progress or completed — terminal, stop sending
-//	               (HTTP 409)
-//	"overload"     load shed; honor Retry-After and resend the same batch
-//	               (HTTP 503)
-//	"out_of_order" a key violated the nondecreasing-start ingest contract
-//	               (HTTP 409, sticky)
-//	"buffer_limit" the configured MaxBufferedOps cap tripped (HTTP 503 with
-//	               Retry-After — but sticky, unlike "overload": operations
-//	               were lost, so resuming requires reconciling via /verdict)
-//	"memory_pressure" the hard admission watermark tripped; honor
-//	               Retry-After and resend the same batch — like
-//	               "overload", nothing was lost and the condition clears
-//	               as retirement/spill/GC reclaim memory (HTTP 503)
-//	"quota_exceeded" a tenant quota tripped (HTTP 503 with Retry-After
-//	               when transient — the buffered-ops quota drains as
-//	               verification catches up — or HTTP 429 when the
-//	               lifetime op or key quota is exhausted)
-//	"durability"   the write-ahead log failed beneath the session (HTTP 500,
-//	               sticky)
-//	"malformed"    unparseable trace input (HTTP 400)
-//
-// Ingested reports how many operations of this request were accepted before
-// the failure (accepted operations stay accepted — per-key prefixes remain
-// intact). For malformed binary bodies, Offset is the request-body byte
-// offset where the frame defect was detected.
-type IngestReject struct {
-	Code     string `json:"code"`
-	Error    string `json:"error"`
-	Ingested int64  `json:"ingested"`
-	Offset   *int64 `json:"offset,omitempty"`
-}
-
-func (s *Server) rejectIngest(w http.ResponseWriter, status int, code string, n int64, err error) {
-	s.rejectIngestAt(w, status, code, n, err, nil)
-}
-
-func (s *Server) rejectIngestAt(w http.ResponseWriter, status int, code string, n int64, err error, offset *int64) {
+// reject answers a failed /ingest with its table row: n operations of the
+// request were accepted before err.
+func (s *Server) reject(w http.ResponseWriter, row Reject, n int64, err error, offset *int64) {
 	s.ingestErrors.Inc()
-	if status == http.StatusServiceUnavailable {
-		// Back off for a beat; overload drains as verification catches up.
-		w.Header().Set("Retry-After", "1")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	reject := IngestReject{Code: code, Ingested: n, Offset: offset}
-	if err != nil {
-		reject.Error = err.Error()
-	}
-	json.NewEncoder(w).Encode(reject)
+	WriteReject(w, row, IngestReject{Code: row.Code, Error: err.Error(), Ingested: n, Offset: offset})
+}
+
+// shed turns a request away before its body is read — the producer resends
+// the whole batch, so nothing is half-accepted — and counts it by code.
+func (s *Server) shed(w http.ResponseWriter, row Reject, err error) {
+	s.sheds[row.Code].Inc()
+	s.reject(w, row, 0, err, nil)
 }
 
 // countingReader counts the bytes an ingest body delivered.
@@ -765,10 +722,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// wantsWire reports whether the request negotiated the binary wire codec
+// WantsWire reports whether the request negotiated the binary wire codec
 // via Content-Type (parameters after ';' are ignored; text stays the
 // default for everything else).
-func wantsWire(r *http.Request) bool {
+func WantsWire(r *http.Request) bool {
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	return strings.TrimSpace(ct) == wire.ContentType
 }
@@ -776,27 +733,20 @@ func wantsWire(r *http.Request) bool {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestReqs.Inc()
 	if s.Draining() {
-		s.rejectDraining.Inc()
-		s.rejectIngest(w, http.StatusConflict, "draining", 0, errors.New("draining: ingest is closed"))
+		s.shed(w, RejectDraining, errors.New("draining: ingest is closed"))
 		return
 	}
 	if cap := s.cfg.OverloadOps; cap > 0 && s.sess.BufferedOps() >= cap {
-		// Shed before reading the body: the producer resends the whole
-		// batch after Retry-After, so nothing is half-accepted here.
-		s.rejectOverload.Inc()
-		s.rejectIngest(w, http.StatusServiceUnavailable, "overload", 0,
-			fmt.Errorf("overloaded: %d operations buffered (cap %d)", s.sess.BufferedOps(), cap))
+		s.shed(w, RejectOverload, fmt.Errorf("overloaded: %d operations buffered (cap %d)", s.sess.BufferedOps(), cap))
 		return
 	}
 	if hard := s.cfg.HardWatermarkBytes; hard > 0 {
 		if heap := s.heapBytes(); heap >= hard {
-			// Shed before reading the body, like overload — but also keep
-			// relieving, so the condition clears even with no polite
-			// producers left to trip the soft path.
-			s.rejectMemory.Inc()
+			// Shed like overload — but also keep relieving, so the
+			// condition clears even with no polite producers left to trip
+			// the soft path.
 			s.relieve()
-			s.rejectIngest(w, http.StatusServiceUnavailable, "memory_pressure", 0,
-				fmt.Errorf("memory pressure: %d live heap bytes (hard watermark %d)", heap, hard))
+			s.shed(w, RejectMemoryPressure, fmt.Errorf("memory pressure: %d live heap bytes (hard watermark %d)", heap, hard))
 			return
 		}
 	}
@@ -810,7 +760,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// per-line string ever materializes between the socket and the segment
 	// accumulators.
 	body := countingReader{r: r.Body}
-	isWire := wantsWire(r)
+	isWire := WantsWire(r)
 	var n int64
 	var err error
 	start := time.Now()
@@ -824,30 +774,28 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.ingestBytesText.Add(body.n)
 	}
 	s.opsIngested.Add(n)
-	if err == nil {
-		// Only clean requests feed the batching-size signal: an error storm
-		// of rejected requests must not masquerade as tiny producer batches.
-		s.recordIngestSize(n)
-	}
 	if err != nil {
+		row, offset := RejectMalformed, (*int64)(nil)
 		var derr *trace.DurabilityError
 		var werr *wire.DecodeError
 		switch {
 		case errors.Is(err, trace.ErrSessionFlushed):
-			s.rejectIngest(w, http.StatusConflict, "draining", n, err)
+			row = RejectDraining
 		case errors.Is(err, trace.ErrBufferLimit):
-			s.rejectIngest(w, http.StatusServiceUnavailable, "buffer_limit", n, err)
+			row = RejectBufferLimit
 		case errors.Is(err, trace.ErrOutOfOrder):
-			s.rejectIngest(w, http.StatusConflict, "out_of_order", n, err)
+			row = RejectOutOfOrder
 		case errors.As(err, &derr):
-			s.rejectIngest(w, http.StatusInternalServerError, "durability", n, err)
+			row = RejectDurability
 		case errors.As(err, &werr):
-			s.rejectIngestAt(w, http.StatusBadRequest, "malformed", n, err, &werr.Offset)
-		default:
-			s.rejectIngest(w, http.StatusBadRequest, "malformed", n, err)
+			offset = &werr.Offset
 		}
+		s.reject(w, row, n, err, offset)
 		return
 	}
+	// Only clean requests feed the batching-size signal: an error storm of
+	// rejected requests must not masquerade as tiny producer batches.
+	s.recordIngestSize(n)
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"ingested\": %d}\n", n)
 }
@@ -937,7 +885,7 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		s.handleVerdictEpoch(w, arg)
 		return
 	}
-	writeJSON(w, s.Verdict())
+	WriteJSON(w, http.StatusOK, s.Verdict())
 }
 
 // handleVerdictEpoch serves /verdict?epoch=N (or ?epoch=current): the
@@ -967,7 +915,7 @@ func (s *Server) handleVerdictEpoch(w http.ResponseWriter, arg string) {
 		http.Error(w, fmt.Sprintf("no verdicts recorded for epoch %d", ep), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, EpochDoc{
+	WriteJSON(w, http.StatusOK, EpochDoc{
 		Epoch:   es.Epoch,
 		Current: haveCur && !es.Folded && es.Epoch == cur && !s.isDrained(),
 		Folded:  es.Folded,
@@ -984,7 +932,7 @@ func (s *Server) handleVerdictKey(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown key %q", key), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, s.keyStatus(kv, s.isDrained()))
+	WriteJSON(w, http.StatusOK, s.keyStatus(kv, s.isDrained()))
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
@@ -992,11 +940,13 @@ func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
 		// The flush still drained what it could; report both.
 		w.Header().Set("X-Kavserve-Drain-Error", err.Error())
 	}
-	writeJSON(w, s.Verdict())
+	WriteJSON(w, http.StatusOK, s.Verdict())
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers a request with v as indented JSON under status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)

@@ -43,7 +43,7 @@ type TenantConfig struct {
 //
 //	POST /ingest/{tenant}         tenant-scoped ingest; quota checks run
 //	                              before the body is read and reject with
-//	                              {"code":"quota_exceeded"}
+//	                              RejectQuotaSpent or RejectQuotaBuffered
 //	GET  /verdict/{tenant}        the tenant's verdict document
 //	                              (?epoch=N works as on a single server)
 //	GET  /verdict/{tenant}/{key}  one key's verdict
@@ -147,10 +147,10 @@ func (m *Multi) Handler() http.Handler {
 		if err := m.DrainAll(); err != nil {
 			w.Header().Set("X-Kavserve-Drain-Error", err.Error())
 		}
-		writeJSON(w, m.verdicts())
+		WriteJSON(w, http.StatusOK, m.verdicts())
 	})
 	mux.HandleFunc("GET /verdict", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, m.verdicts())
+		WriteJSON(w, http.StatusOK, m.verdicts())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		m.writeMetrics(w)
@@ -167,7 +167,7 @@ func (m *Multi) Handler() http.Handler {
 			}
 			health[name] = h
 		}
-		writeJSON(w, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Status  string            `json:"status"`
 			Tenants map[string]Health `json:"tenants"`
 		}{status, health})
@@ -203,32 +203,22 @@ func (m *Multi) verdicts() map[string]VerdictDoc {
 // batch verbatim where the quota is transient.
 func (t *tenant) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s := t.srv
-	if q := t.quotas.MaxOps; q > 0 {
-		if ops := s.sess.Stats().Ops; ops >= q {
-			s.ingestReqs.Inc()
-			s.rejectQuota.Inc()
-			s.rejectIngest(w, http.StatusTooManyRequests, "quota_exceeded", 0,
-				fmt.Errorf("tenant %s: operation quota exhausted (%d ingested, quota %d)", t.name, ops, q))
-			return
+	for _, q := range []struct {
+		quota int64
+		used  func() int64
+		row   Reject
+		what  string
+	}{
+		{t.quotas.MaxOps, func() int64 { return s.sess.Stats().Ops }, RejectQuotaSpent, "operation quota exhausted (%d ingested, quota %d)"},
+		{t.quotas.MaxKeys, s.sess.Keys, RejectQuotaSpent, "key quota exhausted (%d keys, quota %d)"},
+		{t.quotas.MaxBufferedOps, s.sess.BufferedOps, RejectQuotaBuffered, "buffered-operation quota reached (%d buffered, quota %d)"},
+	} {
+		if q.quota <= 0 {
+			continue
 		}
-	}
-	if q := t.quotas.MaxKeys; q > 0 {
-		if keys := s.sess.Keys(); keys >= q {
+		if used := q.used(); used >= q.quota {
 			s.ingestReqs.Inc()
-			s.rejectQuota.Inc()
-			s.rejectIngest(w, http.StatusTooManyRequests, "quota_exceeded", 0,
-				fmt.Errorf("tenant %s: key quota exhausted (%d keys, quota %d)", t.name, keys, q))
-			return
-		}
-	}
-	if q := t.quotas.MaxBufferedOps; q > 0 {
-		if buf := s.sess.BufferedOps(); buf >= q {
-			s.ingestReqs.Inc()
-			s.rejectQuota.Inc()
-			// 503 + Retry-After: this quota drains as verification
-			// catches up (or as the tenant's keys retire).
-			s.rejectIngest(w, http.StatusServiceUnavailable, "quota_exceeded", 0,
-				fmt.Errorf("tenant %s: buffered-operation quota reached (%d buffered, quota %d)", t.name, buf, q))
+			s.shed(w, q.row, fmt.Errorf("tenant %s: "+q.what, t.name, used, q.quota))
 			return
 		}
 	}

@@ -255,6 +255,27 @@ type StreamStats struct {
 	Readmissions int64
 }
 
+// Fold merges another session's statistics into s (a cluster's members hold
+// disjoint keys). Counters sum; MaxOpenOps is a per-window maximum so it
+// takes the max; FirstVerdictOps is meaningless across sessions and stays
+// what it was.
+func (s *StreamStats) Fold(o StreamStats) {
+	s.Ops += o.Ops
+	s.Keys += o.Keys
+	s.Segments += o.Segments
+	s.Merges += o.Merges
+	s.MaxOpenOps = max(s.MaxOpenOps, o.MaxOpenOps)
+	s.PeakBufferedOps += o.PeakBufferedOps
+	s.StaleReads += o.StaleReads
+	s.SaturatedKeys += o.SaturatedKeys
+	s.Spills += o.Spills
+	s.OpsSpilled += o.OpsSpilled
+	s.SpillLoads += o.SpillLoads
+	s.RetiredKeys += o.RetiredKeys
+	s.Retirements += o.Retirements
+	s.Readmissions += o.Readmissions
+}
+
 // ParseStream reads the keyed text format from r and invokes emit for every
 // operation in input order, without materializing the input or the trace:
 // memory is one line plus whatever emit retains. Returning an error from
