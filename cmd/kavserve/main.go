@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		// Keyspace lifecycle.
 		retireTTL = fs.String("retire-ttl", "", "retire a key quiescent past the safe-cut horizon for this long, folding its final verdict into a compact retired record; trace-time integer, or a Go duration for nanosecond-stamped traces (empty = never retire)")
 		epochLen  = fs.String("epoch", "", "rotate verdict windows of this length at quiescent cuts; /verdict?epoch=N then answers per-window (trace-time integer or Go duration; empty = no epoch windows)")
-		softWM    = fs.String("soft-watermark", "", "live-heap size (bytes, or with K/M/G suffix) above which ingest triggers aggressive retirement + spill (empty = off)")
+		softWM    = fs.String("soft-watermark", "", "live-heap size (bytes, or with K/M/G suffix) above which ingest sweeps keys idle past -retire-ttl now instead of at the next cadence and spills open windows to -data-dir (empty = off; needs one of the two)")
 		hardWM    = fs.String("hard-watermark", "", "live-heap size above which /ingest sheds with a typed memory_pressure 503 + Retry-After instead of growing toward OOM (empty = off)")
 
 		// Multi-tenant mode.
@@ -139,6 +139,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *dataDir == "" && *spillOps > 0 {
 		return fmt.Errorf("-spill-threshold-ops needs -data-dir")
+	}
+	if *softWM != "" && *retireTTL == "" && *dataDir == "" {
+		return fmt.Errorf("-soft-watermark needs -retire-ttl or -data-dir: relief retires keys idle past the TTL and spills to the data directory, and would have nothing to reclaim with")
 	}
 	properties, err := kat.ParseProperties(*propSet)
 	if err != nil {
@@ -364,8 +367,7 @@ func withPprof(h http.Handler) http.Handler {
 // serve runs the service on ln until a signal arrives, then drains the
 // session, prints the final verdicts, and shuts the listener down. With a
 // non-nil durability manager it first recovers any checkpoint + WAL tail
-// from disk, logs batches through the manager while serving, and seals the
-// drained state in a terminal checkpoint before exit.
+// from disk and logs batches through the manager while serving.
 func serve(ln net.Listener, cfg online.Config, mgr *checkpoint.Manager, ckptIval time.Duration, pprofOn bool, ht httpTimeouts, shutdown <-chan os.Signal, out io.Writer) error {
 	srv, rs, err := online.NewDurable(cfg, mgr)
 	if err != nil {
@@ -389,13 +391,6 @@ func serve(ln net.Listener, cfg online.Config, mgr *checkpoint.Manager, ckptIval
 		fmt.Fprintln(out, "kavserve: draining...")
 		if err := srv.Drain(); err != nil {
 			fmt.Fprintf(out, "kavserve: drain error: %v\n", err)
-		}
-		if mgr != nil {
-			// Terminal checkpoint: the drained (Flushed) session state lands
-			// on disk, so a restart serves final verdicts with zero WAL replay.
-			if err := mgr.Checkpoint(); err != nil {
-				fmt.Fprintf(out, "kavserve: terminal checkpoint error: %v\n", err)
-			}
 		}
 		srv.Verdict().WriteText(out, "kavserve: final")
 	})

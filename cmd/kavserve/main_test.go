@@ -55,6 +55,11 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"-spill-threshold-ops", "100"}, &out); err == nil {
 		t.Error("-spill-threshold-ops without -data-dir accepted")
 	}
+	// Relief retires at -retire-ttl and spills to -data-dir; with neither it
+	// has nothing to reclaim with.
+	if err := run([]string{"-soft-watermark", "64M"}, &out); err == nil || !strings.Contains(err.Error(), "needs -retire-ttl or -data-dir") {
+		t.Errorf("-soft-watermark alone: err = %v, want a needs--retire-ttl-or--data-dir reject", err)
+	}
 	if err := run([]string{"-route", "http://localhost:1", "-data-dir", "/tmp/x"}, &out); err == nil {
 		t.Error("-route with -data-dir accepted")
 	}

@@ -30,7 +30,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,7 +42,6 @@ import (
 	"kat/internal/faultfs"
 	"kat/internal/trace"
 	"kat/internal/wal"
-	"kat/internal/wire"
 )
 
 // Config tunes a Manager.
@@ -97,6 +95,9 @@ type Manager struct {
 	sess  *trace.Session // set by Recover
 
 	ckptMu sync.Mutex // serializes checkpoint attempts (ticker vs manual)
+	// sealed: Checkpoint has published a Flushed snapshot. A drained session
+	// is terminal, so a later one would be byte-equal and is skipped.
+	sealed bool // guarded by ckptMu
 
 	checkpoints   atomic.Int64
 	ckptFailures  atomic.Int64
@@ -217,17 +218,7 @@ func (m *Manager) Recover(sess *trace.Session) (RecoveryStats, error) {
 				if rec.Type != wal.RecordBatch {
 					continue
 				}
-				// Batch records carry whichever encoding ingest logged:
-				// keyed text, or a self-contained wire frame when the batch
-				// arrived binary. The magic bytes say which (no text record
-				// can start with them).
-				var n int64
-				var err error
-				if wire.IsMagic(rec.Payload) {
-					n, err = sess.AppendWire(bytes.NewReader(rec.Payload))
-				} else {
-					n, err = sess.AppendTraceBatch(bytes.NewReader(rec.Payload))
-				}
+				n, err := sess.Replay(rec.Payload)
 				rs.ReplayedOps += n
 				if err != nil {
 					return rs, fmt.Errorf("checkpoint: replay %s: %w", name, err)
@@ -251,6 +242,12 @@ func (m *Manager) Recover(sess *trace.Session) (RecoveryStats, error) {
 		return rs, nil
 	}
 	if newEpoch > 0 {
+		// Every logged operation is back, so the watermark is evidence of
+		// idleness again: one sweep retires what the live run had retired,
+		// or the whole replayed tail would ride buffered into the re-anchor.
+		if err := sess.RetireIdle(0); err != nil {
+			return rs, fmt.Errorf("checkpoint: sweep after replay: %w", err)
+		}
 		// Re-anchor: a fresh checkpoint covering everything just replayed,
 		// so the next crash replays from here instead of from the old epoch
 		// chain, and the old files can be collected.
@@ -290,6 +287,9 @@ func (m *Manager) Checkpoint() error {
 	if m.log == nil || m.sess == nil {
 		return errors.New("checkpoint: manager has no recovered session")
 	}
+	if m.sealed {
+		return nil
+	}
 	next := m.log.Epoch() + 1
 	cp, err := m.sess.Checkpoint(func() error { return m.log.Rotate(next) })
 	if err != nil {
@@ -301,6 +301,7 @@ func (m *Manager) Checkpoint() error {
 		return err
 	}
 	m.checkpoints.Add(1)
+	m.sealed = cp.Flushed
 	m.log.PurgeBefore(next)
 	m.purgeCheckpointsBefore(next)
 	return nil

@@ -28,8 +28,12 @@ import (
 // genWorkload builds a deterministic multi-key workload: per-key operation
 // lists in arrival order (nondecreasing starts, first op a write, reads of
 // possibly stale but always-written values) plus the globally merged
-// arrival sequence used to drive batch ingest.
-func genWorkload(seed int64, nkeys, opsPerKey int) (map[string][]history.Operation, []trace.KeyedOp) {
+// arrival sequence used to drive batch ingest. With stagger, the first two
+// keys live twice: halfway through they go quiet for longer than any
+// lifecycle TTL while the others keep the watermark moving, then come back
+// writing fresh values and reading only those (a retired lifetime's value
+// index is gone) — so a retiring session retires and re-admits them mid-run.
+func genWorkload(seed int64, nkeys, opsPerKey int, stagger bool) (map[string][]history.Operation, []trace.KeyedOp) {
 	rng := rand.New(rand.NewSource(seed))
 	perKey := make(map[string][]history.Operation, nkeys)
 	var all []trace.KeyedOp
@@ -40,10 +44,14 @@ func genWorkload(seed int64, nkeys, opsPerKey int) (map[string][]history.Operati
 		next := int64(1)
 		ops := make([]history.Operation, 0, opsPerKey)
 		for i := 0; i < opsPerKey; i++ {
+			if stagger && ki < 2 && i == opsPerKey/2 {
+				clock += int64(100 + 50*ki)
+				vals = vals[:0]
+			}
 			start := clock
 			dur := int64(1 + rng.Intn(6))
 			var op history.Operation
-			if i == 0 || rng.Intn(3) == 0 {
+			if len(vals) == 0 || rng.Intn(3) == 0 {
 				op = history.Operation{Kind: history.KindWrite, Value: next,
 					Start: start, Finish: start + dur}
 				vals = append(vals, next)
@@ -74,6 +82,26 @@ type scenario struct {
 	perKey map[string][]history.Operation
 	mem    *faultfs.MemFS
 	policy wal.SyncPolicy
+	// life is the lifecycle axis (see lifeOpts); live the feeding session's
+	// final statistics.
+	life uint8
+	live trace.StreamStats
+}
+
+// lifeOpts layers the scenario's lifecycle axis over sopts, the same on both
+// sides of the crash (a checkpoint only restores into the configuration that
+// wrote it). 0 leaves the plain session; anything else verifies every
+// property, rotates epoch windows, and retires at a TTL above the workload's
+// largest mid-lifetime gap and below its staggered keys' absence, with a
+// sweep due after every feed.
+func (sc *scenario) lifeOpts(sopts trace.StreamOptions) trace.StreamOptions {
+	if sc.life != 0 {
+		sopts.Properties = trace.PropertySetAll
+		sopts.EpochLength = 16 << (sc.life / 2 % 4)
+		sopts.RetireTTL = 10 + 15*int64(sc.life%2)
+		sopts.RetireSweepOps = 1
+	}
+	return sopts
 }
 
 // buildScenario runs a durable session over the generated workload,
@@ -81,22 +109,22 @@ type scenario struct {
 // MemFS in a fault injector; on the first session or checkpoint error the
 // feed stops (the session is sticky — nothing past the error is
 // acknowledged). spillThreshold > 0 enables segment spill through the
-// manager's store.
+// manager's store; life != 0 turns the keyspace lifecycle on (lifeOpts).
 func buildScenario(t testing.TB, seed int64, shards, ckptEvery, batchSize int,
-	policy wal.SyncPolicy, inject faultfs.Injector, spillThreshold int) *scenario {
+	policy wal.SyncPolicy, inject faultfs.Injector, spillThreshold int, life uint8) *scenario {
 	t.Helper()
-	perKey, all := genWorkload(seed, 4, 60)
+	perKey, all := genWorkload(seed, 4, 60, life != 0)
 	mem := faultfs.NewMem()
 	var fsys faultfs.FS = mem
 	if inject != nil {
 		fsys = faultfs.NewFaulty(mem, inject)
 	}
-	sc := &scenario{perKey: perKey, mem: mem, policy: policy}
+	sc := &scenario{perKey: perKey, mem: mem, policy: policy, life: life}
 	mgr, err := Open(fsys, "data", Config{Policy: policy})
 	if err != nil {
 		return sc // nothing durable was written; recovery sees an empty dir
 	}
-	sopts := trace.StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: shards}
+	sopts := sc.lifeOpts(trace.StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: shards})
 	if spillThreshold > 0 {
 		sopts.Store = mgr.Store()
 		sopts.SpillThresholdOps = spillThreshold
@@ -123,6 +151,7 @@ feed:
 			}
 		}
 	}
+	sc.live = sess.Stats()
 	sess.Flush() // reap pool workers; errors (sticky faults) are the point
 	mgr.Close()
 	return sc
@@ -137,10 +166,10 @@ func checkRecovery(t *testing.T, sc *scenario, img *faultfs.MemFS, shards2 int) 
 		t.Fatalf("recovery Open: %v", err)
 	}
 	defer mgr.Close()
-	sess := trace.NewSmallestKSession(core.Options{}, trace.StreamOptions{
+	sess := trace.NewSmallestKSession(core.Options{}, sc.lifeOpts(trace.StreamOptions{
 		Workers: 2, MinSegmentOps: 1, IngestShards: shards2,
 		Store: mgr.Store(), SpillThresholdOps: trace.DefaultSpillThresholdOps,
-	})
+	}))
 	rs, err := mgr.Recover(sess)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -148,15 +177,15 @@ func checkRecovery(t *testing.T, sc *scenario, img *faultfs.MemFS, shards2 int) 
 	if err := sess.Flush(); err != nil {
 		t.Fatalf("recovered session Flush: %v", err)
 	}
-	got, _ := sess.SmallestKByKey()
+	got := sess.Snapshot()
 
 	// Reference: an uninterrupted in-memory run over exactly the per-key
-	// prefixes recovery rebuilt.
-	ref := trace.NewSmallestKSession(core.Options{}, trace.StreamOptions{
-		Workers: 2, MinSegmentOps: 1, IngestShards: 3,
-	})
+	// prefixes recovery rebuilt — the same properties, no lifecycle.
+	refOpts := sc.lifeOpts(trace.StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 3})
+	refOpts.RetireTTL, refOpts.EpochLength = 0, 0
+	ref := trace.NewSmallestKSession(core.Options{}, refOpts)
 	var recovered int64
-	for _, kv := range sess.Snapshot() {
+	for _, kv := range got {
 		full, ok := sc.perKey[kv.Key]
 		if !ok {
 			t.Fatalf("recovered unknown key %q", kv.Key)
@@ -174,10 +203,28 @@ func checkRecovery(t *testing.T, sc *scenario, img *faultfs.MemFS, shards2 int) 
 	if err := ref.Flush(); err != nil {
 		t.Fatalf("reference Flush: %v", err)
 	}
-	want, _ := ref.SmallestKByKey()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered verdicts diverge from uninterrupted prefix run:\n got %v\nwant %v\n(recovered %d ops, stats %+v)",
-			got, want, recovered, rs)
+	want := ref.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d keys, reference %d (stats %+v)", len(got), len(want), rs)
+	}
+	for i, g := range got {
+		// Every property's verdict, not only k; a retired key's is as final
+		// as a live one's.
+		if w := want[i]; g.Key != w.Key || g.Ops != w.Ops || g.Err != nil || w.Err != nil || g.Verdict != w.Verdict {
+			t.Fatalf("recovered verdict diverges from uninterrupted prefix run:\n got %+v\nwant %+v\n(recovered %d ops, stats %+v)",
+				g, w, recovered, rs)
+		}
+	}
+	if sc.life != 0 {
+		// Epoch windows survive the crash without losing or double-counting:
+		// every recovered operation landed in exactly one of them.
+		var windowed int64
+		for _, es := range sess.Epochs() {
+			windowed += es.Ops
+		}
+		if windowed != recovered {
+			t.Fatalf("epoch windows hold %d ops, recovered %d (stats %+v)", windowed, recovered, rs)
+		}
 	}
 	return rs
 }
@@ -210,7 +257,7 @@ func TestRecoverEmptyDir(t *testing.T) {
 // including every boundary-adjacent offset around the end — and requires
 // every image to recover to a verdict-identical prefix run.
 func TestCrashSweep(t *testing.T) {
-	sc := buildScenario(t, 7, 4, 2, 17, wal.SyncBatch, nil, 0)
+	sc := buildScenario(t, 7, 4, 2, 17, wal.SyncBatch, nil, 0, 0)
 	total := sc.mem.TotalWriteBytes()
 	if total == 0 {
 		t.Fatal("scenario wrote nothing")
@@ -240,7 +287,7 @@ func TestCrashSweep(t *testing.T) {
 // TestRecoverShardCountChange recovers one run into sessions with different
 // ingest shard counts — keys re-route by hash, verdicts must not move.
 func TestRecoverShardCountChange(t *testing.T) {
-	sc := buildScenario(t, 11, 8, 3, 23, wal.SyncNever, nil, 0)
+	sc := buildScenario(t, 11, 8, 3, 23, wal.SyncNever, nil, 0, 0)
 	total := sc.mem.TotalWriteBytes()
 	for _, shards := range []int{1, 2, 7, 16} {
 		checkRecovery(t, sc, sc.mem.CrashImage(total), shards)
@@ -251,7 +298,7 @@ func TestRecoverShardCountChange(t *testing.T) {
 // recovers mid-crash: spilled segments are inlined into checkpoints and
 // reconstructed from WAL replay, never read from stale blobs.
 func TestRecoverWithSpill(t *testing.T) {
-	sc := buildScenario(t, 13, 4, 2, 17, wal.SyncBatch, nil, 6)
+	sc := buildScenario(t, 13, 4, 2, 17, wal.SyncBatch, nil, 6, 0)
 	total := sc.mem.TotalWriteBytes()
 	for _, frac := range []float64{0.3, 0.7, 1.0} {
 		checkRecovery(t, sc, sc.mem.CrashImage(int64(frac*float64(total))), 4)
@@ -262,7 +309,7 @@ func TestRecoverWithSpill(t *testing.T) {
 // recovery runs on top of the first one's re-anchor) — a crash during or
 // right after recovery must itself be recoverable.
 func TestRecoveryIsRepeatable(t *testing.T) {
-	sc := buildScenario(t, 17, 4, 2, 19, wal.SyncBatch, nil, 0)
+	sc := buildScenario(t, 17, 4, 2, 19, wal.SyncBatch, nil, 0, 0)
 	img := sc.mem.CrashImage(sc.mem.TotalWriteBytes() * 2 / 3)
 	checkRecovery(t, sc, img, 4)
 	// img now holds the first recovery's fresh epoch + re-anchor checkpoint.
@@ -283,7 +330,7 @@ func TestFaultInjectionSweep(t *testing.T) {
 			for n := int64(0); n < 30; n++ {
 				short := int(n % 7)
 				sc := buildScenario(t, 19, 4, 2, 17, wal.SyncBatch,
-					faultfs.FailOnce(op, n, short), 0)
+					faultfs.FailOnce(op, n, short), 0, 0)
 				checkRecovery(t, sc, sc.mem, 4)
 			}
 		})
@@ -294,7 +341,7 @@ func TestFaultInjectionSweep(t *testing.T) {
 // and restarts from the directory: the recovered session is flushed,
 // serves identical final verdicts, and refuses ingest.
 func TestDrainedRestart(t *testing.T) {
-	_, all := genWorkload(23, 4, 60)
+	_, all := genWorkload(23, 4, 60, false)
 	mem := faultfs.NewMem()
 	mgr, err := Open(mem, "data", Config{Policy: wal.SyncBatch})
 	if err != nil {
@@ -352,7 +399,7 @@ func TestDrainedRestart(t *testing.T) {
 // recovery must fall back to replaying the full WAL chain (or an older
 // checkpoint) and still satisfy the oracle.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
-	sc := buildScenario(t, 29, 4, 3, 17, wal.SyncBatch, nil, 0)
+	sc := buildScenario(t, 29, 4, 3, 17, wal.SyncBatch, nil, 0, 0)
 	img := sc.mem.CrashImage(sc.mem.TotalWriteBytes())
 	var newest string
 	var newestEpoch int
@@ -399,17 +446,42 @@ func TestCheckpointNameParsing(t *testing.T) {
 	}
 }
 
+// TestCrashSweepLifecycle is TestCrashSweep over the composition: retirement
+// swept after every feed, epoch windows and every property, on a workload
+// whose staggered keys retire and come back before most of the crash points.
+// Recovery replays the log shard file by shard file; it must not retire on
+// the watermark the first file leaves behind.
+func TestCrashSweepLifecycle(t *testing.T) {
+	for life := uint8(1); life <= 2; life++ {
+		sc := buildScenario(t, 7, 4, 2, 17, wal.SyncBatch, nil, 0, life)
+		if sc.live.Retirements == 0 || sc.live.Readmissions == 0 {
+			t.Fatalf("life %d: %d retirements, %d re-admissions before the crash; the workload is not exercising the lifecycle", life, sc.live.Retirements, sc.live.Readmissions)
+		}
+		total := sc.mem.TotalWriteBytes()
+		for cut := int64(0); cut <= total; cut += total/61 + 1 {
+			checkRecovery(t, sc, sc.mem.CrashImage(cut), 4)
+		}
+		checkRecovery(t, sc, sc.mem.CrashImage(total), 6)
+	}
+}
+
 // FuzzCrashPointRecovery is the randomized form of the sweeps above: fuzzed
 // workload seed, crash byte, checkpoint cadence, shard counts on both sides
-// of the crash, sync policy, and an optional injected fault. Registered in
-// the CI fuzz smoke (go test -fuzz is also supported).
+// of the crash, sync policy, an optional injected fault, and the lifecycle
+// axis (retirement, epochs and every property at once; see lifeOpts).
+// Registered in the CI fuzz smoke (go test -fuzz is also supported).
 func FuzzCrashPointRecovery(f *testing.F) {
-	f.Add(int64(1), uint16(30000), uint8(2), uint8(4), uint8(7), uint8(255), uint16(0), uint8(0), uint8(1))
-	f.Add(int64(2), uint16(65535), uint8(1), uint8(1), uint8(1), uint8(255), uint16(0), uint8(0), uint8(0))
-	f.Add(int64(3), uint16(100), uint8(4), uint8(8), uint8(2), uint8(0), uint16(5), uint8(3), uint8(2))
-	f.Add(int64(4), uint16(60000), uint8(3), uint8(2), uint8(5), uint8(1), uint16(2), uint8(0), uint8(1))
-	f.Add(int64(5), uint16(40000), uint8(2), uint8(3), uint8(3), uint8(2), uint16(7), uint8(0), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, cutFrac uint16, ckptEvery, s1, s2, faultOp uint8, faultSeq uint16, short, pol uint8) {
+	f.Add(int64(1), uint16(30000), uint8(2), uint8(4), uint8(7), uint8(255), uint16(0), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(2), uint16(65535), uint8(1), uint8(1), uint8(1), uint8(255), uint16(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint16(100), uint8(4), uint8(8), uint8(2), uint8(0), uint16(5), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(4), uint16(60000), uint8(3), uint8(2), uint8(5), uint8(1), uint16(2), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(5), uint16(40000), uint8(2), uint8(3), uint8(3), uint8(2), uint16(7), uint8(0), uint8(1), uint8(0))
+	// Crash x retirement x epochs x properties. A replay that swept on the
+	// watermark of the shard files before it refused the second log
+	// ("operation starts at or before a committed cut").
+	f.Add(int64(6), uint16(65535), uint8(3), uint8(3), uint8(5), uint8(255), uint16(0), uint8(0), uint8(1), uint8(1))
+	f.Add(int64(7), uint16(45000), uint8(1), uint8(7), uint8(2), uint8(255), uint16(1), uint8(0), uint8(2), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, cutFrac uint16, ckptEvery, s1, s2, faultOp uint8, faultSeq uint16, short, pol, life uint8) {
 		shards1 := 1 + int(s1%8)
 		shards2 := 1 + int(s2%8)
 		policy := []wal.SyncPolicy{wal.SyncNever, wal.SyncBatch, wal.SyncAlways}[int(pol)%3]
@@ -420,7 +492,7 @@ func FuzzCrashPointRecovery(f *testing.F) {
 		} else if faultSeq%2 == 1 {
 			spill = 8
 		}
-		sc := buildScenario(t, seed, shards1, 1+int(ckptEvery%5), 17, policy, inject, spill)
+		sc := buildScenario(t, seed, shards1, 1+int(ckptEvery%5), 17, policy, inject, spill, life)
 		total := sc.mem.TotalWriteBytes()
 		cut := int64(float64(cutFrac) / 65535 * float64(total))
 		checkRecovery(t, sc, sc.mem.CrashImage(cut), shards2)

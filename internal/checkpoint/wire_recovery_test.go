@@ -22,7 +22,7 @@ import (
 func buildWireScenario(t testing.TB, seed int64, shards, ckptEvery, batchSize int,
 	policy wal.SyncPolicy, compress bool) *scenario {
 	t.Helper()
-	perKey, all := genWorkload(seed, 4, 60)
+	perKey, all := genWorkload(seed, 4, 60, false)
 	mem := faultfs.NewMem()
 	sc := &scenario{perKey: perKey, mem: mem, policy: policy}
 	mgr, err := Open(mem, "data", Config{Policy: policy})

@@ -11,7 +11,11 @@
 // machinery for keeping it true under node failures and flaky links.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"kat/internal/trace"
+)
 
 // DefaultSlots is the default partition granularity. 256 slots over a
 // handful of nodes keeps slices coarse enough to name in degradation
@@ -56,40 +60,15 @@ func (p *Partition) Slots() int { return p.slots }
 // Nodes reports the node count.
 func (p *Partition) Nodes() int { return p.nodes }
 
-// Slot hashes a key into its slot. The hash is FNV-1a 32-bit — the same
-// function the replay driver and the online server's client-partitioning
-// tests use — computed inline so string and []byte keys hash identically
-// with no conversion allocation.
-func (p *Partition) Slot(key []byte) int {
-	h := uint32(offset32)
-	for _, c := range key {
-		h ^= uint32(c)
-		h *= prime32
-	}
-	// Reduce in uint32 space: int(h) would go negative on 32-bit platforms.
-	return int(h % uint32(p.slots))
-}
-
-// SlotString is Slot for string keys.
+// SlotString hashes a key into its slot with trace.KeyHash — FNV-1a 32-bit,
+// the function the replay driver and the online server's
+// client-partitioning tests use too.
 func (p *Partition) SlotString(key string) int {
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % uint32(p.slots))
+	// Reduce in uint32 space: int(h) would go negative on 32-bit platforms.
+	return int(trace.KeyHash(key) % uint32(p.slots))
 }
 
-// FNV-1a parameters (identical to hash/fnv's New32a).
-const (
-	offset32 = 2166136261
-	prime32  = 16777619
-)
-
-// Owner reports the node owning the key.
-func (p *Partition) Owner(key []byte) int { return p.OwnerOfSlot(p.Slot(key)) }
-
-// OwnerString is Owner for string keys.
+// OwnerString reports the node owning the key.
 func (p *Partition) OwnerString(key string) int { return p.OwnerOfSlot(p.SlotString(key)) }
 
 // OwnerOfSlot reports the node owning a slot: the largest n with

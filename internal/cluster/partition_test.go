@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+
+	"kat/internal/trace"
 )
 
 // TestSlotMatchesStdlibFNV pins the partition hash to hash/fnv's FNV-1a:
@@ -21,8 +23,9 @@ func TestSlotMatchesStdlibFNV(t *testing.T) {
 		if got := p.SlotString(key); got != want {
 			t.Fatalf("SlotString(%q) = %d, want %d", key, got, want)
 		}
-		if got := p.Slot([]byte(key)); got != want {
-			t.Fatalf("Slot(%q) = %d, want %d", key, got, want)
+		// The byte view ingest shards hash must route like the string view.
+		if got := int(trace.KeyHash([]byte(key)) % 256); got != want {
+			t.Fatalf("KeyHash([]byte(%q)) %% 256 = %d, want %d", key, got, want)
 		}
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"kat"
+	"kat/internal/checkpoint"
+	"kat/internal/faultfs"
 	"kat/internal/trace"
 )
 
@@ -119,6 +121,59 @@ func TestMemoryPressureShedding(t *testing.T) {
 	if ops != 3 {
 		t.Fatalf("drained ops %d, want 3 (accepted requests only)", ops)
 	}
+}
+
+// TestReliefKeepsDeclaredTolerance holds the memory-pressure valve to the
+// skew the operator declared. Two producers run 15 trace-time units apart,
+// so key a's second write arrives after key b has moved the watermark past
+// a's first — while still overlapping it. A relief sweep with a tolerance of
+// its own retired a there, and that request and every one after it, for
+// every key, answered sticky out_of_order. Relief now sweeps at the session's
+// RetireTTL: with one that covers the skew nothing retires early, and with
+// none relief retires nothing at all and only spills.
+func TestReliefKeepsDeclaredTolerance(t *testing.T) {
+	skewed := []string{"w a 1 100 120\n", "w b 1 125 126\n", "w a 2 110 130\n"}
+	drive := func(t *testing.T, srv *Server) {
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		for i, req := range skewed {
+			srv.memAt.Store(0) // a fresh probe and a due relief per request
+			srv.reliefAt.Store(0)
+			if code, body := postText(t, ts.URL+"/ingest", req); code != http.StatusOK {
+				t.Fatalf("request %d under relief: %d %s", i, code, body)
+			}
+		}
+		if n := srv.reliefs.Value(); n != int64(len(skewed)) {
+			t.Fatalf("%d relief sweeps ran, want one per request", n)
+		}
+	}
+	pressured := Config{K: 2, SoftWatermarkBytes: 1, MemUsage: func() uint64 { return 2 },
+		Stream: trace.StreamOptions{Workers: 1, MinSegmentOps: 1}}
+
+	t.Run("ttl-covers-skew", func(t *testing.T) {
+		cfg := pressured
+		cfg.Stream.RetireTTL = 1000
+		srv := New(cfg)
+		drive(t, srv)
+		if st := srv.sess.Stats(); st.Retirements != 0 {
+			t.Fatalf("relief retired %d keys inside the declared tolerance", st.Retirements)
+		}
+	})
+	t.Run("no-ttl-spills-only", func(t *testing.T) {
+		mgr, err := checkpoint.Open(faultfs.NewMem(), "data", checkpoint.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		srv, _, err := NewDurable(pressured, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, srv)
+		if st := srv.sess.Stats(); st.Retirements != 0 || st.Spills == 0 {
+			t.Fatalf("relief without a TTL: %d retirements, %d spills; want none and some", st.Retirements, st.Spills)
+		}
+	})
 }
 
 // TestNoQuiesceChaosSheds replays the adversarial churn variant — chained

@@ -75,11 +75,12 @@ type Config struct {
 	// backpressure.
 	OverloadOps int64
 	// SoftWatermarkBytes, when > 0, is the live-heap size at which the
-	// ingest path starts reclaiming memory aggressively: quiescent keys
-	// are retired immediately regardless of Stream.RetireTTL, and open
-	// windows spill to the blob store when one is configured. Relief is
-	// rate-limited so a sustained breach costs one sweep per interval,
-	// not one per request.
+	// ingest path starts reclaiming memory now instead of at the next sweep
+	// cadence: keys idle past Stream.RetireTTL retire (none when that is 0
+	// — relief never retires under a smaller tolerance than the operator
+	// declared), and open windows spill to the blob store when one is
+	// configured. Relief is rate-limited so a sustained breach costs one
+	// sweep per interval, not one per request.
 	SoftWatermarkBytes uint64
 	// HardWatermarkBytes, when > 0, is the live-heap size at which
 	// /ingest sheds load before reading the body with
@@ -330,7 +331,8 @@ func New(cfg Config) *Server {
 // directory whose final checkpoint was a drain (Flushed) comes back as an
 // already-drained server: /verdict serves the final document and /ingest
 // rejects with the draining code. The caller starts mgr's checkpoint
-// ticker and closes mgr after the server's lifetime.
+// ticker and closes mgr after the server's lifetime; Drain seals the
+// drained state in a terminal checkpoint itself.
 func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.RecoveryStats, error) {
 	if cfg.K <= 0 {
 		cfg.K = 2
@@ -446,7 +448,7 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 		func() float64 { return float64(s.sess.Keys()) })
 	s.reg.Gauge("kavserve_peak_buffered_ops", "Peak live operations observed.",
 		func() float64 { return float64(s.sess.PeakBufferedOps()) })
-	// Lifecycle families exist only when retirement can happen (a
+	// Lifecycle families exist only on servers configured to reclaim (a
 	// retirement TTL or a soft watermark), so plain servers' exposition
 	// is unchanged. All of them read lock-free session atomics.
 	if cfg.Stream.RetireTTL > 0 || cfg.SoftWatermarkBytes > 0 {
@@ -467,7 +469,7 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 	}
 	if cfg.SoftWatermarkBytes > 0 || cfg.HardWatermarkBytes > 0 {
 		s.reliefs = s.reg.Counter("kavserve_memory_reliefs_total",
-			"Soft-watermark relief sweeps (aggressive retirement + spill) triggered by the ingest path.")
+			"Soft-watermark relief sweeps (retirement + spill ahead of the cadence) triggered by the ingest path.")
 		s.reg.Gauge("kavserve_heap_live_bytes", "Live-heap probe the admission watermarks are judged against.",
 			func() float64 { return float64(s.heapBytes()) })
 	}
@@ -554,18 +556,20 @@ func (s *Server) heapBytes() uint64 {
 	return v
 }
 
-// relieve runs one rate-limited soft-watermark relief sweep: every
-// quiescent key retires immediately (TTL 1 — still only at safe cuts, so
-// verdicts are unaffected), and open windows spill to the blob store when
-// the session has one. Errors are ignored here because the session makes
-// them sticky: the next ingest surfaces them with their typed reject.
+// relieve runs one rate-limited soft-watermark relief sweep: keys idle past
+// the session's RetireTTL retire now rather than at the next cadence (under
+// a smaller tolerance, relief would retire keys whose next operation a
+// slower producer still holds, and turn pressure into sticky out_of_order),
+// and open windows spill to the blob store when the session has one. Errors
+// are ignored here because the session makes them sticky: the next ingest
+// surfaces them with their typed reject.
 func (s *Server) relieve() {
 	now := time.Now().UnixNano()
 	last := s.reliefAt.Load()
 	if now-last < int64(reliefInterval) || !s.reliefAt.CompareAndSwap(last, now) {
 		return
 	}
-	s.sess.RetireIdle(1)
+	s.sess.RetireIdle(0)
 	s.sess.SpillOpenWindows()
 	if s.reliefs != nil {
 		s.reliefs.Inc()
@@ -643,13 +647,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // Drain flushes the session to final verdicts: open windows are committed,
 // every held segment verifies, and /verdict afterwards reports exactly what
-// the offline checkers report on the merged trace. Idempotent; concurrent
-// callers all wait for the one flush. New ingests are rejected from the
-// moment Drain is called.
+// the offline checkers report on the merged trace. A durable server seals
+// the drained state in a terminal checkpoint before Drain returns, so a
+// drain is durable when it is acknowledged: a restart serves the final
+// verdicts with no WAL replay. Idempotent; concurrent callers all wait for
+// the one flush. New ingests are rejected from the moment Drain is called.
 func (s *Server) Drain() error {
 	s.draining.Do(func() { close(s.drainGate) })
 	s.drainOnce.Do(func() {
 		s.drainErr = s.sess.Flush()
+		if s.mgr != nil {
+			s.drainErr = errors.Join(s.drainErr, s.mgr.Checkpoint())
+		}
 		close(s.drained)
 	})
 	<-s.drained

@@ -390,6 +390,139 @@ func TestDurableServerDrainedRestart(t *testing.T) {
 	}
 }
 
+// TestDurableRestartWithRetirement is the flagship configuration — a data
+// directory and a retirement TTL, default shards and sweep cadence — killed
+// with every byte kept and restarted. The WAL is replayed shard file by shard
+// file, so after the first file the watermark stands at the end of the run:
+// a replay that swept on its word retired the later files' keys under their
+// own overlapping next operation, and the directory could never be opened
+// again. The restart must succeed without retiring anything mid-replay, and
+// the recovered server must drain to the verdicts of the one that never
+// stopped.
+func TestDurableRestartWithRetirement(t *testing.T) {
+	// 2400 staggered lifetimes of 40 chained, overlapping writes: a key never
+	// quiesces while it lives, eight or so live at any time, and 96 000
+	// operations cross the default sweep interval on every shard.
+	const keys = 2400
+	var b strings.Builder
+	if err := kat.WriteTraceArrivalOrder(&b, kat.GenerateChurn(kat.ChurnConfig{Seed: 1, Lifetimes: keys, OpsPerLifetime: 40, NoQuiesce: true})); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(b.String(), "\n"), "\n")
+	cfg := Config{K: 2, Stream: trace.StreamOptions{Workers: 2, RetireTTL: 100}}
+	mem := faultfs.NewMem()
+	mgr, err := checkpoint.Open(mem, "data", checkpoint.Config{Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	srv, _, err := NewDurable(cfg, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for off := 0; off < len(lines); off += 512 {
+		req := strings.Join(lines[off:min(off+512, len(lines))], "")
+		if status, reject := postIngest(t, ts.URL, req); status != http.StatusOK {
+			t.Fatalf("ingest request at line %d: %d %+v", off, status, reject)
+		}
+	}
+	if st := srv.sess.Stats(); st.Retirements == 0 {
+		t.Fatal("the live run retired nothing: the trace does not cross a sweep interval")
+	}
+	img := mem.CrashImage(mem.TotalWriteBytes())
+
+	mgr2, err := checkpoint.Open(img, "data", checkpoint.Config{Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	srv2, rs, err := NewDurable(cfg, mgr2)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if rs.CheckpointEpoch != -1 || rs.ReplayedOps != int64(len(lines)) {
+		t.Fatalf("restart replayed %d of %d ops from checkpoint %d, want all of them from the WAL alone", rs.ReplayedOps, len(lines), rs.CheckpointEpoch)
+	}
+	// Every retirement so far comes from the one sweep that ends the replay:
+	// one mid-replay would have been re-admitted by its key's next record (or
+	// refused it), and the counters would disagree.
+	if st := srv2.sess.Stats(); st.Readmissions != 0 || st.Retirements == 0 || st.Retirements != st.RetiredKeys {
+		t.Fatalf("after recovery: %d retirements, %d retired keys, %d re-admissions; replay must not retire and its closing sweep must", st.Retirements, st.RetiredKeys, st.Readmissions)
+	}
+	if err := srv2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := srv2.Verdict(), postDrain(t, ts.URL)
+	if len(got.Keys) != len(want.Keys) || len(want.Keys) != keys {
+		t.Fatalf("recovered %d keys, uninterrupted %d, want %d", len(got.Keys), len(want.Keys), keys)
+	}
+	for i := range got.Keys {
+		g, w := got.Keys[i], want.Keys[i]
+		g.Retired, w.Retired = false, false // which sweep got to a key first is not a verdict
+		if statusSansViolation(g) != statusSansViolation(w) {
+			t.Fatalf("recovered verdict diverges:\n got %+v\nwant %+v", g, w)
+		}
+	}
+}
+
+// TestDrainIsDurableWhenAcknowledged: once POST /drain has answered
+// "drained": true, a crash that loses no byte must bring the server back
+// drained. Drain seals the state itself; a caller that forgets to cannot
+// leave an acknowledged drain replayable as a live session.
+func TestDrainIsDurableWhenAcknowledged(t *testing.T) {
+	_, text := buildTrace(t, 3, 40, 0.3)
+	mem := faultfs.NewMem()
+	mgr, err := checkpoint.Open(mem, "data", checkpoint.Config{Policy: wal.SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	cfg := Config{K: 2, Stream: trace.StreamOptions{Workers: 2, MinSegmentOps: 1}}
+	srv, _, err := NewDurable(cfg, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if status, reject := postIngest(t, ts.URL, text); status != http.StatusOK {
+		t.Fatalf("ingest: %d %+v", status, reject)
+	}
+	want := postDrain(t, ts.URL)
+	if !want.Drained {
+		t.Fatal("/drain did not answer drained")
+	}
+	sealed := mgr.Stats().Checkpoints
+	if err := mgr.Checkpoint(); err != nil || mgr.Stats().Checkpoints != sealed {
+		t.Fatalf("a checkpoint after the seal: err %v, %d -> %d published; a drained session is terminal and must not be snapshotted twice", err, sealed, mgr.Stats().Checkpoints)
+	}
+
+	mgr2, err := checkpoint.Open(mem.CrashImage(mem.TotalWriteBytes()), "data", checkpoint.Config{Policy: wal.SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	srv2, rs, err := NewDurable(cfg, mgr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := srv2.Verdict()
+	if !got.Drained || !srv2.Draining() || rs.ReplayedOps != 0 {
+		t.Fatalf("restart after an acknowledged drain: drained=%v draining=%v, replayed %d ops; want a drained server and no replay", got.Drained, srv2.Draining(), rs.ReplayedOps)
+	}
+	for i := range got.Keys {
+		if statusSansViolation(got.Keys[i]) != statusSansViolation(want.Keys[i]) {
+			t.Fatalf("drained restart verdict diverges:\n got %+v\nwant %+v", got.Keys[i], want.Keys[i])
+		}
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	if status, reject := postIngest(t, ts2.URL, "w zz 1 0 1\n"); status != http.StatusConflict || reject.Code != RejectDraining.Code {
+		t.Fatalf("ingest into the restarted server: %d %+v, want 409 draining", status, reject)
+	}
+}
+
 func TestIngestErrors(t *testing.T) {
 	// MinSegmentOps 1 commits a cut at every quiescent instant, so an
 	// operation starting at or before a committed cut is detectable.

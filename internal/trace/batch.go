@@ -30,7 +30,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 
 	"kat/internal/history"
 	"kat/internal/wire"
@@ -128,10 +127,9 @@ func (s *Session) putScratch(sc *batchScratch) {
 func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int32) error, enc *walEnc) (int, error) {
 	appended := 0
 	logger := s.shardLogger()
-	// Retirement sweeps fired while a shard chews its group must not treat
-	// the rest of this batch as elapsed trace time: the whole batch arrived
-	// at once, so idleness is measured against the watermark as of the
-	// batch's start (see ingestShard.sweepWM).
+	// The idleness clock of the sweep below: the whole batch arrived at once,
+	// so its own operations are no evidence that any key has gone quiet (see
+	// lifecycle.go, "Soundness").
 	preWM := s.e.watermark()
 	var start int32
 	for si, sh := range s.e.shards {
@@ -146,11 +144,6 @@ func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int3
 			sh.mu.Unlock()
 			return appended, err
 		}
-		sh.sweepWM = preWM
-		unlock := func() {
-			sh.sweepWM = math.MaxInt64
-			sh.mu.Unlock()
-		}
 		if logger != nil {
 			enc.begin()
 		}
@@ -159,7 +152,7 @@ func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int3
 				if logger != nil {
 					s.logShard(logger, si, enc.finish()) // accepted prefix; err already sticky
 				}
-				unlock()
+				sh.mu.Unlock()
 				return appended, err
 			}
 			appended++
@@ -169,19 +162,14 @@ func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int3
 		}
 		if logger != nil {
 			if err := s.logShard(logger, si, enc.finish()); err != nil {
-				unlock()
+				sh.mu.Unlock()
 				return appended, err
 			}
 		}
-		unlock()
+		sh.mu.Unlock()
 	}
-	// Cold-shard retirement: the per-operation sweep only visits shards
-	// with traffic, so shards whose keys all went quiescent are swept here,
-	// against the same pre-batch watermark. No shard lock is held now.
-	if err := s.sweepAllSticky(int64(appended), preWM); err != nil {
-		return appended, err
-	}
-	return appended, nil
+	// No shard lock is held now: the retirement pass takes each in turn.
+	return appended, s.sweepAllSticky(int64(appended), preWM)
 }
 
 // group builds sc.order: a counting sort of the first n entries of sc.shard
@@ -268,7 +256,7 @@ func (s *Session) feedKeyedOps(sc *batchScratch, ops []KeyedOp, enc *walEnc) (in
 	}
 	sc.shard = sc.shard[:n]
 	for i := range ops {
-		sc.shard[i] = int32(e.shardIndex(ops[i].Key))
+		sc.shard[i] = int32(shardIndex(e, ops[i].Key))
 	}
 	sc.group(n, len(e.shards))
 	sc.kops = ops
@@ -477,7 +465,7 @@ func (s *Session) ingestChunk(sc *batchScratch, data []byte) (int, error) {
 	}
 	sc.shard = sc.shard[:n]
 	for i, key := range sc.keys {
-		sc.shard[i] = int32(e.shardIndexBytes(key))
+		sc.shard[i] = int32(shardIndex(e, key))
 	}
 	sc.group(n, len(e.shards))
 	if sc.feedBytes == nil {

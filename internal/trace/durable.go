@@ -7,9 +7,9 @@ package trace
 //   - ShardLogger: the ingest paths re-encode every *accepted* operation in
 //     the keyed text format and hand each shard's group to the logger under
 //     that shard's ingest lock, so per-shard log order is exactly per-shard
-//     ingest order. Replaying a shard's payloads through AppendTraceBatch
-//     reproduces the session state — keys re-route by hash on replay, so
-//     the ingest shard count may change across restarts.
+//     ingest order. Replaying a shard's payloads through Replay reproduces
+//     the session state — keys re-route by hash on replay, so the ingest
+//     shard count may change across restarts.
 //
 //   - BlobStore + StreamOptions.SpillThresholdOps: segment spill-to-disk.
 //     Open windows larger than the threshold spill their accumulated prefix
@@ -49,6 +49,7 @@ import (
 	"strconv"
 
 	"kat/internal/history"
+	"kat/internal/wire"
 )
 
 // ShardLogger receives the write-ahead copy of accepted operations.
@@ -84,6 +85,24 @@ func (s *Session) SetShardLogger(l ShardLogger) {
 		return
 	}
 	s.logger.Store(&loggerBox{l: l})
+}
+
+// Replay feeds one logged record — a ShardLogger payload — back into the
+// session, in whichever codec it was logged: keyed text, or a self-contained
+// wire frame when the batch arrived binary (the magic says which; no text
+// record can start with it). No retirement sweep runs while it does: a log is
+// replayed shard file by shard file, so the watermark says nothing about the
+// keys whose operations are still to come, and a key retired on its word
+// would reject them as starting before a committed cut. The caller ends the
+// replay with RetireIdle(0), once every logged operation is back. Like
+// RestoreCheckpoint, Replay runs before concurrent ingest begins.
+func (s *Session) Replay(rec []byte) (int64, error) {
+	s.replaying.Store(true)
+	defer s.replaying.Store(false)
+	if wire.IsMagic(rec) {
+		return s.AppendWire(bytes.NewReader(rec))
+	}
+	return s.AppendTraceBatch(bytes.NewReader(rec))
 }
 
 func (s *Session) shardLogger() ShardLogger {
@@ -474,6 +493,17 @@ func (s *Session) Checkpoint(frozen func() error) (*SessionCheckpoint, error) {
 	// while frozen cannot deadlock; producers blocked on our locks hold no
 	// semaphore slots the workers need to finish.
 	s.e.wg.Wait()
+	// Nothing is in flight under the freeze, so a retirement still waiting
+	// out its last verdict folds now: the key is written as the retired
+	// record it is about to become, not as a live key the restored session
+	// would retire — and count — a second time.
+	for _, sh := range s.e.shards {
+		for _, ks := range sh.keys {
+			if ks.retiring {
+				s.e.finalizeRetire(sh, ks)
+			}
+		}
+	}
 	if frozen != nil {
 		if err := frozen(); err != nil {
 			return nil, err
@@ -632,7 +662,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		return fmt.Errorf("trace: checkpoint epoch length %d does not match session epoch length %d (restart with the original -epoch)", cp.EpochLength, e.epochLen)
 	}
 	for _, st := range cp.Keys {
-		sh := e.shards[e.shardIndex(st.Key)]
+		sh := e.shards[shardIndex(e, st.Key)]
 		if _, dup := sh.keys[st.Key]; dup {
 			return fmt.Errorf("trace: checkpoint repeats key %q", st.Key)
 		}
@@ -693,7 +723,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		e.resettle(ks)
 	}
 	for _, st := range cp.Retired {
-		sh := e.shards[e.shardIndex(st.Key)]
+		sh := e.shards[shardIndex(e, st.Key)]
 		if _, dup := sh.keys[st.Key]; dup {
 			return fmt.Errorf("trace: checkpoint retires live key %q", st.Key)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"kat/internal/core"
+	"kat/internal/generator"
 	"kat/internal/history"
 )
 
@@ -178,6 +179,50 @@ func TestShardLoggerReplayEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplayNeverRetires replays a retiring session's log the way recovery
+// does — shard 0's payloads first, then shard 1's, ... — through
+// Session.Replay, with a TTL far smaller than the trace span: after shard 0
+// the watermark stands at the end of the trace, and a sweep believing it
+// would retire every key of the later shards under its own overlapping next
+// operation. Replay must not sweep, and the replayed session, swept once at
+// the end, must equal the arrival-order run.
+func TestReplayNeverRetires(t *testing.T) {
+	// Staggered lifetimes of chained, overlapping writes: a key never
+	// quiesces while it lives, and lives ~360 of the trace's ~2200 units.
+	text := churnTraceText(generator.ChurnConfig{Seed: 1, Lifetimes: 40, OpsPerLifetime: 20, NoQuiesce: true})
+	sopts := lifecycleOpts(100)
+	logger := newCaptureLogger()
+	live := NewSmallestKSession(core.Options{}, sopts)
+	live.SetShardLogger(logger)
+	feedChunked(t, live, text, 16)
+	if err := live.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := live.Stats(); st.Retirements == 0 {
+		t.Fatal("the arrival-order run retired nothing: the TTL is not exercising the lifecycle")
+	}
+
+	s := NewSmallestKSession(core.Options{}, sopts)
+	for shard := 0; shard < live.Shards(); shard++ {
+		if _, err := s.Replay(logger.shards[shard]); err != nil {
+			t.Fatalf("replay shard %d: %v", shard, err)
+		}
+	}
+	if st := s.Stats(); st.Retirements != 0 {
+		t.Fatalf("replay retired %d keys; the watermark is no evidence inside a replay", st.Retirements)
+	}
+	if err := s.RetireIdle(0); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Retirements == 0 {
+		t.Fatal("the sweep that ends a replay retired nothing")
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	compareSnapshots(t, "replayed", live.Snapshot(), s.Snapshot())
 }
 
 func TestShardLoggerErrorSticky(t *testing.T) {

@@ -34,13 +34,32 @@ package trace
 // the retirement cut — is rejected with ErrOutOfOrder where the
 // never-retired run would have admitted it into the still-open window.
 // RetireTTL is therefore exactly the cross-key start-time skew the ingest
-// order is allowed; an operation log sorted by invocation time has zero skew
-// and is unaffected for any TTL. Retirement also frees the value index, so
-// re-admitted lifetimes must write fresh values; a duplicate of a retired
-// value goes undetected rather than erroring (the same trade MaxBufferedOps
-// already documents for unbounded value indexes).
-// FuzzRetirementEquivalence drives both runs over random retirement points
-// and requires identical per-key, per-property verdicts.
+// order is allowed — the one tolerance there is: RetireIdle(0), which
+// memory-pressure relief and the end of a log replay call, honours it too.
+// An operation log sorted by invocation time has zero skew and is unaffected
+// for any TTL.
+//
+// The watermark is the only evidence that a key is idle, and it is evidence
+// only while arrival order tracks start order. Two rules keep it so, and
+// they are enforced here and nowhere else:
+//
+//   - A feed's own operations never count. A batch arrives all at once, its
+//     shard groups fed one after another, so mid-feed the watermark already
+//     holds operations that arrived together with ones still waiting their
+//     turn. Sweeps therefore run only between feeds — sweepAllSticky, at the
+//     tail of Session.Append and feedGrouped, once no shard lock is held —
+//     against the watermark read before that feed began.
+//   - A replayed log never counts until its end. Recovery replays the
+//     write-ahead log shard file by shard file, so the watermark stands at
+//     the end of an epoch before the second shard's first operation arrives:
+//     no sweep runs inside Session.Replay, and the caller ends the replay
+//     with one RetireIdle(0) once every logged operation is back.
+//
+// Retirement also frees the value index, so re-admitted lifetimes must write
+// fresh values; a duplicate of a retired value goes undetected rather than
+// erroring (the same trade MaxBufferedOps already documents for unbounded
+// value indexes). FuzzRetirementEquivalence drives both runs over random
+// retirement points and requires identical per-key, per-property verdicts.
 //
 // Epochs. With StreamOptions.EpochLength set, every segment verdict also
 // folds into the summary of the epoch its cut time falls in (epoch N covers
@@ -58,11 +77,15 @@ import (
 )
 
 // DefaultRetireSweepOps is the per-shard operation interval between
-// retirement sweeps when StreamOptions.RetireSweepOps is zero: frequent
-// enough that an idle key outlives its TTL by at most a few thousand
-// operations of shard traffic, rare enough that the O(shard keys) scan
-// amortizes to noise.
-const DefaultRetireSweepOps = 4096
+// retirement sweeps when StreamOptions.RetireSweepOps is zero: every
+// DefaultRetireSweepOps*shards operations fed, one pass sweeps every shard —
+// frequent enough that an idle key outlives its TTL by at most a few
+// thousand operations of shard traffic, rare enough that the O(shard keys)
+// scan amortizes to noise. It was 4096 while a second, per-operation trigger
+// swept each shard once more per period; 2048 keeps that cadence with the
+// one trigger left (at 4096, bench's serve-text-wal-churn peaks at 34 MB RSS
+// against 27–29).
+const DefaultRetireSweepOps = 2048
 
 // retainedEpochs caps retained epoch summaries. Each summary is a few dozen
 // bytes, so this keeps days of hourly epochs while still bounding an
@@ -244,55 +267,15 @@ func (e *engine) foldEpoch(d EpochStats) {
 	}
 }
 
-// maybeSweep is the ingest-path retirement trigger: every RetireSweepOps
-// operations routed into a shard, sweep it. The caller holds sh.mu.
-func (e *engine) maybeSweep(sh *ingestShard) error {
-	sh.sinceSweep++
-	if sh.sinceSweep < e.sweepEvery {
-		return nil
-	}
-	sh.sinceSweep = 0
-	return e.sweepShard(sh, e.retireTTL, e.sweepWatermark(sh))
-}
-
-// sweepWatermark is the idleness reference for a sweep of sh: the global
-// ingest watermark, capped by the shard's batch floor (operations fed in the
-// same batch arrived simultaneously, so they say nothing about how long a
-// key has been idle — see ingestShard.sweepWM).
-func (e *engine) sweepWatermark(sh *ingestShard) int64 {
-	wm := e.watermark()
-	if sh.sweepWM < wm {
-		wm = sh.sweepWM
-	}
-	return wm
-}
-
-// maybeSweepAll is the cold-shard retirement trigger. The ingest-path sweep
-// in maybeSweep only ever visits the shard receiving the operation, so a
-// shard whose keys all went quiescent — no traffic at all — would never be
-// swept and its keys never retired. The session entry points count every
-// operation here, and every RetireSweepOps*shards operations one pass sweeps
-// every shard, taking each shard's lock in turn (the caller holds none). wm
-// is the idleness reference: the watermark before the counted operations
-// arrived.
-func (e *engine) maybeSweepAll(n int64, wm int64) error {
-	if e.retireTTL <= 0 || wm == math.MinInt64 {
-		return nil
-	}
-	c := e.sinceSweepAll.Add(n)
-	period := int64(e.sweepEvery) * int64(len(e.shards))
-	if c < period || !e.sinceSweepAll.CompareAndSwap(c, 0) {
-		return nil // not due, or a concurrent feeder won the pass
-	}
+// sweepAll sweeps every shard, each under its own lock in turn (the caller
+// holds none), and returns the first error.
+func (e *engine) sweepAll(ttl, wm int64) error {
 	var firstErr error
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		err := e.sweepShard(sh, e.retireTTL, wm)
-		sh.mu.Unlock()
-		if err != nil && firstErr == nil {
+	e.eachShardLocked(func(sh *ingestShard) {
+		if err := e.sweepShard(sh, ttl, wm); err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
+	})
 	return firstErr
 }
 
@@ -304,10 +287,7 @@ func (e *engine) maybeSweepAll(n int64, wm int64) error {
 // dispatches under the shard, and a later sweep (or the same one, when
 // verification already drained) folds the verdict and frees the state.
 func (e *engine) sweepShard(sh *ingestShard, ttl, wm int64) error {
-	if ttl <= 0 {
-		ttl = 1
-	}
-	if wm == math.MinInt64 {
+	if ttl <= 0 || wm == math.MinInt64 {
 		return nil
 	}
 	var firstErr error
@@ -393,35 +373,42 @@ func (e *engine) readmit(ks *keyState, rk *retiredKey) {
 	e.readmissions.Add(1)
 }
 
-// RetireIdle sweeps every shard, retiring keys idle for at least minIdle
-// trace-time units against the ingest watermark (minIdle <= 0 retires every
-// strictly idle key — the aggressive memory-pressure form). It works whether
-// or not StreamOptions.RetireTTL enabled automatic sweeps. Spill I/O errors
-// surface like ingest errors (sticky).
+// RetireIdle sweeps every shard now instead of at the next cadence, retiring
+// keys idle for at least minIdle trace-time units against the ingest
+// watermark. minIdle <= 0 means the session's own StreamOptions.RetireTTL —
+// and nothing when that is 0: memory-pressure relief and the end of a log
+// replay call it so, and neither may retire under a smaller tolerance than
+// the operator declared. A positive minIdle works whether or not RetireTTL
+// enabled automatic sweeps. Spill I/O errors surface like ingest errors
+// (sticky).
 func (s *Session) RetireIdle(minIdle int64) error {
 	if s.flushed.Load() {
 		return nil
 	}
-	var firstErr error
-	for _, sh := range s.e.shards {
-		sh.mu.Lock()
-		err := s.e.sweepShard(sh, minIdle, s.e.watermark())
-		sh.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if minIdle <= 0 {
+		minIdle = s.e.retireTTL
 	}
-	return s.stick(firstErr)
+	return s.stick(s.e.sweepAll(minIdle, s.e.watermark()))
 }
 
-// sweepAllSticky runs the cold-shard sweep pass for a session feeder that
-// just appended n operations, making any spill I/O error sticky the way
-// ingest errors are. The caller must hold no shard lock.
-func (s *Session) sweepAllSticky(n int64, wm int64) error {
-	if s.flushed.Load() {
+// sweepAllSticky is the retirement trigger, and the only one: a session feed
+// that just appended n operations counts them here once it holds no shard
+// lock, and every RetireSweepOps*shards operations one pass sweeps every
+// shard — the busy and the cold alike, since a shard whose keys all went
+// quiet gets no traffic to trigger on. wm is the idleness clock: the
+// watermark that feed started from. A log replay never sweeps (see Replay).
+// Spill I/O errors become sticky the way ingest errors are.
+func (s *Session) sweepAllSticky(n, wm int64) error {
+	e := s.e
+	if e.retireTTL <= 0 || s.flushed.Load() || s.replaying.Load() {
 		return nil
 	}
-	return s.stick(s.e.maybeSweepAll(n, wm))
+	c := e.sinceSweepAll.Add(n)
+	period := int64(e.sweepEvery) * int64(len(e.shards))
+	if c < period || !e.sinceSweepAll.CompareAndSwap(c, 0) {
+		return nil // not due, or a concurrent feeder won the pass
+	}
+	return s.stick(e.sweepAll(e.retireTTL, wm))
 }
 
 // SpillOpenWindows spills every key's in-memory open-window tail to the

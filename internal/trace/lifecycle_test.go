@@ -405,3 +405,55 @@ func TestChurnSoakHeapPlateau(t *testing.T) {
 	t.Logf("live heap: retirement on %+dB, off %+dB (%.1fx), %d retirements",
 		on, off, float64(off)/float64(on), st.Retirements)
 }
+
+// TestCheckpointFoldsFinishedRetirement freezes a session between the two
+// phases of a retirement — the sweep has committed the key's final cut, the
+// segment's verdict is still in flight — and requires the restored run to
+// count what the uninterrupted run counts: the checkpoint writes the key as
+// the retired record it is about to become, not as a live key the restored
+// session retires a second time.
+func TestCheckpointFoldsFinishedRetirement(t *testing.T) {
+	pool := core.NewPool(1)
+	defer pool.Close()
+	sopts := StreamOptions{Pool: pool, MinSegmentOps: 1, IngestShards: 2}
+	w := func(s *Session, key string, v, start int64) {
+		t.Helper()
+		if err := s.Append(key, history.Operation{Kind: history.KindWrite, Value: v, Start: start, Finish: start + 10}); err != nil {
+			t.Fatalf("append %s %d: %v", key, v, err)
+		}
+	}
+	s1 := NewSmallestKSession(core.Options{}, sopts)
+	w(s1, "a", 1, 0)
+	w(s1, "b", 1, 1000)
+	// The pool's one worker is held, so a's final segment stays in flight
+	// and the sweep can only run phase one.
+	release := make(chan struct{})
+	pool.Submit(func(*core.Ctx) { <-release })
+	if err := s1.RetireIdle(100); err != nil {
+		t.Fatal(err)
+	}
+	if st := s1.Stats(); st.Retirements != 1 || st.RetiredKeys != 0 {
+		t.Fatalf("before the checkpoint: %d retirements, %d retired keys, want phase one of one retirement", st.Retirements, st.RetiredKeys)
+	}
+	close(release)
+	cp, err := s1.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewSmallestKSession(core.Options{}, sopts)
+	if err := s2.RestoreCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Session{s1, s2} {
+		w(s, "b", 2, 2000)
+		if err := s.RetireIdle(100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := s2.Stats().Retirements, s1.Stats().Retirements; got != want || want != 1 {
+		t.Fatalf("retirements: restored %d, uninterrupted %d, want 1 and 1", got, want)
+	}
+	if got, want := s2.RetiredSummary(), s1.RetiredSummary(); got != want || want.Keys != 1 {
+		t.Fatalf("retired summary: restored %+v, uninterrupted %+v", got, want)
+	}
+}

@@ -84,6 +84,8 @@ type Session struct {
 	// flushMu serializes Flush itself (idempotence; concurrent callers all
 	// wait for the one drain).
 	flushMu sync.Mutex
+	// replaying holds retirement sweeps off while Replay feeds a log record.
+	replaying atomic.Bool
 
 	// logger, when set, receives the write-ahead copy of every accepted
 	// operation (see ShardLogger in durable.go). An atomic pointer so the
@@ -125,8 +127,8 @@ func (s *Session) Append(key string, op history.Operation) error {
 		return err
 	}
 	logger := s.shardLogger()
-	preWM := s.e.watermark() // idleness reference for the cold-shard sweep
-	si := s.e.shardIndex(key)
+	preWM := s.e.watermark() // the sweep's idleness clock never counts this operation
+	si := shardIndex(s.e, key)
 	sh := s.e.shards[si]
 	sh.lockIngest()
 	// Recheck under the lock: Flush sets the flag and then acquires every
@@ -329,7 +331,7 @@ func (s *Session) IngestLockAcquisitions() int64 {
 // without building the full key-sorted snapshot; ok is false for keys the
 // session has not seen.
 func (s *Session) SnapshotKey(key string) (KeyVerdict, bool) {
-	sh := s.e.shards[s.e.shardIndex(key)]
+	sh := s.e.shards[shardIndex(s.e, key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if ks, ok := sh.keys[key]; ok {

@@ -578,19 +578,9 @@ type ingestShard struct {
 	// current-epoch gauge.
 	maxStart atomic.Int64
 
-	// sinceSweep counts operations since the last retirement sweep and
-	// retired holds the compact records of this shard's retired keys; both
+	// retired holds the compact records of this shard's retired keys,
 	// guarded by mu (see lifecycle.go).
-	sinceSweep int
-	retired    map[string]*retiredKey
-	// sweepWM caps the watermark retirement sweeps may use while a batch
-	// feed holds this shard (math.MaxInt64 = no cap, use the live fold).
-	// Batch ingest routes a whole chunk before any shard processes its
-	// group, so mid-group the cross-shard maxStart fold includes
-	// operations that arrived *simultaneously* with the ones still being
-	// fed here — no evidence of idleness. feedGrouped pins this to the
-	// pre-batch watermark for the group's duration; guarded by mu.
-	sweepWM int64
+	retired map[string]*retiredKey
 }
 
 // keyState is one register's accumulator plus its verdict aggregation.
@@ -683,9 +673,8 @@ type engine struct {
 	bufPool sync.Pool
 
 	// Keyspace lifecycle (lifecycle.go): retirement TTL + sweep cadence,
-	// epoch windowing, and the epoch summary tracker. sinceSweepAll gates
-	// the cold-shard sweep pass (maybeSweepAll) the session entry points
-	// drive.
+	// epoch windowing, and the epoch summary tracker. sinceSweepAll counts
+	// the operations fed since the last retirement pass (sweepAllSticky).
 	retireTTL     int64
 	sweepEvery    int
 	epochLen      int64
@@ -726,9 +715,12 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// shardHash is FNV-1a over the key bytes — the same stateless hash for the
-// []byte and string views, so both lookup paths route identically.
-func shardHash(key string) uint32 {
+// KeyHash is FNV-1a (32-bit, hash/fnv's New32a) over the key bytes: the one
+// stateless key hash of the service. Ingest shards and the cluster's slot
+// partition both reduce it, and it is generic over the key view so the
+// zero-copy byte paths and the string paths route identically without a
+// conversion.
+func KeyHash[K string | []byte](key K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -736,26 +728,11 @@ func shardHash(key string) uint32 {
 	return h
 }
 
-func shardHashBytes(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range key {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return h
-}
-
-func (e *engine) shardIndex(key string) int {
+func shardIndex[K string | []byte](e *engine, key K) int {
 	if len(e.shards) == 1 {
 		return 0
 	}
-	return int(shardHash(key) % uint32(len(e.shards)))
-}
-
-func (e *engine) shardIndexBytes(key []byte) int {
-	if len(e.shards) == 1 {
-		return 0
-	}
-	return int(shardHashBytes(key) % uint32(len(e.shards)))
+	return int(KeyHash(key) % uint32(len(e.shards)))
 }
 
 // opsIngested sums the per-shard ingest counters: StreamStats.Ops without
@@ -810,7 +787,7 @@ func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
 		sem:       make(chan struct{}, 2*workers),
 	}
 	for i := range e.shards {
-		e.shards[i] = &ingestShard{keys: make(map[string]*keyState), sweepWM: math.MaxInt64}
+		e.shards[i] = &ingestShard{keys: make(map[string]*keyState)}
 		e.shards[i].maxStart.Store(math.MinInt64)
 	}
 	e.retireTTL = sopts.RetireTTL
@@ -976,9 +953,6 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 		if err := e.spillOpenTail(ks); err != nil {
 			return err
 		}
-	}
-	if e.retireTTL > 0 {
-		return e.maybeSweep(ks.sh)
 	}
 	return nil
 }

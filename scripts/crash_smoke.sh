@@ -1,14 +1,24 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke: end-to-end proof that a SIGKILLed durable kavserve
-# loses nothing it acknowledged.
+# loses nothing it acknowledged — in the flagship configuration, with the
+# keyspace lifecycle on: retirement, epoch windows and every property.
 #
-#  1. start kavserve with -data-dir (batch fsync, fast checkpoints)
-#  2. replay a generated trace into it and wait for the acknowledgment
+#  1. start kavserve with -data-dir -retire-ttl -epoch -properties (batch
+#     fsync; no background checkpoint, so the WAL holds the whole run)
+#  2. replay a churning trace into it over one ordered connection (zero skew,
+#     so any TTL is legal) — long enough to cross a retirement sweep interval
+#     on every ingest shard, so keys retire and are re-admitted live
 #  3. kill -9 the server — no drain, no terminal checkpoint
-#  4. restart from the same -data-dir (checkpoint restore + WAL replay)
-#  5. re-replay with -resume: the server must already hold every op
-#  6. drain and diff the recovered per-key smallest-k verdicts against the
-#     offline checker (kavcheck -stream -smallest) on the same trace
+#  4. restart from the same -data-dir: the whole WAL replays shard file by
+#     shard file (a replay that retires on the watermark the first file
+#     leaves behind dies here with "operation starts at or before a
+#     committed cut") and a re-anchor checkpoint is written
+#  5. kill -9 and restart again: this time the checkpoint restores, retired
+#     records and all, and nothing replays
+#  6. re-replay with -resume: the server must already hold every op
+#  7. drain and diff the recovered per-key verdicts — ops, smallest k,
+#     smallest Δ, irregular and unsafe reads — against the offline checker
+#     (kavcheck -stream -smallest -properties) on the same trace
 #
 # Usage: scripts/crash_smoke.sh [port]
 set -euo pipefail
@@ -25,7 +35,13 @@ echo "== build"
 go build -o "$bin/" ./cmd/kavserve ./cmd/kavgen ./cmd/kavcheck
 
 echo "== generate trace"
-"$bin/kavgen" -keys 16 -ops 300 -depth 1 -inject 0.3 -inject-depth 2 > "$work/trace.txt"
+# 6000 lifetimes x 20 ops = 120000 ops: three sweep intervals of 2048 ops on
+# each of the 16 default ingest shards. Names recycle every 2000 lifetimes
+# (40000 ops), more than one interval apart: retirement is two-phase, a key
+# is folded by the sweep after the one that cut it, so a name reborn sooner
+# would be live again before it ever became a retired record.
+"$bin/kavgen" -churn 6000 -ops 20 -churn-pool 2000 > "$work/trace.txt"
+total=$(grep -c . "$work/trace.txt")
 
 wait_up() {
   for _ in $(seq 1 100); do
@@ -36,47 +52,69 @@ wait_up() {
   return 1
 }
 
+start_server() { # $1: log file
+  "$bin/kavserve" -addr "$addr" -data-dir "$data" -fsync batch -checkpoint-interval 1h \
+    -retire-ttl 200 -epoch 5000 -properties k,delta,regularity > "$1" 2>&1 &
+  server_pid=$!
+  disown
+  wait_up || { cat "$1" >&2; return 1; }
+}
+
+crash() {
+  kill -9 "$server_pid"
+  while kill -0 "$server_pid" 2>/dev/null; do sleep 0.05; done
+}
+
+metric() { curl -sf "$url/metrics" | awk -v m="$1" '$1 == m { print $2 }'; }
+
 echo "== start durable kavserve"
-"$bin/kavserve" -addr "$addr" -data-dir "$data" -fsync batch \
-  -checkpoint-interval 200ms > "$work/serve1.log" 2>&1 &
-server_pid=$!
-disown
-wait_up
+start_server "$work/serve1.log"
 
-echo "== replay trace (acknowledged batches)"
-"$bin/kavgen" -replay "$url" -batch-ops 256 "$work/trace.txt"
-sleep 0.5 # let at least one checkpoint land: the restart then exercises restore + WAL-tail replay
+echo "== replay trace (acknowledged batches, one ordered connection)"
+"$bin/kavgen" -replay "$url" -clients 1 -batch-ops 256 "$work/trace.txt" | tail -n 2
+if [ "$(metric kavserve_retirements_total)" -eq 0 ] || [ "$(metric kavserve_readmissions_total)" -eq 0 ]; then
+  echo "FAIL: the live run retired or re-admitted nothing; the trace is not exercising the lifecycle" >&2
+  exit 1
+fi
 
-echo "== SIGKILL mid-flight (no drain, no terminal checkpoint)"
-kill -9 "$server_pid"
-while kill -0 "$server_pid" 2>/dev/null; do sleep 0.05; done
+echo "== SIGKILL (no drain, no checkpoint: the WAL is all there is)"
+crash
 
-echo "== restart from $data"
-"$bin/kavserve" -addr "$addr" -data-dir "$data" -fsync batch \
-  -checkpoint-interval 200ms > "$work/serve2.log" 2>&1 &
-server_pid=$!
-disown
-wait_up
+echo "== restart from $data: full WAL replay"
+start_server "$work/serve2.log"
 grep "recovered checkpoint" "$work/serve2.log"
-if ! grep -qE "recovered checkpoint epoch [0-9]+ \(|replayed [1-9]" "$work/serve2.log"; then
-  echo "FAIL: restart neither restored a checkpoint nor replayed WAL ops" >&2
+if ! grep -q "replayed $total ops" "$work/serve2.log"; then
+  echo "FAIL: restart did not replay the $total acknowledged ops from the WAL" >&2
   cat "$work/serve2.log" >&2
+  exit 1
+fi
+
+echo "== SIGKILL again, restart from the re-anchor checkpoint"
+crash
+start_server "$work/serve3.log"
+grep "recovered checkpoint" "$work/serve3.log"
+if ! grep -qE "recovered checkpoint epoch [0-9]+ \([0-9]+ keys\), replayed 0 ops" "$work/serve3.log"; then
+  echo "FAIL: second restart did not come back from the re-anchor checkpoint alone" >&2
+  cat "$work/serve3.log" >&2
+  exit 1
+fi
+if [ "$(metric kavserve_retired_keys)" -eq 0 ]; then
+  echo "FAIL: the checkpoint restored no retired records" >&2
   exit 1
 fi
 
 echo "== durability counters exported on /metrics"
 curl -sf "$url/metrics" > "$work/metrics.txt"
-for metric in kavserve_wal_fsyncs_total kavserve_wal_fsync_seconds_total \
+for m in kavserve_wal_fsyncs_total kavserve_wal_fsync_seconds_total \
   kavserve_recovery_replayed_ops_total kavserve_checkpoints_total; do
-  if ! grep -q "^$metric" "$work/metrics.txt"; then
-    echo "FAIL: /metrics is missing $metric" >&2
+  if ! grep -q "^$m" "$work/metrics.txt"; then
+    echo "FAIL: /metrics is missing $m" >&2
     exit 1
   fi
 done
 
 echo "== resume replay: every acknowledged op must already be there"
-"$bin/kavgen" -replay "$url" -resume -drain "$work/trace.txt" > "$work/resume.log"
-total=$(grep -c . "$work/trace.txt")
+"$bin/kavgen" -replay "$url" -clients 1 -resume -drain "$work/trace.txt" > "$work/resume.log"
 if ! grep -q "server already holds $total of these ops" "$work/resume.log"; then
   echo "FAIL: recovered server is missing acknowledged ops" >&2
   cat "$work/resume.log" >&2
@@ -84,10 +122,12 @@ if ! grep -q "server already holds $total of these ops" "$work/resume.log"; then
 fi
 
 echo "== compare recovered verdicts against offline kavcheck"
-norm='s/^key \([^ ]*\).*smallest k: \([0-9][0-9]*\).*/\1 \2/p'
-sed -n "$norm" "$work/resume.log" | sort > "$work/recovered.verdicts"
-"$bin/kavcheck" -stream -smallest "$work/trace.txt" > "$work/offline.log" || true
-sed -n "$norm" "$work/offline.log" | sort > "$work/offline.verdicts"
+# Both print "key NAME N ops  smallest k: K  smallest Δ: D  irregular: I
+# unsafe: U" (column widths differ); the server appends its status.
+norm='s/^\(key .*unsafe: [0-9][0-9]*\).*/\1/p'
+sed -n "$norm" "$work/resume.log" | tr -s ' ' | sort > "$work/recovered.verdicts"
+"$bin/kavcheck" -stream -smallest -properties "$work/trace.txt" > "$work/offline.log" || true
+sed -n "$norm" "$work/offline.log" | tr -s ' ' | sort > "$work/offline.verdicts"
 if ! diff -u "$work/offline.verdicts" "$work/recovered.verdicts"; then
   echo "FAIL: recovered verdicts diverge from offline checker" >&2
   exit 1
