@@ -272,6 +272,25 @@ func BenchmarkSmallestK(b *testing.B) {
 			}
 		})
 	}
+	// The streaming engine's unit: one prepared 32-operation segment on a
+	// worker's warm Verifier, a 1-atomic and a 2-atomic one in turn — the
+	// ladder's polynomial rungs alone, which must not allocate.
+	b.Run("segment=32", func(b *testing.B) {
+		var segs [2]*history.Prepared
+		for depth := range segs {
+			segs[depth] = mustPrepare(b, generator.KAtomic(generator.Config{
+				Seed: 7, Ops: 32, Concurrency: 2, StalenessDepth: depth, ForceDepth: true, ReadFraction: 0.5,
+			}))
+		}
+		v := root.NewVerifier()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if k, err := v.SmallestKPrepared(segs[i&1], root.Options{}); err != nil || k != 1+i&1 {
+				b.Fatalf("SmallestKPrepared: k=%d, %v", k, err)
+			}
+		}
+	})
 }
 
 // E10: LBT with iterative deepening disabled (the ablation). "benign" rows
@@ -339,16 +358,32 @@ func buildBigTrace(keys, opsPerKey int) *root.Trace {
 	return tr
 }
 
-// Streaming multi-register parser throughput (1000 keys x 40 ops).
+// Streaming multi-register parser throughput (1000 keys x 40 ops): the plain
+// five-field lines, and the same trace with a client= attribute on every
+// line, as a client-tagged log (and every durable server's own WAL of one)
+// carries them.
 func BenchmarkTraceParse(b *testing.B) {
-	text := buildBigTrace(1000, 40).String()
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := root.ParseTrace(text); err != nil {
-			b.Fatal(err)
+	plain := buildBigTrace(1000, 40)
+	tagged := root.NewTrace()
+	for key, h := range plain.Keys {
+		for i, op := range h.Ops {
+			op.Client = 1 + i%8
+			tagged.Add(key, op)
 		}
+	}
+	for _, tc := range []struct {
+		name string
+		text string
+	}{{"plain", plain.String()}, {"attrs", tagged.String()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(tc.text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := root.ParseTrace(tc.text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -183,11 +183,13 @@ func (v *Verifier) SmallestKPrepared(p *history.Prepared, opts Options) (int, er
 }
 
 // smallestK is the smallest-k ladder (Section II-B) on one unit. The cheap
-// rungs run on the unit as given: the zone test (healthy workloads are mostly
-// 1-atomic), the forced-staleness lower bound lb (writes pinned between a
-// read and its dictating write by real time alone), FZF when lb <= 2. Only a
-// unit that must go on to the exponential oracle is split at its safe cuts:
-// the answer is the maximum over segments by the segment-equivalence lemma,
+// rungs run on the unit as given, out of the Verifier's scratch arenas: the
+// zone test (healthy workloads are mostly 1-atomic), read off FZF's own
+// Stage 1 decomposition; the forced-staleness lower bound lb (writes pinned
+// between a read and its dictating write by real time alone); FZF when
+// lb <= 2. Only a unit that must go on to the exponential oracle is split at
+// its safe cuts: the answer is the maximum over segments by the
+// segment-equivalence lemma,
 // each segment climbs this ladder itself (segment set: it cannot split
 // again, and it skips the zone test, since the maximum is already known to
 // exceed 2), and the oracle's cost is set by segment size. A segment's climb
@@ -199,12 +201,10 @@ func (v *Verifier) smallestK(p *history.Prepared, opts Options, segment bool) (i
 	if p.Len() == 0 {
 		return 1, nil
 	}
-	if !segment {
-		if ok, _ := zone.Check1Atomic(p); ok {
-			return 1, nil
-		}
+	if !segment && zone.DecomposeScratch(p, &v.zone).OneAtomic() {
+		return 1, nil
 	}
-	lb := history.ForcedStaleness(p)
+	lb := history.ForcedStalenessScratch(p, &v.stale)
 	if lb <= 2 && fzf.CheckScratch(p, &v.fzf).Atomic {
 		return 2, nil
 	}

@@ -30,8 +30,10 @@ type Verifier struct {
 	fzf  fzf.Scratch
 	wit  witness.Scratch
 	prep history.PrepareScratch
-	// zone holds the chunk decomposition a forked verification reads.
-	zone zone.Scratch
+	// zone holds the chunk decomposition a forked verification and the
+	// ladder's zone test read; stale the forced-staleness sweep's buffers.
+	zone  zone.Scratch
+	stale history.StalenessScratch
 	// oracleProbes counts smallest-k oracle calls (read by tests only).
 	oracleProbes int
 	// ctx is the pool worker that owns this Verifier; nil for a standalone

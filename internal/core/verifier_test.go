@@ -101,3 +101,32 @@ func TestVerifierWitnessAliasing(t *testing.T) {
 		t.Errorf("copied first witness no longer validates: %v", err)
 	}
 }
+
+// TestSmallestKLadderZeroAlloc pins the per-segment cost of the streaming
+// engine's hot call: on a warm Verifier the ladder's polynomial rungs — the
+// zone test read off the chunk decomposition, the forced-staleness bound,
+// FZF — settle a 32-operation segment out of the scratch arenas alone,
+// whether it stops at the first rung (1-atomic) or the third (2-atomic).
+func TestSmallestKLadderZeroAlloc(t *testing.T) {
+	v := NewVerifier()
+	for depth, wantK := range []int{1, 2} {
+		h := generator.KAtomic(generator.Config{
+			Seed: 7, Ops: 32, Concurrency: 2, StalenessDepth: depth, ForceDepth: true, ReadFraction: 0.5,
+		})
+		p, err := history.Prepare(h)
+		if err != nil {
+			t.Fatalf("depth %d: Prepare: %v", depth, err)
+		}
+		if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != wantK {
+			t.Fatalf("depth %d: warm-up: smallest k %d, %v; want %d", depth, k, err, wantK)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != wantK {
+				t.Fatalf("depth %d: smallest k %d, %v; want %d", depth, k, err, wantK)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("depth %d (smallest k %d): %v allocs/segment on a warm Verifier, want 0", depth, wantK, allocs)
+		}
+	}
+}

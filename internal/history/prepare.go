@@ -131,12 +131,12 @@ func FindAnomalies(h *History) []Anomaly {
 		}
 	}
 	sortValueEntries(writes)
-	return findAnomaliesIndexed(h, writes)
+	return findAnomaliesIndexed(h, writes, &PrepareScratch{})
 }
 
 // findAnomaliesIndexed is FindAnomalies over a prebuilt sorted write-value
 // index, so Prepare can validate with the index it builds anyway.
-func findAnomaliesIndexed(h *History, writes []valueEntry) []Anomaly {
+func findAnomaliesIndexed(h *History, writes []valueEntry, s *PrepareScratch) []Anomaly {
 	var out []Anomaly
 	for _, op := range h.Ops {
 		if op.Finish <= op.Start {
@@ -154,41 +154,8 @@ func findAnomaliesIndexed(h *History, writes []valueEntry) []Anomaly {
 				OpIDs: []int{h.Ops[writes[first].write].ID, h.Ops[writes[i].write].ID}})
 		}
 	}
-	// Endpoint distinctness: duplicates surface as equal neighbors in the
-	// sorted timestamp multiset (a plain int64 sort, the cheapest check);
-	// owners are recovered — one extra pass over the operations, shared by
-	// all duplicated times — only when at least one duplicate exists.
-	times := make([]int64, 0, 2*len(h.Ops))
-	for _, op := range h.Ops {
-		times = append(times, op.Start, op.Finish)
-	}
-	slices.Sort(times)
-	var dups []int64 // duplicated times, ascending, unique
-	for i := 1; i < len(times); {
-		if times[i] != times[i-1] {
-			i++
-			continue
-		}
-		t := times[i]
-		for i < len(times) && times[i] == t {
-			i++
-		}
-		dups = append(dups, t)
-	}
-	if len(dups) > 0 {
-		owners := make([][]int, len(dups))
-		collect := func(t int64, id int) {
-			if di, ok := slices.BinarySearch(dups, t); ok {
-				owners[di] = append(owners[di], id)
-			}
-		}
-		for _, op := range h.Ops {
-			collect(op.Start, op.ID)
-			collect(op.Finish, op.ID)
-		}
-		for di := range dups {
-			out = append(out, Anomaly{Kind: AnomalyDuplicateTimestamp, OpIDs: owners[di]})
-		}
+	if !s.endpointsDistinct(h) {
+		out = appendDuplicateTimestamps(out, h)
 	}
 	// Read/write pairing anomalies, and per-write minimum dictated-read
 	// finish (for the long-write condition below).
@@ -222,6 +189,86 @@ func findAnomaliesIndexed(h *History, writes []valueEntry) []Anomaly {
 		if vi := lookupValue(writes, op.Value); op.Finish >= minReadFinish[vi] {
 			out = append(out, Anomaly{Kind: AnomalyLongWrite, OpIDs: []int{op.ID}})
 		}
+	}
+	return out
+}
+
+// endpointsDistinct proves by counting that no two endpoints of h share a
+// timestamp: when all of them lie within 8n of each other (n operations) —
+// always after Normalize, which leaves them the dense ranks 0..2n-1 — each
+// marks its bit, and a bit marked twice is a repeat. It reports false when
+// it finds one and also when the span is too wide to count over; either way
+// appendDuplicateTimestamps then decides by sorting.
+func (s *PrepareScratch) endpointsDistinct(h *History) bool {
+	if len(h.Ops) == 0 {
+		return true
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, op := range h.Ops {
+		lo = min(lo, op.Start, op.Finish)
+		hi = max(hi, op.Start, op.Finish)
+	}
+	span := uint64(hi) - uint64(lo) // exact even when hi-lo overflows int64
+	if span >= 8*uint64(len(h.Ops)) {
+		return false
+	}
+	words := int(span/64) + 1
+	if cap(s.seen) < words {
+		s.seen = make([]uint64, words)
+	}
+	seen := s.seen[:words]
+	clear(seen)
+	for _, op := range h.Ops {
+		for _, t := range [2]int64{op.Start, op.Finish} {
+			d := uint64(t) - uint64(lo)
+			if seen[d/64]&(1<<(d%64)) != 0 {
+				return false
+			}
+			seen[d/64] |= 1 << (d % 64)
+		}
+	}
+	return true
+}
+
+// appendDuplicateTimestamps appends one AnomalyDuplicateTimestamp per
+// timestamp that two or more endpoints of h share, in ascending time order.
+// Duplicates surface as equal neighbors in the sorted timestamp multiset (a
+// plain int64 sort); owners are recovered — one extra pass over the
+// operations, shared by all duplicated times — only when at least one
+// duplicate exists.
+func appendDuplicateTimestamps(out []Anomaly, h *History) []Anomaly {
+	times := make([]int64, 0, 2*len(h.Ops))
+	for _, op := range h.Ops {
+		times = append(times, op.Start, op.Finish)
+	}
+	slices.Sort(times)
+	var dups []int64 // duplicated times, ascending, unique
+	for i := 1; i < len(times); {
+		if times[i] != times[i-1] {
+			i++
+			continue
+		}
+		t := times[i]
+		for i < len(times) && times[i] == t {
+			i++
+		}
+		dups = append(dups, t)
+	}
+	if len(dups) == 0 {
+		return out
+	}
+	owners := make([][]int, len(dups))
+	collect := func(t int64, id int) {
+		if di, ok := slices.BinarySearch(dups, t); ok {
+			owners[di] = append(owners[di], id)
+		}
+	}
+	for _, op := range h.Ops {
+		collect(op.Start, op.ID)
+		collect(op.Finish, op.ID)
+	}
+	for di := range dups {
+		out = append(out, Anomaly{Kind: AnomalyDuplicateTimestamp, OpIDs: owners[di]})
 	}
 	return out
 }
@@ -281,6 +328,7 @@ type PrepareScratch struct {
 	valueIndex []valueEntry
 	counts     []int
 	flat       []int
+	seen       []uint64 // endpointsDistinct's bitmap
 }
 
 // PrepareInPlaceScratch is PrepareInPlace reusing s's buffers. The returned
@@ -328,7 +376,7 @@ func prepareSorted(cp *History, s *PrepareScratch) (*Prepared, error) {
 	}
 	sortValueEntries(valueIndex)
 	s.valueIndex = valueIndex
-	for _, a := range findAnomaliesIndexed(cp, valueIndex) {
+	for _, a := range findAnomaliesIndexed(cp, valueIndex, s) {
 		switch a.Kind {
 		case AnomalyDuplicateValue:
 			return nil, fmt.Errorf("%w (ops %v)", ErrDuplicateValue, a.OpIDs)

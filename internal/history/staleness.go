@@ -24,59 +24,69 @@ import (
 // Cost: O(n log n) — one sweep over writes ordered by start with a Fenwick
 // tree counting write finish ranks.
 func ForcedStaleness(p *Prepared) int {
-	writes := make([]span, 0, len(p.valueIndex))
-	for _, op := range p.H.Ops {
-		if op.IsWrite() {
-			writes = append(writes, span{op.Start, op.Finish})
-		}
-	}
-	queries := make([]span, 0, p.Len()-len(writes))
+	return ForcedStalenessScratch(p, &StalenessScratch{})
+}
+
+// StalenessScratch holds the sweep's buffers, so a caller that bounds a
+// stream of histories (the smallest-k ladder, once per segment) stops
+// allocating once they have grown.
+type StalenessScratch struct {
+	writes, queries []span
+	finishes        []int64
+	tree            fenwick
+}
+
+// ForcedStalenessScratch is ForcedStaleness reusing s's buffers.
+func ForcedStalenessScratch(p *Prepared, s *StalenessScratch) int {
+	s.writes, s.queries = s.writes[:0], s.queries[:0]
 	for i, op := range p.H.Ops {
-		if !op.IsRead() {
-			continue
+		if op.IsWrite() {
+			s.writes = append(s.writes, span{op.Start, op.Finish})
+		} else if op.IsRead() {
+			// (after, before): count writes with Start > after && Finish < before.
+			s.queries = append(s.queries, span{p.Op(p.DictatingWrite[i]).Finish, op.Start})
 		}
-		w := p.DictatingWrite[i]
-		// (after, before): count writes with Start > after && Finish < before.
-		queries = append(queries, span{p.Op(w).Finish, op.Start})
 	}
-	return 1 + maxForcedBetween(writes, queries)
+	return 1 + s.maxForcedBetween()
 }
 
 // span is a half-open query or write interval for the forced-between sweep;
 // for writes it is (Start, Finish), for queries (after, before).
 type span struct{ a, b int64 }
 
-// maxForcedBetween returns the maximum, over queries, of the number of
-// writes with Start > q.a and Finish < q.b. Writes are consumed in
-// descending start order while queries are served in descending q.a order;
-// a Fenwick tree over finish ranks answers the Finish < q.b prefix counts.
-func maxForcedBetween(writes, queries []span) int {
-	if len(writes) == 0 || len(queries) == 0 {
+// maxForcedBetween returns the maximum, over s.queries, of the number of
+// s.writes with Start > q.a and Finish < q.b; it reorders both. Writes are
+// consumed in descending start order while queries are served in descending
+// q.a order; a Fenwick tree over finish ranks answers the Finish < q.b
+// prefix counts.
+func (s *StalenessScratch) maxForcedBetween() int {
+	if len(s.writes) == 0 || len(s.queries) == 0 {
 		return 0
 	}
-	finishes := make([]int64, len(writes))
-	for i, w := range writes {
-		finishes[i] = w.b
+	s.finishes = s.finishes[:0]
+	for _, w := range s.writes {
+		s.finishes = append(s.finishes, w.b)
 	}
-	slices.Sort(finishes)
-	byStart := make([]span, len(writes))
-	copy(byStart, writes)
-	slices.SortFunc(byStart, func(x, y span) int { return cmp.Compare(y.a, x.a) })
-	qs := make([]span, len(queries))
-	copy(qs, queries)
-	slices.SortFunc(qs, func(x, y span) int { return cmp.Compare(y.a, x.a) })
+	slices.Sort(s.finishes)
+	descending := func(x, y span) int { return cmp.Compare(y.a, x.a) }
+	slices.SortFunc(s.writes, descending)
+	slices.SortFunc(s.queries, descending)
 
-	tree := make(fenwick, len(finishes))
+	if cap(s.tree) < len(s.finishes) {
+		s.tree = make(fenwick, len(s.finishes))
+	}
+	s.tree = s.tree[:len(s.finishes)]
+	clear(s.tree)
 	best, wi := 0, 0
-	for _, q := range qs {
-		for wi < len(byStart) && byStart[wi].a > q.a {
-			r, _ := slices.BinarySearch(finishes, byStart[wi].b)
-			tree.add(r)
+	for _, q := range s.queries {
+		for wi < len(s.writes) && s.writes[wi].a > q.a {
+			r, _ := slices.BinarySearch(s.finishes, s.writes[wi].b)
+			s.tree.add(r)
 			wi++
 		}
 		// Count inserted finishes strictly below q.b.
-		r, _ := slices.BinarySearch(finishes, q.b)
-		if n := tree.sum(r - 1); n > best {
+		r, _ := slices.BinarySearch(s.finishes, q.b)
+		if n := s.tree.sum(r - 1); n > best {
 			best = n
 		}
 	}
@@ -131,5 +141,6 @@ func forcedStalenessRaw(h *History) int {
 		}
 		queries = append(queries, span{h.Ops[writes[vi].write].Finish, op.Start})
 	}
-	return 1 + maxForcedBetween(spans, queries)
+	s := StalenessScratch{writes: spans, queries: queries}
+	return 1 + s.maxForcedBetween()
 }

@@ -122,17 +122,22 @@ func (s *Session) putScratch(sc *batchScratch) {
 // forms differ only there); enc, when a ShardLogger is attached, builds the
 // shard group's write-ahead encoding, and the accepted prefix is logged
 // before the lock releases — on the error exits too, so the log never
-// misses an operation the engine admitted. Returns the operations actually
-// appended and the first error.
+// misses an operation the engine admitted. Every exit releases the shard
+// through unlockIngest, which publishes the group's counters. Returns the
+// operations actually appended and the first error.
 func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int32) error, enc *walEnc) (int, error) {
+	e := s.e
 	appended := 0
 	logger := s.shardLogger()
 	// The idleness clock of the sweep below: the whole batch arrived at once,
 	// so its own operations are no evidence that any key has gone quiet (see
-	// lifecycle.go, "Soundness").
-	preWM := s.e.watermark()
+	// lifecycle.go, "Soundness"). Nothing sweeps without a TTL.
+	var preWM int64
+	if e.retireTTL > 0 {
+		preWM = e.watermark()
+	}
 	var start int32
-	for si, sh := range s.e.shards {
+	for si, sh := range e.shards {
 		cnt := sc.counts[si]
 		if cnt == 0 {
 			continue
@@ -141,7 +146,7 @@ func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int3
 		start += cnt
 		sh.lockIngest()
 		if err := s.gate(); err != nil {
-			sh.mu.Unlock()
+			e.unlockIngest(sh)
 			return appended, err
 		}
 		if logger != nil {
@@ -152,7 +157,7 @@ func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int3
 				if logger != nil {
 					s.logShard(logger, si, enc.finish()) // accepted prefix; err already sticky
 				}
-				sh.mu.Unlock()
+				e.unlockIngest(sh)
 				return appended, err
 			}
 			appended++
@@ -162,11 +167,11 @@ func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int3
 		}
 		if logger != nil {
 			if err := s.logShard(logger, si, enc.finish()); err != nil {
-				sh.mu.Unlock()
+				e.unlockIngest(sh)
 				return appended, err
 			}
 		}
-		sh.mu.Unlock()
+		e.unlockIngest(sh)
 	}
 	// No shard lock is held now: the retirement pass takes each in turn.
 	return appended, s.sweepAllSticky(int64(appended), preWM)

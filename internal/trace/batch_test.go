@@ -415,8 +415,10 @@ func TestAppendTraceBatchSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < n; i++ {
 			value++
 			// Overlapping intervals: never quiescent, so no cut commits and
-			// the open window just grows.
-			fmt.Fprintf(&b, "w key-%d %d %d %d\n", i%4, value, clock, clock+10)
+			// the open window just grows. Attributes ride the same in-place
+			// parse as the five plain fields.
+			fmt.Fprintf(&b, "w key-%d %d %d %d%s\n", i%4, value, clock, clock+10,
+				[...]string{"", " client=3", " weight=2 client=9", " client=1 weight=4"}[i%4])
 			clock++
 		}
 		return b.String()
@@ -486,4 +488,77 @@ func TestSessionShardCountStatsConsistency(t *testing.T) {
 			t.Fatalf("SnapshotKey(%s) = %+v ok=%v, snapshot %+v", kv.Key, got, ok, kv)
 		}
 	}
+}
+
+// TestCountersSettlePerGroup checks the counters addOp no longer writes per
+// operation: the shard groups of concurrent producers publish them, so once
+// the session is flushed every gauge is exact, and for a single producer the
+// hard buffer limit trips at the operation and with the message it had when
+// every operation bumped the shared counter itself.
+func TestCountersSettlePerGroup(t *testing.T) {
+	const producers, perProducer = 4, 3000
+	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 2, MinSegmentOps: 8, IngestShards: 5})
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			// Each producer owns its keys (per-key order needs one producer)
+			// and they spread over every shard; write/read pairs quiesce, so
+			// windows close, dispatch and drop mid-group.
+			var b strings.Builder
+			for i := 0; i < perProducer/2; i++ {
+				key, at := fmt.Sprintf("p%d-k%d", p, i%7), int64(20*i)
+				fmt.Fprintf(&b, "w %s %d %d %d client=%d\nr %s %d %d %d\n", key, i, at, at+5, p+1, key, i, at+10, at+15)
+				if i%64 == 63 {
+					if _, err := s.AppendTraceBatch(strings.NewReader(b.String())); err != nil {
+						t.Error(err)
+						return
+					}
+					b.Reset()
+				}
+			}
+			if _, err := s.AppendTraceBatch(strings.NewReader(b.String())); err != nil {
+				t.Error(err)
+			}
+		}(p)
+	}
+	wg.Wait()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var shardOps int64
+	for i := 0; i < s.Shards(); i++ {
+		shardOps += s.ShardIngestedOps(i)
+		if n := s.ShardBufferedOps(i); n != 0 {
+			t.Errorf("shard %d still counts %d buffered operations after Flush", i, n)
+		}
+	}
+	st := s.Stats()
+	if fed := int64(producers * perProducer); shardOps != fed || st.Ops != fed {
+		t.Errorf("fed %d operations: shards count %d, Stats.Ops %d", fed, shardOps, st.Ops)
+	}
+	if s.BufferedOps() != 0 {
+		t.Errorf("BufferedOps() = %d after Flush, want 0", s.BufferedOps())
+	}
+	if st.PeakBufferedOps <= 0 || st.PeakBufferedOps > st.Ops {
+		t.Errorf("PeakBufferedOps = %d, want within (0, %d]", st.PeakBufferedOps, st.Ops)
+	}
+
+	// One producer, three keys over the shards, nothing ever quiescent: the
+	// 41st operation is the first over the limit.
+	var b strings.Builder
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&b, "w k%d %d %d %d\n", i%3, i, i, 1000+i)
+	}
+	lim := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 5, MaxBufferedOps: 40})
+	n, err := lim.AppendTraceBatch(strings.NewReader(b.String()))
+	const want = "trace: buffered operations exceed MaxBufferedOps (41 live ops; largest open window 20)"
+	if n != 40 || !errors.Is(err, ErrBufferLimit) || err.Error() != want {
+		t.Errorf("buffer limit: %d operations appended, err %v; want 40 and %q", n, err, want)
+	}
+	if got := lim.PeakBufferedOps(); got != 41 {
+		t.Errorf("PeakBufferedOps = %d at the limit, want 41", got)
+	}
+	lim.Flush()
 }

@@ -314,6 +314,7 @@ func (e *engine) reloadOpen(ks *keyState) error {
 }
 
 func (e *engine) accountSpill(ks *keyState, n int) {
+	e.publish(ks.sh) // the operations leaving memory are counted before they are subtracted
 	ks.sh.buffered.Add(int64(-n))
 	e.buffered.Add(int64(-n))
 	e.onDisk.Add(int64(n))
@@ -567,6 +568,7 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 		t.mu.Unlock()
 	}
 	var buf []byte
+	var opened []int64
 	for _, sh := range e.shards {
 		for _, ks := range sh.keys {
 			st := KeyState{
@@ -590,9 +592,37 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 				}
 				buf = append(buf, data...)
 			}
+			spilled := len(buf) > 0
 			buf = appendOpsText(buf, ks.key, ks.open)
 			if len(buf) > 0 {
 				st.Open = string(buf)
+			}
+			window := ks.open
+			if spilled {
+				var err error
+				if window, err = parseOpsText(buf, 0); err != nil {
+					return nil, fmt.Errorf("trace: checkpoint decode spilled window of %q: %w", ks.key, err)
+				}
+			}
+			// Values lists the open window's writes under the open seq, as it
+			// did when they were indexed on arrival; the index itself learns
+			// them at the close, so they are entered for the listing only (a
+			// restore drops them again).
+			opened = opened[:0]
+			for _, op := range window {
+				if _, ok := ks.values[op.Value]; op.IsWrite() && !ok {
+					ks.values[op.Value] = int32(ks.seq)
+					opened = append(opened, op.Value)
+				}
+			}
+			if len(ks.values) > 0 {
+				st.Values = make([][2]int64, 0, len(ks.values))
+				for v, seq := range ks.values {
+					st.Values = append(st.Values, [2]int64{v, int64(seq)})
+				}
+			}
+			for _, v := range opened {
+				delete(ks.values, v)
 			}
 			for _, seg := range ks.deque {
 				ss := SegmentState{LoSeq: seg.loSeq, HiSeq: seg.hiSeq, Writes: seg.writes, CutAt: seg.cutAt}
@@ -607,12 +637,6 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 					ss.Ops = string(buf)
 				}
 				st.Deque = append(st.Deque, ss)
-			}
-			if len(ks.values) > 0 {
-				st.Values = make([][2]int64, 0, len(ks.values))
-				for v, seq := range ks.values {
-					st.Values = append(st.Values, [2]int64{v, int64(seq)})
-				}
 			}
 			ks.mu.Lock()
 			st.verdictState = e.verdictState(ks.verdict)
@@ -677,7 +701,12 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		ks.cumMaxFinish = st.CumMaxFinish
 		ks.totalClosed = st.TotalClosed
 		for _, pair := range st.Values {
-			ks.values[pair[0]] = int32(pair[1])
+			// The open window's writes enter the index when it closes; the
+			// checkpoint lists them all the same (see buildCheckpoint), and
+			// taking them now would make that close a duplicate of itself.
+			if pair[1] != int64(st.Seq) {
+				ks.values[pair[0]] = int32(pair[1])
+			}
 		}
 		pending := 0
 		if st.Open != "" {
@@ -708,9 +737,8 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		sh.ingested.Add(int64(st.Ops))
 		sh.buffered.Add(int64(pending))
 		e.buffered.Add(int64(pending))
-		if n := int64(len(ks.open)); n > sh.maxOpen.Load() {
-			sh.maxOpen.Store(n)
-		}
+		sh.openMax = max(sh.openMax, int64(len(ks.open)))
+		sh.maxOpen.Store(sh.openMax)
 		ks.verdict = st.verdict()
 		ks.verdict.Fold(Verdict{SmallestK: st.KFloor})
 		if st.Err != "" {
@@ -754,6 +782,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 	e.readmissions.Store(cp.Readmissions)
 	if cp.Watermark != 0 {
 		for _, sh := range e.shards {
+			sh.wmStart = cp.Watermark
 			sh.maxStart.Store(cp.Watermark)
 		}
 	}

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -483,5 +486,86 @@ func TestSpillErrorPoisonsSession(t *testing.T) {
 	}
 	if err := s.Append("hot", history.Operation{Kind: history.KindWrite, Value: 99, Start: 100, Finish: 101}); err == nil {
 		t.Fatal("session not sticky after spill failure")
+	}
+}
+
+// TestOlderCheckpointOpenWindowRestores pins the checkpoint format across the
+// move of the value index from append to close. The literal below was written
+// by a build that indexed every write as it arrived, so `values` lists the
+// open windows' writes under the open seq (a: 3 at seq 4; b: 2 and 3 at seq
+// 1). The running build must write the same document for the same input, and
+// restoring it must not take those pairs into the index — the windows' own
+// close would then read each as a second write of its value.
+func TestOlderCheckpointOpenWindowRestores(t *testing.T) {
+	const head = "w a 1 0 5\nr a 1 10 15\nw a 2 100 105\nr a 1 110 115\nw a 3 200 205\nr a 2 203 215\n" +
+		"w b 1 0 10\nw b 2 20 30\nw b 3 25 35\n"
+	const tail = "w a 4 300 305\nr b 3 40 50\n" // one more quiescent operation per key
+	const older = `{"mode":"smallestk","properties":"k","threshold":2,"stats":{"merges":3},"keys":[
+		{"key":"a","seq":4,"ops":6,"open":"w a 3 200 205\nr a 2 203 215\n","openMaxFinish":215,"maxClosedFinish":115,"closedAny":true,
+		 "deque":[{"lo":0,"hi":3,"writes":2,"cutAt":115,"ops":"w a 1 0 5\nr a 1 10 15\nw a 2 100 105\nr a 1 110 115\n"}],"dispatched":-1,
+		 "values":[[1,0],[2,2],[3,4]],"cumWrites":[1,1,2,2],"cumMaxFinish":[5,15,105,115],"totalClosed":2,"atomic":true},
+		{"key":"b","seq":1,"ops":3,"open":"w b 2 20 30\nw b 3 25 35\n","openMaxFinish":35,"maxClosedFinish":10,"closedAny":true,
+		 "deque":[{"lo":0,"hi":0,"writes":1,"cutAt":10,"ops":"w b 1 0 10\n"}],"dispatched":-1,
+		 "values":[[1,0],[2,1],[3,1]],"cumWrites":[1],"cumMaxFinish":[10],"totalClosed":1,"atomic":true}],"watermark":203}`
+	sopts := StreamOptions{Workers: 1, MinSegmentOps: 1, Horizon: 2, IngestShards: 2}
+	feed := func(s *Session, text string) {
+		t.Helper()
+		if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	asValue := func(doc []byte) (v any) {
+		t.Helper()
+		if err := json.Unmarshal(doc, &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	s := NewSmallestKSession(core.Options{}, sopts)
+	feed(s, head)
+	cp, err := s.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(cp.Keys, func(i, j int) bool { return cp.Keys[i].Key < cp.Keys[j].Key })
+	for _, ks := range cp.Keys {
+		sort.Slice(ks.Values, func(i, j int) bool { return ks.Values[i][0] < ks.Values[j][0] })
+	}
+	cp.Stats.PeakBufferedOps, cp.Stats.FirstVerdictOps = 0, 0
+	doc, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(asValue(doc), asValue([]byte(older))) {
+		t.Errorf("checkpoint of the same input changed:\n got %s\nwant %s", doc, older)
+	}
+	// Listing the open writes must leave the live index as it was.
+	feed(s, tail)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Snapshot()
+
+	var restored SessionCheckpoint
+	if err := json.Unmarshal([]byte(older), &restored); err != nil {
+		t.Fatal(err)
+	}
+	r := NewSmallestKSession(core.Options{}, sopts)
+	if err := r.RestoreCheckpoint(&restored); err != nil {
+		t.Fatal(err)
+	}
+	feed(r, tail)
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := r.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d keys, want %d", len(got), len(want))
+	}
+	for i, g := range got {
+		if w := want[i]; g.Err != nil || w.Err != nil || g.Key != w.Key || g.Ops != w.Ops || g.Verdict != w.Verdict {
+			t.Errorf("restored run diverges from the uninterrupted one:\n got %+v\nwant %+v", g, w)
+		}
 	}
 }

@@ -126,26 +126,30 @@ func (s *Session) Append(key string, op history.Operation) error {
 	if err := s.gate(); err != nil {
 		return err
 	}
+	e := s.e
 	logger := s.shardLogger()
-	preWM := s.e.watermark() // the sweep's idleness clock never counts this operation
-	si := shardIndex(s.e, key)
-	sh := s.e.shards[si]
+	var preWM int64 // the sweep's idleness clock never counts this operation
+	if e.retireTTL > 0 {
+		preWM = e.watermark()
+	}
+	si := shardIndex(e, key)
+	sh := e.shards[si]
 	sh.lockIngest()
 	// Recheck under the lock: Flush sets the flag and then acquires every
 	// shard lock, so an append that saw flushed==false before the drain
 	// must not land after it.
 	if err := s.gate(); err != nil {
-		sh.mu.Unlock()
+		e.unlockIngest(sh)
 		return err
 	}
-	err := s.stick(s.e.addStringIn(sh, key, op))
+	err := s.stick(e.addStringIn(sh, key, op))
 	if err == nil && logger != nil {
 		sc := s.getScratch()
 		sc.wal = appendKeyedOpText(sc.wal[:0], key, op)
 		err = s.logShard(logger, si, sc.wal)
 		s.putScratch(sc)
 	}
-	sh.mu.Unlock()
+	e.unlockIngest(sh)
 	if err == nil && logger != nil {
 		err = s.commitLog(logger)
 	}

@@ -55,11 +55,23 @@ package trace
 // one map entry per distinct written value (the value index that
 // classifies reads and detects cross-segment duplicate writes; dropping
 // entries would misreport a deep stale read as a dangling-read anomaly)
-// and one cumulative write count per closed segment. The operation
-// buffers dominate on bounded traces and are recycled through a pool once
-// segments verify; on unbounded streams with ever-fresh values the value
-// index is the asymptotic term, and MaxBufferedOps caps only the
-// operation buffering.
+// and one cumulative write count per closed segment. The value index is
+// updated when a window closes, not when a write arrives: reads are only
+// classified at a close, so nothing consults it in between, and a window's
+// writes enter it together while the key's map is in cache (a duplicate
+// value is therefore reported when its window closes, under that window's
+// sequence number). The operation buffers dominate on bounded traces and are
+// recycled through a pool once segments verify; on unbounded streams with
+// ever-fresh values the value index is the asymptotic term, and
+// MaxBufferedOps caps only the operation buffering.
+//
+// Counters: admitting an operation writes no memory another core reads. The
+// per-shard and engine-wide counts (operations ingested and buffered, the
+// buffered peak, the largest open window, the ingest watermark) accumulate in
+// plain fields under the shard lock and publish once per shard group of a
+// batch and once per Append (engine.publish), so the /metrics ingest gauges
+// and the server's hard-watermark check lag by at most one shard group of
+// one request; between requests, and after Flush, they are exact.
 
 import (
 	"bufio"
@@ -345,11 +357,13 @@ func parseLineOps(line []byte, seg *int, emit func(key []byte, op history.Operat
 }
 
 // parseKeyedOp parses one "kind key value start finish [attr=N]..." segment
-// from raw bytes. The common five-field form parses without allocating;
-// attribute-bearing or otherwise unusual segments fall back to the shared
-// string-based field parser for identical semantics and errors.
+// from raw bytes without allocating, weight=N / client=N attributes included
+// (any number, any order, a later one overriding an earlier — ParseOpParts'
+// rules). Whatever it cannot take in place — a malformed or unknown
+// attribute, an out-of-range number, a long kind token — goes to the shared
+// string-based field parser, which owns every error text.
 func parseKeyedOp(part []byte) ([]byte, history.Operation, error) {
-	var f [6][]byte
+	var f [8][]byte
 	n := 0
 	for i := 0; i < len(part); {
 		for i < len(part) && asciiSpace(part[i]) {
@@ -370,7 +384,7 @@ func parseKeyedOp(part []byte) ([]byte, history.Operation, error) {
 	if n < 5 {
 		return nil, history.Operation{}, errors.New("want kind key value start finish")
 	}
-	if n > 5 || len(f[0]) != 1 {
+	if len(f[0]) != 1 {
 		return parseKeyedOpSlow(part)
 	}
 	var op history.Operation
@@ -392,11 +406,23 @@ func parseKeyedOp(part []byte) ([]byte, history.Operation, error) {
 	if op.Finish, ok = parseI64(f[4]); !ok {
 		return parseKeyedOpSlow(part)
 	}
+	for _, attr := range f[5:n] {
+		name, val, _ := bytes.Cut(attr, []byte("="))
+		v, ok := parseI64(val)
+		switch {
+		case ok && string(name) == "weight" && v > 0:
+			op.Weight = v
+		case ok && string(name) == "client":
+			op.Client = int(v)
+		default:
+			return parseKeyedOpSlow(part)
+		}
+	}
 	return f[1], op, nil
 }
 
-// parseKeyedOpSlow handles attributes and malformed input through the same
-// field parser the non-streaming Parse uses.
+// parseKeyedOpSlow handles malformed and unusual input through the same field
+// parser the non-streaming Parse uses.
 func parseKeyedOpSlow(part []byte) ([]byte, history.Operation, error) {
 	fields := history.AppendFields(nil, string(part))
 	if len(fields) < 5 {
@@ -550,12 +576,21 @@ type closedSeg struct {
 // to exactly one shard, which owns that key's map entry and ingest-side
 // accumulator fields; mu guards all of them, taken once per operation
 // (Append) or once per batch group (feedGrouped). The atomic counters below
-// mu are the shard's observability surface — they are written on the ingest
-// and verification paths and read lock-free by gauges, so scraping never
-// queues behind a backpressured producer.
+// mu are the shard's observability surface — they are read lock-free by
+// gauges, so scraping never queues behind a backpressured producer. The
+// admission path does not write them per operation: addOp counts into the
+// plain fields under mu, and publish settles those into the atomics once per
+// group (see publish).
 type ingestShard struct {
 	mu   sync.Mutex
 	keys map[string]*keyState
+
+	// pendOps and pendLive count the operations routed here and the ones
+	// buffered since the last publish, owed to ingested and to the two
+	// buffered counters; wmStart and openMax are the running values of
+	// maxStart and maxOpen.
+	pendOps, pendLive int64
+	wmStart, openMax  int64
 
 	// lockTakes counts ingest-path acquisitions of mu (not monitoring or
 	// flush ones), the denominator of the locks-per-op measurement that
@@ -567,15 +602,12 @@ type ingestShard struct {
 	// buffered counts live operations owned by this shard's keys (open
 	// windows + held segments + in-flight verification).
 	buffered atomic.Int64
-	// maxOpen tracks the largest open window among this shard's keys.
-	// Written only under mu (plain store), read lock-free by finalStats,
-	// which folds a max over shards — keeping the per-op hot path off any
-	// cross-shard cacheline.
+	// maxOpen tracks the largest open window among this shard's keys, read
+	// lock-free by finalStats, which folds a max over shards.
 	maxOpen atomic.Int64
 	// maxStart is the largest operation start routed into this shard
-	// (math.MinInt64 before any). Written under mu, read lock-free
-	// cross-shard by the watermark fold that drives retirement TTLs and the
-	// current-epoch gauge.
+	// (math.MinInt64 before any), read lock-free cross-shard by the watermark
+	// fold that drives retirement TTLs and the current-epoch gauge.
 	maxStart atomic.Int64
 
 	// retired holds the compact records of this shard's retired keys,
@@ -747,10 +779,39 @@ func (e *engine) opsIngested() int64 {
 
 // lockIngest takes the shard lock on behalf of an ingest path, counting
 // the acquisition (monitoring and flush take mu directly and stay out of
-// the locks-per-op measurement).
+// the locks-per-op measurement); unlockIngest is its counterpart.
 func (sh *ingestShard) lockIngest() {
 	sh.lockTakes.Add(1)
 	sh.mu.Lock()
+}
+
+// unlockIngest publishes what the admissions under this acquisition counted
+// and releases the shard.
+func (e *engine) unlockIngest(sh *ingestShard) {
+	e.publish(sh)
+	sh.mu.Unlock()
+}
+
+// publish settles the shard's plain admission counts into the atomics the
+// gauges, the watermark and the hard buffer limit read; the caller holds
+// sh.mu. The ingest paths call it before every unlock, so between feeds the
+// atomics are exact and during one they lag by at most a shard group.
+// Anything that takes operations back out of the live count publishes first
+// — a closing window before it drops stale reads or dispatches (the worker
+// subtracts the segment when its verdict lands), a spill before it moves a
+// window to the store — so a gauge may run behind but never below zero.
+func (e *engine) publish(sh *ingestShard) {
+	if n := sh.pendOps; n > 0 {
+		sh.pendOps = 0
+		sh.ingested.Add(n)
+		sh.maxStart.Store(sh.wmStart)
+	}
+	if n := sh.pendLive; n > 0 {
+		sh.pendLive = 0
+		sh.buffered.Add(n)
+		atomicMax(&e.peakBuffered, e.buffered.Add(n))
+		sh.maxOpen.Store(sh.openMax)
+	}
 }
 
 func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
@@ -787,7 +848,7 @@ func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
 		sem:       make(chan struct{}, 2*workers),
 	}
 	for i := range e.shards {
-		e.shards[i] = &ingestShard{keys: make(map[string]*keyState)}
+		e.shards[i] = &ingestShard{keys: make(map[string]*keyState), wmStart: math.MinInt64}
 		e.shards[i].maxStart.Store(math.MinInt64)
 	}
 	e.retireTTL = sopts.RetireTTL
@@ -885,12 +946,14 @@ func (e *engine) newKey(sh *ingestShard, key string) *keyState {
 	return ks
 }
 
+// addOp admits one operation to its key; the caller holds the key's shard
+// lock. It writes nothing another core reads: the counters it owes go to the
+// shard's plain fields, which publish settles before the lock is released.
 func (e *engine) addOp(ks *keyState, op history.Operation) error {
+	sh := ks.sh
 	ks.ops++
-	ks.sh.ingested.Add(1)
-	if op.Start > ks.sh.maxStart.Load() {
-		ks.sh.maxStart.Store(op.Start) // written only under sh.mu: no CAS needed
-	}
+	sh.pendOps++
+	sh.wmStart = max(sh.wmStart, op.Start)
 	if ks.retiring {
 		// A retirement sweep flushed this key but an operation landed before
 		// finalization: the key is live again.
@@ -927,27 +990,15 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 		ks.openMaxFinish = op.Finish
 	}
 	if op.IsWrite() {
-		if _, dup := ks.values[op.Value]; dup {
-			e.settle(ks, func() {
-				if ks.err == nil || ks.seq < ks.errSeq {
-					ks.err = fmt.Errorf("core: %w (value %d written twice on key %q)",
-						history.ErrDuplicateValue, op.Value, ks.key)
-					ks.errSeq = ks.seq
-				}
-			})
-		} else {
-			ks.values[op.Value] = int32(ks.seq)
-		}
 		ks.openWrites++
 	}
-	if n := int64(ks.totalOpen()); n > ks.sh.maxOpen.Load() {
-		ks.sh.maxOpen.Store(n) // written only under sh.mu: no CAS needed
-	}
-	ks.sh.buffered.Add(1)
-	cur := e.buffered.Add(1)
-	atomicMax(&e.peakBuffered, cur)
-	if e.sopts.MaxBufferedOps > 0 && cur > int64(e.sopts.MaxBufferedOps) {
-		return fmt.Errorf("%w (%d live ops; largest open window %d)", ErrBufferLimit, cur, e.maxOpenAll())
+	sh.openMax = max(sh.openMax, int64(ks.totalOpen()))
+	sh.pendLive++
+	if e.sopts.MaxBufferedOps > 0 {
+		if cur := e.buffered.Load() + sh.pendLive; cur > int64(e.sopts.MaxBufferedOps) {
+			e.publish(sh) // the message reads the published open-window maxima
+			return fmt.Errorf("%w (%d live ops; largest open window %d)", ErrBufferLimit, cur, e.maxOpenAll())
+		}
 	}
 	if e.store != nil && len(ks.open) >= e.spillMin {
 		if err := e.spillOpenTail(ks); err != nil {
@@ -968,15 +1019,16 @@ func (e *engine) maxOpenAll() int64 {
 	return m
 }
 
-// closeOpen commits the quiescent cut before the arriving operation:
-// classifies the closing segment's reads against the value index, merges
-// back any deque segments a read refers into, records the close in the
-// cumulative write counts, and dispatches every deque segment that now has
-// at least `threshold` writes closed behind it. Spilled operations (the
-// window's own prefix, and any deque segment being merged or dispatched)
-// are reloaded here — the only points that need them; an error is a spill
-// I/O failure and poisons the stream.
+// closeOpen commits the quiescent cut before the arriving operation: enters
+// the closing segment's writes in the value index, classifies its reads
+// against it, merges back any deque segments a read refers into, records the
+// close in the cumulative write counts, and dispatches every deque segment
+// that now has at least `threshold` writes closed behind it. Spilled
+// operations (the window's own prefix, and any deque segment being merged or
+// dispatched) are reloaded here — the only points that need them; an error
+// is a spill I/O failure and poisons the stream.
 func (e *engine) closeOpen(ks *keyState) error {
+	e.publish(ks.sh) // before anything below subtracts from the live count
 	if err := e.reloadOpen(ks); err != nil {
 		return err
 	}
@@ -984,6 +1036,27 @@ func (e *engine) closeOpen(ks *keyState) error {
 	ks.open, ks.openWrites = nil, 0
 	ks.maxClosedFinish = ks.openMaxFinish
 	ks.closedAny = true
+
+	// The value index learns a window's writes here, all at once while the
+	// key's map is warm, not one cold probe per write as they arrive: reads
+	// are only ever classified at a close, against closed segments and this
+	// one. A value some earlier write (of any segment) stored is an anomaly.
+	for _, op := range ops {
+		if !op.IsWrite() {
+			continue
+		}
+		if _, dup := ks.values[op.Value]; !dup {
+			ks.values[op.Value] = int32(ks.seq)
+			continue
+		}
+		e.settle(ks, func() {
+			if ks.err == nil || ks.seq < ks.errSeq {
+				ks.err = fmt.Errorf("core: %w (value %d written twice on key %q)",
+					history.ErrDuplicateValue, op.Value, ks.key)
+				ks.errSeq = ks.seq
+			}
+		})
+	}
 
 	// Classify reads: in-segment (seq match), deque (merge back), or
 	// dispatched (cross-boundary staleness; drop the read — its verdict

@@ -358,3 +358,50 @@ func TestParseReaderMatchesParse(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseKeyedOp holds the in-place segment parser to the string-based one
+// it falls back on: same key, same operation, same error text, for any
+// segment — attribute-bearing ones above all, which the in-place path takes
+// itself and must read by ParseOpParts' rules.
+func FuzzParseKeyedOp(f *testing.F) {
+	for _, seed := range []string{
+		"w k 1 0 10",
+		"w k 1 0 10 weight=3 client=7",
+		"r k 1 0 10 client=7 weight=3",
+		"w k 1 0 10 client=1 client=2",
+		"w k 1 0 10 weight=2 client=1 weight=5",
+		"w k 1 0 10 weight=0",
+		"w k 1 0 10 weight=-1",
+		"r k 1 0 10 client=+7",
+		"r k 1 0 10 client=-7",
+		"w k 1 0 10 client=1234567890123456789",
+		"w k 1234567890123456789 0 10 weight=1234567890123456789",
+		"w k 1 0 10 color=3",
+		"w k 1 0 10 a=b=c",
+		"w k 1 0 10 client=1=2",
+		"w k 1 0 10 client",
+		"w k 1 0 10 client=",
+		"w k 1 0 10 =5",
+		"w k 1 0 10 weight=1 client=2 client=3",
+		"w k 1 0 10 weight=1 client=2 client=3 weight=4",
+		"w\tk\t1\t0\t10\tclient=4",
+		"W k -1 -5 +10",
+		"write k 1 0 10",
+		"x k 1 0 10",
+		"w k 1 0",
+		"w k one 0 10",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, part string) {
+		key, op, err := parseKeyedOp([]byte(part))
+		wantKey, wantOp, wantErr := parseKeyedOpSlow([]byte(part))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%q: error %v, string parser says %v", part, err, wantErr)
+		}
+		if string(key) != string(wantKey) || op != wantOp {
+			t.Fatalf("%q: parsed %q %+v, string parser says %q %+v", part, key, op, wantKey, wantOp)
+		}
+	})
+}

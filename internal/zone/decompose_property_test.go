@@ -171,14 +171,7 @@ func TestOneAtomicMatchesCheck1Atomic(t *testing.T) {
 			return false
 		}
 		want, _ := Check1Atomic(p)
-		got := true
-		for _, ch := range Decompose(p).Chunks {
-			if !ch.OneAtomic() {
-				got = false
-				break
-			}
-		}
-		if got != want {
+		if got := Decompose(p).OneAtomic(); got != want {
 			t.Logf("chunk verdict %v, sweep %v", got, want)
 			return false
 		}

@@ -193,6 +193,19 @@ type Decomposition struct {
 	Dangling []int
 }
 
+// OneAtomic is the Gibbons–Korach zone test read off the decomposition: the
+// zones Check1Atomic sweeps are the ones Stage 1 sorts into chunks, and a
+// history is 1-atomic iff every chunk is (see Chunk.OneAtomic). With
+// DecomposeScratch it answers k = 1 without allocating.
+func (d Decomposition) OneAtomic() bool {
+	for _, c := range d.Chunks {
+		if !c.OneAtomic() {
+			return false
+		}
+	}
+	return true
+}
+
 // Decompose computes CS(H) for the prepared history (Stage 1 of FZF).
 func Decompose(p *history.Prepared) Decomposition {
 	return DecomposeZones(Zones(p))
