@@ -21,6 +21,7 @@
 //	BenchmarkFZF                — one-shot FZF (allocates a fresh arena)
 //	BenchmarkFZFScratch         — FZF over a reused arena (0 allocs/op)
 //	BenchmarkVerifierReuse      — engine-level k=2 check incl. witness check
+//	BenchmarkPrepare            — raw operations to Prepared on a warm Verifier
 //	BenchmarkTraceParse         — streaming multi-register parser
 //	BenchmarkTraceCheckParallel — 1000-key trace, workers=1 vs GOMAXPROCS
 package kat_test
@@ -149,6 +150,33 @@ func BenchmarkVerifierReuse(b *testing.B) {
 		if err != nil || !rep.Atomic {
 			b.Fatalf("CheckPrepared: %v %+v", err, rep)
 		}
+	}
+}
+
+// BenchmarkPrepare is the builder as the engines run it: each iteration
+// copies one arrival-ordered history into a buffer it owns and has a warm
+// Verifier normalize and prepare it there (0 allocs/op). n=64 is an online
+// segment, n=4000 is BenchmarkVerifierReuse's history — `make benchcmp` holds
+// this row to at most that one's time, "prepare costs no more than the check
+// it prepares for" — and n=100000 an offline hot key.
+func BenchmarkPrepare(b *testing.B) {
+	for _, n := range []int{64, 4000, 100000} {
+		h := generator.KAtomic(generator.Config{
+			Seed: 42, Ops: n, Concurrency: 4, StalenessDepth: 1, ReadFraction: 0.6,
+		})
+		h.SortByStart()
+		own := h.Clone()
+		v := root.NewVerifier()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(own.Ops, h.Ops)
+				if _, err := v.PrepareOwned(own); err != nil {
+					b.Fatalf("PrepareOwned: %v", err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/operation")
+		})
 	}
 }
 

@@ -99,7 +99,7 @@ func CheckPrepared(p *history.Prepared, k int, opts Options) (Report, error) {
 // CheckWeighted decides the weighted k-AV problem of Section V with the
 // exact oracle.
 func CheckWeighted(h *history.History, bound int64, opts Options) (Report, error) {
-	p, err := history.Prepare(history.Normalize(h))
+	p, err := history.Build(h)
 	if err != nil {
 		return Report{}, fmt.Errorf("core: %w", err)
 	}

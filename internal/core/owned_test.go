@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"kat/internal/generator"
@@ -119,5 +120,79 @@ func TestScanOwned(t *testing.T) {
 	// Scratch survives the error path.
 	if err := scanOwned(v, history.MustParse("w 1 0 10")); err != nil {
 		t.Fatalf("after error: %v", err)
+	}
+}
+
+// arrivalOrdered returns an n-operation history as the engines receive one:
+// raw timestamps, start order, IDs equal to indices.
+func arrivalOrdered(n int) *history.History {
+	h := generator.KAtomic(generator.Config{
+		Seed: 42, Ops: n, Concurrency: 4, StalenessDepth: 1, ReadFraction: 0.6,
+	})
+	for i := range h.Ops { // spread the dense ranks: ties and long writes for the builder to repair
+		h.Ops[i].Start, h.Ops[i].Finish = h.Ops[i].Start/3*5, h.Ops[i].Finish/3*5+4
+	}
+	h.SortByStart()
+	return h
+}
+
+// TestPrepareOwnedSteadyStateAllocs pins the builder's promise to every
+// engine: on a warm Verifier, normalizing and preparing a segment — online,
+// PrepareOwned on the segment itself; offline, Check on the caller's history
+// through the Verifier's own copy — allocates nothing.
+func TestPrepareOwnedSteadyStateAllocs(t *testing.T) {
+	for _, n := range []int{64, 4096} {
+		h := arrivalOrdered(n)
+		own := h.Clone()
+		v := NewVerifier()
+		run := func() {
+			copy(own.Ops, h.Ops)
+			if _, err := v.PrepareOwned(own); err != nil {
+				t.Fatalf("PrepareOwned: %v", err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("n=%d: steady-state PrepareOwned: %v allocs/op, want 0", n, allocs)
+		}
+	}
+	h := arrivalOrdered(4096)
+	v := NewVerifier()
+	check := func() {
+		if rep, err := v.Check(h, 2, Options{}); err != nil || !rep.Atomic {
+			t.Fatalf("Check: %v %+v", err, rep)
+		}
+	}
+	check()
+	if allocs := testing.AllocsPerRun(10, check); allocs != 0 {
+		t.Errorf("steady-state Verifier.Check: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestVerifierCheckDoesNotMutateInput: Check and SmallestK prepare a copy in
+// the Verifier's buffer, so the caller's operations — raw timestamps, order,
+// IDs — are as they were, whichever form the builder takes.
+func TestVerifierCheckDoesNotMutateInput(t *testing.T) {
+	sorted := arrivalOrdered(300)
+	shuffled := sorted.Clone()
+	for i := range shuffled.Ops { // unsorted, IDs != indices: the general form
+		j := (i * 7) % len(shuffled.Ops)
+		shuffled.Ops[i], shuffled.Ops[j] = shuffled.Ops[j], shuffled.Ops[i]
+	}
+	anomalous := history.MustParse("w 1 0 10; r 2 5 20")
+	v := NewVerifier()
+	for name, h := range map[string]*history.History{"sorted": sorted, "shuffled": shuffled, "anomalous": anomalous} {
+		before := h.Clone()
+		rep, errCheck := v.Check(h, 2, Options{})
+		_, errK := v.SmallestK(h, Options{})
+		if (name == "anomalous") != (errCheck != nil) || (errCheck == nil) != (errK == nil) {
+			t.Fatalf("%s: Check err %v, SmallestK err %v", name, errCheck, errK)
+		}
+		if !slices.Equal(h.Ops, before.Ops) {
+			t.Errorf("%s: Verifier mutated its input", name)
+		}
+		if errCheck == nil && rep.Prepared.H == h {
+			t.Errorf("%s: Report.Prepared aliases the caller's history", name)
+		}
 	}
 }

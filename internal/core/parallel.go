@@ -220,7 +220,7 @@ func (v *Verifier) smallestK(p *history.Prepared, opts Options, segment bool) (i
 // segments, or single segments — and returns the maximum.
 func (v *Verifier) maxSmallestK(p *history.Prepared, segs [][2]int, opts Options, segment bool) (int, error) {
 	ks := make([]int, len(segs))
-	err := v.overSegments(p, segs, opts, func(w *Verifier, i int, view *history.Prepared) (err error) {
+	err := v.overSegments(p, segs, opts, segment, func(w *Verifier, i int, view *history.Prepared) (err error) {
 		ks[i], err = w.smallestK(view, opts, segment)
 		return err
 	})
@@ -322,7 +322,7 @@ func (v *Verifier) fzfChunks(p *history.Prepared) fzf.Result {
 func (v *Verifier) oracleSegments(p *history.Prepared, k int, opts Options) (bool, []int, error) {
 	segs := segmentsOf(p)
 	results := make([]oracle.Result, len(segs))
-	err := v.overSegments(p, segs, opts, func(_ *Verifier, i int, view *history.Prepared) (err error) {
+	err := v.overSegments(p, segs, opts, false, func(_ *Verifier, i int, view *history.Prepared) (err error) {
 		if results[i], err = oracle.CheckK(view, k, oracle.Options{MaxStates: opts.OracleStates}); err != nil {
 			err = fmt.Errorf("core: %w", err)
 		}
@@ -348,14 +348,22 @@ func (v *Verifier) oracleSegments(p *history.Prepared, k int, opts Options) (boo
 // fork onto the pool when p is big enough (forks), batched only when their
 // count is extreme, which bounds scheduler bookkeeping without hurting load
 // balance; otherwise they run one after another on this worker. f writes its
-// result into a per-i slot.
-func (v *Verifier) overSegments(p *history.Prepared, segs [][2]int, opts Options, f func(w *Verifier, i int, view *history.Prepared) error) error {
+// result into a per-i slot. A view lives in the index buffers of the worker
+// that runs its unit and only as long as f does; views nest two deep at most
+// — a run of segments, then (inner) one segment of that run, which the
+// ladder never splits again — and a worker waiting on a fork runs no unit
+// but that fork's own, so one buffer per depth is enough.
+func (v *Verifier) overSegments(p *history.Prepared, segs [][2]int, opts Options, inner bool, f func(w *Verifier, i int, view *history.Prepared) error) error {
 	if len(segs) == 1 {
 		return f(v, 0, p)
 	}
+	depth := 0
+	if inner {
+		depth = 1
+	}
 	errs := make([]error, len(segs))
 	unit := func(w *Verifier, i int) {
-		view, err := history.SubPrepared(p, segs[i][0], segs[i][1])
+		view, err := history.SubPrepared(p, segs[i][0], segs[i][1], &w.views[depth])
 		if err != nil {
 			errs[i] = fmt.Errorf("core: %w", err)
 			return

@@ -22,7 +22,7 @@ func prepGen(t *testing.T, cfg generator.Config, kind string) *history.Prepared 
 	default:
 		t.Fatalf("unknown kind %s", kind)
 	}
-	p, err := history.PrepareInPlace(history.Normalize(h))
+	p, err := history.Build(h)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}

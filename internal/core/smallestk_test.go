@@ -96,7 +96,7 @@ func TestSmallestKClimbMatchesTopDown(t *testing.T) {
 				}
 				sum, worst := 0, 0
 				for _, s := range segs {
-					view, err := history.SubPrepared(p, s[0], s[1])
+					view, err := history.SubPrepared(p, s[0], s[1], nil)
 					if err != nil {
 						t.Fatalf("%s: segment %v: %v", id, s, err)
 					}

@@ -23,13 +23,21 @@ import (
 // A Verifier is NOT safe for concurrent use; give each goroutine its own
 // (the pool does exactly that). The zero value is ready to use.
 //
-// Reports produced through a Verifier may alias its internal buffers: a
-// Report's Witness is valid only until the next call on the same Verifier.
-// Copy it (or use the one-shot package functions) if it must outlive that.
+// Reports produced through a Verifier alias its internal buffers: a Report's
+// Witness and its Prepared (Check prepares a private copy of the input in the
+// Verifier's own operation buffer and index) are valid only until the next
+// call on the same Verifier. Copy what must outlive that, or use the one-shot
+// package functions, which spend a fresh Verifier per call.
 type Verifier struct {
-	fzf  fzf.Scratch
-	wit  witness.Scratch
-	prep history.PrepareScratch
+	fzf fzf.Scratch
+	wit witness.Scratch
+	// prep is the one builder every prepare goes through; hist the private
+	// copy of the input Check and SmallestK have it rewrite; views the index
+	// buffers of the safe-cut views a unit walks (runs of segments, and the
+	// single segments inside one — overSegments).
+	prep  history.PrepareScratch
+	hist  history.History
+	views [2]history.PrepareScratch
 	// zone holds the chunk decomposition a forked verification and the
 	// ladder's zone test read; stale the forced-staleness sweep's buffers.
 	zone  zone.Scratch
@@ -66,23 +74,31 @@ func (v *Verifier) fork(n int, f func(w *Verifier, i int)) {
 // Check decides whether the history is k-atomic. The input is normalized
 // internally; anomalies surface as errors.
 func (v *Verifier) Check(h *history.History, k int, opts Options) (Report, error) {
-	p, err := history.PrepareInPlace(history.Normalize(h))
+	p, err := v.prepare(h)
 	if err != nil {
-		return Report{}, fmt.Errorf("core: %w", err)
+		return Report{}, err
 	}
 	return v.CheckPrepared(p, k, opts)
 }
 
+// prepare is PrepareOwned on a copy of h in the Verifier's own buffer, so h
+// is left as it was and a stream of keys stops allocating once the buffer
+// has seen the largest.
+func (v *Verifier) prepare(h *history.History) (*history.Prepared, error) {
+	v.hist.Ops = append(v.hist.Ops[:0], h.Ops...)
+	return v.PrepareOwned(&v.hist)
+}
+
 // PrepareOwned normalizes and prepares a history the caller owns and will
-// not use afterwards: normalization rewrites h in place and the prepared
-// index reuses the Verifier's scratch buffers, so a stream of segments
-// allocates no fresh index per segment at steady state. The result aliases
-// the Verifier and is valid only until its next PrepareOwned. The streaming
-// engine prepares every closed segment once this way and hands the result to
-// each property checker (or, for keys whose verdict is already settled, keeps
-// only the anomaly error).
+// not use afterwards — the engine's one door to history's builder, which
+// rewrites h in place and keeps the prepared index in the Verifier's scratch
+// buffers, so a stream of segments allocates nothing at steady state. The
+// result aliases h and the Verifier and is valid only until its next prepare.
+// The streaming engine prepares every closed segment once this way and hands
+// the result to each property checker (or, for keys whose verdict is already
+// settled, keeps only the anomaly error).
 func (v *Verifier) PrepareOwned(h *history.History) (*history.Prepared, error) {
-	p, err := history.PrepareInPlaceScratch(history.NormalizeInPlace(h), &v.prep)
+	p, err := v.prep.Build(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -96,9 +112,9 @@ func (v *Verifier) PrepareOwned(h *history.History) (*history.Prepared, error) {
 // history is W-atomic where W is its number of writes, so the search is
 // bounded.
 func (v *Verifier) SmallestK(h *history.History, opts Options) (int, error) {
-	p, err := history.PrepareInPlace(history.Normalize(h))
+	p, err := v.prepare(h)
 	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
+		return 0, err
 	}
 	return v.SmallestKPrepared(p, opts)
 }

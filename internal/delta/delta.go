@@ -149,7 +149,7 @@ func (s Summary) Smallest() (int64, error) {
 
 // validate runs the one normalize+prepare that finds h's anomalies.
 func validate(h *history.History) error {
-	_, err := history.PrepareInPlace(history.Normalize(h))
+	_, err := history.Build(h)
 	return err
 }
 

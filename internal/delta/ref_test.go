@@ -89,7 +89,7 @@ func prepareRelaxed(h *history.History, delta int64) (*history.Prepared, error) 
 			op.Start -= delta
 		}
 	}
-	return history.PrepareInPlace(history.NormalizeInPlace(cp))
+	return new(history.PrepareScratch).Build(cp)
 }
 
 // TestDifferentialVsRefcheck sweeps every enumerated history of up to 4

@@ -5,10 +5,48 @@
 // dictating-write / dictated-read relationship between writes and the reads
 // that return their values.
 //
-// The package also implements the normalization steps the paper assumes in
-// Section II-C (distinct timestamps, writes ending before their dictated
-// reads) and detection of the anomalies that trivially rule out k-atomicity
-// (a read without a dictating write, a read preceding its dictating write).
+// # From raw operations to Prepared
+//
+// Section II-C assumes, "without loss of generality", that all timestamps are
+// distinct and that every write ends before the first of its dictated reads
+// does, and that anomalous histories (a read without a dictating write, a
+// read preceding its dictating write, two writes of one value) were screened
+// out. One builder (PrepareScratch.Build; normalize.go and prepare.go)
+// establishes the first two and detects the rest, in three linear passes and
+// one sort of at most n packed words, allocating nothing at steady state:
+//
+//   - Pass 1 (index) renumbers IDs, enters each write into an open-addressing
+//     value→write table and resolves each read once: its dictating write, that
+//     write's read count, and the write's first-finishing read. It also
+//     decides whether the history is anomalous. Only four anomalies can
+//     survive normalization — a finish before its own start, a duplicate
+//     value, a dangling read, a read finishing before its write starts — and
+//     all four are decidable on the timestamps as given: ranking preserves
+//     strict order and only separates ties, a start before a finish, so
+//     "finishes before it starts" means the same before and after. (Tied
+//     timestamps and long writes are what normalization repairs.) Which
+//     anomaly is reported, and in what words, is left to FindAnomalies.
+//   - Pass 2 (rank) makes the timestamps the dense ranks 0..2n-1 in the order
+//     time, then start before finish (operations that merely touch stay
+//     concurrent), then operation index — the distinct-timestamps assumption —
+//     and emits the finish of a write that outlives its first-finishing read
+//     immediately before that read's finish — the short-writes assumption. A
+//     write's commit point cannot follow the finish of a read that returned
+//     it, so no k-atomic order is lost. The earlier five-stage pipeline
+//     ranked, doubled every rank, moved such a finish to 2·mrf−1 (mrf the
+//     read's finish rank) and ranked again; the odd slot 2·mrf−1 lies above
+//     every endpoint ranked below mrf and directly below mrf itself, which is
+//     where the merge emits it. The starts arrive sorted, so only finishes
+//     are sorted, packed as (time − min)<<bits | index.
+//   - Pass 3 (carve) cuts the DictatedReads lists from the counts.
+//
+// Histories outside the packed form (starts out of order, IDs that are not
+// indices, a time span too wide to pack) are first ranked by a general sort
+// and put in start order by counting; the passes then run unchanged, with the
+// same result. Normalize is passes 1 and 2; the strict Prepare, which
+// validates and never repairs, is passes 1 and 3 around a check that pass 2
+// would have changed nothing. ref_test.go keeps the five-stage pipeline as
+// the differential reference (FuzzPrepareEquivalence).
 package history
 
 import (

@@ -2,6 +2,7 @@ package history
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 )
 
@@ -19,7 +20,8 @@ import (
 //
 // Normalize does not repair true anomalies (dangling reads, reads preceding
 // their dictating writes, duplicate written values); those still surface as
-// errors from Prepare.
+// errors from Prepare. (Of several writes of one value only the first in
+// start order is shortened.)
 //
 // The returned history is k-atomic if and only if the input is, for every k.
 func Normalize(h *History) *History {
@@ -28,51 +30,163 @@ func Normalize(h *History) *History {
 
 // NormalizeInPlace is Normalize for callers that own h and will not use the
 // raw operations afterwards: it rewrites h's timestamps directly instead of
-// cloning first, and returns h. The streaming segment pipeline normalizes
-// every closed segment this way, saving one full copy per segment.
+// cloning first, and returns h. Operation order and IDs are kept (an ID of 0
+// becomes the operation's index). It is the builder's passes 1 and 2, without
+// the index Build goes on to finish.
 func NormalizeInPlace(h *History) *History {
-	for i := range h.Ops {
-		if h.Ops[i].ID == 0 {
-			h.Ops[i].ID = i
+	ranked, from, _ := new(PrepareScratch).normalize(h)
+	for j, i := range from {
+		h.Ops[i].Start, h.Ops[i].Finish = ranked[j].Start, ranked[j].Finish
+	}
+	return h
+}
+
+// normalize is the builder's passes 1 and 2: it leaves s holding the index
+// of h's operations in start order, with IDs equal to indices and normalized
+// timestamps, and reports whether they are free of unrepairable anomalies.
+// Those operations are h's own, rewritten where they stand (from is nil), or,
+// when scan declines them, a copy put in start order once rankTimestamps has
+// made the timestamps distinct where they stand; from[j] is then where
+// ranked[j] stands in h.
+func (s *PrepareScratch) normalize(h *History) (ranked []Operation, from []int, clean bool) {
+	ranked = h.Ops
+	minT, writes, ok := scan(ranked)
+	if !ok {
+		rankTimestamps(h)
+		ranked, from = inStartOrder(h.Ops)
+		minT, writes = 0, h.Writes()
+	}
+	clean = s.index(ranked, writes)
+	s.rank(ranked, minT)
+	return ranked, from, clean
+}
+
+// inStartOrder is the second step of the general form: once rankTimestamps
+// has made the endpoints distinct integers below 2n — ranks that carry the ID
+// tie-breaks a renumbering erases — a counting sort puts a copy of ops in
+// start order, which index renumbers and rank takes as is. from[j] is where
+// sorted[j] stands in ops.
+func inStartOrder(ops []Operation) (sorted []Operation, from []int) {
+	at := make([]int, 2*len(ops)) // start rank → operation index + 1
+	for i := range ops {
+		at[ops[i].Start] = i + 1
+	}
+	sorted, from = make([]Operation, 0, len(ops)), make([]int, 0, len(ops))
+	for _, i := range at {
+		if i > 0 {
+			sorted, from = append(sorted, ops[i-1]), append(from, i-1)
 		}
 	}
-	rankTimestamps(h)
-	shortenWrites(h)
-	compactRanks(h) // compact back to dense distinct ranks
-	return h
+	return sorted, from
+}
+
+// scan decides, reading only, whether ops is in the packed form the passes
+// take: starts nondecreasing, every ID equal to its index (or 0, which means
+// the same), and the time span narrow enough to share a word with an
+// operation index — true of every segment the online engine closes and of
+// trace files in arrival order. It also returns the smallest timestamp and
+// the number of writes.
+func scan(ops []Operation) (minT int64, writes int, ok bool) {
+	if len(ops) == 0 {
+		return 0, 0, true
+	}
+	minT, maxT := ops[0].Start, ops[0].Start
+	for i := range ops {
+		op := &ops[i]
+		if op.ID != i && op.ID != 0 || i > 0 && op.Start < ops[i-1].Start {
+			return 0, 0, false
+		}
+		minT, maxT = min(minT, op.Finish), max(maxT, op.Start, op.Finish)
+		if op.Kind == KindWrite {
+			writes++
+		}
+	}
+	span := uint64(maxT) - uint64(minT) // exact even when maxT-minT overflows
+	return minT, writes, span>>(64-idxBits(len(ops))) == 0
+}
+
+// idxBits is the width of an operation index in a packed endpoint.
+func idxBits(n int) int { return bits.Len(uint(n)) }
+
+// rank is pass 2 of the builder (see the package comment): it rewrites the
+// endpoints of ops — in the packed form scan accepts, indexed by s.index — to
+// the dense ranks 0..2n-1 in the order (time, start before finish, operation
+// index), a long write's finish moved to immediately before the finish of its
+// first-finishing read. Only the finishes are sorted, one packed word each;
+// the starts are in order already and merge in. A write whose first read
+// finishes before the write starts is left alone: that is the
+// read-before-write anomaly, which Prepare reports.
+func (s *PrepareScratch) rank(ops []Operation, minT int64) {
+	n, shift := len(ops), idxBits(len(ops))
+	if cap(s.fin) < n {
+		s.fin = make([]uint64, 0, n)
+	}
+	fin := s.fin[:0]
+	for i := range ops {
+		op := &ops[i]
+		if in := &s.writes[i]; in.minRead >= 0 {
+			r := int(in.minRead)
+			if rf := ops[r].Finish; (op.Finish > rf || op.Finish == rf && i > r) && rf >= op.Start {
+				continue // shortened: emitted with read r's finish below
+			}
+			in.minRead = -1
+		}
+		fin = append(fin, (uint64(op.Finish)-uint64(minT))<<shift|uint64(i))
+	}
+	slices.Sort(fin)
+	s.fin = fin
+	next, rank := 0, int64(0)
+	for _, key := range fin {
+		for t := key >> shift; next < n && uint64(ops[next].Start)-uint64(minT) <= t; next++ {
+			ops[next].Start = rank
+			rank++
+		}
+		i := int(key & (1<<shift - 1))
+		if w := s.dictating[i]; w >= 0 && int(s.writes[w].minRead) == i {
+			ops[w].Finish = rank
+			rank++
+		}
+		ops[i].Finish = rank
+		rank++
+	}
+	for ; next < n; next++ { // operations that start after every finish: inverted ones
+		ops[next].Start = rank
+		rank++
+	}
 }
 
 // endpoint identifies one end of one operation for re-ranking. The
 // tie-break fields (endpoint kind, owner ID) are embedded so the sort
 // comparator never chases back into the operation slice.
 type endpoint struct {
-	t       int64
-	id      int // owning operation's ID (tie-break)
-	op      int // index into Ops
-	isStart bool
+	t      int64
+	finish int // 0 for a start, 1 for a finish: starts rank first at equal time
+	id     int // owning operation's ID (tie-break)
+	op     int // index into Ops
 }
 
-// rankTimestamps rewrites all endpoints to distinct integers 0..2n-1
-// preserving the original order, with deterministic tie-breaking: by time,
-// then starts before finishes, then by operation ID. Degenerate zero-length
-// operations (Start == Finish) become unit-length intervals.
+// rankTimestamps is the general form's first step, for histories scan
+// declines: it rewrites all endpoints to distinct integers 0..2n-1 preserving
+// the original order, with deterministic tie-breaking: by time, then starts
+// before finishes, then by operation ID (an ID of 0 is first replaced by the
+// operation's index). Operation order is kept.
 func rankTimestamps(h *History) {
 	n := len(h.Ops)
 	if n == 0 {
 		return
 	}
 	// Fast path: when the time span is moderate and IDs equal indices (true
-	// for parsed and generated histories; Prepare renumbers this way too),
-	// each endpoint packs into one uint64 — (time-offset, kind bit, op
-	// index) — preserving the exact tie-break order below, and the
-	// specialized ordered-slice sort replaces the struct sort.
+	// of generated histories), each endpoint packs into one uint64 — (time
+	// offset, kind bit, op index) — in the exact tie-break order below.
 	const idxBits = 21
 	minT, maxT := h.Ops[0].Start, h.Ops[0].Start
 	idsAreIndex := true
 	for i, op := range h.Ops {
 		minT = min(minT, op.Start, op.Finish)
 		maxT = max(maxT, op.Start, op.Finish)
-		if op.ID != i {
+		if op.ID == 0 {
+			h.Ops[i].ID = i
+		} else if op.ID != i {
 			idsAreIndex = false
 		}
 	}
@@ -97,113 +211,19 @@ func rankTimestamps(h *History) {
 
 	eps := make([]endpoint, 0, 2*len(h.Ops))
 	for i, op := range h.Ops {
-		eps = append(eps, endpoint{t: op.Start, id: op.ID, op: i, isStart: true})
-		eps = append(eps, endpoint{t: op.Finish, id: op.ID, op: i, isStart: false})
+		eps = append(eps, endpoint{op.Start, 0, op.ID, i}, endpoint{op.Finish, 1, op.ID, i})
 	}
+	// Same time, kind and ID only under user-supplied duplicate IDs; the op
+	// index keeps the order total.
 	slices.SortFunc(eps, func(x, y endpoint) int {
-		if c := cmp.Compare(x.t, y.t); c != 0 {
-			return c
-		}
-		if x.isStart != y.isStart {
-			if x.isStart { // starts rank before finishes at equal time
-				return -1
-			}
-			return 1
-		}
-		if c := cmp.Compare(x.id, y.id); c != 0 {
-			return c
-		}
-		// Same time, same endpoint kind, same ID only under user-supplied
-		// duplicate IDs; the op index keeps the order total.
-		return cmp.Compare(x.op, y.op)
+		return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.finish, y.finish),
+			cmp.Compare(x.id, y.id), cmp.Compare(x.op, y.op))
 	})
 	for rank, ep := range eps {
-		if ep.isStart {
+		if ep.finish == 0 {
 			h.Ops[ep.op].Start = int64(rank)
 		} else {
 			h.Ops[ep.op].Finish = int64(rank)
-		}
-	}
-}
-
-// compactRanks re-ranks to dense 0..2n-1 after shortenWrites, whose output
-// timestamps are distinct integers in [0, 4n): a counting pass replaces the
-// sort that general re-ranking needs. (Distinctness: starts and unmodified
-// finishes are doubled ranks, hence even and distinct; shortened finishes
-// are mrf*2-1, odd, and distinct because each value's minimum dictated-read
-// finish is a distinct read finish — except when two writes share a value,
-// a duplicate-value anomaly that makes them share mrf. That collision is
-// detected by the marking pass, which then falls back to the general
-// re-ranking so Normalize still returns distinct timestamps.)
-func compactRanks(h *History) {
-	limit := 4 * len(h.Ops)
-	rank := make([]int32, limit)
-	for _, op := range h.Ops {
-		rank[op.Start] = 1
-		rank[op.Finish] = 1
-	}
-	r := int32(0)
-	for t := range rank {
-		if rank[t] != 0 {
-			rank[t] = r
-			r++
-		}
-	}
-	if int(r) != 2*len(h.Ops) {
-		// Colliding endpoints (duplicate written values): re-rank fully,
-		// which separates every tie deterministically.
-		rankTimestamps(h)
-		return
-	}
-	for i := range h.Ops {
-		h.Ops[i].Start = int64(rank[h.Ops[i].Start])
-		h.Ops[i].Finish = int64(rank[h.Ops[i].Finish])
-	}
-}
-
-// shortenWrites enforces that each write finishes before the minimum finish
-// of its dictated reads. It assumes distinct integer timestamps (having just
-// been ranked): times are doubled so the new finish minReadFinish*2-1 is a
-// fresh odd value, unique per write because read finish times are unique.
-func shortenWrites(h *History) {
-	// Sorted (value, finish) pairs of all reads; after sorting, the first
-	// entry of each value run is that value's minimum read finish, and the
-	// runs compact in place into a binary-searchable index.
-	type vf struct{ value, finish int64 }
-	reads := make([]vf, 0, len(h.Ops))
-	for _, op := range h.Ops {
-		if op.IsRead() {
-			reads = append(reads, vf{op.Value, op.Finish})
-		}
-	}
-	slices.SortFunc(reads, func(a, b vf) int {
-		if c := cmp.Compare(a.value, b.value); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.finish, b.finish)
-	})
-	mins := slices.CompactFunc(reads, func(a, b vf) bool { return a.value == b.value })
-	for i := range h.Ops {
-		h.Ops[i].Start *= 2
-		h.Ops[i].Finish *= 2
-	}
-	for i := range h.Ops {
-		op := &h.Ops[i]
-		if !op.IsWrite() {
-			continue
-		}
-		vi, ok := slices.BinarySearchFunc(mins, op.Value, func(e vf, v int64) int {
-			return cmp.Compare(e.value, v)
-		})
-		if !ok {
-			continue
-		}
-		mrf := mins[vi].finish
-		// Guard against inversion: if some read of this value finishes
-		// before the write even starts, that is a read-before-write
-		// anomaly — leave the write alone and let Prepare report it.
-		if limit := mrf*2 - 1; op.Finish > limit && limit > op.Start {
-			op.Finish = limit
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -49,24 +50,27 @@ const (
 	AnomalyLongWrite
 )
 
+// anomalyKinds names each kind, and gives the sentinel error a prepare
+// returns for it and how that error's text counts the operations it lists.
+var anomalyKinds = [...]struct {
+	name string
+	err  error
+	ops  string
+}{
+	AnomalyDuplicateValue:     {"duplicate-value", ErrDuplicateValue, "ops"},
+	AnomalyInvertedInterval:   {"inverted-interval", ErrInvertedInterval, "op"},
+	AnomalyDuplicateTimestamp: {"duplicate-timestamp", ErrDuplicateTimestamp, "ops"},
+	AnomalyDanglingRead:       {"dangling-read", ErrDanglingRead, "op"},
+	AnomalyReadBeforeWrite:    {"read-before-write", ErrReadBeforeWrite, "ops"},
+	AnomalyLongWrite:          {"long-write", ErrLongWrite, "op"},
+}
+
 // String names the anomaly kind.
 func (k AnomalyKind) String() string {
-	switch k {
-	case AnomalyDuplicateValue:
-		return "duplicate-value"
-	case AnomalyInvertedInterval:
-		return "inverted-interval"
-	case AnomalyDuplicateTimestamp:
-		return "duplicate-timestamp"
-	case AnomalyDanglingRead:
-		return "dangling-read"
-	case AnomalyReadBeforeWrite:
-		return "read-before-write"
-	case AnomalyLongWrite:
-		return "long-write"
-	default:
-		return fmt.Sprintf("AnomalyKind(%d)", uint8(k))
+	if k >= AnomalyDuplicateValue && int(k) < len(anomalyKinds) {
+		return anomalyKinds[k].name
 	}
+	return fmt.Sprintf("AnomalyKind(%d)", uint8(k))
 }
 
 // Anomaly describes one assumption violation.
@@ -82,8 +86,8 @@ func (a Anomaly) String() string {
 }
 
 // valueEntry pairs a written value with its write's index; sorted by value
-// (ties by index) it replaces the seed's map[int64]int lookups with binary
-// search over a single contiguous allocation.
+// (ties by index) it is the binary-searchable index of the full anomaly scan,
+// which names duplicate values in value order, and of Measure.
 type valueEntry struct {
 	value int64
 	write int
@@ -93,36 +97,29 @@ type valueEntry struct {
 // run of duplicates starts at the earliest write.
 func sortValueEntries(vi []valueEntry) {
 	slices.SortFunc(vi, func(a, b valueEntry) int {
-		if c := cmp.Compare(a.value, b.value); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.write, b.write)
+		return cmp.Or(cmp.Compare(a.value, b.value), cmp.Compare(a.write, b.write))
 	})
 }
 
 // lookupValue binary-searches the sorted index and returns the position of
-// the first entry for value, or -1. Open-coded (not slices.BinarySearchFunc)
-// because it sits on the per-read hot path of Prepare and FindAnomalies.
+// the first entry for value, or -1.
 func lookupValue(vi []valueEntry, value int64) int {
-	lo, hi := 0, len(vi)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if vi[mid].value < value {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i, ok := slices.BinarySearchFunc(vi, value, func(e valueEntry, v int64) int {
+		return cmp.Compare(e.value, v)
+	})
+	if !ok {
+		return -1
 	}
-	if lo < len(vi) && vi[lo].value == value {
-		return lo
-	}
-	return -1
+	return i
 }
 
 // FindAnomalies scans a history for all assumption violations of
 // Section II-C. Repairable violations (duplicate timestamps, long writes)
 // are fixed by Normalize; the rest make every k-AV answer trivially NO
-// (dangling read, read-before-write) or the input malformed.
+// (dangling read, read-before-write) or the input malformed. It is the one
+// reporter behind every prepare error: the builder only decides *whether* a
+// history is anomalous (one flag, no allocation) and leaves which anomaly
+// comes first, and the text naming it, to this scan.
 func FindAnomalies(h *History) []Anomaly {
 	writes := make([]valueEntry, 0, len(h.Ops))
 	for i, op := range h.Ops {
@@ -131,12 +128,6 @@ func FindAnomalies(h *History) []Anomaly {
 		}
 	}
 	sortValueEntries(writes)
-	return findAnomaliesIndexed(h, writes, &PrepareScratch{})
-}
-
-// findAnomaliesIndexed is FindAnomalies over a prebuilt sorted write-value
-// index, so Prepare can validate with the index it builds anyway.
-func findAnomaliesIndexed(h *History, writes []valueEntry, s *PrepareScratch) []Anomaly {
 	var out []Anomaly
 	for _, op := range h.Ops {
 		if op.Finish <= op.Start {
@@ -154,9 +145,7 @@ func findAnomaliesIndexed(h *History, writes []valueEntry, s *PrepareScratch) []
 				OpIDs: []int{h.Ops[writes[first].write].ID, h.Ops[writes[i].write].ID}})
 		}
 	}
-	if !s.endpointsDistinct(h) {
-		out = appendDuplicateTimestamps(out, h)
-	}
+	out = appendDuplicateTimestamps(out, h)
 	// Read/write pairing anomalies, and per-write minimum dictated-read
 	// finish (for the long-write condition below).
 	minReadFinish := make([]int64, len(writes))
@@ -193,12 +182,23 @@ func findAnomaliesIndexed(h *History, writes []valueEntry, s *PrepareScratch) []
 	return out
 }
 
+// firstAnomaly renders the first violation FindAnomalies lists as the
+// matching sentinel error, or returns nil for a clean history.
+func firstAnomaly(h *History) error {
+	as := FindAnomalies(h)
+	if len(as) == 0 {
+		return nil
+	}
+	k := anomalyKinds[as[0].Kind]
+	return fmt.Errorf("%w (%s %v)", k.err, k.ops, as[0].OpIDs)
+}
+
 // endpointsDistinct proves by counting that no two endpoints of h share a
-// timestamp: when all of them lie within 8n of each other (n operations) —
-// always after Normalize, which leaves them the dense ranks 0..2n-1 — each
-// marks its bit, and a bit marked twice is a repeat. It reports false when
-// it finds one and also when the span is too wide to count over; either way
-// appendDuplicateTimestamps then decides by sorting.
+// timestamp, for the strict prepare: when all of them lie within 8n of each
+// other (n operations) — always after Normalize, which leaves them the dense
+// ranks 0..2n-1 — each marks its bit, and a bit marked twice is a repeat. It
+// reports false when it finds one and also when the span is too wide to
+// count over; either way the full scan then decides by sorting.
 func (s *PrepareScratch) endpointsDistinct(h *History) bool {
 	if len(h.Ops) == 0 {
 		return true
@@ -231,44 +231,31 @@ func (s *PrepareScratch) endpointsDistinct(h *History) bool {
 }
 
 // appendDuplicateTimestamps appends one AnomalyDuplicateTimestamp per
-// timestamp that two or more endpoints of h share, in ascending time order.
-// Duplicates surface as equal neighbors in the sorted timestamp multiset (a
-// plain int64 sort); owners are recovered — one extra pass over the
-// operations, shared by all duplicated times — only when at least one
-// duplicate exists.
+// timestamp that two or more endpoints of h share, in ascending time order,
+// each naming its owners in operation order (an operation's start before its
+// finish).
 func appendDuplicateTimestamps(out []Anomaly, h *History) []Anomaly {
-	times := make([]int64, 0, 2*len(h.Ops))
-	for _, op := range h.Ops {
-		times = append(times, op.Start, op.Finish)
+	type owned struct {
+		t   int64
+		seq int // 2·index for a start, 2·index+1 for a finish
 	}
-	slices.Sort(times)
-	var dups []int64 // duplicated times, ascending, unique
-	for i := 1; i < len(times); {
-		if times[i] != times[i-1] {
-			i++
-			continue
+	eps := make([]owned, 0, 2*len(h.Ops))
+	for i, op := range h.Ops {
+		eps = append(eps, owned{op.Start, 2 * i}, owned{op.Finish, 2*i + 1})
+	}
+	slices.SortFunc(eps, func(a, b owned) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.seq, b.seq))
+	})
+	for i, j := 0, 0; i < len(eps); i = j {
+		for j = i + 1; j < len(eps) && eps[j].t == eps[i].t; j++ {
 		}
-		t := times[i]
-		for i < len(times) && times[i] == t {
-			i++
+		if j-i > 1 {
+			ids := make([]int, 0, j-i)
+			for _, e := range eps[i:j] {
+				ids = append(ids, h.Ops[e.seq/2].ID)
+			}
+			out = append(out, Anomaly{Kind: AnomalyDuplicateTimestamp, OpIDs: ids})
 		}
-		dups = append(dups, t)
-	}
-	if len(dups) == 0 {
-		return out
-	}
-	owners := make([][]int, len(dups))
-	collect := func(t int64, id int) {
-		if di, ok := slices.BinarySearch(dups, t); ok {
-			owners[di] = append(owners[di], id)
-		}
-	}
-	for _, op := range h.Ops {
-		collect(op.Start, op.ID)
-		collect(op.Finish, op.ID)
-	}
-	for di := range dups {
-		out = append(out, Anomaly{Kind: AnomalyDuplicateTimestamp, OpIDs: owners[di]})
 	}
 	return out
 }
@@ -286,160 +273,250 @@ type Prepared struct {
 	// reads, in increasing start order. Entries for reads are nil. All
 	// per-write slices share one backing array.
 	DictatedReads [][]int
-	// valueIndex maps written values to write indices, sorted by value for
-	// binary search (see WriteFor).
-	valueIndex []valueEntry
+	// values is the builder's value→write table (see WriteFor); a SubPrepared
+	// view shares its parent's and shifts the answers down by base.
+	values valueTable
+	base   int
 }
 
 // WriteFor returns the index of the write that stored value, or ok=false if
 // no write did. Prepared histories have unique written values, so the answer
 // is unambiguous.
 func (p *Prepared) WriteFor(value int64) (w int, ok bool) {
-	i := lookupValue(p.valueIndex, value)
-	if i < 0 {
+	w = p.values.lookup(value) - p.base
+	if w < 0 || w >= len(p.H.Ops) {
 		return -1, false
 	}
-	return p.valueIndex[i].write, true
+	return w, true
+}
+
+// valueTable maps written values to write indices by open addressing with
+// linear probing over a power-of-two slot array at most half full. A slot is
+// live only while its gen equals the table's, so a reused table is emptied
+// by bumping gen instead of clearing it.
+type valueTable struct {
+	slots []valueSlot
+	gen   uint32
+}
+
+type valueSlot struct {
+	value int64
+	write int32
+	gen   uint32
+}
+
+// reset empties the table and sizes it for the given number of writes,
+// reusing the slot array when it is large enough. A small history probes
+// only a prefix of a large array, so it stays in cache.
+func (t *valueTable) reset(writes int) {
+	size := 0
+	if writes > 0 {
+		size = 1 << bits.Len(uint(2*writes-1))
+	}
+	if cap(t.slots) < size {
+		t.slots, t.gen = make([]valueSlot, size), 0
+	}
+	t.slots = t.slots[:size]
+	if t.gen++; t.gen == 0 { // wrapped: stale slots could read as live again
+		clear(t.slots[:cap(t.slots)])
+		t.gen = 1
+	}
+}
+
+// slot returns the slot holding value, or the empty one where it belongs.
+func (t *valueTable) slot(value int64) *valueSlot {
+	mask := uint64(len(t.slots) - 1)
+	i := uint64(value) * 0x9E3779B97F4A7C15 >> (bits.LeadingZeros64(mask) & 63)
+	for {
+		s := &t.slots[i&mask]
+		if s.gen != t.gen || s.value == value {
+			return s
+		}
+		i++
+	}
+}
+
+// lookup returns the write that stored value, or -1.
+func (t *valueTable) lookup(value int64) int {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	if s := t.slot(value); s.gen == t.gen {
+		return int(s.write)
+	}
+	return -1
 }
 
 // Prepare validates the Section II assumptions, sorts the history by start
 // time, and builds the dictating-write index. The input history is not
-// modified. Histories that fail validation should be run through Normalize
-// first (for repairable violations) or rejected (for true anomalies).
+// modified. Prepare is strict — it validates and never repairs: tied
+// timestamps and long writes are errors here. Run such a history through
+// Normalize first, or use Build, which does both in one pass; true anomalies
+// are errors either way.
 func Prepare(h *History) (*Prepared, error) {
-	return prepareSorted(h.Clone(), nil)
+	return PrepareInPlaceScratch(h.Clone(), nil)
 }
 
-// PrepareInPlace is Prepare for callers that own h and will not use it
-// afterwards: it sorts h directly instead of cloning it first. Normalize
-// already returns a private copy, so Normalize-then-PrepareInPlace pipelines
-// (the per-key trace hot path) skip one full history copy.
-func PrepareInPlace(h *History) (*Prepared, error) {
-	return prepareSorted(h, nil)
-}
-
-// PrepareScratch holds the index buffers PrepareInPlaceScratch reuses, so
-// that preparing a stream of similar-sized histories (the per-segment hot
-// path) stops allocating once the buffers reach steady state.
+// PrepareScratch holds every buffer a prepare needs — the index slices, the
+// value table, the packed finishes of the ranking pass — so that preparing a
+// stream of similar-sized histories (the per-segment hot path) allocates
+// nothing once they have grown.
 type PrepareScratch struct {
-	p          Prepared
-	dictating  []int
-	dictated   [][]int
-	valueIndex []valueEntry
-	counts     []int
-	flat       []int
-	seen       []uint64 // endpointsDistinct's bitmap
+	p         Prepared
+	view      History // a SubPrepared view's window onto its parent's operations
+	dictating []int
+	dictated  [][]int
+	flat      []int
+	writes    []writeInfo
+	values    valueTable
+	fin       []uint64 // rank's packed finish endpoints
+	seen      []uint64 // endpointsDistinct's bitmap
 }
 
-// PrepareInPlaceScratch is PrepareInPlace reusing s's buffers. The returned
-// Prepared aliases s and is valid only until the next call with the same
-// Scratch.
-func PrepareInPlaceScratch(h *History, s *PrepareScratch) (*Prepared, error) {
-	return prepareSorted(h, s)
+// writeInfo is what the read-resolution pass learns about the write at the
+// same index: how many reads it dictates, and which of them finishes first
+// (ties by index; -1 without reads). rank sets minRead to -1 on every write
+// it does not shorten.
+type writeInfo struct {
+	reads, minRead int32
 }
 
-// intsFor returns buf resized to n reusing its capacity; fresh entries (and
-// reused ones) are NOT zeroed.
-func intsFor(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// PrepareHook, when non-nil, is called at the start of every prepare
-// (Prepare, PrepareInPlace and PrepareInPlaceScratch all funnel through one
-// function). Tests use it to pin how often a pipeline prepares — the
-// streaming engine owes exactly one prepare per dispatched segment; nothing
-// else sets it, and it must only change while no prepare is running.
+// PrepareHook, when non-nil, is called at the start of every prepare (Build
+// and the strict Prepare forms). Tests use it to pin how often a pipeline
+// prepares — the streaming engine owes exactly one prepare per dispatched
+// segment; nothing else sets it, and it must only change while no prepare is
+// running.
 var PrepareHook func()
 
-func prepareSorted(cp *History, s *PrepareScratch) (*Prepared, error) {
+// Build is Prepare(Normalize(h)) in one pass over a private copy of h.
+func Build(h *History) (*Prepared, error) {
+	return new(PrepareScratch).Build(h.Clone())
+}
+
+// Build normalizes h in place and prepares it, out of s's buffers: the one
+// builder behind every engine. h must be the caller's to rewrite (its
+// operations are re-ranked, and sorted and renumbered if they were not in
+// start order); the result aliases h and s and is valid only until s's next
+// use. It equals Prepare(Normalize(h)), error text included.
+func (s *PrepareScratch) Build(h *History) (*Prepared, error) {
+	if PrepareHook != nil {
+		PrepareHook()
+	}
+	ranked, from, clean := s.normalize(h)
+	if from != nil {
+		copy(h.Ops, ranked)
+	}
+	if !clean {
+		// The ranks are in place: the scan sees what Prepare(Normalize(h)) saw.
+		return nil, firstAnomaly(h)
+	}
+	return s.carve(h), nil
+}
+
+// PrepareInPlaceScratch is Prepare for callers that own h and will not use
+// it afterwards — it sorts h directly instead of cloning it first — out of
+// s's buffers: the returned Prepared aliases s and is valid only until s's
+// next use (a nil s makes it independent). It is the builder's passes 1 and 3
+// around the checks normalization would have made true (distinct endpoints,
+// no long write) in place of the ranking pass.
+func PrepareInPlaceScratch(h *History, s *PrepareScratch) (*Prepared, error) {
 	if PrepareHook != nil {
 		PrepareHook()
 	}
 	if s == nil {
-		// One-shot path: a fresh scratch per call keeps the returned
-		// Prepared independent while sharing the code below.
 		s = &PrepareScratch{}
 	}
-	cp.SortByStart()
-	n := len(cp.Ops)
-	if cap(s.valueIndex) < n {
-		s.valueIndex = make([]valueEntry, 0, n)
+	h.SortByStart()
+	// endpointsDistinct is also false when it cannot tell, so a suspect
+	// history is only rejected if the full scan names an anomaly.
+	suspect := !s.index(h.Ops, h.Writes()) || !s.endpointsDistinct(h)
+	for w, in := range s.writes {
+		suspect = suspect || in.minRead >= 0 && h.Ops[w].Finish >= h.Ops[in.minRead].Finish
 	}
-	valueIndex := s.valueIndex[:0]
-	for i, op := range cp.Ops {
-		if op.IsWrite() {
-			valueIndex = append(valueIndex, valueEntry{op.Value, i})
+	if suspect {
+		if err := firstAnomaly(h); err != nil {
+			return nil, err
 		}
 	}
-	sortValueEntries(valueIndex)
-	s.valueIndex = valueIndex
-	for _, a := range findAnomaliesIndexed(cp, valueIndex, s) {
-		switch a.Kind {
-		case AnomalyDuplicateValue:
-			return nil, fmt.Errorf("%w (ops %v)", ErrDuplicateValue, a.OpIDs)
-		case AnomalyInvertedInterval:
-			return nil, fmt.Errorf("%w (op %v)", ErrInvertedInterval, a.OpIDs)
-		case AnomalyDuplicateTimestamp:
-			return nil, fmt.Errorf("%w (ops %v)", ErrDuplicateTimestamp, a.OpIDs)
-		case AnomalyDanglingRead:
-			return nil, fmt.Errorf("%w (op %v)", ErrDanglingRead, a.OpIDs)
-		case AnomalyReadBeforeWrite:
-			return nil, fmt.Errorf("%w (ops %v)", ErrReadBeforeWrite, a.OpIDs)
-		case AnomalyLongWrite:
-			return nil, fmt.Errorf("%w (op %v)", ErrLongWrite, a.OpIDs)
+	return s.carve(h), nil
+}
+
+// index is pass 1 of the builder: it renumbers IDs, enters every write into
+// the value table, and resolves each read exactly once — its dictating write,
+// that write's read count and first-finishing read. It reports whether ops is
+// free of the four anomalies no normalization repairs, all decided on the
+// timestamps as given (see the package comment). ops must be in start order;
+// writes is the number of writes in it.
+func (s *PrepareScratch) index(ops []Operation, writes int) (clean bool) {
+	n := len(ops)
+	if cap(s.dictating) < n {
+		s.dictating, s.writes = make([]int, n), make([]writeInfo, n)
+	}
+	dictating, info := s.dictating[:n], s.writes[:n]
+	s.dictating, s.writes = dictating, info
+	s.values.reset(writes)
+	clean = true
+	for i := range ops {
+		op := &ops[i]
+		op.ID = i
+		dictating[i], info[i] = -1, writeInfo{minRead: -1}
+		if op.Finish < op.Start {
+			clean = false
+		}
+		if op.Kind == KindWrite {
+			if sl := s.values.slot(op.Value); sl.gen != s.values.gen {
+				*sl = valueSlot{op.Value, int32(i), s.values.gen}
+			} else {
+				clean = false // a second write of the value
+			}
 		}
 	}
-	s.dictating = intsFor(s.dictating, n)
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind != KindRead {
+			continue
+		}
+		w := s.values.lookup(op.Value)
+		if w < 0 || op.Finish < ops[w].Start {
+			clean = false
+			if w < 0 {
+				continue
+			}
+		}
+		dictating[i] = w
+		in := &info[w]
+		in.reads++
+		if in.minRead < 0 || op.Finish < ops[in.minRead].Finish {
+			in.minRead = int32(i)
+		}
+	}
+	return clean
+}
+
+// carve is pass 3: it cuts every write's DictatedReads out of one flat
+// buffer by the counts index took, fills them in start order, and returns
+// the finished Prepared.
+func (s *PrepareScratch) carve(h *History) *Prepared {
+	n := len(h.Ops)
 	if cap(s.dictated) < n {
-		s.dictated = make([][]int, n)
-	} else {
-		s.dictated = s.dictated[:n]
-		clear(s.dictated)
+		s.dictated, s.flat = make([][]int, n), make([]int, n)
 	}
-	s.counts = intsFor(s.counts, n)
-	clear(s.counts)
-	p := &s.p
-	*p = Prepared{
-		H:              cp,
-		DictatingWrite: s.dictating,
-		DictatedReads:  s.dictated,
-		valueIndex:     valueIndex,
-	}
-	// Resolve dictating writes, count reads per write, then carve all
-	// DictatedReads slices out of one flat allocation.
-	counts := s.counts
-	for i, op := range cp.Ops {
-		p.DictatingWrite[i] = -1
-		if !op.IsRead() {
-			continue
-		}
-		w, _ := p.WriteFor(op.Value)
-		p.DictatingWrite[i] = w
-		counts[w]++
-	}
-	if cap(s.flat) < n-len(valueIndex) {
-		s.flat = make([]int, 0, n-len(valueIndex))
-	}
-	flat := s.flat[:0]
-	for w, c := range counts {
-		if c == 0 {
-			continue
-		}
-		off := len(flat)
-		flat = flat[:off+c]
-		p.DictatedReads[w] = flat[off : off : off+c]
-	}
-	s.flat = flat
-	for i, op := range cp.Ops {
-		if op.IsRead() {
-			w := p.DictatingWrite[i]
-			p.DictatedReads[w] = append(p.DictatedReads[w], i)
+	s.dictated = s.dictated[:n]
+	clear(s.dictated)
+	off := 0
+	for w, in := range s.writes {
+		if c := int(in.reads); c > 0 {
+			s.dictated[w] = s.flat[off : off : off+c]
+			off += c
 		}
 	}
-	return p, nil
+	for i, w := range s.dictating {
+		if w >= 0 {
+			s.dictated[w] = append(s.dictated[w], i)
+		}
+	}
+	s.p = Prepared{H: h, DictatingWrite: s.dictating, DictatedReads: s.dictated, values: s.values}
+	return &s.p
 }
 
 // Op returns the operation at index i.

@@ -1,0 +1,296 @@
+package history
+
+// The differential reference for the builder (normalize.go, prepare.go): the
+// five-stage Normalize→Prepare pipeline it replaced, kept as it was — rank all
+// 2n endpoints, shorten writes against a sorted (value, finish) list of the
+// reads, re-rank by counting, sort by start, validate, and index through a
+// sorted value list. FuzzPrepareEquivalence holds the builder to it.
+
+import (
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// refNormalizeInPlace is the old NormalizeInPlace.
+func refNormalizeInPlace(h *History) *History {
+	for i := range h.Ops {
+		if h.Ops[i].ID == 0 {
+			h.Ops[i].ID = i
+		}
+	}
+	refRankTimestamps(h)
+	refShortenWrites(h)
+	refCompactRanks(h) // compact back to dense distinct ranks
+	return h
+}
+
+// refEndpoint identifies one end of one operation for re-ranking. The
+// tie-break fields (endpoint kind, owner ID) are embedded so the sort
+// comparator never chases back into the operation slice.
+type refEndpoint struct {
+	t       int64
+	id      int // owning operation's ID (tie-break)
+	op      int // index into Ops
+	isStart bool
+}
+
+// refRankTimestamps rewrites all endpoints to distinct integers 0..2n-1
+// preserving the original order, with deterministic tie-breaking: by time,
+// then starts before finishes, then by operation ID. Degenerate zero-length
+// operations (Start == Finish) become unit-length intervals.
+func refRankTimestamps(h *History) {
+	n := len(h.Ops)
+	if n == 0 {
+		return
+	}
+	// Fast path: when the time span is moderate and IDs equal indices (true
+	// for parsed and generated histories; Prepare renumbers this way too),
+	// each endpoint packs into one uint64 — (time-offset, kind bit, op
+	// index) — preserving the exact tie-break order below, and the
+	// specialized ordered-slice sort replaces the struct sort.
+	const idxBits = 21
+	minT, maxT := h.Ops[0].Start, h.Ops[0].Start
+	idsAreIndex := true
+	for i, op := range h.Ops {
+		minT = min(minT, op.Start, op.Finish)
+		maxT = max(maxT, op.Start, op.Finish)
+		if op.ID != i {
+			idsAreIndex = false
+		}
+	}
+	if idsAreIndex && n < 1<<idxBits && uint64(maxT-minT) < 1<<42 {
+		keys := make([]uint64, 0, 2*n)
+		for i, op := range h.Ops {
+			keys = append(keys,
+				uint64(op.Start-minT)<<(idxBits+1)|uint64(i),
+				uint64(op.Finish-minT)<<(idxBits+1)|1<<idxBits|uint64(i))
+		}
+		slices.Sort(keys)
+		for rank, key := range keys {
+			i := int(key & (1<<idxBits - 1))
+			if key>>idxBits&1 == 0 {
+				h.Ops[i].Start = int64(rank)
+			} else {
+				h.Ops[i].Finish = int64(rank)
+			}
+		}
+		return
+	}
+
+	eps := make([]refEndpoint, 0, 2*len(h.Ops))
+	for i, op := range h.Ops {
+		eps = append(eps, refEndpoint{t: op.Start, id: op.ID, op: i, isStart: true})
+		eps = append(eps, refEndpoint{t: op.Finish, id: op.ID, op: i, isStart: false})
+	}
+	slices.SortFunc(eps, func(x, y refEndpoint) int {
+		if c := cmp.Compare(x.t, y.t); c != 0 {
+			return c
+		}
+		if x.isStart != y.isStart {
+			if x.isStart { // starts rank before finishes at equal time
+				return -1
+			}
+			return 1
+		}
+		if c := cmp.Compare(x.id, y.id); c != 0 {
+			return c
+		}
+		// Same time, same endpoint kind, same ID only under user-supplied
+		// duplicate IDs; the op index keeps the order total.
+		return cmp.Compare(x.op, y.op)
+	})
+	for rank, ep := range eps {
+		if ep.isStart {
+			h.Ops[ep.op].Start = int64(rank)
+		} else {
+			h.Ops[ep.op].Finish = int64(rank)
+		}
+	}
+}
+
+// refCompactRanks re-ranks to dense 0..2n-1 after shortenWrites, whose output
+// timestamps are distinct integers in [0, 4n): a counting pass replaces the
+// sort that general re-ranking needs. (Distinctness: starts and unmodified
+// finishes are doubled ranks, hence even and distinct; shortened finishes
+// are mrf*2-1, odd, and distinct because each value's minimum dictated-read
+// finish is a distinct read finish — except when two writes share a value,
+// a duplicate-value anomaly that makes them share mrf. That collision is
+// detected by the marking pass, which then falls back to the general
+// re-ranking so Normalize still returns distinct timestamps.)
+func refCompactRanks(h *History) {
+	limit := 4 * len(h.Ops)
+	rank := make([]int32, limit)
+	for _, op := range h.Ops {
+		rank[op.Start] = 1
+		rank[op.Finish] = 1
+	}
+	r := int32(0)
+	for t := range rank {
+		if rank[t] != 0 {
+			rank[t] = r
+			r++
+		}
+	}
+	if int(r) != 2*len(h.Ops) {
+		// Colliding endpoints (duplicate written values): re-rank fully,
+		// which separates every tie deterministically.
+		refRankTimestamps(h)
+		return
+	}
+	for i := range h.Ops {
+		h.Ops[i].Start = int64(rank[h.Ops[i].Start])
+		h.Ops[i].Finish = int64(rank[h.Ops[i].Finish])
+	}
+}
+
+// refShortenWrites enforces that each write finishes before the minimum finish
+// of its dictated reads. It assumes distinct integer timestamps (having just
+// been ranked): times are doubled so the new finish minReadFinish*2-1 is a
+// fresh odd value, unique per write because read finish times are unique.
+func refShortenWrites(h *History) {
+	// Sorted (value, finish) pairs of all reads; after sorting, the first
+	// entry of each value run is that value's minimum read finish, and the
+	// runs compact in place into a binary-searchable index.
+	type vf struct{ value, finish int64 }
+	reads := make([]vf, 0, len(h.Ops))
+	for _, op := range h.Ops {
+		if op.IsRead() {
+			reads = append(reads, vf{op.Value, op.Finish})
+		}
+	}
+	slices.SortFunc(reads, func(a, b vf) int {
+		if c := cmp.Compare(a.value, b.value); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.finish, b.finish)
+	})
+	mins := slices.CompactFunc(reads, func(a, b vf) bool { return a.value == b.value })
+	for i := range h.Ops {
+		h.Ops[i].Start *= 2
+		h.Ops[i].Finish *= 2
+	}
+	for i := range h.Ops {
+		op := &h.Ops[i]
+		if !op.IsWrite() {
+			continue
+		}
+		vi, ok := slices.BinarySearchFunc(mins, op.Value, func(e vf, v int64) int {
+			return cmp.Compare(e.value, v)
+		})
+		if !ok {
+			continue
+		}
+		mrf := mins[vi].finish
+		// Guard against inversion: if some read of this value finishes
+		// before the write even starts, that is a read-before-write
+		// anomaly — leave the write alone and let Prepare report it.
+		if limit := mrf*2 - 1; op.Finish > limit && limit > op.Start {
+			op.Finish = limit
+		}
+	}
+}
+
+// refPrepared is what the old prepare returned: the sorted, renumbered
+// history, the two index slices, and the sorted value index behind WriteFor.
+type refPrepared struct {
+	H              *History
+	DictatingWrite []int
+	DictatedReads  [][]int
+	valueIndex     []valueEntry
+}
+
+func (p *refPrepared) WriteFor(value int64) (int, bool) {
+	i := lookupValue(p.valueIndex, value)
+	if i < 0 {
+		return -1, false
+	}
+	return p.valueIndex[i].write, true
+}
+
+// refPrepare is the old strict prepare (prepareSorted) on a history it may
+// sort in place: sort by start, validate with the full anomaly scan, resolve
+// every read through the sorted value index, carve the read lists.
+func refPrepare(cp *History) (*refPrepared, error) {
+	cp.SortByStart()
+	if err := firstAnomaly(cp); err != nil {
+		return nil, err
+	}
+	n := len(cp.Ops)
+	p := &refPrepared{H: cp, DictatingWrite: make([]int, n), DictatedReads: make([][]int, n)}
+	for i, op := range cp.Ops {
+		if op.IsWrite() {
+			p.valueIndex = append(p.valueIndex, valueEntry{op.Value, i})
+		}
+	}
+	sortValueEntries(p.valueIndex)
+	for i, op := range cp.Ops {
+		p.DictatingWrite[i] = -1
+		if op.IsRead() {
+			w, _ := p.WriteFor(op.Value)
+			p.DictatingWrite[i] = w
+			p.DictatedReads[w] = append(p.DictatedReads[w], i)
+		}
+	}
+	return p, nil
+}
+
+// refAppendDuplicateTimestamps is the old duplicate-timestamp listing: sort
+// the timestamp multiset, then collect each duplicated time's owners in one
+// more pass over the operations.
+func refAppendDuplicateTimestamps(out []Anomaly, h *History) []Anomaly {
+	times := make([]int64, 0, 2*len(h.Ops))
+	for _, op := range h.Ops {
+		times = append(times, op.Start, op.Finish)
+	}
+	slices.Sort(times)
+	var dups []int64 // duplicated times, ascending, unique
+	for i := 1; i < len(times); {
+		if times[i] != times[i-1] {
+			i++
+			continue
+		}
+		t := times[i]
+		for i < len(times) && times[i] == t {
+			i++
+		}
+		dups = append(dups, t)
+	}
+	if len(dups) == 0 {
+		return out
+	}
+	owners := make([][]int, len(dups))
+	collect := func(t int64, id int) {
+		if di, ok := slices.BinarySearch(dups, t); ok {
+			owners[di] = append(owners[di], id)
+		}
+	}
+	for _, op := range h.Ops {
+		collect(op.Start, op.ID)
+		collect(op.Finish, op.ID)
+	}
+	for di := range dups {
+		out = append(out, Anomaly{Kind: AnomalyDuplicateTimestamp, OpIDs: owners[di]})
+	}
+	return out
+}
+
+// TestDuplicateTimestampListingMatchesReference: the anomaly scan names tied
+// endpoints exactly as it used to — same times, in the same order, owners in
+// the same order — since prepare errors quote the list.
+func TestDuplicateTimestampListingMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		h := &History{}
+		for n := rng.Intn(12); n > 0; n-- {
+			start := int64(rng.Intn(6))
+			h.Ops = append(h.Ops, Operation{ID: rng.Intn(20), Kind: KindWrite, Start: start, Finish: start + int64(rng.Intn(3))})
+		}
+		got, want := appendDuplicateTimestamps(nil, h), refAppendDuplicateTimestamps(nil, h)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ops %+v:\ngot  %v\nwant %v", h.Ops, got, want)
+		}
+	}
+}

@@ -4,9 +4,11 @@ import "fmt"
 
 // SubPrepared returns a verification view of the prepared history restricted
 // to the contiguous operation range [lo, hi). The view's History aliases p's
-// operation slice — no operations are copied — while the index structures
-// (dictating writes, dictated reads, value index) are rebuilt with indices
-// shifted into the view's coordinate space.
+// operation slice — no operations are copied — and it answers WriteFor from
+// p's value table; the index slices (dictating writes, dictated reads) are
+// rebuilt from the range alone, with indices shifted into the view's
+// coordinate space, in s's buffers: the view is valid only until s's next
+// use (a nil s allocates a fresh one) and no longer than p.
 //
 // The boundaries must be safe cuts (zone.SafeCut): every read in the range
 // must have its dictating write inside the range, or an error is returned.
@@ -21,55 +23,53 @@ import "fmt"
 // Operation IDs are left global (they identify ops of the full history), so
 // diagnostics reference the original trace; verification is index-based and
 // never consults IDs.
-func SubPrepared(p *Prepared, lo, hi int) (*Prepared, error) {
+func SubPrepared(p *Prepared, lo, hi int, s *PrepareScratch) (*Prepared, error) {
 	n := p.Len()
 	if lo < 0 || hi > n || lo > hi {
 		return nil, fmt.Errorf("history: subrange [%d,%d) out of bounds (len %d)", lo, hi, n)
 	}
+	if s == nil {
+		s = &PrepareScratch{}
+	}
 	m := hi - lo
-	sub := &Prepared{
-		H:              &History{Ops: p.H.Ops[lo:hi]},
-		DictatingWrite: make([]int, m),
+	if cap(s.dictating) < m {
+		s.dictating = make([]int, m)
 	}
-	reads := 0
-	for i := 0; i < m; i++ {
+	if cap(s.dictated) < m {
+		s.dictated, s.flat = make([][]int, m), make([]int, m)
+	}
+	dictating, dictated, flat := s.dictating[:m], s.dictated[:m], s.flat[:0]
+	for i := range dictating {
 		w := p.DictatingWrite[lo+i]
-		if w < 0 {
-			sub.DictatingWrite[i] = -1
-			continue
+		if w >= 0 {
+			if w < lo || w >= hi {
+				return nil, fmt.Errorf("history: read %d dictated by write %d outside subrange [%d,%d) — not a safe cut", lo+i, w, lo, hi)
+			}
+			w -= lo
 		}
-		if w < lo || w >= hi {
-			return nil, fmt.Errorf("history: read %d dictated by write %d outside subrange [%d,%d) — not a safe cut", lo+i, w, lo, hi)
-		}
-		sub.DictatingWrite[i] = w - lo
-		reads++
-	}
-	// Carve the per-write read lists out of one flat allocation, mirroring
-	// prepareSorted.
-	sub.DictatedReads = make([][]int, m)
-	flat := make([]int, 0, reads)
-	for w := lo; w < hi; w++ {
-		rs := p.DictatedReads[w]
-		if len(rs) == 0 {
-			continue
-		}
+		dictating[i] = w
+		// The per-write read lists come out of one flat buffer, as in carve.
+		rs := p.DictatedReads[lo+i]
 		off := len(flat)
 		for _, r := range rs {
 			if r < lo || r >= hi {
-				// The write-side crossing of the same contract the read
-				// loop above enforces: a dictated read outside the range
-				// means the boundary is not a safe cut.
-				return nil, fmt.Errorf("history: write %d dictates read %d outside subrange [%d,%d) — not a safe cut", w, r, lo, hi)
+				// The same contract from the write's side.
+				return nil, fmt.Errorf("history: write %d dictates read %d outside subrange [%d,%d) — not a safe cut", lo+i, r, lo, hi)
 			}
 			flat = append(flat, r-lo)
 		}
-		sub.DictatedReads[w-lo] = flat[off:len(flat):len(flat)]
-	}
-	// The value index filtered to in-range writes stays sorted by value.
-	for _, e := range p.valueIndex {
-		if e.write >= lo && e.write < hi {
-			sub.valueIndex = append(sub.valueIndex, valueEntry{e.value, e.write - lo})
+		dictated[i] = flat[off:len(flat):len(flat)]
+		if len(rs) == 0 {
+			dictated[i] = nil
 		}
 	}
-	return sub, nil
+	s.view.Ops = p.H.Ops[lo:hi]
+	s.p = Prepared{
+		H:              &s.view,
+		DictatingWrite: dictating,
+		DictatedReads:  dictated,
+		values:         p.values,
+		base:           p.base + lo,
+	}
+	return &s.p, nil
 }

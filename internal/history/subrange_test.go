@@ -7,7 +7,7 @@ import (
 func mustPrepareT(t *testing.T, text string) *Prepared {
 	t.Helper()
 	h := MustParse(text)
-	p, err := PrepareInPlace(Normalize(h))
+	p, err := Build(h)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -17,7 +17,7 @@ func mustPrepareT(t *testing.T, text string) *Prepared {
 func TestSubPreparedView(t *testing.T) {
 	// Two quiescent, value-closed halves: cut at index 4.
 	p := mustPrepareT(t, "w 1 0 10; r 1 12 14; w 2 16 20; r 2 22 24; w 3 100 110; r 3 112 114; w 4 116 120; r 4 122 124")
-	sub, err := SubPrepared(p, 4, 8)
+	sub, err := SubPrepared(p, 4, 8, nil)
 	if err != nil {
 		t.Fatalf("SubPrepared: %v", err)
 	}
@@ -65,31 +65,31 @@ func TestSubPreparedRejectsUnsafeCut(t *testing.T) {
 	// The read at the end returns the first write: any interior cut between
 	// them severs the pair.
 	p := mustPrepareT(t, "w 1 0 10; w 2 20 30; r 1 40 50")
-	if _, err := SubPrepared(p, 2, 3); err == nil {
+	if _, err := SubPrepared(p, 2, 3, nil); err == nil {
 		t.Fatal("SubPrepared accepted a cut severing a read from its write")
 	}
 	// Write-side crossing: the range holds the write but not its read.
-	if _, err := SubPrepared(p, 0, 1); err == nil {
+	if _, err := SubPrepared(p, 0, 1, nil); err == nil {
 		t.Fatal("SubPrepared accepted a range holding a write whose dictated read lies beyond it")
 	}
-	if _, err := SubPrepared(p, -1, 2); err == nil {
+	if _, err := SubPrepared(p, -1, 2, nil); err == nil {
 		t.Fatal("SubPrepared accepted out-of-bounds lo")
 	}
-	if _, err := SubPrepared(p, 0, 99); err == nil {
+	if _, err := SubPrepared(p, 0, 99, nil); err == nil {
 		t.Fatal("SubPrepared accepted out-of-bounds hi")
 	}
 }
 
 func TestSubPreparedWholeAndEmpty(t *testing.T) {
 	p := mustPrepareT(t, "w 1 0 10; r 1 12 14")
-	whole, err := SubPrepared(p, 0, p.Len())
+	whole, err := SubPrepared(p, 0, p.Len(), nil)
 	if err != nil {
 		t.Fatalf("whole view: %v", err)
 	}
 	if whole.Len() != p.Len() {
 		t.Fatalf("whole view len = %d", whole.Len())
 	}
-	empty, err := SubPrepared(p, 1, 1)
+	empty, err := SubPrepared(p, 1, 1, nil)
 	if err != nil || empty.Len() != 0 {
 		t.Fatalf("empty view: %v len=%d", err, empty.Len())
 	}

@@ -361,7 +361,7 @@ func staleReadSafety(kept, dropped []history.Operation) []bool {
 		synth[i].ID = i
 		synth[i].Client = i
 	}
-	p, err := history.Prepare(history.NormalizeInPlace(&history.History{Ops: synth}))
+	p, err := new(history.PrepareScratch).Build(&history.History{Ops: synth})
 	if err != nil {
 		// The window itself carries an anomaly (duplicate value, dangling
 		// read); the key's error verdict dominates any safety count.

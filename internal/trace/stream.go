@@ -81,6 +81,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -464,23 +465,48 @@ func parseI64(b []byte) (int64, bool) {
 	return v, true
 }
 
+// parseChunk is the size at which ParseReader stops growing a key's
+// operation slice and starts a new one: append grows a large slice by a
+// quarter at a time, which would copy (and first zero the new home of) every
+// operation of a hot key four or five times.
+const parseChunk = 1024
+
 // ParseReader reads a whole multi-register trace from r through the
 // streaming parser, so memory is proportional to the operations rather than
-// the raw text plus the operations. Use it for file and stdin inputs.
+// the raw text plus the operations. Use it for file and stdin inputs. A key's
+// operations collect in chunks of about parseChunk that are joined once at
+// end of input; a key that fits in one keeps that slice.
 func ParseReader(r io.Reader) (*Trace, error) {
-	t := New()
+	type chunked struct {
+		history.History                       // Ops is the chunk being filled
+		full            [][]history.Operation // sealed chunks, oldest first
+		n               int
+	}
+	keys := make(map[string]*chunked)
 	err := parseStreamBytes(r, func(key []byte, op history.Operation) error {
-		h, ok := t.Keys[string(key)]
+		c, ok := keys[string(key)]
 		if !ok {
-			h = &history.History{}
-			t.Keys[string(key)] = h
+			c = &chunked{}
+			keys[string(key)] = c
 		}
-		op.ID = h.Len()
-		h.Ops = append(h.Ops, op)
+		if len(c.Ops) == cap(c.Ops) && len(c.Ops) >= parseChunk {
+			c.full = append(c.full, c.Ops)
+			c.Ops = make([]history.Operation, 0, parseChunk)
+		}
+		op.ID = c.n
+		c.n++
+		c.Ops = append(c.Ops, op)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	t := New()
+	for key, c := range keys {
+		if len(c.full) > 0 {
+			c.Ops, c.full = slices.Concat(append(c.full, c.Ops)...), nil
+		}
+		t.Keys[key] = &c.History
 	}
 	return t, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -330,6 +331,36 @@ func TestStreamEmptyAndTiny(t *testing.T) {
 	}
 	if _, _, err = StreamCheck(strings.NewReader("ok"), 0, core.Options{}, StreamOptions{}); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+}
+
+// A key larger than one parse chunk must come out as Trace.Add would have
+// built it — every operation, in arrival order, ID = arrival index — next to
+// a key that fits in one chunk and one that just fills it.
+func TestParseReaderJoinsChunks(t *testing.T) {
+	want := New()
+	var text strings.Builder
+	for i := 0; i < 3*parseChunk+17; i++ {
+		for _, key := range []string{"hot", "edge", "cold"} {
+			if key == "edge" && i >= parseChunk || key == "cold" && i >= 5 {
+				continue
+			}
+			op := history.Operation{Kind: history.KindWrite, Value: int64(i), Start: int64(2 * i), Finish: int64(2*i + 1)}
+			want.Add(key, op)
+			fmt.Fprintf(&text, "w %s %d %d %d\n", key, op.Value, op.Start, op.Finish)
+		}
+	}
+	got, err := ParseReader(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatalf("ParseReader: %v", err)
+	}
+	if len(got.Keys) != len(want.Keys) {
+		t.Fatalf("keys = %d, want %d", len(got.Keys), len(want.Keys))
+	}
+	for key, wh := range want.Keys {
+		if gh := got.Keys[key]; gh == nil || !slices.Equal(gh.Ops, wh.Ops) {
+			t.Fatalf("key %s differs from Trace.Add's", key)
+		}
 	}
 }
 
