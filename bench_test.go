@@ -389,7 +389,8 @@ func buildBigTrace(keys, opsPerKey int) *root.Trace {
 // Streaming multi-register parser throughput (1000 keys x 40 ops): the plain
 // five-field lines, and the same trace with a client= attribute on every
 // line, as a client-tagged log (and every durable server's own WAL of one)
-// carries them.
+// carries them. single is the other form of the format: one 40 000-operation
+// register, no key column, through kat.ParseReader.
 func BenchmarkTraceParse(b *testing.B) {
 	plain := buildBigTrace(1000, 40)
 	tagged := root.NewTrace()
@@ -413,6 +414,18 @@ func BenchmarkTraceParse(b *testing.B) {
 			}
 		})
 	}
+	single := root.GenerateKAtomic(root.GenConfig{Seed: 1, Ops: 40000, Concurrency: 4, ReadFraction: 0.5, StalenessDepth: 1}).String()
+	b.Run("single", func(b *testing.B) {
+		b.SetBytes(int64(len(single)))
+		b.ReportAllocs()
+		r := strings.NewReader("")
+		for i := 0; i < b.N; i++ {
+			r.Reset(single)
+			if _, err := root.ParseReader(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // Parallel multi-key verification on a 1000-key trace: workers=1 is the

@@ -20,7 +20,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -34,10 +33,12 @@ import (
 	"kat/internal/wire"
 )
 
-// Retry schedule knobs, injectable for tests.
+// Retry schedule and verdict-fetch deadlines, injectable for tests.
 var (
 	retryBaseDelay = 100 * time.Millisecond
 	retryMaxDelay  = 2 * time.Second
+	verdictTimeout = cluster.DefaultHopTimeout
+	drainTimeout   = cluster.DefaultDrainTimeout
 )
 
 // replayOpts carries the -replay flag family.
@@ -199,20 +200,30 @@ func replayNode(baseURL string, ops []wire.Op, o replayOpts, out io.Writer) erro
 		return nil
 	}
 
-	if o.drain {
-		resp, err := http.Post(baseURL+"/drain", "application/json", nil)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		return printServerVerdict(out, resp.Body, true)
-	}
-	resp, err := http.Get(baseURL + "/verdict")
+	doc, err := fetchVerdict(ctx, baseURL, o.drain)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	return printServerVerdict(out, resp.Body, false)
+	state := "live"
+	if doc.Drained {
+		state = "final"
+	}
+	doc.WriteText(out, "server: "+state)
+	if o.drain && !doc.Drained {
+		return fmt.Errorf("server did not report itself drained")
+	}
+	return nil
+}
+
+// fetchVerdict drains the server (or, without drain, reads its live verdict)
+// through the Sender's one deadline-bounded fetch, so a server that accepts
+// the connection and never answers is an error, not a hang.
+func fetchVerdict(ctx context.Context, baseURL string, drain bool) (online.VerdictDoc, error) {
+	s := cluster.NewSender(baseURL, http.DefaultClient, 1, nil)
+	if drain {
+		return s.Doc(ctx, http.MethodPost, "/drain", drainTimeout)
+	}
+	return s.Doc(ctx, http.MethodGet, "/verdict", verdictTimeout)
 }
 
 // splitNodeList parses a comma-separated -replay target list.
@@ -284,21 +295,9 @@ func replayCluster(nodes []string, ops []wire.Op, o replayOpts, out io.Writer) e
 	// Coordinated drain (or live verdict), then one merged document.
 	docs := make([]online.VerdictDoc, 0, len(nodes))
 	for n, base := range nodes {
-		var resp *http.Response
-		var err error
-		if o.drain {
-			resp, err = http.Post(base+"/drain", "application/json", nil)
-		} else {
-			resp, err = http.Get(base + "/verdict")
-		}
+		doc, err := fetchVerdict(context.Background(), base, o.drain)
 		if err != nil {
 			return fmt.Errorf("node %d (%s): %w", n, base, err)
-		}
-		var doc online.VerdictDoc
-		derr := json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if derr != nil {
-			return fmt.Errorf("node %d (%s): verdict response: %w", n, base, derr)
 		}
 		docs = append(docs, doc)
 	}
@@ -388,22 +387,4 @@ func (b *tokenBucket) take(n int) bool {
 			return false
 		}
 	}
-}
-
-// printServerVerdict renders a kavserve verdict document like kavserve's own
-// shutdown summary, so pipeline and server logs read the same.
-func printServerVerdict(out io.Writer, body io.Reader, drained bool) error {
-	var doc online.VerdictDoc
-	if err := json.NewDecoder(body).Decode(&doc); err != nil {
-		return fmt.Errorf("verdict response: %w", err)
-	}
-	state := "live"
-	if doc.Drained {
-		state = "final"
-	}
-	doc.WriteText(out, "server: "+state)
-	if drained && !doc.Drained {
-		return fmt.Errorf("server did not report itself drained")
-	}
-	return nil
 }

@@ -517,3 +517,57 @@ func TestReplayThroughRouterSurvivesMemberShed(t *testing.T) {
 		t.Errorf("members hold %d keys, want 8", keys)
 	}
 }
+
+// TestReplayVerdictFetchNeverHangs wedges the server's /drain and /verdict —
+// the connection is accepted and never answered — behind a working /ingest:
+// the replay must deliver, then fail within the fetch deadline, against one
+// node and against a node list alike. (The bare http.Post/http.Get these
+// fetches used had no deadline at all.)
+func TestReplayVerdictFetchNeverHangs(t *testing.T) {
+	vt, dt := verdictTimeout, drainTimeout
+	verdictTimeout, drainTimeout = 50*time.Millisecond, 50*time.Millisecond
+	t.Cleanup(func() { verdictTimeout, drainTimeout = vt, dt })
+	text, total := writeTrace(2, 4)
+	release := make(chan struct{})
+	defer close(release)
+	wedged := func() http.Handler {
+		srv := online.New(online.Config{K: 2})
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/ingest" {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+				}
+				return
+			}
+			srv.Handler().ServeHTTP(w, r)
+		})
+	}
+	for _, drain := range []bool{true, false} {
+		for _, nodes := range []int{1, 2} {
+			var urls []string
+			for i := 0; i < nodes; i++ {
+				ts := httptest.NewServer(wedged())
+				t.Cleanup(ts.Close) // after release closes, or a failing run would wait on its own handlers
+				urls = append(urls, ts.URL)
+			}
+			target := strings.Join(urls, ",")
+			var out strings.Builder
+			done := make(chan error, 1)
+			go func() {
+				done <- runReplay(target, []byte(text), replayOpts{clients: 1, drain: drain, batchOps: 16, retries: 1}, &out)
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "deadline exceeded") {
+					t.Fatalf("drain=%v %s: err = %v, want a deadline error\n%s", drain, target, err, out.String())
+				}
+				if want := fmt.Sprintf("replayed %d/%d ops", total, total); nodes == 1 && !strings.Contains(out.String(), want) {
+					t.Fatalf("drain=%v: missing %q:\n%s", drain, want, out.String())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("drain=%v %s: replay still waiting on a wedged server after 10s", drain, target)
+			}
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"kat/internal/core"
@@ -505,4 +506,58 @@ func FuzzCrashPointRecovery(f *testing.F) {
 		// The fault-survivor disk (no crash) must recover too.
 		checkRecovery(t, sc, sc.mem, shards2)
 	})
+}
+
+// TestParentWALRecordPinned pins one whole write-ahead record, frame and
+// keyed-text body: the 172 bytes below are wal-ep00000000-s0000.log as a
+// kavserve built at commit 802faec left it (`-ingest-shards 1`, one request
+// of seven lines, killed). They must recover to the seven operations, and the
+// same request must log the same bytes.
+func TestParentWALRecordPinned(t *testing.T) {
+	const body = "w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n" +
+		"w acct:7 2 30 40\nr acct:7 2 35 50 client=9\n" +
+		"w acct:7 3 60 70\nw acct:7 4 65 80 weight=5\nr acct:7 4 75 90\n"
+	const record = "\xd4\xb1\x42\x59" + "\xa3\x00\x00\x00" + "\x01" + body // crc, length, RecordBatch
+	name := "data/" + wal.FileName(0, 0)
+	open := func(mem *faultfs.MemFS) (*Manager, *trace.Session, RecoveryStats) {
+		t.Helper()
+		mgr, err := Open(mem, "data", Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := trace.NewSmallestKSession(core.Options{}, trace.StreamOptions{Workers: 1, IngestShards: 1})
+		rs, err := mgr.Recover(sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mgr, sess, rs
+	}
+
+	old := faultfs.NewMem()
+	f, err := old.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte(record))
+	f.Sync()
+	f.Close()
+	mgr, sess, rs := open(old)
+	if rs.ReplayedOps != 7 || rs.ReplayedRecords != 1 {
+		t.Fatalf("recovered %+v, want 7 operations from 1 record", rs)
+	}
+	if kv, ok := sess.SnapshotKey("acct:7"); !ok || kv.Ops != 7 {
+		t.Fatalf("recovered key: %+v %v", kv, ok)
+	}
+	mgr.Close()
+
+	fresh := faultfs.NewMem()
+	mgr, sess, _ = open(fresh)
+	if _, err := sess.AppendTraceBatch(strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+	got, err := faultfs.ReadFile(fresh, name)
+	if err != nil || string(got) != record {
+		t.Fatalf("the same request logged %q (%v)\nwant %q", got, err, record)
+	}
 }

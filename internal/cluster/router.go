@@ -28,10 +28,11 @@ type Config struct {
 	Nodes []string
 	// Slots is the partition granularity (0 selects DefaultSlots).
 	Slots int
-	// HopTimeout bounds each forwarded request (0: 5s).
+	// HopTimeout bounds each forwarded request (0: DefaultHopTimeout).
 	HopTimeout time.Duration
-	// DrainTimeout bounds each member's coordinated drain (0: 60s) —
-	// drains flush verification pipelines and legitimately outlive hops.
+	// DrainTimeout bounds each member's coordinated drain (0:
+	// DefaultDrainTimeout) — drains flush verification pipelines and
+	// legitimately outlive hops.
 	DrainTimeout time.Duration
 	// ProbeInterval spaces health probes per member (0: 1s).
 	ProbeInterval time.Duration
@@ -52,16 +53,24 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// The deadlines of one request to a server and of one drain, for anything
+// that has none of its own to give: the router's defaults, and what kavgen
+// -replay bounds its verdict fetches with.
+const (
+	DefaultHopTimeout   = 5 * time.Second
+	DefaultDrainTimeout = 60 * time.Second
+)
+
 func (c *Config) withDefaults() Config {
 	d := *c
 	if d.Slots <= 0 {
 		d.Slots = DefaultSlots
 	}
 	if d.HopTimeout <= 0 {
-		d.HopTimeout = 5 * time.Second
+		d.HopTimeout = DefaultHopTimeout
 	}
 	if d.DrainTimeout <= 0 {
-		d.DrainTimeout = 60 * time.Second
+		d.DrainTimeout = DefaultDrainTimeout
 	}
 	if d.ProbeInterval <= 0 {
 		d.ProbeInterval = time.Second
@@ -438,7 +447,7 @@ func (rt *Router) clusterDoc(w http.ResponseWriter, r *http.Request, method, pat
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			doc, err := m.doc(r.Context(), method, path, timeout)
+			doc, err := m.Doc(r.Context(), method, path, timeout)
 			docs[i] = memberDoc{doc, err}
 		}(i, m)
 	}

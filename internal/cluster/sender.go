@@ -276,7 +276,7 @@ func (s *Sender) do(ctx context.Context, timeout time.Duration, method, path, co
 // off /verdict. Only a complete document counts: a router's partial one
 // cannot say what its unreachable members hold.
 func (s *Sender) Counts(ctx context.Context) (map[string]int64, error) {
-	doc, err := s.doc(ctx, http.MethodGet, "/verdict", s.HopTimeout)
+	doc, err := s.Doc(ctx, http.MethodGet, "/verdict", s.HopTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -287,8 +287,10 @@ func (s *Sender) Counts(ctx context.Context) (map[string]int64, error) {
 	return counts, nil
 }
 
-// doc fetches one of the server's verdict documents.
-func (s *Sender) doc(ctx context.Context, method, path string, timeout time.Duration) (doc online.VerdictDoc, err error) {
+// Doc fetches one of the server's verdict documents (GET /verdict, POST
+// /drain), bounded by timeout when there is one. Only a complete document,
+// answered 200, counts.
+func (s *Sender) Doc(ctx context.Context, method, path string, timeout time.Duration) (doc online.VerdictDoc, err error) {
 	err = s.do(ctx, timeout, method, path, "", nil, func(resp *http.Response) error {
 		if resp.StatusCode != http.StatusOK {
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))

@@ -83,19 +83,6 @@ type Report struct {
 	Prepared *history.Prepared
 }
 
-// Check decides whether the history is k-atomic. The input is normalized
-// internally; anomalies surface as errors. One-shot form of
-// Verifier.Check — batch callers should hold a Verifier to reuse its
-// scratch buffers.
-func Check(h *history.History, k int, opts Options) (Report, error) {
-	return NewVerifier().Check(h, k, opts)
-}
-
-// CheckPrepared is Check for histories already normalized and prepared.
-func CheckPrepared(p *history.Prepared, k int, opts Options) (Report, error) {
-	return NewVerifier().CheckPrepared(p, k, opts)
-}
-
 // CheckWeighted decides the weighted k-AV problem of Section V with the
 // exact oracle.
 func CheckWeighted(h *history.History, bound int64, opts Options) (Report, error) {
@@ -115,19 +102,4 @@ func CheckWeighted(h *history.History, bound int64, opts Options) (Report, error
 		}
 	}
 	return rep, nil
-}
-
-// SmallestK computes the least k for which the history is k-atomic, using
-// the fast checkers for k=1,2 and a search with the exact oracle above that
-// (Section II-B: given a k-AV solution, search for the smallest k; see
-// Verifier.SmallestKPrepared for the order of the probes). Every
-// anomaly-free history is W-atomic where W is its number of writes, so the
-// search is bounded. One-shot form of Verifier.SmallestK.
-func SmallestK(h *history.History, opts Options) (int, error) {
-	return NewVerifier().SmallestK(h, opts)
-}
-
-// SmallestKPrepared is SmallestK for prepared histories.
-func SmallestKPrepared(p *history.Prepared, opts Options) (int, error) {
-	return NewVerifier().SmallestKPrepared(p, opts)
 }

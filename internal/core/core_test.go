@@ -20,7 +20,7 @@ func TestCheckDispatchesByK(t *testing.T) {
 		{7, AlgoOracle},
 	}
 	for _, tt := range tests {
-		rep, err := Check(h, tt.k, Options{})
+		rep, err := NewVerifier().Check(h, tt.k, Options{})
 		if err != nil {
 			t.Fatalf("Check(k=%d): %v", tt.k, err)
 		}
@@ -35,14 +35,14 @@ func TestCheckDispatchesByK(t *testing.T) {
 
 func TestCheckRejectsBadK(t *testing.T) {
 	h := history.MustParse("w 1 0 10")
-	if _, err := Check(h, 0, Options{}); err == nil {
+	if _, err := NewVerifier().Check(h, 0, Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
 
 func TestCheckAnomalyError(t *testing.T) {
 	h := history.MustParse("r 5 0 10") // dangling read
-	if _, err := Check(h, 2, Options{}); err == nil {
+	if _, err := NewVerifier().Check(h, 2, Options{}); err == nil {
 		t.Error("anomalous history accepted")
 	}
 }
@@ -58,7 +58,7 @@ func TestForcedAlgorithmMismatch(t *testing.T) {
 		{AlgoLBT, 3},
 		{AlgoFZF, 1},
 	} {
-		_, err := Check(h, tt.k, Options{Algorithm: tt.algo})
+		_, err := NewVerifier().Check(h, tt.k, Options{Algorithm: tt.algo})
 		if !errors.Is(err, ErrAlgorithmMismatch) {
 			t.Errorf("algo=%v k=%d: err = %v, want ErrAlgorithmMismatch", tt.algo, tt.k, err)
 		}
@@ -70,7 +70,7 @@ func TestAlgorithmsAgree(t *testing.T) {
 		h := generator.Random(generator.Config{Seed: seed, Ops: 25, Concurrency: 5})
 		var got []bool
 		for _, algo := range []Algorithm{AlgoLBT, AlgoFZF, AlgoOracle} {
-			rep, err := Check(h, 2, Options{Algorithm: algo})
+			rep, err := NewVerifier().Check(h, 2, Options{Algorithm: algo})
 			if err != nil {
 				t.Fatalf("seed %d algo %v: %v", seed, algo, err)
 			}
@@ -85,11 +85,11 @@ func TestAlgorithmsAgree(t *testing.T) {
 func TestZonesAgreesWithOracleK1(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		h := generator.Random(generator.Config{Seed: seed, Ops: 22, Concurrency: 4})
-		a, err := Check(h, 1, Options{Algorithm: AlgoZones})
+		a, err := NewVerifier().Check(h, 1, Options{Algorithm: AlgoZones})
 		if err != nil {
 			t.Fatalf("zones: %v", err)
 		}
-		b, err := Check(h, 1, Options{Algorithm: AlgoOracle})
+		b, err := NewVerifier().Check(h, 1, Options{Algorithm: AlgoOracle})
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
@@ -105,7 +105,7 @@ func TestSmallestKSequentialDepths(t *testing.T) {
 			Seed: 7, Ops: 40, Concurrency: 1,
 			StalenessDepth: depth, ForceDepth: true, ReadFraction: 0.4,
 		})
-		k, err := SmallestK(h, Options{})
+		k, err := NewVerifier().SmallestK(h, Options{})
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
@@ -116,7 +116,7 @@ func TestSmallestKSequentialDepths(t *testing.T) {
 }
 
 func TestSmallestKEmpty(t *testing.T) {
-	k, err := SmallestK(history.New(nil), Options{})
+	k, err := NewVerifier().SmallestK(history.New(nil), Options{})
 	if err != nil || k != 1 {
 		t.Errorf("SmallestK(empty) = %d, %v; want 1, nil", k, err)
 	}
@@ -126,12 +126,12 @@ func TestSmallestKMonotoneUnderInjection(t *testing.T) {
 	base := generator.KAtomic(generator.Config{
 		Seed: 3, Ops: 30, Concurrency: 1, StalenessDepth: 0, ReadFraction: 0.5,
 	})
-	k0, err := SmallestK(base, Options{})
+	k0, err := NewVerifier().SmallestK(base, Options{})
 	if err != nil {
 		t.Fatalf("SmallestK: %v", err)
 	}
 	mut := generator.InjectStaleness(base, 9, 1.0, 2)
-	k1, err := SmallestK(mut, Options{})
+	k1, err := NewVerifier().SmallestK(mut, Options{})
 	if err != nil {
 		t.Fatalf("SmallestK mutant: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestCheckWeighted(t *testing.T) {
 func TestWitnessExposedAndChecked(t *testing.T) {
 	h := generator.KAtomic(generator.Config{Seed: 5, Ops: 30, Concurrency: 3, StalenessDepth: 1})
 	for _, algo := range []Algorithm{AlgoLBT, AlgoFZF, AlgoOracle} {
-		rep, err := Check(h, 2, Options{Algorithm: algo})
+		rep, err := NewVerifier().Check(h, 2, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("algo %v: %v", algo, err)
 		}

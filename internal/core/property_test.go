@@ -78,7 +78,7 @@ func TestPropertyZonesMatchOracleAt1(t *testing.T) {
 // (depth+1)-atomic verify at that bound, through the public dispatch.
 func TestPropertyGeneratedHistoriesVerify(t *testing.T) {
 	prop := func(qa generator.QuickAtomicHistory) bool {
-		rep, err := Check(qa.H, qa.Depth+1, Options{})
+		rep, err := NewVerifier().Check(qa.H, qa.Depth+1, Options{})
 		if err != nil {
 			return false
 		}
@@ -130,7 +130,7 @@ func TestPropertySmallestKIsTight(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		k, err := SmallestKPrepared(p, Options{OracleStates: budgeted})
+		k, err := NewVerifier().SmallestKPrepared(p, Options{OracleStates: budgeted})
 		if err != nil {
 			return true // budget exhausted mid-search: vacuous
 		}

@@ -26,8 +26,9 @@ import (
 // Reports produced through a Verifier alias its internal buffers: a Report's
 // Witness and its Prepared (Check prepares a private copy of the input in the
 // Verifier's own operation buffer and index) are valid only until the next
-// call on the same Verifier. Copy what must outlive that, or use the one-shot
-// package functions, which spend a fresh Verifier per call.
+// call on the same Verifier. Copy what must outlive that, or spend a fresh
+// Verifier on the call (NewVerifier().Check), as the kat package's one-shot
+// functions do.
 type Verifier struct {
 	fzf fzf.Scratch
 	wit witness.Scratch

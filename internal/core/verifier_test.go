@@ -34,8 +34,8 @@ func TestVerifierReuseZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestVerifierMatchesOneShot cross-checks a reused Verifier against the
-// one-shot package functions across k and history shapes.
+// TestVerifierMatchesOneShot cross-checks a reused Verifier against a fresh
+// one per call across k and history shapes.
 func TestVerifierMatchesOneShot(t *testing.T) {
 	v := NewVerifier()
 	for seed := int64(0); seed < 10; seed++ {
@@ -44,7 +44,7 @@ func TestVerifierMatchesOneShot(t *testing.T) {
 			StalenessDepth: int(seed % 3), ForceDepth: true, ReadFraction: 0.5,
 		})
 		for k := 1; k <= 3; k++ {
-			want, errWant := Check(h, k, Options{})
+			want, errWant := NewVerifier().Check(h, k, Options{})
 			got, errGot := v.Check(h, k, Options{})
 			if (errWant == nil) != (errGot == nil) {
 				t.Fatalf("seed %d k=%d: error mismatch: %v vs %v", seed, k, errWant, errGot)
@@ -53,7 +53,7 @@ func TestVerifierMatchesOneShot(t *testing.T) {
 				t.Errorf("seed %d k=%d: one-shot %v, verifier %v", seed, k, want.Atomic, got.Atomic)
 			}
 		}
-		want, errWant := SmallestK(h, Options{})
+		want, errWant := NewVerifier().SmallestK(h, Options{})
 		got, errGot := v.SmallestK(h, Options{})
 		if (errWant == nil) != (errGot == nil) || want != got {
 			t.Errorf("seed %d: SmallestK one-shot %d/%v, verifier %d/%v",

@@ -1,37 +1,10 @@
 package history
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 )
-
-// WriteText writes the history in the compact text format parsed by Parse,
-// one operation per line.
-func WriteText(w io.Writer, h *History) error {
-	bw := bufio.NewWriter(w)
-	for _, op := range h.Ops {
-		if _, err := bw.WriteString(op.String()); err != nil {
-			return fmt.Errorf("history: write text: %w", err)
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return fmt.Errorf("history: write text: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("history: write text: %w", err)
-	}
-	return nil
-}
-
-// ReadText parses a history from the compact text format. It streams
-// through the buffered line parser, so memory tracks the parsed operations
-// rather than the raw input size (the seed copied the whole reader into a
-// string first).
-func ReadText(r io.Reader) (*History, error) {
-	return ParseReader(r)
-}
 
 // jsonOp is the wire form of an operation.
 type jsonOp struct {

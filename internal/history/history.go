@@ -47,13 +47,41 @@
 // validates and never repairs, is passes 1 and 3 around a check that pass 2
 // would have changed nothing. ref_test.go keeps the five-stage pipeline as
 // the differential reference (FuzzPrepareEquivalence).
+//
+// # The text format
+//
+// The paper's input is "a history of operations with start and finish times";
+// this is its spelling, a single register or — with a key after the kind — a
+// multi-register trace (package trace):
+//
+//	w [key] value start finish [weight=N] [client=N]
+//	r [key] value start finish [client=N]
+//
+// The write-ahead log, spill blobs, checkpoint bodies, the cluster router's
+// per-member batches and kavgen -replay hold and exchange the keyed form, so
+// the bytes are pinned (TestTextGoldenPin, trace.TestPersistedTextPinned) and
+// text.go is the one place that reads or writes them. The rules:
+//
+//   - Operations are separated by '\n' or ';'; a '#' starts a comment that runs
+//     to the end of its line; blank segments are skipped. White space at the
+//     ends of a segment, Unicode space included, is trimmed (all that CRLF
+//     input needs). An error names the segment by its position in the stream.
+//   - Fields are separated by ASCII white space only, so a key is any run of
+//     bytes other than that, ';' and '#' — the wire codec's key alphabet. The
+//     kind is w, W, r or R; the numbers are decimal int64, sign optional.
+//   - Attributes follow in any number and order, a later one overriding an
+//     earlier: weight=N with N >= 1, client=N. Anything else is an error.
+//   - The printer writes one line per operation, single spaces, weight only
+//     above 1, client only when non-zero (so a negative one), '\n' at the end.
+//
+// ref_test.go keeps the string parser this replaced as the differential
+// reference (FuzzParseOp).
 package history
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Kind distinguishes read operations from write operations.
@@ -126,20 +154,6 @@ func (op Operation) EffectiveWeight() int64 {
 	return op.Weight
 }
 
-// String renders the operation in the compact text format understood by
-// Parse, e.g. "w 7 10 20" or "r 7 15 30".
-func (op Operation) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %d %d %d", op.Kind, op.Value, op.Start, op.Finish)
-	if op.Weight > 1 {
-		fmt.Fprintf(&b, " weight=%d", op.Weight)
-	}
-	if op.Client != 0 {
-		fmt.Fprintf(&b, " client=%d", op.Client)
-	}
-	return b.String()
-}
-
 // History is a collection of operations on a single register. k-atomicity is
 // a local property (Section II-B), so multi-register workloads are verified
 // by building one History per register.
@@ -194,15 +208,4 @@ func (h *History) SortByStart() {
 	for i := range h.Ops {
 		h.Ops[i].ID = i
 	}
-}
-
-// String renders the history in the compact text format, one operation per
-// line, in the current operation order.
-func (h *History) String() string {
-	var b strings.Builder
-	for _, op := range h.Ops {
-		b.WriteString(op.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

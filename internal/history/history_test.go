@@ -459,31 +459,31 @@ func TestTextCodecRoundTrip(t *testing.T) {
 	if err := WriteText(&buf, h); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
-	h2, err := ReadText(strings.NewReader(buf.String()))
+	h2, err := ParseReader(strings.NewReader(buf.String()))
 	if err != nil {
-		t.Fatalf("ReadText: %v", err)
+		t.Fatalf("ParseReader: %v", err)
 	}
 	if len(h2.Ops) != len(h.Ops) {
 		t.Fatalf("ops count mismatch: %d vs %d", len(h2.Ops), len(h.Ops))
 	}
 }
 
-// TestReadTextStreams pins ReadText to the buffered line parser: it must
+// TestReadTextStreams pins ParseReader to the streaming reader: it must
 // accept an arbitrarily fragmented reader (no whole-input materialization
 // step to paper over short reads), handle ';' separators and comments like
 // Parse, and surface reader errors.
 func TestReadTextStreams(t *testing.T) {
 	text := "w 1 0 10; r 1 5 20\n# comment\nw 2 15 25 weight=2\n"
 	want := MustParse(text)
-	got, err := ReadText(iotest.OneByteReader(strings.NewReader(text)))
+	got, err := ParseReader(iotest.OneByteReader(strings.NewReader(text)))
 	if err != nil {
-		t.Fatalf("ReadText: %v", err)
+		t.Fatalf("ParseReader: %v", err)
 	}
 	if len(got.Ops) != len(want.Ops) {
 		t.Fatalf("ops count mismatch: %d vs %d", len(got.Ops), len(want.Ops))
 	}
-	if _, err := ReadText(iotest.TimeoutReader(strings.NewReader(text))); err == nil {
-		t.Error("ReadText swallowed a reader error")
+	if _, err := ParseReader(iotest.TimeoutReader(strings.NewReader(text))); err == nil {
+		t.Error("ParseReader swallowed a reader error")
 	}
 }
 

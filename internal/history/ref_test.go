@@ -8,9 +8,13 @@ package history
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -293,4 +297,109 @@ func TestDuplicateTimestampListingMatchesReference(t *testing.T) {
 			t.Fatalf("ops %+v:\ngot  %v\nwant %v", h.Ops, got, want)
 		}
 	}
+}
+
+// The differential reference for the text parser (text.go): the string-based
+// one it replaced, kept as it was — split the segment into ASCII-space fields,
+// then strconv every number. FuzzParseOp holds ParseOp to it in both forms,
+// values and error texts.
+
+// refParseOp is the old trace.parseKeyedOpSlow (keyed) and history.parseOp
+// (single-register; that one split on Unicode space, the one behaviour
+// ParseOp does not keep).
+func refParseOp(part string, keyed bool) (string, Operation, error) {
+	fields := refAppendFields(nil, part)
+	if keyed {
+		if len(fields) < 5 {
+			return "", Operation{}, errors.New("want kind key value start finish")
+		}
+		op, err := refParseOpParts(fields[0], fields[2:])
+		if err != nil {
+			return "", Operation{}, err
+		}
+		return fields[1], op, nil
+	}
+	if len(fields) < 4 {
+		return "", Operation{}, fmt.Errorf("want at least 4 fields (kind value start finish), got %d", len(fields))
+	}
+	op, err := refParseOpParts(fields[0], fields[1:])
+	return "", op, err
+}
+
+// refAppendFields is the old AppendFields.
+func refAppendFields(dst []string, s string) []string {
+	for i := 0; i < len(s); {
+		for i < len(s) && asciiSpace(s[i]) {
+			i++
+		}
+		start := i
+		for i < len(s) && !asciiSpace(s[i]) {
+			i++
+		}
+		if i > start {
+			dst = append(dst, s[start:i])
+		}
+	}
+	return dst
+}
+
+// refParseOpParts is the old ParseOpParts.
+func refParseOpParts(kind string, args []string) (Operation, error) {
+	if len(args) < 3 {
+		return Operation{}, fmt.Errorf("want at least 4 fields (kind value start finish), got %d", len(args)+1)
+	}
+	var op Operation
+	switch kind {
+	case "w", "W":
+		op.Kind = KindWrite
+	case "r", "R":
+		op.Kind = KindRead
+	default:
+		return Operation{}, fmt.Errorf("unknown kind %q", kind)
+	}
+	var err error
+	if op.Value, err = strconv.ParseInt(args[0], 10, 64); err != nil {
+		return Operation{}, fmt.Errorf("value: %w", err)
+	}
+	if op.Start, err = strconv.ParseInt(args[1], 10, 64); err != nil {
+		return Operation{}, fmt.Errorf("start: %w", err)
+	}
+	if op.Finish, err = strconv.ParseInt(args[2], 10, 64); err != nil {
+		return Operation{}, fmt.Errorf("finish: %w", err)
+	}
+	for _, f := range args[3:] {
+		key, val, ok := strings.Cut(f, "=")
+		if !ok {
+			return Operation{}, fmt.Errorf("malformed attribute %q", f)
+		}
+		n, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			return Operation{}, fmt.Errorf("attribute %q: %w", key, err)
+		}
+		switch key {
+		case "weight":
+			if n <= 0 {
+				return Operation{}, fmt.Errorf("weight must be positive, got %d", n)
+			}
+			op.Weight = n
+		case "client":
+			op.Client = int(n)
+		default:
+			return Operation{}, fmt.Errorf("unknown attribute %q", key)
+		}
+	}
+	return op, nil
+}
+
+// refOpString is the old Operation.String.
+func refOpString(op Operation) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %d %d %d", op.Kind, op.Value, op.Start, op.Finish)
+	if op.Weight > 1 {
+		fmt.Fprintf(&b, " weight=%d", op.Weight)
+	}
+	if op.Client != 0 {
+		fmt.Fprintf(&b, " client=%d", op.Client)
+	}
+	return b.String()
 }

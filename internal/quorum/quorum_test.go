@@ -70,7 +70,7 @@ func TestStrictQuorumMostlyAtomic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		rep, err := core.Check(h, 1, core.Options{})
+		rep, err := core.NewVerifier().Check(h, 1, core.Options{})
 		if err != nil {
 			t.Fatalf("Check: %v", err)
 		}
@@ -78,7 +78,7 @@ func TestStrictQuorumMostlyAtomic(t *testing.T) {
 			atomic1++
 		} else {
 			// Must at least be k-atomic for some reasonable k.
-			k, err := core.SmallestK(h, core.Options{})
+			k, err := core.NewVerifier().SmallestK(h, core.Options{})
 			if err != nil {
 				t.Fatalf("SmallestK: %v", err)
 			}
@@ -103,7 +103,7 @@ func TestWeakQuorumShowsStaleness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		rep, err := core.Check(h, 1, core.Options{})
+		rep, err := core.NewVerifier().Check(h, 1, core.Options{})
 		if err != nil {
 			t.Fatalf("Check: %v", err)
 		}
@@ -132,7 +132,7 @@ func TestCrashesStillVerifiable(t *testing.T) {
 			t.Fatalf("seed %d: history not preparable after crashes: %v", seed, err)
 		}
 		// Smallest k must still be computable (bounded search).
-		if _, err := core.SmallestK(h, core.Options{}); err != nil {
+		if _, err := core.NewVerifier().SmallestK(h, core.Options{}); err != nil {
 			t.Fatalf("seed %d: SmallestK: %v", seed, err)
 		}
 	}
@@ -201,7 +201,7 @@ func TestReadRepairImprovesConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if rep, err := core.Check(h, 1, core.Options{}); err == nil && rep.Atomic {
+		if rep, err := core.NewVerifier().Check(h, 1, core.Options{}); err == nil && rep.Atomic {
 			plainOK++
 		}
 		cfg.ReadRepair = true
@@ -212,7 +212,7 @@ func TestReadRepairImprovesConsistency(t *testing.T) {
 		if stats.Repairs == 0 {
 			t.Fatalf("seed %d: no repairs recorded", seed)
 		}
-		if rep, err := core.Check(h, 1, core.Options{}); err == nil && rep.Atomic {
+		if rep, err := core.NewVerifier().Check(h, 1, core.Options{}); err == nil && rep.Atomic {
 			repairOK++
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 // not2Atomic is the canonical predicate: the history is NOT 2-atomic.
 func not2Atomic(h *history.History) bool {
-	rep, err := core.Check(h, 2, core.Options{})
+	rep, err := core.NewVerifier().Check(h, 2, core.Options{})
 	if err != nil {
 		return false // treat malformed candidates as uninteresting
 	}

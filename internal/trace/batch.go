@@ -3,16 +3,16 @@ package trace
 // Batch-granular session ingest: the grouping argument (session.go has the
 // overview of how operations enter the engine).
 //
-// Append takes its key's shard lock once per operation — correct, but at
-// "many concurrent producers" rates the lock traffic itself dominates: every
-// operation pays an acquire/release plus the cache-line bounce of the lock
-// word. The batch entry points amortize that the way a lock-striped memtable
-// does: parse (AppendTraceBatch), decode (AppendWire) or accept
-// (AppendBatch) a whole chunk of operations, group them by ingest shard
-// with one counting pass, and feed each shard's group under a single lock
-// acquisition — lock acquisitions per operation drop by roughly the batch
-// size over the shard count, and the parse path reuses the zero-copy byte
-// parser so the steady-state hot path allocates nothing.
+// A shard lock taken once per operation is correct, but at "many concurrent
+// producers" rates the lock traffic itself dominates: every operation pays an
+// acquire/release plus the cache-line bounce of the lock word. The batch
+// entry points amortize that the way a lock-striped memtable does: parse
+// (AppendTraceBatch), decode (AppendWire) or accept (AppendBatch) a whole
+// chunk of operations, group them by ingest shard with one counting pass, and
+// feed each shard's group under a single lock acquisition — lock acquisitions
+// per operation drop by roughly the batch size over the shard count, and the
+// parse path keeps keys as views into the read buffer, so the steady-state
+// hot path allocates nothing. Append is the same path with a batch of one.
 //
 // Ordering: a key maps to exactly one shard and each shard's group
 // preserves input order, so per-key arrival order — the only order the
@@ -26,9 +26,6 @@ package trace
 // sticky either way.
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
 	"io"
 
 	"kat/internal/history"
@@ -45,28 +42,23 @@ type KeyedOp = wire.Op
 // per shard per chunk), small enough to stay cache- and latency-friendly.
 const defaultBatchChunk = 256 << 10
 
-// maxBatchLine caps the AppendTraceBatch buffer growth on newline-free
-// input — the same 1 GiB backstop ParseStream's scanner enforces, so a
-// malicious or corrupt producer cannot balloon the server's memory
-// with an unterminated line.
-const maxBatchLine = 1 << 30
-
 // batchScratch holds the reusable grouping state of one in-flight batch
 // call; a sync.Pool on the session recycles them so concurrent producers
 // never share one and the steady-state path allocates nothing.
 type batchScratch struct {
-	buf    []byte              // AppendTraceBatch read buffer
+	dec    history.TextDecoder // AppendTraceBatch reader and parser; owns the read buffer
 	ops    []history.Operation // parsed operations, input order
-	keys   [][]byte            // i-th op's key (view into buf)
+	keys   [][]byte            // i-th op's key (view into dec's buffer)
 	shard  []int32             // i-th op's shard index
 	counts []int32             // per-shard group size
 	starts []int32             // counting-sort cursor, one per shard
 	order  []int32             // op indices grouped by shard
-	seg    int                 // running segment counter for parse errors
 	wal    []byte              // write-ahead encoding of one shard group
 	// kops aliases AppendBatch's input for the duration of one call, so the
-	// cached feed closure can reach it without a per-call capture.
+	// cached feed closure can reach it without a per-call capture; one is
+	// Append's batch.
 	kops []KeyedOp
+	one  [1]KeyedOp
 	// wenc / wdec are the per-scratch wire codec state: wdec decodes
 	// AppendWire request bodies, wenc re-frames each shard's accepted group
 	// for the write-ahead log (self-contained, so recovery replays records
@@ -104,13 +96,15 @@ func (s *Session) getScratch() *batchScratch {
 	if sc, ok := s.batchScratches.Get().(*batchScratch); ok {
 		return sc
 	}
-	return &batchScratch{}
+	return &batchScratch{dec: history.TextDecoder{Keyed: true}}
 }
 
 func (s *Session) putScratch(sc *batchScratch) {
 	sc.ops = sc.ops[:0]
 	sc.keys = sc.keys[:0]
-	sc.kops = nil // don't retain the caller's batch past the call
+	// Don't retain the caller's batch, key or reader past the call.
+	sc.kops, sc.one[0] = nil, KeyedOp{}
+	sc.dec.Reset(nil, 0)
 	s.batchScratches.Put(sc)
 }
 
@@ -118,14 +112,14 @@ func (s *Session) putScratch(sc *batchScratch) {
 // and feeds each non-empty shard group under a single counted lock
 // acquisition: gate recheck under the lock, one admission per operation,
 // and the sticky-error unwind — the one copy of the locking discipline the
-// batch entry points share. add hands operation i to the engine (the input
+// batch entry points share. feed hands operation i to the engine (the input
 // forms differ only there); enc, when a ShardLogger is attached, builds the
 // shard group's write-ahead encoding, and the accepted prefix is logged
 // before the lock releases — on the error exits too, so the log never
 // misses an operation the engine admitted. Every exit releases the shard
 // through unlockIngest, which publishes the group's counters. Returns the
 // operations actually appended and the first error.
-func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int32) error, enc *walEnc) (int, error) {
+func (s *Session) feedGrouped(sc *batchScratch, feed func(sh *ingestShard, i int32) error, enc *walEnc) (int, error) {
 	e := s.e
 	appended := 0
 	logger := s.shardLogger()
@@ -153,7 +147,7 @@ func (s *Session) feedGrouped(sc *batchScratch, add func(sh *ingestShard, i int3
 			enc.begin()
 		}
 		for _, i := range group {
-			if err := s.stick(add(sh, i)); err != nil {
+			if err := s.stick(feed(sh, i)); err != nil {
 				if logger != nil {
 					s.logShard(logger, si, enc.finish()) // accepted prefix; err already sticky
 				}
@@ -224,11 +218,32 @@ func (s *Session) AppendBatch(ops []KeyedOp) (int, error) {
 	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
+	return s.appendKeyed(sc, ops)
+}
+
+// Append routes one operation into its key's segment accumulator: a batch of
+// one, held in the pooled scratch so the call allocates nothing. The
+// operation's ID is assigned internally. Append blocks when verification
+// falls behind the configured in-flight budget (backpressure).
+func (s *Session) Append(key string, op history.Operation) error {
+	if err := s.gate(); err != nil {
+		return err
+	}
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	sc.one[0] = KeyedOp{Key: key, Op: op}
+	_, err := s.appendKeyed(sc, sc.one[:])
+	return err
+}
+
+// appendKeyed feeds keyed operations with the keyed-text write-ahead encoding
+// and commits: the body of AppendBatch and Append.
+func (s *Session) appendKeyed(sc *batchScratch, ops []KeyedOp) (int, error) {
 	if sc.walKeyed.add == nil {
 		sc.walKeyed = walEnc{
 			begin: func() { sc.wal = sc.wal[:0] },
 			add: func(i int32) {
-				sc.wal = appendKeyedOpText(sc.wal, sc.kops[i].Key, sc.kops[i].Op)
+				sc.wal = history.AppendOpText(sc.wal, sc.kops[i].Key, sc.kops[i].Op)
 			},
 			finish: func() []byte { return sc.wal },
 		}
@@ -267,7 +282,7 @@ func (s *Session) feedKeyedOps(sc *batchScratch, ops []KeyedOp, enc *walEnc) (in
 	sc.kops = ops
 	if sc.feedKeyed == nil {
 		sc.feedKeyed = func(sh *ingestShard, i int32) error {
-			return s.e.addStringIn(sh, sc.kops[i].Key, sc.kops[i].Op)
+			return add(s.e, sh, sc.kops[i].Key, sc.kops[i].Op)
 		}
 	}
 	return s.feedGrouped(sc, sc.feedKeyed, enc)
@@ -371,65 +386,21 @@ func (s *Session) appendTraceBatch(r io.Reader) (int64, error) {
 	if chunk <= 0 {
 		chunk = defaultBatchChunk
 	}
-	if cap(sc.buf) < chunk {
-		sc.buf = make([]byte, chunk)
-	}
-	buf := sc.buf[:cap(sc.buf)]
-	sc.seg = 0
+	sc.dec.Reset(r, chunk)
 	var n int64
-	carry := 0
 	for {
-		if carry == len(buf) {
-			// One line longer than the buffer: grow and keep reading, up
-			// to the same backstop ParseStream's scanner enforces.
-			if len(buf) >= maxBatchLine {
-				sc.buf = buf
-				return n, fmt.Errorf("trace: %w", bufio.ErrTooLong)
-			}
-			nb := make([]byte, 2*len(buf))
-			copy(nb, buf[:carry])
-			buf = nb
-		}
-		m, rerr := r.Read(buf[carry:])
-		carry += m
-		var data []byte
-		eof := false
-		switch {
-		case rerr == io.EOF:
-			data, carry, eof = buf[:carry], 0, true
-		case rerr != nil:
-			// A reader error tokenizes like EOF before it surfaces:
-			// everything buffered — including a final unterminated line —
-			// is ingested first, exactly as a bufio.Scanner emits its
-			// remaining buffer (final partial token included) before
-			// reporting the error.
-			added, err := s.ingestChunk(sc, buf[:carry])
-			n += int64(added)
-			sc.buf = buf
-			if err != nil {
-				return n, err
-			}
-			return n, fmt.Errorf("trace: %w", rerr)
-		default:
-			cut := bytes.LastIndexByte(buf[:carry], '\n') + 1
-			if cut == 0 {
-				continue // no complete line buffered yet
-			}
-			data = buf[:cut]
-		}
-		added, err := s.ingestChunk(sc, data)
-		n += int64(added)
-		if err != nil {
-			sc.buf = buf
-			return n, err
-		}
-		if eof {
-			sc.buf = buf
+		block, err := sc.dec.Next()
+		if err == io.EOF {
 			return n, nil
 		}
-		// Move the partial trailing line to the front (dst precedes src,
-		// and the chunk's key views are done being read).
-		carry = copy(buf, buf[len(data):carry])
+		if err != nil {
+			return n, err
+		}
+		added, err := s.ingestChunk(sc, block)
+		n += int64(added)
+		if err != nil {
+			return n, err
+		}
 	}
 }
 
@@ -449,18 +420,7 @@ func (s *Session) ingestChunk(sc *batchScratch, data []byte) (int, error) {
 			return nil
 		}
 	}
-	var parseErr error
-	for len(data) > 0 {
-		line := data
-		if j := bytes.IndexByte(data, '\n'); j >= 0 {
-			line, data = data[:j], data[j+1:]
-		} else {
-			data = nil
-		}
-		if parseErr = parseLineOps(line, &sc.seg, sc.collect); parseErr != nil {
-			break
-		}
-	}
+	parseErr := sc.dec.Scan(data, sc.collect)
 	n := len(sc.ops)
 	if n == 0 {
 		return 0, parseErr
@@ -475,12 +435,12 @@ func (s *Session) ingestChunk(sc *batchScratch, data []byte) (int, error) {
 	sc.group(n, len(e.shards))
 	if sc.feedBytes == nil {
 		sc.feedBytes = func(sh *ingestShard, i int32) error {
-			return s.e.addIn(sh, sc.keys[i], sc.ops[i])
+			return add(s.e, sh, sc.keys[i], sc.ops[i])
 		}
 		sc.walBytes = walEnc{
 			begin: func() { sc.wal = sc.wal[:0] },
 			add: func(i int32) {
-				sc.wal = appendKeyedOpText(sc.wal, sc.keys[i], sc.ops[i])
+				sc.wal = history.AppendOpText(sc.wal, sc.keys[i], sc.ops[i])
 			},
 			finish: func() []byte { return sc.wal },
 		}

@@ -36,17 +36,16 @@ package trace
 // re-Prepare every segment (sorting and reassigning IDs), so identities
 // are verdict-neutral and reloaded operations simply renumber from zero.
 //
-// Keys are round-tripped through the keyed text format, so durable sessions
-// require keys without whitespace, ';', or '#' — the same alphabet the
-// trace grammar can express. Everything arriving via parsed ingest
-// satisfies this by construction.
+// Keys are round-tripped through the keyed text format (history/text.go), so
+// durable sessions require keys without whitespace, ';', or '#' — the same
+// alphabet the trace grammar can express. Everything arriving via parsed
+// ingest satisfies this by construction.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 
 	"kat/internal/history"
 	"kat/internal/wire"
@@ -148,44 +147,11 @@ func (s *Session) Flushed() bool { return s.flushed.Load() }
 // spill store instead of memory. Lock-free.
 func (s *Session) SpilledOps() int64 { return s.e.onDisk.Load() }
 
-// AppendKeyedOpText appends the keyed text form of one operation —
-// "kind key value start finish[ weight=N][ client=N]\n" — the same grammar
-// parseKeyedOp reads, so WAL payloads, spill blobs, checkpoint segment
-// bodies, and the cluster router's re-emitted per-node sub-batches all
-// round-trip through the one parser. Generic over the key view so the
-// zero-copy byte paths don't materialize a string.
-func AppendKeyedOpText[K string | []byte](buf []byte, key K, op history.Operation) []byte {
-	return appendKeyedOpText(buf, key, op)
-}
-
-func appendKeyedOpText[K string | []byte](buf []byte, key K, op history.Operation) []byte {
-	if op.IsWrite() {
-		buf = append(buf, 'w', ' ')
-	} else {
-		buf = append(buf, 'r', ' ')
-	}
-	buf = append(buf, key...)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, op.Value, 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, op.Start, 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, op.Finish, 10)
-	if op.Weight > 1 {
-		buf = append(buf, " weight="...)
-		buf = strconv.AppendInt(buf, op.Weight, 10)
-	}
-	if op.Client != 0 {
-		buf = append(buf, " client="...)
-		buf = strconv.AppendInt(buf, int64(op.Client), 10)
-	}
-	return append(buf, '\n')
-}
-
-// appendOpsText encodes a run of operations in keyed text form.
+// appendOpsText encodes a run of one key's operations in keyed text form,
+// the body of a spill blob and of a checkpoint's open window and segments.
 func appendOpsText(buf []byte, key string, ops []history.Operation) []byte {
 	for _, op := range ops {
-		buf = appendKeyedOpText(buf, key, op)
+		buf = history.AppendOpText(buf, key, op)
 	}
 	return buf
 }
@@ -195,23 +161,13 @@ func appendOpsText(buf []byte, key string, ops []history.Operation) []byte {
 // checkpoint blobs are single-key by construction).
 func parseOpsText(data []byte, base int) ([]history.Operation, error) {
 	var ops []history.Operation
-	seg := 0
-	for len(data) > 0 {
-		line := data
-		if j := bytes.IndexByte(data, '\n'); j >= 0 {
-			line, data = data[:j], data[j+1:]
-		} else {
-			data = nil
-		}
-		if err := parseLineOps(line, &seg, func(_ []byte, op history.Operation) error {
-			op.ID = base + len(ops)
-			ops = append(ops, op)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return ops, nil
+	d := history.TextDecoder{Keyed: true}
+	err := d.Scan(data, func(_ []byte, op history.Operation) error {
+		op.ID = base + len(ops)
+		ops = append(ops, op)
+		return nil
+	})
+	return ops, err
 }
 
 // ---- spill ----

@@ -569,3 +569,110 @@ func TestOlderCheckpointOpenWindowRestores(t *testing.T) {
 		}
 	}
 }
+
+// TestPersistedTextPinned pins the text a data directory holds, byte for
+// byte. The literals were read off the disk of a kavserve built at commit
+// 802faec (`-data-dir d -ingest-shards 1 -min-segment-ops 1
+// -spill-threshold-ops 2`, fed the seven lines below in one request, killed):
+// the body of the write-ahead record, the three spill blobs, and the `open` /
+// `ops` strings of the checkpoint. The running build must write the same
+// bytes for the same input and read them back to the same operations.
+func TestPersistedTextPinned(t *testing.T) {
+	const walRecord = "w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n" +
+		"w acct:7 2 30 40\nr acct:7 2 35 50 client=9\n" +
+		"w acct:7 3 60 70\nw acct:7 4 65 80 weight=5\nr acct:7 4 75 90\n"
+	spillBlobs := []string{
+		"w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n",
+		"w acct:7 2 30 40\nr acct:7 2 35 50 client=9\n",
+		"w acct:7 3 60 70\nw acct:7 4 65 80 weight=5\n",
+	}
+	const ckptOpen = "w acct:7 3 60 70\nw acct:7 4 65 80 weight=5\nr acct:7 4 75 90\n"
+	ckptOps := []string{
+		"w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n",
+		"w acct:7 2 30 40\nr acct:7 2 35 50 client=9\n",
+	}
+	w, r := history.KindWrite, history.KindRead
+	ops := []history.Operation{
+		{Kind: w, Value: 1, Start: 0, Finish: 10, Weight: 2, Client: 3},
+		{Kind: r, Value: 1, Start: 5, Finish: 20, Client: -4},
+		{Kind: w, Value: 2, Start: 30, Finish: 40},
+		{Kind: r, Value: 2, Start: 35, Finish: 50, Client: 9},
+		{Kind: w, Value: 3, Start: 60, Finish: 70},
+		{Kind: w, Value: 4, Start: 65, Finish: 80, Weight: 5},
+		{Kind: r, Value: 4, Start: 75, Finish: 90},
+	}
+
+	// Encode: the same input writes the same record, blobs and checkpoint.
+	store, logger := newMemStore(), newCaptureLogger()
+	sopts := StreamOptions{Workers: 1, IngestShards: 1, MinSegmentOps: 1, Store: store, SpillThresholdOps: 2}
+	s := NewSmallestKSession(core.Options{}, sopts)
+	s.SetShardLogger(logger)
+	batch := make([]KeyedOp, len(ops))
+	for i, op := range ops {
+		batch[i] = KeyedOp{Key: "acct:7", Op: op}
+	}
+	if _, err := s.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(logger.shards[0]); got != walRecord {
+		t.Errorf("write-ahead record:\n got %q\nwant %q", got, walRecord)
+	}
+	var blobs []string
+	for _, b := range store.blobs {
+		blobs = append(blobs, string(b))
+	}
+	sort.Strings(blobs)
+	if !reflect.DeepEqual(blobs, spillBlobs) {
+		t.Errorf("spill blobs:\n got %q\nwant %q", blobs, spillBlobs)
+	}
+	cp, err := s.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Keys) != 1 || cp.Keys[0].Open != ckptOpen || len(cp.Keys[0].Deque) != 2 ||
+		cp.Keys[0].Deque[0].Ops != ckptOps[0] || cp.Keys[0].Deque[1].Ops != ckptOps[1] {
+		t.Errorf("checkpoint text: %+v\nwant open %q, ops %q", cp.Keys, ckptOpen, ckptOps)
+	}
+
+	// Decode: every literal reads back to the operations it was written from,
+	// and prints back to itself.
+	for text, want := range map[string][]history.Operation{
+		walRecord: ops, ckptOpen: ops[4:], spillBlobs[0]: ops[:2], spillBlobs[1]: ops[2:4], spillBlobs[2]: ops[4:6],
+	} {
+		got, err := parseOpsText([]byte(text), 0)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%q decodes to %d operations (%v), want %d", text, len(got), err, len(want))
+		}
+		for i := range want {
+			want[i].ID = i
+			if got[i] != want[i] {
+				t.Errorf("%q: operation %d = %+v, want %+v", text, i, got[i], want[i])
+			}
+		}
+		if again := string(appendOpsText(nil, "acct:7", got)); again != text {
+			t.Errorf("%q re-encodes as %q", text, again)
+		}
+	}
+	replayed := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1})
+	if n, err := replayed.Replay([]byte(walRecord)); err != nil || n != int64(len(ops)) {
+		t.Fatalf("replaying the record: %d operations, %v", n, err)
+	}
+	restored := NewSmallestKSession(core.Options{}, sopts)
+	if err := restored.RestoreCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	for _, sess := range []*Session{s, replayed, restored} {
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Snapshot()
+	if len(want) != 1 || want[0].Ops != len(ops) || want[0].SmallestK != 1 || want[0].Err != nil {
+		t.Fatalf("verdict of the pinned input: %+v", want)
+	}
+	for name, sess := range map[string]*Session{"replayed": replayed, "restored": restored} {
+		if got := sess.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s session: %+v, want %+v", name, got, want)
+		}
+	}
+}

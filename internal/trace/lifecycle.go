@@ -47,8 +47,8 @@ package trace
 //     shard groups fed one after another, so mid-feed the watermark already
 //     holds operations that arrived together with ones still waiting their
 //     turn. Sweeps therefore run only between feeds — sweepAllSticky, at the
-//     tail of Session.Append and feedGrouped, once no shard lock is held —
-//     against the watermark read before that feed began.
+//     tail of feedGrouped, once no shard lock is held — against the watermark
+//     read before that feed began.
 //   - A replayed log never counts until its end. Recovery replays the
 //     write-ahead log shard file by shard file, so the watermark stands at
 //     the end of an epoch before the second shard's first operation arrives:
@@ -454,10 +454,6 @@ func (s *Session) RetiredSummary() RetiredSummary {
 
 // RetiredKeys returns the number of currently retired keys. Lock-free.
 func (s *Session) RetiredKeys() int64 { return s.e.retiredNow.Load() }
-
-// Watermark returns the global ingest high-water mark (largest operation
-// start seen), or math.MinInt64 before any operation. Lock-free.
-func (s *Session) Watermark() int64 { return s.e.watermark() }
 
 // CurrentEpoch returns the epoch index the ingest watermark falls in; ok is
 // false when epochs are disabled or no operation has arrived.

@@ -2,30 +2,25 @@ package trace
 
 // Session: the one driver of the streaming engine.
 //
-// Everything that reaches engine.addOp goes through a Session, in one of two
-// admission shapes that differ in something a caller can observe:
-//
-//   - Append: one operation under one shard-lock acquisition. Producers
-//     interleave at operation granularity, nothing is buffered or grouped,
-//     and the call does not allocate — the shape for a caller that has one
-//     operation in hand.
-//   - a batch through feedGrouped (batch.go): AppendBatch takes parsed
-//     operations, AppendWire decodes wire frames, AppendTraceBatch parses
-//     keyed text in chunks; each groups its operations by ingest shard and
-//     feeds every shard's group under one lock acquisition.
+// Everything that reaches engine.addOp goes through a Session, as a batch
+// through feedGrouped (batch.go), the one copy of the admission discipline:
+// AppendBatch takes parsed operations, AppendWire decodes wire frames,
+// AppendTraceBatch parses keyed text in chunks, Append is a batch of one;
+// each groups its operations by ingest shard and feeds every shard's group
+// under one lock acquisition.
 //
 // The reader-driven functions (StreamCheck, StreamSmallestKByKey,
 // StreamVerdictsByKey in stream.go) are a Session too: opened, fed from the
 // reader by AppendWire or AppendTraceBatch, flushed. So are kavserve's ingest
 // handlers and write-ahead-log recovery. The segment-equivalence lemma in
 // stream.go never depended on who feeds the engine: per-key arrival order is
-// all it needs, and both shapes preserve it.
+// all it needs, and every batch preserves it.
 //
 // Verdicts accumulate on the verification pool as segments close, Snapshot
 // reads the live per-key state at any moment, and Flush is the graceful
 // drain: it commits every open window, verifies everything still held, and
-// waits, after which the reports are final — the same for any admission
-// shape, shard count, or batch boundaries over the same operations.
+// waits, after which the reports are final — the same for any shard count or
+// batch boundaries over the same operations.
 //
 // Concurrency shape: there is no session-wide lock. Per-key state is
 // striped over StreamOptions.IngestShards independently locked shards
@@ -45,7 +40,6 @@ import (
 	"sync/atomic"
 
 	"kat/internal/core"
-	"kat/internal/history"
 )
 
 // ErrSessionFlushed reports an Append on a session that was already drained
@@ -113,50 +107,6 @@ func NewCheckSession(k int, opts core.Options, sopts StreamOptions) (*Session, e
 // exact up to StreamOptions.Horizon (see DefaultHorizon).
 func NewSmallestKSession(opts core.Options, sopts StreamOptions) *Session {
 	return &Session{e: newEngine(0, opts, sopts)}
-}
-
-// Append routes one operation into its key's segment accumulator — the only
-// per-operation admission there is (every other entry point is a batch
-// through feedGrouped): one operation under one acquisition of its key's
-// shard lock, so producers working disjoint shards never contend. The
-// operation's ID is assigned internally. Append blocks when verification
-// falls behind the configured in-flight budget (backpressure). Batches
-// amortize the lock via AppendBatch.
-func (s *Session) Append(key string, op history.Operation) error {
-	if err := s.gate(); err != nil {
-		return err
-	}
-	e := s.e
-	logger := s.shardLogger()
-	var preWM int64 // the sweep's idleness clock never counts this operation
-	if e.retireTTL > 0 {
-		preWM = e.watermark()
-	}
-	si := shardIndex(e, key)
-	sh := e.shards[si]
-	sh.lockIngest()
-	// Recheck under the lock: Flush sets the flag and then acquires every
-	// shard lock, so an append that saw flushed==false before the drain
-	// must not land after it.
-	if err := s.gate(); err != nil {
-		e.unlockIngest(sh)
-		return err
-	}
-	err := s.stick(e.addStringIn(sh, key, op))
-	if err == nil && logger != nil {
-		sc := s.getScratch()
-		sc.wal = appendKeyedOpText(sc.wal[:0], key, op)
-		err = s.logShard(logger, si, sc.wal)
-		s.putScratch(sc)
-	}
-	e.unlockIngest(sh)
-	if err == nil && logger != nil {
-		err = s.commitLog(logger)
-	}
-	if err == nil {
-		err = s.sweepAllSticky(1, preWM)
-	}
-	return err
 }
 
 // gate checks admission preconditions, lock-free: a flushed session is

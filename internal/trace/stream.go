@@ -69,19 +69,17 @@ package trace
 // per-shard and engine-wide counts (operations ingested and buffered, the
 // buffered peak, the largest open window, the ingest watermark) accumulate in
 // plain fields under the shard lock and publish once per shard group of a
-// batch and once per Append (engine.publish), so the /metrics ingest gauges
-// and the server's hard-watermark check lag by at most one shard group of
-// one request; between requests, and after Flush, they are exact.
+// batch (engine.publish), so the /metrics ingest gauges and the server's
+// hard-watermark check lag by at most one shard group of one request; between
+// requests, and after Flush, they are exact.
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -289,228 +287,6 @@ func (s *StreamStats) Fold(o StreamStats) {
 	s.Readmissions += o.Readmissions
 }
 
-// ParseStream reads the keyed text format from r and invokes emit for every
-// operation in input order, without materializing the input or the trace:
-// memory is one line plus whatever emit retains. Returning an error from
-// emit aborts the parse with that error.
-func ParseStream(r io.Reader, emit func(key string, op history.Operation) error) error {
-	return parseStreamBytes(r, func(key []byte, op history.Operation) error {
-		return emit(string(key), op)
-	})
-}
-
-// ParseStreamBytes is the allocation-lean form of ParseStream: the key
-// reaches emit as a view into the line buffer, valid only during the call,
-// so callers that intern or hash keys themselves (the engine's shard maps,
-// the cluster router's per-node splitter) pay no per-operation string.
-func ParseStreamBytes(r io.Reader, emit func(key []byte, op history.Operation) error) error {
-	return parseStreamBytes(r, emit)
-}
-
-// parseStreamBytes is the core of ParseStream and ParseStreamBytes.
-func parseStreamBytes(r io.Reader, emit func(key []byte, op history.Operation) error) error {
-	sc := bufio.NewScanner(r)
-	// A trace may legally sit on one ';'-separated line, so the cap is a
-	// backstop; the buffer only grows to the longest line actually seen.
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<30)
-	seg := 0
-	for sc.Scan() {
-		if err := parseLineOps(sc.Bytes(), &seg, emit); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	return nil
-}
-
-// parseLineOps strips the '#' comment, splits one line's ';'-separated
-// segments, and emits each parsed operation; *seg advances per segment so
-// error positions stay global across lines. Both the op-granular scanner
-// path and the batch chunk path parse through here, so the trace grammar
-// cannot drift between them.
-func parseLineOps(line []byte, seg *int, emit func(key []byte, op history.Operation) error) error {
-	if i := bytes.IndexByte(line, '#'); i >= 0 {
-		line = line[:i]
-	}
-	for len(line) > 0 {
-		part := line
-		if i := bytes.IndexByte(line, ';'); i >= 0 {
-			part, line = line[:i], line[i+1:]
-		} else {
-			line = nil
-		}
-		part = bytes.TrimSpace(part)
-		if len(part) == 0 {
-			continue
-		}
-		*seg++
-		key, op, err := parseKeyedOp(part)
-		if err != nil {
-			return fmt.Errorf("trace: segment %d (%q): %w", *seg, part, err)
-		}
-		if err := emit(key, op); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parseKeyedOp parses one "kind key value start finish [attr=N]..." segment
-// from raw bytes without allocating, weight=N / client=N attributes included
-// (any number, any order, a later one overriding an earlier — ParseOpParts'
-// rules). Whatever it cannot take in place — a malformed or unknown
-// attribute, an out-of-range number, a long kind token — goes to the shared
-// string-based field parser, which owns every error text.
-func parseKeyedOp(part []byte) ([]byte, history.Operation, error) {
-	var f [8][]byte
-	n := 0
-	for i := 0; i < len(part); {
-		for i < len(part) && asciiSpace(part[i]) {
-			i++
-		}
-		st := i
-		for i < len(part) && !asciiSpace(part[i]) {
-			i++
-		}
-		if i > st {
-			if n == len(f) {
-				return parseKeyedOpSlow(part)
-			}
-			f[n] = part[st:i]
-			n++
-		}
-	}
-	if n < 5 {
-		return nil, history.Operation{}, errors.New("want kind key value start finish")
-	}
-	if len(f[0]) != 1 {
-		return parseKeyedOpSlow(part)
-	}
-	var op history.Operation
-	switch f[0][0] {
-	case 'w', 'W':
-		op.Kind = history.KindWrite
-	case 'r', 'R':
-		op.Kind = history.KindRead
-	default:
-		return parseKeyedOpSlow(part)
-	}
-	var ok bool
-	if op.Value, ok = parseI64(f[2]); !ok {
-		return parseKeyedOpSlow(part)
-	}
-	if op.Start, ok = parseI64(f[3]); !ok {
-		return parseKeyedOpSlow(part)
-	}
-	if op.Finish, ok = parseI64(f[4]); !ok {
-		return parseKeyedOpSlow(part)
-	}
-	for _, attr := range f[5:n] {
-		name, val, _ := bytes.Cut(attr, []byte("="))
-		v, ok := parseI64(val)
-		switch {
-		case ok && string(name) == "weight" && v > 0:
-			op.Weight = v
-		case ok && string(name) == "client":
-			op.Client = int(v)
-		default:
-			return parseKeyedOpSlow(part)
-		}
-	}
-	return f[1], op, nil
-}
-
-// parseKeyedOpSlow handles malformed and unusual input through the same field
-// parser the non-streaming Parse uses.
-func parseKeyedOpSlow(part []byte) ([]byte, history.Operation, error) {
-	fields := history.AppendFields(nil, string(part))
-	if len(fields) < 5 {
-		return nil, history.Operation{}, errors.New("want kind key value start finish")
-	}
-	op, err := history.ParseOpParts(fields[0], fields[2:])
-	if err != nil {
-		return nil, history.Operation{}, err
-	}
-	return []byte(fields[1]), op, nil
-}
-
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
-}
-
-// parseI64 is a minimal decimal parser for the hot path; anything it cannot
-// handle (including overflow) defers to the strconv-based slow path.
-func parseI64(b []byte) (int64, bool) {
-	i, neg := 0, false
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-		neg = b[0] == '-'
-		i++
-	}
-	if i == len(b) || len(b)-i > 18 {
-		return 0, false
-	}
-	var v int64
-	for ; i < len(b); i++ {
-		c := b[i] - '0'
-		if c > 9 {
-			return 0, false
-		}
-		v = v*10 + int64(c)
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
-}
-
-// parseChunk is the size at which ParseReader stops growing a key's
-// operation slice and starts a new one: append grows a large slice by a
-// quarter at a time, which would copy (and first zero the new home of) every
-// operation of a hot key four or five times.
-const parseChunk = 1024
-
-// ParseReader reads a whole multi-register trace from r through the
-// streaming parser, so memory is proportional to the operations rather than
-// the raw text plus the operations. Use it for file and stdin inputs. A key's
-// operations collect in chunks of about parseChunk that are joined once at
-// end of input; a key that fits in one keeps that slice.
-func ParseReader(r io.Reader) (*Trace, error) {
-	type chunked struct {
-		history.History                       // Ops is the chunk being filled
-		full            [][]history.Operation // sealed chunks, oldest first
-		n               int
-	}
-	keys := make(map[string]*chunked)
-	err := parseStreamBytes(r, func(key []byte, op history.Operation) error {
-		c, ok := keys[string(key)]
-		if !ok {
-			c = &chunked{}
-			keys[string(key)] = c
-		}
-		if len(c.Ops) == cap(c.Ops) && len(c.Ops) >= parseChunk {
-			c.full = append(c.full, c.Ops)
-			c.Ops = make([]history.Operation, 0, parseChunk)
-		}
-		op.ID = c.n
-		c.n++
-		c.Ops = append(c.Ops, op)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := New()
-	for key, c := range keys {
-		if len(c.full) > 0 {
-			c.Ops, c.full = slices.Concat(append(c.full, c.Ops)...), nil
-		}
-		t.Keys[key] = &c.History
-	}
-	return t, nil
-}
-
 // streamChunk is the text read-chunk size of a reader-driven run. Its one
 // producer parses a whole chunk before feeding any of it, so at the server's
 // defaultBatchChunk the 2×workers dispatch queue drains while the next chunk
@@ -600,8 +376,8 @@ type closedSeg struct {
 
 // ingestShard is one stripe of the engine's per-key state. Every key hashes
 // to exactly one shard, which owns that key's map entry and ingest-side
-// accumulator fields; mu guards all of them, taken once per operation
-// (Append) or once per batch group (feedGrouped). The atomic counters below
+// accumulator fields; mu guards all of them, taken once per batch group
+// (feedGrouped). The atomic counters below
 // mu are the shard's observability surface — they are read lock-free by
 // gauges, so scraping never queues behind a backpressured producer. The
 // admission path does not write them per operation: addOp counts into the
@@ -931,23 +707,14 @@ func (e *engine) finish() {
 	}
 }
 
-// addIn admits one operation whose key is a view into a read buffer; the
-// caller holds sh.mu. The no-copy map lookup keeps the hot path
-// allocation-free, and only a key's first sighting clones it.
-func (e *engine) addIn(sh *ingestShard, key []byte, op history.Operation) error {
+// add admits one operation under its key, which may be a string or a view
+// into a read buffer; the caller holds sh.mu. The map lookup copies neither,
+// so the hot path allocates nothing, and only a key's first sighting clones a
+// view.
+func add[K string | []byte](e *engine, sh *ingestShard, key K, op history.Operation) error {
 	ks := sh.keys[string(key)]
 	if ks == nil {
 		ks = e.newKey(sh, string(key))
-	}
-	return e.addOp(ks, op)
-}
-
-// addStringIn is addIn for callers that already hold the key as a string
-// (Append, AppendBatch, AppendWire).
-func (e *engine) addStringIn(sh *ingestShard, key string, op history.Operation) error {
-	ks := sh.keys[key]
-	if ks == nil {
-		ks = e.newKey(sh, key)
 	}
 	return e.addOp(ks, op)
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -390,10 +391,13 @@ func TestParseReaderMatchesParse(t *testing.T) {
 	}
 }
 
-// FuzzParseKeyedOp holds the in-place segment parser to the string-based one
-// it falls back on: same key, same operation, same error text, for any
-// segment — attribute-bearing ones above all, which the in-place path takes
-// itself and must read by ParseOpParts' rules.
+// FuzzParseKeyedOp holds the trace's text doors to the codec they stand on.
+// The in-place parser it used to compare with the string parser is now
+// history.ParseOp, and that comparison, with this corpus, is
+// history.FuzzParseOp; what is left here is the trace's own: a segment reaches
+// ParseStream's emit exactly as ParseOp reads it, an error comes back under
+// the segment's position, and what parses prints through AppendKeyedOpText and
+// Trace.String to a line that parses back to itself.
 func FuzzParseKeyedOp(f *testing.F) {
 	for _, seed := range []string{
 		"w k 1 0 10",
@@ -426,13 +430,35 @@ func FuzzParseKeyedOp(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, part string) {
-		key, op, err := parseKeyedOp([]byte(part))
-		wantKey, wantOp, wantErr := parseKeyedOpSlow([]byte(part))
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("%q: error %v, string parser says %v", part, err, wantErr)
+		if strings.ContainsAny(part, ";#\n") {
+			return // more than one segment
 		}
-		if string(key) != string(wantKey) || op != wantOp {
-			t.Fatalf("%q: parsed %q %+v, string parser says %q %+v", part, key, op, wantKey, wantOp)
+		var got []KeyedOp
+		err := ParseStream(strings.NewReader(part), func(key string, op history.Operation) error {
+			got = append(got, KeyedOp{Key: key, Op: op})
+			return nil
+		})
+		trimmed := bytes.TrimSpace([]byte(part))
+		if len(trimmed) == 0 {
+			if err != nil || len(got) != 0 {
+				t.Fatalf("%q: blank input gave %v, %v", part, got, err)
+			}
+			return
+		}
+		wantKey, wantOp, wantErr := history.ParseOp(trimmed, true)
+		if wantErr != nil {
+			if want := fmt.Sprintf("trace: segment 1 (%q): %v", trimmed, wantErr); err == nil || err.Error() != want {
+				t.Fatalf("%q: error %v, want %s", part, err, want)
+			}
+			return
+		}
+		if err != nil || len(got) != 1 || got[0].Key != string(wantKey) || got[0].Op != wantOp {
+			t.Fatalf("%q: streamed %+v (%v), ParseOp says %q %+v", part, got, err, wantKey, wantOp)
+		}
+		line := AppendKeyedOpText(nil, wantKey, wantOp)
+		tr, err := Parse(string(line))
+		if err != nil || tr.String() != string(line) {
+			t.Fatalf("%q: printed %q, which parses (%v) and prints back as %q", part, line, err, tr)
 		}
 	})
 }

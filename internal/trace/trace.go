@@ -3,19 +3,17 @@
 // consistency bound iff every per-key subhistory does, so verification
 // splits the trace by key and runs the single-register algorithms on each.
 //
-// The text format extends the single-register one with a key column:
-//
-//	w <key> <value> <start> <finish> [weight=N] [client=N]
-//	r <key> <value> <start> <finish> [client=N]
-//
-// Keys are arbitrary non-whitespace tokens. Values must be unique per key
-// (they identify writes within a register), not globally.
+// Traces are read and written in the keyed form of the text format — the
+// single-register one with a key column after the kind — which package
+// history states and implements (history/text.go); the functions here only
+// say what becomes of the operations. Values must be unique per key (they
+// identify writes within a register), not globally.
 package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,26 +62,90 @@ func (t *Trace) SortedKeys() []string {
 	return out
 }
 
-// Parse reads a multi-register trace from the keyed text format. Lines are
-// newline- or ';'-separated; '#' starts a comment. It shares the byte-level
-// streaming parser with ParseStream (the seed spliced the key out,
-// re-joined the rest, and ran the full single-register parser per segment,
-// which built a throwaway History for every operation).
+// Parse reads a multi-register trace from the keyed text format.
 func Parse(text string) (*Trace, error) {
 	return ParseReader(strings.NewReader(text))
 }
 
+// ParseStream reads the keyed text format from r and invokes emit for every
+// operation in input order, without materializing the input or the trace:
+// memory is one read chunk plus whatever emit retains. Returning an error
+// from emit aborts the parse with that error.
+func ParseStream(r io.Reader, emit func(key string, op history.Operation) error) error {
+	return ParseStreamBytes(r, func(key []byte, op history.Operation) error {
+		return emit(string(key), op)
+	})
+}
+
+// ParseStreamBytes is the allocation-lean form of ParseStream: the key
+// reaches emit as a view into the read buffer, valid only during the call,
+// so callers that intern or hash keys themselves (the cluster router's
+// per-node splitter) pay no per-operation string.
+func ParseStreamBytes(r io.Reader, emit func(key []byte, op history.Operation) error) error {
+	return history.ScanText(r, true, emit)
+}
+
+// parseChunk is the size at which ParseReader stops growing a key's
+// operation slice and starts a new one: append grows a large slice by a
+// quarter at a time, which would copy (and first zero the new home of) every
+// operation of a hot key four or five times.
+const parseChunk = 1024
+
+// ParseReader reads a whole multi-register trace from r, so memory is
+// proportional to the operations rather than the raw text plus the
+// operations. Use it for file and stdin inputs. A key's operations collect in
+// chunks of about parseChunk that are joined once at end of input; a key that
+// fits in one keeps that slice.
+func ParseReader(r io.Reader) (*Trace, error) {
+	type chunked struct {
+		history.History                       // Ops is the chunk being filled
+		full            [][]history.Operation // sealed chunks, oldest first
+		n               int
+	}
+	keys := make(map[string]*chunked)
+	err := ParseStreamBytes(r, func(key []byte, op history.Operation) error {
+		c, ok := keys[string(key)]
+		if !ok {
+			c = &chunked{}
+			keys[string(key)] = c
+		}
+		if len(c.Ops) == cap(c.Ops) && len(c.Ops) >= parseChunk {
+			c.full = append(c.full, c.Ops)
+			c.Ops = make([]history.Operation, 0, parseChunk)
+		}
+		op.ID = c.n
+		c.n++
+		c.Ops = append(c.Ops, op)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := New()
+	for key, c := range keys {
+		if len(c.full) > 0 {
+			c.Ops, c.full = slices.Concat(append(c.full, c.Ops)...), nil
+		}
+		t.Keys[key] = &c.History
+	}
+	return t, nil
+}
+
+// AppendKeyedOpText is history.AppendOpText under the name the serving layers
+// and the benchmark know it by.
+func AppendKeyedOpText[K string | []byte](buf []byte, key K, op history.Operation) []byte {
+	return history.AppendOpText(buf, key, op)
+}
+
 // String renders the trace in the keyed text format, keys in sorted order.
 func (t *Trace) String() string {
-	var b strings.Builder
+	var buf []byte
 	for _, key := range t.SortedKeys() {
 		for _, op := range t.Keys[key].Ops {
-			single := op.String()
-			kind, rest, _ := strings.Cut(single, " ")
-			fmt.Fprintf(&b, "%s %s %s\n", kind, key, rest)
+			buf = history.AppendOpText(buf, key, op)
 		}
 	}
-	return b.String()
+	return string(buf)
 }
 
 // arrivalOrder lists the trace's operations by start time — the arrival
@@ -114,9 +176,10 @@ func arrivalOrder(t *Trace) []KeyedOp {
 // order (see arrivalOrder).
 func WriteArrivalOrder(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, r := range arrivalOrder(t) {
-		kind, rest, _ := strings.Cut(r.Op.String(), " ")
-		fmt.Fprintf(bw, "%s %s %s\n", kind, r.Key, rest)
+		line = history.AppendOpText(line[:0], r.Key, r.Op)
+		bw.Write(line) // a failed write is sticky: Flush reports it
 	}
 	return bw.Flush()
 }

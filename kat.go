@@ -215,17 +215,17 @@ func Measure(h *History) Stats { return history.Measure(h) }
 // test, k=2 the FZF algorithm (LBT via Options.Algorithm), and k>=3 the
 // exact search. The history is normalized internally.
 func Check(h *History, k int, opts Options) (Report, error) {
-	return core.Check(h, k, opts)
+	return core.NewVerifier().Check(h, k, opts)
 }
 
 // CheckPrepared is Check for already-prepared histories.
 func CheckPrepared(p *Prepared, k int, opts Options) (Report, error) {
-	return core.CheckPrepared(p, k, opts)
+	return core.NewVerifier().CheckPrepared(p, k, opts)
 }
 
 // SmallestK returns the least k for which h is k-atomic.
 func SmallestK(h *History, opts Options) (int, error) {
-	return core.SmallestK(h, opts)
+	return core.NewVerifier().SmallestK(h, opts)
 }
 
 // CheckWeighted decides the weighted k-AV problem of Section V: for every
