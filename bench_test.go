@@ -1042,6 +1042,55 @@ func onlineIngestFeed(sess *root.OnlineSession, p, n, batch int) error {
 	return err
 }
 
+// BenchmarkColdKeyIngest is the admission every BenchmarkOnlineIngest row
+// misses: those rows feed four keys a producer, so the key's state and the
+// tail of its window are in cache when the next operation arrives. Here 4 096
+// keys take turns through AppendBatch in 512-operation batches into a
+// smallest-k session (the kavserve default: 16 shards, 128-operation windows,
+// horizon 256, so closed segments stay held), and an operation finds its key
+// as cold as a service with many registers does. One iteration is one
+// operation; held-B/op is what a buffered operation costs in memory when the
+// feed stops (Session.BufferedBytes over BufferedOps). Run it at a benchtime
+// that reaches a few hundred operations a key (-benchtime 2000000x) — fewer
+// never close a window.
+func BenchmarkColdKeyIngest(b *testing.B) {
+	const nkeys, batch = 4096, 512
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+	}
+	sess := root.NewOnlineSmallestKSession(root.Options{}, root.StreamOptions{Workers: 1})
+	buf := make([]root.KeyedOp, 0, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The same staircase as onlineIngestFeed, a round of writes over every
+		// key and then a round of reads, on one clock across the keys.
+		ki, round := i%nkeys, int64(i/nkeys)
+		op := root.Operation{Kind: root.KindWrite, Value: round/2 + 1, Start: 4 * int64(i), Finish: 4*int64(i) + 1}
+		if round%2 == 1 {
+			op.Kind = root.KindRead
+		}
+		buf = append(buf, root.KeyedOp{Key: keys[ki], Op: op})
+		if len(buf) == batch || i == b.N-1 {
+			if _, err := sess.AppendBatch(buf); err != nil {
+				b.Fatal(err)
+			}
+			buf = buf[:0]
+		}
+	}
+	b.StopTimer()
+	if ops := sess.BufferedOps(); ops > 0 {
+		b.ReportMetric(float64(sess.BufferedBytes())/float64(ops), "held-B/op")
+	}
+	if err := sess.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if st := sess.Stats(); st.Ops != int64(b.N) {
+		b.Fatalf("ingested %d ops, want %d", st.Ops, b.N)
+	}
+}
+
 // Churning-keyspace lifecycle: key lifetimes are born, live briefly, and
 // quiesce forever, so without retirement the session's live state grows
 // with every lifetime ever seen. One iteration replays the whole churn

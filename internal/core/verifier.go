@@ -86,8 +86,18 @@ func (v *Verifier) Check(h *history.History, k int, opts Options) (Report, error
 // is left as it was and a stream of keys stops allocating once the buffer
 // has seen the largest.
 func (v *Verifier) prepare(h *history.History) (*history.Prepared, error) {
-	v.hist.Ops = append(v.hist.Ops[:0], h.Ops...)
-	return v.PrepareOwned(&v.hist)
+	own := v.Owned()
+	own.Ops = append(own.Ops, h.Ops...)
+	return v.PrepareOwned(own)
+}
+
+// Owned returns the Verifier's own history, emptied: where a caller that holds
+// its operations in some other form (the streaming engine's packed segments)
+// lays them out for PrepareOwned, in a buffer that has seen this worker's
+// largest input instead of one of its own.
+func (v *Verifier) Owned() *history.History {
+	v.hist.Ops = v.hist.Ops[:0]
+	return &v.hist
 }
 
 // PrepareOwned normalizes and prepares a history the caller owns and will

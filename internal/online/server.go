@@ -432,6 +432,8 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 	// — exactly when an operator most needs to see these numbers.
 	s.reg.Gauge("kavserve_open_window_ops", "Live operations buffered (open windows + held + in-flight segments).",
 		func() float64 { return float64(s.sess.BufferedOps()) })
+	s.reg.Gauge("kavserve_buffered_bytes", "Memory those operations are held in: chunk bytes of open windows, held and in-flight segments.",
+		func() float64 { return float64(s.sess.BufferedBytes()) })
 	s.reg.Gauge("kavserve_ingest_shards", "Configured ingest shard count.",
 		func() float64 { return float64(s.sess.Shards()) })
 	s.reg.CounterFunc("kavserve_ingest_lock_acquisitions_total",

@@ -164,6 +164,7 @@ func TestIngestVerdictMetricsDrain(t *testing.T) {
 	metricsText := string(metricsBody)
 	wantLine := fmt.Sprintf("kavserve_ops_ingested_total %d", tr.Len())
 	for _, frag := range []string{wantLine, "kavserve_segments_closed_total", "kavserve_open_window_ops",
+		"# TYPE kavserve_buffered_bytes gauge", "kavserve_buffered_bytes 0", // drained above
 		`kavserve_shard_ingested_ops_total{shard="0"}`, `kavserve_shard_open_window_ops{shard="0"}`,
 		"# TYPE kavserve_shard_ingested_ops_total counter",
 		`kavserve_ingest_requests_by_size_total{bucket="le256"} 2`,

@@ -9,6 +9,7 @@ import (
 
 	"kat/internal/core"
 	"kat/internal/history"
+	"kat/internal/opbuf"
 )
 
 // keyedOpsOf parses the canonical text into the batch-ingest element form.
@@ -494,7 +495,8 @@ func TestSessionShardCountStatsConsistency(t *testing.T) {
 // operation: the shard groups of concurrent producers publish them, so once
 // the session is flushed every gauge is exact, and for a single producer the
 // hard buffer limit trips at the operation and with the message it had when
-// every operation bumped the shared counter itself.
+// every operation bumped the shared counter itself; and a closing window
+// settles the stale reads it drops once, with the bytes their chunks gave back.
 func TestCountersSettlePerGroup(t *testing.T) {
 	const producers, perProducer = 4, 3000
 	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 2, MinSegmentOps: 8, IngestShards: 5})
@@ -538,8 +540,8 @@ func TestCountersSettlePerGroup(t *testing.T) {
 	if fed := int64(producers * perProducer); shardOps != fed || st.Ops != fed {
 		t.Errorf("fed %d operations: shards count %d, Stats.Ops %d", fed, shardOps, st.Ops)
 	}
-	if s.BufferedOps() != 0 {
-		t.Errorf("BufferedOps() = %d after Flush, want 0", s.BufferedOps())
+	if ops, bytes := s.BufferedOps(), s.BufferedBytes(); ops != 0 || bytes != 0 {
+		t.Errorf("BufferedOps() = %d, BufferedBytes() = %d after Flush, want 0", ops, bytes)
 	}
 	if st.PeakBufferedOps <= 0 || st.PeakBufferedOps > st.Ops {
 		t.Errorf("PeakBufferedOps = %d, want within (0, %d]", st.PeakBufferedOps, st.Ops)
@@ -561,4 +563,48 @@ func TestCountersSettlePerGroup(t *testing.T) {
 		t.Errorf("PeakBufferedOps = %d at the limit, want 41", got)
 	}
 	lim.Flush()
+
+	// A closing window that drops stale reads takes them out of the live
+	// counts in one settlement, not one per read. Five writes each close and,
+	// at horizon 2, the first three are dispatched; the window that follows
+	// holds a write and 40 reads of values 0..2, all dropped at its close (the
+	// operation that quiesces it); what stays live is the kept write and the
+	// write before it, both held, and the open operation.
+	b.Reset()
+	for i := 0; i < 5; i++ {
+		fmt.Fprintf(&b, "w k %d %d %d\n", i, 10*i, 10*i+5)
+	}
+	b.WriteString("w k 5 100 300\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "r k %d %d %d\n", i%3, 110+i, 250)
+	}
+	b.WriteString("w k 6 400 410\n")
+	drop := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 3, Horizon: 2})
+	if _, err := drop.AppendTraceBatch(strings.NewReader(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	// A checkpoint waits out the verification in flight, so the counts below
+	// are of what is held and open only.
+	if _, err := drop.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	var shardBuf int64
+	for i := 0; i < drop.Shards(); i++ {
+		shardBuf += drop.ShardBufferedOps(i)
+	}
+	if st := drop.Stats(); st.StaleReads != 40 || st.Ops != 47 {
+		t.Errorf("dropping window: %d stale reads of %d operations, want 40 of 47", st.StaleReads, st.Ops)
+	}
+	if got := drop.BufferedOps(); got != 3 || shardBuf != 3 {
+		t.Errorf("after the dropping close BufferedOps() = %d, shards sum %d; want 3", got, shardBuf)
+	}
+	if got := drop.BufferedBytes(); got != 3*opbuf.ChunkBytes {
+		t.Errorf("after the dropping close BufferedBytes() = %d, want three one-chunk lists", got)
+	}
+	if err := drop.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ops, bytes := drop.BufferedOps(), drop.BufferedBytes(); ops != 0 || bytes != 0 {
+		t.Errorf("after Flush the dropping session still counts %d operations, %d bytes", ops, bytes)
+	}
 }

@@ -48,6 +48,7 @@ import (
 	"math"
 
 	"kat/internal/history"
+	"kat/internal/opbuf"
 	"kat/internal/wire"
 )
 
@@ -156,6 +157,14 @@ func appendOpsText(buf []byte, key string, ops []history.Operation) []byte {
 	return buf
 }
 
+// unpack decodes l into the shard's window buffer; the caller holds sh.mu, and
+// the result is good until the next unpack under it.
+func (e *engine) unpack(sh *ingestShard, l *opbuf.List) []history.Operation {
+	ops := e.buf.Decode(l, sh.window[:0])
+	sh.window = ops[:0]
+	return ops
+}
+
 // parseOpsText decodes a keyed-text payload back into operations, IDs
 // renumbered from base. The keys inside the payload are ignored (spill and
 // checkpoint blobs are single-key by construction).
@@ -170,49 +179,68 @@ func parseOpsText(data []byte, base int) ([]history.Operation, error) {
 	return ops, err
 }
 
+// packText decodes a keyed-text payload — what a blob and a checkpoint hold —
+// onto the end of l and returns how many of its operations are writes. An
+// error ends the session, so what l took by then is left for the collector.
+func (e *engine) packText(l *opbuf.List, data []byte) (writes int, err error) {
+	d := history.TextDecoder{Keyed: true}
+	err = d.Scan(data, func(_ []byte, op history.Operation) error {
+		if op.IsWrite() {
+			writes++
+		}
+		e.buf.Push(l, &op)
+		return nil
+	})
+	return writes, err
+}
+
 // ---- spill ----
 
 // totalOpen is the open window's full size: spilled prefix + in-memory tail.
-func (ks *keyState) totalOpen() int { return ks.spillOpenOps + len(ks.open) }
+func (ks *keyState) totalOpen() int { return ks.spillOpenOps + ks.open.Len() }
 
 // spillOpenTail moves the in-memory open-window tail to the blob store. The
 // value index, write count, and max finish stay — they are everything the
 // cut rules consult before the window closes.
 func (e *engine) spillOpenTail(ks *keyState) error {
-	n := len(ks.open)
+	n := ks.open.Len()
 	if n == 0 {
 		return nil
 	}
-	buf := e.spillBuf(n)
-	buf = appendOpsText(buf[:0], ks.key, ks.open)
-	id, err := e.store.Put(buf)
-	e.spillBufs.Put(buf)
+	id, err := e.spillList(ks, &ks.open)
 	if err != nil {
 		return fmt.Errorf("trace: spill open window of key %q: %w", ks.key, err)
 	}
 	ks.spillOpen = append(ks.spillOpen, id)
 	ks.spillOpenOps += n
-	e.bufPool.Put(ks.open[:0])
-	ks.open = nil
-	e.accountSpill(ks, n)
 	return nil
 }
 
 // spillSeg moves one closed segment's operations to the blob store.
-func (e *engine) spillSeg(ks *keyState, seg *closedSeg) error {
-	n := len(seg.ops)
-	buf := e.spillBuf(n)
-	buf = appendOpsText(buf[:0], ks.key, seg.ops)
+func (e *engine) spillSeg(ks *keyState, seg *closedSeg) (err error) {
+	if seg.spill, err = e.spillList(ks, &seg.ops); err != nil {
+		return fmt.Errorf("trace: spill segment of key %q: %w", ks.key, err)
+	}
+	return nil
+}
+
+// spillList writes l's operations to the blob store as keyed text and frees
+// its chunks; the caller holds the key's shard lock.
+func (e *engine) spillList(ks *keyState, l *opbuf.List) (uint64, error) {
+	n, bytes := l.Len(), l.Bytes()
+	buf := appendOpsText(e.spillBuf(n)[:0], ks.key, e.unpack(ks.sh, l))
 	id, err := e.store.Put(buf)
 	e.spillBufs.Put(buf)
 	if err != nil {
-		return fmt.Errorf("trace: spill segment of key %q: %w", ks.key, err)
+		return 0, err
 	}
-	seg.spill = id
-	e.bufPool.Put(seg.ops[:0])
-	seg.ops = nil
-	e.accountSpill(ks, n)
-	return nil
+	e.buf.Free(l)
+	e.publish(ks.sh) // the operations leaving memory are counted before they are subtracted
+	e.unbuffer(ks.sh, n, bytes)
+	e.onDisk.Add(int64(n))
+	e.spills.Add(1)
+	e.opsSpilled.Add(int64(n))
+	return id, nil
 }
 
 // unspill loads a spilled closed segment back into memory (Get + Del).
@@ -224,14 +252,12 @@ func (e *engine) unspill(ks *keyState, seg *closedSeg) error {
 	if err != nil {
 		return fmt.Errorf("trace: load spilled segment of key %q: %w", ks.key, err)
 	}
-	ops, err := parseOpsText(data, 0)
-	if err != nil {
+	if _, err := e.packText(&seg.ops, data); err != nil {
 		return fmt.Errorf("trace: decode spilled segment of key %q: %w", ks.key, err)
 	}
 	e.store.Del(seg.spill)
 	seg.spill = 0
-	seg.ops = ops
-	e.accountLoad(ks, len(ops))
+	e.accountLoad(ks, seg.ops.Len(), seg.ops.Bytes())
 	return nil
 }
 
@@ -241,47 +267,31 @@ func (e *engine) reloadOpen(ks *keyState) error {
 	if len(ks.spillOpen) == 0 {
 		return nil
 	}
-	var ops []history.Operation
+	var whole opbuf.List
 	for _, id := range ks.spillOpen {
 		data, err := e.store.Get(id)
 		if err != nil {
 			return fmt.Errorf("trace: load spilled window of key %q: %w", ks.key, err)
 		}
-		chunk, err := parseOpsText(data, len(ops))
-		if err != nil {
+		if _, err := e.packText(&whole, data); err != nil {
 			return fmt.Errorf("trace: decode spilled window of key %q: %w", ks.key, err)
 		}
-		ops = append(ops, chunk...)
 		e.store.Del(id)
 	}
-	for _, op := range ks.open {
-		op.ID = len(ops)
-		ops = append(ops, op)
-	}
-	if ks.open != nil {
-		e.bufPool.Put(ks.open[:0])
-	}
-	loaded := ks.spillOpenOps
-	ks.open = ops
+	loaded, bytes := whole.Len(), whole.Bytes()
+	e.buf.Splice(&whole, &ks.open)
+	ks.open = whole
 	ks.spillOpen = nil
 	ks.spillOpenOps = 0
-	e.accountLoad(ks, loaded)
+	e.accountLoad(ks, loaded, bytes)
 	return nil
 }
 
-func (e *engine) accountSpill(ks *keyState, n int) {
-	e.publish(ks.sh) // the operations leaving memory are counted before they are subtracted
-	ks.sh.buffered.Add(int64(-n))
-	e.buffered.Add(int64(-n))
-	e.onDisk.Add(int64(n))
-	e.spills.Add(1)
-	e.opsSpilled.Add(int64(n))
-}
-
-func (e *engine) accountLoad(ks *keyState, n int) {
+func (e *engine) accountLoad(ks *keyState, n int, bytes int64) {
 	ks.sh.buffered.Add(int64(n))
 	cur := e.buffered.Add(int64(n))
 	atomicMax(&e.peakBuffered, cur)
+	e.bufferedBytes.Add(bytes)
 	e.onDisk.Add(int64(-n))
 	e.spillLoads.Add(1)
 }
@@ -549,11 +559,12 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 				buf = append(buf, data...)
 			}
 			spilled := len(buf) > 0
-			buf = appendOpsText(buf, ks.key, ks.open)
+			tail := e.unpack(sh, &ks.open)
+			buf = appendOpsText(buf, ks.key, tail)
 			if len(buf) > 0 {
 				st.Open = string(buf)
 			}
-			window := ks.open
+			window := tail
 			if spilled {
 				var err error
 				if window, err = parseOpsText(buf, 0); err != nil {
@@ -589,7 +600,7 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 					}
 					ss.Ops = string(data)
 				} else {
-					buf = appendOpsText(buf[:0], ks.key, seg.ops)
+					buf = appendOpsText(buf[:0], ks.key, e.unpack(sh, &seg.ops))
 					ss.Ops = string(buf)
 				}
 				st.Deque = append(st.Deque, ss)
@@ -664,36 +675,27 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 				ks.values[pair[0]] = int32(pair[1])
 			}
 		}
-		pending := 0
-		if st.Open != "" {
-			ops, err := parseOpsText([]byte(st.Open), 0)
-			if err != nil {
-				return fmt.Errorf("trace: checkpoint open window of %q: %w", st.Key, err)
-			}
-			ks.open = ops
-			for _, op := range ops {
-				if op.IsWrite() {
-					ks.openWrites++
-				}
-			}
-			pending += len(ops)
+		var err error
+		if ks.openWrites, err = e.packText(&ks.open, []byte(st.Open)); err != nil {
+			return fmt.Errorf("trace: checkpoint open window of %q: %w", st.Key, err)
 		}
+		pending, bytes := ks.open.Len(), ks.open.Bytes()
 		for _, ss := range st.Deque {
-			ops, err := parseOpsText([]byte(ss.Ops), 0)
-			if err != nil {
+			seg := closedSeg{loSeq: ss.LoSeq, hiSeq: ss.HiSeq, writes: ss.Writes, cutAt: ss.CutAt}
+			if _, err := e.packText(&seg.ops, []byte(ss.Ops)); err != nil {
 				return fmt.Errorf("trace: checkpoint segment of %q: %w", st.Key, err)
 			}
-			ks.deque = append(ks.deque, closedSeg{
-				loSeq: ss.LoSeq, hiSeq: ss.HiSeq, ops: ops,
-				writes: ss.Writes, nops: len(ops), cutAt: ss.CutAt,
-			})
+			seg.nops = seg.ops.Len()
+			ks.deque = append(ks.deque, seg)
 			ks.dequeWrites += ss.Writes
-			pending += len(ops)
+			pending += seg.nops
+			bytes += seg.ops.Bytes()
 		}
 		sh.ingested.Add(int64(st.Ops))
 		sh.buffered.Add(int64(pending))
 		e.buffered.Add(int64(pending))
-		sh.openMax = max(sh.openMax, int64(len(ks.open)))
+		e.bufferedBytes.Add(bytes)
+		sh.openMax = max(sh.openMax, int64(ks.open.Len()))
 		sh.maxOpen.Store(sh.openMax)
 		ks.verdict = st.verdict()
 		ks.verdict.Fold(Verdict{SmallestK: st.KFloor})

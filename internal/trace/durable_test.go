@@ -570,6 +570,116 @@ func TestOlderCheckpointOpenWindowRestores(t *testing.T) {
 	}
 }
 
+// TestCheckpointAcrossChunks freezes a session whose state is spread over the
+// packed store every way it can be — an open window of several chunks, a held
+// segment of several, and a held segment two windows were spliced into, whose
+// first window's half-filled last chunk sits in the middle of the list — and
+// holds the restored session's continued run (which splices once more, across
+// the restore) to the uninterrupted one. With a spill store the same windows
+// are on disk in runs of 64 when the checkpoint reads them.
+func TestCheckpointAcrossChunks(t *testing.T) {
+	// Write/read pairs of one key, every operation quiescent, values and
+	// times wide enough that a record takes at least nine bytes. back, when
+	// not zero, replaces the value of the window's tenth read: a read that
+	// reaches into an earlier window.
+	const window = 150
+	var clock, value int64 = 1 << 30, 1 << 40
+	ops := func(n int, back int64) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				value++
+				fmt.Fprintf(&b, "w k %d %d %d weight=%d\n", value, clock, clock+5, 2+i%3)
+			} else if v := value; i == 19 && back != 0 {
+				fmt.Fprintf(&b, "r k %d %d %d\n", back, clock, clock+5)
+			} else {
+				fmt.Fprintf(&b, "r k %d %d %d client=%d\n", v, clock, clock+5, i%4-5)
+			}
+			clock += 10
+		}
+		return b.String()
+	}
+	first := value + 1
+	head := ops(window, 0) + ops(window, first) + ops(window, 0) + ops(100, 0)
+	tail := ops(50, first+2) + ops(window+30, 0)
+
+	for _, tc := range []struct {
+		name  string
+		spill int
+	}{{"memory", 0}, {"spill", 64}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sopts := func() StreamOptions {
+				o := StreamOptions{Workers: 1, MinSegmentOps: window, IngestShards: 2, Properties: PropertySetAll}
+				if tc.spill > 0 {
+					o.Store, o.SpillThresholdOps = newMemStore(), tc.spill
+				}
+				return o
+			}
+			feed := func(s *Session, text string) {
+				t.Helper()
+				if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := NewSmallestKSession(core.Options{}, sopts())
+			feed(s, head)
+			cp, err := s.Checkpoint(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cp.Keys) != 1 || strings.Count(cp.Keys[0].Open, "\n") != 100 || len(cp.Keys[0].Deque) != 2 ||
+				cp.Keys[0].Deque[0].LoSeq != 0 || cp.Keys[0].Deque[0].HiSeq != 1 ||
+				strings.Count(cp.Keys[0].Deque[0].Ops, "\n") != 2*window || strings.Count(cp.Keys[0].Deque[1].Ops, "\n") != window {
+				t.Fatalf("checkpoint is not the spliced segment, the plain one and the open window: %+v", cp.Keys)
+			}
+			if got := cp.Keys[0].Deque[0].Ops + cp.Keys[0].Deque[1].Ops + cp.Keys[0].Open; got != head {
+				t.Errorf("checkpoint text (%d bytes) is not the input (%d bytes) in order", len(got), len(head))
+			}
+			if tc.spill == 0 {
+				// Nine bytes a record and more: the 100-operation window is
+				// four chunks at least, the segments six.
+				if ops, bytes := s.BufferedOps(), s.BufferedBytes(); ops != 3*window+100 || bytes < 9*ops {
+					t.Errorf("%d operations buffered in %d bytes", ops, bytes)
+				}
+			} else if s.SpilledOps() == 0 {
+				t.Error("nothing spilled")
+			}
+			feed(s, tail)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want := s.Snapshot()
+			if st := s.Stats(); st.Merges != 3 || want[0].Ops != 4*window+180 || want[0].Err != nil {
+				t.Fatalf("uninterrupted run: %d merges, %+v", st.Merges, want)
+			}
+
+			// Through JSON, as the checkpoint file holds it.
+			doc, err := json.Marshal(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var loaded SessionCheckpoint
+			if err := json.Unmarshal(doc, &loaded); err != nil {
+				t.Fatal(err)
+			}
+			r := NewSmallestKSession(core.Options{}, sopts())
+			if err := r.RestoreCheckpoint(&loaded); err != nil {
+				t.Fatal(err)
+			}
+			feed(r, tail)
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("restored run diverges from the uninterrupted one:\n got %+v\nwant %+v", got, want)
+			}
+			if st := r.Stats(); st.Merges != 3 || r.BufferedOps() != 0 || r.BufferedBytes() != 0 {
+				t.Errorf("restored run: %d merges, %d operations and %d bytes still buffered", st.Merges, r.BufferedOps(), r.BufferedBytes())
+			}
+		})
+	}
+}
+
 // TestPersistedTextPinned pins the text a data directory holds, byte for
 // byte. The literals were read off the disk of a kavserve built at commit
 // 802faec (`-data-dir d -ingest-shards 1 -min-segment-ops 1

@@ -250,6 +250,13 @@ func (s *Session) Stats() StreamStats {
 // working-set gauge an operator watches. Lock-free.
 func (s *Session) BufferedOps() int64 { return s.e.buffered.Load() }
 
+// BufferedBytes returns the memory those operations are held in: the chunk
+// bytes of every open window, held segment and segment in flight, about ten
+// bytes an operation on a plain trace plus each list's half-empty last chunk
+// (package opbuf). What MaxBufferedOps and an operation-count overload cap
+// bound in operations, this reads in bytes. Lock-free.
+func (s *Session) BufferedBytes() int64 { return s.e.bufferedBytes.Load() }
+
 // Keys returns the number of distinct keys seen so far. Lock-free, so
 // monitoring never queues behind a backpressured Append.
 func (s *Session) Keys() int64 { return s.e.keyCount.Load() }

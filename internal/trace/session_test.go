@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"kat/internal/core"
+	"kat/internal/generator"
 	"kat/internal/history"
 )
 
@@ -321,5 +322,45 @@ func TestSessionSnapshotLifecycle(t *testing.T) {
 	st := s.Stats()
 	if st.Ops != 60 || st.Keys != 1 || st.Segments == 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestBufferedBytesPerOperation pins what a held operation costs: 4 096 keys
+// arriving interleaved, 128 generator operations each — no window closes, so
+// every key holds one open list with its half-filled last chunk — stay within
+// 16 bytes an operation, against the 56 of a history.Operation.
+func TestBufferedBytesPerOperation(t *testing.T) {
+	const keys, perKey = 4096, 128
+	var hists [16]*history.History
+	for i := range hists {
+		hists[i] = generator.KAtomic(generator.Config{Seed: int64(i + 1), Ops: perKey, StalenessDepth: 1})
+	}
+	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1})
+	batch := make([]KeyedOp, keys)
+	for k := range batch {
+		batch[k].Key = fmt.Sprintf("key-%04d", k)
+	}
+	for i := 0; i < perKey; i++ {
+		for k := range batch {
+			batch[k].Op = hists[k%len(hists)].Ops[i]
+		}
+		if _, err := s.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops, bytes := s.BufferedOps(), s.BufferedBytes()
+	if ops != keys*perKey {
+		t.Fatalf("%d operations buffered, want all %d", ops, keys*perKey)
+	}
+	if per := float64(bytes) / float64(ops); per > 16 {
+		t.Errorf("a buffered operation costs %.1f bytes (%d in all), want <= 16", per, bytes)
+	} else {
+		t.Logf("%.1f bytes a buffered operation", per)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.BufferedBytes(); got != 0 {
+		t.Errorf("BufferedBytes() = %d after Flush, want 0", got)
 	}
 }

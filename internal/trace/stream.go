@@ -60,10 +60,25 @@ package trace
 // classified at a close, so nothing consults it in between, and a window's
 // writes enter it together while the key's map is in cache (a duplicate
 // value is therefore reported when its window closes, under that window's
-// sequence number). The operation buffers dominate on bounded traces and are
-// recycled through a pool once segments verify; on unbounded streams with
-// ever-fresh values the value index is the asymptotic term, and
-// MaxBufferedOps caps only the operation buffering.
+// sequence number).
+//
+// Every buffered operation — open window, held segment, segment in flight —
+// is held packed in one store (engine.buf, package opbuf): a varint record of
+// about ten bytes on a plain trace (value, start as a delta from the record
+// before it, duration; weight and client only when set) in 256-byte chunks
+// that hold no pointers, strung into lists by index. An arriving operation is
+// encoded into its key's last chunk; a close decodes the window once, into the
+// shard's buffer, for its two passes and hands the list on as it is; a merge
+// links lists; a worker decodes the list into its own buffer and frees the
+// chunks before it verifies. Waiting costs an operation its record plus its
+// share of the half-empty last chunk of its list — against 56 bytes of
+// history.Operation and the slack of a doubling slice — and
+// Session.BufferedBytes reports the chunk bytes in use. Freed chunks are
+// reused, so the store stays at its high-water mark: the dominant term on
+// bounded traces. On unbounded streams with ever-fresh values the value index
+// is the asymptotic term, and MaxBufferedOps caps only the operation
+// buffering. Spill blobs, checkpoints and the write-ahead log hold text and
+// wire frames as before: the packed form is memory only.
 //
 // Counters: admitting an operation writes no memory another core reads. The
 // per-shard and engine-wide counts (operations ingested and buffered, the
@@ -87,6 +102,7 @@ import (
 	"kat/internal/core"
 	"kat/internal/delta"
 	"kat/internal/history"
+	"kat/internal/opbuf"
 	"kat/internal/wire"
 	"kat/internal/zone"
 )
@@ -361,11 +377,11 @@ func StreamVerdictsByKey(r io.Reader, opts core.Options, sopts StreamOptions) ([
 }
 
 // closedSeg is a quiescence-closed, not-yet-dispatched segment. When
-// spilled, ops is nil, spill holds the blob id, and nops remembers the
-// operation count (nops == len(ops) while in memory).
+// spilled, ops is empty, spill holds the blob id, and nops remembers the
+// operation count (nops == ops.Len() while in memory).
 type closedSeg struct {
 	loSeq, hiSeq int
-	ops          []history.Operation
+	ops          opbuf.List
 	writes       int
 	nops         int
 	spill        uint64
@@ -389,10 +405,15 @@ type ingestShard struct {
 
 	// pendOps and pendLive count the operations routed here and the ones
 	// buffered since the last publish, owed to ingested and to the two
-	// buffered counters; wmStart and openMax are the running values of
-	// maxStart and maxOpen.
-	pendOps, pendLive int64
-	wmStart, openMax  int64
+	// buffered counters, pendBytes the chunk bytes those took, owed to
+	// bufferedBytes; wmStart and openMax are the running values of maxStart
+	// and maxOpen.
+	pendOps, pendLive, pendBytes int64
+	wmStart, openMax             int64
+
+	// window is where a packed list is decoded for a pass over its operations
+	// (a closing window, a spill, a checkpoint): one per shard, so it is warm.
+	window []history.Operation
 
 	// lockTakes counts ingest-path acquisitions of mu (not monitoring or
 	// flush ones), the denominator of the locks-per-op measurement that
@@ -424,7 +445,7 @@ type keyState struct {
 	key               string
 	sh                *ingestShard
 	seq               int // sequence number of the open segment
-	open              []history.Operation
+	open              opbuf.List
 	openWrites        int
 	openMaxFinish     int64
 	maxClosedFinish   int64 // committed cut time (max finish of all closed ops)
@@ -437,7 +458,7 @@ type keyState struct {
 	cumMaxFinish      []int64         // cumMaxFinish[s] = max closed finish through seq s's close
 	totalClosed       int64
 	ops               int
-	// spillOpen holds blob ids of the open window's spilled prefix chunks
+	// spillOpen holds blob ids of the open window's spilled prefix runs
 	// (in append order); spillOpenOps counts the operations in them. The
 	// in-memory ks.open is always the window's tail.
 	spillOpen    []uint64
@@ -463,7 +484,7 @@ type keyState struct {
 type job struct {
 	ks       *keyState
 	seq      int
-	ops      []history.Operation
+	ops      opbuf.List
 	scanOnly bool
 	cutAt    int64
 }
@@ -482,6 +503,10 @@ type engine struct {
 	// reading the one Segment verifySegment prepares.
 	checkers []PropertyChecker
 
+	// buf holds every buffered operation, packed: the open windows, the held
+	// segments and the dispatched jobs are lists of its chunks (package opbuf).
+	buf opbuf.Store
+
 	// store/spillMin enable segment spill-to-disk (see StreamOptions.Store);
 	// spillBufs recycles the encode buffers of the spill path.
 	store     BlobStore
@@ -495,16 +520,14 @@ type engine struct {
 	// submitted from the ingest paths and may fork chunk sub-units, so one
 	// hot key's segments spread over every worker. sem bounds in-flight
 	// submissions (a producer blocks when verification falls behind,
-	// keeping buffered operations bounded). bufPool recycles operation
-	// buffers. ownPool records whether the engine created vpool (and so
-	// must close it) or borrowed a shared one via StreamOptions.Pool; wg
-	// joins this engine's own dispatched segments, which is the only wait a
-	// borrowed pool allows.
+	// keeping buffered operations bounded). ownPool records whether the
+	// engine created vpool (and so must close it) or borrowed a shared one
+	// via StreamOptions.Pool; wg joins this engine's own dispatched segments,
+	// which is the only wait a borrowed pool allows.
 	vpool   *core.Pool
 	ownPool bool
 	wg      sync.WaitGroup
 	sem     chan struct{}
-	bufPool sync.Pool
 
 	// Keyspace lifecycle (lifecycle.go): retirement TTL + sweep cadence,
 	// epoch windowing, and the epoch summary tracker. sinceSweepAll counts
@@ -522,6 +545,7 @@ type engine struct {
 	// never queue behind a backpressured producer, and with sharded ingest
 	// there is no single goroutine that could own plain counters anyway.
 	buffered      atomic.Int64
+	bufferedBytes atomic.Int64
 	keyCount      atomic.Int64
 	peakBuffered  atomic.Int64
 	merges        atomic.Int64
@@ -613,7 +637,20 @@ func (e *engine) publish(sh *ingestShard) {
 		sh.buffered.Add(n)
 		atomicMax(&e.peakBuffered, e.buffered.Add(n))
 		sh.maxOpen.Store(sh.openMax)
+		if b := sh.pendBytes; b > 0 { // a new chunk every few dozen operations
+			sh.pendBytes = 0
+			e.bufferedBytes.Add(b)
+		}
 	}
+}
+
+// unbuffer takes n operations of sh's keys, and the chunk bytes they gave
+// back, out of the live counts: a verified segment, a window's dropped stale
+// reads, a spill.
+func (e *engine) unbuffer(sh *ingestShard, n int, bytes int64) {
+	sh.buffered.Add(int64(-n))
+	e.buffered.Add(int64(-n))
+	e.bufferedBytes.Add(-bytes)
 }
 
 func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
@@ -676,7 +713,6 @@ func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
 		e.vpool = core.NewPool(workers)
 		e.ownPool = true
 	}
-	e.bufPool.New = func() any { return []history.Operation(nil) }
 	return e
 }
 
@@ -774,11 +810,9 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 			return err
 		}
 	}
-	if ks.open == nil {
-		ks.open = e.bufPool.Get().([]history.Operation)
+	if e.buf.Push(&ks.open, &op) {
+		sh.pendBytes += opbuf.ChunkBytes
 	}
-	op.ID = ks.spillOpenOps + len(ks.open)
-	ks.open = append(ks.open, op)
 	if ks.totalOpen() == 1 || op.Finish > ks.openMaxFinish {
 		ks.openMaxFinish = op.Finish
 	}
@@ -793,7 +827,7 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 			return fmt.Errorf("%w (%d live ops; largest open window %d)", ErrBufferLimit, cur, e.maxOpenAll())
 		}
 	}
-	if e.store != nil && len(ks.open) >= e.spillMin {
+	if e.store != nil && ks.open.Len() >= e.spillMin {
 		if err := e.spillOpenTail(ks); err != nil {
 			return err
 		}
@@ -821,12 +855,16 @@ func (e *engine) maxOpenAll() int64 {
 // dispatched) are reloaded here — the only points that need them; an error
 // is a spill I/O failure and poisons the stream.
 func (e *engine) closeOpen(ks *keyState) error {
-	e.publish(ks.sh) // before anything below subtracts from the live count
+	sh := ks.sh
+	e.publish(sh) // before anything below subtracts from the live count
 	if err := e.reloadOpen(ks); err != nil {
 		return err
 	}
-	ops, writes := ks.open, ks.openWrites
-	ks.open, ks.openWrites = nil, 0
+	// The one decode of the window: both passes below read it in the shard's
+	// buffer, and the packed list goes on to the deque as it is.
+	ops, writes := e.unpack(sh, &ks.open), ks.openWrites
+	merged := closedSeg{loSeq: ks.seq, hiSeq: ks.seq, ops: ks.open, writes: writes, cutAt: ks.openMaxFinish}
+	ks.open, ks.openWrites = opbuf.List{}, 0
 	ks.maxClosedFinish = ks.openMaxFinish
 	ks.closedAny = true
 
@@ -834,7 +872,8 @@ func (e *engine) closeOpen(ks *keyState) error {
 	// key's map is warm, not one cold probe per write as they arrive: reads
 	// are only ever classified at a close, against closed segments and this
 	// one. A value some earlier write (of any segment) stored is an anomaly.
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		if !op.IsWrite() {
 			continue
 		}
@@ -859,7 +898,8 @@ func (e *engine) closeOpen(ks *keyState) error {
 	var dropped []history.Operation
 	var droppedSeq []int
 	kept := ops[:0]
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		if op.IsRead() {
 			if s, ok := ks.values[op.Value]; ok && int(s) != ks.seq {
 				if int(s) > ks.dispatchedThrough {
@@ -867,28 +907,33 @@ func (e *engine) closeOpen(ks *keyState) error {
 						mergeFrom = int(s)
 					}
 				} else {
-					dropped = append(dropped, op)
+					dropped = append(dropped, *op)
 					droppedSeq = append(droppedSeq, int(s))
-					ks.sh.buffered.Add(-1)
-					e.buffered.Add(-1)
 					continue
 				}
 			}
 		}
-		kept = append(kept, op)
+		kept = append(kept, *op)
 	}
-	ops = kept
 	if len(dropped) > 0 {
 		e.foldStaleReads(ks, kept, dropped, droppedSeq)
+		// The segment is the window without the dropped reads: packed again
+		// from what was kept, the live counts settled once for all of them.
+		was := merged.ops.Bytes()
+		e.buf.Free(&merged.ops)
+		for i := range kept {
+			e.buf.Push(&merged.ops, &kept[i])
+		}
+		e.unbuffer(sh, len(dropped), was-merged.ops.Bytes())
 	}
 
-	merged := closedSeg{loSeq: ks.seq, hiSeq: ks.seq, ops: ops, writes: writes, cutAt: ks.maxClosedFinish}
 	if mergeFrom >= 0 {
 		j := 0
 		for j < len(ks.deque) && ks.deque[j].hiSeq < mergeFrom {
 			j++
 		}
-		// Concatenate deque[j:] and the closing ops in time order.
+		// Splice deque[j:] and the closing segment, in time order, onto
+		// deque[j]'s chunks.
 		base := ks.deque[j]
 		if err := e.unspill(ks, &base); err != nil {
 			return err
@@ -898,16 +943,14 @@ func (e *engine) closeOpen(ks *keyState) error {
 			if err := e.unspill(ks, &seg); err != nil {
 				return err
 			}
-			base.ops = append(base.ops, seg.ops...)
+			e.buf.Splice(&base.ops, &seg.ops)
 			base.writes += seg.writes
-			e.bufPool.Put(seg.ops[:0])
 			e.merges.Add(1)
 		}
-		base.ops = append(base.ops, ops...)
+		e.buf.Splice(&base.ops, &merged.ops)
 		base.writes += writes
 		base.hiSeq = ks.seq
 		base.cutAt = ks.maxClosedFinish
-		e.bufPool.Put(ops[:0])
 		e.merges.Add(1) // the entry the read reached into
 		ks.deque = ks.deque[:j]
 		merged = base
@@ -916,8 +959,7 @@ func (e *engine) closeOpen(ks *keyState) error {
 	ks.totalClosed += int64(writes)
 	ks.cumWrites = append(ks.cumWrites, ks.totalClosed)           // index == ks.seq
 	ks.cumMaxFinish = append(ks.cumMaxFinish, ks.maxClosedFinish) // index == ks.seq
-	if len(merged.ops) > 0 {
-		merged.nops = len(merged.ops)
+	if merged.nops = merged.ops.Len(); merged.nops > 0 {
 		if e.store != nil && merged.nops >= e.spillMin {
 			if err := e.spillSeg(ks, &merged); err != nil {
 				return err
@@ -925,8 +967,6 @@ func (e *engine) closeOpen(ks *keyState) error {
 		}
 		ks.deque = append(ks.deque, merged)
 		ks.dequeWrites += writes
-	} else {
-		e.bufPool.Put(merged.ops[:0])
 	}
 	ks.seq++
 
@@ -1058,20 +1098,21 @@ func (e *engine) flush(ks *keyState) error {
 // pool via the Ctx verification methods, so idle workers steal intra-segment
 // work instead of waiting for whole segments.
 func (e *engine) verifySegment(c *core.Ctx, j job) {
-	n := len(j.ops)
-	h := history.History{Ops: j.ops}
+	// The segment is unpacked into the worker's own buffer, IDs numbered, and
+	// its chunks go back to the ingest side before the checkers start.
+	n, bytes := j.ops.Len(), j.ops.Bytes()
+	h := c.Verifier().Owned()
+	h.Ops = e.buf.Decode(&j.ops, h.Ops)
+	e.buf.Free(&j.ops)
 	verdict := SegmentVerdict{Key: j.ks.key, Seq: j.seq, Ops: n, ScanOnly: j.scanOnly}
 	// One normalize+prepare per dispatch, whatever is enabled: every checker
 	// reads the same prepared segment (and Δ its raw-scale summary, which
 	// has to be taken before normalization rewrites the timestamps).
-	for i := range h.Ops {
-		h.Ops[i].ID = i
-	}
 	var seg Segment
 	if !j.scanOnly && e.sopts.Properties.Has(PropertyDelta) {
-		seg.Delta = delta.Summarize(&h)
+		seg.Delta = delta.Summarize(h)
 	}
-	seg.P, verdict.Err = c.Verifier().PrepareOwned(&h)
+	seg.P, verdict.Err = c.Verifier().PrepareOwned(h)
 	switch {
 	case j.scanOnly: // the prepare's error is all a settled key still owes
 	case seg.P == nil:
@@ -1108,8 +1149,7 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 	// The decrement must follow the settle fold: a retirement finalizer that
 	// observes inflight == 0 reads verdict state that includes this segment.
 	j.ks.inflight.Add(-1)
-	j.ks.sh.buffered.Add(-int64(n))
-	e.buffered.Add(-int64(n))
+	e.unbuffer(j.ks.sh, n, bytes)
 	// FirstVerdictOps documents the pipelining win, so only verdicts
 	// landing before Flush count.
 	if !e.parseDone.Load() {
@@ -1118,7 +1158,6 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 	if e.sopts.OnSegment != nil {
 		e.sopts.OnSegment(verdict)
 	}
-	e.bufPool.Put(h.Ops[:0])
 }
 
 // eachShardLocked runs fn on every shard under that shard's lock, one shard
