@@ -6,29 +6,75 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"kat"
-	"kat/internal/checkpoint"
 	"kat/internal/cluster"
 	"kat/internal/faultfs"
-	"kat/internal/online"
-	"kat/internal/wal"
+	"kat/internal/serve"
 )
 
-// testTimeouts are the hardened HTTP server settings at test-friendly
-// scale (tight shutdown so failed drains don't stall the suite).
-func testTimeouts() httpTimeouts {
-	return httpTimeouts{
-		readHeader: 5 * time.Second,
-		read:       time.Minute,
-		idle:       time.Minute,
-		shutdown:   5 * time.Second,
+// node is one kavserve configured from its arguments and serving on a
+// loopback port, as run starts it.
+type node struct {
+	base string
+	sigs chan os.Signal
+	done chan error
+	mu   sync.Mutex
+	log  strings.Builder
+}
+
+func (n *node) Write(p []byte) (int, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.log.Write(p)
+}
+
+// startNode configures a node from args on fsys and serves it; the shutdown
+// grace is test-sized so a failed drain does not stall the suite.
+func startNode(t *testing.T, fsys faultfs.FS, args ...string) *node {
+	t.Helper()
+	n := &node{sigs: make(chan os.Signal, 1), done: make(chan error, 1)}
+	sn, err := serve.New(append([]string{"-shutdown-timeout", "5s"}, args...), n, fsys)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		sn.Close()
+		t.Fatal(err)
+	}
+	n.base = "http://" + ln.Addr().String()
+	go func() { n.done <- sn.Serve(ln, n.sigs) }()
+	return n
+}
+
+// stop signals the node, waits for its drain and returns its log.
+func (n *node) stop(t *testing.T) string {
+	t.Helper()
+	n.sigs <- os.Interrupt
+	if err := <-n.done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.log.String()
+}
+
+// post sends body to url and returns the status code and response body.
+func post(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode, string(b)
 }
 
 func TestFlagErrors(t *testing.T) {
@@ -63,12 +109,24 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"-route", "http://localhost:1", "-data-dir", "/tmp/x"}, &out); err == nil {
 		t.Error("-route with -data-dir accepted")
 	}
-	// A quota without -tenants used to start an unbounded single-tenant
-	// server without a word.
-	for _, quota := range []string{"-tenant-max-ops", "-tenant-max-keys", "-tenant-max-buffered"} {
-		if err := run([]string{quota, "10"}, &out); err == nil || !strings.Contains(err.Error(), "need -tenants") {
-			t.Errorf("%s without -tenants: err = %v, want a need--tenants reject", quota, err)
+	if err := run([]string{"-route", "http://localhost:1", "-tenants", "a"}, &out); err == nil {
+		t.Error("-route with -tenants accepted")
+	}
+	if err := run([]string{"-tenants", "a,a/b"}, &out); err == nil || !strings.Contains(err.Error(), `tenant name "a/b"`) {
+		t.Errorf("-tenants a,a/b: err = %v, want a tenant-name reject", err)
+	}
+	// Quotas bind the root tenant, and tenants are durable: neither pairing
+	// is refused any more.
+	for _, args := range [][]string{
+		{"-tenant-max-ops", "10"}, {"-tenant-max-keys", "10"}, {"-tenant-max-buffered", "10"},
+		{"-tenants", "a,b", "-data-dir", "d"},
+	} {
+		n, err := serve.New(args, io.Discard, faultfs.NewMem())
+		if err != nil {
+			t.Errorf("%v: %v", args, err)
+			continue
 		}
+		n.Close()
 	}
 }
 
@@ -76,87 +134,32 @@ func TestFlagErrors(t *testing.T) {
 // loop in front of them, drives a mixed-key trace through the router, and
 // checks the coordinated cluster drain plus router shutdown.
 func TestServeRouterMode(t *testing.T) {
-	startMember := func() (string, chan os.Signal, chan error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := online.Config{K: 2}
-		cfg.Stream.Workers = 2
-		sigs := make(chan os.Signal, 1)
-		done := make(chan error, 1)
-		go func() { done <- serve(ln, cfg, nil, 0, false, testTimeouts(), sigs, io.Discard) }()
-		return "http://" + ln.Addr().String(), sigs, done
-	}
-	m0, sigs0, done0 := startMember()
-	m1, sigs1, done1 := startMember()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsigs := make(chan os.Signal, 1)
-	var out strings.Builder
-	var mu sync.Mutex
-	lockedOut := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return out.Write(p)
-	})
-	rdone := make(chan error, 1)
-	go func() {
-		rdone <- serveRouter(ln, cluster.Config{
-			Nodes:         []string{m0, m1},
-			ProbeInterval: 50 * time.Millisecond,
-		}, testTimeouts(), rsigs, lockedOut)
-	}()
-	base := "http://" + ln.Addr().String()
+	m0 := startNode(t, nil, "-workers", "2")
+	m1 := startNode(t, nil, "-workers", "2")
+	router := startNode(t, nil, "-route", m0.base+","+m1.base, "-probe-interval", "50ms")
 
 	text := "w a 1 0 1\nw b 1 0 1\nw c 1 2 3\nr a 1 2 3\nr b 1 2 3\nr c 1 4 5\n"
-	resp, err := http.Post(base+"/ingest", "text/plain", strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
+	if code, body := post(t, router.base+"/ingest", text); code != http.StatusOK || !strings.Contains(body, `"ingested": 6`) {
+		t.Fatalf("router ingest: %d: %s", code, body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"ingested": 6`) {
-		t.Fatalf("router ingest: %s: %s", resp.Status, body)
-	}
-	dresp, err := http.Post(base+"/drain", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbody, _ := io.ReadAll(dresp.Body)
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster drain: %s: %s", dresp.Status, dbody)
+	code, dbody := post(t, router.base+"/drain", "")
+	if code != http.StatusOK {
+		t.Fatalf("cluster drain: %d: %s", code, dbody)
 	}
 	var doc cluster.ClusterVerdict
-	if err := json.Unmarshal(dbody, &doc); err != nil {
+	if err := json.Unmarshal([]byte(dbody), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if !doc.Cluster || !doc.Drained || len(doc.Keys) != 3 {
 		t.Fatalf("cluster drain doc: cluster=%v drained=%v keys=%d: %s", doc.Cluster, doc.Drained, len(doc.Keys), dbody)
 	}
 
-	rsigs <- os.Interrupt
-	if err := <-rdone; err != nil {
-		t.Fatalf("router serve: %v", err)
-	}
-	mu.Lock()
-	output := out.String()
-	mu.Unlock()
-	if !strings.Contains(output, "routing on") || !strings.Contains(output, "node 0 "+m0) {
+	output := router.stop(t)
+	if !strings.Contains(output, "routing on") || !strings.Contains(output, "node 0 "+m0.base) {
 		t.Fatalf("router startup log missing topology:\n%s", output)
 	}
-	sigs0 <- os.Interrupt
-	sigs1 <- os.Interrupt
-	if err := <-done0; err != nil {
-		t.Fatalf("member 0: %v", err)
-	}
-	if err := <-done1; err != nil {
-		t.Fatalf("member 1: %v", err)
-	}
+	m0.stop(t)
+	m1.stop(t)
 }
 
 // TestServeDurableRestart runs the durable serve loop against a real on-disk
@@ -168,46 +171,13 @@ func TestServeDurableRestart(t *testing.T) {
 	text := "w reg 1 0 2\nr reg 1 1 3\nw reg 2 4 6\nr reg 1 5 7\nr reg 2 8 9\n"
 
 	runOnce := func(ingest string) string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgr, err := checkpoint.Open(faultfs.OS(), dir, checkpoint.Config{Policy: wal.SyncBatch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := online.Config{K: 2}
-		cfg.Stream.Workers = 2
-		cfg.Stream.MinSegmentOps = 1
-		sigs := make(chan os.Signal, 1)
-		var out strings.Builder
-		var mu sync.Mutex
-		lockedOut := writerFunc(func(p []byte) (int, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return out.Write(p)
-		})
-		done := make(chan error, 1)
-		go func() { done <- serve(ln, cfg, mgr, 50*time.Millisecond, false, testTimeouts(), sigs, lockedOut) }()
-		base := "http://" + ln.Addr().String()
+		n := startNode(t, faultfs.OS(), "-data-dir", dir, "-checkpoint-interval", "50ms", "-workers", "2", "-min-segment-ops", "1")
 		if ingest != "" {
-			resp, err := http.Post(base+"/ingest", "text/plain", strings.NewReader(ingest))
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("ingest: %s", resp.Status)
+			if code, body := post(t, n.base+"/ingest", ingest); code != http.StatusOK {
+				t.Fatalf("ingest: %d %s", code, body)
 			}
 		}
-		sigs <- os.Interrupt
-		if err := <-done; err != nil {
-			t.Fatalf("serve: %v", err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return out.String()
+		return n.stop(t)
 	}
 
 	first := runOnce(text)
@@ -230,32 +200,75 @@ func TestServeDurableRestart(t *testing.T) {
 	}
 }
 
+// TestServeTenantsDurable runs named tenants on one data directory (an
+// in-memory filesystem): a node closed without draining comes back with
+// each tenant's own operations replayed from its own WAL, one tenant drained
+// while the other keeps ingesting, and prints each tenant's final verdicts.
+func TestServeTenantsDurable(t *testing.T) {
+	fsys := faultfs.NewMem()
+	args := []string{"-tenants", "a,b", "-data-dir", "d", "-workers", "1", "-min-segment-ops", "1"}
+	var log strings.Builder
+	first, err := serve.New(args, &log, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ path, body string }{
+		{"/ingest/a", "w x 1 0 1\nr x 1 2 3\n"},
+		{"/ingest/b", "w x 7 0 1\nw x 8 2 3\nr x 7 4 5\n"},
+		{"/drain/a", ""},
+	} {
+		rec := httptest.NewRecorder()
+		first.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", req.path, rec.Code, rec.Body)
+		}
+	}
+	first.Close() // no drain of b: its WAL is all there is
+
+	second := startNode(t, fsys, args...)
+	if code, body := post(t, second.base+"/ingest/b", "r x 8 6 7\n"); code != http.StatusOK {
+		t.Fatalf("b after restart: %d %s", code, body)
+	}
+	if code, body := post(t, second.base+"/ingest/a", "w y 1 0 1\n"); code != http.StatusConflict || !strings.Contains(body, `"draining"`) {
+		t.Fatalf("drained a after restart: %d %s", code, body)
+	}
+	out := second.stop(t)
+	for _, want := range []string{
+		"kavserve: [a] recovered state is drained",
+		"kavserve: [b] recovered checkpoint epoch -1 (0 keys), replayed 3 ops",
+		"kavserve: [a] final verdicts for 1 key(s), 2 ops",
+		"kavserve: [b] final verdicts for 1 key(s), 4 ops",
+		"smallest k: 2",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("restart log missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestServeRootQuota: the -tenant-max-* quotas bind a single-tenant server's
+// root tenant, with the typed reject a named tenant gets.
+func TestServeRootQuota(t *testing.T) {
+	n := startNode(t, nil, "-tenant-max-ops", "2", "-workers", "1")
+	if code, body := post(t, n.base+"/ingest", "w a 1 0 1\nr a 1 2 3\n"); code != http.StatusOK {
+		t.Fatalf("within quota: %d %s", code, body)
+	}
+	code, body := post(t, n.base+"/ingest", "w a 2 4 5\n")
+	if want := `{"code":"quota_exceeded","error":"operation quota exhausted (2 ingested, quota 2)","ingested":0}` + "\n"; code != http.StatusTooManyRequests || body != want {
+		t.Fatalf("over quota: %d %q, want 429 %q", code, body, want)
+	}
+	n.stop(t)
+}
+
 // TestServeDrainOnSignal runs the full server loop on a real listener,
 // ingests a trace, triggers the signal-driven graceful drain, and checks the
 // final verdicts printed on shutdown match the offline checker.
 func TestServeDrainOnSignal(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := online.Config{K: 2}
-	cfg.Stream.Workers = 2
-	cfg.Stream.MinSegmentOps = 4
-	sigs := make(chan os.Signal, 1)
-	var out strings.Builder
-	var mu sync.Mutex
-	lockedOut := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return out.Write(p)
-	})
-	done := make(chan error, 1)
-	go func() { done <- serve(ln, cfg, nil, 0, true, testTimeouts(), sigs, lockedOut) }()
-	base := "http://" + ln.Addr().String()
+	n := startNode(t, nil, "-workers", "2", "-min-segment-ops", "4", "-pprof")
 
 	// -pprof mounts the profile index (mutex/block enabled) next to the
 	// service endpoints without shadowing them.
-	resp0, err := http.Get(base + "/debug/pprof/mutex?debug=1")
+	resp0, err := http.Get(n.base + "/debug/pprof/mutex?debug=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,27 +292,16 @@ func TestServeDrainOnSignal(t *testing.T) {
 	if err := kat.WriteTraceArrivalOrder(&text, tr); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/ingest", "text/plain", strings.NewReader(text.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: %s: %s", resp.Status, body)
+	code, body := post(t, n.base+"/ingest", text.String())
+	if code != http.StatusOK {
+		t.Fatalf("ingest: %d: %s", code, body)
 	}
 	var ing struct{ Ingested int }
-	if err := json.Unmarshal(body, &ing); err != nil || ing.Ingested != tr.Len() {
+	if err := json.Unmarshal([]byte(body), &ing); err != nil || ing.Ingested != tr.Len() {
 		t.Fatalf("ingest response %s (err %v), want %d ops", body, err, tr.Len())
 	}
 
-	sigs <- os.Interrupt
-	if err := <-done; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	mu.Lock()
-	output := out.String()
-	mu.Unlock()
+	output := n.stop(t)
 	for key, wantK := range kat.SmallestKByKey(tr, kat.Options{}) {
 		needle := fmt.Sprintf("smallest k: %d", wantK)
 		found := false
@@ -318,44 +320,15 @@ func TestServeDrainOnSignal(t *testing.T) {
 	}
 }
 
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
 // TestServePropertiesDrain: a per-property session's final shutdown
 // printout and /verdict both carry the Δ and regularity verdicts.
 func TestServePropertiesDrain(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := online.Config{K: 2}
-	cfg.Stream.Workers = 1
-	cfg.Stream.MinSegmentOps = 1
-	cfg.Stream.Properties = kat.PropertySetAll
-	sigs := make(chan os.Signal, 1)
-	var out strings.Builder
-	var mu sync.Mutex
-	lockedOut := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return out.Write(p)
-	})
-	done := make(chan error, 1)
-	go func() { done <- serve(ln, cfg, nil, 0, false, testTimeouts(), sigs, lockedOut) }()
-	base := "http://" + ln.Addr().String()
+	n := startNode(t, nil, "-workers", "1", "-min-segment-ops", "1", "-properties", "k,delta,regularity")
 
-	text := "w a 1 0 1\nr a 1 2 3\nw a 2 4 5\nr a 2 6 7\n"
-	resp, err := http.Post(base+"/ingest", "text/plain", strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
+	if code, body := post(t, n.base+"/ingest", "w a 1 0 1\nr a 1 2 3\nw a 2 4 5\nr a 2 6 7\n"); code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", code, body)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: %s", resp.Status)
-	}
-	vresp, err := http.Get(base + "/verdict")
+	vresp, err := http.Get(n.base + "/verdict")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,13 +338,7 @@ func TestServePropertiesDrain(t *testing.T) {
 		t.Fatalf("/verdict missing properties header: %s", vbody)
 	}
 
-	sigs <- os.Interrupt
-	if err := <-done; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	mu.Lock()
-	output := out.String()
-	mu.Unlock()
+	output := n.stop(t)
 	if !strings.Contains(output, "smallest Δ: 0") || !strings.Contains(output, "irregular: 0  unsafe: 0") {
 		t.Fatalf("final printout missing per-property verdicts:\n%s", output)
 	}

@@ -14,6 +14,7 @@ import (
 	"kat/internal/oracle"
 	"kat/internal/trace"
 	"kat/internal/wire"
+	"kat/internal/witness"
 	"kat/internal/zone"
 )
 
@@ -45,11 +46,11 @@ func FuzzCheckersAgree(f *testing.F) {
 		if err != nil {
 			return // state budget blown on a pathological input: no verdict
 		}
-		lbtRep, err := kat.CheckPrepared(p, 2, kat.Options{Algorithm: kat.AlgoLBT})
+		lbtRep, err := kat.NewVerifier().CheckPrepared(p, 2, kat.Options{Algorithm: kat.AlgoLBT})
 		if err != nil {
 			t.Fatalf("LBT errored on accepted input: %v", err)
 		}
-		fzfRep, err := kat.CheckPrepared(p, 2, kat.Options{Algorithm: kat.AlgoFZF})
+		fzfRep, err := kat.NewVerifier().CheckPrepared(p, 2, kat.Options{Algorithm: kat.AlgoFZF})
 		if err != nil {
 			t.Fatalf("FZF errored on accepted input: %v", err)
 		}
@@ -360,7 +361,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 							key, k, workers, par.Atomic, seq.Atomic, text)
 					}
 					if par.Atomic && par.Witness != nil {
-						if err := kat.ValidateWitness(p, par.Witness, k); err != nil {
+						if err := witness.Validate(p, par.Witness, k); err != nil {
 							t.Fatalf("key %s k=%d workers=%d: invalid witness: %v (%q)", key, k, workers, err, text)
 						}
 					}

@@ -440,7 +440,7 @@ func TestTenantQuotasAndIsolation(t *testing.T) {
 			{Name: "beta"},
 			{Name: "gamma", Quotas: TenantQuotas{MaxBufferedOps: 2}},
 			{Name: "delta", Quotas: TenantQuotas{MaxKeys: 1}},
-		},
+		}, nil,
 	)
 	if err != nil {
 		t.Fatal(err)

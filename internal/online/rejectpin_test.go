@@ -169,7 +169,7 @@ kavserve_ingest_rejected_total{reason="quota_exceeded"} 0`
 			{Name: "ops", Quotas: TenantQuotas{MaxOps: 2}},
 			{Name: "keys", Quotas: TenantQuotas{MaxKeys: 1}},
 			{Name: "buffered", Quotas: TenantQuotas{MaxBufferedOps: 2}},
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,29 +1,16 @@
 // Package online is the continuous-verification service behind cmd/kavserve:
-// a long-running HTTP ingestion endpoint that routes operation streams from
-// many concurrent clients into one push-driven smallest-k session
-// (trace.Session) on a shared verification pool, and serves the live per-key
-// verdict state back out.
+// a long-running HTTP node that routes operation streams from many
+// concurrent clients into push-driven smallest-k sessions (trace.Session),
+// one per tenant, on a shared verification pool, and serves the live per-key
+// verdict state back out. Multi is the node and lists its endpoints; Server
+// is one tenant.
 //
-// Endpoints:
-//
-//	POST /ingest        newline-delimited keyed trace format by default, or
-//	                    binary wire frames when the request carries
-//	                    Content-Type: application/x-kav-wire (chunked bodies
-//	                    fine either way); returns {"ingested": n}, or on
-//	                    failure an IngestReject whose code, status and
-//	                    meaning are a row of the table in reject.go (wire
-//	                    frames also report the byte offset of a defect).
-//	                    Text bodies flow through the
-//	                    session's batch-granular path: parsed in chunks,
-//	                    grouped by ingest shard, one shard-lock take per
-//	                    chunk. Binary bodies skip parsing entirely: frames
-//	                    decode zero-copy into the same shard-grouped feed.
-//	GET  /verdict       live (or, after drain, final) per-key verdicts.
-//	GET  /verdict/{key} one key's verdict; 404 for unseen keys.
-//	GET  /metrics       Prometheus text exposition of the service counters.
-//	POST /drain         graceful drain: flush open segments to final
-//	                    verdicts; responds with the final verdict document.
-//	GET  /healthz       liveness.
+// Ingest takes the keyed trace format, newline-delimited, or binary wire
+// frames when the request carries Content-Type: application/x-kav-wire
+// (chunked bodies fine either way), and answers {"ingested": n} or an
+// IngestReject whose code, status and meaning are a row of the table in
+// reject.go. Both codecs feed the session's batch-granular path: grouped by
+// ingest shard, one shard-lock take per chunk or frame.
 //
 // Verdict semantics: the session runs in smallest-k mode, so each key's
 // SmallestK is the maximum over its verified segments — a lower bound that
@@ -61,18 +48,13 @@ type Config struct {
 	K int
 	// Opts tunes verification.
 	Opts core.Options
-	// Stream tunes the underlying session (workers or shared pool,
-	// horizon, segment batching, buffer cap). Stream.Properties selects
-	// extra verified properties (Δ-atomicity, regularity/safety) computed
-	// in the same pass as smallest-k and surfaced per key in the verdict
-	// document. Stream.OnSegment is chained after the server's own verdict
-	// bookkeeping.
+	// Stream tunes the underlying session; Stream.Properties adds
+	// Δ-atomicity and regularity/safety verdicts to the same pass, and
+	// Stream.OnSegment is chained after the server's own bookkeeping.
 	Stream trace.StreamOptions
-	// OverloadOps, when > 0, sheds /ingest load before reading the body
-	// once the session's live buffered operations reach this bound: the
-	// request is rejected with RejectOverload (503, Retry-After), telling
-	// well-behaved producers to back off rather than pile onto verification
-	// backpressure.
+	// OverloadOps, when > 0, sheds /ingest with RejectOverload before
+	// reading the body once this many operations are buffered, telling
+	// producers to back off rather than pile onto verification backpressure.
 	OverloadOps int64
 	// SoftWatermarkBytes, when > 0, is the live-heap size at which the
 	// ingest path starts reclaiming memory now instead of at the next sweep
@@ -82,12 +64,9 @@ type Config struct {
 	// configured. Relief is rate-limited so a sustained breach costs one
 	// sweep per interval, not one per request.
 	SoftWatermarkBytes uint64
-	// HardWatermarkBytes, when > 0, is the live-heap size at which
-	// /ingest sheds load before reading the body with
-	// RejectMemoryPressure (503, Retry-After). Unlike RejectBufferLimit
-	// this is not sticky: no operations are lost, and requests are
-	// accepted again as soon as relief (or GC) brings the heap back under
-	// the watermark.
+	// HardWatermarkBytes, when > 0, is the live-heap size at which /ingest
+	// sheds with RejectMemoryPressure before reading the body; requests are
+	// accepted again once relief (or GC) brings the heap back under it.
 	HardWatermarkBytes uint64
 	// MemUsage overrides the live-heap probe used for the watermarks
 	// (default: the runtime's heap-objects byte class, polled at most
@@ -124,24 +103,19 @@ type KeyStatus struct {
 	// Saturated marks a read staler than the configured horizon;
 	// SmallestK is then only the horizon floor even after drain.
 	Saturated bool `json:"saturated,omitempty"`
-	// Status is "ok" (within bound so far), "violating" (smallest k
-	// exceeds the bound — sound even for saturated keys, since the floor
-	// is a lower bound), "indeterminate" (the key saturated the staleness
-	// horizon and its floor is within the bound, so the true smallest k is
-	// unknown; raise the horizon for a definite verdict), or "error"
-	// (anomaly).
+	// Status is "ok" (within bound so far), "violating" (smallest k exceeds
+	// the bound — sound even when saturated, the floor being a lower bound),
+	// "indeterminate" (saturated with the floor within the bound: raise the
+	// horizon for a definite verdict), or "error" (anomaly).
 	Status    string     `json:"status"`
 	Err       string     `json:"error,omitempty"`
 	Violation *Violation `json:"violation,omitempty"`
-	// Retired marks a key whose live state was folded into the compact
-	// retired record after quiescing past the retirement TTL. Its
-	// verdict fields are final floors (exact if the key never saturated
-	// the horizon) and carry forward if the key is later re-admitted.
+	// Retired marks a key folded into a compact retired record after
+	// quiescing past the retirement TTL; its verdict fields are final floors
+	// that carry forward if the key is re-admitted.
 	Retired bool `json:"retired,omitempty"`
 	// Delta and Regularity carry the extra per-property verdicts when the
-	// session was configured to verify them (Config.Stream.Properties);
-	// both ride the same parse/cut/schedule pass as the k verdict, so
-	// enabling them adds no second ingest path.
+	// session verifies them (Config.Stream.Properties).
 	Delta      *DeltaStatus      `json:"delta,omitempty"`
 	Regularity *RegularityStatus `json:"regularity,omitempty"`
 }
@@ -175,9 +149,7 @@ type RegularityStatus struct {
 	UnsafeReads    int `json:"unsafeReads,omitempty"`
 }
 
-// Line renders the key's one-line text summary. kavserve's shutdown output
-// and kavgen -replay's verdict printout both use it, so server logs and
-// load-driver logs read the same.
+// Line renders the key's one-line text summary (see VerdictDoc.WriteText).
 func (ks KeyStatus) Line() string {
 	line := fmt.Sprintf("key %-12s %6d ops  smallest k: %d", ks.Key, ks.Ops, ks.SmallestK)
 	if ks.Delta != nil {
@@ -197,9 +169,8 @@ func (ks KeyStatus) Line() string {
 type VerdictDoc struct {
 	// K is the bound statuses are judged against.
 	K int `json:"k"`
-	// Properties names the verified property set ("k,delta,regularity")
-	// when extra properties beyond k-atomicity are enabled; empty for
-	// k-only sessions, keeping the legacy document unchanged.
+	// Properties names the verified property set ("k,delta,regularity");
+	// empty for k-only sessions, keeping the legacy document unchanged.
 	Properties string `json:"properties,omitempty"`
 	// Drained reports that verdicts are final.
 	Drained bool `json:"drained"`
@@ -223,19 +194,16 @@ type VerdictDoc struct {
 type EpochDoc struct {
 	// Epoch identifies the window: floor(trace time / epoch length).
 	Epoch int64 `json:"epoch"`
-	// Current marks the still-open window: its stats only cover
-	// segments already cut and verified, so they are floors.
+	// Current marks the still-open window, whose stats are floors.
 	Current bool `json:"current,omitempty"`
-	// Folded marks a window old enough to have been folded into the
-	// cumulative aggregate of evicted epochs; Stats then covers every
-	// evicted window, not just the requested one.
+	// Folded marks a window folded into the aggregate of evicted epochs;
+	// Stats then covers every evicted window.
 	Folded bool `json:"folded,omitempty"`
 	// K is the bound KAtomic judges the window's MaxK against.
 	K int `json:"k"`
 	// KAtomic reports that every segment settled in the window verified
-	// within the bound with no anomalies. Sound even for saturated
-	// keys: MaxK is a lower bound, so false is definite; true is final
-	// once the window is closed and its keys drained or retired.
+	// within the bound with no anomalies: false is definite (MaxK is a lower
+	// bound), true final once the window's keys are drained or retired.
 	KAtomic bool `json:"kAtomic"`
 	// Stats is the window's verdict aggregate.
 	Stats trace.EpochStats `json:"stats"`
@@ -243,8 +211,7 @@ type EpochDoc struct {
 
 // WriteText renders the per-key verdict lines and a one-line summary under
 // the given label ("kavserve: final", "server: live", ...). kavserve's
-// shutdown printout and kavgen -replay both use it, so server logs and
-// load-driver logs read the same.
+// shutdown printout and kavgen -replay both use it, so their logs read alike.
 func (d VerdictDoc) WriteText(w io.Writer, label string) {
 	for _, ks := range d.Keys {
 		fmt.Fprintln(w, ks.Line())
@@ -261,6 +228,9 @@ type Server struct {
 	sess *trace.Session
 	reg  *metrics.Registry
 	mgr  *checkpoint.Manager // nil for in-memory servers
+	// quotas is the tenant's admission table (setQuotas), nil when it has
+	// no quota.
+	quotas []quota
 
 	opsIngested    *metrics.Counter
 	ingestReqs     *metrics.Counter
@@ -270,32 +240,29 @@ type Server struct {
 	violations     *metrics.Counter
 	reliefs        *metrics.Counter
 
-	// Watermark machinery: the live-heap probe is polled at most every
-	// memPollInterval (memAt gates, memVal caches), and soft-watermark
-	// relief (retire + spill) runs at most every reliefInterval. Both
-	// are CAS-gated so concurrent ingest handlers never stack sweeps.
+	// Watermarks: the heap probe runs at most every memPollInterval (memAt
+	// gates, memVal caches), relief at most every reliefInterval, both
+	// CAS-gated so concurrent ingest handlers never stack sweeps.
 	memUsage func() uint64
 	memAt    atomic.Int64
 	memVal   atomic.Uint64
 	reliefAt atomic.Int64
-	// ingestSizes is a histogram-ish breakdown of /ingest request sizes
-	// (operations accepted per request), one counter per size class — the
+	// ingestSizes counts clean requests per ingestSizeBuckets class — the
 	// batching signal an operator tunes producers against.
 	ingestSizes []*metrics.Counter
-	// Per-codec ingest accounting: body bytes read and wall time spent
-	// decoding+feeding, split text vs wire so the binary pipeline's win is
-	// visible straight off /metrics.
-	ingestBytesText *metrics.Counter
-	ingestBytesWire *metrics.Counter
-	decodeNanosText atomic.Int64
-	decodeNanosWire atomic.Int64
+	// Per-codec ingest accounting, text then wire: body bytes read and wall
+	// time spent decoding+feeding, so the binary pipeline's win is visible
+	// straight off /metrics.
+	codecs [2]struct {
+		bytes *metrics.Counter
+		nanos atomic.Int64
+	}
 	// Per-property families, fed from segment verdicts in the OnSegment
-	// chain. kSegments counts every segment, extraSegments (one counter per
-	// enabled extra property) only the verified ones, not those merely
-	// scanned for anomalies; the max gauges track the worst per-segment
-	// verdict observed (monotone under the per-key fold, so they agree with
-	// the final document's worst key after drain, up to cross-boundary
-	// stale-read floors which land only in /verdict).
+	// chain. kSegments counts every segment, extraSegments (one per enabled
+	// extra property) only those verified rather than scanned for anomalies;
+	// the max gauges track the worst per-segment verdict (the final worst
+	// key's, up to cross-boundary stale-read floors, which land only in
+	// /verdict).
 	kSegments      *metrics.Counter
 	extraSegments  []*metrics.Counter
 	irregularReads *metrics.Counter // nil unless regularity is enabled, like unsafeReads
@@ -317,22 +284,17 @@ type Server struct {
 func New(cfg Config) *Server {
 	s, _, err := NewDurable(cfg, nil)
 	if err != nil {
-		// Unreachable: only recovery can fail, and there is no manager.
-		panic(err)
+		panic(err) // unreachable: only recovery can fail
 	}
 	return s
 }
 
 // NewDurable builds a Server whose session is write-ahead logged,
-// checkpointed, and spill-backed by mgr's data directory (mgr may be nil
-// for a purely in-memory server). Recovery runs before the server is
-// returned: the directory's newest checkpoint is restored, the WAL tail
-// replayed, and the returned RecoveryStats describe what was rebuilt. A
-// directory whose final checkpoint was a drain (Flushed) comes back as an
-// already-drained server: /verdict serves the final document and /ingest
-// rejects with the draining code. The caller starts mgr's checkpoint
-// ticker and closes mgr after the server's lifetime; Drain seals the
-// drained state in a terminal checkpoint itself.
+// checkpointed, and spill-backed by mgr's data directory (nil: in memory).
+// Recovery — newest checkpoint restored, WAL tail replayed — runs before it
+// returns; a directory whose final checkpoint was a drain comes back
+// drained. The caller starts mgr's ticker and closes mgr (Multi does both);
+// Drain seals the drained state in a terminal checkpoint itself.
 func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.RecoveryStats, error) {
 	if cfg.K <= 0 {
 		cfg.K = 2
@@ -365,16 +327,12 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 			"Clean ingest requests, classified by operations accepted per request (size classes, not a cumulative histogram).",
 			`bucket="`+bucket.label+`"`))
 	}
-	s.ingestBytesText = s.reg.CounterL("kavserve_ingest_bytes_total",
-		"Request-body bytes read by /ingest, by codec.", `codec="text"`)
-	s.ingestBytesWire = s.reg.CounterL("kavserve_ingest_bytes_total",
-		"Request-body bytes read by /ingest, by codec.", `codec="wire"`)
-	s.reg.CounterFuncL("kavserve_ingest_decode_seconds_total",
-		"Cumulative wall time decoding and feeding /ingest bodies, by codec.",
-		`codec="text"`, func() float64 { return float64(s.decodeNanosText.Load()) / 1e9 })
-	s.reg.CounterFuncL("kavserve_ingest_decode_seconds_total",
-		"Cumulative wall time decoding and feeding /ingest bodies, by codec.",
-		`codec="wire"`, func() float64 { return float64(s.decodeNanosWire.Load()) / 1e9 })
+	for i, codec := range []string{`codec="text"`, `codec="wire"`} {
+		c := &s.codecs[i]
+		c.bytes = s.reg.CounterL("kavserve_ingest_bytes_total", "Request-body bytes read by /ingest, by codec.", codec)
+		s.reg.CounterFuncL("kavserve_ingest_decode_seconds_total", "Cumulative wall time decoding and feeding /ingest bodies, by codec.",
+			codec, func() float64 { return float64(c.nanos.Load()) / 1e9 })
+	}
 
 	// Per-property families exist only for enabled properties, so a k-only
 	// server's exposition is unchanged.
@@ -536,11 +494,9 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 	return s, rs, nil
 }
 
-// memPollInterval bounds how often the live-heap probe actually runs;
-// between polls every ingest request reads the cached value. reliefInterval
-// bounds how often a sustained soft-watermark breach re-runs the relief
-// sweep (each sweep takes every shard lock once, so per-request sweeps
-// would turn memory pressure into ingest-lock pressure).
+// memPollInterval bounds how often the live-heap probe runs (requests
+// between polls read the cached value); reliefInterval how often a sustained
+// soft-watermark breach re-runs relief, which takes every shard lock once.
 const (
 	memPollInterval = 100 * time.Millisecond
 	reliefInterval  = 250 * time.Millisecond
@@ -568,12 +524,10 @@ func (s *Server) heapBytes() uint64 {
 }
 
 // relieve runs one rate-limited soft-watermark relief sweep: keys idle past
-// the session's RetireTTL retire now rather than at the next cadence (under
-// a smaller tolerance, relief would retire keys whose next operation a
-// slower producer still holds, and turn pressure into sticky out_of_order),
-// and open windows spill to the blob store when the session has one. Errors
-// are ignored here because the session makes them sticky: the next ingest
-// surfaces them with their typed reject.
+// the session's RetireTTL retire now (never under a smaller tolerance, which
+// would turn pressure into sticky out_of_order), and open windows spill when
+// the session has a blob store. Errors are sticky in the session; the next
+// ingest surfaces them.
 func (s *Server) relieve() {
 	now := time.Now().UnixNano()
 	last := s.reliefAt.Load()
@@ -609,37 +563,22 @@ func (s *Server) recordViolation(v trace.SegmentVerdict) {
 	s.mu.Unlock()
 }
 
-// Handler returns the service's HTTP handler.
+// Handler returns the service's HTTP handler: a one-tenant Multi's, with
+// this server as its root tenant.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("GET /verdict", s.handleVerdict)
-	mux.HandleFunc("GET /verdict/{key}", s.handleVerdictKey)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s.reg.WriteTo(w)
-	})
-	mux.HandleFunc("POST /drain", s.handleDrain)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	return mux
+	return (&Multi{tenants: map[string]*Server{"": s}, root: s}).Handler()
 }
 
-// Health is the /healthz document: liveness plus the two facts a cluster
-// router's probe wants without a full /verdict fetch — whether this node
-// still accepts ingest, and how loaded it is.
+// Health is the /healthz document: liveness plus what a cluster router's
+// probe wants without a /verdict fetch — whether the node still accepts
+// ingest (Status "ok", or "draining" with Draining set once Drain started),
+// and how loaded it is.
 type Health struct {
-	// Status is "ok" while ingest is open, "draining" once Drain started.
-	Status string `json:"status"`
-	// Draining mirrors Status for machine consumption.
-	Draining bool `json:"draining"`
-	// BufferedOps is the live buffered-operation count (the overload
-	// signal).
-	BufferedOps int64 `json:"bufferedOps"`
-	// Keys counts distinct keys seen.
-	Keys int64 `json:"keys"`
-	// RetiredKeys counts keys currently folded into compact retired
-	// records (zero for servers without a keyspace lifecycle).
-	RetiredKeys int64 `json:"retiredKeys,omitempty"`
+	Status      string `json:"status"`
+	Draining    bool   `json:"draining"`
+	BufferedOps int64  `json:"bufferedOps"`
+	Keys        int64  `json:"keys"`
+	RetiredKeys int64  `json:"retiredKeys,omitempty"`
 }
 
 // health builds the /healthz document.
@@ -650,10 +589,6 @@ func (s *Server) health() Health {
 		h.Status, h.Draining = "draining", true
 	}
 	return h
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, http.StatusOK, s.health())
 }
 
 // Drain flushes the session to final verdicts: open windows are committed,
@@ -677,18 +612,11 @@ func (s *Server) Drain() error {
 }
 
 // Draining reports whether Drain has been called.
-func (s *Server) Draining() bool {
-	select {
-	case <-s.drainGate:
-		return true
-	default:
-		return false
-	}
-}
+func (s *Server) Draining() bool { return closed(s.drainGate) }
 
-func (s *Server) isDrained() bool {
+func closed(ch chan struct{}) bool {
 	select {
-	case <-s.drained:
+	case <-ch:
 		return true
 	default:
 		return false
@@ -752,6 +680,9 @@ func WantsWire(r *http.Request) bool {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestReqs.Inc()
+	if !s.admitQuotas(w) {
+		return
+	}
 	if s.Draining() {
 		s.shed(w, RejectDraining, errors.New("draining: ingest is closed"))
 		return
@@ -773,26 +704,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if soft := s.cfg.SoftWatermarkBytes; soft > 0 && s.heapBytes() >= soft {
 		s.relieve()
 	}
-	// Batch-granular ingest, codec by Content-Type. Text bodies are parsed
-	// in chunks by the zero-copy byte parser; binary bodies decode wire
-	// frames straight into keyed operations. Either way each ingest shard's
-	// lock is taken once per chunk/frame, not once per operation — no
-	// per-line string ever materializes between the socket and the segment
-	// accumulators.
-	body := countingReader{r: r.Body}
-	isWire := WantsWire(r)
-	var n int64
-	var err error
-	start := time.Now()
-	if isWire {
-		n, err = s.sess.AppendWire(&body)
-		s.decodeNanosWire.Add(int64(time.Since(start)))
-		s.ingestBytesWire.Add(body.n)
-	} else {
-		n, err = s.sess.AppendTraceBatch(&body)
-		s.decodeNanosText.Add(int64(time.Since(start)))
-		s.ingestBytesText.Add(body.n)
+	// Batch-granular ingest, codec by Content-Type (see the package doc).
+	c, feed := &s.codecs[0], s.sess.AppendTraceBatch
+	if WantsWire(r) {
+		c, feed = &s.codecs[1], s.sess.AppendWire
 	}
+	body := countingReader{r: r.Body}
+	start := time.Now()
+	n, err := feed(&body)
+	c.nanos.Add(int64(time.Since(start)))
+	c.bytes.Add(body.n)
 	s.opsIngested.Add(n)
 	if err != nil {
 		row, offset := RejectMalformed, (*int64)(nil)
@@ -822,7 +743,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // Verdict assembles the current verdict document (final once drained).
 func (s *Server) Verdict() VerdictDoc {
-	drained := s.isDrained()
+	drained := closed(s.drained)
 	doc := VerdictDoc{K: s.cfg.K, Drained: drained, Stats: s.sess.Stats()}
 	if p := s.cfg.Stream.Properties; p != 0 && p != trace.PropertySetK {
 		doc.Properties = p.String()
@@ -850,14 +771,10 @@ func (s *Server) keyStatus(kv trace.KeyVerdict, drained bool) KeyStatus {
 		Retired:    kv.Retired,
 		Status:     "ok",
 	}
-	if kv.Retired && kv.Err == nil && ks.SmallestK < 1 {
-		// Retired verdicts are final for the retired lifetime even while
-		// the server is still live.
-		ks.SmallestK = 1
-	}
-	if drained && kv.Err == nil && ks.SmallestK < 1 {
+	if (drained || kv.Retired) && kv.Err == nil && ks.SmallestK < 1 {
 		// Final semantics match SmallestKByKey: a fully verified key is at
-		// least 1-atomic.
+		// least 1-atomic, and a retired key's verdict is final for its
+		// retired lifetime even while the server is still live.
 		ks.SmallestK = 1
 	}
 	if kv.Properties.Has(trace.PropertyDelta) {
@@ -937,7 +854,7 @@ func (s *Server) handleVerdictEpoch(w http.ResponseWriter, arg string) {
 	}
 	WriteJSON(w, http.StatusOK, EpochDoc{
 		Epoch:   es.Epoch,
-		Current: haveCur && !es.Folded && es.Epoch == cur && !s.isDrained(),
+		Current: haveCur && !es.Folded && es.Epoch == cur && !closed(s.drained),
 		Folded:  es.Folded,
 		K:       s.cfg.K,
 		KAtomic: es.Errors == 0 && es.Violations == 0 && es.MaxK <= s.cfg.K,
@@ -952,7 +869,7 @@ func (s *Server) handleVerdictKey(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown key %q", key), http.StatusNotFound)
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.keyStatus(kv, s.isDrained()))
+	WriteJSON(w, http.StatusOK, s.keyStatus(kv, closed(s.drained)))
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {

@@ -2,10 +2,14 @@ package online
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
+	"time"
 
+	"kat/internal/checkpoint"
 	"kat/internal/metrics"
 )
 
@@ -29,212 +33,293 @@ type TenantQuotas struct {
 	MaxBufferedOps int64
 }
 
-// TenantConfig names one tenant and its quotas.
+// TenantConfig names one tenant and its quotas. A lone tenant with the
+// empty name is the root tenant.
 type TenantConfig struct {
 	Name   string
 	Quotas TenantQuotas
 }
 
-// Multi is a multi-tenant frontend: one isolated Server (and so one
-// trace.Session and verdict namespace) per tenant, all verifying on one
-// shared core.Pool so a quiet tenant's worker capacity serves a busy one.
+// TenantNameError refuses a tenant name that is not one clean URL path
+// segment and directory name: empty, "." or "..", or holding a byte other
+// than the unreserved URL bytes (letters, digits, "-._~").
+type TenantNameError struct{ Name string }
+
+func (e *TenantNameError) Error() string {
+	return fmt.Sprintf("tenant name %q: want letters, digits and -._~, not . or ..", e.Name)
+}
+
+const tenantNameBytes = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~"
+
+// Multi is the verifying node: one isolated Server — one trace.Session,
+// verdict namespace and, when durable, checkpoint directory — per tenant, all
+// verifying on one shared core.Pool so a quiet tenant's workers serve a busy
+// one. A single-tenant node holds only the root tenant, named "", and never
+// beside named ones: /verdict/{tenant} would collide with its /verdict/{key}.
 //
-// Endpoints mirror the single-tenant server's, scoped by path:
+// Each tenant serves one route table, at the root for the root tenant and
+// with its name after the first path element otherwise:
 //
-//	POST /ingest/{tenant}         tenant-scoped ingest; quota checks run
-//	                              before the body is read and reject with
-//	                              RejectQuotaSpent or RejectQuotaBuffered
-//	GET  /verdict/{tenant}        the tenant's verdict document
-//	                              (?epoch=N works as on a single server)
-//	GET  /verdict/{tenant}/{key}  one key's verdict
-//	POST /drain/{tenant}          drain one tenant (others keep ingesting)
-//	POST /drain                   drain every tenant
-//	GET  /verdict                 all tenants' documents, keyed by name
-//	GET  /metrics                 every tenant's families merged, each
-//	                              sample labeled tenant="name"
-//	GET  /healthz                 per-tenant health, keyed by name
+//	POST /ingest[/{tenant}]           ingest; quotas are checked before the
+//	                                  body is read (RejectQuotaSpent/Buffered)
+//	GET  /verdict[/{tenant}][/{key}]  the verdict document (?epoch=N), or a key's
+//	POST /drain[/{tenant}]            drain the tenant; others keep ingesting
 //
-// Isolation: quotas, drain state, ordering contracts, and sticky errors
-// are all per-tenant — one tenant at its quota (or drained, or broken)
-// never blocks another's ingest, because rejection happens in its own
-// session's admission path and the shared pool is work-conserving.
+// GET /metrics and GET /healthz answer in the root tenant's own shapes, or
+// with every named tenant's samples labeled tenant="name" and its health keyed
+// by name; a node of named tenants adds POST /drain (all of them) and GET
+// /verdict, which answer every document keyed by name.
 //
-// Multi-tenant servers are in-memory only: the checkpoint manager's
-// directory layout assumes one session, so durability and tenants are
-// mutually exclusive (NewMulti builds every tenant with a nil manager).
+// Isolation: quotas, drain state, ordering contracts, sticky errors and
+// durability are per tenant, so one tenant at its quota (or drained, or
+// broken) never blocks another's ingest. The root tenant's WAL and
+// checkpoints live in the data directory itself, a named tenant's in
+// <data-dir>/<name>.
 type Multi struct {
 	names   []string // sorted, for deterministic /metrics and /verdict order
-	tenants map[string]*tenant
+	tenants map[string]*Server
+	root    *Server // the lone root tenant; nil when tenants are named
 }
 
-type tenant struct {
-	name   string
-	quotas TenantQuotas
-	srv    *Server
-}
-
-// NewMulti builds one Server per tenant from the shared base config.
-// Base config fields apply to every tenant (K, properties, lifecycle,
-// watermarks); Stream.Pool should be set so tenants share workers —
-// when it is nil each tenant gets its own pool, multiplying worker
-// goroutines by the tenant count.
-func NewMulti(base Config, tenants []TenantConfig) (*Multi, error) {
+// NewMulti builds one Server per tenant from the shared base config (K,
+// properties, lifecycle, watermarks); set Stream.Pool so tenants share
+// workers. open, when non-nil, opens a tenant's checkpoint manager by name
+// and makes it durable: it recovers before NewMulti returns.
+func NewMulti(base Config, tenants []TenantConfig, open func(name string) (*checkpoint.Manager, error)) (*Multi, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("no tenants configured")
 	}
-	m := &Multi{tenants: make(map[string]*tenant, len(tenants))}
+	rooted := len(tenants) == 1 && tenants[0].Name == ""
+	seen := make(map[string]bool, len(tenants))
 	for _, tc := range tenants {
-		if tc.Name == "" {
-			return nil, fmt.Errorf("tenant with empty name")
+		bad := tc.Name == "" || tc.Name == "." || tc.Name == ".." || strings.Trim(tc.Name, tenantNameBytes) != ""
+		if !rooted && bad {
+			return nil, &TenantNameError{tc.Name}
 		}
-		if _, dup := m.tenants[tc.Name]; dup {
+		if seen[tc.Name] {
 			return nil, fmt.Errorf("duplicate tenant %q", tc.Name)
 		}
-		cfg := base // per-tenant copy; sessions must not share mutable state
-		srv, _, err := NewDurable(cfg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %q: %w", tc.Name, err)
+		seen[tc.Name] = true
+	}
+	m := &Multi{tenants: make(map[string]*Server, len(tenants))}
+	for _, tc := range tenants {
+		var mgr *checkpoint.Manager
+		var srv *Server
+		var err error
+		if open != nil {
+			mgr, err = open(tc.Name)
 		}
-		m.tenants[tc.Name] = &tenant{name: tc.Name, quotas: tc.Quotas, srv: srv}
+		if err == nil {
+			srv, _, err = NewDurable(base, mgr)
+		}
+		if err != nil {
+			if mgr != nil {
+				mgr.Close()
+			}
+			m.Close()
+			return nil, tenantErr(tc.Name, err)
+		}
+		srv.setQuotas(tc.Name, tc.Quotas)
+		m.tenants[tc.Name] = srv
 		m.names = append(m.names, tc.Name)
 	}
 	sort.Strings(m.names)
+	if rooted {
+		m.root = m.tenants[""]
+	}
 	return m, nil
 }
 
-// Tenant returns the named tenant's underlying Server, for direct
-// (non-HTTP) access in tests and embedders.
-func (m *Multi) Tenant(name string) (*Server, bool) {
-	t, ok := m.tenants[name]
-	if !ok {
-		return nil, false
+// tenantErr names the tenant an error belongs to; the root's needs no name.
+func tenantErr(name string, err error) error {
+	if name == "" {
+		return err
 	}
-	return t.srv, true
+	return fmt.Errorf("tenant %q: %w", name, err)
 }
 
-// Tenants returns the tenant names, sorted.
+// Tenant returns the named tenant's Server ("" for the root tenant).
+func (m *Multi) Tenant(name string) (*Server, bool) {
+	s, ok := m.tenants[name]
+	return s, ok
+}
+
+// Tenants returns the tenant names, sorted ([""] for a single-tenant node).
 func (m *Multi) Tenants() []string { return append([]string(nil), m.names...) }
 
-// DrainAll drains every tenant and returns the first error.
+// DrainAll drains every tenant (Server.Drain) and returns the first error.
 func (m *Multi) DrainAll() error {
 	var first error
 	for _, name := range m.names {
-		if err := m.tenants[name].srv.Drain(); err != nil && first == nil {
-			first = fmt.Errorf("tenant %q: %w", name, err)
+		if err := m.tenants[name].Drain(); err != nil && first == nil {
+			first = tenantErr(name, err)
 		}
 	}
 	return first
 }
 
-// Handler returns the multi-tenant HTTP handler.
+// Start runs every durable tenant's background checkpoint at interval; a
+// tenant recovered drained has nothing left to checkpoint.
+func (m *Multi) Start(interval time.Duration) {
+	for _, s := range m.tenants {
+		if s.mgr != nil && !closed(s.drained) {
+			s.mgr.Start(interval)
+		}
+	}
+}
+
+// Close stops every durable tenant's checkpoint ticker and closes its WAL
+// without a final checkpoint.
+func (m *Multi) Close() error {
+	var err error
+	for _, s := range m.tenants {
+		if s.mgr != nil {
+			err = errors.Join(err, s.mgr.Close())
+		}
+	}
+	return err
+}
+
+// tenantRoutes is the one per-tenant route table; Handler puts a /{tenant}
+// segment before rest for named tenants.
+var tenantRoutes = []struct {
+	method, path, rest string
+	serve              func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"POST", "/ingest", "", (*Server).handleIngest},
+	{"GET", "/verdict", "", (*Server).handleVerdict},
+	{"GET", "/verdict", "/{key}", (*Server).handleVerdictKey},
+	{"POST", "/drain", "", (*Server).handleDrain},
+}
+
+// Handler returns the node's HTTP handler.
 func (m *Multi) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest/{tenant}", m.withTenant(func(t *tenant, w http.ResponseWriter, r *http.Request) {
-		t.handleIngest(w, r)
-	}))
-	mux.HandleFunc("GET /verdict/{tenant}", m.withTenant(func(t *tenant, w http.ResponseWriter, r *http.Request) {
-		t.srv.handleVerdict(w, r)
-	}))
-	mux.HandleFunc("GET /verdict/{tenant}/{key}", m.withTenant(func(t *tenant, w http.ResponseWriter, r *http.Request) {
-		t.srv.handleVerdictKey(w, r)
-	}))
-	mux.HandleFunc("POST /drain/{tenant}", m.withTenant(func(t *tenant, w http.ResponseWriter, r *http.Request) {
-		t.srv.handleDrain(w, r)
-	}))
-	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, _ *http.Request) {
-		// Drain all, then answer with every final document; per-tenant
-		// drain errors ride the same header as the single-tenant path.
-		if err := m.DrainAll(); err != nil {
-			w.Header().Set("X-Kavserve-Drain-Error", err.Error())
-		}
-		WriteJSON(w, http.StatusOK, m.verdicts())
-	})
-	mux.HandleFunc("GET /verdict", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, m.verdicts())
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		m.writeMetrics(w)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		// The node's own status follows the single-tenant rule a router
-		// probes for: "draining" once no tenant accepts ingest any more.
-		health := make(map[string]Health, len(m.names))
-		status := "draining"
-		for _, name := range m.names {
-			h := m.tenants[name].srv.health()
-			if !h.Draining {
-				status = "ok"
+	seg := "/{tenant}"
+	if m.root != nil {
+		seg = ""
+	}
+	for _, rt := range tenantRoutes {
+		mux.HandleFunc(rt.method+" "+rt.path+seg+rt.rest, func(w http.ResponseWriter, r *http.Request) {
+			if s := m.tenant(w, r); s != nil {
+				rt.serve(s, w, r)
 			}
-			health[name] = h
-		}
-		WriteJSON(w, http.StatusOK, struct {
-			Status  string            `json:"status"`
-			Tenants map[string]Health `json:"tenants"`
-		}{status, health})
-	})
+		})
+	}
+	if m.root == nil {
+		mux.HandleFunc("POST /drain", func(w http.ResponseWriter, _ *http.Request) {
+			// Drain all, then answer with every final document; per-tenant
+			// drain errors ride the same header as one tenant's drain.
+			if err := m.DrainAll(); err != nil {
+				w.Header().Set("X-Kavserve-Drain-Error", err.Error())
+			}
+			WriteJSON(w, http.StatusOK, m.verdicts())
+		})
+		mux.HandleFunc("GET /verdict", func(w http.ResponseWriter, _ *http.Request) {
+			WriteJSON(w, http.StatusOK, m.verdicts())
+		})
+	}
+	mux.HandleFunc("GET /metrics", m.handleMetrics)
+	mux.HandleFunc("GET /healthz", m.handleHealthz)
 	return mux
 }
 
-// withTenant resolves the {tenant} path segment; unknown tenants 404.
-func (m *Multi) withTenant(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t, ok := m.tenants[r.PathValue("tenant")]
-		if !ok {
-			http.Error(w, fmt.Sprintf("unknown tenant %q", r.PathValue("tenant")), http.StatusNotFound)
-			return
-		}
-		h(t, w, r)
+// tenant resolves the request's {tenant} path segment — "", the root
+// tenant's name, on root routes — answering 404 for an unknown name.
+func (m *Multi) tenant(w http.ResponseWriter, r *http.Request) *Server {
+	s, ok := m.tenants[r.PathValue("tenant")]
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown tenant %q", r.PathValue("tenant")), http.StatusNotFound)
 	}
+	return s
 }
 
 // verdicts assembles every tenant's document, keyed by tenant name.
 func (m *Multi) verdicts() map[string]VerdictDoc {
 	docs := make(map[string]VerdictDoc, len(m.names))
 	for _, name := range m.names {
-		docs[name] = m.tenants[name].srv.Verdict()
+		docs[name] = m.tenants[name].Verdict()
 	}
 	return docs
 }
 
-// handleIngest enforces the tenant's quotas before delegating to the
-// underlying server (which applies its own draining / overload /
-// watermark admission checks). All checks run pre-body: nothing is
-// half-accepted on a quota reject, so the producer can retry the same
-// batch verbatim where the quota is transient.
-func (t *tenant) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s := t.srv
-	for _, q := range []struct {
-		quota int64
-		used  func() int64
-		row   Reject
-		what  string
-	}{
-		{t.quotas.MaxOps, func() int64 { return s.sess.Stats().Ops }, RejectQuotaSpent, "operation quota exhausted (%d ingested, quota %d)"},
-		{t.quotas.MaxKeys, s.sess.Keys, RejectQuotaSpent, "key quota exhausted (%d keys, quota %d)"},
-		{t.quotas.MaxBufferedOps, s.sess.BufferedOps, RejectQuotaBuffered, "buffered-operation quota reached (%d buffered, quota %d)"},
-	} {
-		if q.quota <= 0 {
-			continue
-		}
-		if used := q.used(); used >= q.quota {
-			s.ingestReqs.Inc()
-			s.shed(w, q.row, fmt.Errorf("tenant %s: "+q.what, t.name, used, q.quota))
-			return
-		}
+func (m *Multi) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if m.root != nil {
+		WriteJSON(w, http.StatusOK, m.root.health())
+		return
 	}
-	s.handleIngest(w, r)
+	// The node's own status follows the single-tenant rule a router
+	// probes for: "draining" once no tenant accepts ingest any more.
+	health := make(map[string]Health, len(m.names))
+	status := "draining"
+	for _, name := range m.names {
+		h := m.tenants[name].health()
+		if !h.Draining {
+			status = "ok"
+		}
+		health[name] = h
+	}
+	WriteJSON(w, http.StatusOK, struct {
+		Status  string            `json:"status"`
+		Tenants map[string]Health `json:"tenants"`
+	}{status, health})
 }
 
-// writeMetrics merges every tenant's exposition, labeling each sample
-// line tenant="name". HELP/TYPE headers are deduplicated across tenants
-// via the shared seen set, keeping the merged output parseable.
-func (m *Multi) writeMetrics(w http.ResponseWriter) {
+// handleMetrics writes the root tenant's exposition as is, or merges every
+// named tenant's with each sample labeled tenant="name" and HELP/TYPE
+// headers written once.
+func (m *Multi) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	if m.root != nil {
+		m.root.reg.WriteTo(w)
+		return
+	}
 	seen := make(map[string]bool)
 	var buf bytes.Buffer
 	for _, name := range m.names {
 		buf.Reset()
-		m.tenants[name].srv.reg.WriteTo(&buf)
+		m.tenants[name].reg.WriteTo(&buf)
 		metrics.WriteRelabeled(w, buf.Bytes(), `tenant="`+name+`"`, seen)
 	}
+}
+
+// quota is one admission bound of a tenant: used() reaching max sheds the
+// request with row.
+type quota struct {
+	max  int64
+	used func() int64
+	row  Reject
+	what string // format of the error, given used and max
+}
+
+// setQuotas builds the tenant's quota table once; a quota-free tenant's is
+// empty.
+func (s *Server) setQuotas(name string, q TenantQuotas) {
+	prefix := ""
+	if name != "" {
+		prefix = "tenant " + name + ": "
+	}
+	for _, c := range []quota{
+		{q.MaxOps, func() int64 { return s.sess.Stats().Ops }, RejectQuotaSpent, "operation quota exhausted (%d ingested, quota %d)"},
+		{q.MaxKeys, s.sess.Keys, RejectQuotaSpent, "key quota exhausted (%d keys, quota %d)"},
+		{q.MaxBufferedOps, s.sess.BufferedOps, RejectQuotaBuffered, "buffered-operation quota reached (%d buffered, quota %d)"},
+	} {
+		if c.max > 0 {
+			c.what = prefix + c.what
+			s.quotas = append(s.quotas, c)
+		}
+	}
+}
+
+// admitQuotas sheds the request at the first quota the tenant has reached
+// and reports whether it may go on. It runs before the body is read, so a
+// producer can resend the batch verbatim where the quota is transient.
+func (s *Server) admitQuotas(w http.ResponseWriter) bool {
+	for _, q := range s.quotas {
+		if used := q.used(); used >= q.max {
+			s.shed(w, q.row, fmt.Errorf(q.what, used, q.max))
+			return false
+		}
+	}
+	return true
 }

@@ -92,7 +92,6 @@ import (
 	"kat/internal/shrink"
 	"kat/internal/trace"
 	"kat/internal/wav"
-	"kat/internal/witness"
 )
 
 // Core model types.
@@ -106,8 +105,6 @@ type (
 	// Prepared is a validated, sorted history with its dictating-write
 	// index; witnesses reference operation indices within it.
 	Prepared = history.Prepared
-	// Anomaly is an assumption violation found in a raw history.
-	Anomaly = history.Anomaly
 	// Stats summarizes structural properties of a history.
 	Stats = history.Stats
 )
@@ -145,11 +142,11 @@ type Memo = core.Memo
 // NewMemo returns an inert Memo (see the type).
 func NewMemo() *Memo { return core.NewMemo() }
 
-// CheckPreparedParallel is CheckPrepared with chunk-level parallelism: the
+// CheckPreparedParallel is Verifier.CheckPrepared with chunk-level parallelism: the
 // history's chunks (k=2) or safe-cut segments (k >= 3) verify
 // concurrently on a work-stealing pool of the given size (workers <= 0 uses
 // GOMAXPROCS), so even a single register saturates multiple cores. Verdicts
-// are identical to CheckPrepared for any worker count; for k=2 the witness
+// are identical to Verifier.CheckPrepared for any worker count; for k=2 the witness
 // is byte-identical too.
 func CheckPreparedParallel(p *Prepared, k int, opts Options, workers int) (Report, error) {
 	return core.CheckPreparedParallel(p, k, opts, workers)
@@ -202,9 +199,6 @@ func MustParse(text string) *History { return history.MustParse(text) }
 // call this only when preparing histories manually.
 func Normalize(h *History) *History { return history.Normalize(h) }
 
-// FindAnomalies reports every model-assumption violation in h.
-func FindAnomalies(h *History) []Anomaly { return history.FindAnomalies(h) }
-
 // Prepare validates and indexes a (normalized) history.
 func Prepare(h *History) (*Prepared, error) { return history.Prepare(h) }
 
@@ -218,11 +212,6 @@ func Check(h *History, k int, opts Options) (Report, error) {
 	return core.NewVerifier().Check(h, k, opts)
 }
 
-// CheckPrepared is Check for already-prepared histories.
-func CheckPrepared(p *Prepared, k int, opts Options) (Report, error) {
-	return core.NewVerifier().CheckPrepared(p, k, opts)
-}
-
 // SmallestK returns the least k for which h is k-atomic.
 func SmallestK(h *History, opts Options) (int, error) {
 	return core.NewVerifier().SmallestK(h, opts)
@@ -233,11 +222,6 @@ func SmallestK(h *History, opts Options) (int, error) {
 // the read must be at most bound. NP-complete in general; solved exactly.
 func CheckWeighted(h *History, bound int64, opts Options) (Report, error) {
 	return core.CheckWeighted(h, bound, opts)
-}
-
-// ValidateWitness checks independently that order proves p k-atomic.
-func ValidateWitness(p *Prepared, order []int, k int) error {
-	return witness.Validate(p, order, k)
 }
 
 // ReadStaleness reports each read's distance (in writes) from its dictating
@@ -393,9 +377,7 @@ type (
 
 // Property identifiers and property-set masks (see StreamOptions.Properties).
 const (
-	PropertyKAtomicity = trace.PropertyKAtomicity
-	PropertyDelta      = trace.PropertyDelta
-	PropertyRegularity = trace.PropertyRegularity
+	PropertyDelta = trace.PropertyDelta
 
 	PropertySetK          = trace.PropertySetK
 	PropertySetDelta      = trace.PropertySetDelta
@@ -515,29 +497,14 @@ func CheckDelta(h *History, d int64) (bool, error) { return delta.Check(h, d) }
 // per-cluster summary — no probe touches the operations again.
 func SmallestDelta(h *History) (int64, error) { return delta.Smallest(h) }
 
-// SmallestKDistributionParallel is SmallestKDistribution over a worker pool
-// (workers <= 0 uses GOMAXPROCS); results are identical to the sequential
-// form.
-func SmallestKDistributionParallel(corpus []*History, opts Options, workers int) KDistribution {
-	return metrics.SmallestKDistributionParallel(corpus, opts, workers)
-}
-
 // RenderTimeline draws the history as an ASCII Gantt chart, optionally
 // annotated with a witness order.
 func RenderTimeline(w io.Writer, p *Prepared, opts RenderOptions) error {
 	return render.Timeline(w, p, opts)
 }
 
-// RenderWitness writes a witness as a numbered list with per-read staleness.
-func RenderWitness(w io.Writer, p *Prepared, order []int) error {
-	return render.WitnessOrder(w, p, order)
-}
-
-// RegularityVerdict reports the classical weak register properties of
-// Section I: Lamport's safety and regularity (per-read checks, weaker than
-// 1-atomicity, incomparable with k-atomicity for k >= 2).
-type RegularityVerdict = regularity.Verdict
-
-// CheckProperties classifies every read of the prepared history under
-// safety and regularity.
-func CheckProperties(p *Prepared) RegularityVerdict { return regularity.Check(p) }
+// CheckProperties classifies every read of the prepared history under the
+// classical weak register properties of Section I: Lamport's safety and
+// regularity (per-read checks, weaker than 1-atomicity, incomparable with
+// k-atomicity for k >= 2).
+func CheckProperties(p *Prepared) regularity.Verdict { return regularity.Check(p) }

@@ -9,6 +9,7 @@ import (
 	"kat"
 	"kat/internal/generator"
 	"kat/internal/history"
+	"kat/internal/witness"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -27,7 +28,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if !rep2.Atomic {
 		t.Error("1-stale read rejected at k=2")
 	}
-	if err := kat.ValidateWitness(rep2.Prepared, rep2.Witness, 2); err != nil {
+	if err := witness.Validate(rep2.Prepared, rep2.Witness, 2); err != nil {
 		t.Errorf("witness: %v", err)
 	}
 	k, err := kat.SmallestK(h, kat.Options{})
@@ -118,7 +119,7 @@ r 9 120 130
 
 func TestPublicAnomaliesAndStats(t *testing.T) {
 	h := kat.MustParse("w 1 0 10; r 2 20 30")
-	if as := kat.FindAnomalies(h); len(as) == 0 {
+	if _, err := kat.Check(h, 2, kat.Options{}); err == nil {
 		t.Error("dangling read not reported")
 	}
 	st := kat.Measure(h)
@@ -174,24 +175,6 @@ func TestPublicRendering(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "in witness") {
 		t.Errorf("timeline missing witness annotations:\n%s", b.String())
-	}
-	b.Reset()
-	if err := kat.RenderWitness(&b, rep.Prepared, rep.Witness); err != nil {
-		t.Fatalf("RenderWitness: %v", err)
-	}
-	if !strings.Contains(b.String(), "staleness 1") {
-		t.Errorf("witness list missing staleness:\n%s", b.String())
-	}
-}
-
-func TestPublicParallelDistribution(t *testing.T) {
-	corpus := []*kat.History{
-		kat.GenerateKAtomic(kat.GenConfig{Seed: 1, Ops: 20, StalenessDepth: 0}),
-		kat.GenerateKAtomic(kat.GenConfig{Seed: 2, Ops: 20, StalenessDepth: 1}),
-	}
-	d := kat.SmallestKDistributionParallel(corpus, kat.Options{}, 2)
-	if d.Total != 2 || d.Errors != 0 {
-		t.Errorf("distribution = %+v", d)
 	}
 }
 

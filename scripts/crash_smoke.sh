@@ -19,6 +19,10 @@
 #  7. drain and diff the recovered per-key verdicts — ops, smallest k,
 #     smallest Δ, irregular and unsafe reads — against the offline checker
 #     (kavcheck -stream -smallest -properties) on the same trace
+#  8. named tenants: -tenants a,b on one -data-dir, one trace each with
+#     overlapping key names, kill -9, restart (each tenant replays its own
+#     WAL), SIGTERM, and diff each tenant's drained smallest k against
+#     kavcheck -stream -smallest on that tenant's trace
 #
 # Usage: scripts/crash_smoke.sh [port]
 set -euo pipefail
@@ -136,3 +140,48 @@ fi
 
 kill -9 "$server_pid" 2>/dev/null || true
 echo "PASS: $(wc -l < "$work/recovered.verdicts") keys verdict-identical after crash recovery"
+
+echo "== tenants: -tenants a,b -data-dir, overlapping key names, SIGKILL, restart"
+# Each tenant keeps its WAL in <data-dir>/<tenant>; a restart replays each
+# tenant's own acknowledged operations, and SIGTERM drains every tenant and
+# prints its final verdicts under "kavserve: [tenant] final".
+tdata=$work/tenants
+"$bin/kavgen" -keys 40 -ops 200 -depth 2 -seed 1 > "$work/a.txt"
+"$bin/kavgen" -keys 40 -ops 150 -depth 1 -seed 2 > "$work/b.txt"
+start_tenants() { # $1: log file
+  "$bin/kavserve" -addr "$addr" -tenants a,b -data-dir "$tdata" -fsync batch -checkpoint-interval 1h > "$1" 2>&1 &
+  server_pid=$!
+  disown
+  wait_up || { cat "$1" >&2; return 1; }
+}
+start_tenants "$work/tenants1.log"
+for t in a b; do
+  curl -sf --data-binary @"$work/$t.txt" "$url/ingest/$t" > /dev/null
+done
+crash
+start_tenants "$work/tenants2.log"
+for t in a b; do
+  n=$(grep -c . "$work/$t.txt")
+  if ! grep -q "kavserve: \[$t\] recovered checkpoint epoch -1 (0 keys), replayed $n ops" "$work/tenants2.log"; then
+    echo "FAIL: tenant $t did not replay its $n acknowledged ops from $tdata/$t" >&2
+    cat "$work/tenants2.log" >&2
+    exit 1
+  fi
+done
+kill -TERM "$server_pid"
+while kill -0 "$server_pid" 2>/dev/null; do sleep 0.05; done
+# Key lines precede each tenant's "kavserve: [t] final verdicts ..." line.
+awk -v dir="$work" '/^key /{ buf = buf $0 "\n"; next }
+  /^kavserve: \[.*\] final / { t = $2; gsub(/[][]/, "", t); printf "%s", buf > (dir "/served." t); buf = "" }' "$work/tenants2.log"
+pair='s/^key \([^ ]*\) .*smallest k: \([0-9][0-9]*\).*/\1 \2/p'
+for t in a b; do
+  "$bin/kavcheck" -stream -smallest "$work/$t.txt" > "$work/offline.$t" || true
+  sed -n "$pair" "$work/offline.$t" | sort > "$work/offline.$t.verdicts"
+  sed -n "$pair" "$work/served.$t" | sort > "$work/served.$t.verdicts"
+  [ -s "$work/served.$t.verdicts" ] || { echo "FAIL: tenant $t printed no verdicts" >&2; exit 1; }
+  if ! diff -u "$work/offline.$t.verdicts" "$work/served.$t.verdicts"; then
+    echo "FAIL: tenant $t's recovered verdicts diverge from offline checker" >&2
+    exit 1
+  fi
+done
+echo "PASS: tenants a and b verdict-identical after crash recovery ($(wc -l < "$work/served.a.verdicts") + $(wc -l < "$work/served.b.verdicts") keys)"
