@@ -887,8 +887,8 @@ func BenchmarkOnlineIngest(b *testing.B) {
 						batch = append(batch, frame...)
 					}
 				} else {
-					err := trace.ParseStream(r, func(key string, op root.Operation) error {
-						batch = append(batch, root.KeyedOp{Key: key, Op: op})
+					err := trace.ParseStreamBytes(r, func(key []byte, op root.Operation) error {
+						batch = append(batch, root.KeyedOp{Key: string(key), Op: op})
 						return nil
 					})
 					if err != nil {

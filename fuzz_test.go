@@ -187,8 +187,8 @@ func FuzzOnlineSessionEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		shardCounts := []int{1, 2 + rng.Intn(15)}
 		var allOps []kat.KeyedOp
-		err = trace.ParseStream(strings.NewReader(canon), func(key string, op kat.Operation) error {
-			allOps = append(allOps, kat.KeyedOp{Key: key, Op: op})
+		err = trace.ParseStreamBytes(strings.NewReader(canon), func(key []byte, op kat.Operation) error {
+			allOps = append(allOps, kat.KeyedOp{Key: string(key), Op: op})
 			return nil
 		})
 		if err != nil {
@@ -442,8 +442,8 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 		}
 		canon := serializeByStart(tr)
 		var ops []kat.KeyedOp
-		if err := trace.ParseStream(strings.NewReader(canon), func(key string, op kat.Operation) error {
-			ops = append(ops, kat.KeyedOp{Key: key, Op: op})
+		if err := trace.ParseStreamBytes(strings.NewReader(canon), func(key []byte, op kat.Operation) error {
+			ops = append(ops, kat.KeyedOp{Key: string(key), Op: op})
 			return nil
 		}); err != nil {
 			t.Fatalf("canonical trace unparsable: %v (%q)", err, canon)
@@ -673,8 +673,8 @@ func FuzzRetirementEquivalence(f *testing.F) {
 		_ = tr2
 
 		var allOps []kat.KeyedOp
-		err = trace.ParseStream(strings.NewReader(canon), func(key string, op kat.Operation) error {
-			allOps = append(allOps, kat.KeyedOp{Key: key, Op: op})
+		err = trace.ParseStreamBytes(strings.NewReader(canon), func(key []byte, op kat.Operation) error {
+			allOps = append(allOps, kat.KeyedOp{Key: string(key), Op: op})
 			return nil
 		})
 		if err != nil || len(allOps) == 0 {

@@ -16,8 +16,8 @@ import (
 func keyedOpsOf(t *testing.T, text string) []KeyedOp {
 	t.Helper()
 	var ops []KeyedOp
-	err := ParseStream(strings.NewReader(text), func(key string, op history.Operation) error {
-		ops = append(ops, KeyedOp{Key: key, Op: op})
+	err := ParseStreamBytes(strings.NewReader(text), func(key []byte, op history.Operation) error {
+		ops = append(ops, KeyedOp{Key: string(key), Op: op})
 		return nil
 	})
 	if err != nil {

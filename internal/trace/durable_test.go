@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"kat/internal/core"
 	"kat/internal/generator"
 	"kat/internal/history"
+	"kat/internal/wire"
 )
 
 // memStore is an in-memory BlobStore for spill tests.
@@ -95,17 +97,42 @@ func (c *captureLogger) Commit() error {
 	return nil
 }
 
-// replayText concatenates the captured shards in index order — replay
-// feeds keys back through hash routing, so only per-key (= per-shard
-// suffix) order matters.
-func (c *captureLogger) replayText(nshards int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var b bytes.Buffer
-	for s := 0; s < nshards; s++ {
-		b.Write(c.shards[s])
+// replay feeds the captured records into a fresh session with sopts through
+// Session.Replay, shard by shard as recovery does (replay routes keys by hash
+// again, so only per-key, per-shard order matters).
+func (c *captureLogger) replay(t *testing.T, nshards int, sopts StreamOptions) *Session {
+	t.Helper()
+	s := NewSmallestKSession(core.Options{}, sopts)
+	for shard := 0; shard < nshards; shard++ {
+		if _, err := s.Replay(c.shards[shard]); err != nil {
+			t.Fatalf("replay shard %d: %v", shard, err)
+		}
 	}
-	return b.String()
+	return s
+}
+
+// logged decodes every captured record, wire frames and keyed text alike.
+func (c *captureLogger) logged(t *testing.T) []KeyedOp {
+	t.Helper()
+	var out []KeyedOp
+	for _, rec := range c.shards {
+		if !wire.IsMagic(rec) {
+			out = append(out, keyedOpsOf(t, string(rec))...)
+			continue
+		}
+		d := wire.NewDecoder(bytes.NewReader(rec))
+		for {
+			ops, err := d.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("logged wire record: %v", err)
+			}
+			out = append(out, ops...)
+		}
+	}
+	return out
 }
 
 func smallestKOf(t *testing.T, text string, sopts StreamOptions) map[string]int {
@@ -122,39 +149,40 @@ func smallestKOf(t *testing.T, text string, sopts StreamOptions) map[string]int 
 }
 
 // TestShardLoggerReplayEquivalence checks the WAL invariant end to end at
-// the session layer: replaying the logged per-shard payloads through a
-// fresh session reproduces the original verdicts, across the text-logging
-// ingest paths and a different replay shard count.
+// the session layer: replaying the logged per-shard records through
+// Session.Replay into a fresh session with a different shard count
+// reproduces the original verdicts, for every ingest door — the text doors
+// log keyed text, AppendWire logs wire frames.
 func TestShardLoggerReplayEquivalence(t *testing.T) {
 	text := genSessionTrace(11, 5, 120)
 	base := StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 4}
 	want := smallestKOf(t, text, base)
 
 	feed := []struct {
-		name string
-		run  func(t *testing.T, s *Session)
+		name   string
+		framed bool // the door logs wire frames
+		run    func(t *testing.T, s *Session)
 	}{
-		{"Append", func(t *testing.T, s *Session) { feedPerOp(t, s, text) }},
-		{"AppendTraceBatch", func(t *testing.T, s *Session) {
+		{"Append", false, func(t *testing.T, s *Session) { feedPerOp(t, s, text) }},
+		{"AppendTraceBatch", false, func(t *testing.T, s *Session) {
 			if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"AppendBatch", func(t *testing.T, s *Session) {
-			var kops []KeyedOp
-			err := ParseStream(strings.NewReader(text), func(key string, op history.Operation) error {
-				kops = append(kops, KeyedOp{Key: key, Op: op})
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		{"AppendBatch", false, func(t *testing.T, s *Session) {
+			kops := keyedOpsOf(t, text)
 			for len(kops) > 0 {
 				n := min(37, len(kops))
 				if _, err := s.AppendBatch(kops[:n]); err != nil {
 					t.Fatal(err)
 				}
 				kops = kops[n:]
+			}
+		}},
+		{"AppendWire", true, func(t *testing.T, s *Session) {
+			stream := wireStreamOf(t, keyedOpsOf(t, text), 37, false)
+			if _, err := s.AppendWire(bytes.NewReader(stream)); err != nil {
+				t.Fatal(err)
 			}
 		}},
 	}
@@ -174,11 +202,99 @@ func TestShardLoggerReplayEquivalence(t *testing.T) {
 			if logger.commits == 0 {
 				t.Fatal("logger never committed")
 			}
-			// Replay into a session with a different shard count.
-			replayed := smallestKOf(t, logger.replayText(s.Shards()),
-				StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 7})
+			for shard, rec := range logger.shards {
+				if wire.IsMagic(rec) != f.framed {
+					t.Fatalf("shard %d logged %q..., want wire frames %v", shard, rec[:min(16, len(rec))], f.framed)
+				}
+			}
+			replay := logger.replay(t, s.Shards(), StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 7})
+			if err := replay.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			replayed, _ := replay.SmallestKByKey()
 			if fmt.Sprint(replayed) != fmt.Sprint(want) {
 				t.Fatalf("replayed verdicts differ: %v vs %v", replayed, want)
+			}
+		})
+	}
+}
+
+// TestRejectLogsAcceptedPrefix sends, through every ingest door, a batch in
+// which key a's fifth operation starts before a's committed cut, with
+// operations of other keys on every side of it and more of a's after it. The
+// log must hold exactly what the engine admitted: each shard group's accepted
+// prefix, logged on feed's error exit, and never the rejected operation or
+// anything after it in its group. Replaying the log must give every key the
+// ingesting session's operation count, less the rejected one.
+func TestRejectLogsAcceptedPrefix(t *testing.T) {
+	w := func(key string, v, start int64) KeyedOp {
+		return KeyedOp{Key: key, Op: history.Operation{Kind: history.KindWrite, Value: v, Start: start, Finish: start + 1}}
+	}
+	var batch []KeyedOp
+	for i, key := range []string{"b", "c", "d", "e", "f", "g", "h"} {
+		batch = append(batch, w(key, 1, int64(i)), w("a", int64(i+1), int64(10*i)))
+	}
+	rejected := w("a", 99, 5)
+	batch = append(batch[:8], append([]KeyedOp{rejected}, batch[8:]...)...)
+	batch = append(batch, w("b", 2, 100), w("h", 2, 100))
+	var text strings.Builder
+	for _, kop := range batch {
+		text.Write(history.AppendOpText(nil, kop.Key, kop.Op))
+	}
+
+	doors := []struct {
+		name string
+		run  func(s *Session) error
+	}{
+		{"Append", func(s *Session) error {
+			var first error
+			for _, kop := range batch {
+				if err := s.Append(kop.Key, kop.Op); first == nil {
+					first = err
+				}
+			}
+			return first
+		}},
+		{"AppendBatch", func(s *Session) error { _, err := s.AppendBatch(batch); return err }},
+		{"AppendTraceBatch", func(s *Session) error {
+			_, err := s.AppendTraceBatch(strings.NewReader(text.String()))
+			return err
+		}},
+		{"AppendWire", func(s *Session) error {
+			_, err := s.AppendWire(bytes.NewReader(wireStreamOf(t, batch, len(batch), false)))
+			return err
+		}},
+	}
+	sopts := StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 3}
+	for _, door := range doors {
+		t.Run(door.name, func(t *testing.T) {
+			logger := newCaptureLogger()
+			s := NewSmallestKSession(core.Options{}, sopts)
+			s.SetShardLogger(logger)
+			if err := door.run(s); !errors.Is(err, ErrOutOfOrder) {
+				t.Fatalf("err = %v, want ErrOutOfOrder", err)
+			}
+			for _, kop := range logger.logged(t) {
+				if kop.Key == rejected.Key && kop.Op.Value >= rejected.Op.Value {
+					t.Fatalf("the log holds %v, which the engine refused", kop)
+				}
+			}
+			replay := logger.replay(t, s.Shards(), sopts)
+			want, got := map[string]int{}, map[string]int{}
+			for _, kv := range s.Snapshot() {
+				want[kv.Key] = kv.Ops
+			}
+			for _, kv := range replay.Snapshot() {
+				got[kv.Key] = kv.Ops
+			}
+			// The refused operation still counts in its key's Ops, as it does
+			// in Stats.Ops (TestReaderDrivenPinned); the log holds the rest.
+			want[rejected.Key]--
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("replayed per-key ops %v, ingested %v without the refused one", got, want)
+			}
+			if want["a"] != 4 {
+				t.Fatalf("key a holds %d operations, want the 4 before the refused one", want["a"])
 			}
 		})
 	}

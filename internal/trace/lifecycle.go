@@ -47,7 +47,7 @@ package trace
 //     shard groups fed one after another, so mid-feed the watermark already
 //     holds operations that arrived together with ones still waiting their
 //     turn. Sweeps therefore run only between feeds — sweepAllSticky, at the
-//     tail of feedGrouped, once no shard lock is held — against the watermark
+//     tail of feed, once no shard lock is held — against the watermark
 //     read before that feed began.
 //   - A replayed log never counts until its end. Recovery replays the
 //     write-ahead log shard file by shard file, so the watermark stands at

@@ -3,11 +3,11 @@ package trace
 // Session: the one driver of the streaming engine.
 //
 // Everything that reaches engine.addOp goes through a Session, as a batch
-// through feedGrouped (batch.go), the one copy of the admission discipline:
-// AppendBatch takes parsed operations, AppendWire decodes wire frames,
-// AppendTraceBatch parses keyed text in chunks, Append is a batch of one;
-// each groups its operations by ingest shard and feeds every shard's group
-// under one lock acquisition.
+// through feed (batch.go), the one copy of the admission discipline, routing
+// loop and write-ahead encoding: AppendBatch takes parsed operations,
+// AppendWire decodes wire frames, AppendTraceBatch parses keyed text in
+// chunks, Append is a batch of one. feed groups a batch's operations by
+// ingest shard and feeds every shard's group under one lock acquisition.
 //
 // The reader-driven functions (StreamCheck, StreamSmallestKByKey,
 // StreamVerdictsByKey in stream.go) are a Session too: opened, fed from the
@@ -190,7 +190,8 @@ type KeyVerdict struct {
 	// floor so far, over all the key's lifetimes: SmallestK and SmallestDelta
 	// are lower bounds until Flush and 0 before any segment verdict, the
 	// read counts cover everything verified so far, and a Saturated or
-	// DeltaSaturated value stays a floor even after Flush.
+	// DeltaSaturated value stays a floor even after Flush. Zero whenever Err
+	// is set.
 	Verdict
 	// Retired reports that the key was retired after its TTL of quiescence:
 	// the verdict is its folded final state (identical to what a
@@ -305,8 +306,13 @@ func (s *Session) SnapshotKey(key string) (KeyVerdict, bool) {
 }
 
 // keyVerdict builds the verdict of a live or a retired key from its folded
-// state.
+// state. An error dominates every property, so an errored key reports a zero
+// Verdict: what its segments folded in before the anomaly settled the key
+// depends on scheduling.
 func (e *engine) keyVerdict(key string, ops int, v Verdict, err error) KeyVerdict {
+	if err != nil {
+		v = Verdict{}
+	}
 	return KeyVerdict{
 		Key:        key,
 		Ops:        ops,

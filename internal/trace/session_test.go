@@ -60,8 +60,8 @@ func genSessionTrace(seed int64, keys, opsPerKey int) string {
 // appended and the first parse, reader or admission error.
 func appendPerOp(s *Session, r io.Reader) (int64, error) {
 	var n int64
-	err := ParseStream(r, func(key string, op history.Operation) error {
-		if err := s.Append(key, op); err != nil {
+	err := ParseStreamBytes(r, func(key []byte, op history.Operation) error {
+		if err := s.Append(string(key), op); err != nil {
 			return err
 		}
 		n++
@@ -195,8 +195,8 @@ func TestSessionConcurrentAppend(t *testing.T) {
 		wg.Add(1)
 		go func(i int, text string) {
 			defer wg.Done()
-			err := ParseStream(strings.NewReader(text), func(key string, op history.Operation) error {
-				return s.Append(fmt.Sprintf("p%d-%s", i, key), op)
+			err := ParseStreamBytes(strings.NewReader(text), func(key []byte, op history.Operation) error {
+				return s.Append(fmt.Sprintf("p%d-%s", i, string(key)), op)
 			})
 			if err != nil {
 				t.Error(err)
@@ -204,8 +204,8 @@ func TestSessionConcurrentAppend(t *testing.T) {
 		}(i, text)
 		// Sequential reference under the same prefixed keys.
 		ref := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1})
-		ParseStream(strings.NewReader(text), func(key string, op history.Operation) error {
-			return ref.Append(fmt.Sprintf("p%d-%s", i, key), op)
+		ParseStreamBytes(strings.NewReader(text), func(key []byte, op history.Operation) error {
+			return ref.Append(fmt.Sprintf("p%d-%s", i, string(key)), op)
 		})
 		ref.Flush()
 		refK, _ := ref.SmallestKByKey()
@@ -277,6 +277,29 @@ func TestSessionStickyOutOfOrder(t *testing.T) {
 	}
 	if ferr := s.Flush(); !errors.Is(ferr, ErrOutOfOrder) {
 		t.Fatalf("Flush: %v, want sticky ErrOutOfOrder", ferr)
+	}
+}
+
+// TestErroredKeyVerdictIsZero pins that an error dominates every property: a
+// clean first segment that needs k=2 and holds an irregular read is verified
+// before a dangling read in the next one settles the key in error, and the
+// key still reports a zero Verdict — what segments folded in before the
+// anomaly depends on scheduling.
+func TestErroredKeyVerdictIsZero(t *testing.T) {
+	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1, Properties: PropertySetAll})
+	trace := "w x 1 0 1\nw x 2 2 3\nr x 1 4 5\nr x 999 10 11\n"
+	if _, err := s.AppendTraceBatch(strings.NewReader(trace)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	kv, ok := s.SnapshotKey("x")
+	if !ok || kv.Err == nil {
+		t.Fatalf("SnapshotKey(x) = %+v, %v; want the dangling read's error", kv, ok)
+	}
+	if kv.Verdict != (Verdict{}) {
+		t.Fatalf("errored key reports %+v, want a zero Verdict", kv.Verdict)
 	}
 }
 

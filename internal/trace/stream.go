@@ -398,7 +398,7 @@ type closedSeg struct {
 // ingestShard is one stripe of the engine's per-key state. Every key hashes
 // to exactly one shard, which owns that key's map entry and ingest-side
 // accumulator fields; mu guards all of them, taken once per batch group
-// (feedGrouped). The atomic counters below
+// (feed). The atomic counters below
 // mu are the shard's observability surface — they are read lock-free by
 // gauges, so scraping never queues behind a backpressured producer. The
 // admission path does not write them per operation: addOp counts into the

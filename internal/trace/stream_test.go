@@ -395,7 +395,7 @@ func TestParseReaderMatchesParse(t *testing.T) {
 // The in-place parser it used to compare with the string parser is now
 // history.ParseOp, and that comparison, with this corpus, is
 // history.FuzzParseOp; what is left here is the trace's own: a segment reaches
-// ParseStream's emit exactly as ParseOp reads it, an error comes back under
+// ParseStreamBytes's emit exactly as ParseOp reads it, an error comes back under
 // the segment's position, and what parses prints through AppendKeyedOpText and
 // Trace.String to a line that parses back to itself.
 func FuzzParseKeyedOp(f *testing.F) {
@@ -434,8 +434,8 @@ func FuzzParseKeyedOp(f *testing.F) {
 			return // more than one segment
 		}
 		var got []KeyedOp
-		err := ParseStream(strings.NewReader(part), func(key string, op history.Operation) error {
-			got = append(got, KeyedOp{Key: key, Op: op})
+		err := ParseStreamBytes(strings.NewReader(part), func(key []byte, op history.Operation) error {
+			got = append(got, KeyedOp{Key: string(key), Op: op})
 			return nil
 		})
 		trimmed := bytes.TrimSpace([]byte(part))

@@ -161,7 +161,7 @@ smallest: ops=171 keys=4 segs=78 merges=92 stale=1 sat=1
 verdicts: ops=171 keys=4 segs=78 merges=92 stale=1 sat=1
   a ops=48 pending=0 atomic=true k=20 sat=true delta=1805 dsat=true unsafe=5 irregular=5 err=false
   b ops=72 pending=0 atomic=true k=2 sat=false delta=10 dsat=false unsafe=24 irregular=24 err=false
-  c ops=25 pending=0 atomic=false k=1 sat=false delta=0 dsat=false unsafe=0 irregular=0 err=true
+  c ops=25 pending=0 atomic=false k=0 sat=false delta=0 dsat=false unsafe=0 irregular=0 err=true
   d ops=26 pending=0 atomic=true k=1 sat=false delta=0 dsat=false unsafe=0 irregular=0 err=false
 `,
 	"parse": `check: ops=55 keys=3 segs=21 merges=23 stale=1 sat=0

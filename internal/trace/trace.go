@@ -67,20 +67,12 @@ func Parse(text string) (*Trace, error) {
 	return ParseReader(strings.NewReader(text))
 }
 
-// ParseStream reads the keyed text format from r and invokes emit for every
-// operation in input order, without materializing the input or the trace:
-// memory is one read chunk plus whatever emit retains. Returning an error
-// from emit aborts the parse with that error.
-func ParseStream(r io.Reader, emit func(key string, op history.Operation) error) error {
-	return ParseStreamBytes(r, func(key []byte, op history.Operation) error {
-		return emit(string(key), op)
-	})
-}
-
-// ParseStreamBytes is the allocation-lean form of ParseStream: the key
-// reaches emit as a view into the read buffer, valid only during the call,
-// so callers that intern or hash keys themselves (the cluster router's
-// per-node splitter) pay no per-operation string.
+// ParseStreamBytes reads the keyed text format from r and invokes emit for
+// every operation in input order, without materializing the input or the
+// trace: memory is one read chunk plus whatever emit retains. The key reaches
+// emit as a view into the read buffer, valid only during the call, so callers
+// that intern or hash keys themselves pay no per-operation string. Returning
+// an error from emit aborts the parse with that error.
 func ParseStreamBytes(r io.Reader, emit func(key []byte, op history.Operation) error) error {
 	return history.ScanText(r, true, emit)
 }

@@ -68,30 +68,6 @@ func (e *Encoder) Add(key string, op history.Operation) error {
 	return e.addOp(id, op)
 }
 
-// AddOp buffers one keyed operation — Add for the codec's own element type,
-// so callers holding decoded batches (the cluster router re-framing per-node
-// sub-batches) need no destructuring at the call site.
-func (e *Encoder) AddOp(kop Op) error {
-	return e.Add(kop.Key, kop.Op)
-}
-
-// AddBytes is Add for a byte-slice key view; it allocates the key string
-// only on the first sighting (map hits are allocation-free).
-func (e *Encoder) AddBytes(key []byte, op history.Operation) error {
-	id, ok := e.dict[string(key)]
-	if !ok {
-		if !ValidKey(key) {
-			return fmt.Errorf("wire: key %q is not expressible in the trace grammar", key)
-		}
-		id = uint32(len(e.dict))
-		e.dict[string(key)] = id
-		e.dictBuf = binary.AppendUvarint(e.dictBuf, uint64(len(key)))
-		e.dictBuf = append(e.dictBuf, key...)
-		e.newKeys++
-	}
-	return e.addOp(id, op)
-}
-
 func (e *Encoder) addOp(id uint32, op history.Operation) error {
 	var kindBit uint64
 	switch op.Kind {

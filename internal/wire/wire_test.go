@@ -206,24 +206,6 @@ func TestDecoderReset(t *testing.T) {
 	sameOps(t, b, got)
 }
 
-func TestAddBytesMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ops := randOps(rng, 128, 6)
-	ea, eb := NewEncoder(), NewEncoder()
-	for _, kop := range ops {
-		if err := ea.Add(kop.Key, kop.Op); err != nil {
-			t.Fatal(err)
-		}
-		if err := eb.AddBytes([]byte(kop.Key), kop.Op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fa, fb := ea.AppendFrame(nil), eb.AppendFrame(nil)
-	if !bytes.Equal(fa, fb) {
-		t.Fatal("Add and AddBytes produced different frames")
-	}
-}
-
 func TestEncoderRejectsBadKeys(t *testing.T) {
 	enc := NewEncoder()
 	op := history.Operation{Kind: history.KindWrite, Value: 1, Start: 1, Finish: 2}
