@@ -118,7 +118,7 @@ func TestFlagErrors(t *testing.T) {
 	// Quotas bind the root tenant, and tenants are durable: neither pairing
 	// is refused any more.
 	for _, args := range [][]string{
-		{"-tenant-max-ops", "10"}, {"-tenant-max-keys", "10"}, {"-tenant-max-buffered", "10"},
+		{"-tenant-max-ops", "10"}, {"-tenant-max-keys", "10"},
 		{"-tenants", "a,b", "-data-dir", "d"},
 	} {
 		n, err := serve.New(args, io.Discard, faultfs.NewMem())

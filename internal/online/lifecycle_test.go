@@ -427,18 +427,21 @@ func TestRetiredKeyVerdictHTTP(t *testing.T) {
 }
 
 // TestTenantQuotasAndIsolation covers the multi-tenant frontend: typed
-// quota rejects per quota class, 404 for unknown tenants, tenant-labeled
-// metrics, and one tenant at quota never blocking another under
-// concurrent load.
+// quota rejects per quota class, the overload shed counted per tenant, 404
+// for unknown tenants, tenant-labeled metrics, and one tenant at its quota or
+// cap never blocking another under concurrent load.
 func TestTenantQuotasAndIsolation(t *testing.T) {
 	pool := kat.NewPool(2)
 	defer pool.Close()
+	// MinSegmentOps keeps every operation buffered, so each tenant's count
+	// against the shared OverloadOps cap is exactly what it was sent.
+	const overload = 64
 	m, err := NewMulti(
-		Config{K: 2, Stream: trace.StreamOptions{Pool: pool, MinSegmentOps: 1000}},
+		Config{K: 2, OverloadOps: overload, Stream: trace.StreamOptions{Pool: pool, MinSegmentOps: 1000}},
 		[]TenantConfig{
 			{Name: "alpha", Quotas: TenantQuotas{MaxOps: 4}},
 			{Name: "beta"},
-			{Name: "gamma", Quotas: TenantQuotas{MaxBufferedOps: 2}},
+			{Name: "gamma"},
 			{Name: "delta", Quotas: TenantQuotas{MaxKeys: 1}},
 		}, nil,
 	)
@@ -473,24 +476,29 @@ func TestTenantQuotasAndIsolation(t *testing.T) {
 		t.Fatal("lifetime op quota reject carries Retry-After (it is permanent)")
 	}
 
-	// gamma: buffered-op quota, transient → 503 with Retry-After.
-	if code, body := postText(t, ts.URL+"/ingest/gamma", "w g 1 0 10\nw g 2 20 30\n"); code != http.StatusOK {
+	// gamma: fills its own buffer to the overload cap; the shed is
+	// transient → 503 with Retry-After.
+	var fill strings.Builder
+	for i := 0; i < overload; i++ {
+		fmt.Fprintf(&fill, "w g %d %d %d\n", i+1, i*20, i*20+10)
+	}
+	if code, body := postText(t, ts.URL+"/ingest/gamma", fill.String()); code != http.StatusOK {
 		t.Fatalf("gamma ingest: %d %s", code, body)
 	}
-	resp, err = http.Post(ts.URL+"/ingest/gamma", "text/plain", strings.NewReader("w g 3 40 50\n"))
+	resp, err = http.Post(ts.URL+"/ingest/gamma", "text/plain", strings.NewReader("w g 999 5000 5010\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("gamma over quota: %d %s", resp.StatusCode, body)
+		t.Fatalf("gamma over its cap: %d %s", resp.StatusCode, body)
 	}
-	if rej := decodeReject(t, string(body)); rej.Code != "quota_exceeded" {
+	if rej := decodeReject(t, string(body)); rej.Code != "overload" {
 		t.Fatalf("gamma reject code %q", rej.Code)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("buffered-op quota reject missing Retry-After")
+		t.Fatal("overload shed missing Retry-After")
 	}
 
 	// delta: distinct-key quota.
@@ -502,8 +510,9 @@ func TestTenantQuotasAndIsolation(t *testing.T) {
 	}
 
 	// beta keeps ingesting at full tilt while the other tenants sit at
-	// their quotas: per-goroutine keys keep each stream's starts
-	// nondecreasing, and alpha's rejects must stay typed throughout.
+	// their quotas and caps: per-goroutine keys keep each stream's starts
+	// nondecreasing, and alpha's and gamma's rejects must stay typed
+	// throughout.
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 4; g++ {
@@ -526,6 +535,10 @@ func TestTenantQuotasAndIsolation(t *testing.T) {
 				code, body := postText(t, ts.URL+"/ingest/alpha", fmt.Sprintf("w a %d %d %d\n", 100+g*10+i, 1000+i*20, 1010+i*20))
 				if code != http.StatusTooManyRequests {
 					errs <- fmt.Errorf("alpha[%d] expected 429, got %d %s", g, code, body)
+					return
+				}
+				if code, body := postText(t, ts.URL+"/ingest/gamma", "w g 999 5000 5010\n"); code != http.StatusServiceUnavailable {
+					errs <- fmt.Errorf("gamma[%d] expected 503, got %d %s", g, code, body)
 					return
 				}
 			}
@@ -555,6 +568,10 @@ func TestTenantQuotasAndIsolation(t *testing.T) {
 	}
 	if !strings.Contains(metricsBody, `kavserve_ingest_rejected_total{tenant="alpha",reason="quota_exceeded"}`) {
 		t.Fatalf("metrics missing alpha quota rejects:\n%s", metricsBody)
+	}
+	if !strings.Contains(metricsBody, `kavserve_ingest_rejected_total{tenant="gamma",reason="overload"} 21`) ||
+		!strings.Contains(metricsBody, `kavserve_ingest_rejected_total{tenant="beta",reason="overload"} 0`) {
+		t.Fatalf("metrics miscount the overload sheds:\n%s", metricsBody)
 	}
 
 	// Per-tenant drain leaves the others live.

@@ -37,15 +37,12 @@ var (
 	// request caught mid-body by the drain gets, with the operations it had
 	// already delivered in Ingested.
 	RejectDraining = Reject{Code: "draining", Status: http.StatusConflict, Sticky: true, Shed: true}
-	// Config.OverloadOps live buffered operations reached: the backlog
-	// drains as verification catches up.
+	// The tenant holds Config.OverloadOps live buffered operations: the
+	// backlog drains as verification catches up or the tenant's keys retire.
 	RejectOverload = Reject{Code: "overload", Status: http.StatusServiceUnavailable, RetryAfter: true, Resend: true, Shed: true}
 	// The hard admission watermark tripped. Like overload, nothing was lost,
 	// and the condition clears as retirement, spill and GC reclaim memory.
 	RejectMemoryPressure = Reject{Code: "memory_pressure", Status: http.StatusServiceUnavailable, RetryAfter: true, Resend: true, Shed: true}
-	// A tenant's buffered-operation quota is full; it drains as verification
-	// catches up or the tenant's keys retire.
-	RejectQuotaBuffered = Reject{Code: "quota_exceeded", Status: http.StatusServiceUnavailable, RetryAfter: true, Resend: true, Shed: true}
 	// A tenant's lifetime operation or key quota is spent, for good:
 	// retirement does not lower either count.
 	RejectQuotaSpent = Reject{Code: "quota_exceeded", Status: http.StatusTooManyRequests, Sticky: true, Shed: true}
@@ -68,7 +65,7 @@ var (
 
 // Rejects lists the table's rows.
 var Rejects = []Reject{
-	RejectDraining, RejectOverload, RejectMemoryPressure, RejectQuotaBuffered, RejectQuotaSpent,
+	RejectDraining, RejectOverload, RejectMemoryPressure, RejectQuotaSpent,
 	RejectBufferLimit, RejectOutOfOrder, RejectDurability, RejectMalformed, RejectDegraded,
 }
 

@@ -35,7 +35,6 @@ func TestRejectTable(t *testing.T) {
 		{Code: codeDraining, Status: 409, Sticky: true, Shed: true},
 		{Code: codeOverload, Status: 503, RetryAfter: true, Resend: true, Shed: true},
 		{Code: codeMemoryPressure, Status: 503, RetryAfter: true, Resend: true, Shed: true},
-		{Code: codeQuotaExceeded, Status: 503, RetryAfter: true, Resend: true, Shed: true},
 		{Code: codeQuotaExceeded, Status: 429, Sticky: true, Shed: true},
 		{Code: codeBufferLimit, Status: 503, RetryAfter: true, Sticky: true},
 		{Code: codeOutOfOrder, Status: 409, Sticky: true},

@@ -168,20 +168,17 @@ kavserve_ingest_rejected_total{reason="quota_exceeded"} 0`
 		m, err := NewMulti(Config{Stream: neverCut}, []TenantConfig{
 			{Name: "ops", Quotas: TenantQuotas{MaxOps: 2}},
 			{Name: "keys", Quotas: TenantQuotas{MaxKeys: 1}},
-			{Name: "buffered", Quotas: TenantQuotas{MaxBufferedOps: 2}},
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		url := serve(m.Handler())
-		for _, tenant := range []string{"ops", "keys", "buffered"} {
+		for _, tenant := range []string{"ops", "keys"} {
 			check(t, tenant+" accepted", text(url+"/"+tenant, "w a 1 0 1\nw a 2 2 3\n"), ingestShape{200, "", "{\"ingested\": 2}\n"})
 		}
 		check(t, "op quota", text(url+"/ops", "w a 3 4 5\n"),
 			ingestShape{429, "", `{"code":"quota_exceeded","error":"tenant ops: operation quota exhausted (2 ingested, quota 2)","ingested":0}` + "\n"})
 		check(t, "key quota", text(url+"/keys", "w b 1 4 5\n"),
 			ingestShape{429, "", `{"code":"quota_exceeded","error":"tenant keys: key quota exhausted (1 keys, quota 1)","ingested":0}` + "\n"})
-		check(t, "buffered quota", text(url+"/buffered", "w a 3 4 5\n"),
-			ingestShape{503, "1", `{"code":"quota_exceeded","error":"tenant buffered: buffered-operation quota reached (2 buffered, quota 2)","ingested":0}` + "\n"})
 	})
 }

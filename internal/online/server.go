@@ -55,6 +55,7 @@ type Config struct {
 	// OverloadOps, when > 0, sheds /ingest with RejectOverload before
 	// reading the body once this many operations are buffered, telling
 	// producers to back off rather than pile onto verification backpressure.
+	// Each tenant of a Multi counts its own: it is the tenant memory bound.
 	OverloadOps int64
 	// SoftWatermarkBytes, when > 0, is the live-heap size at which the
 	// ingest path starts reclaiming memory now instead of at the next sweep

@@ -13,9 +13,11 @@ import (
 	"kat/internal/metrics"
 )
 
-// TenantQuotas bounds one tenant's resource use on a shared server. All
-// quotas are enforced before the request body is read, so a tenant at
-// its quota costs the server one rejected request, not a parse.
+// TenantQuotas bounds one tenant's lifetime resource use on a shared server.
+// All quotas are enforced before the request body is read, so a tenant at
+// its quota costs the server one rejected request, not a parse. The
+// tenant's memory bound is Config.OverloadOps, which every tenant applies
+// to its own buffered operations.
 type TenantQuotas struct {
 	// MaxOps caps lifetime ingested operations (0 = unlimited). Hitting
 	// it is permanent for the tenant's lifetime: rejects are HTTP 429
@@ -25,12 +27,6 @@ type TenantQuotas struct {
 	// it is permanent — retirement does not lower the distinct-key
 	// count, so the quota is over keys ever seen.
 	MaxKeys int64
-	// MaxBufferedOps caps live buffered (unverified) operations — the
-	// tenant's memory quota, since buffered operations dominate a
-	// session's heap (0 = unlimited). Transient: rejects are HTTP 503
-	// with Retry-After, and clear as verification catches up or keys
-	// retire.
-	MaxBufferedOps int64
 }
 
 // TenantConfig names one tenant and its quotas. A lone tenant with the
@@ -61,7 +57,7 @@ const tenantNameBytes = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012
 // with its name after the first path element otherwise:
 //
 //	POST /ingest[/{tenant}]           ingest; quotas are checked before the
-//	                                  body is read (RejectQuotaSpent/Buffered)
+//	                                  body is read (RejectQuotaSpent)
 //	GET  /verdict[/{tenant}][/{key}]  the verdict document (?epoch=N), or a key's
 //	POST /drain[/{tenant}]            drain the tenant; others keep ingesting
 //
@@ -283,12 +279,11 @@ func (m *Multi) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// quota is one admission bound of a tenant: used() reaching max sheds the
-// request with row.
+// quota is one lifetime bound of a tenant: used() reaching max spends it
+// (RejectQuotaSpent).
 type quota struct {
 	max  int64
 	used func() int64
-	row  Reject
 	what string // format of the error, given used and max
 }
 
@@ -300,9 +295,8 @@ func (s *Server) setQuotas(name string, q TenantQuotas) {
 		prefix = "tenant " + name + ": "
 	}
 	for _, c := range []quota{
-		{q.MaxOps, func() int64 { return s.sess.Stats().Ops }, RejectQuotaSpent, "operation quota exhausted (%d ingested, quota %d)"},
-		{q.MaxKeys, s.sess.Keys, RejectQuotaSpent, "key quota exhausted (%d keys, quota %d)"},
-		{q.MaxBufferedOps, s.sess.BufferedOps, RejectQuotaBuffered, "buffered-operation quota reached (%d buffered, quota %d)"},
+		{q.MaxOps, func() int64 { return s.sess.Stats().Ops }, "operation quota exhausted (%d ingested, quota %d)"},
+		{q.MaxKeys, s.sess.Keys, "key quota exhausted (%d keys, quota %d)"},
 	} {
 		if c.max > 0 {
 			c.what = prefix + c.what
@@ -311,13 +305,12 @@ func (s *Server) setQuotas(name string, q TenantQuotas) {
 	}
 }
 
-// admitQuotas sheds the request at the first quota the tenant has reached
-// and reports whether it may go on. It runs before the body is read, so a
-// producer can resend the batch verbatim where the quota is transient.
+// admitQuotas sheds the request at the first quota the tenant has spent and
+// reports whether it may go on. It runs before the body is read.
 func (s *Server) admitQuotas(w http.ResponseWriter) bool {
 	for _, q := range s.quotas {
 		if used := q.used(); used >= q.max {
-			s.shed(w, q.row, fmt.Errorf(q.what, used, q.max))
+			s.shed(w, RejectQuotaSpent, fmt.Errorf(q.what, used, q.max))
 			return false
 		}
 	}

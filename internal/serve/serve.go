@@ -68,8 +68,8 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 		dataDir  = fs.String("data-dir", "", "durability directory: per-shard WAL + checkpoints; ingest survives crashes and restarts recover it (empty = in-memory only)")
 		fsync    = fs.String("fsync", "batch", "WAL sync policy: batch (group fsync per ingest batch), always (fsync every record), never (OS page cache only)")
 		ckptIval = fs.Duration("checkpoint-interval", 5*time.Second, "cadence of background checkpoints that bound WAL replay length")
-		spillOps = fs.Int("spill-threshold-ops", 0, "verified-segment ops retained in memory per key before cold segments spill to -data-dir (0 = default; needs -data-dir)")
-		overload = fs.Int64("overload-ops", 0, "shed /ingest with 503 + Retry-After once this many ops are buffered unverified (0 = never shed)")
+		spillOps = fs.Int("spill-threshold-ops", 0, "spill a key's open window or held segment to -data-dir once it holds this many unverified ops in memory (0 = default; needs -data-dir)")
+		overload = fs.Int64("overload-ops", 0, "shed a tenant's /ingest with 503 + Retry-After once it has this many ops buffered unverified — the per-tenant memory bound (0 = never shed)")
 
 		// Keyspace lifecycle.
 		retireTTL = fs.String("retire-ttl", "", "retire a key quiescent past the safe-cut horizon for this long, folding its final verdict into a compact retired record; trace-time integer, or a Go duration for nanosecond-stamped traces (empty = never retire)")
@@ -81,7 +81,6 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 		tenants    = fs.String("tenants", "", "multi-tenant mode: comma-separated tenant names, each an isolated session behind /ingest/{tenant} and /verdict/{tenant}, all sharing one verification pool")
 		tenantOps  = fs.Int64("tenant-max-ops", 0, "per-tenant lifetime operation quota; exceeding it rejects with quota_exceeded (0 = unlimited)")
 		tenantKeys = fs.Int64("tenant-max-keys", 0, "per-tenant distinct-key quota (0 = unlimited)")
-		tenantBuf  = fs.Int64("tenant-max-buffered", 0, "per-tenant live buffered-operation quota — the tenant memory bound; rejects are 503 + Retry-After and clear as verification catches up (0 = unlimited)")
 
 		// Router mode.
 		route       = fs.String("route", "", "router mode: comma-separated member base URLs; this process forwards by key hash instead of verifying locally")
@@ -162,7 +161,7 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 	}
 	// The root tenant is a tenant: the quotas bind it as they bind each
 	// named one.
-	quotas := online.TenantQuotas{MaxOps: *tenantOps, MaxKeys: *tenantKeys, MaxBufferedOps: *tenantBuf}
+	quotas := online.TenantQuotas{MaxOps: *tenantOps, MaxKeys: *tenantKeys}
 	tcs := []online.TenantConfig{{Quotas: quotas}}
 	if *tenants != "" {
 		tcs = nil

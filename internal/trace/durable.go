@@ -4,21 +4,23 @@ package trace
 //
 // Three seams, all optional and all zero-cost when unused:
 //
-//   - ShardLogger: the ingest paths re-encode every *accepted* operation in
-//     the keyed text format and hand each shard's group to the logger under
-//     that shard's ingest lock, so per-shard log order is exactly per-shard
-//     ingest order. Replaying a shard's payloads through Replay reproduces
-//     the session state — keys re-route by hash on replay, so the ingest
-//     shard count may change across restarts.
+//   - ShardLogger: the ingest paths encode every *accepted* operation — in
+//     the keyed text format, or as self-contained wire frames when the batch
+//     arrived binary — and hand each shard's group to the logger under that
+//     shard's ingest lock, so per-shard log order is exactly per-shard ingest
+//     order. Replaying a shard's payloads through Replay reproduces the
+//     session state — keys re-route by hash on replay, so the ingest shard
+//     count may change across restarts.
 //
-//   - BlobStore + StreamOptions.SpillThresholdOps: segment spill-to-disk.
-//     Open windows larger than the threshold spill their accumulated prefix
-//     (the value index, write count, and max-finish stay in memory — those
-//     are all the cut rules need), and closed segments above the threshold
-//     spill while they wait out the dispatch horizon. Spilled operations
-//     are reloaded at the point they are next needed: when the window
-//     closes, when a backward-reaching read merges a deque segment, or when
-//     a segment dispatches to verification. Ingest memory for a
+//   - BlobStore + StreamOptions.SpillThresholdOps: spill-to-disk of held
+//     runs. An open window and a closed segment waiting out the dispatch
+//     horizon are both a held run of one key's unverified operations, and
+//     either one that reaches the threshold in memory spills it as one more
+//     keyed-text blob (an open window's value index, write count and max
+//     finish stay in memory — those are all the cut rules need). A spilled
+//     run is loaded back where it is next needed: when the window closes,
+//     when a backward-reaching read merges a deque segment, or when a
+//     segment dispatches to verification. Ingest memory for a
 //     never-quiescing window is thereby bounded by the threshold; the
 //     eventual close (or Flush) pays a transient reload of the whole
 //     segment, which verification materializes anyway.
@@ -55,7 +57,8 @@ import (
 // ShardLogger receives the write-ahead copy of accepted operations.
 // LogShardBatch is called with the shard's ingest lock held — one call per
 // (ingest call, shard) pair covering that call's accepted operations for
-// the shard, encoded in the keyed text format. Commit is called once per
+// the shard, encoded in the keyed text format, or as a self-contained wire
+// frame when the call arrived binary (AppendWire). Commit is called once per
 // ingest call after all locks are released; under a batch-fsync policy this
 // is the group-commit point. Errors from either become the session's sticky
 // ingest error.
@@ -165,20 +168,6 @@ func (e *engine) unpack(sh *ingestShard, l *opbuf.List) []history.Operation {
 	return ops
 }
 
-// parseOpsText decodes a keyed-text payload back into operations, IDs
-// renumbered from base. The keys inside the payload are ignored (spill and
-// checkpoint blobs are single-key by construction).
-func parseOpsText(data []byte, base int) ([]history.Operation, error) {
-	var ops []history.Operation
-	d := history.TextDecoder{Keyed: true}
-	err := d.Scan(data, func(_ []byte, op history.Operation) error {
-		op.ID = base + len(ops)
-		ops = append(ops, op)
-		return nil
-	})
-	return ops, err
-}
-
 // packText decodes a keyed-text payload — what a blob and a checkpoint hold —
 // onto the end of l and returns how many of its operations are writes. An
 // error ends the session, so what l took by then is left for the collector.
@@ -196,104 +185,75 @@ func (e *engine) packText(l *opbuf.List, data []byte) (writes int, err error) {
 
 // ---- spill ----
 
-// totalOpen is the open window's full size: spilled prefix + in-memory tail.
-func (ks *keyState) totalOpen() int { return ks.spillOpenOps + ks.open.Len() }
-
-// spillOpenTail moves the in-memory open-window tail to the blob store. The
-// value index, write count, and max finish stay — they are everything the
-// cut rules consult before the window closes.
-func (e *engine) spillOpenTail(ks *keyState) error {
-	n := ks.open.Len()
+// spill moves h's in-memory tail to the blob store as one more blob of keyed
+// text; the caller holds the key's shard lock. What the cut rules consult
+// before the run is next needed — an open window's value index, write count
+// and max finish, a segment's seqs and writes — stays in memory.
+func (e *engine) spill(ks *keyState, h *held) error {
+	n, bytes := h.ops.Len(), h.ops.Bytes()
 	if n == 0 {
 		return nil
 	}
-	id, err := e.spillList(ks, &ks.open)
-	if err != nil {
-		return fmt.Errorf("trace: spill open window of key %q: %w", ks.key, err)
-	}
-	ks.spillOpen = append(ks.spillOpen, id)
-	ks.spillOpenOps += n
-	return nil
-}
-
-// spillSeg moves one closed segment's operations to the blob store.
-func (e *engine) spillSeg(ks *keyState, seg *closedSeg) (err error) {
-	if seg.spill, err = e.spillList(ks, &seg.ops); err != nil {
-		return fmt.Errorf("trace: spill segment of key %q: %w", ks.key, err)
-	}
-	return nil
-}
-
-// spillList writes l's operations to the blob store as keyed text and frees
-// its chunks; the caller holds the key's shard lock.
-func (e *engine) spillList(ks *keyState, l *opbuf.List) (uint64, error) {
-	n, bytes := l.Len(), l.Bytes()
-	buf := appendOpsText(e.spillBuf(n)[:0], ks.key, e.unpack(ks.sh, l))
+	buf := appendOpsText(e.spillBuf(n)[:0], ks.key, e.unpack(ks.sh, &h.ops))
 	id, err := e.store.Put(buf)
 	e.spillBufs.Put(buf)
 	if err != nil {
-		return 0, err
+		return fmt.Errorf("trace: spill key %q: %w", ks.key, err)
 	}
-	e.buf.Free(l)
+	h.blobs = append(h.blobs, id)
+	h.spilled += n
+	e.buf.Free(&h.ops)
 	e.publish(ks.sh) // the operations leaving memory are counted before they are subtracted
 	e.unbuffer(ks.sh, n, bytes)
 	e.onDisk.Add(int64(n))
 	e.spills.Add(1)
 	e.opsSpilled.Add(int64(n))
-	return id, nil
-}
-
-// unspill loads a spilled closed segment back into memory (Get + Del).
-func (e *engine) unspill(ks *keyState, seg *closedSeg) error {
-	if seg.spill == 0 {
-		return nil
-	}
-	data, err := e.store.Get(seg.spill)
-	if err != nil {
-		return fmt.Errorf("trace: load spilled segment of key %q: %w", ks.key, err)
-	}
-	if _, err := e.packText(&seg.ops, data); err != nil {
-		return fmt.Errorf("trace: decode spilled segment of key %q: %w", ks.key, err)
-	}
-	e.store.Del(seg.spill)
-	seg.spill = 0
-	e.accountLoad(ks, seg.ops.Len(), seg.ops.Bytes())
 	return nil
 }
 
-// reloadOpen restores the open window's spilled prefix ahead of the
-// in-memory tail (the close path needs the whole window).
-func (e *engine) reloadOpen(ks *keyState) error {
-	if len(ks.spillOpen) == 0 {
+// load reads h's blobs back ahead of its tail and deletes them, for the close,
+// merge or dispatch that needs the whole run. The blobs are deleted only once
+// all of them are read, so a failed load leaves h as it was.
+func (e *engine) load(ks *keyState, h *held) error {
+	if len(h.blobs) == 0 {
 		return nil
 	}
 	var whole opbuf.List
-	for _, id := range ks.spillOpen {
+	for _, id := range h.blobs {
 		data, err := e.store.Get(id)
+		if err == nil {
+			_, err = e.packText(&whole, data)
+		}
 		if err != nil {
-			return fmt.Errorf("trace: load spilled window of key %q: %w", ks.key, err)
+			e.buf.Free(&whole)
+			return fmt.Errorf("trace: load spilled operations of key %q: %w", ks.key, err)
 		}
-		if _, err := e.packText(&whole, data); err != nil {
-			return fmt.Errorf("trace: decode spilled window of key %q: %w", ks.key, err)
-		}
+	}
+	for _, id := range h.blobs {
 		e.store.Del(id)
 	}
-	loaded, bytes := whole.Len(), whole.Bytes()
-	e.buf.Splice(&whole, &ks.open)
-	ks.open = whole
-	ks.spillOpen = nil
-	ks.spillOpenOps = 0
-	e.accountLoad(ks, loaded, bytes)
-	return nil
-}
-
-func (e *engine) accountLoad(ks *keyState, n int, bytes int64) {
+	n, bytes := whole.Len(), whole.Bytes()
+	e.buf.Splice(&whole, &h.ops)
+	*h = held{ops: whole}
 	ks.sh.buffered.Add(int64(n))
-	cur := e.buffered.Add(int64(n))
-	atomicMax(&e.peakBuffered, cur)
+	atomicMax(&e.peakBuffered, e.buffered.Add(int64(n)))
 	e.bufferedBytes.Add(bytes)
 	e.onDisk.Add(int64(-n))
 	e.spillLoads.Add(1)
+	return nil
+}
+
+// text appends h's keyed text to buf, for a checkpoint: the blobs read back
+// without consuming them, then the tail.
+func (e *engine) text(ks *keyState, h *held, buf []byte) ([]byte, error) {
+	for _, id := range h.blobs {
+		data, err := e.store.Get(id)
+		if err != nil {
+			return buf, fmt.Errorf("trace: checkpoint read spilled operations of %q: %w", ks.key, err)
+		}
+		buf = append(buf, data...)
+	}
+	return appendOpsText(buf, ks.key, e.unpack(ks.sh, &h.ops)), nil
 }
 
 // spillBuf hands out a reusable encode buffer sized for n operations.
@@ -549,38 +509,28 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 				CumMaxFinish:      ks.cumMaxFinish,
 				TotalClosed:       ks.totalClosed,
 			}
-			// Open window: spilled prefix (read back, not consumed) + tail.
-			buf = buf[:0]
-			for _, id := range ks.spillOpen {
-				data, err := e.store.Get(id)
-				if err != nil {
-					return nil, fmt.Errorf("trace: checkpoint read spilled window of %q: %w", ks.key, err)
-				}
-				buf = append(buf, data...)
+			var err error
+			if buf, err = e.text(ks, &ks.open, buf[:0]); err != nil {
+				return nil, err
 			}
-			spilled := len(buf) > 0
-			tail := e.unpack(sh, &ks.open)
-			buf = appendOpsText(buf, ks.key, tail)
 			if len(buf) > 0 {
 				st.Open = string(buf)
-			}
-			window := tail
-			if spilled {
-				var err error
-				if window, err = parseOpsText(buf, 0); err != nil {
-					return nil, fmt.Errorf("trace: checkpoint decode spilled window of %q: %w", ks.key, err)
-				}
 			}
 			// Values lists the open window's writes under the open seq, as it
 			// did when they were indexed on arrival; the index itself learns
 			// them at the close, so they are entered for the listing only (a
 			// restore drops them again).
 			opened = opened[:0]
-			for _, op := range window {
+			d := history.TextDecoder{Keyed: true}
+			err = d.Scan(buf, func(_ []byte, op history.Operation) error {
 				if _, ok := ks.values[op.Value]; op.IsWrite() && !ok {
 					ks.values[op.Value] = int32(ks.seq)
 					opened = append(opened, op.Value)
 				}
+				return nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("trace: checkpoint decode open window of %q: %w", ks.key, err)
 			}
 			if len(ks.values) > 0 {
 				st.Values = make([][2]int64, 0, len(ks.values))
@@ -591,19 +541,12 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 			for _, v := range opened {
 				delete(ks.values, v)
 			}
-			for _, seg := range ks.deque {
-				ss := SegmentState{LoSeq: seg.loSeq, HiSeq: seg.hiSeq, Writes: seg.writes, CutAt: seg.cutAt}
-				if seg.spill != 0 {
-					data, err := e.store.Get(seg.spill)
-					if err != nil {
-						return nil, fmt.Errorf("trace: checkpoint read spilled segment of %q: %w", ks.key, err)
-					}
-					ss.Ops = string(data)
-				} else {
-					buf = appendOpsText(buf[:0], ks.key, e.unpack(sh, &seg.ops))
-					ss.Ops = string(buf)
+			for i := range ks.deque {
+				seg := &ks.deque[i]
+				if buf, err = e.text(ks, &seg.held, buf[:0]); err != nil {
+					return nil, err
 				}
-				st.Deque = append(st.Deque, ss)
+				st.Deque = append(st.Deque, SegmentState{LoSeq: seg.loSeq, HiSeq: seg.hiSeq, Writes: seg.writes, CutAt: seg.cutAt, Ops: string(buf)})
 			}
 			ks.mu.Lock()
 			st.verdictState = e.verdictState(ks.verdict)
@@ -676,19 +619,18 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 			}
 		}
 		var err error
-		if ks.openWrites, err = e.packText(&ks.open, []byte(st.Open)); err != nil {
+		if ks.openWrites, err = e.packText(&ks.open.ops, []byte(st.Open)); err != nil {
 			return fmt.Errorf("trace: checkpoint open window of %q: %w", st.Key, err)
 		}
-		pending, bytes := ks.open.Len(), ks.open.Bytes()
+		pending, bytes := ks.open.Len(), ks.open.ops.Bytes()
 		for _, ss := range st.Deque {
 			seg := closedSeg{loSeq: ss.LoSeq, hiSeq: ss.HiSeq, writes: ss.Writes, cutAt: ss.CutAt}
 			if _, err := e.packText(&seg.ops, []byte(ss.Ops)); err != nil {
 				return fmt.Errorf("trace: checkpoint segment of %q: %w", st.Key, err)
 			}
-			seg.nops = seg.ops.Len()
 			ks.deque = append(ks.deque, seg)
 			ks.dequeWrites += ss.Writes
-			pending += seg.nops
+			pending += seg.Len()
 			bytes += seg.ops.Bytes()
 		}
 		sh.ingested.Add(int64(st.Ops))

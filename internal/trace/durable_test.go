@@ -67,6 +67,20 @@ func (m *memStore) live() int {
 	return len(m.blobs)
 }
 
+// parseOpsText decodes a keyed-text payload back into operations, IDs
+// renumbered from base. The keys inside the payload are ignored (spill and
+// checkpoint blobs are single-key by construction).
+func parseOpsText(data []byte, base int) ([]history.Operation, error) {
+	var ops []history.Operation
+	d := history.TextDecoder{Keyed: true}
+	err := d.Scan(data, func(_ []byte, op history.Operation) error {
+		op.ID = base + len(ops)
+		ops = append(ops, op)
+		return nil
+	})
+	return ops, err
+}
+
 // captureLogger is a ShardLogger that accumulates per-shard payloads.
 type captureLogger struct {
 	mu      sync.Mutex
@@ -602,6 +616,95 @@ func TestSpillErrorPoisonsSession(t *testing.T) {
 	}
 	if err := s.Append("hot", history.Operation{Kind: history.KindWrite, Value: 99, Start: 100, Finish: 101}); err == nil {
 		t.Fatal("session not sticky after spill failure")
+	}
+}
+
+// TestSpillFailedFlushPopsDispatched fails the reload of a spilled segment
+// halfway through a retirement flush. The resident segment before it has
+// already gone to a worker, which frees its chunks, so it must have left the
+// deque: a checkpoint listing it again would decode freed chunks, and a
+// restore would verify it a second time.
+func TestSpillFailedFlushPopsDispatched(t *testing.T) {
+	store := newMemStore()
+	s := NewSmallestKSession(core.Options{}, StreamOptions{
+		Workers: 1, IngestShards: 1, MinSegmentOps: 1, Horizon: 1000, Store: store, SpillThresholdOps: 2,
+	})
+	// k holds a resident segment (w 1), a segment spilled at its close (w 2,
+	// w 3) and an open window (w 4); z moves the watermark past all of them.
+	const text = "w k 1 0 1\nw k 2 10 20\nw k 3 15 25\nw k 4 30 31\nw z 1 1000 1001\n"
+	if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
+		t.Fatal(err)
+	}
+	if store.live() != 1 {
+		t.Fatalf("%d blobs in the store, want the one spilled segment", store.live())
+	}
+	store.fail = errors.New("spill device gone")
+	if err := s.RetireIdle(1); err == nil {
+		t.Fatal("the retirement flush read a spilled segment from a failing store")
+	}
+	store.fail = nil
+	cp, err := s.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ks := range cp.Keys {
+		for _, seg := range ks.Deque {
+			if seg.HiSeq <= ks.DispatchedThrough {
+				t.Errorf("checkpoint holds segment %d..%d already dispatched (through %d)", seg.LoSeq, seg.HiSeq, ks.DispatchedThrough)
+			}
+		}
+	}
+}
+
+// TestSpillCheckpointEqualsResident freezes the same input with and without a
+// spill store. With one, a never-quiescing key's open window is ten blobs and
+// another key's held segments and open window are on disk too; the checkpoint
+// must read every form back to the document the resident session writes.
+func TestSpillCheckpointEqualsResident(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 40; i++ { // chain-overlapping: the window never cuts
+		fmt.Fprintf(&b, "w hot %d %d %d\n", i+1, 2*i, 2*i+3)
+	}
+	for j := 0; j < 6; j++ { // six 5-operation windows, held under the horizon
+		v, at := int64(3*j), int64(100*j)
+		fmt.Fprintf(&b, "w cold %d %d %d\nw cold %d %d %d\nr cold %d %d %d\nw cold %d %d %d\nr cold %d %d %d\n",
+			v+1, at, at+3, v+2, at+2, at+5, v+1, at+4, at+7, v+3, at+6, at+9, v+3, at+8, at+11)
+	}
+	doc := func(sopts StreamOptions) ([]byte, *Session) {
+		t.Helper()
+		s := NewSmallestKSession(core.Options{}, sopts)
+		if _, err := s.AppendTraceBatch(strings.NewReader(b.String())); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := s.Checkpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both lists come from map order; the carried stats count the spill
+		// traffic and the buffered peak it lowers.
+		sort.Slice(cp.Keys, func(i, j int) bool { return cp.Keys[i].Key < cp.Keys[j].Key })
+		for _, ks := range cp.Keys {
+			sort.Slice(ks.Values, func(i, j int) bool { return ks.Values[i][0] < ks.Values[j][0] })
+		}
+		cp.Stats = CarriedStats{}
+		out, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, s
+	}
+	base := StreamOptions{Workers: 2, IngestShards: 2, MinSegmentOps: 1, Horizon: 1000}
+	want, _ := doc(base)
+	spilling := base
+	spilling.Store, spilling.SpillThresholdOps = newMemStore(), 4
+	got, s := doc(spilling)
+	// hot's 40 operations, cold's five segments of five and four of its open
+	// window's five.
+	if disk := s.SpilledOps(); disk != 40+25+4 {
+		t.Fatalf("%d operations on disk at the freeze, want 69", disk)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("spilled checkpoint differs from the resident one:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -297,7 +297,7 @@ func (e *engine) sweepShard(sh *ingestShard, ttl, wm int64) error {
 			continue
 		}
 		last := ks.maxClosedFinish
-		if ks.totalOpen() > 0 && ks.openMaxFinish > last {
+		if ks.open.Len() > 0 && ks.openMaxFinish > last {
 			last = ks.openMaxFinish
 		}
 		// wm-last is computed only when last < wm; an overflow wraps
@@ -327,7 +327,7 @@ func (e *engine) finalizeRetire(sh *ingestShard, ks *keyState) {
 	if ks.inflight.Load() != 0 {
 		return
 	}
-	if ks.totalOpen() > 0 || len(ks.deque) > 0 {
+	if ks.open.Len() > 0 || len(ks.deque) > 0 {
 		// An operation re-opened the window after the retire flush; the key
 		// is live again.
 		ks.retiring = false
@@ -422,7 +422,7 @@ func (s *Session) SpillOpenWindows() error {
 	for _, sh := range s.e.shards {
 		sh.mu.Lock()
 		for _, ks := range sh.keys {
-			if err := s.e.spillOpenTail(ks); err != nil && firstErr == nil {
+			if err := s.e.spill(ks, &ks.open); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}

@@ -330,9 +330,9 @@ func (e *engine) liveVerdict(ks *keyState) KeyVerdict {
 	ks.mu.Lock()
 	kv := e.keyVerdict(ks.key, ks.ops, ks.verdict, ks.err)
 	ks.mu.Unlock()
-	kv.PendingOps = ks.totalOpen()
-	for _, seg := range ks.deque {
-		kv.PendingOps += seg.nops
+	kv.PendingOps = ks.open.Len()
+	for i := range ks.deque {
+		kv.PendingOps += ks.deque[i].Len()
 	}
 	return kv
 }

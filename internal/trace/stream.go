@@ -381,15 +381,25 @@ func StreamVerdictsByKey(r io.Reader, opts core.Options, sopts StreamOptions) ([
 	return s.Snapshot(), s.Stats(), err
 }
 
-// closedSeg is a quiescence-closed, not-yet-dispatched segment. When
-// spilled, ops is empty, spill holds the blob id, and nops remembers the
-// operation count (nops == ops.Len() while in memory).
+// held is a run of one key's operations waiting for a safe cut: the open
+// window, or a closed segment waiting out the dispatch horizon. A spilled
+// prefix of the run sits in the blob store as blobs, in order, spilled
+// operations in all; the tail is in ops. spill, load and text (durable.go)
+// are the only code that touches blobs and spilled.
+type held struct {
+	ops     opbuf.List
+	blobs   []uint64
+	spilled int
+}
+
+// Len is the run's operation count, on disk and in memory.
+func (h *held) Len() int { return h.spilled + h.ops.Len() }
+
+// closedSeg is a quiescence-closed, not-yet-dispatched segment.
 type closedSeg struct {
 	loSeq, hiSeq int
-	ops          opbuf.List
-	writes       int
-	nops         int
-	spill        uint64
+	held
+	writes int
 	// cutAt is the quiescent cut time that closed the segment (the key's
 	// maxClosedFinish at close) — the epoch the verdict attributes to.
 	cutAt int64
@@ -450,7 +460,7 @@ type keyState struct {
 	key               string
 	sh                *ingestShard
 	seq               int // sequence number of the open segment
-	open              opbuf.List
+	open              held
 	openWrites        int
 	openMaxFinish     int64
 	maxClosedFinish   int64 // committed cut time (max finish of all closed ops)
@@ -463,11 +473,6 @@ type keyState struct {
 	cumMaxFinish      []int64         // cumMaxFinish[s] = max closed finish through seq s's close
 	totalClosed       int64
 	ops               int
-	// spillOpen holds blob ids of the open window's spilled prefix runs
-	// (in append order); spillOpenOps counts the operations in them. The
-	// in-memory ks.open is always the window's tail.
-	spillOpen    []uint64
-	spillOpenOps int
 
 	// retiring marks a key whose retirement sweep flushed it; finalization
 	// (fold + free) waits until inflight — dispatched segments whose
@@ -813,21 +818,21 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 	if ks.closedAny && op.Start <= ks.maxClosedFinish {
 		return fmt.Errorf("%w (key %q, op %q, cut at %d)", ErrOutOfOrder, ks.key, op.String(), ks.maxClosedFinish)
 	}
-	if ks.totalOpen() >= e.minSeg && zone.Quiescent(ks.openMaxFinish, op.Start) {
+	if ks.open.Len() >= e.minSeg && zone.Quiescent(ks.openMaxFinish, op.Start) {
 		if err := e.closeOpen(ks); err != nil {
 			return err
 		}
 	}
-	if e.buf.Push(&ks.open, &op) {
+	if e.buf.Push(&ks.open.ops, &op) {
 		sh.pendBytes += opbuf.ChunkBytes
 	}
-	if ks.totalOpen() == 1 || op.Finish > ks.openMaxFinish {
+	if ks.open.Len() == 1 || op.Finish > ks.openMaxFinish {
 		ks.openMaxFinish = op.Finish
 	}
 	if op.IsWrite() {
 		ks.openWrites++
 	}
-	sh.openMax = max(sh.openMax, int64(ks.totalOpen()))
+	sh.openMax = max(sh.openMax, int64(ks.open.Len()))
 	sh.pendLive++
 	if e.sopts.MaxBufferedOps > 0 {
 		if cur := e.buffered.Load() + sh.pendLive; cur > int64(e.sopts.MaxBufferedOps) {
@@ -835,10 +840,8 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 			return fmt.Errorf("%w (%d live ops; largest open window %d)", ErrBufferLimit, cur, e.maxOpenAll())
 		}
 	}
-	if e.store != nil && ks.open.Len() >= e.spillMin {
-		if err := e.spillOpenTail(ks); err != nil {
-			return err
-		}
+	if e.store != nil && ks.open.ops.Len() >= e.spillMin {
+		return e.spill(ks, &ks.open)
 	}
 	return nil
 }
@@ -865,14 +868,14 @@ func (e *engine) maxOpenAll() int64 {
 func (e *engine) closeOpen(ks *keyState) error {
 	sh := ks.sh
 	e.publish(sh) // before anything below subtracts from the live count
-	if err := e.reloadOpen(ks); err != nil {
+	if err := e.load(ks, &ks.open); err != nil {
 		return err
 	}
 	// The one decode of the window: both passes below read it in the shard's
 	// buffer, and the packed list goes on to the deque as it is.
-	ops, writes := e.unpack(sh, &ks.open), ks.openWrites
-	merged := closedSeg{loSeq: ks.seq, hiSeq: ks.seq, ops: ks.open, writes: writes, cutAt: ks.openMaxFinish}
-	ks.open, ks.openWrites = opbuf.List{}, 0
+	ops, writes := e.unpack(sh, &ks.open.ops), ks.openWrites
+	merged := closedSeg{loSeq: ks.seq, hiSeq: ks.seq, held: ks.open, writes: writes, cutAt: ks.openMaxFinish}
+	ks.open, ks.openWrites = held{}, 0
 	ks.maxClosedFinish = ks.openMaxFinish
 	ks.closedAny = true
 
@@ -943,12 +946,12 @@ func (e *engine) closeOpen(ks *keyState) error {
 		// Splice deque[j:] and the closing segment, in time order, onto
 		// deque[j]'s chunks.
 		base := ks.deque[j]
-		if err := e.unspill(ks, &base); err != nil {
+		if err := e.load(ks, &base.held); err != nil {
 			return err
 		}
 		for si := j + 1; si < len(ks.deque); si++ {
 			seg := ks.deque[si]
-			if err := e.unspill(ks, &seg); err != nil {
+			if err := e.load(ks, &seg.held); err != nil {
 				return err
 			}
 			e.buf.Splice(&base.ops, &seg.ops)
@@ -967,9 +970,9 @@ func (e *engine) closeOpen(ks *keyState) error {
 	ks.totalClosed += int64(writes)
 	ks.cumWrites = append(ks.cumWrites, ks.totalClosed)           // index == ks.seq
 	ks.cumMaxFinish = append(ks.cumMaxFinish, ks.maxClosedFinish) // index == ks.seq
-	if merged.nops = merged.ops.Len(); merged.nops > 0 {
-		if e.store != nil && merged.nops >= e.spillMin {
-			if err := e.spillSeg(ks, &merged); err != nil {
+	if n := merged.Len(); n > 0 {
+		if e.store != nil && n >= e.spillMin {
+			if err := e.spill(ks, &merged.held); err != nil {
 				return err
 			}
 		}
@@ -977,13 +980,20 @@ func (e *engine) closeOpen(ks *keyState) error {
 		ks.dequeWrites += writes
 	}
 	ks.seq++
+	return e.dispatchDue(ks, e.threshold)
+}
 
-	for len(ks.deque) > 0 && ks.dequeWrites-ks.deque[0].writes >= e.threshold {
-		if err := e.unspill(ks, &ks.deque[0]); err != nil {
+// dispatchDue dispatches the deque's oldest segments while at least horizon
+// writes have closed behind them — every segment at horizon 0 — popping each
+// as it goes, so a failed load leaves only undispatched segments held.
+func (e *engine) dispatchDue(ks *keyState, horizon int) error {
+	for len(ks.deque) > 0 && ks.dequeWrites-ks.deque[0].writes >= horizon {
+		seg := &ks.deque[0]
+		if err := e.load(ks, &seg.held); err != nil {
 			return err
 		}
-		e.dispatch(ks, ks.deque[0])
-		ks.dequeWrites -= ks.deque[0].writes
+		e.dispatch(ks, *seg)
+		ks.dequeWrites -= seg.writes
 		ks.deque = ks.deque[1:]
 	}
 	return nil
@@ -1086,19 +1096,12 @@ func (e *engine) dispatch(ks *keyState, seg closedSeg) {
 // flush closes the open window and dispatches everything still held; after
 // end of input no future read can reach back, so the deque drains fully.
 func (e *engine) flush(ks *keyState) error {
-	if ks.totalOpen() > 0 {
+	if ks.open.Len() > 0 {
 		if err := e.closeOpen(ks); err != nil {
 			return err
 		}
 	}
-	for i := range ks.deque {
-		if err := e.unspill(ks, &ks.deque[i]); err != nil {
-			return err
-		}
-		e.dispatch(ks, ks.deque[i])
-	}
-	ks.deque, ks.dequeWrites = nil, 0
-	return nil
+	return e.dispatchDue(ks, 0)
 }
 
 // verifySegment is one segment unit on the pool. Large segments fork their
