@@ -321,6 +321,25 @@ func BenchmarkSmallestK(b *testing.B) {
 			}
 		}
 	})
+	// The same unit when FZF rejects it: a 32-operation segment (no safe cut
+	// inside) whose forced staleness is 3, so the climb settles it with one
+	// exact-oracle probe on the Verifier's warm oracle scratch.
+	b.Run("segment=k3", func(b *testing.B) {
+		p := mustPrepare(b, generator.KAtomic(generator.Config{
+			Seed: 2, Ops: 32, Concurrency: 3, StalenessDepth: 2, ForceDepth: true, ReadFraction: 0.5,
+		}))
+		v := root.NewVerifier()
+		if k, err := v.SmallestKPrepared(p, root.Options{}); err != nil || k != 3 || v.TakeLadder().OracleProbes != 1 {
+			b.Fatalf("SmallestKPrepared: k=%d, %v; want 3 after one oracle probe", k, err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if k, err := v.SmallestKPrepared(p, root.Options{}); err != nil || k != 3 {
+				b.Fatalf("SmallestKPrepared: k=%d, %v", k, err)
+			}
+		}
+	})
 }
 
 // E10: LBT with iterative deepening disabled (the ablation). "benign" rows

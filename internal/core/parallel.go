@@ -127,7 +127,7 @@ func (v *Verifier) CheckPrepared(p *history.Prepared, k int, opts Options) (Repo
 		if rep.Atomic {
 			// The zone test does not produce an order; obtain one from the
 			// oracle, which is fast on 1-atomic histories.
-			res, err := oracle.CheckK(p, 1, oracle.Options{MaxStates: opts.OracleStates})
+			res, err := oracle.CheckKScratch(p, 1, oracle.Options{MaxStates: opts.OracleStates}, &v.orc)
 			if err == nil && res.Atomic {
 				rep.Witness = res.Witness
 			}
@@ -256,7 +256,7 @@ func (v *Verifier) maxSmallestK(p *history.Prepared, segs [][2]int, opts Options
 func (v *Verifier) climb(p *history.Prepared, lo int, opts Options) (int, error) {
 	probe := func(k int) (bool, error) {
 		v.ladder.OracleProbes++
-		res, err := oracle.CheckK(p, k, oracle.Options{MaxStates: opts.OracleStates})
+		res, err := oracle.CheckKScratch(p, k, oracle.Options{MaxStates: opts.OracleStates}, &v.orc)
 		if err != nil {
 			return false, fmt.Errorf("core: %w", err)
 		}
@@ -339,27 +339,28 @@ func (v *Verifier) fzfChunks(p *history.Prepared) fzf.Result {
 }
 
 // oracleSegments runs the exact decider per safe-cut segment and combines:
-// atomic iff every segment is, witness = in-order concatenation.
+// atomic iff every segment is, witness = in-order concatenation, which each
+// unit writes into place before its worker's oracle scratch runs another.
 func (v *Verifier) oracleSegments(p *history.Prepared, k int, opts Options) (bool, []int, error) {
 	segs := segmentsOf(p)
-	results := make([]oracle.Result, len(segs))
-	err := v.overSegments(p, segs, opts, false, func(_ *Verifier, i int, view *history.Prepared) (err error) {
-		if results[i], err = oracle.CheckK(view, k, oracle.Options{MaxStates: opts.OracleStates}); err != nil {
-			err = fmt.Errorf("core: %w", err)
+	wit := make([]int, p.Len())
+	var rejected atomic.Bool
+	err := v.overSegments(p, segs, opts, false, func(w *Verifier, i int, view *history.Prepared) error {
+		res, err := oracle.CheckKScratch(view, k, oracle.Options{MaxStates: opts.OracleStates}, &w.orc)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
-		return err
+		if !res.Atomic {
+			rejected.Store(true)
+		}
+		lo := segs[i][0]
+		for j, x := range res.Witness {
+			wit[lo+j] = lo + x
+		}
+		return nil
 	})
-	if err != nil {
+	if err != nil || rejected.Load() {
 		return false, nil, err
-	}
-	wit := make([]int, 0, p.Len())
-	for i, r := range results {
-		if !r.Atomic {
-			return false, nil, nil
-		}
-		for _, v := range r.Witness {
-			wit = append(wit, segs[i][0]+v)
-		}
 	}
 	return true, wit, nil
 }

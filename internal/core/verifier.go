@@ -5,6 +5,7 @@ import (
 
 	"kat/internal/fzf"
 	"kat/internal/history"
+	"kat/internal/oracle"
 	"kat/internal/witness"
 	"kat/internal/zone"
 )
@@ -41,9 +42,11 @@ type Verifier struct {
 	views [2]history.PrepareScratch
 	// zone holds the chunk decomposition a forked verification and the
 	// ladder's zone test and FZF rung read; stale the forced-staleness
-	// sweep's buffers.
+	// sweep's buffers; orc the exact oracle's search (the ladder's climbs,
+	// fixed-k oracle segments and the k = 1 witness).
 	zone  zone.Scratch
 	stale history.StalenessScratch
+	orc   oracle.Scratch
 	// ladder counts what the smallest-k ladder did (TakeLadder).
 	ladder Ladder
 	// ctx is the pool worker that owns this Verifier; nil for a standalone

@@ -1,19 +1,34 @@
 package oracle
 
 import (
+	"fmt"
 	"testing"
 
+	"kat/internal/generator"
 	"kat/internal/history"
 	"kat/internal/witness"
 )
 
 func prep(t *testing.T, text string) *history.Prepared {
 	t.Helper()
-	p, err := history.Prepare(history.Normalize(history.MustParse(text)))
+	return prepH(t, history.MustParse(text))
+}
+
+func prepH(t *testing.T, h *history.History) *history.Prepared {
+	t.Helper()
+	p, err := history.Prepare(history.Normalize(h))
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
 	return p
+}
+
+// newSearch is a search of p on fresh buffers, for tests that drive its
+// steps by hand.
+func newSearch(p *history.Prepared, bound int64, opts Options) *Scratch {
+	s := new(Scratch)
+	s.reset(p, bound, opts)
+	return s
 }
 
 func checkK(t *testing.T, text string, k int) Result {
@@ -229,6 +244,43 @@ w 16 15 1015; w 17 16 1016; w 18 17 1017; w 19 18 1018; w 20 19 1019
 	_, err := CheckK(p, 1, Options{MaxStates: 3})
 	if err == nil {
 		t.Skip("search solved within 3 states; pruning too good for this input")
+	}
+}
+
+// TestCheckKScratchAllocs pins what a search costs a warm Scratch in
+// allocations: nothing when no state fails, and at most one per failed state —
+// its memo key — when the search backtracks.
+func TestCheckKScratchAllocs(t *testing.T) {
+	dense := "r 1 2000 2010; r 2 2020 2030; r 1 2040 2050"
+	for i := 1; i <= 8; i++ {
+		dense += fmt.Sprintf("; w %d %d %d", i, i, 1000+i)
+	}
+	for _, tc := range []struct {
+		name      string
+		p         *history.Prepared
+		k         int
+		backtrack bool
+	}{
+		{"generated depth 2", prepH(t, generator.KAtomic(generator.Config{Seed: 3, Ops: 80, Concurrency: 3,
+			StalenessDepth: 2, ForceDepth: true, ReadFraction: 0.5})), 3, false},
+		{"dense", prep(t, dense), 1, true},
+	} {
+		var s Scratch
+		if _, err := CheckKScratch(tc.p, tc.k, Options{}, &s); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		failed := len(s.memo)
+		if (failed > 0) != tc.backtrack {
+			t.Fatalf("%s: %d failed states; the case needs backtracking %v", tc.name, failed, tc.backtrack)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := CheckKScratch(tc.p, tc.k, Options{}, &s); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		if allocs > float64(failed) {
+			t.Errorf("%s: %v allocs per search on a warm Scratch, want at most %d (one per failed state)", tc.name, allocs, failed)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"kat"
 	"kat/internal/history"
 	"kat/internal/oracle"
+	"kat/internal/witness"
 )
 
 // --- Oracle self-tests -------------------------------------------------
@@ -323,6 +324,46 @@ func TestOracleVsExactSearch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleScratch is the one Scratch every input of
+// FuzzOracleScratchMatchesExhaustive searches on, so whatever a search leaves
+// behind in it meets the next input.
+var oracleScratch oracle.Scratch
+
+// FuzzOracleScratchMatchesExhaustive holds the oracle's reusable search to the
+// exhaustive one: on random histories of up to 8 operations, CheckKScratch
+// accepts at SmallestK, with a witness that validates, and rejects one below
+// it.
+func FuzzOracleScratchMatchesExhaustive(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		h := randomHistory(rand.New(rand.NewSource(seed)), 1+int(n)%8)
+		refK, refErr := SmallestK(h)
+		p, err := history.Prepare(history.Normalize(h))
+		if (refErr == nil) != (err == nil) {
+			t.Fatalf("%v: prepare err mismatch: %v vs %v", h, refErr, err)
+		}
+		if err != nil {
+			return
+		}
+		for k := max(1, refK-1); k <= refK; k++ {
+			res, err := oracle.CheckKScratch(p, k, oracle.Options{}, &oracleScratch)
+			if err != nil {
+				t.Fatalf("history:\n%s\nCheckKScratch(%d): %v", h, k, err)
+			}
+			if res.Atomic != (k == refK) {
+				t.Fatalf("history:\n%s\nCheckKScratch(%d) = %v, exhaustive smallest %d", h, k, res.Atomic, refK)
+			}
+			if res.Atomic {
+				if err := witness.Validate(p, res.Witness, k); err != nil {
+					t.Fatalf("history:\n%s\nCheckKScratch(%d) witness: %v", h, k, err)
+				}
+			}
+		}
+	})
 }
 
 // TestDifferentialMultiKey merges random tiny histories under several keys
