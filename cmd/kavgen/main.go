@@ -99,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		churn       = fs.Int("churn", 0, "churn mode: emit a keyed trace of this many key lifetimes born at a fixed cadence, each living -ops operations and then quiescing forever (the keyspace-lifecycle workload)")
 		churnPool   = fs.Int("churn-pool", 0, "with -churn: recycle this many key names round-robin, so retired names are later reborn and re-admitted (0 = fresh name per lifetime)")
 		churnGap    = fs.Int64("churn-gap", 0, "with -churn: trace-time between lifetime births (0 = auto)")
-		noQuiesce   = fs.Bool("no-quiesce", false, "with -churn: adversarial variant — chain-overlapping write intervals so keys never quiesce; a verifier without memory watermarks grows without bound on this trace")
+		noQuiesce   = fs.Bool("no-quiesce", false, "with -churn: adversarial variant — chain-overlapping write intervals so keys never quiesce; a verifier without a memory budget grows without bound on this trace")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

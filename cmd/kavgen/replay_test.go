@@ -458,29 +458,22 @@ func TestGrantSizeBounds(t *testing.T) {
 
 // TestReplayThroughRouterSurvivesMemberShed is the regression test for a
 // corruption the router and the replay client used to produce together: one
-// member sheds its first request with memory_pressure, which the router
-// treated as terminal and surfaced under the member's code with an ingested
-// count summed over both members, which the client then trimmed off the
-// batch as a prefix — operations lost on one member and duplicated on the
-// other, and the replay still reported success.
+// member sheds its first request (a memory shed then, the overload row now),
+// which the router treated as terminal and surfaced under the member's code
+// with an ingested count summed over both members, which the client then
+// trimmed off the batch as a prefix — operations lost on one member and
+// duplicated on the other, and the replay still reported success.
 func TestReplayThroughRouterSurvivesMemberShed(t *testing.T) {
 	fastRetries(t)
 	var members []*online.Server
 	var nodes []string
 	for i := 0; i < 2; i++ {
-		cfg := online.Config{K: 2}
+		srv := online.New(online.Config{K: 2})
+		var h http.Handler = srv.Handler()
 		if i == 1 {
-			var polled atomic.Bool
-			cfg.HardWatermarkBytes = 100
-			cfg.MemUsage = func() uint64 {
-				if polled.CompareAndSwap(false, true) {
-					return 1000
-				}
-				return 0
-			}
+			h = chaosproxy.New(h, chaosproxy.Faults{Shed503: 1})
 		}
-		srv := online.New(cfg)
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(h)
 		defer ts.Close()
 		members = append(members, srv)
 		nodes = append(nodes, ts.URL)

@@ -98,13 +98,14 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"-properties", "k,linearizability"}, &out); err == nil {
 		t.Error("bogus -properties list accepted")
 	}
-	if err := run([]string{"-spill-threshold-ops", "100"}, &out); err == nil {
-		t.Error("-spill-threshold-ops without -data-dir accepted")
+	// The five memory knobs are one byte budget now.
+	for _, gone := range []string{"-max-buffered-ops", "-overload-ops", "-soft-watermark", "-hard-watermark", "-spill-threshold-ops"} {
+		if err := run([]string{gone, "1"}, &out); err == nil || !strings.Contains(err.Error(), "not defined: "+gone) {
+			t.Errorf("%s: %v, want a flag-parsing error", gone, err)
+		}
 	}
-	// Relief retires at -retire-ttl and spills to -data-dir; with neither it
-	// has nothing to reclaim with.
-	if err := run([]string{"-soft-watermark", "64M"}, &out); err == nil || !strings.Contains(err.Error(), "needs -retire-ttl or -data-dir") {
-		t.Errorf("-soft-watermark alone: err = %v, want a needs--retire-ttl-or--data-dir reject", err)
+	if err := run([]string{"-memory-budget", "16777216T"}, &out); err == nil || !strings.Contains(err.Error(), "-memory-budget: ") {
+		t.Errorf("-memory-budget past 8 EiB: err = %v, want the flag's error", err)
 	}
 	if err := run([]string{"-route", "http://localhost:1", "-data-dir", "/tmp/x"}, &out); err == nil {
 		t.Error("-route with -data-dir accepted")
@@ -115,11 +116,11 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"-tenants", "a,a/b"}, &out); err == nil || !strings.Contains(err.Error(), `tenant name "a/b"`) {
 		t.Errorf("-tenants a,a/b: err = %v, want a tenant-name reject", err)
 	}
-	// Quotas bind the root tenant, and tenants are durable: neither pairing
-	// is refused any more.
+	// Quotas bind the root tenant, tenants are durable, and a budget needs
+	// neither a TTL nor a data directory: none of these is refused.
 	for _, args := range [][]string{
 		{"-tenant-max-ops", "10"}, {"-tenant-max-keys", "10"},
-		{"-tenants", "a,b", "-data-dir", "d"},
+		{"-tenants", "a,b", "-data-dir", "d"}, {"-memory-budget", "64M"},
 	} {
 		n, err := serve.New(args, io.Discard, faultfs.NewMem())
 		if err != nil {

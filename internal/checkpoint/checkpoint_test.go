@@ -109,10 +109,11 @@ func (sc *scenario) lifeOpts(sopts trace.StreamOptions) trace.StreamOptions {
 // checkpointing every ckptEvery batches. inject, when non-nil, wraps the
 // MemFS in a fault injector; on the first session or checkpoint error the
 // feed stops (the session is sticky — nothing past the error is
-// acknowledged). spillThreshold > 0 enables segment spill through the
-// manager's store; life != 0 turns the keyspace lifecycle on (lifeOpts).
+// acknowledged). spill relieves the session to nothing after every batch, so
+// every held run spills through the manager's store; life != 0 turns the
+// keyspace lifecycle on (lifeOpts).
 func buildScenario(t testing.TB, seed int64, shards, ckptEvery, batchSize int,
-	policy wal.SyncPolicy, inject faultfs.Injector, spillThreshold int, life uint8) *scenario {
+	policy wal.SyncPolicy, inject faultfs.Injector, spill bool, life uint8) *scenario {
 	t.Helper()
 	perKey, all := genWorkload(seed, 4, 60, life != 0)
 	mem := faultfs.NewMem()
@@ -125,11 +126,7 @@ func buildScenario(t testing.TB, seed int64, shards, ckptEvery, batchSize int,
 	if err != nil {
 		return sc // nothing durable was written; recovery sees an empty dir
 	}
-	sopts := sc.lifeOpts(trace.StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: shards})
-	if spillThreshold > 0 {
-		sopts.Store = mgr.Store()
-		sopts.SpillThresholdOps = spillThreshold
-	}
+	sopts := sc.lifeOpts(trace.StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: shards, Store: mgr.Store()})
 	sess := trace.NewSmallestKSession(core.Options{}, sopts)
 	if _, err := mgr.Recover(sess); err != nil {
 		mgr.Close()
@@ -143,6 +140,9 @@ feed:
 			end = len(all)
 		}
 		if _, err := sess.AppendBatch(all[off:end]); err != nil {
+			break feed
+		}
+		if spill && sess.Relieve(0) != nil {
 			break feed
 		}
 		batch++
@@ -168,8 +168,7 @@ func checkRecovery(t *testing.T, sc *scenario, img *faultfs.MemFS, shards2 int) 
 	}
 	defer mgr.Close()
 	sess := trace.NewSmallestKSession(core.Options{}, sc.lifeOpts(trace.StreamOptions{
-		Workers: 2, MinSegmentOps: 1, IngestShards: shards2,
-		Store: mgr.Store(), SpillThresholdOps: trace.DefaultSpillThresholdOps,
+		Workers: 2, MinSegmentOps: 1, IngestShards: shards2, Store: mgr.Store(),
 	}))
 	rs, err := mgr.Recover(sess)
 	if err != nil {
@@ -258,7 +257,7 @@ func TestRecoverEmptyDir(t *testing.T) {
 // including every boundary-adjacent offset around the end — and requires
 // every image to recover to a verdict-identical prefix run.
 func TestCrashSweep(t *testing.T) {
-	sc := buildScenario(t, 7, 4, 2, 17, wal.SyncBatch, nil, 0, 0)
+	sc := buildScenario(t, 7, 4, 2, 17, wal.SyncBatch, nil, false, 0)
 	total := sc.mem.TotalWriteBytes()
 	if total == 0 {
 		t.Fatal("scenario wrote nothing")
@@ -288,18 +287,21 @@ func TestCrashSweep(t *testing.T) {
 // TestRecoverShardCountChange recovers one run into sessions with different
 // ingest shard counts — keys re-route by hash, verdicts must not move.
 func TestRecoverShardCountChange(t *testing.T) {
-	sc := buildScenario(t, 11, 8, 3, 23, wal.SyncNever, nil, 0, 0)
+	sc := buildScenario(t, 11, 8, 3, 23, wal.SyncNever, nil, false, 0)
 	total := sc.mem.TotalWriteBytes()
 	for _, shards := range []int{1, 2, 7, 16} {
 		checkRecovery(t, sc, sc.mem.CrashImage(total), shards)
 	}
 }
 
-// TestRecoverWithSpill runs ingest with an aggressive spill threshold, then
-// recovers mid-crash: spilled segments are inlined into checkpoints and
+// TestRecoverWithSpill runs ingest relieved to the store after every batch,
+// then recovers mid-crash: spilled segments are inlined into checkpoints and
 // reconstructed from WAL replay, never read from stale blobs.
 func TestRecoverWithSpill(t *testing.T) {
-	sc := buildScenario(t, 13, 4, 2, 17, wal.SyncBatch, nil, 6, 0)
+	sc := buildScenario(t, 13, 4, 2, 17, wal.SyncBatch, nil, true, 0)
+	if sc.live.Spills == 0 || sc.live.SpillLoads == 0 {
+		t.Fatalf("the scenario spilled %d runs and reloaded %d; want both", sc.live.Spills, sc.live.SpillLoads)
+	}
 	total := sc.mem.TotalWriteBytes()
 	for _, frac := range []float64{0.3, 0.7, 1.0} {
 		checkRecovery(t, sc, sc.mem.CrashImage(int64(frac*float64(total))), 4)
@@ -310,7 +312,7 @@ func TestRecoverWithSpill(t *testing.T) {
 // recovery runs on top of the first one's re-anchor) — a crash during or
 // right after recovery must itself be recoverable.
 func TestRecoveryIsRepeatable(t *testing.T) {
-	sc := buildScenario(t, 17, 4, 2, 19, wal.SyncBatch, nil, 0, 0)
+	sc := buildScenario(t, 17, 4, 2, 19, wal.SyncBatch, nil, false, 0)
 	img := sc.mem.CrashImage(sc.mem.TotalWriteBytes() * 2 / 3)
 	checkRecovery(t, sc, img, 4)
 	// img now holds the first recovery's fresh epoch + re-anchor checkpoint.
@@ -331,7 +333,7 @@ func TestFaultInjectionSweep(t *testing.T) {
 			for n := int64(0); n < 30; n++ {
 				short := int(n % 7)
 				sc := buildScenario(t, 19, 4, 2, 17, wal.SyncBatch,
-					faultfs.FailOnce(op, n, short), 0, 0)
+					faultfs.FailOnce(op, n, short), false, 0)
 				checkRecovery(t, sc, sc.mem, 4)
 			}
 		})
@@ -400,7 +402,7 @@ func TestDrainedRestart(t *testing.T) {
 // recovery must fall back to replaying the full WAL chain (or an older
 // checkpoint) and still satisfy the oracle.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
-	sc := buildScenario(t, 29, 4, 3, 17, wal.SyncBatch, nil, 0, 0)
+	sc := buildScenario(t, 29, 4, 3, 17, wal.SyncBatch, nil, false, 0)
 	img := sc.mem.CrashImage(sc.mem.TotalWriteBytes())
 	var newest string
 	var newestEpoch int
@@ -454,7 +456,7 @@ func TestCheckpointNameParsing(t *testing.T) {
 // the watermark the first file leaves behind.
 func TestCrashSweepLifecycle(t *testing.T) {
 	for life := uint8(1); life <= 2; life++ {
-		sc := buildScenario(t, 7, 4, 2, 17, wal.SyncBatch, nil, 0, life)
+		sc := buildScenario(t, 7, 4, 2, 17, wal.SyncBatch, nil, false, life)
 		if sc.live.Retirements == 0 || sc.live.Readmissions == 0 {
 			t.Fatalf("life %d: %d retirements, %d re-admissions before the crash; the workload is not exercising the lifecycle", life, sc.live.Retirements, sc.live.Readmissions)
 		}
@@ -493,11 +495,11 @@ func FuzzCrashPointRecovery(f *testing.F) {
 		shards2 := 1 + int(s2%8)
 		policy := []wal.SyncPolicy{wal.SyncNever, wal.SyncBatch, wal.SyncAlways}[int(pol)%3]
 		var inject faultfs.Injector
-		spill := 0
+		spill := false
 		if op := int(faultOp); op <= int(faultfs.OpRemove) {
 			inject = faultfs.FailOnce(faultfs.Op(op), int64(faultSeq%150), int(short%16))
 		} else if faultSeq%2 == 1 {
-			spill = 8
+			spill = true
 		}
 		sc := buildScenario(t, seed, shards1, 1+int(ckptEvery%5), 17, policy, inject, spill, life)
 		total := sc.mem.TotalWriteBytes()

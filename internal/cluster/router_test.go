@@ -822,55 +822,38 @@ func TestMergeDocsLifecycle(t *testing.T) {
 // TestRouterRetriesResendSafeSheds: a member shedding its first request with
 // a row the reject table marks resend-safe is retried inside the forward —
 // the client sees a plain 200 with the full count, never the member's shed.
-// The router used to do this for overload only and gave memory_pressure
-// straight back under the member's code.
+// The router used to do this for overload only and gave a memory shed
+// straight back under the member's code; overload is now the one shed row.
 func TestRouterRetriesResendSafeSheds(t *testing.T) {
 	fastRouterRetries(t)
-	for _, shed := range []online.Reject{online.RejectMemoryPressure, online.RejectOverload} {
-		t.Run(shed.Code, func(t *testing.T) {
-			var mcfg online.Config
-			var wrap func(int, http.Handler) http.Handler
-			if shed == online.RejectMemoryPressure {
-				// The probe reads high once: whichever member polls first sheds
-				// until its next poll, a Retry-After later.
-				var polled atomic.Bool
-				mcfg.HardWatermarkBytes = 100
-				mcfg.MemUsage = func() uint64 {
-					if polled.CompareAndSwap(false, true) {
-						return 1000
-					}
-					return 0
-				}
-			} else {
-				wrap = func(i int, h http.Handler) http.Handler {
-					if i != 1 {
-						return h
-					}
-					return chaosproxy.New(h, chaosproxy.Faults{Shed503: 1})
-				}
+	t.Run(online.RejectOverload.Code, func(t *testing.T) {
+		wrap := func(i int, h http.Handler) http.Handler {
+			if i != 1 {
+				return h
 			}
-			tc := newTestClusterMembers(t, 2, wrap, Config{}, mcfg)
-			text, want := clusterTrace(8, 4)
-			resp, payload := postIngestText(t, tc.rts.URL, text)
-			if resp.StatusCode != http.StatusOK || string(payload) != "{\"ingested\": 32}\n" {
-				t.Fatalf("ingest over a shedding member: %s: %s", resp.Status, payload)
+			return chaosproxy.New(h, chaosproxy.Faults{Shed503: 1})
+		}
+		tc := newTestClusterMembers(t, 2, wrap, Config{}, online.Config{})
+		text, want := clusterTrace(8, 4)
+		resp, payload := postIngestText(t, tc.rts.URL, text)
+		if resp.StatusCode != http.StatusOK || string(payload) != "{\"ingested\": 32}\n" {
+			t.Fatalf("ingest over a shedding member: %s: %s", resp.Status, payload)
+		}
+		var retries int64
+		for _, m := range tc.router.members {
+			retries += m.Retries.Value()
+		}
+		if retries == 0 {
+			t.Fatal("no forward retried; nothing was shed and the test proves nothing")
+		}
+		doc := getClusterVerdict(t, tc.rts.URL, "/drain", http.StatusOK)
+		for _, ks := range doc.Keys {
+			if ks.Ops != want[ks.Key] || ks.Status != "ok" {
+				t.Fatalf("key %s: %d ops [%s], want %d [ok]", ks.Key, ks.Ops, ks.Status, want[ks.Key])
 			}
-			var retries int64
-			for _, m := range tc.router.members {
-				retries += m.Retries.Value()
-			}
-			if retries == 0 {
-				t.Fatal("no forward retried; nothing was shed and the test proves nothing")
-			}
-			doc := getClusterVerdict(t, tc.rts.URL, "/drain", http.StatusOK)
-			for _, ks := range doc.Keys {
-				if ks.Ops != want[ks.Key] || ks.Status != "ok" {
-					t.Fatalf("key %s: %d ops [%s], want %d [ok]", ks.Key, ks.Ops, ks.Status, want[ks.Key])
-				}
-			}
-			if len(doc.Keys) != len(want) {
-				t.Fatalf("drained %d keys, want %d", len(doc.Keys), len(want))
-			}
-		})
-	}
+		}
+		if len(doc.Keys) != len(want) {
+			t.Fatalf("drained %d keys, want %d", len(doc.Keys), len(want))
+		}
+	})
 }

@@ -75,14 +75,16 @@ func serverCounts(t *testing.T, srv *online.Server) map[string]int {
 // table lets resend is reconciled per key and the rest delivered exactly; a
 // terminal one stops the Send with nothing credited and the baseline marked
 // stale, so the next Send re-reads the server's counts before it trusts its
-// own.
+// own. A memory_pressure shed, which only an older server sends, is a pair the
+// table no longer has and reads as terminal.
 func TestSenderSlicesMeanNotAPrefix(t *testing.T) {
 	text, want := clusterTrace(4, 6)
 	ops, err := ParseText(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range []online.Reject{online.RejectDegraded, online.RejectMemoryPressure, online.RejectDraining} {
+	oldShed := online.RejectFor("memory_pressure", http.StatusServiceUnavailable)
+	for _, row := range []online.Reject{online.RejectDegraded, oldShed, online.RejectDraining} {
 		t.Run(row.Code, func(t *testing.T) {
 			want := want
 			srv := online.New(online.Config{K: 2})
@@ -117,20 +119,20 @@ func TestSenderSlicesMeanNotAPrefix(t *testing.T) {
 }
 
 // TestSenderStopsOnStickyReject: a sticky row ends the Send at once, with the
-// accepted prefix credited — buffer_limit too, although it goes out 503 with
-// Retry-After like the sheds that are worth waiting out.
+// accepted prefix credited.
 func TestSenderStopsOnStickyReject(t *testing.T) {
-	srv := online.New(online.Config{Stream: trace.StreamOptions{Workers: 1, MinSegmentOps: 1 << 20, MaxBufferedOps: 2}})
+	srv := online.New(online.Config{Stream: trace.StreamOptions{Workers: 1, MinSegmentOps: 1}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	ops, err := ParseText(strings.NewReader("w a 1 0 1\nw a 2 2 3\nw a 3 4 5\nw a 4 6 7\n"))
+	// The second write commits a cut at 1, which the third starts at.
+	ops, err := ParseText(strings.NewReader("w a 1 0 1\nw a 2 2 3\nw a 3 1 5\nw a 4 6 7\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := testSender(ts.URL)
 	n, row, err := s.Send(context.Background(), ops, false)
-	if err == nil || row != online.RejectBufferLimit || n != 2 {
-		t.Fatalf("Send = %d, %+v, %v; want 2 and the buffer_limit row", n, row, err)
+	if err == nil || row != online.RejectOutOfOrder || n != 2 {
+		t.Fatalf("Send = %d, %+v, %v; want 2 and the out_of_order row", n, row, err)
 	}
 	if s.Retries.Value() != 0 {
 		t.Fatalf("sticky reject retried %d times", s.Retries.Value())

@@ -42,9 +42,9 @@ type ChurnConfig struct {
 	// a chain of deliberately overlapping write intervals, so no safe
 	// cut ever forms, no key ever quiesces, and the verifier's open
 	// windows grow for as long as the trace runs. This is the
-	// memory-pressure chaos input: a server without watermark admission
-	// control OOMs on it; one with watermarks sheds with typed
-	// memory_pressure rejects instead.
+	// memory-pressure chaos input: a server without a memory budget OOMs
+	// on it; one with a budget spills the windows to its data directory,
+	// or, without one, sheds with typed, resend-safe overload rejects.
 	NoQuiesce bool
 }
 

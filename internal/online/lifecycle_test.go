@@ -6,15 +6,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"kat"
 	"kat/internal/checkpoint"
 	"kat/internal/faultfs"
+	"kat/internal/opbuf"
 	"kat/internal/trace"
 )
 
@@ -51,67 +52,56 @@ func getBody(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestMemoryPressureShedding drives the admission watermarks with an
-// injected heap probe: the hard watermark sheds with a typed, non-sticky
-// memory_pressure reject, the soft watermark triggers relief sweeps, and
-// ingest resumes as soon as the pressure clears.
+// TestMemoryPressureShedding drives the memory budget of a durable server: at
+// the budget, while relief is not due again, /ingest sheds with a typed,
+// resend-safe overload 503 before reading the body; once relief runs it spills
+// the largest held run, half the budget is reached, and the same batch goes
+// through.
 func TestMemoryPressureShedding(t *testing.T) {
-	var pressure atomic.Uint64
-	srv := New(Config{
-		K:                  2,
-		Stream:             trace.StreamOptions{Workers: 1, MinSegmentOps: 1, RetireTTL: 1000, RetireSweepOps: 1},
-		SoftWatermarkBytes: 500,
-		HardWatermarkBytes: 1000,
-		MemUsage:           func() uint64 { return pressure.Load() },
-	})
+	mgr, err := checkpoint.Open(faultfs.NewMem(), "data", checkpoint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	// A key's one-operation window is one chunk: the budget holds two keys.
+	srv, _, err := NewDurable(Config{K: 2, MemoryBudget: 2 * opbuf.ChunkBytes,
+		Stream: trace.StreamOptions{Workers: 1, MinSegmentOps: 1}}, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, body := postText(t, ts.URL+"/ingest", "w a 1 0 10\n"); code != http.StatusOK {
-		t.Fatalf("unpressured ingest: %d %s", code, body)
+	if code, body := postText(t, ts.URL+"/ingest", "w a 1 0 10\nw b 1 0 10\n"); code != http.StatusOK {
+		t.Fatalf("ingest under the budget: %d %s", code, body)
 	}
 
-	// Breach the hard watermark. The probe is poll-rate-limited, so force a
-	// fresh read for the next request.
-	pressure.Store(2000)
-	srv.memAt.Store(0)
-	resp, err := http.Post(ts.URL+"/ingest", "text/plain", strings.NewReader("w a 2 20 30\n"))
+	// At the budget, with a relief that just ran: shed.
+	srv.reliefAt.Store(time.Now().Add(time.Hour).UnixNano())
+	resp, err := http.Post(ts.URL+"/ingest", "text/plain", strings.NewReader("w c 1 20 30\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("pressured ingest: %d %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("ingest at the budget: %d Retry-After=%q %s", resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("memory_pressure reject missing Retry-After")
+	if rej := decodeReject(t, string(body)); rej.Code != "overload" || rej.Ingested != 0 {
+		t.Fatalf("reject %+v, want overload with nothing ingested", rej)
 	}
-	if rej := decodeReject(t, string(body)); rej.Code != "memory_pressure" {
-		t.Fatalf("reject code %q, want memory_pressure", rej.Code)
-	}
-
-	if _, m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, `kavserve_ingest_rejected_total{reason="memory_pressure"} 1`) {
-		t.Fatalf("metrics missing memory_pressure reject count:\n%s", m)
+	if _, m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, `kavserve_ingest_rejected_total{reason="overload"} 1`) ||
+		!strings.Contains(m, "kavserve_memory_reliefs_total 0") {
+		t.Fatalf("metrics miscount the shed or the reliefs:\n%s", m)
 	}
 
-	// Soft watermark only: accepted, but a relief sweep runs.
-	pressure.Store(600)
-	srv.memAt.Store(0)
+	// Relief is due: it spills one window, and the resent batch is admitted.
 	srv.reliefAt.Store(0)
-	if code, body := postText(t, ts.URL+"/ingest", "w a 2 20 30\n"); code != http.StatusOK {
-		t.Fatalf("soft-pressured ingest: %d %s", code, body)
+	if code, body := postText(t, ts.URL+"/ingest", "w c 1 20 30\n"); code != http.StatusOK {
+		t.Fatalf("resend after relief: %d %s", code, body)
 	}
-	if _, m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, "kavserve_memory_reliefs_total") {
-		t.Fatalf("metrics missing relief counter:\n%s", m)
-	}
-
-	// Pressure clears: the shed is not sticky, nothing was lost, and the
-	// key's per-request prefix is intact (starts keep increasing).
-	pressure.Store(0)
-	srv.memAt.Store(0)
-	if code, body := postText(t, ts.URL+"/ingest", "w a 3 40 50\n"); code != http.StatusOK {
-		t.Fatalf("post-pressure ingest: %d %s", code, body)
+	if st := srv.sess.Stats(); st.Spills != 1 || srv.reliefs.Value() != 1 {
+		t.Fatalf("%d spills in %d reliefs, want one in one", st.Spills, srv.reliefs.Value())
 	}
 	final := postDrain(t, ts.URL)
 	var ops int
@@ -123,32 +113,32 @@ func TestMemoryPressureShedding(t *testing.T) {
 	}
 }
 
-// TestReliefKeepsDeclaredTolerance holds the memory-pressure valve to the
-// skew the operator declared. Two producers run 15 trace-time units apart,
-// so key a's second write arrives after key b has moved the watermark past
-// a's first — while still overlapping it. A relief sweep with a tolerance of
-// its own retired a there, and that request and every one after it, for
-// every key, answered sticky out_of_order. Relief now sweeps at the session's
-// RetireTTL: with one that covers the skew nothing retires early, and with
-// none relief retires nothing at all and only spills.
+// TestReliefKeepsDeclaredTolerance holds relief to the skew the operator
+// declared. Two producers run 15 trace-time units apart, so key a's second
+// write arrives after key b has moved the watermark past a's first — while
+// still overlapping it. A relief sweep with a tolerance of its own retired a
+// there, and that request and every one after it, for every key, answered
+// sticky out_of_order. Relief sweeps at the session's RetireTTL: with one that
+// covers the skew nothing retires early, and with none relief retires nothing
+// at all and only spills.
 func TestReliefKeepsDeclaredTolerance(t *testing.T) {
 	skewed := []string{"w a 1 100 120\n", "w b 1 125 126\n", "w a 2 110 130\n"}
 	drive := func(t *testing.T, srv *Server) {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		for i, req := range skewed {
-			srv.memAt.Store(0) // a fresh probe and a due relief per request
-			srv.reliefAt.Store(0)
+			srv.reliefAt.Store(0) // relief due on every request
 			if code, body := postText(t, ts.URL+"/ingest", req); code != http.StatusOK {
 				t.Fatalf("request %d under relief: %d %s", i, code, body)
 			}
 		}
-		if n := srv.reliefs.Value(); n != int64(len(skewed)) {
-			t.Fatalf("%d relief sweeps ran, want one per request", n)
+		// Half the budget is a chunk and a half: a's and b's windows reach it
+		// before the third request, which a skewed retirement would refuse.
+		if n := srv.reliefs.Value(); n != 1 {
+			t.Fatalf("%d reliefs ran, want the one before the third request", n)
 		}
 	}
-	pressured := Config{K: 2, SoftWatermarkBytes: 1, MemUsage: func() uint64 { return 2 },
-		Stream: trace.StreamOptions{Workers: 1, MinSegmentOps: 1}}
+	pressured := Config{K: 2, MemoryBudget: 3 * opbuf.ChunkBytes, Stream: trace.StreamOptions{Workers: 1, MinSegmentOps: 1}}
 
 	t.Run("ttl-covers-skew", func(t *testing.T) {
 		cfg := pressured
@@ -177,10 +167,13 @@ func TestReliefKeepsDeclaredTolerance(t *testing.T) {
 }
 
 // TestNoQuiesceChaosSheds replays the adversarial churn variant — chained
-// overlapping writes, so no key ever quiesces and retirement can reclaim
-// nothing — against a hard watermark wired to the session's real buffered
-// backlog. The server must degrade into typed memory_pressure sheds with
-// bounded buffered growth, never accept-and-grow.
+// overlapping writes, so no key ever quiesces and nothing dispatches — against
+// a memory budget over the session's real buffered bytes, with no store to
+// spill to. The server must degrade into typed, resend-safe overload sheds
+// with bounded buffered growth: never accept-and-grow, and never end the
+// session. Nothing retires either, so every byte stays buffered and the byte
+// count, and with it every accept and every shed, is a function of the input
+// alone: two runs agree request by request.
 func TestNoQuiesceChaosSheds(t *testing.T) {
 	tr := kat.GenerateChurn(kat.ChurnConfig{Seed: 7, Lifetimes: 8, OpsPerLifetime: 12, NoQuiesce: true})
 	var b strings.Builder
@@ -189,66 +182,59 @@ func TestNoQuiesceChaosSheds(t *testing.T) {
 	}
 	lines := strings.SplitAfter(strings.TrimSuffix(b.String(), "\n"), "\n")
 
-	// The "heap probe" is the buffered-op count itself: deterministic
-	// pressure that only retirement or verification could relieve, and the
-	// no-quiesce trace forbids both.
-	const hardOps = 40
-	var srv *Server
-	cfg := Config{
-		K:                  2,
-		Stream:             trace.StreamOptions{Workers: 1, MinSegmentOps: 1, RetireTTL: 10, RetireSweepOps: 1},
-		HardWatermarkBytes: hardOps,
-		MemUsage: func() uint64 {
-			return uint64(srv.sess.BufferedOps())
-		},
-	}
-	srv = New(cfg)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const chunkLines = 8
-	var accepted, shed int64
-	for i := 0; i < len(lines); i += chunkLines {
-		end := i + chunkLines
-		if end > len(lines) {
-			end = len(lines)
+	// Each key's window is a chunk, so the budget is four keys' windows; a
+	// request may open a key per line past it.
+	const budget, chunkLines = 4 * opbuf.ChunkBytes, 8
+	run := func() []string {
+		srv := New(Config{K: 2, MemoryBudget: budget, Stream: trace.StreamOptions{Workers: 1, MinSegmentOps: 1}})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		var outcomes []string
+		var accepted int64
+		for i := 0; i < len(lines); i += chunkLines {
+			code, body := postText(t, ts.URL+"/ingest", strings.Join(lines[i:min(i+chunkLines, len(lines))], ""))
+			switch code {
+			case http.StatusOK:
+				var ok struct {
+					Ingested int64 `json:"ingested"`
+				}
+				if err := json.Unmarshal([]byte(body), &ok); err != nil {
+					t.Fatalf("ingest body %q: %v", body, err)
+				}
+				accepted += ok.Ingested
+				outcomes = append(outcomes, "accepted")
+			case http.StatusServiceUnavailable:
+				if rej := decodeReject(t, body); rej.Code != "overload" || rej.Ingested != 0 {
+					t.Fatalf("shed %+v, want overload with nothing ingested", rej)
+				}
+				outcomes = append(outcomes, "shed")
+			default:
+				t.Fatalf("ingest: %d %s", code, body)
+			}
 		}
-		srv.memAt.Store(0) // force a fresh probe per request
-		code, body := postText(t, ts.URL+"/ingest", strings.Join(lines[i:end], ""))
-		switch code {
-		case http.StatusOK:
-			var ok struct {
-				Ingested int64 `json:"ingested"`
-			}
-			if err := json.Unmarshal([]byte(body), &ok); err != nil {
-				t.Fatalf("ingest body %q: %v", body, err)
-			}
-			accepted += ok.Ingested
-		case http.StatusServiceUnavailable:
-			rej := decodeReject(t, body)
-			if rej.Code != "memory_pressure" {
-				t.Fatalf("shed with code %q, want memory_pressure: %s", rej.Code, body)
-			}
-			shed++
-		default:
-			t.Fatalf("ingest: %d %s", code, body)
+		if got := srv.sess.BufferedBytes(); got >= budget+chunkLines*opbuf.ChunkBytes {
+			t.Fatalf("buffered bytes %d grew past budget %d + one request", got, budget)
 		}
+		// The shed is load shedding, not a failure: the session drains, and
+		// every accepted operation is accounted for and verified.
+		var ops int64
+		for _, ks := range postDrain(t, ts.URL).Keys {
+			ops += int64(ks.Ops)
+			if ks.Status != "ok" {
+				t.Fatalf("key %s after sheds: %+v", ks.Key, ks)
+			}
+		}
+		if ops != accepted {
+			t.Fatalf("verdict ops %d != accepted %d", ops, accepted)
+		}
+		return outcomes
 	}
-	if shed == 0 {
-		t.Fatal("never-quiescing trace never tripped the hard watermark")
+	first := run()
+	if !slices.Contains(first, "shed") {
+		t.Fatal("never-quiescing trace never reached the budget")
 	}
-	if buf := srv.sess.BufferedOps(); buf > hardOps+chunkLines {
-		t.Fatalf("buffered ops %d grew past watermark %d + one chunk", buf, hardOps)
-	}
-	// The shed is load shedding, not a failure: the server still answers,
-	// and every accepted operation is accounted for.
-	live := getVerdict(t, ts.URL)
-	var ops int
-	for _, ks := range live.Keys {
-		ops += ks.Ops
-	}
-	if int64(ops) != accepted {
-		t.Fatalf("verdict ops %d != accepted %d", ops, accepted)
+	if second := run(); !slices.Equal(first, second) {
+		t.Fatalf("two runs of one input disagree:\n%v\n%v", first, second)
 	}
 }
 
@@ -429,15 +415,16 @@ func TestRetiredKeyVerdictHTTP(t *testing.T) {
 // TestTenantQuotasAndIsolation covers the multi-tenant frontend: typed
 // quota rejects per quota class, the overload shed counted per tenant, 404
 // for unknown tenants, tenant-labeled metrics, and one tenant at its quota or
-// cap never blocking another under concurrent load.
+// budget never blocking another under concurrent load.
 func TestTenantQuotasAndIsolation(t *testing.T) {
 	pool := kat.NewPool(2)
 	defer pool.Close()
-	// MinSegmentOps keeps every operation buffered, so each tenant's count
-	// against the shared OverloadOps cap is exactly what it was sent.
-	const overload = 64
+	// MinSegmentOps keeps every operation buffered, a key's few in one
+	// chunk, so each tenant's bytes against the shared budget are a chunk
+	// per key it was sent.
+	const budgetKeys = 8
 	m, err := NewMulti(
-		Config{K: 2, OverloadOps: overload, Stream: trace.StreamOptions{Pool: pool, MinSegmentOps: 1000}},
+		Config{K: 2, MemoryBudget: budgetKeys * opbuf.ChunkBytes, Stream: trace.StreamOptions{Pool: pool, MinSegmentOps: 1000}},
 		[]TenantConfig{
 			{Name: "alpha", Quotas: TenantQuotas{MaxOps: 4}},
 			{Name: "beta"},
@@ -476,11 +463,11 @@ func TestTenantQuotasAndIsolation(t *testing.T) {
 		t.Fatal("lifetime op quota reject carries Retry-After (it is permanent)")
 	}
 
-	// gamma: fills its own buffer to the overload cap; the shed is
-	// transient → 503 with Retry-After.
+	// gamma: fills its own buffer to the budget; the shed is transient →
+	// 503 with Retry-After.
 	var fill strings.Builder
-	for i := 0; i < overload; i++ {
-		fmt.Fprintf(&fill, "w g %d %d %d\n", i+1, i*20, i*20+10)
+	for i := 0; i < budgetKeys; i++ {
+		fmt.Fprintf(&fill, "w g%d 1 %d %d\n", i, i*20, i*20+10)
 	}
 	if code, body := postText(t, ts.URL+"/ingest/gamma", fill.String()); code != http.StatusOK {
 		t.Fatalf("gamma ingest: %d %s", code, body)
@@ -509,8 +496,8 @@ func TestTenantQuotasAndIsolation(t *testing.T) {
 		t.Fatalf("delta over key quota: %d %s", code, body)
 	}
 
-	// beta keeps ingesting at full tilt while the other tenants sit at
-	// their quotas and caps: per-goroutine keys keep each stream's starts
+	// beta keeps ingesting at full tilt — four keys, half its budget — while
+	// the other tenants sit at their quotas and budget: per-goroutine keys keep each stream's starts
 	// nondecreasing, and alpha's and gamma's rejects must stay typed
 	// throughout.
 	var wg sync.WaitGroup

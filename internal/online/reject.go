@@ -37,19 +37,13 @@ var (
 	// request caught mid-body by the drain gets, with the operations it had
 	// already delivered in Ingested.
 	RejectDraining = Reject{Code: "draining", Status: http.StatusConflict, Sticky: true, Shed: true}
-	// The tenant holds Config.OverloadOps live buffered operations: the
-	// backlog drains as verification catches up or the tenant's keys retire.
+	// The tenant buffers Config.MemoryBudget bytes of operations even after
+	// relief: the backlog drains as verification catches up, the tenant's
+	// keys retire, or relief spills.
 	RejectOverload = Reject{Code: "overload", Status: http.StatusServiceUnavailable, RetryAfter: true, Resend: true, Shed: true}
-	// The hard admission watermark tripped. Like overload, nothing was lost,
-	// and the condition clears as retirement, spill and GC reclaim memory.
-	RejectMemoryPressure = Reject{Code: "memory_pressure", Status: http.StatusServiceUnavailable, RetryAfter: true, Resend: true, Shed: true}
 	// A tenant's lifetime operation or key quota is spent, for good:
 	// retirement does not lower either count.
 	RejectQuotaSpent = Reject{Code: "quota_exceeded", Status: http.StatusTooManyRequests, Sticky: true, Shed: true}
-	// Stream.MaxBufferedOps tripped. The odd row: it goes out 503 with
-	// Retry-After like a shed, yet it is sticky and must not be resent —
-	// operations were lost, so resuming requires reconciling via /verdict.
-	RejectBufferLimit = Reject{Code: "buffer_limit", Status: http.StatusServiceUnavailable, RetryAfter: true, Sticky: true}
 	// A key broke the nondecreasing-start ingest contract.
 	RejectOutOfOrder = Reject{Code: "out_of_order", Status: http.StatusConflict, Sticky: true}
 	// The write-ahead log failed beneath the session.
@@ -65,8 +59,8 @@ var (
 
 // Rejects lists the table's rows.
 var Rejects = []Reject{
-	RejectDraining, RejectOverload, RejectMemoryPressure, RejectQuotaSpent,
-	RejectBufferLimit, RejectOutOfOrder, RejectDurability, RejectMalformed, RejectDegraded,
+	RejectDraining, RejectOverload, RejectQuotaSpent, RejectOutOfOrder,
+	RejectDurability, RejectMalformed, RejectDegraded,
 }
 
 // RejectFor returns the row a response with this code and status is. A pair

@@ -16,15 +16,13 @@ import (
 // The reject codes, pinned: a producer switches on these strings, so
 // renaming one is a protocol change, not a refactor.
 const (
-	codeDraining       = "draining"
-	codeOverload       = "overload"
-	codeMemoryPressure = "memory_pressure"
-	codeQuotaExceeded  = "quota_exceeded"
-	codeBufferLimit    = "buffer_limit"
-	codeOutOfOrder     = "out_of_order"
-	codeDurability     = "durability"
-	codeMalformed      = "malformed"
-	codeDegraded       = "degraded"
+	codeDraining      = "draining"
+	codeOverload      = "overload"
+	codeQuotaExceeded = "quota_exceeded"
+	codeOutOfOrder    = "out_of_order"
+	codeDurability    = "durability"
+	codeMalformed     = "malformed"
+	codeDegraded      = "degraded"
 )
 
 // TestRejectTable pins the table's rows against literals, checks the rows
@@ -34,9 +32,7 @@ func TestRejectTable(t *testing.T) {
 	want := []Reject{
 		{Code: codeDraining, Status: 409, Sticky: true, Shed: true},
 		{Code: codeOverload, Status: 503, RetryAfter: true, Resend: true, Shed: true},
-		{Code: codeMemoryPressure, Status: 503, RetryAfter: true, Resend: true, Shed: true},
 		{Code: codeQuotaExceeded, Status: 429, Sticky: true, Shed: true},
-		{Code: codeBufferLimit, Status: 503, RetryAfter: true, Sticky: true},
 		{Code: codeOutOfOrder, Status: 409, Sticky: true},
 		{Code: codeDurability, Status: 500, Sticky: true},
 		{Code: codeMalformed, Status: 400},

@@ -41,8 +41,8 @@ func postShape(t *testing.T, url, contentType string, body []byte) ingestShape {
 // TestIngestRejectShapesPinned provokes every answer a single node's /ingest
 // can give, over real HTTP, and compares status, Retry-After and the whole
 // body with what the server sent when each reject was a hand-written call in
-// handleIngest — before the reject table existed. buffer_limit is the odd
-// row: sticky, yet 503 with Retry-After.
+// handleIngest — before the reject table existed. The overload message
+// counts bytes since the memory budget replaced the operation cap.
 func TestIngestRejectShapesPinned(t *testing.T) {
 	check := func(t *testing.T, name string, got, want ingestShape) {
 		t.Helper()
@@ -88,26 +88,10 @@ func TestIngestRejectShapesPinned(t *testing.T) {
 	})
 
 	t.Run("overload", func(t *testing.T) {
-		url := serve(New(Config{OverloadOps: 2, Stream: neverCut}).Handler())
+		url := serve(New(Config{MemoryBudget: 256, Stream: neverCut}).Handler())
 		check(t, "accepted", text(url, "w a 1 0 1\nw a 2 2 3\n"), ingestShape{200, "", "{\"ingested\": 2}\n"})
 		check(t, "overload", text(url, "w a 3 4 5\n"),
-			ingestShape{503, "1", `{"code":"overload","error":"overloaded: 2 operations buffered (cap 2)","ingested":0}` + "\n"})
-	})
-
-	t.Run("memory_pressure", func(t *testing.T) {
-		url := serve(New(Config{HardWatermarkBytes: 1000, MemUsage: func() uint64 { return 2000 }}).Handler())
-		check(t, "memory_pressure", text(url, "w a 1 0 1\n"),
-			ingestShape{503, "1", `{"code":"memory_pressure","error":"memory pressure: 2000 live heap bytes (hard watermark 1000)","ingested":0}` + "\n"})
-	})
-
-	t.Run("buffer_limit", func(t *testing.T) {
-		sopts := neverCut
-		sopts.MaxBufferedOps = 2
-		url := serve(New(Config{Stream: sopts}).Handler())
-		const body = `{"code":"buffer_limit","error":"trace: buffered operations exceed MaxBufferedOps (3 live ops; largest open window 3)","ingested":2}` + "\n"
-		check(t, "buffer_limit", text(url, "w a 1 0 1\nw a 2 2 3\nw a 3 4 5\nw a 4 6 7\n"), ingestShape{503, "1", body})
-		check(t, "buffer_limit is sticky", text(url, "w a 5 8 9\n"),
-			ingestShape{503, "1", strings.Replace(body, `"ingested":2`, `"ingested":0`, 1)})
+			ingestShape{503, "1", `{"code":"overload","error":"overloaded: 256 bytes buffered (budget 256)","ingested":0}` + "\n"})
 	})
 
 	t.Run("durability", func(t *testing.T) {
@@ -145,7 +129,7 @@ func TestIngestRejectShapesPinned(t *testing.T) {
 		}
 		check(t, "draining", text(url, "w a 1 0 1\n"),
 			ingestShape{409, "", `{"code":"draining","error":"draining: ingest is closed","ingested":0}` + "\n"})
-		// The shed counters: one family, these four series, whatever was shed.
+		// The shed counters: one family, these three series, whatever was shed.
 		_, exposition := getBody(t, strings.TrimSuffix(url, "/ingest")+"/metrics")
 		var family []string
 		for _, line := range strings.Split(exposition, "\n") {
@@ -156,7 +140,6 @@ func TestIngestRejectShapesPinned(t *testing.T) {
 		const want = `# HELP kavserve_ingest_rejected_total Ingest requests shed before reading the body, by reason.
 # TYPE kavserve_ingest_rejected_total counter
 kavserve_ingest_rejected_total{reason="draining"} 1
-kavserve_ingest_rejected_total{reason="memory_pressure"} 0
 kavserve_ingest_rejected_total{reason="overload"} 0
 kavserve_ingest_rejected_total{reason="quota_exceeded"} 0`
 		if got := strings.Join(family, "\n"); got != want {

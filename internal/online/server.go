@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,27 +51,15 @@ type Config struct {
 	// Δ-atomicity and regularity/safety verdicts to the same pass, and
 	// Stream.OnSegment is chained after the server's own bookkeeping.
 	Stream trace.StreamOptions
-	// OverloadOps, when > 0, sheds /ingest with RejectOverload before
-	// reading the body once this many operations are buffered, telling
-	// producers to back off rather than pile onto verification backpressure.
-	// Each tenant of a Multi counts its own: it is the tenant memory bound.
-	OverloadOps int64
-	// SoftWatermarkBytes, when > 0, is the live-heap size at which the
-	// ingest path starts reclaiming memory now instead of at the next sweep
-	// cadence: keys idle past Stream.RetireTTL retire (none when that is 0
-	// — relief never retires under a smaller tolerance than the operator
-	// declared), and open windows spill to the blob store when one is
-	// configured. Relief is rate-limited so a sustained breach costs one
-	// sweep per interval, not one per request.
-	SoftWatermarkBytes uint64
-	// HardWatermarkBytes, when > 0, is the live-heap size at which /ingest
-	// sheds with RejectMemoryPressure before reading the body; requests are
-	// accepted again once relief (or GC) brings the heap back under it.
-	HardWatermarkBytes uint64
-	// MemUsage overrides the live-heap probe used for the watermarks
-	// (default: the runtime's heap-objects byte class, polled at most
-	// every memPollInterval). Tests inject deterministic pressure here.
-	MemUsage func() uint64
+	// MemoryBudget, when > 0, bounds the bytes the session buffers
+	// operations in (trace.Session.BufferedBytes); each tenant of a Multi
+	// counts its own. At half of it /ingest relieves memory now instead of at
+	// the next sweep cadence (Session.Relieve down to half the budget: keys
+	// idle past Stream.RetireTTL retire, and with a blob store the largest held
+	// runs spill), at most every 250 ms. At the budget, after that relief,
+	// /ingest sheds with RejectOverload before reading the body. A request
+	// admitted under the budget may overshoot it by its own size.
+	MemoryBudget int64
 }
 
 // Violation is the retained evidence for a key's first violating segment.
@@ -241,12 +228,8 @@ type Server struct {
 	violations     *metrics.Counter
 	reliefs        *metrics.Counter
 
-	// Watermarks: the heap probe runs at most every memPollInterval (memAt
-	// gates, memVal caches), relief at most every reliefInterval, both
-	// CAS-gated so concurrent ingest handlers never stack sweeps.
-	memUsage func() uint64
-	memAt    atomic.Int64
-	memVal   atomic.Uint64
+	// reliefAt gates relief to once per reliefInterval, CAS-gated so
+	// concurrent ingest handlers never stack sweeps.
 	reliefAt atomic.Int64
 	// ingestSizes counts clean requests per ingestSizeBuckets class — the
 	// batching signal an operator tunes producers against.
@@ -409,10 +392,10 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 		func() float64 { return float64(s.sess.Keys()) })
 	s.reg.Gauge("kavserve_peak_buffered_ops", "Peak live operations observed.",
 		func() float64 { return float64(s.sess.PeakBufferedOps()) })
-	// Lifecycle families exist only on servers configured to reclaim (a
-	// retirement TTL or a soft watermark), so plain servers' exposition
-	// is unchanged. All of them read lock-free session atomics.
-	if cfg.Stream.RetireTTL > 0 || cfg.SoftWatermarkBytes > 0 {
+	// Lifecycle families exist only on servers that retire keys, so plain
+	// servers' exposition is unchanged. All of them read lock-free session
+	// atomics.
+	if cfg.Stream.RetireTTL > 0 {
 		s.reg.Gauge("kavserve_retired_keys", "Keys currently folded into compact retired records.",
 			func() float64 { return float64(s.sess.RetiredKeys()) })
 		s.reg.CounterFunc("kavserve_retirements_total", "Lifetime quiescent-key retirements.",
@@ -424,15 +407,9 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 		s.reg.Gauge("kavserve_current_epoch", "Epoch window the ingest watermark currently falls in.",
 			func() float64 { ep, _ := s.sess.CurrentEpoch(); return float64(ep) })
 	}
-	s.memUsage = cfg.MemUsage
-	if s.memUsage == nil {
-		s.memUsage = liveHeapBytes
-	}
-	if cfg.SoftWatermarkBytes > 0 || cfg.HardWatermarkBytes > 0 {
+	if cfg.MemoryBudget > 0 {
 		s.reliefs = s.reg.Counter("kavserve_memory_reliefs_total",
-			"Soft-watermark relief sweeps (retirement + spill ahead of the cadence) triggered by the ingest path.")
-		s.reg.Gauge("kavserve_heap_live_bytes", "Live-heap probe the admission watermarks are judged against.",
-			func() float64 { return float64(s.heapBytes()) })
+			"Memory-budget reliefs (retirement + spill ahead of the cadence) run by the ingest path at half the budget.")
 	}
 	// Spill gauges read lock-free session atomics; they sit at zero for
 	// sessions without a blob store.
@@ -495,51 +472,20 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 	return s, rs, nil
 }
 
-// memPollInterval bounds how often the live-heap probe runs (requests
-// between polls read the cached value); reliefInterval how often a sustained
-// soft-watermark breach re-runs relief, which takes every shard lock once.
-const (
-	memPollInterval = 100 * time.Millisecond
-	reliefInterval  = 250 * time.Millisecond
-)
+// reliefInterval bounds how often a sustained stay above half the memory
+// budget re-runs relief, which takes every shard lock at least once.
+const reliefInterval = 250 * time.Millisecond
 
-// liveHeapBytes is the default watermark probe: the runtime's live
-// heap-object bytes, from the cheap runtime/metrics read (no
-// stop-the-world, unlike runtime.ReadMemStats).
-func liveHeapBytes() uint64 {
-	sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	rtmetrics.Read(sample)
-	return sample[0].Value.Uint64()
-}
-
-// heapBytes returns the (rate-limited) live-heap probe value.
-func (s *Server) heapBytes() uint64 {
-	now := time.Now().UnixNano()
-	last := s.memAt.Load()
-	if now-last < int64(memPollInterval) || !s.memAt.CompareAndSwap(last, now) {
-		return s.memVal.Load()
-	}
-	v := s.memUsage()
-	s.memVal.Store(v)
-	return v
-}
-
-// relieve runs one rate-limited soft-watermark relief sweep: keys idle past
-// the session's RetireTTL retire now (never under a smaller tolerance, which
-// would turn pressure into sticky out_of_order), and open windows spill when
-// the session has a blob store. Errors are sticky in the session; the next
-// ingest surfaces them.
+// relieve runs one rate-limited Session.Relieve down to half the memory
+// budget. Errors are sticky in the session; the next ingest surfaces them.
 func (s *Server) relieve() {
 	now := time.Now().UnixNano()
 	last := s.reliefAt.Load()
 	if now-last < int64(reliefInterval) || !s.reliefAt.CompareAndSwap(last, now) {
 		return
 	}
-	s.sess.RetireIdle(0)
-	s.sess.SpillOpenWindows()
-	if s.reliefs != nil {
-		s.reliefs.Inc()
-	}
+	s.sess.Relieve(s.cfg.MemoryBudget / 2)
+	s.reliefs.Inc()
 }
 
 // atomicMax lifts a to at least v.
@@ -688,22 +634,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, RejectDraining, errors.New("draining: ingest is closed"))
 		return
 	}
-	if cap := s.cfg.OverloadOps; cap > 0 && s.sess.BufferedOps() >= cap {
-		s.shed(w, RejectOverload, fmt.Errorf("overloaded: %d operations buffered (cap %d)", s.sess.BufferedOps(), cap))
-		return
-	}
-	if hard := s.cfg.HardWatermarkBytes; hard > 0 {
-		if heap := s.heapBytes(); heap >= hard {
-			// Shed like overload — but also keep relieving, so the
-			// condition clears even with no polite producers left to trip
-			// the soft path.
+	if budget := s.cfg.MemoryBudget; budget > 0 {
+		if s.sess.BufferedBytes() >= budget/2 {
 			s.relieve()
-			s.shed(w, RejectMemoryPressure, fmt.Errorf("memory pressure: %d live heap bytes (hard watermark %d)", heap, hard))
+		}
+		if b := s.sess.BufferedBytes(); b >= budget {
+			s.shed(w, RejectOverload, fmt.Errorf("overloaded: %d bytes buffered (budget %d)", b, budget))
 			return
 		}
-	}
-	if soft := s.cfg.SoftWatermarkBytes; soft > 0 && s.heapBytes() >= soft {
-		s.relieve()
 	}
 	// Batch-granular ingest, codec by Content-Type (see the package doc).
 	c, feed := &s.codecs[0], s.sess.AppendTraceBatch
@@ -723,8 +661,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, trace.ErrSessionFlushed):
 			row = RejectDraining
-		case errors.Is(err, trace.ErrBufferLimit):
-			row = RejectBufferLimit
 		case errors.Is(err, trace.ErrOutOfOrder):
 			row = RejectOutOfOrder
 		case errors.As(err, &derr):

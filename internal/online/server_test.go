@@ -15,6 +15,7 @@ import (
 	"kat/internal/checkpoint"
 	"kat/internal/core"
 	"kat/internal/faultfs"
+	"kat/internal/opbuf"
 	"kat/internal/trace"
 	"kat/internal/wal"
 )
@@ -558,13 +559,13 @@ func TestIngestErrors(t *testing.T) {
 	}
 }
 
-// TestIngestOverloadShedding drives the upfront overload gate: once live
-// buffered operations reach Config.OverloadOps, /ingest sheds with 503 +
+// TestIngestOverloadShedding drives the upfront overload gate: once the
+// buffered bytes reach Config.MemoryBudget, /ingest sheds with 503 +
 // Retry-After + {"code":"overload"} without reading the body, and accepts
 // again once verification drains the backlog (here: after Drain).
 func TestIngestOverloadShedding(t *testing.T) {
 	srv := New(Config{
-		OverloadOps: 4,
+		MemoryBudget: opbuf.ChunkBytes, // one key's window of a few operations
 		// A huge MinSegmentOps keeps every op buffered in the open window,
 		// so the gate trips deterministically.
 		Stream: trace.StreamOptions{Workers: 1, MinSegmentOps: 1 << 20},

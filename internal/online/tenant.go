@@ -16,8 +16,8 @@ import (
 // TenantQuotas bounds one tenant's lifetime resource use on a shared server.
 // All quotas are enforced before the request body is read, so a tenant at
 // its quota costs the server one rejected request, not a parse. The
-// tenant's memory bound is Config.OverloadOps, which every tenant applies
-// to its own buffered operations.
+// tenant's memory bound is Config.MemoryBudget, which every tenant applies
+// to its own buffered bytes.
 type TenantQuotas struct {
 	// MaxOps caps lifetime ingested operations (0 = unlimited). Hitting
 	// it is permanent for the tenant's lifetime: rejects are HTTP 429
@@ -78,7 +78,7 @@ type Multi struct {
 }
 
 // NewMulti builds one Server per tenant from the shared base config (K,
-// properties, lifecycle, watermarks); set Stream.Pool so tenants share
+// properties, lifecycle, memory budget); set Stream.Pool so tenants share
 // workers. open, when non-nil, opens a tenant's checkpoint manager by name
 // and makes it durable: it recovers before NewMulti returns.
 func NewMulti(base Config, tenants []TenantConfig, open func(name string) (*checkpoint.Manager, error)) (*Multi, error) {

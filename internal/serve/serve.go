@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -55,27 +56,24 @@ type Node struct {
 // recovery is logged to out, as is everything the node reports later.
 func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 	fs := flag.NewFlagSet("kavserve", flag.ContinueOnError)
+	fs.SetOutput(out) // -h and flag errors print the usage with the node's log
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		k        = fs.Int("k", 2, "staleness bound keys are judged against in /verdict")
 		workers  = fs.Int("workers", 0, "verification pool size (0 = GOMAXPROCS)")
 		horizon  = fs.Int("horizon", 0, "smallest-k staleness horizon in writes (0 = default)")
 		minSeg   = fs.Int("min-segment-ops", 0, "minimum open-window size before a quiescent cut (0 = default)")
-		maxBuf   = fs.Int("max-buffered-ops", 0, "cap on live buffered operations across keys (0 = uncapped)")
 		shards   = fs.Int("ingest-shards", 0, "ingest shard count: concurrent producers contend only per key-hash shard (0 = default)")
 		propSet  = fs.String("properties", "k", "comma-separated properties verified in the same pass: k (always on), delta (smallest Δ), regularity (Lamport safety/regularity)")
 		pprofOn  = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ with mutex and block profiling enabled (ingest-contention observability)")
 		dataDir  = fs.String("data-dir", "", "durability directory: per-shard WAL + checkpoints; ingest survives crashes and restarts recover it (empty = in-memory only)")
 		fsync    = fs.String("fsync", "batch", "WAL sync policy: batch (group fsync per ingest batch), always (fsync every record), never (OS page cache only)")
 		ckptIval = fs.Duration("checkpoint-interval", 5*time.Second, "cadence of background checkpoints that bound WAL replay length")
-		spillOps = fs.Int("spill-threshold-ops", 0, "spill a key's open window or held segment to -data-dir once it holds this many unverified ops in memory (0 = default; needs -data-dir)")
-		overload = fs.Int64("overload-ops", 0, "shed a tenant's /ingest with 503 + Retry-After once it has this many ops buffered unverified — the per-tenant memory bound (0 = never shed)")
+		budget   = fs.String("memory-budget", "", "per-tenant bound on the bytes unverified operations are buffered in (kavserve_buffered_bytes; bytes, or with K/M/G/T suffix): from half of it ingest retires keys idle past -retire-ttl now and spills the largest held runs to -data-dir, and at it /ingest sheds with 503 overload + Retry-After (empty = unbounded)")
 
 		// Keyspace lifecycle.
 		retireTTL = fs.String("retire-ttl", "", "retire a key quiescent past the safe-cut horizon for this long, folding its final verdict into a compact retired record; trace-time integer, or a Go duration for nanosecond-stamped traces (empty = never retire)")
 		epochLen  = fs.String("epoch", "", "rotate verdict windows of this length at quiescent cuts; /verdict?epoch=N then answers per-window (trace-time integer or Go duration; empty = no epoch windows)")
-		softWM    = fs.String("soft-watermark", "", "live-heap size (bytes, or with K/M/G suffix) above which ingest sweeps keys idle past -retire-ttl now instead of at the next cadence and spills open windows to -data-dir (empty = off; needs one of the two)")
-		hardWM    = fs.String("hard-watermark", "", "live-heap size above which /ingest sheds with a typed memory_pressure 503 + Retry-After instead of growing toward OOM (empty = off)")
 
 		// Multi-tenant mode.
 		tenants    = fs.String("tenants", "", "multi-tenant mode: comma-separated tenant names, each an isolated session behind /ingest/{tenant} and /verdict/{tenant}, all sharing one verification pool")
@@ -130,22 +128,14 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if *dataDir == "" && *spillOps > 0 {
-		return nil, fmt.Errorf("-spill-threshold-ops needs -data-dir")
-	}
-	if *softWM != "" && *retireTTL == "" && *dataDir == "" {
-		return nil, fmt.Errorf("-soft-watermark needs -retire-ttl or -data-dir: relief retires keys idle past the TTL and spills to the data directory, and would have nothing to reclaim with")
-	}
 	properties, err := kat.ParseProperties(*propSet)
 	if err != nil {
 		return nil, err
 	}
-	cfg := online.Config{K: *k, OverloadOps: *overload}
+	cfg := online.Config{K: *k}
 	cfg.Stream.Horizon = *horizon
 	cfg.Stream.MinSegmentOps = *minSeg
-	cfg.Stream.MaxBufferedOps = *maxBuf
 	cfg.Stream.IngestShards = *shards
-	cfg.Stream.SpillThresholdOps = *spillOps
 	cfg.Stream.Properties = properties
 	if cfg.Stream.RetireTTL, err = parseTraceTime(*retireTTL, "-retire-ttl"); err != nil {
 		return nil, err
@@ -153,10 +143,7 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 	if cfg.Stream.EpochLength, err = parseTraceTime(*epochLen, "-epoch"); err != nil {
 		return nil, err
 	}
-	if cfg.SoftWatermarkBytes, err = parseByteSize(*softWM, "-soft-watermark"); err != nil {
-		return nil, err
-	}
-	if cfg.HardWatermarkBytes, err = parseByteSize(*hardWM, "-hard-watermark"); err != nil {
+	if cfg.MemoryBudget, err = parseByteSize(*budget, "-memory-budget"); err != nil {
 		return nil, err
 	}
 	// The root tenant is a tenant: the quotas bind it as they bind each
@@ -314,8 +301,9 @@ func parseTraceTime(s, flagName string) (int64, error) {
 }
 
 // parseByteSize parses a byte count: a plain integer, optionally with a
-// K/M/G/T suffix (binary multiples; "KB"/"KiB" spellings accepted).
-func parseByteSize(s, flagName string) (uint64, error) {
+// K/M/G/T suffix (binary multiples; "KB"/"KiB" spellings accepted), at most
+// math.MaxInt64 bytes.
+func parseByteSize(s, flagName string) (int64, error) {
 	if s == "" {
 		return 0, nil
 	}
@@ -324,10 +312,10 @@ func parseByteSize(s, flagName string) (uint64, error) {
 		num, shift = num[:i], 10*(strings.IndexByte("kmgt", num[i])+1)
 	}
 	n, err := strconv.ParseUint(strings.TrimSpace(num), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: want bytes (optionally with K/M/G/T suffix), got %q", flagName, s)
+	if err != nil || n > math.MaxInt64>>shift {
+		return 0, fmt.Errorf("%s: want bytes below 8 EiB (optionally with K/M/G/T suffix), got %q", flagName, s)
 	}
-	return n << shift, nil
+	return int64(n << shift), nil
 }
 
 // splitList parses a comma-separated -route or -tenants list.

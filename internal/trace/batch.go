@@ -315,9 +315,9 @@ func (s *Session) AppendWire(r io.Reader) (n int64, err error) {
 // error aborts mid-stream with the operations before the failing one (in
 // parse order; for admission errors, per shard group) already appended — on
 // a parse error the chunk's operations before the bad segment are fed
-// first. Engine admission errors (ErrOutOfOrder, ErrBufferLimit) are sticky
-// exactly like Append's; parse and reader errors reject only this request
-// and leave the session usable.
+// first. Engine admission errors (ErrOutOfOrder) are sticky exactly like
+// Append's; parse and reader errors reject only this request and leave the
+// session usable.
 //
 // When a ShardLogger is attached, the call is also the group-commit unit:
 // accepted operations log shard-by-shard as chunks feed, and the logger

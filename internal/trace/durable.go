@@ -12,18 +12,18 @@ package trace
 //     session state — keys re-route by hash on replay, so the ingest shard
 //     count may change across restarts.
 //
-//   - BlobStore + StreamOptions.SpillThresholdOps: spill-to-disk of held
-//     runs. An open window and a closed segment waiting out the dispatch
-//     horizon are both a held run of one key's unverified operations, and
-//     either one that reaches the threshold in memory spills it as one more
-//     keyed-text blob (an open window's value index, write count and max
-//     finish stay in memory — those are all the cut rules need). A spilled
-//     run is loaded back where it is next needed: when the window closes,
-//     when a backward-reaching read merges a deque segment, or when a
-//     segment dispatches to verification. Ingest memory for a
-//     never-quiescing window is thereby bounded by the threshold; the
-//     eventual close (or Flush) pays a transient reload of the whole
-//     segment, which verification materializes anyway.
+//   - BlobStore + Session.Relieve: spill-to-disk of held runs. An open
+//     window and a closed segment waiting out the dispatch horizon are both a
+//     held run of one key's unverified operations, and relief spills the
+//     largest in-memory tails first, each as one more keyed-text blob (an
+//     open window's value index, write count and max finish stay in memory —
+//     those are all the cut rules need), until the session's buffered bytes
+//     are down to its target. A spilled run is loaded back where it is next
+//     needed: when the window closes, when a backward-reaching read merges a
+//     deque segment, or when a segment dispatches to verification. Ingest
+//     memory for a never-quiescing window is thereby bounded by how often
+//     relief runs; the eventual close (or Flush) pays a transient reload of
+//     the whole segment, which verification materializes anyway.
 //
 //   - Checkpoint / RestoreCheckpoint: an exact snapshot of the per-key
 //     accumulators and verdicts at a frozen instant. Freezing takes every
@@ -195,7 +195,7 @@ func (e *engine) spill(ks *keyState, h *held) error {
 		return nil
 	}
 	buf := appendOpsText(e.spillBuf(n)[:0], ks.key, e.unpack(ks.sh, &h.ops))
-	id, err := e.store.Put(buf)
+	id, err := e.sopts.Store.Put(buf)
 	e.spillBufs.Put(buf)
 	if err != nil {
 		return fmt.Errorf("trace: spill key %q: %w", ks.key, err)
@@ -220,7 +220,7 @@ func (e *engine) load(ks *keyState, h *held) error {
 	}
 	var whole opbuf.List
 	for _, id := range h.blobs {
-		data, err := e.store.Get(id)
+		data, err := e.sopts.Store.Get(id)
 		if err == nil {
 			_, err = e.packText(&whole, data)
 		}
@@ -230,7 +230,7 @@ func (e *engine) load(ks *keyState, h *held) error {
 		}
 	}
 	for _, id := range h.blobs {
-		e.store.Del(id)
+		e.sopts.Store.Del(id)
 	}
 	n, bytes := whole.Len(), whole.Bytes()
 	e.buf.Splice(&whole, &h.ops)
@@ -247,7 +247,7 @@ func (e *engine) load(ks *keyState, h *held) error {
 // without consuming them, then the tail.
 func (e *engine) text(ks *keyState, h *held, buf []byte) ([]byte, error) {
 	for _, id := range h.blobs {
-		data, err := e.store.Get(id)
+		data, err := e.sopts.Store.Get(id)
 		if err != nil {
 			return buf, fmt.Errorf("trace: checkpoint read spilled operations of %q: %w", ks.key, err)
 		}

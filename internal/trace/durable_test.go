@@ -15,6 +15,7 @@ import (
 	"kat/internal/core"
 	"kat/internal/generator"
 	"kat/internal/history"
+	"kat/internal/opbuf"
 	"kat/internal/wire"
 )
 
@@ -488,9 +489,25 @@ func TestCheckpointOfFlushedSession(t *testing.T) {
 	}
 }
 
-// TestSpillEquivalence runs the same traces with and without spill-to-disk
-// at an aggressive threshold and requires identical verdicts, real spill
-// traffic, and an empty store at the end.
+// feedRelieving feeds text to s n lines at a time and relieves s down to
+// nothing after each piece, so with a store every held run spills between
+// feeds.
+func feedRelieving(t *testing.T, s *Session, text string, n int) {
+	t.Helper()
+	lines := strings.SplitAfter(text, "\n")
+	for i := 0; i < len(lines); i += n {
+		if _, err := s.AppendTraceBatch(strings.NewReader(strings.Join(lines[i:min(i+n, len(lines))], ""))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Relieve(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSpillEquivalence runs the same traces with and without spill-to-disk,
+// relieving every held run to the store after every four lines, and requires
+// identical verdicts, real spill traffic, and an empty store at the end.
 func TestSpillEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		text := genSessionTrace(seed, 4, 150)
@@ -500,11 +517,8 @@ func TestSpillEquivalence(t *testing.T) {
 		store := newMemStore()
 		sopts := base
 		sopts.Store = store
-		sopts.SpillThresholdOps = 4
 		s := NewSmallestKSession(core.Options{}, sopts)
-		if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
-			t.Fatalf("seed %d: feed: %v", seed, err)
-		}
+		feedRelieving(t, s, text, 4)
 		if err := s.Flush(); err != nil {
 			t.Fatalf("seed %d: flush: %v", seed, err)
 		}
@@ -524,13 +538,12 @@ func TestSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpillBoundsOpenWindow feeds one never-quiescing window and checks the
-// in-memory tail stays at the threshold while the full window lands on disk.
+// TestSpillBoundsOpenWindow feeds one never-quiescing window, relieving the
+// session between feeds of eight operations, and checks that relief bounds
+// the in-memory tail to one feed while the full window lands on disk.
 func TestSpillBoundsOpenWindow(t *testing.T) {
 	store := newMemStore()
-	s := NewSmallestKSession(core.Options{}, StreamOptions{
-		Workers: 1, IngestShards: 1, Store: store, SpillThresholdOps: 8,
-	})
+	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, IngestShards: 1, Store: store})
 	const n = 200
 	for i := 0; i < n; i++ {
 		// Overlapping intervals: no quiescent instant, the window never cuts.
@@ -539,9 +552,14 @@ func TestSpillBoundsOpenWindow(t *testing.T) {
 		if err := s.Append("hot", op); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if buf := s.BufferedOps(); buf >= n/2 {
-		t.Fatalf("buffered = %d, want bounded well under %d", buf, n)
+		if i%8 == 7 {
+			if err := s.Relieve(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if buf := s.BufferedOps(); buf > 8 {
+			t.Fatalf("after operation %d: %d operations in memory, want at most one feed of 8", i, buf)
+		}
 	}
 	if disk := s.SpilledOps(); disk < n/2 {
 		t.Fatalf("on disk = %d, want most of %d", disk, n)
@@ -572,10 +590,10 @@ func TestSpillWithCheckpoint(t *testing.T) {
 	store := newMemStore()
 	sopts := base
 	sopts.Store = store
-	sopts.SpillThresholdOps = 4
 	s := NewSmallestKSession(core.Options{}, sopts)
-	if _, err := s.AppendTraceBatch(strings.NewReader(head)); err != nil {
-		t.Fatal(err)
+	feedRelieving(t, s, head, 4)
+	if s.SpilledOps() == 0 {
+		t.Fatal("nothing spilled before the checkpoint")
 	}
 	cp, err := s.Checkpoint(nil)
 	if err != nil {
@@ -601,17 +619,16 @@ func TestSpillWithCheckpoint(t *testing.T) {
 
 func TestSpillErrorPoisonsSession(t *testing.T) {
 	store := newMemStore()
-	s := NewSmallestKSession(core.Options{}, StreamOptions{
-		Workers: 1, IngestShards: 1, Store: store, SpillThresholdOps: 4,
-	})
+	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, IngestShards: 1, Store: store})
 	store.fail = errors.New("spill device gone")
-	var sawErr error
-	for i := 0; i < 20 && sawErr == nil; i++ {
+	for i := 0; i < 20; i++ {
 		op := history.Operation{Kind: history.KindWrite, Value: int64(i + 1),
 			Start: int64(2 * i), Finish: int64(2*i + 3)}
-		sawErr = s.Append("hot", op)
+		if err := s.Append("hot", op); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if sawErr == nil || !strings.Contains(sawErr.Error(), "spill device gone") {
+	if sawErr := s.Relieve(0); sawErr == nil || !strings.Contains(sawErr.Error(), "spill device gone") {
 		t.Fatalf("spill failure not surfaced: %v", sawErr)
 	}
 	if err := s.Append("hot", history.Operation{Kind: history.KindWrite, Value: 99, Start: 100, Finish: 101}); err == nil {
@@ -627,16 +644,32 @@ func TestSpillErrorPoisonsSession(t *testing.T) {
 func TestSpillFailedFlushPopsDispatched(t *testing.T) {
 	store := newMemStore()
 	s := NewSmallestKSession(core.Options{}, StreamOptions{
-		Workers: 1, IngestShards: 1, MinSegmentOps: 1, Horizon: 1000, Store: store, SpillThresholdOps: 2,
+		Workers: 1, IngestShards: 1, MinSegmentOps: 1, Horizon: 1000, Store: store,
 	})
-	// k holds a resident segment (w 1), a segment spilled at its close (w 2,
-	// w 3) and an open window (w 4); z moves the watermark past all of them.
-	const text = "w k 1 0 1\nw k 2 10 20\nw k 3 15 25\nw k 4 30 31\nw z 1 1000 1001\n"
-	if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
+	// k holds a resident segment (w 1), a two-chunk segment of 80 chained
+	// writes and an open window (w 100), a chunk each: relief to half of it
+	// spills the largest, the middle segment.
+	var b strings.Builder
+	b.WriteString("w k 1 0 1\n")
+	for i := 0; i < 80; i++ {
+		fmt.Fprintf(&b, "w k %d %d %d\n", i+2, 10+i, 15+i)
+	}
+	b.WriteString("w k 100 200 201\n")
+	if _, err := s.AppendTraceBatch(strings.NewReader(b.String())); err != nil {
 		t.Fatal(err)
 	}
-	if store.live() != 1 {
-		t.Fatalf("%d blobs in the store, want the one spilled segment", store.live())
+	if got := s.BufferedBytes(); got != 4*opbuf.ChunkBytes {
+		t.Fatalf("%d bytes buffered, want the three runs' four chunks", got)
+	}
+	if err := s.Relieve(2 * opbuf.ChunkBytes); err != nil {
+		t.Fatal(err)
+	}
+	if store.live() != 1 || s.SpilledOps() != 80 {
+		t.Fatalf("%d blobs, %d operations in the store; want the one spilled segment", store.live(), s.SpilledOps())
+	}
+	// z moves the watermark past all of k.
+	if _, err := s.AppendTraceBatch(strings.NewReader("w z 1 1000 1001\n")); err != nil {
+		t.Fatal(err)
 	}
 	store.fail = errors.New("spill device gone")
 	if err := s.RetireIdle(1); err == nil {
@@ -657,24 +690,41 @@ func TestSpillFailedFlushPopsDispatched(t *testing.T) {
 }
 
 // TestSpillCheckpointEqualsResident freezes the same input with and without a
-// spill store. With one, a never-quiescing key's open window is ten blobs and
-// another key's held segments and open window are on disk too; the checkpoint
-// must read every form back to the document the resident session writes.
+// spill store, relieved after every feed. With one, a never-quiescing key's
+// open window is ten blobs and another key's held segments and open window
+// are on disk too; the checkpoint must read every form back to the document
+// the resident session writes.
 func TestSpillCheckpointEqualsResident(t *testing.T) {
-	var b strings.Builder
-	for i := 0; i < 40; i++ { // chain-overlapping: the window never cuts
-		fmt.Fprintf(&b, "w hot %d %d %d\n", i+1, 2*i, 2*i+3)
+	var feeds []string
+	for i := 0; i < 40; i += 4 { // chain-overlapping: the window never cuts
+		var b strings.Builder
+		for j := i; j < i+4; j++ {
+			fmt.Fprintf(&b, "w hot %d %d %d\n", j+1, 2*j, 2*j+3)
+		}
+		feeds = append(feeds, b.String())
 	}
 	for j := 0; j < 6; j++ { // six 5-operation windows, held under the horizon
 		v, at := int64(3*j), int64(100*j)
-		fmt.Fprintf(&b, "w cold %d %d %d\nw cold %d %d %d\nr cold %d %d %d\nw cold %d %d %d\nr cold %d %d %d\n",
-			v+1, at, at+3, v+2, at+2, at+5, v+1, at+4, at+7, v+3, at+6, at+9, v+3, at+8, at+11)
+		// Relief after every feed but the last spills the segment a window's
+		// first operation closed and the window so far: only the last
+		// window's fifth operation stays in memory.
+		feeds = append(feeds, fmt.Sprintf("w cold %d %d %d\nw cold %d %d %d\nr cold %d %d %d\nw cold %d %d %d\n",
+			v+1, at, at+3, v+2, at+2, at+5, v+1, at+4, at+7, v+3, at+6, at+9),
+			fmt.Sprintf("r cold %d %d %d\n", v+3, at+8, at+11))
 	}
 	doc := func(sopts StreamOptions) ([]byte, *Session) {
 		t.Helper()
 		s := NewSmallestKSession(core.Options{}, sopts)
-		if _, err := s.AppendTraceBatch(strings.NewReader(b.String())); err != nil {
-			t.Fatal(err)
+		for i, feed := range feeds {
+			if _, err := s.AppendTraceBatch(strings.NewReader(feed)); err != nil {
+				t.Fatal(err)
+			}
+			if i == len(feeds)-1 {
+				break
+			}
+			if err := s.Relieve(0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		cp, err := s.Checkpoint(nil)
 		if err != nil {
@@ -696,7 +746,7 @@ func TestSpillCheckpointEqualsResident(t *testing.T) {
 	base := StreamOptions{Workers: 2, IngestShards: 2, MinSegmentOps: 1, Horizon: 1000}
 	want, _ := doc(base)
 	spilling := base
-	spilling.Store, spilling.SpillThresholdOps = newMemStore(), 4
+	spilling.Store = newMemStore()
 	got, s := doc(spilling)
 	// hot's 40 operations, cold's five segments of five and four of its open
 	// window's five.
@@ -795,7 +845,7 @@ func TestOlderCheckpointOpenWindowRestores(t *testing.T) {
 // first window's half-filled last chunk sits in the middle of the list — and
 // holds the restored session's continued run (which splices once more, across
 // the restore) to the uninterrupted one. With a spill store the same windows
-// are on disk in runs of 64 when the checkpoint reads them.
+// are on disk, relieved every 64 lines, when the checkpoint reads them.
 func TestCheckpointAcrossChunks(t *testing.T) {
 	// Write/read pairs of one key, every operation quiescent, values and
 	// times wide enough that a record takes at least nine bytes. back, when
@@ -824,13 +874,13 @@ func TestCheckpointAcrossChunks(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		spill int
-	}{{"memory", 0}, {"spill", 64}} {
+		spill bool
+	}{{"memory", false}, {"spill", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			sopts := func() StreamOptions {
 				o := StreamOptions{Workers: 1, MinSegmentOps: window, IngestShards: 2, Properties: PropertySetAll}
-				if tc.spill > 0 {
-					o.Store, o.SpillThresholdOps = newMemStore(), tc.spill
+				if tc.spill {
+					o.Store = newMemStore()
 				}
 				return o
 			}
@@ -841,7 +891,7 @@ func TestCheckpointAcrossChunks(t *testing.T) {
 				}
 			}
 			s := NewSmallestKSession(core.Options{}, sopts())
-			feed(s, head)
+			feedRelieving(t, s, head, 64)
 			cp, err := s.Checkpoint(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -854,7 +904,7 @@ func TestCheckpointAcrossChunks(t *testing.T) {
 			if got := cp.Keys[0].Deque[0].Ops + cp.Keys[0].Deque[1].Ops + cp.Keys[0].Open; got != head {
 				t.Errorf("checkpoint text (%d bytes) is not the input (%d bytes) in order", len(got), len(head))
 			}
-			if tc.spill == 0 {
+			if !tc.spill {
 				// Nine bytes a record and more: the 100-operation window is
 				// four chunks at least, the segments six.
 				if ops, bytes := s.BufferedOps(), s.BufferedBytes(); ops != 3*window+100 || bytes < 9*ops {
@@ -904,8 +954,9 @@ func TestCheckpointAcrossChunks(t *testing.T) {
 // 802faec (`-data-dir d -ingest-shards 1 -min-segment-ops 1
 // -spill-threshold-ops 2`, fed the seven lines below in one request, killed):
 // the body of the write-ahead record, the three spill blobs, and the `open` /
-// `ops` strings of the checkpoint. The running build must write the same
-// bytes for the same input and read them back to the same operations.
+// `ops` strings of the checkpoint. Relief after each of the first three pairs
+// spills the same runs that threshold did. The running build must write the
+// same bytes for the same input and read them back to the same operations.
 func TestPersistedTextPinned(t *testing.T) {
 	const walRecord = "w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n" +
 		"w acct:7 2 30 40\nr acct:7 2 35 50 client=9\n" +
@@ -933,15 +984,22 @@ func TestPersistedTextPinned(t *testing.T) {
 
 	// Encode: the same input writes the same record, blobs and checkpoint.
 	store, logger := newMemStore(), newCaptureLogger()
-	sopts := StreamOptions{Workers: 1, IngestShards: 1, MinSegmentOps: 1, Store: store, SpillThresholdOps: 2}
+	sopts := StreamOptions{Workers: 1, IngestShards: 1, MinSegmentOps: 1, Store: store}
 	s := NewSmallestKSession(core.Options{}, sopts)
 	s.SetShardLogger(logger)
 	batch := make([]KeyedOp, len(ops))
 	for i, op := range ops {
 		batch[i] = KeyedOp{Key: "acct:7", Op: op}
 	}
-	if _, err := s.AppendBatch(batch); err != nil {
-		t.Fatal(err)
+	for i := 0; i < len(batch); i += 2 {
+		if _, err := s.AppendBatch(batch[i:min(i+2, len(batch))]); err != nil {
+			t.Fatal(err)
+		}
+		if i+2 < len(batch) {
+			if err := s.Relieve(0); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if got := string(logger.shards[0]); got != walRecord {
 		t.Errorf("write-ahead record:\n got %q\nwant %q", got, walRecord)

@@ -35,7 +35,7 @@ package trace
 // never-retired run would have admitted it into the still-open window.
 // RetireTTL is therefore exactly the cross-key start-time skew the ingest
 // order is allowed — the one tolerance there is: RetireIdle(0), which
-// memory-pressure relief and the end of a log replay call, honours it too.
+// Relieve and the end of a log replay call, honours it too.
 // An operation log sorted by invocation time has zero skew and is unaffected
 // for any TTL.
 //
@@ -57,9 +57,9 @@ package trace
 //
 // Retirement also frees the value index, so re-admitted lifetimes must write
 // fresh values; a duplicate of a retired value goes undetected rather than
-// erroring (the same trade MaxBufferedOps already documents for unbounded
-// value indexes). FuzzRetirementEquivalence drives both runs over random
-// retirement points and requires identical per-key, per-property verdicts.
+// erroring (the price of not keeping an unbounded value index).
+// FuzzRetirementEquivalence drives both runs over random retirement points
+// and requires identical per-key, per-property verdicts.
 //
 // Epochs. With StreamOptions.EpochLength set, every segment verdict also
 // folds into the summary of the epoch its cut time falls in (epoch N covers
@@ -376,11 +376,10 @@ func (e *engine) readmit(ks *keyState, rk *retiredKey) {
 // RetireIdle sweeps every shard now instead of at the next cadence, retiring
 // keys idle for at least minIdle trace-time units against the ingest
 // watermark. minIdle <= 0 means the session's own StreamOptions.RetireTTL —
-// and nothing when that is 0: memory-pressure relief and the end of a log
-// replay call it so, and neither may retire under a smaller tolerance than
-// the operator declared. A positive minIdle works whether or not RetireTTL
-// enabled automatic sweeps. Spill I/O errors surface like ingest errors
-// (sticky).
+// and nothing when that is 0: Relieve and the end of a log replay call it
+// so, and neither may retire under a smaller tolerance than the operator
+// declared. A positive minIdle works whether or not RetireTTL enabled
+// automatic sweeps. Spill I/O errors surface like ingest errors (sticky).
 func (s *Session) RetireIdle(minIdle int64) error {
 	if s.flushed.Load() {
 		return nil
@@ -411,24 +410,81 @@ func (s *Session) sweepAllSticky(n, wm int64) error {
 	return s.stick(e.sweepAll(e.retireTTL, wm))
 }
 
-// SpillOpenWindows spills every key's in-memory open-window tail to the
-// session's BlobStore regardless of SpillThresholdOps — the memory-pressure
-// relief valve. No-op without a store.
-func (s *Session) SpillOpenWindows() error {
-	if s.e.store == nil || s.flushed.Load() {
-		return nil
+// Relieve reclaims buffered memory now, for a server over its memory budget.
+// First keys idle past the session's RetireTTL retire (none when it is 0: relief
+// never retires under a smaller tolerance than the operator declared). Then,
+// when the session has a BlobStore, held runs — open windows and held
+// segments alike — spill their in-memory tails, largest first, until
+// BufferedBytes is at most target. Of runs equally large the one the cut rules
+// need last spills first: the later segment of a key, its open window last of
+// all. Segments already with the workers cannot spill, so target may stay out
+// of reach. Spill I/O errors are sticky like ingest errors.
+func (s *Session) Relieve(target int64) error {
+	e := s.e
+	if err := s.RetireIdle(0); err != nil || e.sopts.Store == nil || e.bufferedBytes.Load() <= target {
+		return err
 	}
-	var firstErr error
-	for _, sh := range s.e.shards {
-		sh.mu.Lock()
+	// Sizes are read shard by shard, then each run is spilled under its
+	// shard's lock again if it is still held: a window that closed meanwhile
+	// is found as the segment of the same seq.
+	type run struct {
+		bytes int64
+		key   string
+		seq   int
+		sh    *ingestShard
+	}
+	var runs []run
+	e.eachShardLocked(func(sh *ingestShard) {
 		for _, ks := range sh.keys {
-			if err := s.e.spill(ks, &ks.open); err != nil && firstErr == nil {
-				firstErr = err
+			if b := ks.open.ops.Bytes(); b > 0 {
+				runs = append(runs, run{b, ks.key, ks.seq, sh})
+			}
+			for i := range ks.deque {
+				if b := ks.deque[i].ops.Bytes(); b > 0 {
+					runs = append(runs, run{b, ks.key, ks.deque[i].loSeq, sh})
+				}
 			}
 		}
-		sh.mu.Unlock()
+	})
+	sort.Slice(runs, func(i, j int) bool {
+		a, b := runs[i], runs[j]
+		if a.bytes != b.bytes {
+			return a.bytes > b.bytes
+		}
+		if a.key != b.key {
+			return a.key < b.key
+		}
+		return a.seq > b.seq
+	})
+	for _, r := range runs {
+		if e.bufferedBytes.Load() <= target || s.flushed.Load() {
+			break
+		}
+		r.sh.mu.Lock()
+		err := e.spillRun(r.sh.keys[r.key], r.seq)
+		r.sh.mu.Unlock()
+		if err != nil {
+			return s.stick(err)
+		}
 	}
-	return s.stick(firstErr)
+	return nil
+}
+
+// spillRun spills ks's run that starts at segment seq, if ks still holds one;
+// the caller holds the key's shard lock.
+func (e *engine) spillRun(ks *keyState, seq int) error {
+	switch {
+	case ks == nil:
+		return nil
+	case seq == ks.seq:
+		return e.spill(ks, &ks.open)
+	}
+	for i := range ks.deque {
+		if ks.deque[i].loSeq == seq {
+			return e.spill(ks, &ks.deque[i].held)
+		}
+	}
+	return nil
 }
 
 // RetiredSummary aggregates the session's retired keys. The per-key floor

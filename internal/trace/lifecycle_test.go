@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"kat/internal/core"
 	"kat/internal/generator"
 	"kat/internal/history"
+	"kat/internal/opbuf"
 )
 
 // churnTraceText renders a generator.Churn workload in arrival order.
@@ -455,5 +457,124 @@ func TestCheckpointFoldsFinishedRetirement(t *testing.T) {
 	}
 	if got, want := s2.RetiredSummary(), s1.RetiredSummary(); got != want || want.Keys != 1 {
 		t.Fatalf("retired summary: restored %+v, uninterrupted %+v", got, want)
+	}
+}
+
+// TestRelieveSpillsLargestFirst holds three runs of unequal size — an open
+// window of three chunks, a held segment of two and an open window of one —
+// and relieves toward shrinking targets: each call spills the largest runs
+// still in memory and stops as soon as the buffered bytes are at its target.
+func TestRelieveSpillsLargestFirst(t *testing.T) {
+	store := newMemStore()
+	sopts := StreamOptions{Workers: 1, IngestShards: 2, MinSegmentOps: 1, Horizon: 1000}
+	var b strings.Builder
+	for i := 0; i < 150; i++ { // chained: big's window never cuts
+		fmt.Fprintf(&b, "w big %d %d %d\n", i+1, 10*i, 10*i+15)
+	}
+	for i := 0; i < 80; i++ { // closed by the quiescent write after it
+		fmt.Fprintf(&b, "w mid %d %d %d\n", i+1, 10*i, 10*i+15)
+	}
+	b.WriteString("w mid 1000 2000 2001\n")
+	resident := smallestKOf(t, b.String(), sopts)
+
+	sopts.Store = store
+	s := NewSmallestKSession(core.Options{}, sopts)
+	if _, err := s.AppendTraceBatch(strings.NewReader(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	const chunk = opbuf.ChunkBytes
+	if got := s.BufferedBytes(); got != 6*chunk {
+		t.Fatalf("%d bytes buffered, want the three runs' six chunks", got)
+	}
+	for _, step := range []struct {
+		target  int64
+		spilled int64 // operations on disk after the call
+		blobs   int
+		chunks  int64 // still in memory
+	}{
+		{3 * chunk, 150, 1, 3}, // big alone reaches the target
+		{1 * chunk, 230, 2, 1}, // then mid's segment
+		{1 * chunk, 230, 2, 1}, // already there: nothing moves
+		{0, 231, 3, 0},         // and last the smallest
+	} {
+		if err := s.Relieve(step.target); err != nil {
+			t.Fatal(err)
+		}
+		if s.SpilledOps() != step.spilled || store.live() != step.blobs || s.BufferedBytes() != step.chunks*chunk {
+			t.Fatalf("Relieve(%d): %d operations in %d blobs on disk, %d bytes in memory; want %d in %d, %d chunks",
+				step.target, s.SpilledOps(), store.live(), s.BufferedBytes(), step.spilled, step.blobs, step.chunks)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.SmallestKByKey(); fmt.Sprint(got) != fmt.Sprint(resident) || store.live() != 0 {
+		t.Fatalf("relieved run: %v with %d blobs left, resident %v", got, store.live(), resident)
+	}
+}
+
+// TestRelieveRacingProducers relieves a session to nothing, over and over,
+// while producers feed it, as a server's relief runs beside other requests:
+// held runs spill and reload under the producers' feet, and the verdicts must
+// still be the resident run's, with nothing left on disk.
+func TestRelieveRacingProducers(t *testing.T) {
+	var batches [][]KeyedOp
+	var all []KeyedOp
+	for p := 0; p < 4; p++ {
+		ops := keyedOpsOf(t, genSessionTrace(int64(200+p), 3, 120))
+		for i := range ops {
+			ops[i].Key = fmt.Sprintf("p%d-%s", p, ops[i].Key)
+		}
+		batches = append(batches, ops)
+		all = append(all, ops...)
+	}
+	sopts := StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 4}
+	want := smallestKVia(t, sopts, func(s *Session) {
+		if _, err := s.AppendBatch(all); err != nil {
+			t.Fatal(err)
+		}
+	})
+	store := newMemStore()
+	sopts.Store = store
+	s := NewSmallestKSession(core.Options{}, sopts)
+	stop, relieved := make(chan struct{}), make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				relieved <- nil
+				return
+			default:
+				if err := s.Relieve(0); err != nil {
+					relieved <- err
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, ops := range batches {
+		wg.Add(1)
+		go func(ops []KeyedOp) {
+			defer wg.Done()
+			for off := 0; off < len(ops); off += 16 {
+				if _, err := s.AppendBatch(ops[off:min(off+16, len(ops))]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(ops)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-relieved; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, st := s.SmallestKByKey()
+	if fmt.Sprint(got) != fmt.Sprint(want) || st.Spills == 0 || store.live() != 0 {
+		t.Fatalf("relieved run: %v after %d spills, %d blobs left; resident %v", got, st.Spills, store.live(), want)
 	}
 }

@@ -254,8 +254,8 @@ func (s *Session) BufferedOps() int64 { return s.e.buffered.Load() }
 // BufferedBytes returns the memory those operations are held in: the chunk
 // bytes of every open window, held segment and segment in flight, about ten
 // bytes an operation on a plain trace plus each list's half-empty last chunk
-// (package opbuf). What MaxBufferedOps and an operation-count overload cap
-// bound in operations, this reads in bytes. Lock-free.
+// (package opbuf). A server's memory budget is judged against it, and Relieve
+// spills down to it. Lock-free.
 func (s *Session) BufferedBytes() int64 { return s.e.bufferedBytes.Load() }
 
 // Keys returns the number of distinct keys seen so far. Lock-free, so

@@ -76,16 +76,17 @@ package trace
 // Session.BufferedBytes reports the chunk bytes in use. Freed chunks are
 // reused, so the store stays at its high-water mark: the dominant term on
 // bounded traces. On unbounded streams with ever-fresh values the value index
-// is the asymptotic term, and MaxBufferedOps caps only the operation
-// buffering. Spill blobs, checkpoints and the write-ahead log hold text and
-// wire frames as before: the packed form is memory only.
+// is the asymptotic term, and Session.BufferedBytes — what a server's memory
+// budget bounds — counts only the operation buffering. Spill blobs,
+// checkpoints and the write-ahead log hold text and wire frames as before: the
+// packed form is memory only.
 //
 // Counters: admitting an operation writes no memory another core reads. The
 // per-shard and engine-wide counts (operations ingested and buffered, the
 // buffered peak, the largest open window, the ingest watermark) accumulate in
 // plain fields under the shard lock and publish once per shard group of a
 // batch (engine.publish), so the /metrics ingest gauges and the server's
-// hard-watermark check lag by at most one shard group of one request; between
+// memory-budget check lag by at most one shard group of one request; between
 // requests, and after Flush, they are exact.
 
 import (
@@ -107,19 +108,12 @@ import (
 	"kat/internal/zone"
 )
 
-// Stream input errors.
-var (
-	// ErrOutOfOrder reports an operation that starts at or before a cut
-	// that was already committed for its key. The streaming engine requires
-	// each key's operations to arrive in nondecreasing start order across
-	// quiescent gaps (arbitrary interleaving within an open window is
-	// fine); an operation log sorted by invocation time satisfies this.
-	ErrOutOfOrder = errors.New("trace: operation starts at or before a committed cut")
-	// ErrBufferLimit reports that the live operation buffer exceeded
-	// StreamOptions.MaxBufferedOps (the trace has no quiescent cuts within
-	// the budget).
-	ErrBufferLimit = errors.New("trace: buffered operations exceed MaxBufferedOps")
-)
+// ErrOutOfOrder reports an operation that starts at or before a cut that was
+// already committed for its key. The streaming engine requires each key's
+// operations to arrive in nondecreasing start order across quiescent gaps
+// (arbitrary interleaving within an open window is fine); an operation log
+// sorted by invocation time satisfies this.
+var ErrOutOfOrder = errors.New("trace: operation starts at or before a committed cut")
 
 // DefaultHorizon is the smallest-k dispatch horizon when
 // StreamOptions.Horizon is zero: a closed segment is verified (and its
@@ -144,12 +138,6 @@ const DefaultIngestShards = 16
 // plausible producer count only waste memory and make per-shard metrics
 // unreadable.
 const maxIngestShards = 4096
-
-// DefaultSpillThresholdOps is the spill threshold when StreamOptions.Store
-// is set and SpillThresholdOps is zero: large enough that ordinary windows
-// never touch the disk, small enough to bound a runaway window's memory at
-// a few MB of operations.
-const DefaultSpillThresholdOps = 64 << 10
 
 // StreamOptions tunes the streaming engine.
 type StreamOptions struct {
@@ -180,22 +168,13 @@ type StreamOptions struct {
 	// with). Verdicts are identical for any value — keys never share
 	// state, so routing them to different locks cannot change a verdict.
 	IngestShards int
-	// MaxBufferedOps caps the live operations (open windows + held
-	// segments + in-flight verification) across all keys; 0 means no cap.
-	// Exceeding it fails the stream with ErrBufferLimit.
-	MaxBufferedOps int
-	// Store, when non-nil, enables segment spill-to-disk: open windows and
-	// held segments larger than SpillThresholdOps move their operations to
-	// the store and reload only when the cut rules next need them (close,
-	// merge, dispatch), bounding ingest memory for traces whose windows
-	// never quiesce. Verdicts are identical with or without a store (the
-	// verifiers renumber operations anyway); spill I/O errors surface as
-	// ingest errors.
+	// Store, when non-nil, lets Session.Relieve spill held runs — open
+	// windows and held segments — to it, largest first; a spilled run reloads
+	// only when the cut rules next need it (close, merge, dispatch), which
+	// bounds ingest memory for traces whose windows never quiesce. Verdicts
+	// are identical with or without a store (the verifiers renumber
+	// operations anyway); spill I/O errors surface as ingest errors.
 	Store BlobStore
-	// SpillThresholdOps is the per-key operation count above which an open
-	// window or held segment spills; <= 0 with a non-nil Store uses
-	// DefaultSpillThresholdOps.
-	SpillThresholdOps int
 	// OnSegment, when non-nil, is invoked from verification workers after
 	// each segment verdict. Callbacks may run concurrently.
 	OnSegment func(SegmentVerdict)
@@ -517,10 +496,8 @@ type engine struct {
 	// segments and the dispatched jobs are lists of its chunks (package opbuf).
 	buf opbuf.Store
 
-	// store/spillMin enable segment spill-to-disk (see StreamOptions.Store);
-	// spillBufs recycles the encode buffers of the spill path.
-	store     BlobStore
-	spillMin  int
+	// spillBufs recycles the encode buffers of the spill path (see
+	// StreamOptions.Store).
 	spillBufs sync.Pool
 
 	// shards stripe the per-key state (see ingestShard).
@@ -632,7 +609,7 @@ func (e *engine) unlockIngest(sh *ingestShard) {
 }
 
 // publish settles the shard's plain admission counts into the atomics the
-// gauges, the watermark and the hard buffer limit read; the caller holds
+// gauges, the watermark and the memory budget read; the caller holds
 // sh.mu. The ingest paths call it before every unlock, so between feeds the
 // atomics are exact and during one they lag by at most a shard group.
 // Anything that takes operations back out of the live count publishes first
@@ -712,13 +689,6 @@ func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
 	e.epochT.retain = retainedEpochs
 	if e.epochLen > 0 {
 		e.epochT.epochs = make(map[int64]*EpochStats)
-	}
-	if sopts.Store != nil {
-		e.store = sopts.Store
-		e.spillMin = sopts.SpillThresholdOps
-		if e.spillMin <= 0 {
-			e.spillMin = DefaultSpillThresholdOps
-		}
 	}
 	if sopts.Pool != nil {
 		e.vpool = sopts.Pool
@@ -834,15 +804,6 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 	}
 	sh.openMax = max(sh.openMax, int64(ks.open.Len()))
 	sh.pendLive++
-	if e.sopts.MaxBufferedOps > 0 {
-		if cur := e.buffered.Load() + sh.pendLive; cur > int64(e.sopts.MaxBufferedOps) {
-			e.publish(sh) // the message reads the published open-window maxima
-			return fmt.Errorf("%w (%d live ops; largest open window %d)", ErrBufferLimit, cur, e.maxOpenAll())
-		}
-	}
-	if e.store != nil && ks.open.ops.Len() >= e.spillMin {
-		return e.spill(ks, &ks.open)
-	}
 	return nil
 }
 
@@ -970,12 +931,7 @@ func (e *engine) closeOpen(ks *keyState) error {
 	ks.totalClosed += int64(writes)
 	ks.cumWrites = append(ks.cumWrites, ks.totalClosed)           // index == ks.seq
 	ks.cumMaxFinish = append(ks.cumMaxFinish, ks.maxClosedFinish) // index == ks.seq
-	if n := merged.Len(); n > 0 {
-		if e.store != nil && n >= e.spillMin {
-			if err := e.spill(ks, &merged.held); err != nil {
-				return err
-			}
-		}
+	if merged.Len() > 0 {
 		ks.deque = append(ks.deque, merged)
 		ks.dequeWrites += writes
 	}

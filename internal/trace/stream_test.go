@@ -220,19 +220,6 @@ func TestStreamOutOfOrderDetected(t *testing.T) {
 	}
 }
 
-func TestStreamBufferLimit(t *testing.T) {
-	// One key, fully overlapping ops: no quiescent cut ever.
-	var b strings.Builder
-	for i := 1; i <= 100; i++ {
-		fmt.Fprintf(&b, "w k %d %d %d\n", i, i, 1000+i)
-	}
-	_, _, err := StreamCheck(strings.NewReader(b.String()), 2, core.Options{},
-		StreamOptions{MaxBufferedOps: 50, MinSegmentOps: 1})
-	if err == nil || !strings.Contains(err.Error(), "MaxBufferedOps") {
-		t.Fatalf("buffer cap not enforced: %v", err)
-	}
-}
-
 // gateReader serves the input up to a gate position, then blocks until
 // released (or a timeout it records). It proves verdicts land before the
 // input is fully consumed: if the engine were not pipelined, nothing would

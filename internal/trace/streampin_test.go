@@ -56,20 +56,12 @@ func TestReaderDrivenPinned(t *testing.T) {
 	var head, tail strings.Builder
 	pinRounds(&head, 1, 10)
 	pinRounds(&tail, 10, 25)
-	// z never quiesces, y never reaches a dispatch threshold: everything the
-	// buffer-limit run holds is held by the cut rules, not by worker timing.
-	var overlap strings.Builder
-	overlap.WriteString("w y 1 0 1\nw y 2 10 11\n")
-	for i := 1; i <= 60; i++ {
-		fmt.Fprintf(&overlap, "w z %d %d %d\n", i, 100+i, 5000+i)
-	}
 
 	type input struct {
 		name string
 		text string // fed whole, or up to garbage
 		bad  string // text: a malformed line; wire: bytes that are no frame
 		rest string
-		max  int
 		// textErr / wireErr are the error all three functions return ("" for
 		// none); the two formats differ only where the parser reports.
 		textErr, wireErr string
@@ -81,8 +73,6 @@ func TestReaderDrivenPinned(t *testing.T) {
 			wireErr: `wire: bad magic "not " (not a wire frame) at byte offset 339`},
 		{name: "order", text: head.String() + "w a 777 5 6\n" + tail.String(),
 			textErr: `trace: operation starts at or before a committed cut (key "a", op "w 777 5 6", cut at 905)`},
-		{name: "limit", text: overlap.String(), max: 50,
-			textErr: `trace: buffered operations exceed MaxBufferedOps (51 live ops; largest open window 49)`},
 	}
 	for _, in := range inputs {
 		for _, format := range []string{"text", "wire"} {
@@ -102,7 +92,7 @@ func TestReaderDrivenPinned(t *testing.T) {
 			if format == "wire" && in.wireErr != "" {
 				wantErr = in.wireErr
 			}
-			sopts := StreamOptions{Workers: 2, MinSegmentOps: 1, Horizon: 3, MaxBufferedOps: in.max}
+			sopts := StreamOptions{Workers: 2, MinSegmentOps: 1, Horizon: 3}
 			var got strings.Builder
 			pinStats := func(fn string, st StreamStats, err error) {
 				fmt.Fprintf(&got, "%s: ops=%d keys=%d segs=%d merges=%d stale=%d sat=%d\n",
@@ -189,15 +179,5 @@ verdicts: ops=56 keys=3 segs=16 merges=26 stale=0 sat=0
   a ops=19 pending=6 atomic=true k=3 sat=false delta=105 dsat=false unsafe=1 irregular=1 err=false
   b ops=27 pending=6 atomic=true k=2 sat=false delta=10 dsat=false unsafe=7 irregular=7 err=false
   c ops=10 pending=5 atomic=true k=1 sat=false delta=0 dsat=false unsafe=0 irregular=0 err=false
-`,
-	"limit": `check: ops=51 keys=2 segs=0 merges=0 stale=0 sat=0
-  y ops=2 atomic=true err=false
-  z ops=49 atomic=true err=false
-smallest: ops=51 keys=2 segs=0 merges=0 stale=0 sat=0
-  y k=1
-  z k=1
-verdicts: ops=51 keys=2 segs=0 merges=0 stale=0 sat=0
-  y ops=2 pending=2 atomic=true k=0 sat=false delta=0 dsat=false unsafe=0 irregular=0 err=false
-  z ops=49 pending=49 atomic=true k=0 sat=false delta=0 dsat=false unsafe=0 irregular=0 err=false
 `,
 }

@@ -23,6 +23,9 @@
 #     overlapping key names, kill -9, restart (each tenant replays its own
 #     WAL), SIGTERM, and diff each tenant's drained smallest k against
 #     kavcheck -stream -smallest on that tenant's trace
+#  9. memory budget: -data-dir -memory-budget small enough that relief must
+#     spill held runs and some requests are shed; the replay resends them and
+#     completes, and the drained smallest k matches kavcheck -stream -smallest
 #
 # Usage: scripts/crash_smoke.sh [port]
 set -euo pipefail
@@ -185,3 +188,36 @@ for t in a b; do
   fi
 done
 echo "PASS: tenants a and b verdict-identical after crash recovery ($(wc -l < "$work/served.a.verdicts") + $(wc -l < "$work/served.b.verdicts") keys)"
+
+echo "== memory budget: -data-dir -memory-budget, relief spills, sheds are resent"
+# The trace's held runs outgrow the budget many times over, so every relief
+# spills the largest of them to the data directory, and a request that finds
+# the budget full before relief is due again is shed and resent.
+budget=32K
+"$bin/kavgen" -keys 64 -ops 300 -depth 2 -seed 3 > "$work/budget.txt"
+btotal=$(grep -c . "$work/budget.txt")
+"$bin/kavserve" -addr "$addr" -data-dir "$work/budget" -memory-budget "$budget" > "$work/budget.log" 2>&1 &
+server_pid=$!
+disown
+wait_up || { cat "$work/budget.log" >&2; exit 1; }
+"$bin/kavgen" -replay "$url" -clients 1 -batch-ops 256 -drain "$work/budget.txt" > "$work/budget.replay"
+if ! grep -q "replayed $btotal/$btotal ops" "$work/budget.replay"; then
+  echo "FAIL: the replay under the budget did not deliver all $btotal ops" >&2
+  cat "$work/budget.replay" >&2
+  exit 1
+fi
+for m in kavserve_spills_total kavserve_memory_reliefs_total; do
+  if [ "$(metric $m)" -eq 0 ]; then
+    echo "FAIL: $m is 0; the budget never made relief spill" >&2
+    exit 1
+  fi
+done
+"$bin/kavcheck" -stream -smallest "$work/budget.txt" > "$work/offline.budget" || true
+sed -n "$pair" "$work/offline.budget" | sort > "$work/offline.budget.verdicts"
+sed -n "$pair" "$work/budget.replay" | sort > "$work/served.budget.verdicts"
+[ -s "$work/served.budget.verdicts" ] || { echo "FAIL: the budget run printed no verdicts" >&2; exit 1; }
+if ! diff -u "$work/offline.budget.verdicts" "$work/served.budget.verdicts"; then
+  echo "FAIL: verdicts under the memory budget diverge from offline checker" >&2
+  exit 1
+fi
+echo "PASS: $(wc -l < "$work/served.budget.verdicts") keys verdict-identical under a $budget memory budget ($(metric kavserve_spills_total) spills, $(metric 'kavserve_ingest_rejected_total{reason="overload"}') sheds resent)"
