@@ -171,7 +171,7 @@ func BenchmarkPrepare(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(own.Ops, h.Ops)
-				if _, err := v.PrepareOwned(own); err != nil {
+				if _, err := v.PrepareOwned(own, false); err != nil {
 					b.Fatalf("PrepareOwned: %v", err)
 				}
 			}

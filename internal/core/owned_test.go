@@ -12,7 +12,7 @@ import (
 // PrepareOwned into the Verifier's scratch, then the *Prepared entry points.
 
 func checkOwned(v *Verifier, h *history.History, k int) (Report, error) {
-	p, err := v.PrepareOwned(h)
+	p, err := v.PrepareOwned(h, false)
 	if err != nil {
 		return Report{}, err
 	}
@@ -20,7 +20,7 @@ func checkOwned(v *Verifier, h *history.History, k int) (Report, error) {
 }
 
 func smallestKOwned(v *Verifier, h *history.History) (int, error) {
-	p, err := v.PrepareOwned(h)
+	p, err := v.PrepareOwned(h, false)
 	if err != nil {
 		return 0, err
 	}
@@ -28,7 +28,7 @@ func smallestKOwned(v *Verifier, h *history.History) (int, error) {
 }
 
 func scanOwned(v *Verifier, h *history.History) error {
-	_, err := v.PrepareOwned(h)
+	_, err := v.PrepareOwned(h, false)
 	return err
 }
 
@@ -147,7 +147,7 @@ func TestPrepareOwnedSteadyStateAllocs(t *testing.T) {
 		v := NewVerifier()
 		run := func() {
 			copy(own.Ops, h.Ops)
-			if _, err := v.PrepareOwned(own); err != nil {
+			if _, err := v.PrepareOwned(own, false); err != nil {
 				t.Fatalf("PrepareOwned: %v", err)
 			}
 		}

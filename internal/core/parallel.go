@@ -175,7 +175,9 @@ func (v *Verifier) CheckPrepared(p *history.Prepared, k int, opts Options) (Repo
 // (a run's own cuts are the history's cuts inside it).
 func (v *Verifier) SmallestKPrepared(p *history.Prepared, opts Options) (int, error) {
 	if v.forks(p.Len(), opts) {
-		if runs := groupSegments(segmentsOf(p), 4*v.workers()); len(runs) > 1 {
+		// The runs outlive the scratch segmentsOf returns, which each run's
+		// own ladder reuses.
+		if runs := groupSegments(slices.Clone(v.segmentsOf(p)), 4*v.workers()); len(runs) > 1 {
 			return v.maxSmallestK(p, runs, opts, false)
 		}
 	}
@@ -215,7 +217,7 @@ func (v *Verifier) smallestK(p *history.Prepared, opts Options, segment bool) (i
 		return 2, nil
 	}
 	if !segment {
-		if segs := segmentsOf(p); len(segs) > 1 {
+		if segs := v.segmentsOf(p); len(segs) > 1 {
 			return v.maxSmallestK(p, segs, opts, true)
 		}
 	}
@@ -227,9 +229,32 @@ func (v *Verifier) smallestK(p *history.Prepared, opts Options, segment bool) (i
 }
 
 // maxSmallestK runs the ladder on each [lo, hi) range of p — runs of
-// segments, or single segments — and returns the maximum. Each unit's ladder
-// counts are taken off the Verifier that ran it and added to v's.
+// segments, or single segments — and returns the maximum. When p does not
+// fork, the units run on v in range order, each view in v's buffer for its
+// depth as overSegments would place it, and v's ladder counts them as they
+// go: no closure and no per-unit slot, so a warm worker's climb allocates
+// nothing. Forked, each unit's ladder counts are taken off the Verifier that
+// ran it and added to v's.
 func (v *Verifier) maxSmallestK(p *history.Prepared, segs [][2]int, opts Options, segment bool) (int, error) {
+	if !v.forks(p.Len(), opts) {
+		view := &v.views[0]
+		if segment {
+			view = &v.views[1]
+		}
+		k := 0
+		for _, s := range segs {
+			sub, err := history.SubPrepared(p, s[0], s[1], view)
+			if err != nil {
+				return 0, fmt.Errorf("core: %w", err)
+			}
+			sk, err := v.smallestK(sub, opts, segment)
+			if err != nil {
+				return 0, err
+			}
+			k = max(k, sk)
+		}
+		return k, nil
+	}
 	units := make([]struct {
 		k int
 		l Ladder
@@ -342,7 +367,7 @@ func (v *Verifier) fzfChunks(p *history.Prepared) fzf.Result {
 // atomic iff every segment is, witness = in-order concatenation, which each
 // unit writes into place before its worker's oracle scratch runs another.
 func (v *Verifier) oracleSegments(p *history.Prepared, k int, opts Options) (bool, []int, error) {
-	segs := segmentsOf(p)
+	segs := v.segmentsOf(p)
 	wit := make([]int, p.Len())
 	var rejected atomic.Bool
 	err := v.overSegments(p, segs, opts, false, func(w *Verifier, i int, view *history.Prepared) error {
@@ -438,16 +463,18 @@ func groupSegments(segs [][2]int, target int) [][2]int {
 }
 
 // segmentsOf splits the prepared history at its safe cuts into contiguous
-// [lo, hi) index ranges.
-func segmentsOf(p *history.Prepared) [][2]int {
-	cuts := zone.Cuts(p)
-	segs := make([][2]int, 0, len(cuts)+1)
+// [lo, hi) index ranges, in v's buffers: the result is valid until v's next
+// segmentsOf.
+func (v *Verifier) segmentsOf(p *history.Prepared) [][2]int {
+	v.cuts, v.minDW = zone.CutsAppend(p, v.cuts[:0], v.minDW)
+	segs := v.segs[:0]
 	lo := 0
-	for _, cut := range cuts {
+	for _, cut := range v.cuts {
 		segs = append(segs, [2]int{lo, cut})
 		lo = cut
 	}
-	return append(segs, [2]int{lo, p.Len()})
+	v.segs = append(segs, [2]int{lo, p.Len()})
+	return v.segs
 }
 
 // atomicMin lowers v to x if x is smaller.

@@ -58,6 +58,10 @@ func refSmallestKTopDown(p *history.Prepared, opts Options) (int, error) {
 // lb <= 2 → segments → climb from max(3, lb), forked exactly as
 // SmallestKPrepared forks. Kept as the reference the one-decomposition order
 // is tested against.
+// segmentsOf is Verifier.segmentsOf on buffers of its own, which the
+// reference ladder's nested calls cannot overwrite.
+func segmentsOf(p *history.Prepared) [][2]int { return new(Verifier).segmentsOf(p) }
+
 func refSmallestK(v *Verifier, p *history.Prepared, opts Options) (int, error) {
 	if v.forks(p.Len(), opts) {
 		if runs := groupSegments(segmentsOf(p), 4*v.workers()); len(runs) > 1 {

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 
+	"kat/internal/delta"
 	"kat/internal/fzf"
 	"kat/internal/history"
 	"kat/internal/oracle"
+	"kat/internal/regularity"
 	"kat/internal/witness"
 	"kat/internal/zone"
 )
@@ -47,6 +49,14 @@ type Verifier struct {
 	zone  zone.Scratch
 	stale history.StalenessScratch
 	orc   oracle.Scratch
+	// cuts, minDW and segs are the safe cuts of the unit the ladder splits
+	// (segmentsOf).
+	cuts, minDW []int
+	segs        [][2]int
+	// sum and reg are the streaming engine's Δ summary and regularity sweep
+	// (SmallestDelta, Regularity).
+	sum delta.Summary
+	reg regularity.Scratch
 	// ladder counts what the smallest-k ladder did (TakeLadder).
 	ladder Ladder
 	// ctx is the pool worker that owns this Verifier; nil for a standalone
@@ -118,7 +128,7 @@ func (v *Verifier) Check(h *history.History, k int, opts Options) (Report, error
 func (v *Verifier) prepare(h *history.History) (*history.Prepared, error) {
 	own := v.Owned()
 	own.Ops = append(own.Ops, h.Ops...)
-	return v.PrepareOwned(own)
+	return v.PrepareOwned(own, false)
 }
 
 // Owned returns the Verifier's own history, emptied: where a caller that holds
@@ -135,15 +145,28 @@ func (v *Verifier) Owned() *history.History {
 // rewrites h in place and keeps the prepared index in the Verifier's scratch
 // buffers, so a stream of segments allocates nothing at steady state. The
 // result aliases h and the Verifier and is valid only until its next prepare.
-// The streaming engine prepares every closed segment once this way and hands
-// the result to each property checker (or, for keys whose verdict is already
-// settled, keeps only the anomaly error).
-func (v *Verifier) PrepareOwned(h *history.History) (*history.Prepared, error) {
+// With extremes it also carries each cluster's raw extremes, which
+// SmallestDelta reads. The streaming engine prepares every closed segment
+// once this way and hands the result to each property checker (or, for keys
+// whose verdict is already settled, keeps only the anomaly error).
+func (v *Verifier) PrepareOwned(h *history.History, extremes bool) (*history.Prepared, error) {
+	v.prep.Extremes = extremes
 	p, err := v.prep.Build(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return p, nil
+}
+
+// SmallestDelta is the smallest Δ of a history prepared with its extremes
+// (PrepareOwned(h, true)), from a summary built in the Verifier's scratch.
+func (v *Verifier) SmallestDelta(p *history.Prepared) (int64, error) {
+	return v.sum.FromPrepared(p).Smallest()
+}
+
+// Regularity counts p's unsafe and irregular reads in the Verifier's scratch.
+func (v *Verifier) Regularity(p *history.Prepared) (unsafe, irregular int) {
+	return regularity.Count(p, &v.reg)
 }
 
 // SmallestK computes the least k for which the history is k-atomic, using

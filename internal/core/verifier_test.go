@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"kat/internal/delta"
 	"kat/internal/generator"
 	"kat/internal/history"
+	"kat/internal/regularity"
 	"kat/internal/witness"
 )
 
@@ -102,32 +104,84 @@ func TestVerifierWitnessAliasing(t *testing.T) {
 	}
 }
 
-// TestSmallestKLadderZeroAlloc pins the per-segment cost of the streaming
-// engine's hot call: on a warm Verifier the ladder's polynomial rungs — one
-// chunk decomposition, the zone test read off it, then FZF's verdict-only
-// Stage 2 over the same decomposition — settle a 32-operation segment out of
-// the scratch arenas alone, whether it stops at the first rung (1-atomic) or
-// the second (2-atomic; the forced-staleness bound is not computed at all).
+// TestSmallestKLadderZeroAlloc: a warm Verifier settles a segment without
+// allocating, whichever rung decides it — the zone test (k = 1), FZF (k = 2),
+// or a climb the exact oracle accepts on its first probe (k = 3).
 func TestSmallestKLadderZeroAlloc(t *testing.T) {
 	v := NewVerifier()
-	for depth, wantK := range []int{1, 2} {
+	for _, c := range []struct {
+		seed               int64
+		conc, depth, wantK int
+	}{{7, 2, 0, 1}, {7, 2, 1, 2}, {2, 3, 2, 3}} {
 		h := generator.KAtomic(generator.Config{
-			Seed: 7, Ops: 32, Concurrency: 2, StalenessDepth: depth, ForceDepth: true, ReadFraction: 0.5,
+			Seed: c.seed, Ops: 32, Concurrency: c.conc, StalenessDepth: c.depth, ForceDepth: true, ReadFraction: 0.5,
 		})
 		p, err := history.Prepare(h)
 		if err != nil {
-			t.Fatalf("depth %d: Prepare: %v", depth, err)
+			t.Fatalf("k=%d: Prepare: %v", c.wantK, err)
 		}
-		if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != wantK {
-			t.Fatalf("depth %d: warm-up: smallest k %d, %v; want %d", depth, k, err, wantK)
+		if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != c.wantK || v.TakeLadder().OracleProbes > 1 {
+			t.Fatalf("k=%d: warm-up: smallest k %d, %v; want %d in at most one oracle probe", c.wantK, k, err, c.wantK)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != wantK {
-				t.Fatalf("depth %d: smallest k %d, %v; want %d", depth, k, err, wantK)
+			if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != c.wantK {
+				t.Fatalf("k=%d: smallest k %d, %v", c.wantK, k, err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("depth %d (smallest k %d): %v allocs/segment on a warm Verifier, want 0", depth, wantK, allocs)
+			t.Errorf("smallest k %d: %v allocs/segment on a warm Verifier, want 0", c.wantK, allocs)
 		}
+	}
+}
+
+// TestSegmentAllPropertiesZeroAlloc: a warm worker verifying a 512-operation
+// depth-2 segment under k, delta and regularity — the build with its raw
+// extremes, the Δ summary, the regularity sweep and the smallest-k ladder,
+// split at the segment's safe cuts and climbing to oracle accepts on their
+// first probes — allocates nothing.
+func TestSegmentAllPropertiesZeroAlloc(t *testing.T) {
+	h := generator.KAtomic(generator.Config{
+		Seed: 1, Ops: 512, Concurrency: 3, StalenessDepth: 2, ForceDepth: true, ReadFraction: 0.5,
+	})
+	h.SortByStart() // as the engine closes a segment: in arrival order
+	v := NewVerifier()
+	verify := func() (k int, d int64, unsafe, irregular int) {
+		own := v.Owned()
+		own.Ops = append(own.Ops, h.Ops...)
+		p, err := v.PrepareOwned(own, true)
+		if err != nil {
+			t.Fatalf("PrepareOwned: %v", err)
+		}
+		if d, err = v.SmallestDelta(p); err != nil {
+			t.Fatalf("SmallestDelta: %v", err)
+		}
+		unsafe, irregular = v.Regularity(p)
+		if k, err = v.SmallestKPrepared(p, Options{}); err != nil {
+			t.Fatalf("SmallestKPrepared: %v", err)
+		}
+		return k, d, unsafe, irregular
+	}
+	k, d, unsafe, irregular := verify()
+	p, err := history.Build(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := v.TakeLadder(); k != 3 || l.Climb == 0 || l.OracleProbes != l.Climb || len(segmentsOf(p)) < 2 {
+		t.Fatalf("k = %d, ladder %+v, %d segments: want k = 3 from climbs each accepted on its first probe, over several segments",
+			k, l, len(segmentsOf(p)))
+	}
+	if want, err := delta.Smallest(h); err != nil || d != want {
+		t.Fatalf("SmallestDelta = %d; delta.Smallest %d, %v", d, want, err)
+	}
+	if r := regularity.Check(p); unsafe != len(r.UnsafeReads) || irregular != len(r.IrregularReads) {
+		t.Fatalf("Regularity = %d, %d; regularity.Check %s", unsafe, irregular, r.Summary())
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if k2, d2, u2, i2 := verify(); k2 != k || d2 != d || u2 != unsafe || i2 != irregular {
+			t.Fatalf("second verification differs: %d %d %d %d", k2, d2, u2, i2)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per segment on a warm worker, want 0", allocs)
 	}
 }

@@ -23,6 +23,18 @@
 // start, max read start) per cluster, built once on the raw time scale,
 // decides every Δ without touching the operations again; Δ-atomicity is
 // monotone in Δ, and the smallest Δ is a binary search over the summary.
+//
+// Those triples are the per-cluster extremes the history builder finds
+// anyway, and it lists the clusters in order of f: a prepare asked for them
+// records each cluster's extremes on the input time scale before ranking
+// (history.Prepared.Extremes), and the prepared finish order
+// (Prepared.ByFinish) is sorted by f, because ranking preserves the order of
+// distinct times and a write finishes before its reads once normalized. So
+// Summary.FromPrepared builds the summary with no sort, no search and, on a
+// reused Summary, no allocation; it is what the streaming engine runs once
+// per segment. Summarize, which sorts by value to resolve reads and then by
+// f, stays as the offline door behind Check and Smallest and as the
+// independent reference the fuzz target holds FromPrepared to.
 package delta
 
 import (
@@ -34,38 +46,69 @@ import (
 	"kat/internal/history"
 )
 
-// cluster is one write and its dictated reads on the raw time scale.
+// cluster is one write and its dictated reads on the raw time scale, as
+// Summarize resolves them by value.
 type cluster struct {
-	value int64
-	f     int64 // min finish over the cluster
-	ws    int64 // the write's start
-	rs    int64 // max start over the cluster at Δ=0 (>= ws)
-	pm    int64 // probe scratch: max s over the clusters up to this one
-}
-
-// start is the cluster's maximum start once reads are relaxed by delta:
-// max(ws, rs-delta). rs-ws is in [0, 2^64), so the uint64 difference is
-// exact and rs-delta is only formed when it stays above ws — no overflow at
-// either end of the int64 range. (Clamping at ws subsumes the clamp at the
-// history's time origin: no write starts before the origin.)
-func (c *cluster) start(delta int64) int64 {
-	if uint64(delta) >= uint64(c.rs)-uint64(c.ws) {
-		return c.ws
-	}
-	return c.rs - delta
+	value, f, ws, rs int64
 }
 
 // Summary is what Δ-atomicity depends on: one (f, write start, max read
-// start) triple per cluster, sorted by f. A probe rewrites scratch inside
-// the summary, so a Summary must not be probed from two goroutines at once.
+// start) triple per cluster, in ascending f. f is contiguous so that a probe's
+// searches over it stay in cache. A probe rewrites scratch inside the summary,
+// so a Summary must not be probed from two goroutines at once.
 type Summary struct {
-	cl []cluster
+	f  []int64 // min finish over the cluster
+	ws []int64 // the write's start
+	rs []int64 // max start over the cluster at Δ=0 (>= ws)
+	pm []int64 // probe scratch: max s over the clusters up to this one
 	// maxGap is the largest rs-ws, the Δ beyond which nothing moves.
 	maxGap int64
 }
 
+// start is cluster j's maximum start once reads are relaxed by delta:
+// max(ws, rs-delta). rs-ws is in [0, 2^64), so the uint64 difference is
+// exact and rs-delta is only formed when it stays above ws — no overflow at
+// either end of the int64 range. (Clamping at ws subsumes the clamp at the
+// history's time origin: no write starts before the origin.)
+func (s Summary) start(j int, delta int64) int64 {
+	if uint64(delta) >= uint64(s.rs[j])-uint64(s.ws[j]) {
+		return s.ws[j]
+	}
+	return s.rs[j] - delta
+}
+
+// reset sizes s for m clusters, reusing its buffers.
+func (s *Summary) reset(m int) {
+	s.f, s.ws = s.f[:0], s.ws[:0]
+	s.rs, s.pm = s.rs[:0], slices.Grow(s.pm[:0], m)[:m]
+	s.maxGap = 0
+}
+
+// add appends a cluster; clusters must come in ascending f.
+func (s *Summary) add(f, ws, rs int64) {
+	s.f, s.ws, s.rs = append(s.f, f), append(s.ws, ws), append(s.rs, rs)
+	s.maxGap = int64(min(max(uint64(s.maxGap), uint64(rs)-uint64(ws)), math.MaxInt64))
+}
+
+// FromPrepared fills s with the summary of p, which must have been prepared
+// with its extremes recorded (history.PrepareScratch.Extremes): the writes of
+// p's finish order are the clusters in ascending f, so this is one pass with
+// no sort and no search, and on a reused s no allocation. It equals
+// Summarize of the history p was built from. It returns s.
+func (s *Summary) FromPrepared(p *history.Prepared) *Summary {
+	ops := p.H.Ops
+	s.reset(len(ops))
+	for _, w := range p.ByFinish {
+		if ops[w].IsWrite() {
+			e := &p.Extremes[w]
+			s.add(e.MinFinish, e.WriteStart, e.MaxStart)
+		}
+	}
+	return s
+}
+
 // Summarize builds the summary of a raw (un-normalized) history in
-// O(n log n) with one allocation. It does not validate: reads of unwritten
+// O(n log n) with two allocations. It does not validate: reads of unwritten
 // values are skipped and duplicate written values share a cluster, both of
 // which history.Prepare reports — callers hold (or, like Check and Smallest,
 // run) one Prepare of the same history for the anomalies.
@@ -89,11 +132,13 @@ func Summarize(h *history.History) Summary {
 		cl[i].rs = max(cl[i].rs, op.Start)
 	}
 	slices.SortFunc(cl, func(a, b cluster) int { return cmp.Compare(a.f, b.f) })
-	var gap uint64
-	for i := range cl {
-		gap = max(gap, uint64(cl[i].rs)-uint64(cl[i].ws))
+	m := len(cl)
+	buf := make([]int64, 4*m)
+	s := Summary{f: buf[:0:m], ws: buf[m : m : 2*m], rs: buf[2*m : 2*m : 3*m], pm: buf[3*m:]}
+	for _, c := range cl {
+		s.add(c.f, c.ws, c.rs)
 	}
-	return Summary{cl: cl, maxGap: int64(min(gap, math.MaxInt64))}
+	return s
 }
 
 // Atomic reports whether the summarized history is Δ-atomic for delta >= 0:
@@ -102,22 +147,16 @@ func Summarize(h *history.History) Summary {
 // then a prefix, and the prefix maximum of s decides. O(m log m) for m
 // clusters, no allocation.
 func (s Summary) Atomic(delta int64) bool {
-	cl := s.cl
 	pm := int64(math.MinInt64)
-	for j := range cl {
-		sv := cl[j].start(delta)
-		// n = how many of cl[:j] have f < sv.
-		n, _ := slices.BinarySearchFunc(cl[:j], sv, func(c cluster, t int64) int {
-			if c.f < t {
-				return -1
-			}
-			return 1
-		})
-		if n > 0 && cl[n-1].pm > cl[j].f {
+	for j, fj := range s.f {
+		sv := s.start(j, delta)
+		// n = how many of f[:j] are < sv.
+		n, _ := slices.BinarySearch(s.f[:j], sv)
+		if n > 0 && s.pm[n-1] > fj {
 			return false
 		}
 		pm = max(pm, sv)
-		cl[j].pm = pm
+		s.pm[j] = pm
 	}
 	return true
 }

@@ -123,7 +123,11 @@ func TestDifferentialVsRefcheck(t *testing.T) {
 			// Check and through one summary probed repeatedly (the streaming
 			// checker's use).
 			sum := Summarize(h)
+			built := fromBuild(t, h)
 			for probe := int64(0); probe <= int64(2*n); probe++ {
+				if built.Atomic(probe) != sum.Atomic(probe) {
+					t.Fatalf("%s: at Δ=%d the builder-fed summary says %v, Summarize's %v", desc, probe, built.Atomic(probe), sum.Atomic(probe))
+				}
 				got, err := Check(h, probe)
 				if err != nil {
 					t.Fatalf("%s: Check(%d): %v", desc, probe, err)
@@ -154,11 +158,25 @@ func overflowsSpan(h *history.History) bool {
 	return hi-lo < 0
 }
 
+// fromBuild is the summary the streaming engine takes of h: built from the
+// extremes a prepare of a copy of h records, in its finish order.
+func fromBuild(t *testing.T, h *history.History) *Summary {
+	t.Helper()
+	s := history.PrepareScratch{Extremes: true}
+	p, err := s.Build(h.Clone())
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return new(Summary).FromPrepared(p)
+}
+
 // FuzzSmallestDeltaEquivalence is the differential target for the summary
 // kernel: on arbitrary histories Smallest must agree with the retained
 // binary search over full relaxed prepares (same error presence, same Δ),
 // fixed-Δ Check must agree with the reference at and around the threshold
-// and at saturation, and neither may modify its input.
+// and at saturation, and neither may modify its input. On every history
+// Smallest accepts, the summary built from the builder's extremes must give
+// the same Δ as Summarize's.
 func FuzzSmallestDeltaEquivalence(f *testing.F) {
 	for _, s := range []string{
 		"w 1 0 10; w 2 20 30; r 1 40 50; r 2 60 70",
@@ -178,6 +196,12 @@ func FuzzSmallestDeltaEquivalence(f *testing.F) {
 		// Timestamps within 2n of either end of int64.
 		"w 1 -9223372036854775808 -9223372036854775800; w 2 -9223372036854775799 -9223372036854775798; r 1 -9223372036854775797 -9223372036854775796; r 2 -9223372036854775795 -9223372036854775794",
 		"w 1 9223372036854775790 9223372036854775795; w 2 9223372036854775796 9223372036854775800; r 1 9223372036854775801 9223372036854775803; r 2 9223372036854775804 9223372036854775807",
+		// Out of start order, so the builder takes its general form: tied,
+		// zero-length, long, and at the bottom of int64.
+		"r 2 20 30; w 2 10 20; r 1 20 30; w 1 0 10",
+		"r 2 9 9; w 2 5 9; r 1 5 5; w 1 5 5",
+		"r 1 90 95; w 2 70 80; r 2 96 99; w 1 0 100; r 1 50 60",
+		"r 1 -9223372036854775797 -9223372036854775796; w 1 -9223372036854775808 -9223372036854775800; w 2 -9223372036854775799 -9223372036854775798",
 	} {
 		f.Add(s)
 	}
@@ -197,6 +221,9 @@ func FuzzSmallestDeltaEquivalence(f *testing.F) {
 		}
 		if got != want {
 			t.Fatalf("Smallest = %d, reference %d (%q)", got, want, text)
+		}
+		if d, err := fromBuild(t, h).Smallest(); err != nil || d != got {
+			t.Fatalf("builder-fed summary: Smallest = %d, %v; Summarize's %d (%q)", d, err, got, text)
 		}
 		for _, probe := range []int64{0, got - 1, got, got + 1, math.MaxInt64} {
 			if probe < 0 {

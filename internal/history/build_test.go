@@ -106,7 +106,8 @@ func sameAsReference(t *testing.T, ops []Operation) {
 	t.Helper()
 	want, wantErr := refPrepare(refNormalizeInPlace(New(ops)))
 	var s PrepareScratch
-	for round := 0; round < 2; round++ { // the second round on a used scratch
+	for round := 0; round < 2; round++ { // the second round on a used scratch, asked for the extremes
+		s.Extremes = round == 1
 		got, err := s.Build(New(ops))
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("Build error = %v, reference %v\nops: %+v", err, wantErr, ops)
@@ -115,6 +116,11 @@ func sameAsReference(t *testing.T, ops []Operation) {
 			continue
 		}
 		comparePrepared(t, got, want, ops)
+		if s.Extremes {
+			compareExtremes(t, got, ops)
+		} else if got.Extremes != nil {
+			t.Fatal("extremes recorded unasked")
+		}
 	}
 	if wantErr == nil {
 		// Normalize keeps order and IDs; only the timestamps are the builder's.
@@ -147,6 +153,50 @@ func comparePrepared(t *testing.T, got *Prepared, want *refPrepared, ops []Opera
 	}
 	if _, ok := got.WriteFor(-12345); ok {
 		t.Fatal("WriteFor resolved a value nobody wrote")
+	}
+	if !inFinishOrder(got) {
+		t.Fatalf("ByFinish = %v is not the operations in finish order\nops: %+v\ngot: %+v", got.ByFinish, ops, got.H.Ops)
+	}
+}
+
+// inFinishOrder reports whether p.ByFinish lists p's operations by strictly
+// increasing finish: a prepared history's finishes are distinct, so that is
+// every index once, in the one order a sort by finish gives.
+func inFinishOrder(p *Prepared) bool {
+	if len(p.ByFinish) != p.Len() {
+		return false
+	}
+	for j := 1; j < len(p.ByFinish); j++ {
+		if p.Op(p.ByFinish[j-1]).Finish >= p.Op(p.ByFinish[j]).Finish {
+			return false
+		}
+	}
+	return true
+}
+
+// compareExtremes fails unless every write's recorded extremes are its
+// cluster's on the raw input: the write's start, and the minimum finish and
+// maximum start over it and the reads of its value.
+func compareExtremes(t *testing.T, got *Prepared, ops []Operation) {
+	t.Helper()
+	for w, op := range got.H.Ops {
+		if !op.IsWrite() {
+			continue
+		}
+		var want Extremes
+		for _, raw := range ops {
+			if raw.IsWrite() && raw.Value == op.Value {
+				want = Extremes{raw.Finish, raw.Start, raw.Start}
+			}
+		}
+		for _, raw := range ops {
+			if raw.IsRead() && raw.Value == op.Value {
+				want.MinFinish, want.MaxStart = min(want.MinFinish, raw.Finish), max(want.MaxStart, raw.Start)
+			}
+		}
+		if got.Extremes[w] != want {
+			t.Fatalf("Extremes[%d] = %+v, raw cluster %+v\nops: %+v", w, got.Extremes[w], want, ops)
+		}
 	}
 }
 

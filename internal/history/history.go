@@ -13,7 +13,8 @@
 // read preceding its dictating write, two writes of one value) were screened
 // out. One builder (PrepareScratch.Build; normalize.go and prepare.go)
 // establishes the first two and detects the rest, in three linear passes and
-// one sort of at most n packed words, allocating nothing at steady state:
+// one sort of at most n packed words — the only sort of a segment's finishes
+// on the verification path — allocating nothing at steady state:
 //
 //   - Pass 1 (index) renumbers IDs, enters each write into an open-addressing
 //     value→write table and resolves each read once: its dictating write, that
@@ -37,16 +38,26 @@
 //     read's finish rank) and ranked again; the odd slot 2·mrf−1 lies above
 //     every endpoint ranked below mrf and directly below mrf itself, which is
 //     where the merge emits it. The starts arrive sorted, so only finishes
-//     are sorted, packed as (time − min)<<bits | index.
+//     are sorted, packed as (time − min)<<bits | index. The merge emits the
+//     finishes in rank order, so the pass also leaves the finish order
+//     (Prepared.ByFinish), which every checker that walks clusters, zones or
+//     frontiers by finish reads instead of sorting again.
 //   - Pass 3 (carve) cuts the DictatedReads lists from the counts.
+//
+// Asked (PrepareScratch.Extremes), the builder also records each cluster's
+// extremes on the input time scale — minimum finish, write start, maximum
+// start (Prepared.Extremes) — in one pass after pass 1, before pass 2 rewrites
+// the timestamps; Δ-atomicity depends on nothing else (package delta).
 //
 // Histories outside the packed form (starts out of order, IDs that are not
 // indices, a time span too wide to pack) are first ranked by a general sort
 // and put in start order by counting; the passes then run unchanged, with the
-// same result. Normalize is passes 1 and 2; the strict Prepare, which
-// validates and never repairs, is passes 1 and 3 around a check that pass 2
-// would have changed nothing. ref_test.go keeps the five-stage pipeline as
-// the differential reference (FuzzPrepareEquivalence).
+// same result (the input endpoints are saved first when extremes are asked
+// for). Normalize is passes 1 and 2; the strict Prepare, which validates and
+// never repairs, is passes 1 and 3 around a check that pass 2 would have
+// changed nothing, and sorts the finishes once for the finish order.
+// ref_test.go keeps the five-stage pipeline as the differential reference
+// (FuzzPrepareEquivalence).
 //
 // # The text format
 //

@@ -52,11 +52,20 @@ func (s *PrepareScratch) normalize(h *History) (ranked []Operation, from []int, 
 	ranked = h.Ops
 	minT, writes, ok := scan(ranked)
 	if !ok {
+		if s.Extremes { // rankTimestamps rewrites them where they stand
+			s.raw = s.raw[:0]
+			for _, op := range h.Ops {
+				s.raw = append(s.raw, span{op.Start, op.Finish})
+			}
+		}
 		rankTimestamps(h)
 		ranked, from = inStartOrder(h.Ops)
 		minT, writes = 0, h.Writes()
 	}
 	clean = s.index(ranked, writes)
+	if s.Extremes {
+		s.extremes(ranked, from)
+	}
 	s.rank(ranked, minT)
 	return ranked, from, clean
 }
@@ -115,13 +124,14 @@ func idxBits(n int) int { return bits.Len(uint(n)) }
 // first-finishing read. Only the finishes are sorted, one packed word each;
 // the starts are in order already and merge in. A write whose first read
 // finishes before the write starts is left alone: that is the
-// read-before-write anomaly, which Prepare reports.
+// read-before-write anomaly, which Prepare reports. The finishes are emitted
+// in rank order, so s.order comes out as the finish order at no extra cost.
 func (s *PrepareScratch) rank(ops []Operation, minT int64) {
 	n, shift := len(ops), idxBits(len(ops))
 	if cap(s.fin) < n {
-		s.fin = make([]uint64, 0, n)
+		s.fin, s.order = make([]uint64, 0, n), make([]int, 0, n)
 	}
-	fin := s.fin[:0]
+	fin, order := s.fin[:0], s.order[:0]
 	for i := range ops {
 		op := &ops[i]
 		if in := &s.writes[i]; in.minRead >= 0 {
@@ -144,15 +154,18 @@ func (s *PrepareScratch) rank(ops []Operation, minT int64) {
 		i := int(key & (1<<shift - 1))
 		if w := s.dictating[i]; w >= 0 && int(s.writes[w].minRead) == i {
 			ops[w].Finish = rank
+			order = append(order, w)
 			rank++
 		}
 		ops[i].Finish = rank
+		order = append(order, i)
 		rank++
 	}
 	for ; next < n; next++ { // operations that start after every finish: inverted ones
 		ops[next].Start = rank
 		rank++
 	}
+	s.order = order
 }
 
 // endpoint identifies one end of one operation for re-ranking. The

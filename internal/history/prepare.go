@@ -262,7 +262,7 @@ func appendDuplicateTimestamps(out []Anomaly, h *History) []Anomaly {
 
 // Prepared is a history that satisfies all Section II assumptions, sorted by
 // start time with IDs equal to slice indices, plus the dictating-write index
-// every verification algorithm needs.
+// and the finish order every verification algorithm needs.
 type Prepared struct {
 	// H is the prepared history: sorted by start, IDs renumbered.
 	H *History
@@ -273,10 +273,30 @@ type Prepared struct {
 	// reads, in increasing start order. Entries for reads are nil. All
 	// per-write slices share one backing array.
 	DictatedReads [][]int
+	// ByFinish lists every operation index in ascending finish order. The
+	// builder gets it free from its ranking pass, so a checker that walks
+	// clusters, zones or frontiers by finish reads it instead of sorting.
+	// Every write finishes before its dictated reads, so its cluster's
+	// minimum finish is its own and the writes in this order are the
+	// clusters in order of Z.f.
+	ByFinish []int
+	// Extremes holds, at each write's index, its cluster's extremes on the
+	// input time scale, taken before normalization rewrote the timestamps;
+	// nil unless the prepare was asked for them (PrepareScratch.Extremes).
+	// Entries for reads are unspecified.
+	Extremes []Extremes
 	// values is the builder's value→write table (see WriteFor); a SubPrepared
 	// view shares its parent's and shifts the answers down by base.
 	values valueTable
 	base   int
+}
+
+// Extremes is one cluster's extremes on the input time scale: the minimum
+// finish over the write and its dictated reads, the write's start, and the
+// maximum start over the cluster (at least the write's start). They are what
+// Δ-atomicity depends on (package delta).
+type Extremes struct {
+	MinFinish, WriteStart, MaxStart int64
 }
 
 // WriteFor returns the index of the write that stored value, or ok=false if
@@ -361,7 +381,13 @@ func Prepare(h *History) (*Prepared, error) {
 // value table, the packed finishes of the ranking pass — so that preparing a
 // stream of similar-sized histories (the per-segment hot path) allocates
 // nothing once they have grown.
+//
+// Setting Extremes asks every later prepare out of s to record
+// Prepared.Extremes as well; it costs one pass over the operations, and
+// nothing while unset.
 type PrepareScratch struct {
+	Extremes bool
+
 	p         Prepared
 	view      History // a SubPrepared view's window onto its parent's operations
 	dictating []int
@@ -370,6 +396,9 @@ type PrepareScratch struct {
 	writes    []writeInfo
 	values    valueTable
 	fin       []uint64 // rank's packed finish endpoints
+	order     []int    // Prepared.ByFinish
+	ext       []Extremes
+	raw       []span   // the general form's input endpoints, kept for ext
 	seen      []uint64 // endpointsDistinct's bitmap
 }
 
@@ -418,7 +447,8 @@ func (s *PrepareScratch) Build(h *History) (*Prepared, error) {
 // s's buffers: the returned Prepared aliases s and is valid only until s's
 // next use (a nil s makes it independent). It is the builder's passes 1 and 3
 // around the checks normalization would have made true (distinct endpoints,
-// no long write) in place of the ranking pass.
+// no long write) in place of the ranking pass, plus one sort of the finishes
+// for the finish order that pass would have left.
 func PrepareInPlaceScratch(h *History, s *PrepareScratch) (*Prepared, error) {
 	if PrepareHook != nil {
 		PrepareHook()
@@ -438,6 +468,16 @@ func PrepareInPlaceScratch(h *History, s *PrepareScratch) (*Prepared, error) {
 			return nil, err
 		}
 	}
+	if s.Extremes {
+		s.extremes(h.Ops, nil)
+	}
+	// No ranking pass to read the finish order off: one sort, of distinct
+	// finishes.
+	s.order = s.order[:0]
+	for i := range h.Ops {
+		s.order = append(s.order, i)
+	}
+	slices.SortFunc(s.order, func(a, b int) int { return cmp.Compare(h.Ops[a].Finish, h.Ops[b].Finish) })
 	return s.carve(h), nil
 }
 
@@ -493,6 +533,31 @@ func (s *PrepareScratch) index(ops []Operation, writes int) (clean bool) {
 	return clean
 }
 
+// extremes records Prepared.Extremes for ops as index resolved them. The
+// input endpoints are the operations' own, or, in the general form (from
+// non-nil), the ones normalize saved before ranking, at from[i].
+func (s *PrepareScratch) extremes(ops []Operation, from []int) {
+	s.ext = slices.Grow(s.ext[:0], len(ops))[:len(ops)]
+	at := func(i int) span {
+		if from != nil {
+			return s.raw[from[i]]
+		}
+		return span{ops[i].Start, ops[i].Finish}
+	}
+	for i := range ops {
+		if ops[i].Kind == KindWrite {
+			e := at(i)
+			s.ext[i] = Extremes{MinFinish: e.b, WriteStart: e.a, MaxStart: e.a}
+		}
+	}
+	for i, w := range s.dictating {
+		if w >= 0 {
+			e, x := at(i), &s.ext[w]
+			x.MinFinish, x.MaxStart = min(x.MinFinish, e.b), max(x.MaxStart, e.a)
+		}
+	}
+}
+
 // carve is pass 3: it cuts every write's DictatedReads out of one flat
 // buffer by the counts index took, fills them in start order, and returns
 // the finished Prepared.
@@ -515,7 +580,10 @@ func (s *PrepareScratch) carve(h *History) *Prepared {
 			s.dictated[w] = append(s.dictated[w], i)
 		}
 	}
-	s.p = Prepared{H: h, DictatingWrite: s.dictating, DictatedReads: s.dictated, values: s.values}
+	s.p = Prepared{H: h, DictatingWrite: s.dictating, DictatedReads: s.dictated, ByFinish: s.order, values: s.values}
+	if s.Extremes {
+		s.p.Extremes = s.ext
+	}
 	return &s.p
 }
 

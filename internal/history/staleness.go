@@ -20,10 +20,13 @@ import (
 // climbs from max(3, bound) in doubling steps, so a history whose staleness
 // is all forced costs one oracle call.
 //
-// Cost: O(n log n) — one sweep over the writes, already in start order and so
-// never re-sorted, with a Fenwick tree counting write finish ranks; the only
-// sorts are of the write finishes (each rank is one binary search) and of the
-// reads by their dictating write's finish.
+// Cost: O(n log n) — one sweep over the writes, already in start order, with
+// a Fenwick tree counting write finish ranks, and no sort: a write's finish
+// rank is its position among the writes of the finish order (ByFinish), a
+// read's is the number of write finishes before its start, taken by one
+// cursor over that order as the reads go by in start order, and the reads are
+// served by dictating write in descending finish order — the finish order
+// walked backwards.
 func ForcedStaleness(p *Prepared) int {
 	return ForcedStalenessScratch(p, &StalenessScratch{})
 }
@@ -32,71 +35,61 @@ func ForcedStaleness(p *Prepared) int {
 // stream of histories (the smallest-k ladder, once per segment) stops
 // allocating once they have grown.
 type StalenessScratch struct {
-	writes, queries []span
-	finishes        []int64
-	tree            fenwick
+	rank []int
+	tree fenwick
 }
 
 // ForcedStalenessScratch is ForcedStaleness reusing s's buffers.
+//
+// It returns 1 plus the maximum, over reads r with dictating write w, of the
+// number of writes x with x.Start > w.Finish and x.Finish < r.Start. rank[x]
+// is x's position among the write finishes, and rank[r] the number of write
+// finishes below r.Start, so the second condition is rank[x] < rank[r]. The
+// writes that satisfy the first condition are added to the tree from the
+// latest start down as w's finish falls.
 func ForcedStalenessScratch(p *Prepared, s *StalenessScratch) int {
-	s.writes, s.queries = s.writes[:0], s.queries[:0]
-	for i, op := range p.H.Ops {
-		if op.IsWrite() {
-			s.writes = append(s.writes, span{op.Start, op.Finish})
-		} else if op.IsRead() {
-			// (after, before): count writes with Start > after && Finish < before.
-			s.queries = append(s.queries, span{p.Op(p.DictatingWrite[i]).Finish, op.Start})
+	ops := p.H.Ops
+	s.rank = slices.Grow(s.rank[:0], len(ops))[:len(ops)]
+	writes := 0
+	for _, i := range p.ByFinish {
+		if ops[i].IsWrite() {
+			s.rank[i] = writes
+			writes++
 		}
 	}
-	return 1 + s.maxForcedBetween()
-}
-
-// span is a half-open query or write interval for the forced-between sweep;
-// for writes it is (Start, Finish), for queries (after, before).
-type span struct{ a, b int64 }
-
-// maxForcedBetween returns the maximum, over s.queries, of the number of
-// s.writes with Start > q.a and Finish < q.b. The writes must be in ascending
-// start order. Both slices are rewritten: every b becomes its rank, the
-// number of write finishes strictly below it (a binary search over the
-// sorted finishes), so that "Finish < q.b" is a rank comparison. Writes are
-// then consumed from the latest start down while queries are served in
-// descending q.a order, and a Fenwick tree over the ranks answers the prefix
-// counts.
-func (s *StalenessScratch) maxForcedBetween() int {
-	if len(s.writes) == 0 || len(s.queries) == 0 {
-		return 0
+	if writes == 0 {
+		return 1
 	}
-	s.finishes = s.finishes[:0]
-	for _, w := range s.writes {
-		s.finishes = append(s.finishes, w.b)
+	next, below := 0, 0
+	for r := range ops {
+		if !ops[r].IsRead() {
+			continue
+		}
+		for ; next < len(ops) && ops[p.ByFinish[next]].Finish < ops[r].Start; next++ {
+			if ops[p.ByFinish[next]].IsWrite() {
+				below++
+			}
+		}
+		s.rank[r] = below
 	}
-	slices.Sort(s.finishes)
-	for i := range s.writes {
-		r, _ := slices.BinarySearch(s.finishes, s.writes[i].b)
-		s.writes[i].b = int64(r)
-	}
-	for i := range s.queries {
-		r, _ := slices.BinarySearch(s.finishes, s.queries[i].b)
-		s.queries[i].b = int64(r)
-	}
-	slices.SortFunc(s.queries, func(x, y span) int { return cmp.Compare(y.a, x.a) })
-
-	if cap(s.tree) < len(s.writes) {
-		s.tree = make(fenwick, len(s.writes))
-	}
-	s.tree = s.tree[:len(s.writes)]
+	s.tree = slices.Grow(s.tree[:0], writes)[:writes]
 	clear(s.tree)
-	best, wi := 0, len(s.writes)-1
-	for _, q := range s.queries {
-		for ; wi >= 0 && s.writes[wi].a > q.a; wi-- {
-			s.tree.add(int(s.writes[wi].b))
+	best, x := 0, len(ops)-1
+	for j := len(ops) - 1; j >= 0; j-- {
+		w := p.ByFinish[j]
+		if len(p.DictatedReads[w]) == 0 {
+			continue
 		}
-		if n := s.tree.sum(int(q.b) - 1); n > best {
-			best = n
+		for ; x >= 0 && ops[x].Start > ops[w].Finish; x-- {
+			if ops[x].IsWrite() {
+				s.tree.add(s.rank[x])
+			}
+		}
+		for _, r := range p.DictatedReads[w] {
+			best = max(best, s.tree.sum(s.rank[r]-1))
 		}
 	}
-	return best
+	return 1 + best
 }
 
 // fenwick is a 0-based binary indexed tree over counts.
@@ -117,38 +110,49 @@ func (f fenwick) sum(i int) int {
 	return s
 }
 
+// span is a pair of endpoints: (start, finish) as the input gave them.
+type span struct{ a, b int64 }
+
 // forcedStalenessRaw is the Measure-side variant over a raw, possibly
-// anomalous history: reads resolve their dictating write through a sorted
-// value index, and unresolved reads are skipped. It reports on the
-// un-normalized timestamps, so it may undercount relative to
+// anomalous history: each read resolves to the first write of its value
+// through a sorted value index, and unresolved reads are skipped. It reports
+// on the un-normalized timestamps, so it may undercount relative to
 // ForcedStaleness on the normalized history (normalization only shortens
 // writes); it is informational, not a verification input. A raw history need
-// not be in start order, so its writes are sorted for the sweep here.
+// not be in start order and has no finish order, so both are sorted here and
+// the same sweep runs over them; ties need no care, since the sweep's
+// comparisons are strict and its cursors monotone.
 func forcedStalenessRaw(h *History) int {
-	writes := make([]valueEntry, 0, len(h.Ops))
-	spans := make([]span, 0, len(h.Ops))
+	n := len(h.Ops)
+	writes := make([]valueEntry, 0, n)
 	for i, op := range h.Ops {
 		if op.IsWrite() {
 			writes = append(writes, valueEntry{op.Value, i})
-			spans = append(spans, span{op.Start, op.Finish})
 		}
 	}
-	if len(spans) == 0 {
-		return 1
-	}
 	sortValueEntries(writes)
-	queries := make([]span, 0, len(h.Ops)-len(spans))
-	for _, op := range h.Ops {
+	from := make([]int, n) // start order → h's index
+	for i := range from {
+		from[i] = i
+	}
+	slices.SortStableFunc(from, func(a, b int) int { return cmp.Compare(h.Ops[a].Start, h.Ops[b].Start) })
+	at := make([]int, n) // h's index → start order
+	ops := make([]Operation, n)
+	for j, i := range from {
+		at[i], ops[j] = j, h.Ops[i]
+	}
+	p := &Prepared{H: &History{Ops: ops}, DictatingWrite: make([]int, n), DictatedReads: make([][]int, n), ByFinish: make([]int, n)}
+	for j, op := range ops {
+		p.DictatingWrite[j], p.ByFinish[j] = -1, j
 		if !op.IsRead() {
 			continue
 		}
-		vi := lookupValue(writes, op.Value)
-		if vi < 0 {
-			continue
+		if vi := lookupValue(writes, op.Value); vi >= 0 {
+			w := at[writes[vi].write]
+			p.DictatingWrite[j] = w
+			p.DictatedReads[w] = append(p.DictatedReads[w], j)
 		}
-		queries = append(queries, span{h.Ops[writes[vi].write].Finish, op.Start})
 	}
-	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.a, y.a) })
-	s := StalenessScratch{writes: spans, queries: queries}
-	return 1 + s.maxForcedBetween()
+	slices.SortFunc(p.ByFinish, func(a, b int) int { return cmp.Compare(ops[a].Finish, ops[b].Finish) })
+	return ForcedStalenessScratch(p, &StalenessScratch{})
 }

@@ -1,6 +1,9 @@
 package history
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SubPrepared returns a verification view of the prepared history restricted
 // to the contiguous operation range [lo, hi). The view's History aliases p's
@@ -11,14 +14,17 @@ import "fmt"
 // use (a nil s allocates a fresh one) and no longer than p.
 //
 // The boundaries must be safe cuts (zone.SafeCut): every read in the range
-// must have its dictating write inside the range, or an error is returned.
+// must have its dictating write inside the range, and the range's operations
+// must hold the same positions in p's finish order as in its start order (as
+// quiescence at both boundaries makes them), or an error is returned. The
+// view's finish order is then its run of p's, shifted down by lo; no sort.
 // Under that precondition the view satisfies every Prepared invariant the
 // verification algorithms rely on (start-sorted operations, local
-// dictating-write index, unique values), so the segment-equivalence lemma
-// applies: the history is k-atomic iff every safe-cut segment view is, and
-// smallest-k is the maximum over views. This is what lets the (key, chunk)
-// scheduler fan the exact oracle and the smallest-k search out over segments
-// of a single hot key.
+// dictating-write index, finish order, unique values), so the
+// segment-equivalence lemma applies: the history is k-atomic iff every
+// safe-cut segment view is, and smallest-k is the maximum over views. This is
+// what lets the (key, chunk) scheduler fan the exact oracle and the
+// smallest-k search out over segments of a single hot key.
 //
 // Operation IDs are left global (they identify ops of the full history), so
 // diagnostics reference the original trace; verification is index-based and
@@ -63,13 +69,27 @@ func SubPrepared(p *Prepared, lo, hi int, s *PrepareScratch) (*Prepared, error) 
 			dictated[i] = nil
 		}
 	}
+	// Quiescence at both cuts puts the range's finishes at the same
+	// positions of p's finish order as its operations hold in start order.
+	order := slices.Grow(s.order[:0], m)
+	for _, i := range p.ByFinish[lo:hi] {
+		if i < lo || i >= hi {
+			return nil, fmt.Errorf("history: operation %d finishes among [%d,%d) — not a safe cut", i, lo, hi)
+		}
+		order = append(order, i-lo)
+	}
+	s.order = order
 	s.view.Ops = p.H.Ops[lo:hi]
 	s.p = Prepared{
 		H:              &s.view,
 		DictatingWrite: dictating,
 		DictatedReads:  dictated,
+		ByFinish:       order,
 		values:         p.values,
 		base:           p.base + lo,
+	}
+	if p.Extremes != nil {
+		s.p.Extremes = p.Extremes[lo:hi]
 	}
 	return &s.p, nil
 }

@@ -22,10 +22,11 @@
 // not for the length of the history:
 //
 //   - Cursors. The search walks the operations in start order (the prepared
-//     order) and in finish order. Every position before the cursor sLo (start
-//     order) or fLo (finish order) holds a placed operation: placing keeps
-//     that true, and unplacing an operation lowers each cursor to its
-//     position. Scans begin at the cursors, and since an operation starts
+//     order) and in finish order (Prepared.ByFinish, which the builder
+//     records, so a search sorts nothing). Every position before the cursor
+//     sLo (start order) or fLo (finish order) holds a placed operation:
+//     placing keeps that true, and unplacing an operation lowers each cursor
+//     to its position. Scans begin at the cursors, and since an operation starts
 //     before it finishes, the appendable operations are a prefix of the
 //     unplaced ones in start order, so a scan stops at the first one that is
 //     not appendable.
@@ -47,7 +48,6 @@
 package oracle
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,7 +90,7 @@ type Result struct {
 	States int
 }
 
-// Scratch holds one search's buffers — placement state, the finish order, the
+// Scratch holds one search's buffers — placement state, finish positions, the
 // undo stack, the memo and the witness — for reuse across searches, so a
 // worker probing many segments allocates only the memo keys of searches that
 // backtrack. The zero value is ready to use; a Scratch is not safe for
@@ -112,7 +112,7 @@ type Scratch struct {
 	order      []int // placement order so far; the witness on success
 	reads      []int // eager reads placed, all levels: one undo stack
 
-	byFinish []int // operation indices in finish order
+	byFinish []int // operation indices in finish order: p.ByFinish
 	finPos   []int // finPos[i] is operation i's position in byFinish
 	sLo, fLo int   // cursors into start order and byFinish (package doc)
 
@@ -167,19 +167,16 @@ func (s *Scratch) reset(p *history.Prepared, bound int64, opts Options) {
 	s.pending, s.load, s.weight = resize(s.pending, n), resize(s.load, n), resize(s.weight, n)
 	s.next, s.prev = resize(s.next, n+1), resize(s.prev, n+1)
 	s.next[n], s.prev[n] = n, n
-	s.byFinish, s.finPos = resize(s.byFinish, n), resize(s.finPos, n)
+	s.byFinish, s.finPos = p.ByFinish, resize(s.finPos, n)
 	s.order, s.reads = s.order[:0], s.reads[:0]
 	s.sLo, s.fLo = 0, 0
 	for i := range s.ops {
-		s.byFinish[i] = i
 		s.pending[i] = len(p.DictatedReads[i])
 		s.weight[i] = 1
 		if opts.UseWeights {
 			s.weight[i] = s.ops[i].EffectiveWeight()
 		}
 	}
-	// Ties may fall either way: only the finish values are read off the order.
-	slices.SortFunc(s.byFinish, func(a, b int) int { return cmp.Compare(s.ops[a].Finish, s.ops[b].Finish) })
 	for j, i := range s.byFinish {
 		s.finPos[i] = j
 	}

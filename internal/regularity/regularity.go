@@ -20,11 +20,16 @@
 // Both checks are per-read (no global total order is sought), which is why
 // they are weaker than 1-atomicity and incomparable to k-atomicity for
 // k >= 2 — histories exist that are 2-atomic but not regular and vice versa.
+//
+// Cost: one sweep over the prepared history, linear but for a binary search
+// over the write starts per read that is not regular, with no sort (the
+// writes' finish order is the prepared one) and, through Count on a reused
+// Scratch, no allocation — the form the streaming engine runs per segment.
 package regularity
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"kat/internal/history"
 )
@@ -41,59 +46,78 @@ type Verdict struct {
 	IrregularReads []int
 }
 
-// Check classifies every read of the prepared history in one sorted sweep,
+// Check classifies every read of the prepared history in one sweep,
 // O(n log n) total instead of the naive O(n) scan per read.
 //
 // Prepared histories are sorted by start time, so visiting reads in index
-// order visits them in nondecreasing start order. Two precomputed views of
-// the writes answer both per-read questions:
+// order visits them in nondecreasing start order. Two views of the writes
+// answer both per-read questions, and neither is sorted here:
 //
-//   - The maximal-preceding-write FRONTIER: writes sorted by finish. While
-//     sweeping reads by start, every write with finish < r.Start has
-//     "entered the frontier"; tracking the maximum start among them decides
-//     regularity — a dictating write w (with w preceding r) is maximal iff
-//     no frontier write starts after w finishes.
-//   - Write starts, sorted: the number of writes CONCURRENT with r equals
-//     #(writes with start <= r.Finish) − #(writes with finish < r.Start);
-//     the first term is a binary search, the second is the frontier size
-//     (every write finishing before r.Start also starts before it, so the
-//     subtraction counts exactly the overlapping writes). Safety needs only
-//     whether that count is nonzero.
+//   - The maximal-preceding-write FRONTIER: writes in finish order, read off
+//     the prepared finish order (Prepared.ByFinish) by one cursor. While
+//     sweeping reads by start, every write with finish < r.Start has "entered
+//     the frontier"; tracking the maximum start among them decides regularity
+//     — a dictating write w (with w preceding r) is maximal iff no frontier
+//     write starts after w finishes.
+//   - Write starts, in index order and so sorted: the number of writes
+//     CONCURRENT with r equals #(writes with start <= r.Finish) − #(writes
+//     with finish < r.Start); the first term is a binary search, the second
+//     is the frontier size (every write finishing before r.Start also starts
+//     before it, so the subtraction counts exactly the overlapping writes).
+//     Safety needs only whether that count is nonzero, and only for a read
+//     that is not regular.
 func Check(p *history.Prepared) Verdict {
-	v := Verdict{Safe: true, Regular: true}
-	n := p.Len()
-	type writeEnd struct{ finish, start int64 }
-	byFinish := make([]writeEnd, 0, n)
-	starts := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		if op := p.Op(i); op.IsWrite() {
-			byFinish = append(byFinish, writeEnd{op.Finish, op.Start})
-			starts = append(starts, op.Start)
+	v := Verdict{}
+	unsafe, irregular := new(Scratch).sweep(p, &v)
+	v.Safe, v.Regular = unsafe == 0, irregular == 0
+	return v
+}
+
+// Scratch holds the sweep's one buffer, the write starts, so a caller that
+// checks a stream of histories (the streaming engine, once per segment)
+// allocates nothing once it has grown.
+type Scratch struct {
+	starts []int64
+}
+
+// Count is Check's count-only form on s's buffer: the numbers of unsafe and
+// irregular reads, without the lists.
+func Count(p *history.Prepared, s *Scratch) (unsafe, irregular int) {
+	return s.sweep(p, nil)
+}
+
+// sweep counts p's unsafe and irregular reads and, when lists is non-nil,
+// appends their indices to it.
+func (s *Scratch) sweep(p *history.Prepared, lists *Verdict) (unsafe, irregular int) {
+	ops := p.H.Ops
+	s.starts = s.starts[:0]
+	for i := range ops {
+		if ops[i].IsWrite() {
+			s.starts = append(s.starts, ops[i].Start)
 		}
 	}
-	sort.Slice(byFinish, func(i, j int) bool { return byFinish[i].finish < byFinish[j].finish })
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-
+	next := 0     // cursor into p.ByFinish
 	frontier := 0 // writes with finish < current read's start
 	var maxStart int64
-	for r := 0; r < n; r++ {
-		rop := p.Op(r)
+	for r := range ops {
+		rop := &ops[r]
 		if !rop.IsRead() {
 			continue
 		}
-		for frontier < len(byFinish) && byFinish[frontier].finish < rop.Start {
-			if frontier == 0 || byFinish[frontier].start > maxStart {
-				maxStart = byFinish[frontier].start
+		for ; next < len(ops) && ops[p.ByFinish[next]].Finish < rop.Start; next++ {
+			if w := &ops[p.ByFinish[next]]; w.IsWrite() {
+				if frontier == 0 || w.Start > maxStart {
+					maxStart = w.Start
+				}
+				frontier++
 			}
-			frontier++
 		}
-		w := p.DictatingWrite[r]
-		wop := p.Op(w)
+		wop := &ops[p.DictatingWrite[r]]
 		var okReg bool
 		switch {
-		case wop.ConcurrentWith(rop):
+		case wop.ConcurrentWith(*rop):
 			okReg = true
-		case !wop.Precedes(rop):
+		case !wop.Precedes(*rop):
 			okReg = false // read before its write: anomalous, never regular
 		default:
 			// w precedes r: regular iff w is maximal — no write both
@@ -101,21 +125,29 @@ func Check(p *history.Prepared) Verdict {
 			// those preceding r; one follows w iff it starts after w ends.
 			okReg = frontier == 0 || maxStart <= wop.Finish
 		}
-		if !okReg {
-			v.Regular = false
-			v.IrregularReads = append(v.IrregularReads, r)
+		if okReg {
+			continue
+		}
+		irregular++
+		if lists != nil {
+			lists.IrregularReads = append(lists.IrregularReads, r)
 		}
 		// Safe iff regular or concurrent with at least one write (then any
 		// written value is allowed).
-		if !okReg {
-			startLE := sort.Search(len(starts), func(i int) bool { return starts[i] > rop.Finish })
-			if startLE-frontier == 0 {
-				v.Safe = false
-				v.UnsafeReads = append(v.UnsafeReads, r)
+		startLE, _ := slices.BinarySearchFunc(s.starts, rop.Finish, func(start, f int64) int {
+			if start <= f {
+				return -1
+			}
+			return 1
+		})
+		if startLE == frontier {
+			unsafe++
+			if lists != nil {
+				lists.UnsafeReads = append(lists.UnsafeReads, r)
 			}
 		}
 	}
-	return v
+	return unsafe, irregular
 }
 
 // Summary renders the verdict compactly.

@@ -23,9 +23,10 @@ func jsonKeys(t reflect.Type) []string {
 	return keys
 }
 
-// TestCheckpointKeysPinned pins the JSON keys a checkpoint writes for every
-// live key and held segment, as literals: renaming one is a format change that
-// strands every checkpoint on disk, not a refactor.
+// TestCheckpointKeysPinned pins the JSON keys a checkpoint writes — its top
+// level, the carried counters, every live key and held segment, every retired
+// key, property verdict and epoch window — as literals: renaming one is a
+// format change that strands every checkpoint on disk, not a refactor.
 func TestCheckpointKeysPinned(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -34,6 +35,12 @@ func TestCheckpointKeysPinned(t *testing.T) {
 		{KeyState{}, "key seq ops open openMaxFinish maxClosedFinish closedAny deque dispatched values " +
 			"cumWrites cumMaxFinish totalClosed err errSeq kFloor atomic maxK saturated props"},
 		{SegmentState{}, "lo hi writes cutAt ops"},
+		{SessionCheckpoint{}, "mode properties k threshold flushed err stats keys " +
+			"retireTTL epochLength watermark retirements readmissions retired epochs"},
+		{CarriedStats{}, "segments merges staleReads peakBuffered firstVerdict spills opsSpilled spillLoads"},
+		{RetiredKeyState{}, "key ops maxClosedFinish err atomic maxK saturated props"},
+		{PropState{}, "property delta unsafe irregular saturated"},
+		{EpochStats{}, "epoch folded ops segments staleReads maxK maxDelta violations unsafeReads irregularReads errors"},
 	} {
 		typ := reflect.TypeOf(c.v)
 		if got := strings.Join(jsonKeys(typ), " "); got != c.want {

@@ -49,7 +49,6 @@ import (
 	"strings"
 
 	"kat/internal/core"
-	"kat/internal/delta"
 	"kat/internal/history"
 	"kat/internal/regularity"
 )
@@ -190,28 +189,20 @@ type staleReadEvidence struct {
 	verdict Verdict
 }
 
-// Segment is one closed safe-cut segment as every checker sees it.
-// verifySegment builds it once per dispatch — IDs renumbered by position (so
-// normalization breaks ties as the offline checkers do on the whole key
-// history; window-local IDs may collide after merges), then one normalize
-// and one prepare into the worker's scratch — and it is read-only from then
-// on, so checkers run in any order.
-type Segment struct {
-	// P is the normalized, prepared segment; it aliases the worker's scratch
-	// and is valid only during CheckSegment.
-	P *history.Prepared
-	// Delta is the Δ summary, taken on the raw time scale before
-	// normalization; empty unless PropertyDelta is enabled.
-	Delta delta.Summary
-}
-
 // PropertyChecker computes one property. Both methods return a Verdict with
 // only the property's own fields set, which the engine folds like any other
 // (Verdict.Fold).
 type PropertyChecker interface {
 	// CheckSegment computes the property over one closed, anomaly-free
-	// segment. It runs on a verification worker.
-	CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (Verdict, error)
+	// segment. It runs on a verification worker. verifySegment prepares the
+	// segment once per dispatch — IDs renumbered by position (so
+	// normalization breaks ties as the offline checkers do on the whole key
+	// history; window-local IDs may collide after merges), then one
+	// normalize and one prepare into the worker's scratch, with the
+	// clusters' raw extremes when PropertyDelta is enabled — and p is
+	// read-only from then on, so checkers run in any order. p aliases the
+	// worker's scratch and is valid only during CheckSegment.
+	CheckSegment(c *core.Ctx, p *history.Prepared, opts core.Options) (Verdict, error)
 	// Stale turns the evidence of a cross-boundary stale read, which never
 	// reaches a segment verifier, into the property's verdict of it.
 	Stale(ev staleReadEvidence) Verdict
@@ -234,12 +225,12 @@ func checkersFor(k int, set PropertySet) []PropertyChecker {
 // fixed-k check at bound k when k > 0, smallest-k when k == 0.
 type kAtomicityChecker struct{ k int }
 
-func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, seg Segment, opts core.Options) (Verdict, error) {
+func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, p *history.Prepared, opts core.Options) (Verdict, error) {
 	if kc.k > 0 {
-		rep, err := c.Verifier().CheckPrepared(seg.P, kc.k, opts)
+		rep, err := c.Verifier().CheckPrepared(p, kc.k, opts)
 		return Verdict{Violation: !rep.Atomic}, err
 	}
-	k, err := c.Verifier().SmallestKPrepared(seg.P, opts)
+	k, err := c.Verifier().SmallestKPrepared(p, opts)
 	return Verdict{SmallestK: k}, err
 }
 
@@ -254,8 +245,8 @@ func (kc kAtomicityChecker) Stale(ev staleReadEvidence) Verdict {
 // deltaChecker computes each segment's smallest Δ.
 type deltaChecker struct{}
 
-func (deltaChecker) CheckSegment(_ *core.Ctx, seg Segment, _ core.Options) (Verdict, error) {
-	d, err := seg.Delta.Smallest()
+func (deltaChecker) CheckSegment(c *core.Ctx, p *history.Prepared, _ core.Options) (Verdict, error) {
+	d, err := c.Verifier().SmallestDelta(p)
 	return Verdict{SmallestDelta: d}, err
 }
 
@@ -266,9 +257,9 @@ func (deltaChecker) Stale(ev staleReadEvidence) Verdict {
 // regularityChecker counts each segment's safety/regularity offenders.
 type regularityChecker struct{}
 
-func (regularityChecker) CheckSegment(_ *core.Ctx, seg Segment, _ core.Options) (Verdict, error) {
-	v := regularity.Check(seg.P)
-	return Verdict{UnsafeReads: len(v.UnsafeReads), IrregularReads: len(v.IrregularReads)}, nil
+func (regularityChecker) CheckSegment(c *core.Ctx, p *history.Prepared, _ core.Options) (Verdict, error) {
+	unsafe, irregular := c.Verifier().Regularity(p)
+	return Verdict{UnsafeReads: unsafe, IrregularReads: irregular}, nil
 }
 
 func (regularityChecker) Stale(ev staleReadEvidence) Verdict {

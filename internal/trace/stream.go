@@ -101,7 +101,6 @@ import (
 	"sync/atomic"
 
 	"kat/internal/core"
-	"kat/internal/delta"
 	"kat/internal/history"
 	"kat/internal/opbuf"
 	"kat/internal/wire"
@@ -489,7 +488,7 @@ type engine struct {
 	sopts     StreamOptions
 
 	// checkers verify each closed segment, one per enabled property, all
-	// reading the one Segment verifySegment prepares.
+	// reading the one prepared segment verifySegment hands them.
 	checkers []PropertyChecker
 
 	// buf holds every buffered operation, packed: the open windows, the held
@@ -1073,22 +1072,19 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 	e.buf.Free(&j.ops)
 	verdict := SegmentVerdict{Key: j.ks.key, Seq: j.seq, Ops: n, ScanOnly: j.scanOnly}
 	// One normalize+prepare per dispatch, whatever is enabled: every checker
-	// reads the same prepared segment (and Δ its raw-scale summary, which
-	// has to be taken before normalization rewrites the timestamps).
-	var seg Segment
-	if !j.scanOnly && e.sopts.Properties.Has(PropertyDelta) {
-		seg.Delta = delta.Summarize(h)
-	}
-	seg.P, verdict.Err = c.Verifier().PrepareOwned(h)
+	// reads the same prepared segment (and Δ the raw-scale cluster extremes
+	// the prepare records before normalization rewrites the timestamps).
+	p, err := c.Verifier().PrepareOwned(h, !j.scanOnly && e.sopts.Properties.Has(PropertyDelta))
+	verdict.Err = err
 	switch {
 	case j.scanOnly: // the prepare's error is all a settled key still owes
-	case seg.P == nil:
+	case p == nil:
 		// An anomalous segment has no verdicts, only the error, which
 		// dominates every property; a fixed-k check counts it as a violation.
 		verdict.Violation = e.k > 0
 	default:
 		for _, ck := range e.checkers {
-			v, err := ck.CheckSegment(c, seg, e.opts)
+			v, err := ck.CheckSegment(c, p, e.opts)
 			verdict.Fold(v)
 			if verdict.Err == nil {
 				verdict.Err = err

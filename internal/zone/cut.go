@@ -27,7 +27,11 @@ package zone
 // (a) online via Quiescent and enforces (b) by merging segments a read
 // refers back into.
 
-import "kat/internal/history"
+import (
+	"slices"
+
+	"kat/internal/history"
+)
 
 // Quiescent reports whether a cut may be placed between two operation
 // groups: maxFinishBefore is the maximum finish time of every earlier
@@ -48,8 +52,8 @@ func SafeCut(p *history.Prepared, i int) bool {
 	if i <= 0 || i >= n {
 		return i == 0 || i == n
 	}
-	var maxFinish int64
-	for j := 0; j < i; j++ {
+	maxFinish := p.Op(0).Finish
+	for j := 1; j < i; j++ {
 		if f := p.Op(j).Finish; f > maxFinish {
 			maxFinish = f
 		}
@@ -70,13 +74,21 @@ func SafeCut(p *history.Prepared, i int) bool {
 // O(n): a prefix maximum of finish times checks quiescence and a suffix
 // minimum of dictating-write indices checks value-closedness.
 func Cuts(p *history.Prepared) []int {
+	out, _ := CutsAppend(p, nil, nil)
+	return out
+}
+
+// CutsAppend is Cuts appending to out and reusing minDW's capacity for its
+// suffix minima, so a caller that cuts a stream of histories allocates
+// nothing once both have grown. It returns the extended out and the buffer.
+func CutsAppend(p *history.Prepared, out, minDW []int) ([]int, []int) {
 	n := p.Len()
 	if n < 2 {
-		return nil
+		return out, minDW
 	}
 	// minDW[i] = minimum dictating-write index over reads in ops[i:]
 	// (n when the suffix has no reads).
-	minDW := make([]int, n+1)
+	minDW = slices.Grow(minDW[:0], n+1)[:n+1]
 	minDW[n] = n
 	for i := n - 1; i >= 0; i-- {
 		minDW[i] = minDW[i+1]
@@ -84,7 +96,6 @@ func Cuts(p *history.Prepared) []int {
 			minDW[i] = w
 		}
 	}
-	var out []int
 	maxFinish := p.Op(0).Finish
 	for i := 1; i < n; i++ {
 		if Quiescent(maxFinish, p.Op(i).Start) && minDW[i] >= i {
@@ -94,5 +105,5 @@ func Cuts(p *history.Prepared) []int {
 			maxFinish = f
 		}
 	}
-	return out
+	return out, minDW
 }

@@ -32,26 +32,47 @@ func segmentsAt(p *history.Prepared, cuts []int) []*history.History {
 	return out
 }
 
+// The second pass translates every prepared history so that all its times are
+// negative (a strict Prepare keeps them as given): the answers must not move.
 func TestCutsAgreeWithSafeCut(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		h := generator.KAtomic(generator.Config{
 			Seed: seed, Ops: 120, Concurrency: 1 + int(seed%4), StalenessDepth: int(seed % 3),
 		})
 		p := prepare(t, h)
-		cuts := zone.Cuts(p)
-		ci := 0
-		for i := 1; i < p.Len(); i++ {
-			want := ci < len(cuts) && cuts[ci] == i
-			if want {
-				ci++
+		neg := p.H.Clone()
+		for i := range neg.Ops {
+			neg.Ops[i].Start -= 1 << 40
+			neg.Ops[i].Finish -= 1 << 40
+		}
+		q, err := history.Prepare(neg)
+		if err != nil {
+			t.Fatalf("seed %d: translated Prepare: %v", seed, err)
+		}
+		for _, p := range []*history.Prepared{p, q} {
+			cuts := zone.Cuts(p)
+			ci := 0
+			for i := 1; i < p.Len(); i++ {
+				want := ci < len(cuts) && cuts[ci] == i
+				if want {
+					ci++
+				}
+				if got := zone.SafeCut(p, i); got != want {
+					t.Fatalf("seed %d, first time %d: zone.SafeCut(%d)=%v, Cuts says %v", seed, p.Op(0).Start, i, got, want)
+				}
 			}
-			if got := zone.SafeCut(p, i); got != want {
-				t.Fatalf("seed %d: zone.SafeCut(%d)=%v, Cuts says %v", seed, i, got, want)
+			if !zone.SafeCut(p, 0) || !zone.SafeCut(p, p.Len()) {
+				t.Fatalf("seed %d: trivial cuts not safe", seed)
 			}
 		}
-		if !zone.SafeCut(p, 0) || !zone.SafeCut(p, p.Len()) {
-			t.Fatalf("seed %d: trivial cuts not safe", seed)
-		}
+	}
+	// The smallest case: every finish before the cut is negative.
+	p, err := history.Prepare(history.MustParse("w 1 -20 -10; w 2 -5 -3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cuts := zone.Cuts(p); len(cuts) != 1 || cuts[0] != 1 || !zone.SafeCut(p, 1) {
+		t.Fatalf("Cuts = %v, SafeCut(1) = %v; want [1], true", cuts, zone.SafeCut(p, 1))
 	}
 }
 

@@ -69,22 +69,22 @@ func Zones(p *history.Prepared) []Zone {
 func ZonesAppend(p *history.Prepared, buf []Zone) []Zone {
 	out := buf
 	for i, op := range p.H.Ops {
-		if !op.IsWrite() {
-			continue
+		if op.IsWrite() {
+			out = append(out, zoneOf(p, i))
 		}
-		z := Zone{Write: i, MinFinish: op.Finish, MaxStart: op.Start}
-		for _, r := range p.DictatedReads[i] {
-			rop := p.Op(r)
-			if rop.Finish < z.MinFinish {
-				z.MinFinish = rop.Finish
-			}
-			if rop.Start > z.MaxStart {
-				z.MaxStart = rop.Start
-			}
-		}
-		out = append(out, z)
 	}
 	return out
+}
+
+// zoneOf computes the zone of write w's cluster.
+func zoneOf(p *history.Prepared, w int) Zone {
+	op := &p.H.Ops[w]
+	z := Zone{Write: w, MinFinish: op.Finish, MaxStart: op.Start}
+	for _, r := range p.DictatedReads[w] {
+		rop := &p.H.Ops[r]
+		z.MinFinish, z.MaxStart = min(z.MinFinish, rop.Finish), max(z.MaxStart, rop.Start)
+	}
+	return z
 }
 
 // Violation describes why the 1-atomicity test failed.
@@ -250,7 +250,6 @@ func DecomposeZones(zs []Zone) Decomposition {
 // decompositions of same-sized histories perform no allocations once the
 // buffers have grown to steady state.
 type Scratch struct {
-	zones      []Zone
 	fwd, bwd   []Zone
 	fwdMembers []int // flat Chunk.Forward storage, one contiguous run per chunk
 	bwdMembers []int // flat Chunk.Backward storage
@@ -261,27 +260,25 @@ type Scratch struct {
 // DecomposeScratch is Decompose reusing s's buffers. The returned
 // Decomposition's slices alias s and are valid only until the next call with
 // the same Scratch.
+//
+// The zones come in the same orders as DecomposeZones': forward zones by low
+// endpoint, backward zones by low endpoint, then write. A forward zone's low
+// endpoint is its Z.f, which in a prepared history is the write's own finish
+// (every write finishes before its dictated reads, and no two endpoints tie),
+// so walking the writes in finish order (Prepared.ByFinish) lists the forward
+// zones sorted; only the backward ones are sorted here.
 func DecomposeScratch(p *history.Prepared, s *Scratch) Decomposition {
-	s.zones = ZonesAppend(p, s.zones[:0])
 	s.fwd, s.bwd = s.fwd[:0], s.bwd[:0]
-	for _, z := range s.zones {
-		if z.Forward() {
+	for _, w := range p.ByFinish {
+		if !p.H.Ops[w].IsWrite() {
+			continue
+		}
+		if z := zoneOf(p, w); z.Forward() {
 			s.fwd = append(s.fwd, z)
 		} else {
 			s.bwd = append(s.bwd, z)
 		}
 	}
-	// Same orders as DecomposeZones (interval.MergeRuns sorts by Lo then Hi;
-	// the write index breaks full ties deterministically).
-	slices.SortFunc(s.fwd, func(a, b Zone) int {
-		if c := cmp.Compare(a.Low(), b.Low()); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.High(), b.High()); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Write, b.Write)
-	})
 	slices.SortFunc(s.bwd, func(a, b Zone) int {
 		if c := cmp.Compare(a.Low(), b.Low()); c != 0 {
 			return c
