@@ -17,6 +17,7 @@
 //	kavcheck -weighted 5 trace.txt   # weighted k-AV (Section V)
 //	kavcheck -k 2 -shrink trace.txt  # minimal violating core on failure
 //	kavcheck -k 2 -keyed -workers 8 trace.txt  # multi-register, 8-way parallel
+//	kavcheck -keyed -smallest trace.txt        # smallest k per register
 //	tail -f ops.log | kavcheck -k 2 -stream -  # streaming pipeline
 //	kavgen -keys 64 -ops 1000 -format wire | kavcheck -k 2 -stream -  # binary
 //	kavcheck -stream -properties trace.txt   # smallest k + smallest Δ + regularity
@@ -35,6 +36,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"kat"
 )
@@ -68,6 +70,20 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	if *stream || *keyed {
+		// These shape a single-register check only; a keyed run would drop
+		// them without a word.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "algo", "witness", "shrink", "weighted", "delta", "timeline", "json":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("%s cannot be used with -keyed or -stream", strings.Join(ignored, ", "))
+		}
+	}
 	if *stream {
 		if *props {
 			return runStreamVerdicts(fs.Args(), *workers, *horizon, out)
@@ -75,7 +91,7 @@ func run(args []string, out io.Writer) error {
 		return runStream(fs.Args(), *k, *smallest, *workers, *horizon, out)
 	}
 	if *keyed {
-		return runKeyed(fs.Args(), *k, *workers, out)
+		return runKeyed(fs.Args(), *k, *smallest, *workers, out)
 	}
 
 	h, err := readHistory(fs.Args(), *asJSON)
@@ -202,10 +218,10 @@ func openInput(args []string) (io.ReadCloser, error) {
 	return os.Open(args[0])
 }
 
-// runKeyed verifies a materialized multi-register trace per key, fanning
-// the keys out over a worker pool. The input streams through a buffered
-// parser (no whole-file read).
-func runKeyed(args []string, k, workers int, out io.Writer) error {
+// runKeyed verifies a materialized multi-register trace per key at bound k,
+// or computes each key's smallest k, fanning the keys out over a worker
+// pool. The input streams through a buffered parser (no whole-file read).
+func runKeyed(args []string, k int, smallest bool, workers int, out io.Writer) error {
 	in, err := openInput(args)
 	if err != nil {
 		return err
@@ -214,6 +230,9 @@ func runKeyed(args []string, k, workers int, out io.Writer) error {
 	tr, err := kat.ParseTraceReader(in)
 	if err != nil {
 		return err
+	}
+	if smallest {
+		return printSmallestByKey(out, kat.SmallestKByKeyParallel(tr, kat.Options{}, workers))
 	}
 	rep := kat.CheckTraceParallel(tr, k, kat.Options{}, workers)
 	printKeyed(out, rep, k)
@@ -240,27 +259,13 @@ func runStream(args []string, k int, smallest bool, workers, horizon int, out io
 		if err != nil {
 			return err
 		}
-		keys := make([]string, 0, len(ks))
-		for key := range ks {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		var failing []string
-		for _, key := range keys {
-			fmt.Fprintf(out, "key %-12s smallest k: %d\n", key, ks[key])
-			if ks[key] == 0 {
-				failing = append(failing, key)
-			}
-		}
+		failed := printSmallestByKey(out, ks)
 		printStreamStats(out, stats)
 		if stats.SaturatedKeys > 0 {
 			fmt.Fprintf(out, "note: %d key(s) exceeded the staleness horizon; their k is a lower bound (raise -horizon)\n",
 				stats.SaturatedKeys)
 		}
-		if len(failing) > 0 {
-			return fmt.Errorf("smallest-k verification failed for keys: %v", failing)
-		}
-		return nil
+		return failed
 	}
 
 	rep, stats, err := kat.StreamCheckTrace(in, k, kat.Options{}, sopts)
@@ -311,6 +316,27 @@ func runStreamVerdicts(args []string, workers, horizon int, out io.Writer) error
 	}
 	if len(failing) > 0 {
 		return fmt.Errorf("verification failed for keys: %v", failing)
+	}
+	return nil
+}
+
+// printSmallestByKey prints each key's smallest k in key order; the error
+// names the keys that failed verification (k = 0).
+func printSmallestByKey(out io.Writer, ks map[string]int) error {
+	keys := make([]string, 0, len(ks))
+	for key := range ks {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	var failing []string
+	for _, key := range keys {
+		fmt.Fprintf(out, "key %-12s smallest k: %d\n", key, ks[key])
+		if ks[key] == 0 {
+			failing = append(failing, key)
+		}
+	}
+	if len(failing) > 0 {
+		return fmt.Errorf("smallest-k verification failed for keys: %v", failing)
 	}
 	return nil
 }

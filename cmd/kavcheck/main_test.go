@@ -210,6 +210,56 @@ func TestCheckKeyedWorkers(t *testing.T) {
 	}
 }
 
+// TestCheckKeyedSmallest: -keyed -smallest answers each key's smallest k,
+// the same lines -stream -smallest prints, not a fixed-k check at the
+// default -k.
+func TestCheckKeyedSmallest(t *testing.T) {
+	path := writeTemp(t, "w a 1 0 10\nw a 2 20 30\nw a 3 40 50\nr a 1 60 70\nw b 1 0 10\nr b 1 20 30\n")
+	var keyed, streamed strings.Builder
+	if err := run([]string{"-keyed", "-smallest", path}, &keyed); err != nil {
+		t.Fatalf("-keyed -smallest: %v\n%s", err, keyed.String())
+	}
+	if err := run([]string{"-stream", "-smallest", path}, &streamed); err != nil {
+		t.Fatalf("-stream -smallest: %v\n%s", err, streamed.String())
+	}
+	want := "key a            smallest k: 3\nkey b            smallest k: 1\n"
+	if keyed.String() != want {
+		t.Errorf("-keyed -smallest output:\n%s\nwant:\n%s", keyed.String(), want)
+	}
+	if !strings.HasPrefix(streamed.String(), want) {
+		t.Errorf("-stream -smallest output:\n%s\ndoes not open with:\n%s", streamed.String(), want)
+	}
+	// A key that fails verification is named in the error, as with -stream.
+	bad := writeTemp(t, "w a 1 0 10\nr a 2 20 30\n")
+	var out strings.Builder
+	if err := run([]string{"-keyed", "-smallest", bad}, &out); err == nil || !strings.Contains(err.Error(), "[a]") {
+		t.Errorf("dangling read: err = %v\n%s", err, out.String())
+	}
+}
+
+// TestKeyedRejectsSingleRegisterFlags: flags that shape only a
+// single-register check are a usage error with -keyed or -stream, not
+// silently dropped.
+func TestKeyedRejectsSingleRegisterFlags(t *testing.T) {
+	path := writeTemp(t, "w x 1 0 10\nr x 1 20 30\n")
+	for _, mode := range []string{"-keyed", "-stream"} {
+		for _, flag := range [][]string{
+			{"-algo", "lbt"}, {"-witness"}, {"-shrink"}, {"-weighted", "5"},
+			{"-delta"}, {"-timeline"}, {"-json"},
+		} {
+			args := append(append([]string{mode}, flag...), path)
+			var out strings.Builder
+			err := run(args, &out)
+			if err == nil || !strings.Contains(err.Error(), flag[0]+" cannot be used with -keyed or -stream") {
+				t.Errorf("%s %s: err = %v\n%s", mode, flag[0], err, out.String())
+			}
+			if out.Len() > 0 {
+				t.Errorf("%s %s printed %q before refusing", mode, flag[0], out.String())
+			}
+		}
+	}
+}
+
 func TestCheckStream(t *testing.T) {
 	path := writeTemp(t, "w x 1 0 10\nw y 1 5 15\nr x 1 20 30\nw y 2 25 35\nr y 1 45 55\n")
 	var out strings.Builder

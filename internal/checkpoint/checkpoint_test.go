@@ -433,8 +433,16 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	checkRecovery(t, sc, img, 4)
 }
 
-// TestCheckpointNameParsing pins the file-name grammar.
+// TestCheckpointNameParsing pins the file-name grammar, and the name shape
+// recovery finds a data directory's checkpoints by as a literal.
 func TestCheckpointNameParsing(t *testing.T) {
+	const persisted = "ckpt-00000007" // epoch 7
+	if got := CkptFileName(7); got != persisted {
+		t.Errorf("CkptFileName(7) = %q, want %q", got, persisted)
+	}
+	if e, ok := parseCkptName(persisted); !ok || e != 7 {
+		t.Errorf("parseCkptName(%q) = %d, %v; want 7, true", persisted, e, ok)
+	}
 	for _, e := range []int{0, 1, 42, 99999999} {
 		got, ok := parseCkptName(CkptFileName(e))
 		if !ok || got != e {

@@ -67,7 +67,7 @@ import (
 func CheckPreparedParallel(p *history.Prepared, k int, opts Options, workers int) (Report, error) {
 	var rep Report
 	var err error
-	Run(workers, func(c *Ctx) { rep, err = c.v.CheckPrepared(p, k, opts) })
+	Run(workers, func(v *Verifier) { rep, err = v.CheckPrepared(p, k, opts) })
 	return rep, err
 }
 
@@ -76,7 +76,7 @@ func CheckPreparedParallel(p *history.Prepared, k int, opts Options, workers int
 func SmallestKPreparedParallel(p *history.Prepared, opts Options, workers int) (int, error) {
 	var k int
 	var err error
-	Run(workers, func(c *Ctx) { k, err = c.v.SmallestKPrepared(p, opts) })
+	Run(workers, func(v *Verifier) { k, err = v.SmallestKPrepared(p, opts) })
 	return k, err
 }
 
@@ -335,7 +335,7 @@ func (v *Verifier) fzfChunks(p *history.Prepared) fzf.Result {
 	var minFailed atomic.Int64
 	minFailed.Store(math.MaxInt64)
 	batches := min(nc, 4*v.workers())
-	v.fork(batches, func(wv *Verifier, b int) {
+	v.Fork(batches, func(wv *Verifier, b int) {
 		for ci := nc * b / batches; ci < nc*(b+1)/batches; ci++ {
 			if minFailed.Load() < int64(ci) {
 				// A strictly earlier chunk already failed; this chunk can
@@ -424,9 +424,9 @@ func (v *Verifier) overSegments(p *history.Prepared, segs [][2]int, opts Options
 			unit(v, i)
 		}
 	case n <= maxUnits:
-		v.fork(n, unit)
+		v.Fork(n, unit)
 	default:
-		v.fork(maxUnits, func(w *Verifier, b int) {
+		v.Fork(maxUnits, func(w *Verifier, b int) {
 			for i := n * b / maxUnits; i < n*(b+1)/maxUnits; i++ {
 				unit(w, i)
 			}

@@ -122,7 +122,7 @@ func poolEngine(t *testing.T, workers int) engine {
 		name: fmt.Sprintf("pool%d", workers),
 		run: func(f func(v *Verifier)) {
 			done := make(chan struct{})
-			p.Submit(func(c *Ctx) { f(c.v); close(done) })
+			p.Submit(func(v *Verifier) { f(v); close(done) })
 			<-done
 		},
 		probes: func() (n int) {

@@ -7,10 +7,12 @@ import (
 )
 
 // Pool is a fork-join work-stealing scheduler for verification work units.
-// It runs a fixed set of workers, each owning a private deque and a reusable
-// Verifier (so every unit executes against warm scratch arenas). Units enter
-// either from outside via Submit (the streaming engine injects segment jobs
-// this way) or from inside a running unit via Ctx.Fork (a key unit forking
+// It runs a fixed set of workers, each owning a private deque and being one
+// reusable Verifier, which it hands every unit it runs (so every unit executes
+// against warm scratch arenas; anything a unit returns that aliases them is
+// valid only until the worker picks up its next unit). Units enter either
+// from outside via Submit (the streaming engine injects segment jobs this
+// way) or from inside a running unit via Verifier.Fork (a key unit forking
 // its chunk units). Local execution is LIFO while idle workers steal the
 // oldest unit from a victim's deque, so a skewed workload — one hot key
 // fanning out many chunk units — spreads over every worker instead of
@@ -37,12 +39,12 @@ type Pool struct {
 	pending     atomic.Int64
 }
 
-// task is one schedulable unit. Units forked by Ctx.Fork carry their join
-// group; externally submitted units have a nil group and are tracked by the
-// pool's outstanding counter instead.
+// task is one schedulable unit. Units forked by Verifier.Fork carry their
+// join group; externally submitted units have a nil group and are tracked by
+// the pool's outstanding counter instead.
 type task struct {
 	g  *group
-	fn func(*Ctx)
+	fn func(*Verifier)
 }
 
 // group is the join counter of one Fork call.
@@ -126,22 +128,6 @@ func (d *deque) stealBottom() (task, bool) {
 	return task{}, false
 }
 
-// Ctx is a worker's execution context, handed to every unit it runs. The
-// Verifier (and through it every scratch arena) is owned by the worker: a
-// unit may use it freely, but anything the unit returns that aliases it is
-// valid only until the worker picks up its next unit.
-type Ctx struct {
-	pool *Pool
-	id   int
-	v    *Verifier
-}
-
-// Verifier returns the worker's reusable verification engine.
-func (c *Ctx) Verifier() *Verifier { return c.v }
-
-// Workers returns the pool's worker count.
-func (c *Ctx) Workers() int { return c.pool.nw }
-
 // NewPool starts a pool with the given number of workers; workers <= 0 uses
 // GOMAXPROCS. Close must be called to release the workers.
 func NewPool(workers int) *Pool {
@@ -149,6 +135,9 @@ func NewPool(workers int) *Pool {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{nw: workers, deques: make([]deque, workers), vs: make([]Verifier, workers)}
+	for id := range p.vs {
+		p.vs[id].pool, p.vs[id].id = p, id
+	}
 	p.workCond = sync.NewCond(&p.mu)
 	p.idleCond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
@@ -161,10 +150,11 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.nw }
 
-// Submit enqueues a unit from outside the pool. It never blocks; callers
-// needing backpressure (the streaming engine) bound their in-flight
-// submissions themselves. Submit must not be called after Close.
-func (p *Pool) Submit(fn func(*Ctx)) {
+// Submit enqueues a unit from outside the pool; it runs on the Verifier of
+// whichever worker picks it up. It never blocks; callers needing
+// backpressure (the streaming engine) bound their in-flight submissions
+// themselves. Submit must not be called after Close.
+func (p *Pool) Submit(fn func(*Verifier)) {
 	p.mu.Lock()
 	p.outstanding++
 	p.global = append(p.global, task{fn: fn})
@@ -188,7 +178,7 @@ func (p *Pool) Close() {
 
 // Run is the scoped fork-join form: it starts a pool, runs root as a
 // submitted unit, waits for everything root forked, and tears the pool down.
-func Run(workers int, root func(*Ctx)) {
+func Run(workers int, root func(*Verifier)) {
 	p := NewPool(workers)
 	p.Submit(root)
 	p.Close()
@@ -196,11 +186,10 @@ func Run(workers int, root func(*Ctx)) {
 
 func (p *Pool) workerLoop(id int) {
 	defer p.wg.Done()
-	c := &Ctx{pool: p, id: id, v: &p.vs[id]}
-	c.v.ctx = c
+	v := &p.vs[id]
 	for {
 		if t, ok := p.findWork(id); ok {
-			p.runTask(c, t)
+			p.runTask(v, t)
 			continue
 		}
 		p.mu.Lock()
@@ -248,8 +237,8 @@ func (p *Pool) findWork(id int) (task, bool) {
 	return task{}, false
 }
 
-func (p *Pool) runTask(c *Ctx, t task) {
-	t.fn(c)
+func (p *Pool) runTask(v *Verifier, t task) {
+	t.fn(v)
 	if t.g != nil {
 		t.g.finish()
 		return
@@ -262,44 +251,45 @@ func (p *Pool) runTask(c *Ctx, t task) {
 	p.mu.Unlock()
 }
 
-// Fork runs f(c, i) for every i in [0, n) and returns when all have
-// completed. Iteration 0 runs inline on the calling worker; the rest are
-// pushed to its deque where idle workers steal them. While waiting, the
-// caller executes only units of this fork (never unrelated stolen work, which
-// could corrupt scratch arenas the suspended unit still references), then
-// blocks until thieves finish the remainder.
+// Fork runs f(w, i) for every i in [0, n) and returns when all have
+// completed; w is the Verifier of the worker that runs unit i. On a
+// standalone Verifier (no pool), on a one-worker pool, or for a single unit,
+// every unit runs inline on v in index order. Otherwise iteration 0 runs
+// inline on v and the rest are pushed to its worker's deque where idle
+// workers steal them. While waiting, the caller executes only units of this
+// fork (never unrelated stolen work, which could corrupt scratch arenas the
+// suspended unit still references), then blocks until thieves finish the
+// remainder.
 //
 // f must write results into disjoint per-i slots or combine commutatively;
 // execution order across i is unspecified.
-func (c *Ctx) Fork(n int, f func(c *Ctx, i int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 || c.pool.nw == 1 {
+func (v *Verifier) Fork(n int, f func(w *Verifier, i int)) {
+	p := v.pool
+	if p == nil || n <= 1 || p.nw == 1 {
 		for i := 0; i < n; i++ {
-			f(c, i)
+			f(v, i)
 		}
 		return
 	}
 	g := &group{done: make(chan struct{})}
 	g.n.Store(int64(n - 1))
-	d := &c.pool.deques[c.id]
+	d := &p.deques[v.id]
 	for i := n - 1; i >= 1; i-- {
 		i := i
-		d.push(task{g: g, fn: func(cc *Ctx) { f(cc, i) }})
+		d.push(task{g: g, fn: func(w *Verifier) { f(w, i) }})
 	}
-	c.pool.pending.Add(int64(n - 1))
-	c.pool.mu.Lock()
-	c.pool.workCond.Broadcast()
-	c.pool.mu.Unlock()
-	f(c, 0)
+	p.pending.Add(int64(n - 1))
+	p.mu.Lock()
+	p.workCond.Broadcast()
+	p.mu.Unlock()
+	f(v, 0)
 	for {
 		t, ok := d.popTopIf(g)
 		if !ok {
 			break
 		}
-		c.pool.pending.Add(-1)
-		t.fn(c)
+		p.pending.Add(-1)
+		t.fn(v)
 		g.finish()
 	}
 	<-g.done

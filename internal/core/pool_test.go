@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -12,8 +13,8 @@ func TestForkRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, n := range []int{0, 1, 2, 7, 64, 501} {
 			counts := make([]atomic.Int64, n)
-			Run(workers, func(c *Ctx) {
-				c.Fork(n, func(c *Ctx, i int) {
+			Run(workers, func(v *Verifier) {
+				v.Fork(n, func(v *Verifier, i int) {
 					counts[i].Add(1)
 				})
 			})
@@ -33,9 +34,9 @@ func TestForkNested(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		const outer, inner = 13, 17
 		counts := make([]atomic.Int64, outer*inner)
-		Run(workers, func(c *Ctx) {
-			c.Fork(outer, func(c *Ctx, i int) {
-				c.Fork(inner, func(c *Ctx, j int) {
+		Run(workers, func(v *Verifier) {
+			v.Fork(outer, func(v *Verifier, i int) {
+				v.Fork(inner, func(v *Verifier, j int) {
 					counts[i*inner+j].Add(1)
 				})
 			})
@@ -53,9 +54,9 @@ func TestForkNested(t *testing.T) {
 func TestForkJoinBarrier(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		var done atomic.Int64
-		Run(workers, func(c *Ctx) {
+		Run(workers, func(v *Verifier) {
 			for round := 0; round < 50; round++ {
-				c.Fork(workers*3, func(c *Ctx, i int) {
+				v.Fork(workers*3, func(v *Verifier, i int) {
 					done.Add(1)
 				})
 				if got, want := done.Load(), int64((round+1)*workers*3); got != want {
@@ -77,8 +78,8 @@ func TestSubmitDrain(t *testing.T) {
 		var leaves atomic.Int64
 		const jobs, fan = 9, 11
 		for j := 0; j < jobs; j++ {
-			p.Submit(func(c *Ctx) {
-				c.Fork(fan, func(c *Ctx, i int) { leaves.Add(1) })
+			p.Submit(func(v *Verifier) {
+				v.Fork(fan, func(v *Verifier, i int) { leaves.Add(1) })
 			})
 		}
 		p.Close()
@@ -88,17 +89,17 @@ func TestSubmitDrain(t *testing.T) {
 	}
 }
 
-// TestWorkerVerifiersDistinct checks each worker context carries its own
+// TestWorkerVerifiersDistinct checks each unit runs on its worker's own
 // Verifier, so scratch arenas are never shared across concurrent units.
 func TestWorkerVerifiersDistinct(t *testing.T) {
 	const workers = 4
 	seen := make(map[*Verifier]int)
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	Run(workers, func(c *Ctx) {
-		c.Fork(64, func(c *Ctx, i int) {
+	Run(workers, func(v *Verifier) {
+		v.Fork(64, func(v *Verifier, i int) {
 			<-mu
-			seen[c.Verifier()]++
+			seen[v]++
 			mu <- struct{}{}
 		})
 	})
@@ -111,5 +112,21 @@ func TestWorkerVerifiersDistinct(t *testing.T) {
 	}
 	if total != 64 {
 		t.Fatalf("verifier uses = %d, want 64", total)
+	}
+}
+
+// TestForkWithoutPool checks that a standalone Verifier runs every unit
+// inline, in index order, on itself.
+func TestForkWithoutPool(t *testing.T) {
+	v := NewVerifier()
+	var order []int
+	v.Fork(5, func(w *Verifier, i int) {
+		if w != v {
+			t.Errorf("unit %d ran on another Verifier", i)
+		}
+		order = append(order, i)
+	})
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Fatalf("units ran in order %v, want %v", order, want)
 	}
 }

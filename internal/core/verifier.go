@@ -18,10 +18,11 @@ import (
 // k=2 FZF path allocation-free at steady state, which is what a
 // high-throughput multi-key pipeline wants.
 //
-// Every pool worker owns one (Ctx.Verifier), which forks the units of a big
-// history onto the pool; a standalone Verifier is the same engine with no
-// pool behind it and runs every unit inline, so its verdicts, witnesses and
-// oracle probes are those of a pool of any size (parallel.go).
+// Every pool worker is one: the pool hands each unit its worker's Verifier,
+// which forks the units of a big history onto the pool (Fork); a standalone
+// Verifier is the same engine with no pool behind it and runs every unit
+// inline, so its verdicts, witnesses and oracle probes are those of a pool
+// of any size (parallel.go).
 //
 // A Verifier is NOT safe for concurrent use; give each goroutine its own
 // (the pool does exactly that). The zero value is ready to use.
@@ -59,9 +60,10 @@ type Verifier struct {
 	reg regularity.Scratch
 	// ladder counts what the smallest-k ladder did (TakeLadder).
 	ladder Ladder
-	// ctx is the pool worker that owns this Verifier; nil for a standalone
-	// one, whose units run inline.
-	ctx *Ctx
+	// pool and id name the pool worker this Verifier is; pool is nil for a
+	// standalone one, whose units run inline.
+	pool *Pool
+	id   int
 }
 
 // Ladder counts the smallest-k units the ladder decided at each rung — the
@@ -95,21 +97,10 @@ func NewVerifier() *Verifier { return &Verifier{} }
 
 // workers is the number of workers units can spread over.
 func (v *Verifier) workers() int {
-	if v.ctx == nil {
+	if v.pool == nil {
 		return 1
 	}
-	return v.ctx.pool.nw
-}
-
-// fork is Ctx.Fork over the workers' Verifiers.
-func (v *Verifier) fork(n int, f func(w *Verifier, i int)) {
-	if v.ctx == nil {
-		for i := 0; i < n; i++ {
-			f(v, i)
-		}
-		return
-	}
-	v.ctx.Fork(n, func(c *Ctx, i int) { f(c.v, i) })
+	return v.pool.nw
 }
 
 // Check decides whether the history is k-atomic. The input is normalized

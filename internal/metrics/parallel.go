@@ -14,9 +14,9 @@ import (
 func SmallestKDistributionParallel(corpus []*history.History, opts core.Options, workers int) KDistribution {
 	// results[i] holds history i's smallest k, or 0 on error.
 	results := make([]int, len(corpus))
-	core.Run(workers, func(c *core.Ctx) {
-		c.Fork(len(corpus), func(c *core.Ctx, i int) {
-			k, err := c.Verifier().SmallestK(corpus[i], opts)
+	core.Run(workers, func(v *core.Verifier) {
+		v.Fork(len(corpus), func(v *core.Verifier, i int) {
+			k, err := v.SmallestK(corpus[i], opts)
 			if err != nil {
 				k = 0
 			}

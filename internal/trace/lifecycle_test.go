@@ -430,7 +430,7 @@ func TestCheckpointFoldsFinishedRetirement(t *testing.T) {
 	// The pool's one worker is held, so a's final segment stays in flight
 	// and the sweep can only run phase one.
 	release := make(chan struct{})
-	pool.Submit(func(*core.Ctx) { <-release })
+	pool.Submit(func(*core.Verifier) { <-release })
 	if err := s1.RetireIdle(100); err != nil {
 		t.Fatal(err)
 	}

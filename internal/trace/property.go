@@ -1,12 +1,13 @@
 package trace
 
-// Pluggable property checking over the streaming engine's safe-cut segments.
+// Property checking over the streaming engine's safe-cut segments.
 //
 // The engine in stream.go does one parse/cut/schedule pass per trace; this
-// file makes the *verdict* computed over each closed segment pluggable, so
-// one ingest produces k-atomicity, Δ-atomicity, and regularity/safety
-// verdicts side by side instead of three replays. Every checker answers in
-// the same flat Verdict, and one Verdict.Fold combines them everywhere.
+// file computes, over each closed segment, every property the session
+// enables (checkSegment), so one ingest produces k-atomicity, Δ-atomicity,
+// and regularity/safety verdicts side by side instead of three replays.
+// Every property answers in the same flat Verdict, and one Verdict.Fold
+// combines them everywhere.
 //
 // Soundness rests on extending the segment-equivalence lemma (stream.go) to
 // the other two properties:
@@ -32,8 +33,8 @@ package trace
 //
 // Cross-boundary stale reads (value from an already-dispatched segment)
 // never reach a segment verifier, so each property turns the evidence
-// gathered at drop time into a verdict of its own, folded like a segment's:
-// k-atomicity keeps its forced-writes floor,
+// gathered at drop time into a verdict of its own, folded like a segment's
+// (staleVerdict): k-atomicity keeps its forced-writes floor,
 // Δ-atomicity gets the sound floor r.Start − cumMaxFinish[s'] (s' the first
 // write-bearing segment after the value's), and regularity counts the read
 // as irregular definitively (the forced writes all fall between the read and
@@ -189,88 +190,64 @@ type staleReadEvidence struct {
 	verdict Verdict
 }
 
-// PropertyChecker computes one property. Both methods return a Verdict with
-// only the property's own fields set, which the engine folds like any other
-// (Verdict.Fold).
-type PropertyChecker interface {
-	// CheckSegment computes the property over one closed, anomaly-free
-	// segment. It runs on a verification worker. verifySegment prepares the
-	// segment once per dispatch — IDs renumbered by position (so
-	// normalization breaks ties as the offline checkers do on the whole key
-	// history; window-local IDs may collide after merges), then one
-	// normalize and one prepare into the worker's scratch, with the
-	// clusters' raw extremes when PropertyDelta is enabled — and p is
-	// read-only from then on, so checkers run in any order. p aliases the
-	// worker's scratch and is valid only during CheckSegment.
-	CheckSegment(c *core.Ctx, p *history.Prepared, opts core.Options) (Verdict, error)
-	// Stale turns the evidence of a cross-boundary stale read, which never
-	// reaches a segment verifier, into the property's verdict of it.
-	Stale(ev staleReadEvidence) Verdict
+// checkSegment computes every enabled property over one closed,
+// anomaly-free segment, on the verification worker v: k-atomicity (the
+// fixed-k check at e.k, or smallest-k when e.k == 0), then Δ and regularity
+// when enabled, each setting only its own fields; the first error wins.
+// verifySegment prepares the segment once per dispatch — IDs renumbered by
+// position (so normalization breaks ties as the offline checkers do on the
+// whole key history; window-local IDs may collide after merges), then one
+// normalize and one prepare into v's scratch, with the clusters' raw extremes
+// when PropertyDelta is enabled — and p is read-only from then on. p aliases
+// v's scratch and is valid only during the call.
+func (e *engine) checkSegment(v *core.Verifier, p *history.Prepared) (Verdict, error) {
+	var out Verdict
+	var err error
+	if e.k > 0 {
+		rep, kerr := v.CheckPrepared(p, e.k, e.opts)
+		out.Violation, err = !rep.Atomic, kerr
+	} else {
+		out.SmallestK, err = v.SmallestKPrepared(p, e.opts)
+	}
+	if e.sopts.Properties.Has(PropertyDelta) {
+		d, derr := v.SmallestDelta(p)
+		out.SmallestDelta = d
+		if err == nil {
+			err = derr
+		}
+	}
+	if e.sopts.Properties.Has(PropertyRegularity) {
+		out.UnsafeReads, out.IrregularReads = v.Regularity(p)
+	}
+	return out, err
 }
 
-// checkersFor builds the engine's checkers: k-atomicity (at the engine's
-// bound k), then any extra properties in canonical order.
-func checkersFor(k int, set PropertySet) []PropertyChecker {
-	out := []PropertyChecker{kAtomicityChecker{k: k}}
-	if set.Has(PropertyDelta) {
-		out = append(out, deltaChecker{})
+// staleVerdict turns the evidence of a cross-boundary stale read, which
+// never reaches a segment verifier, into each enabled property's verdict of
+// it, folded like a segment's.
+func (e *engine) staleVerdict(ev staleReadEvidence) Verdict {
+	var out Verdict
+	if e.k > 0 {
+		// forcedWrites >= threshold == k, so staleness > k: definitive.
+		out.Violation = true
+	} else {
+		out.SmallestK, out.Saturated = ev.forcedWrites+1, true
 	}
-	if set.Has(PropertyRegularity) {
-		out = append(out, regularityChecker{})
+	if e.sopts.Properties.Has(PropertyDelta) {
+		// Through Fold, so a negative floor clamps at 0.
+		out.Fold(Verdict{SmallestDelta: ev.deltaFloor, DeltaSaturated: true})
+	}
+	if e.sopts.Properties.Has(PropertyRegularity) {
+		// The forced writes all fall between the read and its
+		// (cross-boundary) dictating write, so the read is definitively
+		// irregular; it is unsafe unless it overlaps a write of its own
+		// closing window.
+		out.IrregularReads = 1
+		if !ev.safe {
+			out.UnsafeReads = 1
+		}
 	}
 	return out
-}
-
-// kAtomicityChecker is the engine's own verdict behind the interface: the
-// fixed-k check at bound k when k > 0, smallest-k when k == 0.
-type kAtomicityChecker struct{ k int }
-
-func (kc kAtomicityChecker) CheckSegment(c *core.Ctx, p *history.Prepared, opts core.Options) (Verdict, error) {
-	if kc.k > 0 {
-		rep, err := c.Verifier().CheckPrepared(p, kc.k, opts)
-		return Verdict{Violation: !rep.Atomic}, err
-	}
-	k, err := c.Verifier().SmallestKPrepared(p, opts)
-	return Verdict{SmallestK: k}, err
-}
-
-func (kc kAtomicityChecker) Stale(ev staleReadEvidence) Verdict {
-	if kc.k > 0 {
-		// forcedWrites >= threshold == k, so staleness > k: definitive.
-		return Verdict{Violation: true}
-	}
-	return Verdict{SmallestK: ev.forcedWrites + 1, Saturated: true}
-}
-
-// deltaChecker computes each segment's smallest Δ.
-type deltaChecker struct{}
-
-func (deltaChecker) CheckSegment(c *core.Ctx, p *history.Prepared, _ core.Options) (Verdict, error) {
-	d, err := c.Verifier().SmallestDelta(p)
-	return Verdict{SmallestDelta: d}, err
-}
-
-func (deltaChecker) Stale(ev staleReadEvidence) Verdict {
-	return Verdict{SmallestDelta: ev.deltaFloor, DeltaSaturated: true}
-}
-
-// regularityChecker counts each segment's safety/regularity offenders.
-type regularityChecker struct{}
-
-func (regularityChecker) CheckSegment(c *core.Ctx, p *history.Prepared, _ core.Options) (Verdict, error) {
-	unsafe, irregular := c.Verifier().Regularity(p)
-	return Verdict{UnsafeReads: unsafe, IrregularReads: irregular}, nil
-}
-
-func (regularityChecker) Stale(ev staleReadEvidence) Verdict {
-	// The forced writes all fall between the read and its (cross-boundary)
-	// dictating write, so the read is definitively irregular; it is unsafe
-	// unless it overlaps a write of its own closing window.
-	v := Verdict{IrregularReads: 1}
-	if !ev.safe {
-		v.UnsafeReads = 1
-	}
-	return v
 }
 
 // staleReadSafety decides, for each dropped cross-boundary read, whether the

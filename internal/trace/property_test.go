@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -320,6 +321,77 @@ func TestStreamVerdictsStaleFloors(t *testing.T) {
 	}
 	if !sawStale {
 		t.Fatal("no seed produced a cross-boundary stale read; the floors went untested")
+	}
+}
+
+// TestSettleRuleScanOnly pins the rule resettle encodes: once a key has an
+// error, its later segments are only scanned for anomalies in every session;
+// once it has a violation, they are only in a k-only fixed-k session — with
+// Δ on they still owe their Δ verdicts, and a smallest-k session has no
+// violation to settle on. Both the violation (a cross-boundary stale read)
+// and the error (a duplicate write) settle at ingest, while segment 0 is
+// already dispatched and segments 1 onwards are still held, so which
+// segments arrive ScanOnly does not depend on worker timing.
+func TestSettleRuleScanOnly(t *testing.T) {
+	const (
+		// r 1 reads back past the two writes closed after segment 0, which
+		// a horizon of 2 has already dispatched.
+		stale = "w x 1 0 10\nw x 2 20 30\nw x 3 40 50\nr x 1 60 70\nw x 4 80 90\nw x 5 100 110\nw x 6 120 130\n"
+		// The fourth window writes value 1 a second time.
+		dup = "w x 1 0 10\nw x 2 20 30\nw x 3 40 50\nw x 1 60 70\nw x 4 80 90\nw x 5 100 110\n"
+	)
+	sessions := []struct {
+		name string
+		k    int
+		set  PropertySet
+	}{
+		{"fixed-k k-only", 2, 0},
+		{"fixed-k with delta", 2, PropertySetDelta},
+		{"smallest-k", 0, PropertySetAll},
+	}
+	for _, sc := range sessions {
+		for _, tc := range []struct {
+			name, text string
+			// settles reports whether the trace settles this session's key.
+			settles bool
+		}{
+			{"violation", stale, sc.k > 0 && sc.set&^PropertySetK == 0},
+			{"error", dup, true},
+		} {
+			var mu sync.Mutex
+			var segs []SegmentVerdict
+			sopts := StreamOptions{
+				MinSegmentOps: 1, Horizon: 2, Workers: 2, Properties: sc.set,
+				OnSegment: func(sv SegmentVerdict) {
+					mu.Lock()
+					segs = append(segs, sv)
+					mu.Unlock()
+				},
+			}
+			var s *Session
+			if sc.k > 0 {
+				var err error
+				if s, err = NewCheckSession(sc.k, core.Options{}, sopts); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				s = NewSmallestKSession(core.Options{}, sopts)
+			}
+			if _, err := s.AppendTraceBatch(strings.NewReader(tc.text)); err != nil {
+				t.Fatalf("%s, %s: AppendTraceBatch: %v", sc.name, tc.name, err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatalf("%s, %s: Flush: %v", sc.name, tc.name, err)
+			}
+			if len(segs) < 4 {
+				t.Fatalf("%s, %s: %d segments, want at least 4", sc.name, tc.name, len(segs))
+			}
+			for _, sv := range segs {
+				if want := tc.settles && sv.Seq > 0; sv.ScanOnly != want {
+					t.Errorf("%s, %s: segment %d ScanOnly = %v, want %v", sc.name, tc.name, sv.Seq, sv.ScanOnly, want)
+				}
+			}
+		}
 	}
 }
 

@@ -487,10 +487,6 @@ type engine struct {
 	opts      core.Options
 	sopts     StreamOptions
 
-	// checkers verify each closed segment, one per enabled property, all
-	// reading the one prepared segment verifySegment hands them.
-	checkers []PropertyChecker
-
 	// buf holds every buffered operation, packed: the open windows, the held
 	// segments and the dispatched jobs are lists of its chunks (package opbuf).
 	buf opbuf.Store
@@ -671,7 +667,6 @@ func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
 		minSeg:    minSeg,
 		opts:      opts,
 		sopts:     sopts,
-		checkers:  checkersFor(k, sopts.Properties),
 		shards:    make([]*ingestShard, nshards),
 		sem:       make(chan struct{}, 2*workers),
 	}
@@ -989,9 +984,7 @@ func (e *engine) foldStaleReads(ks *keyState, kept, dropped []history.Operation,
 		}
 	}
 	for i := range evs {
-		for _, ck := range e.checkers {
-			evs[i].verdict.Fold(ck.Stale(evs[i]))
-		}
+		evs[i].verdict = e.staleVerdict(evs[i])
 	}
 	e.settle(ks, func() {
 		wasSat := ks.verdict.Saturated
@@ -1029,7 +1022,7 @@ func (e *engine) settle(ks *keyState, apply func()) {
 // enabled later segments still owe their Δ and regularity verdicts.
 func (e *engine) resettle(ks *keyState) {
 	settled := ks.err != nil
-	if e.k > 0 && len(e.checkers) == 1 {
+	if props := e.sopts.Properties; e.k > 0 && !props.Has(PropertyDelta) && !props.Has(PropertyRegularity) {
 		settled = settled || ks.verdict.Violation
 	}
 	ks.settled.Store(settled)
@@ -1042,9 +1035,9 @@ func (e *engine) dispatch(ks *keyState, seg closedSeg) {
 	j := job{ks: ks, seq: seg.loSeq, ops: seg.ops, scanOnly: ks.settled.Load(), cutAt: seg.cutAt}
 	e.sem <- struct{}{}
 	e.wg.Add(1)
-	e.vpool.Submit(func(c *core.Ctx) {
+	e.vpool.Submit(func(v *core.Verifier) {
 		defer func() { <-e.sem; e.wg.Done() }()
-		e.verifySegment(c, j)
+		e.verifySegment(v, j)
 	})
 }
 
@@ -1059,22 +1052,22 @@ func (e *engine) flush(ks *keyState) error {
 	return e.dispatchDue(ks, 0)
 }
 
-// verifySegment is one segment unit on the pool. Large segments fork their
-// chunk (and, for smallest-k, safe-cut segment) sub-units back onto the same
-// pool via the Ctx verification methods, so idle workers steal intra-segment
-// work instead of waiting for whole segments.
-func (e *engine) verifySegment(c *core.Ctx, j job) {
+// verifySegment is one segment unit on the pool, run on its worker's
+// Verifier v. Large segments fork their chunk (and, for smallest-k, safe-cut
+// segment) sub-units back onto the same pool through v, so idle workers steal
+// intra-segment work instead of waiting for whole segments.
+func (e *engine) verifySegment(v *core.Verifier, j job) {
 	// The segment is unpacked into the worker's own buffer, IDs numbered, and
-	// its chunks go back to the ingest side before the checkers start.
+	// its chunks go back to the ingest side before the properties are checked.
 	n, bytes := j.ops.Len(), j.ops.Bytes()
-	h := c.Verifier().Owned()
+	h := v.Owned()
 	h.Ops = e.buf.Decode(&j.ops, h.Ops)
 	e.buf.Free(&j.ops)
 	verdict := SegmentVerdict{Key: j.ks.key, Seq: j.seq, Ops: n, ScanOnly: j.scanOnly}
-	// One normalize+prepare per dispatch, whatever is enabled: every checker
+	// One normalize+prepare per dispatch, whatever is enabled: every property
 	// reads the same prepared segment (and Δ the raw-scale cluster extremes
 	// the prepare records before normalization rewrites the timestamps).
-	p, err := c.Verifier().PrepareOwned(h, !j.scanOnly && e.sopts.Properties.Has(PropertyDelta))
+	p, err := v.PrepareOwned(h, !j.scanOnly && e.sopts.Properties.Has(PropertyDelta))
 	verdict.Err = err
 	switch {
 	case j.scanOnly: // the prepare's error is all a settled key still owes
@@ -1083,14 +1076,8 @@ func (e *engine) verifySegment(c *core.Ctx, j job) {
 		// dominates every property; a fixed-k check counts it as a violation.
 		verdict.Violation = e.k > 0
 	default:
-		for _, ck := range e.checkers {
-			v, err := ck.CheckSegment(c, p, e.opts)
-			verdict.Fold(v)
-			if verdict.Err == nil {
-				verdict.Err = err
-			}
-		}
-		e.settleLadder(c.Verifier().TakeLadder())
+		verdict.Verdict, verdict.Err = e.checkSegment(v, p)
+		e.settleLadder(v.TakeLadder())
 	}
 	e.settle(j.ks, func() {
 		ks := j.ks

@@ -258,11 +258,11 @@ func Check(t *Trace, k int, opts core.Options) Report {
 func CheckParallel(t *Trace, k int, opts core.Options, workers int) Report {
 	keys := t.SortedKeys()
 	rep := Report{K: k, Keys: make([]KeyReport, len(keys))}
-	forEachKey(keys, workers, func(c *core.Ctx, i int) {
+	forEachKey(keys, workers, func(v *core.Verifier, i int) {
 		key := keys[i]
 		h := t.Keys[key]
 		kr := KeyReport{Key: key, Ops: h.Len()}
-		r, err := c.Verifier().Check(h, k, opts)
+		r, err := v.Check(h, k, opts)
 		if err != nil {
 			kr.Err = err
 		} else {
@@ -287,8 +287,8 @@ func SmallestKByKey(t *Trace, opts core.Options) map[string]int {
 func SmallestKByKeyParallel(t *Trace, opts core.Options, workers int) map[string]int {
 	keys := t.SortedKeys()
 	results := make([]int, len(keys))
-	forEachKey(keys, workers, func(c *core.Ctx, i int) {
-		k, err := c.Verifier().SmallestK(t.Keys[keys[i]], opts)
+	forEachKey(keys, workers, func(v *core.Verifier, i int) {
+		k, err := v.SmallestK(t.Keys[keys[i]], opts)
 		if err != nil {
 			k = 0
 		}
@@ -302,13 +302,11 @@ func SmallestKByKeyParallel(t *Trace, opts core.Options, workers int) map[string
 }
 
 // forEachKey forks fn over the keys as units of one work-stealing pool:
-// each unit runs with a worker-owned Verifier and may fork chunk sub-units;
+// each unit runs on its worker's Verifier and may fork chunk sub-units;
 // results land in disjoint slots, so output is deterministic. workers <= 0
 // uses GOMAXPROCS.
-func forEachKey(keys []string, workers int, fn func(c *core.Ctx, i int)) {
-	core.Run(workers, func(c *core.Ctx) {
-		c.Fork(len(keys), fn)
-	})
+func forEachKey(keys []string, workers int, fn func(v *core.Verifier, i int)) {
+	core.Run(workers, func(v *core.Verifier) { v.Fork(len(keys), fn) })
 }
 
 // WorstK returns the maximum smallest-k across registers (the trace-level
