@@ -84,6 +84,19 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%s cannot be used with -keyed or -stream", strings.Join(ignored, ", "))
 		}
 	}
+	if !*stream {
+		// -horizon bounds the streaming pass only, and a keyed run reports
+		// properties only from it.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "horizon" || f.Name == "properties" && *keyed {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("%s cannot be used without -stream", strings.Join(ignored, ", "))
+		}
+	}
 	if *stream {
 		if *props {
 			return runStreamVerdicts(fs.Args(), *workers, *horizon, out)

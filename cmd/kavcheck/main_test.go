@@ -260,6 +260,44 @@ func TestKeyedRejectsSingleRegisterFlags(t *testing.T) {
 	}
 }
 
+// TestStreamOnlyFlagsNeedStream: -horizon, and -properties in a keyed run,
+// shape only the streaming pass, so without -stream they are a usage error,
+// not silently dropped.
+func TestStreamOnlyFlagsNeedStream(t *testing.T) {
+	single := writeTemp(t, "w 1 0 10\nr 1 20 30\n")
+	keyed := writeTemp(t, "w x 1 0 10\nr x 1 20 30\n")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-keyed", "-properties", keyed}, "-properties cannot be used without -stream"},
+		{[]string{"-keyed", "-smallest", "-properties", keyed}, "-properties cannot be used without -stream"},
+		{[]string{"-keyed", "-horizon", "8", keyed}, "-horizon cannot be used without -stream"},
+		{[]string{"-keyed", "-properties", "-horizon", "8", keyed}, "-horizon, -properties cannot be used without -stream"},
+		{[]string{"-horizon", "8", single}, "-horizon cannot be used without -stream"},
+		{[]string{"-smallest", "-horizon", "8", single}, "-horizon cannot be used without -stream"},
+	} {
+		var out strings.Builder
+		if err := run(tc.args, &out); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: err = %v, want %q\n%s", tc.args, err, tc.want, out.String())
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v printed %q before refusing", tc.args, out.String())
+		}
+	}
+	// Where they shape the run, they are taken.
+	for _, args := range [][]string{
+		{"-properties", single},
+		{"-stream", "-properties", "-horizon", "8", keyed},
+		{"-stream", "-smallest", "-horizon", "8", keyed},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err != nil {
+			t.Errorf("%v: %v\n%s", args, err, out.String())
+		}
+	}
+}
+
 func TestCheckStream(t *testing.T) {
 	path := writeTemp(t, "w x 1 0 10\nw y 1 5 15\nr x 1 20 30\nw y 2 25 35\nr y 1 45 55\n")
 	var out strings.Builder

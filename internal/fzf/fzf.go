@@ -62,15 +62,15 @@ type Result struct {
 // repeated checks of same-sized histories allocate nothing.
 type Scratch struct {
 	zone       zone.Scratch
-	pos        []int  // dense op index -> position in current chunk's ops; -1 = absent
-	removed    []bool // per-candidate placement marks over chunk positions
-	ops        []int  // current chunk's operation indices in start order
-	tfPrime    []int  // T'_F buffer (T_F with the first two writes swapped)
-	containers []int  // flat per-slot container-read storage
-	slotLo     []int  // container range starts, indexed by write position
-	slotHi     []int  // container range ends
-	placed     []int  // flat placed per-chunk orders
-	elements   []element
+	pos        []int   // dense op index -> position in current chunk's ops; -1 = absent
+	removed    []bool  // per-candidate placement marks over chunk positions
+	ops        []int   // current chunk's operation indices in start order
+	tfPrime    []int   // T'_F buffer (T_F with the first two writes swapped)
+	containers []int   // flat per-slot container-read storage
+	slotLo     []int   // container range starts, indexed by write position
+	slotHi     []int   // container range ends
+	placed     []int   // flat placed per-chunk orders
+	orders     [][]int // each chunk's placed order, a view into placed
 	witness    []int
 }
 
@@ -87,15 +87,6 @@ func (s *Scratch) ensure(p *history.Prepared) {
 			s.pos[i] = -1
 		}
 	}
-}
-
-// element is a chunk's or dangling cluster's placed order plus its low
-// endpoint, for the Lemma 4.1 concatenation. Chunks carry their placed order
-// (write < 0); a dangling cluster is reconstructed from its write.
-type element struct {
-	low   int64
-	write int
-	order []int
 }
 
 // candidate is one Stage 2 write order: an optional prepended backward
@@ -147,7 +138,7 @@ func CheckScratch(p *history.Prepared, s *Scratch) Result {
 		FailedChunk: -1,
 	}
 
-	s.elements = s.elements[:0]
+	s.orders = s.orders[:0]
 	s.placed = s.placed[:0]
 	for ci := range dec.Chunks {
 		ch := dec.Chunks[ci]
@@ -158,15 +149,9 @@ func CheckScratch(p *history.Prepared, s *Scratch) Result {
 			res.Reason = reason
 			return res
 		}
-		s.elements = append(s.elements, element{low: ch.Lo, write: -1, order: ord})
+		s.orders = append(s.orders, ord)
 	}
-	for _, w := range dec.Dangling {
-		// A dangling cluster is backward: all its operations pairwise
-		// overlap, so write-then-reads (in start order) is valid and
-		// 1-atomic. The order is reconstructed during assembly.
-		s.elements = append(s.elements, element{low: clusterLow(p, w), write: w})
-	}
-	res.Witness = assemble(p, s.elements, s.witness[:0])
+	res.Witness = Assemble(p, dec, s.orders, s.witness[:0])
 	s.witness = res.Witness
 	res.Atomic = true
 	return res
@@ -186,27 +171,32 @@ func Decide(p *history.Prepared, dec zone.Decomposition, s *Scratch) bool {
 	return true
 }
 
-// assemble performs the Lemma 4.1 concatenation: elements (per-chunk placed
-// orders and dangling clusters) are stably sorted by their zone low endpoint
-// and concatenated into buf. Any total order extending ≤_H works; sorting by
-// low endpoint does (X.h < Y.l implies X.l < Y.l).
-func assemble(p *history.Prepared, elements []element, buf []int) []int {
-	slices.SortStableFunc(elements, func(a, b element) int {
-		switch {
-		case a.low < b.low:
-			return -1
-		case a.low > b.low:
-			return 1
+// Assemble builds the Lemma 4.1 witness of a fully verified decomposition
+// and appends it to buf: each chunk's placed order (orders[i] is the one
+// CheckChunk produced for dec.Chunks[i]) and each dangling cluster, in order
+// of zone low endpoint. It is the Witness CheckScratch returns on the same
+// history. Any total order extending ≤_H works; ordering by low endpoint does
+// (X.h < Y.l implies X.l < Y.l). A dangling cluster is backward: all its
+// operations pairwise overlap, so write-then-reads (in start order) is valid
+// and 1-atomic.
+//
+// Both runs arrive sorted: zone.DecomposeScratch and zone.DecomposeZones list
+// the chunks by Lo (disjoint forward runs, swept by low endpoint) and the
+// dangling clusters by low endpoint (the backward zones are sorted before
+// they are assigned). So one stable merge orders them in O(n), a chunk ahead
+// of a dangling cluster whose low endpoint ties with its Lo.
+func Assemble(p *history.Prepared, dec zone.Decomposition, orders [][]int, buf []int) []int {
+	ci := 0
+	for _, w := range dec.Dangling {
+		low := clusterLow(p, w)
+		for ; ci < len(dec.Chunks) && dec.Chunks[ci].Lo <= low; ci++ {
+			buf = append(buf, orders[ci]...)
 		}
-		return 0
-	})
-	for _, e := range elements {
-		if e.write >= 0 {
-			buf = append(buf, e.write)
-			buf = append(buf, p.DictatedReads[e.write]...)
-		} else {
-			buf = append(buf, e.order...)
-		}
+		buf = append(buf, w)
+		buf = append(buf, p.DictatedReads[w]...)
+	}
+	for ; ci < len(dec.Chunks); ci++ {
+		buf = append(buf, orders[ci]...)
 	}
 	return buf
 }
@@ -223,22 +213,6 @@ func CheckChunk(p *history.Prepared, ch zone.Chunk, s *Scratch) (ord []int, trie
 	s.ensure(p)
 	s.placed = s.placed[:0]
 	return s.checkChunk(p, ch)
-}
-
-// Assemble builds the Lemma 4.1 witness for a fully verified decomposition:
-// orders[i] is the placed order CheckChunk produced for dec.Chunks[i], and
-// dangling clusters are reconstructed as write-then-reads. The result is
-// appended into buf and is identical to the Witness CheckScratch returns on
-// the same history.
-func Assemble(p *history.Prepared, dec zone.Decomposition, orders [][]int, buf []int) []int {
-	elements := make([]element, 0, len(dec.Chunks)+len(dec.Dangling))
-	for i, ch := range dec.Chunks {
-		elements = append(elements, element{low: ch.Lo, write: -1, order: orders[i]})
-	}
-	for _, w := range dec.Dangling {
-		elements = append(elements, element{low: clusterLow(p, w), write: w})
-	}
-	return assemble(p, elements, buf)
 }
 
 // AppendChunkOps appends the operation indices of chunk ch (its forward and

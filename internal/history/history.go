@@ -85,8 +85,9 @@
 //   - The printer writes one line per operation, single spaces, weight only
 //     above 1, client only when non-zero (so a negative one), '\n' at the end.
 //
-// ref_test.go keeps the string parser this replaced as the differential
-// reference (FuzzParseOp).
+// ref_test.go keeps the string parser and the split-then-parse scanner this
+// replaced as the differential references (FuzzParseOp,
+// FuzzScanEquivalence).
 package history
 
 import (

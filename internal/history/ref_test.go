@@ -7,6 +7,7 @@ package history
 // sorted value list. FuzzPrepareEquivalence holds the builder to it.
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -301,12 +302,12 @@ func TestDuplicateTimestampListingMatchesReference(t *testing.T) {
 
 // The differential reference for the text parser (text.go): the string-based
 // one it replaced, kept as it was — split the segment into ASCII-space fields,
-// then strconv every number. FuzzParseOp holds ParseOp to it in both forms,
-// values and error texts.
+// then strconv every number. FuzzParseOp holds the scanner to it on single
+// segments in both forms, values and error texts.
 
 // refParseOp is the old trace.parseKeyedOpSlow (keyed) and history.parseOp
-// (single-register; that one split on Unicode space, the one behaviour
-// ParseOp does not keep).
+// (single-register; that one split on Unicode space, the one behaviour the
+// scanner does not keep).
 func refParseOp(part string, keyed bool) (string, Operation, error) {
 	fields := refAppendFields(nil, part)
 	if keyed {
@@ -329,11 +330,11 @@ func refParseOp(part string, keyed bool) (string, Operation, error) {
 // refAppendFields is the old AppendFields.
 func refAppendFields(dst []string, s string) []string {
 	for i := 0; i < len(s); {
-		for i < len(s) && asciiSpace(s[i]) {
+		for i < len(s) && refASCIISpace(s[i]) {
 			i++
 		}
 		start := i
-		for i < len(s) && !asciiSpace(s[i]) {
+		for i < len(s) && !refASCIISpace(s[i]) {
 			i++
 		}
 		if i > start {
@@ -402,4 +403,154 @@ func refOpString(op Operation) string {
 		fmt.Fprintf(&b, " client=%d", op.Client)
 	}
 	return b.String()
+}
+
+// The differential reference for the block scanner (TextDecoder.Scan): the
+// split-then-parse scanner it replaced, kept as it was — cut the block into
+// lines, cut each line at '#' and into ';' segments, trim each segment, then
+// walk its fields. FuzzScanEquivalence holds Scan to it.
+
+// refDecoder is the part of the old TextDecoder that its Scan read.
+type refDecoder struct {
+	Keyed bool
+	seg   int
+}
+
+// refScan is the old TextDecoder.Scan.
+func (d *refDecoder) refScan(block []byte, emit func(key []byte, op Operation) error) error {
+	for len(block) > 0 {
+		line := block
+		if i := bytes.IndexByte(block, '\n'); i >= 0 {
+			line, block = block[:i], block[i+1:]
+		} else {
+			block = nil
+		}
+		if i := bytes.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		for len(line) > 0 {
+			part := line
+			if i := bytes.IndexByte(line, ';'); i >= 0 {
+				part, line = line[:i], line[i+1:]
+			} else {
+				line = nil
+			}
+			if part = bytes.TrimSpace(part); len(part) == 0 {
+				continue
+			}
+			d.seg++
+			key, op, err := refParseSegment(part, d.Keyed)
+			if err != nil {
+				if d.Keyed {
+					return fmt.Errorf("trace: segment %d (%q): %w", d.seg, part, err)
+				}
+				return fmt.Errorf("segment %d (%q): %w", d.seg, part, err)
+			}
+			if err := emit(key, op); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// refParseSegment is the old ParseOp.
+func refParseSegment(part []byte, keyed bool) (key []byte, op Operation, err error) {
+	kind, i := refNextField(part, 0)
+	if keyed {
+		key, i = refNextField(part, i)
+	}
+	value, i := refNextField(part, i)
+	start, i := refNextField(part, i)
+	finish, i := refNextField(part, i)
+	if len(finish) == 0 {
+		if keyed {
+			return nil, Operation{}, errors.New("want kind key value start finish")
+		}
+		n := 0
+		for f, j := refNextField(part, 0); len(f) > 0; f, j = refNextField(part, j) {
+			n++
+		}
+		return nil, Operation{}, fmt.Errorf("want at least 4 fields (kind value start finish), got %d", n)
+	}
+	switch string(kind) {
+	case "w", "W":
+		op.Kind = KindWrite
+	case "r", "R":
+		op.Kind = KindRead
+	default:
+		return nil, Operation{}, fmt.Errorf("unknown kind %q", kind)
+	}
+	if op.Value, err = refParseInt(value); err != nil {
+		return nil, Operation{}, fmt.Errorf("value: %w", err)
+	}
+	if op.Start, err = refParseInt(start); err != nil {
+		return nil, Operation{}, fmt.Errorf("start: %w", err)
+	}
+	if op.Finish, err = refParseInt(finish); err != nil {
+		return nil, Operation{}, fmt.Errorf("finish: %w", err)
+	}
+	for attr, i := refNextField(part, i); len(attr) > 0; attr, i = refNextField(part, i) {
+		name, val, ok := bytes.Cut(attr, []byte("="))
+		if !ok {
+			return nil, Operation{}, fmt.Errorf("malformed attribute %q", attr)
+		}
+		n, err := refParseInt(val)
+		if err != nil {
+			return nil, Operation{}, fmt.Errorf("attribute %q: %w", name, err)
+		}
+		switch string(name) {
+		case "weight":
+			if n <= 0 {
+				return nil, Operation{}, fmt.Errorf("weight must be positive, got %d", n)
+			}
+			op.Weight = n
+		case "client":
+			op.Client = int(n)
+		default:
+			return nil, Operation{}, fmt.Errorf("unknown attribute %q", name)
+		}
+	}
+	return key, op, nil
+}
+
+// refNextField is the old nextField.
+func refNextField(s []byte, i int) ([]byte, int) {
+	for i < len(s) && refASCIISpace(s[i]) {
+		i++
+	}
+	st := i
+	for i < len(s) && !refASCIISpace(s[i]) {
+		i++
+	}
+	return s[st:i], i
+}
+
+// refASCIISpace is the old asciiSpace.
+func refASCIISpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
+}
+
+// refParseInt is the old parseInt.
+func refParseInt(b []byte) (int64, error) {
+	i, neg := 0, false
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		neg = b[0] == '-'
+		i++
+	}
+	if i == len(b) || len(b)-i > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		v = v*10 + int64(c)
+	}
+	if neg {
+		v = -v
+	}
+	return v, nil
 }

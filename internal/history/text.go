@@ -1,8 +1,8 @@
 package history
 
 // The text format (the package comment states the grammar), each layer written
-// once with the key column a parameter: printer, operation parser, block
-// scanner, reader.
+// once with the key column a parameter: printer, block scanner (whose
+// per-segment step is the operation parser), reader.
 
 import (
 	"bufio"
@@ -12,6 +12,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // AppendOpText appends one operation as a line of the text format, '\n'
@@ -80,109 +82,217 @@ func WriteText(w io.Writer, h *History) error {
 	return nil
 }
 
-// ParseOp parses one segment, the space at its ends already trimmed, in the
-// keyed or the single-register form. The key is a view into part. Well-formed
-// input allocates nothing.
-func ParseOp(part []byte, keyed bool) (key []byte, op Operation, err error) {
-	kind, i := nextField(part, 0)
-	if keyed {
-		key, i = nextField(part, i)
-	}
-	value, i := nextField(part, i)
-	start, i := nextField(part, i)
-	finish, i := nextField(part, i)
-	if len(finish) == 0 {
-		if keyed {
-			return nil, Operation{}, errors.New("want kind key value start finish")
-		}
-		n := 0
-		for f, j := nextField(part, 0); len(f) > 0; f, j = nextField(part, j) {
-			n++
-		}
-		return nil, Operation{}, fmt.Errorf("want at least 4 fields (kind value start finish), got %d", n)
-	}
-	switch string(kind) {
-	case "w", "W":
-		op.Kind = KindWrite
-	case "r", "R":
-		op.Kind = KindRead
-	default:
-		return nil, Operation{}, fmt.Errorf("unknown kind %q", kind)
-	}
-	if op.Value, err = parseInt(value); err != nil {
-		return nil, Operation{}, fmt.Errorf("value: %w", err)
-	}
-	if op.Start, err = parseInt(start); err != nil {
-		return nil, Operation{}, fmt.Errorf("start: %w", err)
-	}
-	if op.Finish, err = parseInt(finish); err != nil {
-		return nil, Operation{}, fmt.Errorf("finish: %w", err)
-	}
-	for attr, i := nextField(part, i); len(attr) > 0; attr, i = nextField(part, i) {
-		name, val, ok := bytes.Cut(attr, []byte("="))
-		if !ok {
-			return nil, Operation{}, fmt.Errorf("malformed attribute %q", attr)
-		}
-		n, err := parseInt(val)
-		if err != nil {
-			return nil, Operation{}, fmt.Errorf("attribute %q: %w", name, err)
-		}
-		switch string(name) {
-		case "weight":
-			if n <= 0 {
-				return nil, Operation{}, fmt.Errorf("weight must be positive, got %d", n)
-			}
-			op.Weight = n
-		case "client":
-			op.Client = int(n)
-		default:
-			return nil, Operation{}, fmt.Errorf("unknown attribute %q", name)
-		}
-	}
-	return key, op, nil
-}
+// The scanner reads a block once, front to back, classifying each byte with
+// one table lookup: a field byte, ASCII blank, or one of the three bytes that
+// end a segment. Unicode space is trimmed only where it can sit, at a
+// segment's two ends, so only a non-ASCII byte there costs a rune decode.
+const (
+	cField byte = iota // a field byte below utf8.RuneSelf
+	cHigh              // a field byte from utf8.RuneSelf up: maybe a Unicode space
+	cBlank             // ASCII white space but '\n': separates fields
+	cLine              // '\n': ends a line and its segment
+	cSemi              // ';': ends a segment
+	cHash              // '#': ends a segment; a comment runs to the line end
+)
 
-// nextField returns the field of s that starts at or after i, and where to
-// look for the one after it; the field is empty when s has no more.
-func nextField(s []byte, i int) ([]byte, int) {
-	for i < len(s) && asciiSpace(s[i]) {
+var textClass = func() (t [256]byte) {
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = cHigh
+	}
+	for _, c := range []byte(" \t\r\v\f") {
+		t[c] = cBlank
+	}
+	t['\n'], t[';'], t['#'] = cLine, cSemi, cHash
+	return t
+}()
+
+// blank returns the index of the first byte at or after b[i] that is not
+// ASCII blank.
+func blank(b []byte, i int) int {
+	for i < len(b) && textClass[b[i]] == cBlank {
 		i++
 	}
-	st := i
-	for i < len(s) && !asciiSpace(s[i]) {
-		i++
-	}
-	return s[st:i], i
+	return i
 }
 
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
+// field reads the field that starts at b[lo] and returns its end and where
+// scanning goes on. The field is empty when b[lo] ends the segment, or when
+// it and all that follows it in the segment is space.
+func field(b []byte, lo int) (hi, next int) {
+	hi = lo
+	for hi < len(b) && textClass[b[hi]] <= cHigh {
+		hi++
+	}
+	if hi > lo && b[hi-1] >= utf8.RuneSelf {
+		return trimField(b, lo, hi)
+	}
+	return hi, hi
 }
 
-// parseInt reads a decimal field in place: an optional sign and up to 18
-// digits, which cannot overflow. Anything else goes to strconv, which decides
-// it and words the error.
-func parseInt(b []byte) (int64, error) {
-	i, neg := 0, false
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-		neg = b[0] == '-'
+// trimField is the segment's trailing trim reaching into its last field: when
+// nothing but space follows b[lo:hi] in the segment, the field loses its
+// trailing Unicode space and scanning goes on at the segment's end.
+func trimField(b []byte, lo, hi int) (int, int) {
+	end := hi
+	for end < len(b) {
+		c := textClass[b[end]]
+		if c == cBlank {
+			end++
+			continue
+		}
+		if c == cField {
+			return hi, hi
+		}
+		if c != cHigh {
+			break // the segment ends
+		}
+		r, n := utf8.DecodeRune(b[end:])
+		if !unicode.IsSpace(r) {
+			return hi, hi
+		}
+		end += n
+	}
+	return lo + len(bytes.TrimRightFunc(b[lo:hi], unicode.IsSpace)), end
+}
+
+// number reads the decimal field that starts at b[lo] in place — an optional
+// sign and up to 18 digits, which cannot overflow — and returns it with the
+// field's end. ok is false for any other field; numberField reads those.
+func number(b []byte, lo int) (v int64, hi int, ok bool) {
+	i := lo
+	if i < len(b) && (b[i] == '-' || b[i] == '+') {
 		i++
 	}
-	if i == len(b) || len(b)-i > 18 {
-		return strconv.ParseInt(string(b), 10, 64)
-	}
-	var v int64
+	digits := i
 	for ; i < len(b); i++ {
 		c := b[i] - '0'
 		if c > 9 {
-			return strconv.ParseInt(string(b), 10, 64)
+			break
 		}
 		v = v*10 + int64(c)
 	}
-	if neg {
+	if n := i - digits; n == 0 || n > 18 || i < len(b) && textClass[b[i]] < cBlank {
+		return 0, i, false
+	}
+	if b[lo] == '-' {
 		v = -v
 	}
-	return v, nil
+	return v, i, true
+}
+
+// numberField reads the field that starts at b[lo] as a number the way
+// strconv does, which decides it and words the error, and returns it with
+// its end and where scanning goes on. A missing field (hi == lo) is an error
+// too.
+func numberField(b []byte, lo int) (v int64, hi, next int, err error) {
+	hi, next = field(b, lo)
+	v, err = strconv.ParseInt(string(b[lo:hi]), 10, 64)
+	return v, hi, next, err
+}
+
+var numberNames = [3]string{"value", "start", "finish"}
+
+// segment parses the operation whose first field starts at b[lo] into op and
+// returns its key, a view into b, with the index of the byte that ends its
+// segment ('\n', ';', '#' or len(b)). Too few fields is the error before any
+// bad one; among bad fields the first in order is reported.
+func (d *TextDecoder) segment(b []byte, lo int, op *Operation) (key []byte, end int, err error) {
+	*op = Operation{}
+	var bad error // the first bad field, reported once the fields are counted
+	i := lo + 1
+	switch c := b[lo]; {
+	case c|0x20 == 'w' && (i == len(b) || textClass[b[i]] >= cBlank):
+		op.Kind = KindWrite
+	case c|0x20 == 'r' && (i == len(b) || textClass[b[i]] >= cBlank):
+		op.Kind = KindRead
+	default:
+		// A kind that trims to w or r ends its segment, so the field count
+		// decides the error.
+		var hi int
+		hi, i = field(b, lo)
+		bad = fmt.Errorf("unknown kind %q", b[lo:hi])
+	}
+	fields := 1
+	if d.Keyed {
+		lo = blank(b, i)
+		var hi int
+		if hi, i = field(b, lo); hi == lo {
+			return nil, 0, errors.New("want kind key value start finish")
+		}
+		key = b[lo:hi]
+		fields++
+	}
+	var nums [3]int64
+	for f := range nums {
+		lo = blank(b, i)
+		v, hi, ok := number(b, lo)
+		if i = hi; !ok {
+			var err error
+			if v, hi, i, err = numberField(b, lo); hi == lo {
+				if d.Keyed {
+					return nil, 0, errors.New("want kind key value start finish")
+				}
+				return nil, 0, fmt.Errorf("want at least 4 fields (kind value start finish), got %d", fields)
+			}
+			if err != nil && bad == nil {
+				bad = fmt.Errorf("%s: %w", numberNames[f], err)
+			}
+		}
+		nums[f] = v
+		fields++
+	}
+	if bad != nil {
+		return nil, 0, bad
+	}
+	op.Value, op.Start, op.Finish = nums[0], nums[1], nums[2]
+	for {
+		if lo = blank(b, i); lo == len(b) || textClass[b[lo]] > cBlank {
+			return key, lo, nil
+		}
+		rest := b[lo:]
+		client := len(rest) >= 7 && string(rest[:7]) == "client="
+		if !client && !(len(rest) >= 7 && string(rest[:7]) == "weight=") {
+			end, err := otherAttribute(b, lo)
+			if err != nil {
+				return nil, 0, err
+			}
+			return key, end, nil
+		}
+		n, hi, ok := number(b, lo+7)
+		if i = hi; !ok {
+			var err error
+			if n, _, i, err = numberField(b, lo+7); err != nil {
+				return nil, 0, fmt.Errorf("attribute %q: %w", rest[:6], err)
+			}
+		}
+		switch {
+		case client:
+			op.Client = int(n)
+		case n <= 0:
+			return nil, 0, fmt.Errorf("weight must be positive, got %d", n)
+		default:
+			op.Weight = n
+		}
+	}
+}
+
+// otherAttribute reads the field at b[lo], which is neither client= nor
+// weight=. That is an error, worded here, unless the field is the Unicode
+// space that ends its segment: then end is the segment's end.
+func otherAttribute(b []byte, lo int) (end int, err error) {
+	hi, end := field(b, lo)
+	if hi == lo {
+		return end, nil
+	}
+	attr := b[lo:hi]
+	name, val, ok := bytes.Cut(attr, []byte("="))
+	if !ok {
+		return 0, fmt.Errorf("malformed attribute %q", attr)
+	}
+	if _, err := strconv.ParseInt(string(val), 10, 64); err != nil {
+		return 0, fmt.Errorf("attribute %q: %w", name, err)
+	}
+	return 0, fmt.Errorf("unknown attribute %q", name)
 }
 
 // textChunk is ScanText's read size. maxTextLine caps the buffer a
@@ -276,44 +386,57 @@ func (d *TextDecoder) readErr(err error) error {
 
 // Scan parses a run of text — lines, comments, segments — and hands every
 // operation to emit in input order; the key (nil in the single-register form)
-// is a view into block. A segment that does not parse ends the scan with an
-// error naming its position in the stream, counted across calls; an error
-// from emit ends it with that error.
+// is a view into block. It reads block once, front to back: the byte that
+// ends a segment is found by the same walk that reads the segment's fields,
+// and only an error goes back to cut the segment out for its message. A
+// segment that does not parse ends the scan with an error naming its position
+// in the stream, counted across calls; an error from emit ends it with that
+// error.
 func (d *TextDecoder) Scan(block []byte, emit func(key []byte, op Operation) error) error {
-	for len(block) > 0 {
-		line := block
-		if i := bytes.IndexByte(block, '\n'); i >= 0 {
-			line, block = block[:i], block[i+1:]
-		} else {
-			block = nil
-		}
-		if i := bytes.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		for len(line) > 0 {
-			part := line
-			if i := bytes.IndexByte(line, ';'); i >= 0 {
-				part, line = line[:i], line[i+1:]
+	var op Operation
+	for i := 0; i < len(block); {
+		switch textClass[block[i]] {
+		case cBlank, cLine, cSemi:
+			i++
+			continue
+		case cHash:
+			if n := bytes.IndexByte(block[i:], '\n'); n >= 0 {
+				i += n + 1
 			} else {
-				line = nil
+				i = len(block)
 			}
-			if part = bytes.TrimSpace(part); len(part) == 0 {
+			continue
+		case cHigh:
+			if r, n := utf8.DecodeRune(block[i:]); unicode.IsSpace(r) {
+				i += n
 				continue
 			}
-			d.seg++
-			key, op, err := ParseOp(part, d.Keyed)
-			if err != nil {
-				if d.Keyed {
-					return fmt.Errorf("trace: segment %d (%q): %w", d.seg, part, err)
-				}
-				return fmt.Errorf("segment %d (%q): %w", d.seg, part, err)
-			}
-			if err := emit(key, op); err != nil {
-				return err
-			}
 		}
+		d.seg++
+		key, end, err := d.segment(block, i, &op)
+		if err != nil {
+			return d.segmentError(block, i, err)
+		}
+		if err := emit(key, op); err != nil {
+			return err
+		}
+		i = end
 	}
 	return nil
+}
+
+// segmentError names the segment that starts at block[lo] in err: its
+// position and its text, the space at its ends trimmed.
+func (d *TextDecoder) segmentError(block []byte, lo int, err error) error {
+	end := lo
+	for end < len(block) && textClass[block[end]] < cLine {
+		end++
+	}
+	part := bytes.TrimSpace(block[lo:end])
+	if d.Keyed {
+		return fmt.Errorf("trace: segment %d (%q): %w", d.seg, part, err)
+	}
+	return fmt.Errorf("segment %d (%q): %w", d.seg, part, err)
 }
 
 // ScanText reads the text format from r to its end and hands every operation

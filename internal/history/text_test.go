@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -279,40 +280,45 @@ type stuckReader struct{}
 
 func (stuckReader) Read([]byte) (int, error) { return 0, nil }
 
-// FuzzParseOp holds the one operation parser, in both forms, to the string
-// parser it replaced (ref_test.go): same key, same operation, the same error
-// word for word — and holds the printer to the parser: whatever parses prints
-// as the old printers printed it, and the print parses back to itself.
+// parseOpCorpus is FuzzParseOp's seed segments, in the keyed form (the
+// corpus of trace.FuzzParseKeyedOp, which that target took over).
+var parseOpCorpus = []string{
+	"w k 1 0 10",
+	"w k 1 0 10 weight=3 client=7",
+	"r k 1 0 10 client=7 weight=3",
+	"w k 1 0 10 client=1 client=2",
+	"w k 1 0 10 weight=2 client=1 weight=5",
+	"w k 1 0 10 weight=0",
+	"w k 1 0 10 weight=-1",
+	"r k 1 0 10 client=+7",
+	"r k 1 0 10 client=-7",
+	"w k 1 0 10 client=1234567890123456789",
+	"w k 1234567890123456789 0 10 weight=1234567890123456789",
+	"w k 1 0 10 color=3",
+	"w k 1 0 10 a=b=c",
+	"w k 1 0 10 client=1=2",
+	"w k 1 0 10 client",
+	"w k 1 0 10 client=",
+	"w k 1 0 10 =5",
+	"w k 1 0 10 weight=1 client=2 client=3",
+	"w k 1 0 10 weight=1 client=2 client=3 weight=4",
+	"w\tk\t1\t0\t10\tclient=4",
+	"W k -1 -5 +10",
+	"write k 1 0 10",
+	"x k 1 0 10",
+	"w k 1 0",
+	"w k one 0 10",
+	"",
+}
+
+// FuzzParseOp holds the scanner, on one segment in either form, to the string
+// parser it replaced (ref_test.go): the segment trimmed, then split on ASCII
+// space and every number handed to strconv. Same key, same operation, the
+// same error word for word — and it holds the printer to the scanner:
+// whatever parses prints as the old printers printed it, and the print parses
+// back to itself. Input that is not one segment is FuzzScanEquivalence's.
 func FuzzParseOp(f *testing.F) {
-	// The corpus of trace.FuzzParseKeyedOp, which this target took over.
-	for _, seed := range []string{
-		"w k 1 0 10",
-		"w k 1 0 10 weight=3 client=7",
-		"r k 1 0 10 client=7 weight=3",
-		"w k 1 0 10 client=1 client=2",
-		"w k 1 0 10 weight=2 client=1 weight=5",
-		"w k 1 0 10 weight=0",
-		"w k 1 0 10 weight=-1",
-		"r k 1 0 10 client=+7",
-		"r k 1 0 10 client=-7",
-		"w k 1 0 10 client=1234567890123456789",
-		"w k 1234567890123456789 0 10 weight=1234567890123456789",
-		"w k 1 0 10 color=3",
-		"w k 1 0 10 a=b=c",
-		"w k 1 0 10 client=1=2",
-		"w k 1 0 10 client",
-		"w k 1 0 10 client=",
-		"w k 1 0 10 =5",
-		"w k 1 0 10 weight=1 client=2 client=3",
-		"w k 1 0 10 weight=1 client=2 client=3 weight=4",
-		"w\tk\t1\t0\t10\tclient=4",
-		"W k -1 -5 +10",
-		"write k 1 0 10",
-		"x k 1 0 10",
-		"w k 1 0",
-		"w k one 0 10",
-		"",
-	} {
+	for _, seed := range parseOpCorpus {
 		f.Add(seed, true)
 		f.Add(seed, false)
 	}
@@ -321,18 +327,27 @@ func FuzzParseOp(f *testing.F) {
 		f.Add(row.keyed, true)
 	}
 	f.Fuzz(func(t *testing.T, part string, keyed bool) {
-		key, op, err := ParseOp([]byte(part), keyed)
-		wantKey, wantOp, wantErr := refParseOp(part, keyed)
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("%q keyed=%v: error %v, string parser says %v", part, keyed, err, wantErr)
-		}
-		if string(key) != wantKey || op != wantOp {
-			t.Fatalf("%q keyed=%v: parsed %q %+v, string parser says %q %+v", part, keyed, key, op, wantKey, wantOp)
-		}
-		if err != nil {
+		seg := strings.TrimSpace(part)
+		if seg == "" || strings.ContainsAny(part, "\n;#") {
 			return
 		}
-		line := AppendOpText(nil, key, op)
+		keys, ops, err := scanAll(part, keyed)
+		wantKey, wantOp, wantErr := refParseOp(seg, keyed)
+		if wantErr != nil {
+			want := fmt.Sprintf("segment 1 (%q): %v", seg, wantErr)
+			if keyed {
+				want = "trace: " + want
+			}
+			if err == nil || err.Error() != want || len(ops) != 0 {
+				t.Fatalf("%q keyed=%v: %d operations, error %v, string parser says %s", part, keyed, len(ops), err, want)
+			}
+			return
+		}
+		if err != nil || len(ops) != 1 || keys[0] != wantKey || ops[0] != wantOp {
+			t.Fatalf("%q keyed=%v: parsed %q %+v (%v), string parser says %q %+v", part, keyed, keys, ops, err, wantKey, wantOp)
+		}
+		op := ops[0]
+		line := AppendOpText(nil, wantKey, op)
 		old := refOpString(op)
 		if keyed { // the old keyed printers spliced the key into that string
 			kind, rest, _ := strings.Cut(old, " ")
@@ -344,12 +359,114 @@ func FuzzParseOp(f *testing.F) {
 		if op.Weight == 1 {
 			op.Weight = 0 // the default: not written, so not read back
 		}
-		key2, op2, err := ParseOp(bytes.TrimSuffix(line, []byte("\n")), keyed)
-		if err != nil || string(key2) != wantKey || op2 != op {
-			t.Fatalf("%q keyed=%v: print %q parses back to %q %+v (%v)", part, keyed, line, key2, op2, err)
+		keys2, ops2, err := scanAll(string(line), keyed)
+		if err != nil || len(ops2) != 1 || keys2[0] != wantKey || ops2[0] != op {
+			t.Fatalf("%q keyed=%v: print %q parses back to %q %+v (%v)", part, keyed, line, keys2, ops2, err)
 		}
-		if again := AppendOpText(nil, key2, op2); !bytes.Equal(again, line) {
+		if again := AppendOpText(nil, keys2[0], ops2[0]); !bytes.Equal(again, line) {
 			t.Fatalf("%q keyed=%v: print→parse→print %q, then %q", part, keyed, line, again)
 		}
 	})
+}
+
+// scanEquivalenceSeeds is FuzzScanEquivalence's corpus: the grammar rows, the
+// operation corpus joined every way a block joins segments, Unicode space
+// where the trim does and does not reach, the digit counts either side of the
+// in-place limit, and a last line with no line end.
+func scanEquivalenceSeeds() []string {
+	var seeds []string
+	for _, row := range grammarRows {
+		seeds = append(seeds, row.single, row.keyed)
+	}
+	for _, sep := range []string{"\n", ";", "\r\n", " # note\n", "#;\n"} {
+		seeds = append(seeds, strings.Join(parseOpCorpus, sep))
+	}
+	for _, sp := range []string{"\u00a0", "\u0085", "\u2028"} {
+		seeds = append(seeds,
+			sp+"w k 1 0 10"+sp+"\n"+sp+" r k 1 5 20 client=3 "+sp+";"+sp,
+			"w k"+sp+"k 1 0 10\nw "+sp+"k 1 0 10\nw k 1 0 10 client=3"+sp+"\n",
+			"w k 1 0 10"+sp+"client=3\nw k 1 0 10 "+sp+" "+sp+"#c\nw k 1 0 "+sp+"\n",
+		)
+	}
+	seeds = append(seeds,
+		"w k 123456789012345678 -123456789012345678 +123456789012345678 weight=123456789012345678 client=-123456789012345678\n",
+		"w k 1234567890123456789 -1234567890123456789 +1234567890123456789 weight=+1234567890123456789 client=-1234567890123456789\n",
+		"w k -9223372036854775808 9223372036854775807 -0 client=+0\nw k 9223372036854775808 0 1\n",
+		"w k - + 1\nw k 1 0 10 weight=+\nw k +-1 0 1\n",
+		"w a 1 0 10\nr a 1 20 30 client=2",
+	)
+	return seeds
+}
+
+var errStopScan = errors.New("stop")
+
+// scanRun is what one scanner made of a fuzz input: every key and operation
+// it handed to emit, and how it ended.
+type scanRun struct {
+	keys []string
+	ops  []Operation
+	err  string
+}
+
+// runScan feeds text to scan as two blocks cut at split, stopping emit after
+// stop operations when stop > 0; the second block is scanned only if the
+// first ends without error.
+func runScan(scan func([]byte, func([]byte, Operation) error) error, text []byte, split, stop int) scanRun {
+	var r scanRun
+	emit := func(key []byte, op Operation) error {
+		if stop > 0 && len(r.ops) == stop {
+			return errStopScan
+		}
+		r.keys = append(r.keys, string(key))
+		r.ops = append(r.ops, op)
+		return nil
+	}
+	err := scan(text[:split], emit)
+	if err == nil {
+		err = scan(text[split:], emit)
+	}
+	if err != nil {
+		r.err = err.Error()
+	}
+	return r
+}
+
+// FuzzScanEquivalence holds the one-pass scanner to the split-then-parse one
+// it replaced (refScan, ref_test.go) over arbitrary bytes in both forms, cut
+// into two blocks at any offset: the same keys and operations in the same
+// order, the same error word for word (segment position included), and the
+// same stopping point when emit fails.
+func FuzzScanEquivalence(f *testing.F) {
+	for _, seed := range scanEquivalenceSeeds() {
+		f.Add([]byte(seed), uint16(len(seed)/2), uint8(0))
+		f.Add([]byte(seed), uint16(0), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, text []byte, split uint16, stop uint8) {
+		cut := int(split) % (len(text) + 1)
+		for _, keyed := range []bool{false, true} {
+			d, ref := TextDecoder{Keyed: keyed}, refDecoder{Keyed: keyed}
+			got := runScan(d.Scan, text, cut, int(stop))
+			want := runScan(ref.refScan, text, cut, int(stop))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q cut at %d, stop after %d, keyed=%v:\n got  %+v\n want %+v", text, cut, stop, keyed, got, want)
+			}
+		}
+	})
+}
+
+// TestScanZeroAlloc: a warm decoder scans a keyed block with attributes, CRLF,
+// comments and ';' segments without allocating — the README's promise for
+// well-formed input.
+func TestScanZeroAlloc(t *testing.T) {
+	block := []byte("# head\r\nw key-1 1 0 10 weight=3 client=7\r\nr key-1 1 5 20 client=-2; w key-2 -5 -10 -1\n" +
+		"w k\u00a0k 9 30 40 client=1 weight=2 # tail\n\u00a0r key-2 -5 41 50\u2003\n")
+	d := TextDecoder{Keyed: true}
+	var n int
+	emit := func(_ []byte, op Operation) error { n++; return nil }
+	if err := d.Scan(block, emit); err != nil || n != 5 {
+		t.Fatalf("scan: %d operations, %v", n, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = d.Scan(block, emit) }); allocs != 0 {
+		t.Fatalf("warm Scan allocates %.1f times per block, want 0", allocs)
+	}
 }

@@ -379,12 +379,13 @@ func TestParseReaderMatchesParse(t *testing.T) {
 }
 
 // FuzzParseKeyedOp holds the trace's text doors to the codec they stand on.
-// The in-place parser it used to compare with the string parser is now
-// history.ParseOp, and that comparison, with this corpus, is
-// history.FuzzParseOp; what is left here is the trace's own: a segment reaches
-// ParseStreamBytes's emit exactly as ParseOp reads it, an error comes back under
-// the segment's position, and what parses prints through AppendKeyedOpText and
-// Trace.String to a line that parses back to itself.
+// The in-place parser it used to compare with the string parser is now the
+// scanner under history.TextDecoder, and that comparison, with this corpus,
+// is history.FuzzParseOp; what is left here is the trace's own: a segment
+// reaches ParseStreamBytes's emit exactly as the scanner reads the trimmed
+// segment handed to it whole, an error comes back under the segment's
+// position, and what parses prints through AppendKeyedOpText and Trace.String
+// to a line that parses back to itself.
 func FuzzParseKeyedOp(f *testing.F) {
 	for _, seed := range []string{
 		"w k 1 0 10",
@@ -432,17 +433,25 @@ func FuzzParseKeyedOp(f *testing.F) {
 			}
 			return
 		}
-		wantKey, wantOp, wantErr := history.ParseOp(trimmed, true)
+		var want []KeyedOp
+		d := history.TextDecoder{Keyed: true}
+		wantErr := d.Scan(trimmed, func(key []byte, op history.Operation) error {
+			want = append(want, KeyedOp{Key: string(key), Op: op})
+			return nil
+		})
 		if wantErr != nil {
-			if want := fmt.Sprintf("trace: segment 1 (%q): %v", trimmed, wantErr); err == nil || err.Error() != want {
-				t.Fatalf("%q: error %v, want %s", part, err, want)
+			if !strings.HasPrefix(wantErr.Error(), fmt.Sprintf("trace: segment 1 (%q): ", trimmed)) {
+				t.Fatalf("%q: the scanner words its error %v", part, wantErr)
+			}
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%q: error %v, want %v", part, err, wantErr)
 			}
 			return
 		}
-		if err != nil || len(got) != 1 || got[0].Key != string(wantKey) || got[0].Op != wantOp {
-			t.Fatalf("%q: streamed %+v (%v), ParseOp says %q %+v", part, got, err, wantKey, wantOp)
+		if err != nil || len(got) != 1 || len(want) != 1 || got[0] != want[0] {
+			t.Fatalf("%q: streamed %+v (%v), the scanner says %+v", part, got, err, want)
 		}
-		line := AppendKeyedOpText(nil, wantKey, wantOp)
+		line := AppendKeyedOpText(nil, want[0].Key, want[0].Op)
 		tr, err := Parse(string(line))
 		if err != nil || tr.String() != string(line) {
 			t.Fatalf("%q: printed %q, which parses (%v) and prints back as %q", part, line, err, tr)

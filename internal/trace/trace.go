@@ -83,11 +83,11 @@ func ParseStreamBytes(r io.Reader, emit func(key []byte, op history.Operation) e
 // operation of a hot key four or five times.
 const parseChunk = 1024
 
-// ParseReader reads a whole multi-register trace from r, so memory is
-// proportional to the operations rather than the raw text plus the
-// operations. Use it for file and stdin inputs. A key's operations collect in
-// chunks of about parseChunk that are joined once at end of input; a key that
-// fits in one keeps that slice.
+// ParseReader reads a whole multi-register trace from r in chunks, each read
+// once by history.TextDecoder.Scan, so memory is proportional to the
+// operations, not the raw text plus the operations. A key's operations collect
+// in chunks of about parseChunk joined once at end of input; a key that fits
+// in one keeps that slice. Use it for file and stdin inputs.
 func ParseReader(r io.Reader) (*Trace, error) {
 	type chunked struct {
 		history.History                       // Ops is the chunk being filled
