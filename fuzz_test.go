@@ -421,9 +421,10 @@ func FuzzSmallestKConsistent(f *testing.F) {
 // FuzzWireCodecEquivalence is the differential fuzz target for the binary
 // wire codec. For arbitrary keyed traces it checks two properties the PR 7
 // pipeline rests on: encode∘decode is the identity on the keyed operations
-// (across hash-seeded frame boundaries and compression), and a session fed
-// the binary stream produces exactly the per-key smallest-k verdicts of one
-// fed the text rendering of the same trace.
+// (across hash-seeded frame boundaries and compression) — through Next and,
+// frame by frame, through the NextFrame view the session ingests — and a
+// session fed the binary stream produces exactly the per-key smallest-k
+// verdicts of one fed the text rendering of the same trace.
 func FuzzWireCodecEquivalence(f *testing.F) {
 	seeds := []string{
 		"w a 1 0 10; r a 1 20 30; w b 1 5 15",
@@ -489,6 +490,31 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 			a.Op.ID, b.Op.ID = 0, 0
 			if a != b {
 				t.Fatalf("op %d: encoded %+v, decoded %+v (%q)", i, ops[i], decoded[i], canon)
+			}
+		}
+
+		// Property 1b: the frame view is Next's decode, frame by frame — the
+		// same operations, each key's bytes equal to Next's string — with
+		// one view decoder's payload buffer reused across frames that keep
+		// the dictionary.
+		strs, views := wire.NewDecoder(bytes.NewReader(stream)), wire.NewDecoder(bytes.NewReader(stream))
+		for frameNo := 0; ; frameNo++ {
+			want, werr := strs.Next()
+			f, ferr := views.NextFrame()
+			if werr == io.EOF && ferr == io.EOF {
+				break
+			}
+			if werr != nil || ferr != nil {
+				t.Fatalf("frame %d: Next %v, NextFrame %v (%q)", frameNo, werr, ferr, canon)
+			}
+			if len(f.Ops) != len(want) || len(f.IDs) != len(want) {
+				t.Fatalf("frame %d: NextFrame %d ops, Next %d (%q)", frameNo, len(f.Ops), len(want), canon)
+			}
+			for i := range want {
+				if string(f.Key(f.IDs[i])) != want[i].Key || f.Ops[i] != want[i].Op {
+					t.Fatalf("frame %d op %d: view %s %+v, Next %+v (%q)",
+						frameNo, i, f.Key(f.IDs[i]), f.Ops[i], want[i], canon)
+				}
 			}
 		}
 

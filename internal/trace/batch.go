@@ -11,13 +11,15 @@ package trace
 // chunk of operations, group them by ingest shard with one counting pass, and
 // feed each shard's group under a single lock acquisition — lock acquisitions
 // per operation drop by roughly the batch size over the shard count, and the
-// parse path keeps keys as views into the read buffer, so the steady-state
-// hot path allocates nothing. Append is the same path with a batch of one.
+// decoders keep keys as bytes where they hold them, so the steady-state hot
+// path allocates nothing. Append is the same path with a batch of one.
 //
 // Every door hands its operations to one generic feed through a batchView:
-// keyedOps for a []KeyedOp (AppendBatch, Append, each decoded wire frame),
-// textChunk for a parsed chunk of keyed text. Only the key's representation
-// differs, a string or a view into the read buffer.
+// keyedOps for a []KeyedOp (AppendBatch, Append), wireFrame for a decoded
+// wire frame, textChunk for a parsed chunk of keyed text. Only the key's
+// representation differs: a string, or bytes where the decoder holds them (a
+// dictionary entry, a view into the read buffer), which the shard's key map
+// is probed with as they are.
 //
 // Ordering: a key maps to exactly one shard and each shard's group
 // preserves input order, so per-key arrival order — the only order the
@@ -72,6 +74,12 @@ type textChunk struct {
 func (c *textChunk) len() int                              { return len(c.ops) }
 func (c *textChunk) at(i int) ([]byte, *history.Operation) { return c.keys[i], &c.ops[i] }
 
+// wireFrame is the batch view of a decoded wire frame, good until the next.
+type wireFrame struct{ *wire.Frame }
+
+func (f wireFrame) len() int                              { return len(f.Ops) }
+func (f wireFrame) at(i int) ([]byte, *history.Operation) { return f.Key(f.IDs[i]), &f.Ops[i] }
+
 // batchScratch holds the reusable grouping state of one in-flight batch
 // call; a sync.Pool on the session recycles them so concurrent producers
 // never share one and the steady-state path allocates nothing.
@@ -112,11 +120,11 @@ func (s *Session) putScratch(sc *batchScratch) {
 // input order, and the sticky-error unwind. With a ShardLogger attached, the
 // group's accepted prefix is logged before the lock releases — on the error
 // exits too, so the log never misses an operation the engine admitted — as a
-// self-contained wire frame when framed (the batch arrived binary), as keyed
-// text otherwise. Every exit releases the shard through unlockIngest, which
-// publishes the group's counters. Returns the operations appended and the
-// first error.
-func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, framed bool) (int, error) {
+// self-contained wire frame when the batch arrived binary (src is the frame b
+// views), as keyed text otherwise. Every exit releases the shard through
+// unlockIngest, which publishes the group's counters. Returns the operations
+// appended and the first error.
+func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, src *wire.Frame) (int, error) {
 	e := s.e
 	n := b.len()
 	if n == 0 {
@@ -156,7 +164,7 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 		appended += accepted
 		if logger != nil && accepted > 0 {
 			// An admission error is already sticky and stays the one returned.
-			if lerr := s.logShard(logger, si, walRecord(sc, b, group[:accepted], framed)); err == nil {
+			if lerr := s.logShard(logger, si, walRecord(sc, b, group[:accepted], src)); err == nil {
 				err = lerr
 			}
 		}
@@ -170,12 +178,13 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 }
 
 // walRecord encodes the operations of b at idx — one shard group's accepted
-// prefix — as one write-ahead record: a self-contained wire frame when
-// framed, so durable ingest logs binary when it received binary and recovery
-// replays each record alone, keyed text otherwise.
-func walRecord[K string | []byte, B batchView[K]](sc *batchScratch, b B, idx []int32, framed bool) []byte {
+// prefix — as one write-ahead record: when src is the wire frame b views, a
+// self-contained frame keyed by src's dictionary ids, so durable ingest logs
+// binary when it received binary and recovery replays each record alone;
+// keyed text otherwise.
+func walRecord[K string | []byte, B batchView[K]](sc *batchScratch, b B, idx []int32, src *wire.Frame) []byte {
 	sc.wal = sc.wal[:0]
-	if !framed {
+	if src == nil {
 		for _, i := range idx {
 			key, op := b.at(int(i))
 			sc.wal = history.AppendOpText(sc.wal, key, *op)
@@ -187,10 +196,9 @@ func walRecord[K string | []byte, B batchView[K]](sc *batchScratch, b B, idx []i
 		sc.wenc.SetSelfContained(true)
 	}
 	for _, i := range idx {
-		key, op := b.at(int(i))
-		// Keys and kinds came through the decoder, which enforces the grammar
-		// alphabet and the kind set, so re-encoding cannot fail.
-		_ = sc.wenc.Add(string(key), *op)
+		// Kinds came through the decoder, which enforces the kind set, so
+		// re-encoding cannot fail.
+		_ = sc.wenc.AddFrom(src, int(i))
 	}
 	sc.wal = sc.wenc.AppendFrame(sc.wal)
 	return sc.wal
@@ -246,7 +254,7 @@ func (s *Session) AppendBatch(ops []KeyedOp) (n int, err error) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	defer s.commitBatch(&err)
-	return feed(s, sc, keyedOps(ops), false)
+	return feed(s, sc, keyedOps(ops), nil)
 }
 
 // Append routes one operation into its key's segment accumulator: a batch of
@@ -261,13 +269,13 @@ func (s *Session) Append(key string, op history.Operation) (err error) {
 	defer s.putScratch(sc)
 	defer s.commitBatch(&err)
 	sc.one[0] = KeyedOp{Key: key, Op: op}
-	_, err = feed(s, sc, keyedOps(sc.one[:]), false)
+	_, err = feed(s, sc, keyedOps(sc.one[:]), nil)
 	return err
 }
 
-// AppendWire streams binary wire frames from r into the session: each
-// frame's operations decode into the reusable scratch — key strings
-// interned per stream, no per-operation text — and feed shard groups
+// AppendWire streams binary wire frames from r into the session: each frame
+// decodes into the reusable scratch — keys stay bytes in the decoder's
+// dictionary, no string per key or operation — and feeds shard groups
 // exactly like AppendBatch. Returns the number of operations actually
 // appended. Frames decoded before a failure are already ingested; a
 // malformed frame surfaces as a *wire.DecodeError carrying the stream byte
@@ -291,14 +299,14 @@ func (s *Session) AppendWire(r io.Reader) (n int64, err error) {
 		sc.wdec.Reset(r)
 	}
 	for {
-		ops, err := sc.wdec.Next()
+		f, err := sc.wdec.NextFrame()
 		if err == io.EOF {
 			return n, nil
 		}
 		if err != nil {
 			return n, err
 		}
-		added, err := feed(s, sc, keyedOps(ops), true)
+		added, err := feed(s, sc, wireFrame{f}, f)
 		n += int64(added)
 		if err != nil {
 			return n, err
@@ -351,7 +359,7 @@ func (s *Session) AppendTraceBatch(r io.Reader) (n int64, err error) {
 		}
 		sc.text.ops, sc.text.keys = sc.text.ops[:0], sc.text.keys[:0]
 		parseErr := sc.dec.Scan(block, sc.collect)
-		added, err := feed(s, sc, &sc.text, false)
+		added, err := feed(s, sc, &sc.text, nil)
 		n += int64(added)
 		if err == nil {
 			err = parseErr

@@ -45,9 +45,11 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"kat/internal/history"
 	"kat/internal/opbuf"
@@ -482,19 +484,23 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 			cp.Retired = append(cp.Retired, st)
 		}
 	}
+	// Every list is sorted, so a checkpoint is a function of the session's
+	// state, not of map iteration order.
+	slices.SortFunc(cp.Retired, func(a, b RetiredKeyState) int { return cmp.Compare(a.Key, b.Key) })
 	if e.epochLen > 0 {
 		t := &e.epochT
 		t.mu.Lock()
 		if t.folded != nil {
 			cp.Epochs = append(cp.Epochs, *t.folded)
 		}
+		live := len(cp.Epochs)
 		for _, es := range t.epochs {
 			cp.Epochs = append(cp.Epochs, *es)
 		}
 		t.mu.Unlock()
+		slices.SortFunc(cp.Epochs[live:], func(a, b EpochStats) int { return cmp.Compare(a.Epoch, b.Epoch) })
 	}
 	var buf []byte
-	var opened []int64
 	for _, sh := range e.shards {
 		for _, ks := range sh.keys {
 			st := KeyState{
@@ -516,30 +522,25 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 			if len(buf) > 0 {
 				st.Open = string(buf)
 			}
-			// Values lists the open window's writes under the open seq, as it
-			// did when they were indexed on arrival; the index itself learns
-			// them at the close, so they are entered for the listing only (a
-			// restore drops them again).
-			opened = opened[:0]
+			// Values lists the index's pairs and, under the open seq, the open
+			// window's writes it does not hold, as when writes were indexed on
+			// arrival: the index learns them at the close, and a restore drops
+			// them again.
+			values := ks.values.AppendPairs(nil)
 			d := history.TextDecoder{Keyed: true}
 			err = d.Scan(buf, func(_ []byte, op history.Operation) error {
-				if _, ok := ks.values[op.Value]; op.IsWrite() && !ok {
-					ks.values[op.Value] = int32(ks.seq)
-					opened = append(opened, op.Value)
+				if _, ok := ks.values.Get(op.Value); op.IsWrite() && !ok {
+					values = append(values, [2]int64{op.Value, int64(ks.seq)})
 				}
 				return nil
 			})
 			if err != nil {
 				return nil, fmt.Errorf("trace: checkpoint decode open window of %q: %w", ks.key, err)
 			}
-			if len(ks.values) > 0 {
-				st.Values = make([][2]int64, 0, len(ks.values))
-				for v, seq := range ks.values {
-					st.Values = append(st.Values, [2]int64{v, int64(seq)})
-				}
-			}
-			for _, v := range opened {
-				delete(ks.values, v)
+			if len(values) > 0 {
+				// A value the window wrote twice is listed once.
+				slices.SortFunc(values, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+				st.Values = slices.Compact(values)
 			}
 			for i := range ks.deque {
 				seg := &ks.deque[i]
@@ -558,6 +559,7 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 			cp.Keys = append(cp.Keys, st)
 		}
 	}
+	slices.SortFunc(cp.Keys, func(a, b KeyState) int { return cmp.Compare(a.Key, b.Key) })
 	return cp, nil
 }
 
@@ -610,12 +612,16 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		ks.cumWrites = st.CumWrites
 		ks.cumMaxFinish = st.CumMaxFinish
 		ks.totalClosed = st.TotalClosed
+		ks.values.Reserve(len(st.Values))
 		for _, pair := range st.Values {
 			// The open window's writes enter the index when it closes; the
 			// checkpoint lists them all the same (see buildCheckpoint), and
 			// taking them now would make that close a duplicate of itself.
+			if pair[1] < 0 || pair[1] > int64(st.Seq) {
+				return fmt.Errorf("trace: checkpoint value %d of %q names segment %d, outside 0..%d", pair[0], st.Key, pair[1], st.Seq)
+			}
 			if pair[1] != int64(st.Seq) {
-				ks.values[pair[0]] = int32(pair[1])
+				ks.values.Put(pair[0], int32(pair[1]))
 			}
 		}
 		var err error

@@ -452,6 +452,14 @@ func TestCheckpointRestoreGuards(t *testing.T) {
 	if err := used.RestoreCheckpoint(cp); err == nil {
 		t.Fatal("restore onto a used session accepted")
 	}
+	// A value index entry must name a segment of its key, the open one at most.
+	for _, seq := range []int64{-1, 2} {
+		bad := &SessionCheckpoint{Mode: cp.Mode, Threshold: cp.Threshold,
+			Keys: []KeyState{{Key: "x", Seq: 1, Values: [][2]int64{{7, 0}, {8, seq}}}}}
+		if err := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1}).RestoreCheckpoint(bad); err == nil {
+			t.Fatalf("value index naming segment %d of a key at seq 1 accepted", seq)
+		}
+	}
 }
 
 func TestCheckpointOfFlushedSession(t *testing.T) {

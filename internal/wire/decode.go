@@ -9,26 +9,54 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"kat/internal/history"
 )
 
 // Decoder reads frames from a stream and yields their operations. One
 // decoder is one stream: the key dictionary accumulates across frames
-// (unless a frame resets it), and every dictionary key is interned as a
-// single string shared by every operation that references it — decoding a
-// batch allocates per new key, not per operation.
+// (unless a frame resets it). A dictionary key's bytes are copied once, when
+// its entry arrives, into an arena the decoder owns, so they outlive the
+// payload buffer every frame reuses; an operation names its key by its
+// dictionary id. NextFrame hands a frame out in that form — operations and
+// ids, keys as views into the arena — and decoding a batch allocates nothing
+// per operation or per key. Next is the same decode with each key as a
+// string, interned once per dictionary entry.
 type Decoder struct {
 	br  *bufio.Reader
 	off int64 // bytes consumed from the stream
 
-	dict    []string
-	ops     []Op
-	stored  []byte // frame payload as stored
-	raw     []byte // decompressed payload accumulator
-	block   []byte // fixed inflate read chunk
+	keys    []byte // arena: the dictionary's key bytes, in id order
+	ends    []int  // ends[id] is where key id ends in keys
+	frame   Frame
+	names   []string // Next's key strings, by dictionary id ("" until needed)
+	ops     []Op     // Next's result
+	stored  []byte   // frame payload as stored
+	raw     []byte   // decompressed payload accumulator
+	block   []byte   // fixed inflate read chunk
 	scratch [4]byte
 	fr      io.ReadCloser // flate reader, reused via flate.Resetter
+}
+
+// Frame is one decoded frame, viewed in place: operation i is Ops[i] on the
+// key whose dictionary id is IDs[i], and Key returns that key's bytes. Every
+// part of it is the decoder's and is good until the next NextFrame, Next or
+// Reset call.
+type Frame struct {
+	Ops  []history.Operation
+	IDs  []uint32
+	keys []byte
+	ends []int
+}
+
+// Key returns the bytes of the key with dictionary id id (an id from IDs).
+func (f *Frame) Key(id uint32) []byte {
+	start := 0
+	if id > 0 {
+		start = f.ends[id-1]
+	}
+	return f.keys[start:f.ends[id]:f.ends[id]]
 }
 
 // NewDecoder returns a decoder reading frames from r.
@@ -47,7 +75,12 @@ func (d *Decoder) Reset(r io.Reader) {
 		d.br.Reset(r)
 	}
 	d.off = 0
-	d.dict = d.dict[:0]
+	d.resetDict()
+}
+
+// resetDict empties the key dictionary.
+func (d *Decoder) resetDict() {
+	d.keys, d.ends, d.names = d.keys[:0], d.ends[:0], d.names[:0]
 }
 
 // Offset returns the number of stream bytes consumed so far.
@@ -82,11 +115,35 @@ func (d *Decoder) ReadByte() (byte, error) {
 	return b, err
 }
 
-// Next decodes one frame and returns its operations, or io.EOF at a clean
-// end of stream. The slice (and its Op values) is reused by the following
-// Next or Reset call. Any malformed input yields a *DecodeError carrying
-// the stream byte offset of the defect.
+// Next decodes one frame and returns its operations with their keys as
+// strings, or io.EOF at a clean end of stream: NextFrame, with each
+// dictionary entry's string made the first time an operation names it. The
+// slice (and its Op values) is reused by the following Next, NextFrame or
+// Reset call.
 func (d *Decoder) Next() ([]Op, error) {
+	f, err := d.NextFrame()
+	if err != nil {
+		return nil, err
+	}
+	if n := len(d.ends); len(d.names) < n {
+		d.names = append(d.names, make([]string, n-len(d.names))...)
+	}
+	d.ops = slices.Grow(d.ops[:0], len(f.Ops))[:len(f.Ops)]
+	for i, id := range f.IDs {
+		name := d.names[id]
+		if name == "" { // keys are never empty
+			name = string(f.Key(id))
+			d.names[id] = name
+		}
+		d.ops[i] = Op{Key: name, Op: f.Ops[i]}
+	}
+	return d.ops, nil
+}
+
+// NextFrame decodes one frame, or returns io.EOF at a clean end of stream.
+// Any malformed input yields a *DecodeError carrying the stream byte offset
+// of the defect.
+func (d *Decoder) NextFrame() (*Frame, error) {
 	frameOff := d.off
 	// Magic: a clean EOF before any frame byte ends the stream; anything
 	// partial is a torn frame.
@@ -145,11 +202,10 @@ func (d *Decoder) Next() ([]Op, error) {
 			return nil, errAt(payloadOff, "corrupt compressed payload", err)
 		}
 	}
-	ops, err := d.decodePayload(payload, flags, payloadOff)
-	if err != nil {
+	if err := d.decodePayload(payload, flags, payloadOff); err != nil {
 		return nil, err
 	}
-	return ops, nil
+	return &d.frame, nil
 }
 
 // inflate decompresses a frame payload into the decoder's scratch buffer.
@@ -185,16 +241,20 @@ func (d *Decoder) scratchBlock() []byte {
 	return d.block
 }
 
-// decodePayload parses a decompressed payload into the reusable ops slice.
-func (d *Decoder) decodePayload(p []byte, flags byte, payloadOff int64) ([]Op, error) {
+// decodePayload parses a decompressed payload into the reusable frame.
+func (d *Decoder) decodePayload(p []byte, flags byte, payloadOff int64) error {
 	bad := func(format string, args ...any) error {
 		return errAt(payloadOff, "malformed payload: "+fmt.Sprintf(format, args...), nil)
 	}
 	if flags&flagDictReset != 0 {
-		d.dict = d.dict[:0]
+		d.resetDict()
 	}
 	i := 0
 	uvar := func() (uint64, bool) {
+		if i < len(p) && p[i] < 0x80 { // most of a frame's varints are one byte
+			i++
+			return uint64(p[i-1]), true
+		}
 		v, n := binary.Uvarint(p[i:])
 		if n <= 0 {
 			return 0, false
@@ -204,51 +264,52 @@ func (d *Decoder) decodePayload(p []byte, flags byte, payloadOff int64) ([]Op, e
 	}
 	newKeys, ok := uvar()
 	if !ok {
-		return nil, bad("truncated dictionary count")
+		return bad("truncated dictionary count")
 	}
 	if newKeys > uint64(len(p)) {
-		return nil, bad("dictionary count %d exceeds payload size", newKeys)
+		return bad("dictionary count %d exceeds payload size", newKeys)
 	}
 	for j := uint64(0); j < newKeys; j++ {
 		klen, ok := uvar()
 		if !ok {
-			return nil, bad("truncated key length")
+			return bad("truncated key length")
 		}
 		if klen > maxKeyBytes {
-			return nil, bad("key length %d exceeds the %d-byte limit", klen, int64(maxKeyBytes))
+			return bad("key length %d exceeds the %d-byte limit", klen, int64(maxKeyBytes))
 		}
 		if uint64(len(p)-i) < klen {
-			return nil, bad("key bytes overrun payload")
+			return bad("key bytes overrun payload")
 		}
 		key := p[i : i+int(klen)]
 		i += int(klen)
 		if !ValidKey(key) {
-			return nil, bad("key %q is not expressible in the trace grammar", key)
+			return bad("key %q is not expressible in the trace grammar", key)
 		}
-		d.dict = append(d.dict, string(key))
+		d.keys = append(d.keys, key...)
+		d.ends = append(d.ends, len(d.keys))
 	}
 	nops, ok := uvar()
 	if !ok {
-		return nil, bad("truncated operation count")
+		return bad("truncated operation count")
 	}
 	// Every operation takes at least 4 payload bytes (head, value, start
 	// delta, duration), so the remaining bytes bound the count.
 	if nops > uint64(len(p)-i)/4+1 {
-		return nil, bad("operation count %d exceeds payload size", nops)
+		return bad("operation count %d exceeds payload size", nops)
 	}
-	if cap(d.ops) < int(nops) {
-		d.ops = make([]Op, nops)
-	}
-	d.ops = d.ops[:nops]
+	f := &d.frame
+	f.Ops = slices.Grow(f.Ops[:0], int(nops))[:nops]
+	f.IDs = slices.Grow(f.IDs[:0], int(nops))[:nops]
+	f.keys, f.ends = d.keys, d.ends
 	last := int64(0)
-	for j := range d.ops {
+	for j := range f.Ops {
 		head, ok := uvar()
 		if !ok {
-			return nil, bad("truncated operation %d head", j)
+			return bad("truncated operation %d head", j)
 		}
 		keyID := head >> 3
-		if keyID >= uint64(len(d.dict)) {
-			return nil, bad("operation %d references key id %d outside the %d-entry dictionary", j, keyID, len(d.dict))
+		if keyID >= uint64(len(d.ends)) {
+			return bad("operation %d references key id %d outside the %d-entry dictionary", j, keyID, len(d.ends))
 		}
 		kind := history.KindWrite
 		if head&(1<<2) != 0 {
@@ -256,15 +317,15 @@ func (d *Decoder) decodePayload(p []byte, flags byte, payloadOff int64) ([]Op, e
 		}
 		value, ok := uvar()
 		if !ok {
-			return nil, bad("truncated operation %d value", j)
+			return bad("truncated operation %d value", j)
 		}
 		sdelta, ok := uvar()
 		if !ok {
-			return nil, bad("truncated operation %d start delta", j)
+			return bad("truncated operation %d start delta", j)
 		}
 		dur, ok := uvar()
 		if !ok {
-			return nil, bad("truncated operation %d duration", j)
+			return bad("truncated operation %d duration", j)
 		}
 		start := last + unzigzag(sdelta)
 		last = start
@@ -277,28 +338,28 @@ func (d *Decoder) decodePayload(p []byte, flags byte, payloadOff int64) ([]Op, e
 		if head&(1<<1) != 0 {
 			w, ok := uvar()
 			if !ok {
-				return nil, bad("truncated operation %d weight", j)
+				return bad("truncated operation %d weight", j)
 			}
 			if w > math.MaxInt64 {
-				return nil, bad("operation %d weight %d overflows int64", j, w)
+				return bad("operation %d weight %d overflows int64", j, w)
 			}
 			op.Weight = int64(w)
 		}
 		if head&1 != 0 {
 			c, ok := uvar()
 			if !ok {
-				return nil, bad("truncated operation %d client", j)
+				return bad("truncated operation %d client", j)
 			}
 			cv := unzigzag(c)
 			if cv > math.MaxInt || cv < math.MinInt {
-				return nil, bad("operation %d client %d overflows int", j, cv)
+				return bad("operation %d client %d overflows int", j, cv)
 			}
 			op.Client = int(cv)
 		}
-		d.ops[j] = Op{Key: d.dict[keyID], Op: op}
+		f.Ops[j], f.IDs[j] = op, uint32(keyID)
 	}
 	if i != len(p) {
-		return nil, bad("%d trailing bytes after the last operation", len(p)-i)
+		return bad("%d trailing bytes after the last operation", len(p)-i)
 	}
-	return d.ops, nil
+	return nil
 }

@@ -22,11 +22,17 @@ import (
 // (weight > 1, client != 0), mirroring the text grammar's canonical form.
 type Encoder struct {
 	dict    map[string]uint32
+	size    uint32 // dictionary entries so far: the next key's id
 	dictBuf []byte // pending additions: uvarint len + key bytes each
 	newKeys int
-	opsBuf  []byte
-	nops    int
-	last    int64 // previous op's start (delta base), reset per frame
+	// remap[src] is one plus the id AddFrom gave the source frame's
+	// dictionary id src in the frame being built (zero: none yet); remapped
+	// lists the ids set, to clear when the frame is emitted.
+	remap    []uint32
+	remapped []uint32
+	opsBuf   []byte
+	nops     int
+	last     int64 // previous op's start (delta base), reset per frame
 
 	selfContained bool
 	compress      bool
@@ -59,13 +65,46 @@ func (e *Encoder) Add(key string, op history.Operation) error {
 		if !ValidKey(key) {
 			return fmt.Errorf("wire: key %q is not expressible in the trace grammar", key)
 		}
-		id = uint32(len(e.dict))
+		id = newKey(e, key)
 		e.dict[key] = id
-		e.dictBuf = binary.AppendUvarint(e.dictBuf, uint64(len(key)))
-		e.dictBuf = append(e.dictBuf, key...)
-		e.newKeys++
 	}
 	return e.addOp(id, op)
+}
+
+// AddFrom buffers operation i of a decoded frame for the next frame, naming
+// its key through the source frame's dictionary id instead of its bytes: a
+// source id's first operation lists the key, the rest reuse the id it got.
+// The map from source ids lasts one output frame, which suits self-contained
+// frames (re-framing a decoded frame's operations for the write-ahead log);
+// in a dictionary-keeping stream a key would be listed again in every frame.
+// Re-framing costs no string per key or operation.
+func (e *Encoder) AddFrom(f *Frame, i int) error {
+	src := f.IDs[i]
+	if int(src) >= len(e.remap) {
+		e.remap = append(e.remap, make([]uint32, int(src)+1-len(e.remap))...)
+	}
+	if e.remap[src] == 0 {
+		e.remap[src] = newKey(e, f.Key(src)) + 1
+		e.remapped = append(e.remapped, src)
+	}
+	return e.addOp(e.remap[src]-1, f.Ops[i])
+}
+
+// clearRemap forgets AddFrom's source ids.
+func (e *Encoder) clearRemap() {
+	for _, src := range e.remapped {
+		e.remap[src] = 0
+	}
+	e.remapped = e.remapped[:0]
+}
+
+// newKey lists key as the encoder's next dictionary entry and returns its id.
+func newKey[K string | []byte](e *Encoder, key K) uint32 {
+	e.dictBuf = binary.AppendUvarint(e.dictBuf, uint64(len(key)))
+	e.dictBuf = append(e.dictBuf, key...)
+	e.newKeys++
+	e.size++
+	return e.size - 1
 }
 
 func (e *Encoder) addOp(id uint32, op history.Operation) error {
@@ -143,8 +182,10 @@ func (e *Encoder) AppendFrame(dst []byte) []byte {
 	e.opsBuf = e.opsBuf[:0]
 	e.nops = 0
 	e.last = 0
+	e.clearRemap()
 	if e.selfContained {
 		clear(e.dict)
+		e.size = 0
 	}
 	return dst
 }
@@ -166,6 +207,8 @@ func (e *Encoder) deflate(p []byte) []byte {
 // buffers retained) for reuse on a new stream.
 func (e *Encoder) Reset() {
 	clear(e.dict)
+	e.size = 0
+	e.clearRemap()
 	e.dictBuf = e.dictBuf[:0]
 	e.newKeys = 0
 	e.opsBuf = e.opsBuf[:0]

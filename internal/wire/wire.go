@@ -42,6 +42,12 @@
 // self-contained frames (used for WAL records, which are replayed
 // individually) set the flag and re-list every key they reference.
 //
+// The decoder copies a key's bytes once per stream, when its entry arrives,
+// into an arena of its own, and hands each frame out as operations plus
+// dictionary ids (Decoder.NextFrame): the session probes its key map with the
+// arena's bytes, so no string is made per key or per request, and a durable
+// session re-frames a shard group for its log by those ids (Encoder.AddFrom).
+//
 // Keys use the same alphabet as the keyed text grammar — non-empty, no
 // whitespace, ';', or '#' — so every durable path (text WAL records, spill
 // blobs, checkpoint segment bodies) can round-trip operations that arrived

@@ -351,3 +351,48 @@ func TestZigzag(t *testing.T) {
 		}
 	}
 }
+
+// TestAddFromMatchesAdd checks the re-framing door: every subset of a
+// decoded frame's operations, re-encoded self-contained through AddFrom (keys
+// named by the source frame's dictionary ids), is byte for byte the frame Add
+// makes from the same operations with their keys as strings — across source
+// frames that keep the dictionary, so ids outlive the frame that listed them.
+func TestAddFromMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src := NewEncoder()
+	var stream []byte
+	for f := 0; f < 6; f++ {
+		for _, op := range randOps(rng, 40, 30) {
+			if err := src.Add(op.Key, op.Op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stream = src.AppendFrame(stream)
+	}
+	d := NewDecoder(bytes.NewReader(stream))
+	byID, byKey := NewEncoder(), NewEncoder()
+	byID.SetSelfContained(true)
+	byKey.SetSelfContained(true)
+	for {
+		f, err := d.NextFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for part := 0; part < 3; part++ {
+			for i := part; i < len(f.Ops); i += 3 {
+				if err := byID.AddFrom(f, i); err != nil {
+					t.Fatal(err)
+				}
+				if err := byKey.Add(string(f.Key(f.IDs[i])), f.Ops[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := byID.AppendFrame(nil), byKey.AppendFrame(nil); !bytes.Equal(got, want) {
+				t.Fatalf("AddFrom frame\n%x\nAdd frame\n%x", got, want)
+			}
+		}
+	}
+}
