@@ -484,12 +484,14 @@ func (rt *Router) clusterDoc(w http.ResponseWriter, r *http.Request, method, pat
 // MergeDocs merges per-member verdict documents into one cluster-wide
 // document: keys key-sorted and folded (disjoint by the routing invariant,
 // but duplicates — e.g. a key re-ingested on a second node across separate
-// runs — fold commutatively per property), stats folded, K and Properties
-// taken from the first document carrying them, Drained the conjunction.
+// runs — fold through KeyStatus.Fold), stats folded, epoch windows folded
+// through one trace.EpochWindows, K and Properties taken from the first
+// document carrying them, Drained the conjunction.
 // kavgen -replay's node-list mode uses it to print one final cluster
 // verdict after a coordinated member-by-member drain.
 func MergeDocs(docs []online.VerdictDoc) online.VerdictDoc {
 	var out online.VerdictDoc
+	var epochs trace.EpochWindows
 	out.Drained = len(docs) > 0
 	for _, d := range docs {
 		if out.K == 0 {
@@ -507,127 +509,29 @@ func MergeDocs(docs []online.VerdictDoc) online.VerdictDoc {
 			}
 			out.Retired.Fold(*d.Retired)
 		}
-		out.Epochs = append(out.Epochs, d.Epochs...)
-	}
-	out.Keys = foldKeys(out.Keys)
-	out.Epochs = foldEpochs(out.Epochs)
-	return out
-}
-
-// foldEpochs merges per-member epoch windows by epoch number (epochs are
-// trace-time indices, so the same epoch on different nodes is the same
-// window over different keys). Members' folded aggregates — already
-// multi-epoch — merge into one, keeping the highest folded index. Every
-// fold is commutative (sums and maxes), so the result is node-order
-// independent, like foldKeys.
-func foldEpochs(all []trace.EpochStats) []trace.EpochStats {
-	if len(all) == 0 {
-		return nil
-	}
-	byEpoch := make(map[int64]*trace.EpochStats)
-	var folded *trace.EpochStats
-	for _, es := range all {
-		es := es
-		if es.Folded {
-			if folded == nil {
-				folded = &es
-			} else {
-				folded.Fold(es)
-			}
-			continue
-		}
-		if cur, ok := byEpoch[es.Epoch]; ok {
-			cur.Fold(es)
-		} else {
-			byEpoch[es.Epoch] = &es
+		for _, es := range d.Epochs {
+			epochs.Fold(es)
 		}
 	}
-	out := make([]trace.EpochStats, 0, len(byEpoch)+1)
-	if folded != nil {
-		out = append(out, *folded)
-	}
-	eps := make([]int64, 0, len(byEpoch))
-	for ep := range byEpoch {
-		eps = append(eps, ep)
-	}
-	sort.Slice(eps, func(a, b int) bool { return eps[a] < eps[b] })
-	for _, ep := range eps {
-		out = append(out, *byEpoch[ep])
-	}
+	out.Keys = foldKeys(out.Keys, out.K)
+	out.Epochs = epochs.List()
 	return out
 }
 
 // foldKeys key-sorts the concatenated per-member entries and folds
-// duplicates of the same key into one entry. Every per-property fold is
-// commutative — max for the k and Δ lower bounds, disjunction for
-// saturation, sums for operation and offending-read counts — so the merged
-// entry is node-order independent.
-func foldKeys(keys []online.KeyStatus) []online.KeyStatus {
+// duplicates of the same key into one entry through KeyStatus.Fold, which is
+// commutative, so the merged entry is node-order independent.
+func foldKeys(keys []online.KeyStatus, k int) []online.KeyStatus {
 	sort.Slice(keys, func(a, b int) bool { return keys[a].Key < keys[b].Key })
 	folded := keys[:0]
 	for _, ks := range keys {
 		if n := len(folded); n > 0 && folded[n-1].Key == ks.Key {
-			mergeKeyStatus(&folded[n-1], ks)
+			folded[n-1].Fold(ks, k)
 			continue
 		}
 		folded = append(folded, ks)
 	}
 	return folded
-}
-
-// statusRank orders verdict statuses by severity for the duplicate-key fold.
-func statusRank(status string) int {
-	switch status {
-	case "error":
-		return 3
-	case "violating":
-		return 2
-	case "indeterminate":
-		return 1
-	default:
-		return 0
-	}
-}
-
-// mergeKeyStatus folds a duplicate entry for the same key into dst.
-func mergeKeyStatus(dst *online.KeyStatus, src online.KeyStatus) {
-	dst.Ops += src.Ops
-	dst.PendingOps += src.PendingOps
-	dst.SmallestK = max(dst.SmallestK, src.SmallestK)
-	dst.Saturated = dst.Saturated || src.Saturated
-	// A merged entry is only "retired" (verdict final pre-drain) if every
-	// copy is.
-	dst.Retired = dst.Retired && src.Retired
-	if statusRank(src.Status) > statusRank(dst.Status) {
-		dst.Status = src.Status
-	}
-	if dst.Err == "" {
-		dst.Err = src.Err
-	}
-	if src.Violation != nil && (dst.Violation == nil || src.Violation.Seq < dst.Violation.Seq) {
-		v := *src.Violation
-		dst.Violation = &v
-	}
-	// Clone before mutating: the pointers are shared with the source
-	// documents, which the caller may still hold.
-	if src.Delta != nil {
-		d := *src.Delta
-		if dst.Delta != nil {
-			d.SmallestDelta = max(dst.Delta.SmallestDelta, src.Delta.SmallestDelta)
-			d.Saturated = dst.Delta.Saturated || src.Delta.Saturated
-		}
-		dst.Delta = &d
-	}
-	if src.Regularity != nil {
-		r := *src.Regularity
-		if dst.Regularity != nil {
-			r.IrregularReads += dst.Regularity.IrregularReads
-			r.UnsafeReads += dst.Regularity.UnsafeReads
-		}
-		r.Regular = r.IrregularReads == 0
-		r.Safe = r.UnsafeReads == 0
-		dst.Regularity = &r
-	}
 }
 
 func (rt *Router) handleVerdictKey(w http.ResponseWriter, r *http.Request) {

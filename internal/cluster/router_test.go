@@ -705,7 +705,8 @@ func TestRouterVerdictIsMergeDocs(t *testing.T) {
 // TestMergeDocsFoldsDuplicateKeys: duplicate entries for one key (a key
 // re-ingested on a second node across separate runs) fold commutatively —
 // max for the k/Δ lower bounds, disjunction for saturation, sums for
-// counts, severity order for status.
+// counts, the status re-derived from the folded verdict, the smaller error
+// text.
 func TestMergeDocsFoldsDuplicateKeys(t *testing.T) {
 	a := online.VerdictDoc{K: 2, Drained: true, Properties: "k,delta,regularity", Keys: []online.KeyStatus{{
 		Key: "x", Ops: 10, SmallestK: 1, Status: "ok",
@@ -742,6 +743,41 @@ func TestMergeDocsFoldsDuplicateKeys(t *testing.T) {
 		if x.Regularity == nil || x.Regularity.IrregularReads != 2 || x.Regularity.UnsafeReads != 1 ||
 			x.Regularity.Regular || x.Regularity.Safe {
 			t.Fatalf("folded x regularity: %+v", x.Regularity)
+		}
+		if *a.Keys[0].Delta != (online.DeltaStatus{SmallestDelta: 3}) || b.Keys[0].Regularity.IrregularReads != 2 {
+			t.Fatalf("the fold wrote through to a member document: %+v %+v", a.Keys[0].Delta, b.Keys[0].Regularity)
+		}
+	}
+	// Two errored copies keep one error text whatever the member order.
+	ea := online.VerdictDoc{K: 2, Keys: []online.KeyStatus{{Key: "e", Ops: 3, Status: "error", Err: "trace: duplicate value 7"}}}
+	eb := online.VerdictDoc{K: 2, Keys: []online.KeyStatus{{Key: "e", Ops: 4, Status: "error", Err: "trace: dangling read of 9"}}}
+	for _, docs := range [][]online.VerdictDoc{{ea, eb}, {eb, ea}} {
+		m := MergeDocs(docs)
+		if len(m.Keys) != 1 || m.Keys[0].Ops != 7 || m.Keys[0].Status != "error" || m.Keys[0].Err != "trace: dangling read of 9" {
+			t.Fatalf("folded e: %+v", m.Keys)
+		}
+	}
+}
+
+// TestMergeDocsEpochBelowAggregate: a live epoch on one member at or below
+// another member's folded aggregate joins that aggregate, as it would on a
+// single node, instead of being listed after it.
+func TestMergeDocsEpochBelowAggregate(t *testing.T) {
+	a := online.VerdictDoc{K: 2, Epochs: []trace.EpochStats{
+		{Epoch: 5, Folded: true, Ops: 10, MaxK: 1},
+		{Epoch: 6, Ops: 2, MaxK: 1},
+	}}
+	b := online.VerdictDoc{K: 2, Epochs: []trace.EpochStats{
+		{Epoch: 3, Ops: 4, MaxK: 3, Violations: 1},
+		{Epoch: 6, Ops: 1, MaxK: 2},
+	}}
+	want := []trace.EpochStats{
+		{Epoch: 5, Folded: true, Ops: 14, MaxK: 3, Violations: 1},
+		{Epoch: 6, Ops: 3, MaxK: 2},
+	}
+	for _, docs := range [][]online.VerdictDoc{{a, b}, {b, a}} {
+		if got := MergeDocs(docs).Epochs; !reflect.DeepEqual(got, want) {
+			t.Fatalf("merged epochs %+v, want %+v", got, want)
 		}
 	}
 }

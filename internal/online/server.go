@@ -22,6 +22,7 @@
 package online
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -65,9 +66,10 @@ type Config struct {
 // Violation is the retained evidence for a key's first violating segment.
 type Violation struct {
 	// Seq is the first segment sequence number covered by the verdict, or
-	// -1 when the violation was established by a cross-boundary stale read
-	// (a read returning a value from an already-dispatched segment), which
-	// never passes through a segment verdict.
+	// -1 when no segment witness is held: the violation was established by a
+	// cross-boundary stale read (a read returning a value from an
+	// already-dispatched segment), which never passes through a segment
+	// verdict, or its segment was verified before the last restart.
 	Seq int `json:"seq"`
 	// Ops is the segment length.
 	Ops int `json:"ops"`
@@ -135,6 +137,85 @@ type RegularityStatus struct {
 	// concurrency with a write).
 	IrregularReads int `json:"irregularReads,omitempty"`
 	UnsafeReads    int `json:"unsafeReads,omitempty"`
+}
+
+// verdict is ks's per-property verdict as one trace.Verdict, the inverse
+// of render.
+func (ks KeyStatus) verdict() trace.Verdict {
+	v := trace.Verdict{SmallestK: ks.SmallestK, Saturated: ks.Saturated}
+	if ks.Delta != nil {
+		v.SmallestDelta, v.DeltaSaturated = ks.Delta.SmallestDelta, ks.Delta.Saturated
+	}
+	if ks.Regularity != nil {
+		v.UnsafeReads, v.IrregularReads = ks.Regularity.UnsafeReads, ks.Regularity.IrregularReads
+	}
+	return v
+}
+
+// render sets ks's verdict fields from v — Delta and Regularity in place,
+// where ks carries them — and its Status under bound k, given Err. final
+// marks a complete verdict: a fully verified key is then at least 1-atomic,
+// as SmallestKByKey reports.
+func (ks *KeyStatus) render(k int, v trace.Verdict, final bool) {
+	ks.SmallestK, ks.Saturated = v.SmallestK, v.Saturated
+	if final && ks.Err == "" {
+		ks.SmallestK = max(ks.SmallestK, 1)
+	}
+	if ks.Delta != nil {
+		*ks.Delta = DeltaStatus{SmallestDelta: v.SmallestDelta, Saturated: v.DeltaSaturated}
+	}
+	if ks.Regularity != nil {
+		*ks.Regularity = RegularityStatus{Regular: v.IrregularReads == 0, Safe: v.UnsafeReads == 0,
+			IrregularReads: v.IrregularReads, UnsafeReads: v.UnsafeReads}
+	}
+	switch {
+	case ks.Err != "":
+		ks.Status = "error"
+	case ks.SmallestK > k:
+		ks.Status = "violating"
+	case v.Saturated:
+		// The floor is within the bound but a read out-reached the
+		// horizon, so a definite "ok" would be unsound.
+		ks.Status = "indeterminate"
+	default:
+		ks.Status = "ok"
+	}
+}
+
+// Fold merges o, another copy of the same key's entry (a key re-ingested on
+// a second node), into ks under bound k: the verdicts fold through
+// trace.Verdict.Fold and Status is re-rendered from the result, operation
+// counts sum, and the entry is Retired only if both copies are. Of two
+// error texts or two witnesses it keeps the smaller (the lower-Seq
+// violation), so the fold is commutative.
+func (ks *KeyStatus) Fold(o KeyStatus, k int) {
+	v := ks.verdict()
+	v.Fold(o.verdict())
+	ks.Ops += o.Ops
+	ks.PendingOps += o.PendingOps
+	ks.Retired = ks.Retired && o.Retired
+	if o.Err != "" && (ks.Err == "" || o.Err < ks.Err) {
+		ks.Err = o.Err
+	}
+	if o.Violation != nil && (ks.Violation == nil || o.Violation.less(*ks.Violation)) {
+		ks.Violation = o.Violation
+	}
+	// Fresh objects for render to fill: the copies' pointers are shared with
+	// the documents they came from.
+	if ks.Delta != nil || o.Delta != nil {
+		ks.Delta = new(DeltaStatus)
+	}
+	if ks.Regularity != nil || o.Regularity != nil {
+		ks.Regularity = new(RegularityStatus)
+	}
+	ks.render(k, v, false)
+}
+
+// less orders witnesses by Seq, then by every other field, so the earliest
+// violating segment wins a fold and ties break the same in either order.
+func (v Violation) less(o Violation) bool {
+	return cmp.Or(cmp.Compare(v.Seq, o.Seq), cmp.Compare(v.Ops, o.Ops),
+		cmp.Compare(v.K, o.K), strings.Compare(v.Err, o.Err)) < 0
 }
 
 // Line renders the key's one-line text summary (see VerdictDoc.WriteText).
@@ -699,57 +780,37 @@ func (s *Server) Verdict() VerdictDoc {
 }
 
 func (s *Server) keyStatus(kv trace.KeyVerdict, drained bool) KeyStatus {
-	ks := KeyStatus{
-		Key:        kv.Key,
-		Ops:        kv.Ops,
-		PendingOps: kv.PendingOps,
-		SmallestK:  kv.SmallestK,
-		Saturated:  kv.Saturated,
-		Retired:    kv.Retired,
-		Status:     "ok",
-	}
-	if (drained || kv.Retired) && kv.Err == nil && ks.SmallestK < 1 {
-		// Final semantics match SmallestKByKey: a fully verified key is at
-		// least 1-atomic, and a retired key's verdict is final for its
-		// retired lifetime even while the server is still live.
-		ks.SmallestK = 1
+	ks := KeyStatus{Key: kv.Key, Ops: kv.Ops, PendingOps: kv.PendingOps, Retired: kv.Retired}
+	if kv.Err != nil {
+		ks.Err = kv.Err.Error()
 	}
 	if kv.Properties.Has(trace.PropertyDelta) {
-		ks.Delta = &DeltaStatus{SmallestDelta: kv.SmallestDelta, Saturated: kv.DeltaSaturated}
+		ks.Delta = new(DeltaStatus)
 	}
 	if kv.Properties.Has(trace.PropertyRegularity) {
-		ks.Regularity = &RegularityStatus{
-			Regular:        kv.IrregularReads == 0,
-			Safe:           kv.UnsafeReads == 0,
-			IrregularReads: kv.IrregularReads,
-			UnsafeReads:    kv.UnsafeReads,
-		}
+		ks.Regularity = new(RegularityStatus)
 	}
-	switch {
-	case kv.Err != nil:
-		ks.Status = "error"
-		ks.Err = kv.Err.Error()
-	case ks.SmallestK > s.cfg.K:
-		ks.Status = "violating"
-	case kv.Saturated:
-		// The floor is within the bound but a read out-reached the
-		// horizon, so a definite "ok" would be unsound.
-		ks.Status = "indeterminate"
-	}
+	// A retired key's verdict is final for its retired lifetime even while
+	// the server is still live.
+	ks.render(s.cfg.K, kv.Verdict, drained || kv.Retired)
 	s.mu.Lock()
-	if v, ok := s.firstViols[kv.Key]; ok {
-		ks.Violation = &v
-	}
+	v, ok := s.firstViols[kv.Key]
 	s.mu.Unlock()
-	if ks.Violation == nil && ks.Status == "violating" {
-		// Cross-boundary stale reads establish violations without any
-		// segment verdict; synthesize the witness from the staleness floor
-		// so "violating" always carries evidence.
-		ks.Violation = &Violation{
-			Seq: -1,
-			K:   ks.SmallestK,
-			Err: "read returned a value from an already-dispatched segment (staleness floor)",
+	switch {
+	case ok:
+		ks.Violation = &v
+	case ks.Status == "violating":
+		// No segment witness is held, so synthesize one: "violating" always
+		// carries evidence. Segment witnesses live in memory only, so the
+		// violating segment was verified before the session was restored
+		// from its data directory — unless a cross-boundary stale read
+		// established the violation, which never passes through a segment
+		// verdict and, in a smallest-k session, always saturates the key.
+		err := "violating segment verified before the last restart; its witness was not kept"
+		if kv.Saturated {
+			err = "read returned a value from an already-dispatched segment (staleness floor)"
 		}
+		ks.Violation = &Violation{Seq: -1, K: ks.SmallestK, Err: err}
 	}
 	return ks
 }

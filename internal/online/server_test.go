@@ -392,6 +392,66 @@ func TestDurableServerDrainedRestart(t *testing.T) {
 	}
 }
 
+// TestRestartWitnessNotStaleFloor: segment witnesses are not checkpointed,
+// so a key found violating before a drained restart has none afterwards. The
+// staleness-floor witness is true only of a key a cross-boundary stale read
+// saturated; any other violating key must say its witness was not kept
+// rather than blame a stale read that never happened.
+func TestRestartWitnessNotStaleFloor(t *testing.T) {
+	_, text := buildTrace(t, 3, 40, 0.3)
+	cfg := Config{K: 2, Stream: trace.StreamOptions{Workers: 2, MinSegmentOps: 1}}
+	mem := faultfs.NewMem()
+	open := func() (*checkpoint.Manager, *Server) {
+		mgr, err := checkpoint.Open(mem, "data", checkpoint.Config{Policy: wal.SyncBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, _, err := NewDurable(cfg, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mgr, srv
+	}
+	mgr, srv := open()
+	if _, err := srv.sess.AppendTraceBatch(strings.NewReader(text)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	want := srv.Verdict()
+	mgr.Close()
+	mgr2, srv2 := open()
+	defer mgr2.Close()
+	got := srv2.Verdict()
+	if len(got.Keys) != len(want.Keys) {
+		t.Fatalf("restart has %d keys, want %d", len(got.Keys), len(want.Keys))
+	}
+	unsaturated := 0
+	for i, ks := range got.Keys {
+		if ks.Status != "violating" {
+			continue
+		}
+		if ks.Violation == nil || ks.Violation.Seq != -1 || ks.Violation.K != ks.SmallestK {
+			t.Fatalf("key %s: restarted witness %+v", ks.Key, ks.Violation)
+		}
+		stale := strings.Contains(ks.Violation.Err, "staleness floor")
+		if ks.Saturated != stale {
+			t.Fatalf("key %s (saturated %v): restarted witness %q, before the restart %+v",
+				ks.Key, ks.Saturated, ks.Violation.Err, want.Keys[i].Violation)
+		}
+		if !ks.Saturated {
+			unsaturated++
+			if !strings.Contains(ks.Violation.Err, "before the last restart") {
+				t.Fatalf("key %s: restarted witness %q does not say it was lost", ks.Key, ks.Violation.Err)
+			}
+		}
+	}
+	if unsaturated == 0 {
+		t.Fatalf("no unsaturated violating key to probe: %+v", got.Keys)
+	}
+}
+
 // TestDurableRestartWithRetirement is the flagship configuration — a data
 // directory and a retirement TTL, default shards and sweep cadence — killed
 // with every byte kept and restarted. The WAL is replayed shard file by shard

@@ -487,19 +487,9 @@ func (s *Session) buildCheckpoint() (*SessionCheckpoint, error) {
 	// Every list is sorted, so a checkpoint is a function of the session's
 	// state, not of map iteration order.
 	slices.SortFunc(cp.Retired, func(a, b RetiredKeyState) int { return cmp.Compare(a.Key, b.Key) })
-	if e.epochLen > 0 {
-		t := &e.epochT
-		t.mu.Lock()
-		if t.folded != nil {
-			cp.Epochs = append(cp.Epochs, *t.folded)
-		}
-		live := len(cp.Epochs)
-		for _, es := range t.epochs {
-			cp.Epochs = append(cp.Epochs, *es)
-		}
-		t.mu.Unlock()
-		slices.SortFunc(cp.Epochs[live:], func(a, b EpochStats) int { return cmp.Compare(a.Epoch, b.Epoch) })
-	}
+	e.epochT.mu.Lock()
+	cp.Epochs = e.epochT.List()
+	e.epochT.mu.Unlock()
 	var buf []byte
 	for _, sh := range e.shards {
 		for _, ks := range sh.keys {
@@ -692,16 +682,8 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 			sh.maxStart.Store(cp.Watermark)
 		}
 	}
-	if e.epochLen > 0 {
-		t := &e.epochT
-		for i := range cp.Epochs {
-			es := cp.Epochs[i]
-			if es.Folded {
-				t.folded = &es
-			} else {
-				t.epochs[es.Epoch] = &es
-			}
-		}
+	for _, es := range cp.Epochs {
+		e.epochT.Fold(es)
 	}
 	e.segments.Store(cp.Stats.Segments)
 	e.merges.Store(cp.Stats.Merges)

@@ -71,7 +71,9 @@ package trace
 // are kept; older ones fold into a single cumulative aggregate.
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -204,13 +206,82 @@ func (es *EpochStats) observe(v Verdict) {
 	es.IrregularReads += int64(v.IrregularReads)
 }
 
-// epochTracker owns the per-epoch summaries; a mutex suffices because folds
-// happen once per segment verdict, not per operation.
+// EpochWindows is a set of epoch windows: the retained per-epoch summaries,
+// ascending, and the Folded aggregate of every window at or below its Epoch.
+// It is the one fold of windows — the engine's tracker, a checkpoint's
+// restore and a cluster's merge all go through Fold — so folding the same
+// summaries in any order gives one List. The zero value is empty and
+// uncapped.
+type EpochWindows struct {
+	live   []EpochStats // ascending by Epoch, every one above agg.Epoch
+	agg    EpochStats   // the aggregate, present once agg.Folded is set
+	retain int          // cap on len(live) past which the oldest is evicted; 0 is none
+}
+
+// Fold merges one window's summary: a Folded entry joins the aggregate,
+// which then absorbs every live window at or below its Epoch; a live entry at
+// or below the aggregate joins it too; any other live entry folds into its
+// epoch's window, created as needed, and past the cap the oldest window is
+// evicted into the aggregate.
+func (w *EpochWindows) Fold(es EpochStats) {
+	if !es.Folded && (!w.agg.Folded || es.Epoch > w.agg.Epoch) {
+		i, found := w.find(es.Epoch)
+		if found {
+			w.live[i].Fold(es)
+			return
+		}
+		w.live = slices.Insert(w.live, i, es)
+		if w.retain == 0 || len(w.live) <= w.retain {
+			return
+		}
+		es = w.live[0] // evict the oldest, the new window itself if it is
+		w.live = slices.Delete(w.live, 0, 1)
+	}
+	if !w.agg.Folded {
+		w.agg = EpochStats{Epoch: math.MinInt64, Folded: true}
+	}
+	w.agg.Fold(es)
+	n := 0
+	for n < len(w.live) && w.live[n].Epoch <= w.agg.Epoch {
+		w.agg.Fold(w.live[n])
+		n++
+	}
+	w.live = slices.Delete(w.live, 0, n)
+}
+
+// List returns the aggregate, if any, then every live window in ascending
+// epoch order; nil when there is none.
+func (w *EpochWindows) List() []EpochStats {
+	var out []EpochStats
+	if w.agg.Folded {
+		out = append(out, w.agg)
+	}
+	return append(out, w.live...)
+}
+
+// Get returns epoch's window, or the aggregate (Folded set) for an epoch at
+// or below it; ok is false for an epoch with no summary yet.
+func (w *EpochWindows) Get(epoch int64) (EpochStats, bool) {
+	if i, found := w.find(epoch); found {
+		return w.live[i], true
+	}
+	if w.agg.Folded && epoch <= w.agg.Epoch {
+		return w.agg, true
+	}
+	return EpochStats{}, false
+}
+
+// find is the position of epoch's live window, or where it would go.
+func (w *EpochWindows) find(epoch int64) (int, bool) {
+	return slices.BinarySearchFunc(w.live, epoch, func(l EpochStats, ep int64) int { return cmp.Compare(l.Epoch, ep) })
+}
+
+// epochTracker is the engine's epoch windows, capped at retainedEpochs
+// (tests shrink retain); a mutex suffices because folds happen once per
+// segment verdict, not per operation.
 type epochTracker struct {
-	mu     sync.Mutex
-	epochs map[int64]*EpochStats
-	folded *EpochStats // aggregate of epochs evicted past the retain cap
-	retain int         // the cap: retainedEpochs (tests shrink it)
+	mu sync.Mutex
+	EpochWindows
 }
 
 // watermark is the global ingest high-water mark: the largest operation
@@ -235,36 +306,12 @@ func (e *engine) epochOf(t int64) int64 {
 	return d
 }
 
-// foldEpoch folds d, one verdict's contribution, into the summary of epoch
-// d.Epoch, creating it (and evicting past the retain cap) as needed. Late
-// folds into an already-evicted epoch land in the cumulative aggregate.
+// foldEpoch folds d, one verdict's contribution, into the epoch windows.
 func (e *engine) foldEpoch(d EpochStats) {
 	t := &e.epochT
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if es := t.epochs[d.Epoch]; es != nil {
-		es.Fold(d)
-		return
-	}
-	if t.folded != nil && d.Epoch <= t.folded.Epoch {
-		t.folded.Fold(d)
-		return
-	}
-	first := d
-	t.epochs[d.Epoch] = &first
-	for len(t.epochs) > t.retain {
-		oldest := int64(math.MaxInt64)
-		for k := range t.epochs {
-			if k < oldest {
-				oldest = k
-			}
-		}
-		if t.folded == nil {
-			t.folded = &EpochStats{Epoch: math.MinInt64, Folded: true}
-		}
-		t.folded.Fold(*t.epochs[oldest]) // the new epoch itself, when it is the oldest
-		delete(t.epochs, oldest)
-	}
+	t.Fold(d)
+	t.mu.Unlock()
 }
 
 // sweepAll sweeps every shard, each under its own lock in turn (the caller
@@ -531,36 +578,17 @@ func (s *Session) Epochs() []EpochStats {
 	t := &s.e.epochT
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]EpochStats, 0, len(t.epochs)+1)
-	if t.folded != nil {
-		out = append(out, *t.folded)
-	}
-	n := len(out)
-	for _, es := range t.epochs {
-		out = append(out, *es)
-	}
-	live := out[n:]
-	sort.Slice(live, func(i, j int) bool { return live[i].Epoch < live[j].Epoch })
-	return out
+	return t.List()
 }
 
 // EpochSummary returns one epoch's summary. For an epoch already evicted
 // into the cumulative aggregate, the aggregate is returned (Folded set). ok
 // is false when epochs are disabled or the epoch has no folded verdicts yet.
 func (s *Session) EpochSummary(epoch int64) (EpochStats, bool) {
-	if s.e.epochLen <= 0 {
-		return EpochStats{}, false
-	}
 	t := &s.e.epochT
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if es, ok := t.epochs[epoch]; ok {
-		return *es, true
-	}
-	if t.folded != nil && epoch <= t.folded.Epoch {
-		return *t.folded, true
-	}
-	return EpochStats{}, false
+	return t.Get(epoch)
 }
 
 // EpochLength returns the session's epoch window length in trace-time units

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -288,6 +291,92 @@ func TestEpochEviction(t *testing.T) {
 	es, ok := s.EpochSummary(0)
 	if !ok || !es.Folded {
 		t.Fatalf("evicted epoch lookup = %+v ok=%v, want folded aggregate", es, ok)
+	}
+}
+
+// TestEpochWindowsFoldLaws: folding the same window summaries — members'
+// folded aggregates, repeated epochs, live epochs at or below an aggregate —
+// in every order gives one List, uncapped and at a shrunk cap alike; every
+// live window in it lies above the aggregate, ascending, and no operation is
+// lost.
+func TestEpochWindowsFoldLaws(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		in := make([]EpochStats, 1+rng.Intn(6))
+		var ops int64
+		for i := range in {
+			in[i] = EpochStats{Epoch: rng.Int63n(8), Folded: rng.Intn(5) == 0, Ops: 1 + rng.Int63n(5),
+				MaxK: rng.Intn(4), Violations: rng.Int63n(2)}
+			ops += in[i].Ops
+		}
+		for _, retain := range []int{0, 2} {
+			var want []EpochStats
+			permute(in, len(in), func(order []EpochStats) {
+				w := EpochWindows{retain: retain}
+				for _, es := range order {
+					w.Fold(es)
+				}
+				got := w.List()
+				if want == nil {
+					want = got
+					checkWindows(t, got, retain, ops)
+					for _, es := range got {
+						if g, ok := w.Get(es.Epoch); !ok || g != es {
+							t.Fatalf("Get(%d) = %+v %v, listed %+v", es.Epoch, g, ok, es)
+						}
+					}
+				} else if !slices.Equal(got, want) {
+					t.Fatalf("retain %d: folding %+v gives %+v, another order %+v", retain, order, got, want)
+				}
+			})
+		}
+	}
+}
+
+// permute calls f with every ordering of a[:n] (Heap's algorithm, in place).
+func permute(a []EpochStats, n int, f func([]EpochStats)) {
+	if n <= 1 {
+		f(a)
+		return
+	}
+	for i := 0; i < n; i++ {
+		permute(a, n-1, f)
+		j := 0
+		if n%2 == 0 {
+			j = i
+		}
+		a[j], a[n-1] = a[n-1], a[j]
+	}
+}
+
+// checkWindows holds a List to the window shape: the aggregate, if any,
+// first, then live windows ascending above it, at most retain of them when
+// capped, covering ops operations in all.
+func checkWindows(t *testing.T, l []EpochStats, retain int, ops int64) {
+	t.Helper()
+	floor, sum := int64(math.MinInt64), int64(0)
+	for i, es := range l {
+		sum += es.Ops
+		if es.Folded {
+			if i != 0 {
+				t.Fatalf("aggregate listed at %d: %+v", i, l)
+			}
+			floor = es.Epoch
+		} else if es.Epoch <= floor {
+			t.Fatalf("live epoch %d not above %d: %+v", es.Epoch, floor, l)
+		} else {
+			floor = es.Epoch
+		}
+	}
+	live := len(l)
+	if live > 0 && l[0].Folded {
+		live--
+	}
+	if retain > 0 && live > retain {
+		t.Fatalf("%d live windows past cap %d: %+v", live, retain, l)
+	}
+	if sum != ops {
+		t.Fatalf("windows cover %d ops, folded %d: %+v", sum, ops, l)
 	}
 }
 

@@ -684,9 +684,6 @@ func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
 	}
 	e.epochLen = sopts.EpochLength
 	e.epochT.retain = retainedEpochs
-	if e.epochLen > 0 {
-		e.epochT.epochs = make(map[int64]*EpochStats)
-	}
 	if sopts.Pool != nil {
 		e.vpool = sopts.Pool
 	} else {
