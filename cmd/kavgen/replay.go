@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
@@ -30,6 +29,7 @@ import (
 
 	"kat/internal/cluster"
 	"kat/internal/online"
+	"kat/internal/trace"
 	"kat/internal/wire"
 )
 
@@ -95,9 +95,7 @@ func replayNode(baseURL string, ops []wire.Op, o replayOpts, out io.Writer) erro
 	}
 	buckets := make([][]wire.Op, clients)
 	for _, op := range ops {
-		h := fnv.New32a()
-		io.WriteString(h, op.Key)
-		b := int(h.Sum32() % uint32(clients))
+		b := int(trace.KeyHash(op.Key) % uint32(clients))
 		buckets[b] = append(buckets[b], op)
 	}
 
@@ -238,21 +236,17 @@ func splitNodeList(target string) []string {
 }
 
 // replayCluster replays against member nodes directly, bypassing any
-// router: operations pre-route per node with the same FNV-1a key-hash
-// partition the router uses, so every key's operations land wholly on its
-// owner in order. Each node gets the full single-node treatment — its own
-// connections and Senders — then the nodes are drained together and one
-// merged cluster verdict is printed.
+// router: operations pre-route per node with cluster.NewPartition over the
+// node list — the map a router over the same list builds — so every key's
+// operations land wholly on its owner in order. Each node gets the full
+// single-node treatment — its own connections and Senders — then the nodes
+// are drained together and one merged cluster verdict is printed.
 func replayCluster(nodes []string, ops []wire.Op, o replayOpts, out io.Writer) error {
-	part, err := cluster.NewPartition(len(nodes), 0)
+	part, err := cluster.NewPartition(len(nodes))
 	if err != nil {
 		return err
 	}
-	perNode := make([][]wire.Op, len(nodes))
-	for _, op := range ops {
-		n := part.OwnerString(op.Key)
-		perNode[n] = append(perNode[n], op)
-	}
+	perNode := part.Split(ops)
 	// Connections divide across nodes (at least one each); so does the
 	// aggregate rate, in proportion to each node's share of the ops.
 	perNodeOpts := o

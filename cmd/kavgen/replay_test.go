@@ -265,7 +265,7 @@ func TestReplayNodeListPreRoutes(t *testing.T) {
 	if !strings.Contains(out.String(), "cluster (3 nodes): final") {
 		t.Fatalf("missing merged cluster verdict:\n%s", out.String())
 	}
-	part, err := cluster.NewPartition(3, 0)
+	part, err := cluster.NewPartition(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestReplayNodeListPreRoutes(t *testing.T) {
 // operation so each op lands on its own key's partition owner.
 func TestReplayNodeListSplitsMultiOpLines(t *testing.T) {
 	fastRetries(t)
-	part, err := cluster.NewPartition(3, 0)
+	part, err := cluster.NewPartition(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,6 @@ type RecoveryStats struct {
 type Stats struct {
 	Checkpoints         int64 // successfully published checkpoints
 	CheckpointFailures  int64 // failed attempts (state on disk unchanged)
-	LastCheckpointKeys  int64
 	LastCheckpointBytes int64
 	WAL                 wal.Stats
 	Recovery            RecoveryStats
@@ -101,7 +100,6 @@ type Manager struct {
 
 	checkpoints   atomic.Int64
 	ckptFailures  atomic.Int64
-	lastCkptKeys  atomic.Int64
 	lastCkptBytes atomic.Int64
 	recovery      RecoveryStats // written once by Recover
 
@@ -255,12 +253,9 @@ func (m *Manager) Recover(sess *trace.Session) (RecoveryStats, error) {
 		if err != nil {
 			return rs, fmt.Errorf("checkpoint: re-anchor: %w", err)
 		}
-		if err := m.writeCheckpointFile(cp, newEpoch); err != nil {
+		if err := m.publish(cp, newEpoch); err != nil {
 			return rs, fmt.Errorf("checkpoint: re-anchor: %w", err)
 		}
-		m.checkpoints.Add(1)
-		m.log.PurgeBefore(newEpoch)
-		m.purgeCheckpointsBefore(newEpoch)
 	}
 	sess.SetShardLogger(m)
 	return rs, nil
@@ -292,18 +287,14 @@ func (m *Manager) Checkpoint() error {
 	}
 	next := m.log.Epoch() + 1
 	cp, err := m.sess.Checkpoint(func() error { return m.log.Rotate(next) })
+	if err == nil {
+		err = m.publish(cp, next)
+	}
 	if err != nil {
 		m.ckptFailures.Add(1)
 		return err
 	}
-	if err := m.writeCheckpointFile(cp, next); err != nil {
-		m.ckptFailures.Add(1)
-		return err
-	}
-	m.checkpoints.Add(1)
 	m.sealed = cp.Flushed
-	m.log.PurgeBefore(next)
-	m.purgeCheckpointsBefore(next)
 	return nil
 }
 
@@ -354,7 +345,6 @@ func (m *Manager) Stats() Stats {
 	st := Stats{
 		Checkpoints:         m.checkpoints.Load(),
 		CheckpointFailures:  m.ckptFailures.Load(),
-		LastCheckpointKeys:  m.lastCkptKeys.Load(),
 		LastCheckpointBytes: m.lastCkptBytes.Load(),
 		Recovery:            m.recovery,
 	}
@@ -391,10 +381,13 @@ type ckptFooter struct {
 	Keys int `json:"keys"`
 }
 
-// writeCheckpointFile publishes cp as the checkpoint of `epoch`: CRC-framed
-// records (header, one per key, footer) to a temp file, fsync, atomic
-// rename. Any failure removes the temp and leaves the directory unchanged.
-func (m *Manager) writeCheckpointFile(cp *trace.SessionCheckpoint, epoch int) error {
+// publish makes cp the checkpoint of `epoch`: CRC-framed records (header,
+// one per key, footer) to a temp file, fsync, atomic rename. Any failure
+// removes the temp and leaves the directory unchanged. Once published, the
+// checkpoint is counted and every WAL file and checkpoint of an older epoch,
+// which it covers, is removed; removal failures are ignored (stale files are
+// harmless: recovery prefers the newest valid checkpoint).
+func (m *Manager) publish(cp *trace.SessionCheckpoint, epoch int) error {
 	tmp := join(m.dir, CkptFileName(epoch)+".tmp")
 	f, err := m.fs.Create(tmp)
 	if err != nil {
@@ -443,8 +436,15 @@ func (m *Manager) writeCheckpointFile(cp *trace.SessionCheckpoint, epoch int) er
 		m.fs.Remove(tmp)
 		return fmt.Errorf("checkpoint: publish ckpt %d: %w", epoch, err)
 	}
-	m.lastCkptKeys.Store(int64(len(cp.Keys)))
 	m.lastCkptBytes.Store(size)
+	m.checkpoints.Add(1)
+	m.log.PurgeBefore(epoch)
+	names, _ := m.fs.ReadDir(m.dir)
+	for _, name := range names {
+		if e, ok := parseCkptName(name); ok && e < epoch {
+			m.fs.Remove(join(m.dir, name))
+		}
+	}
 	return nil
 }
 
@@ -483,21 +483,6 @@ func (m *Manager) readCheckpoint(epoch int) (*trace.SessionCheckpoint, bool) {
 		cp.Keys = append(cp.Keys, ks)
 	}
 	return &cp, true
-}
-
-// purgeCheckpointsBefore removes checkpoint files of epochs < epoch.
-// Failures are ignored; stale checkpoints are harmless (recovery prefers
-// the newest valid one).
-func (m *Manager) purgeCheckpointsBefore(epoch int) {
-	names, err := m.fs.ReadDir(m.dir)
-	if err != nil {
-		return
-	}
-	for _, name := range names {
-		if e, ok := parseCkptName(name); ok && e < epoch {
-			m.fs.Remove(join(m.dir, name))
-		}
-	}
 }
 
 // ---- spill store ----

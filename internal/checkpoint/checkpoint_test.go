@@ -398,6 +398,46 @@ func TestDrainedRestart(t *testing.T) {
 	}
 }
 
+// TestShrinkPurgesDroppedShardWAL restarts an 8-shard directory at 2 shards
+// and checkpoints: the checkpoint covers epoch 1, so none of epoch 1's eight
+// shard files may stay behind — the six the 2-shard log never opens included.
+func TestShrinkPurgesDroppedShardWAL(t *testing.T) {
+	_, all := genWorkload(29, 16, 20, false)
+	mem := faultfs.NewMem()
+	run := func(shards int, ops []trace.KeyedOp) {
+		t.Helper()
+		mgr, err := Open(mem, "data", Config{Policy: wal.SyncBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		sess := trace.NewSmallestKSession(core.Options{}, trace.StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: shards})
+		if _, err := mgr.Recover(sess); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.AppendBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(8, all[:len(all)/2])
+	run(2, all[len(all)/2:])
+	names, err := mem.ReadDir("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(strings.Join(names, " "), CkptFileName(3)) {
+		t.Fatalf("no checkpoint 3 in %v", names)
+	}
+	for _, name := range names {
+		if e, _, ok := wal.ParseFileName(name); ok && e < 3 {
+			t.Errorf("%s outlived checkpoint 3, which covers its epoch", name)
+		}
+	}
+}
+
 // TestCorruptCheckpointFallsBack truncates the newest checkpoint file;
 // recovery must fall back to replaying the full WAL chain (or an older
 // checkpoint) and still satisfy the oracle.

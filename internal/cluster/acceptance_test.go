@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -95,9 +94,7 @@ func TestHundredConcurrentReplayClientsCluster(t *testing.T) {
 	buckets := make([][]string, clients)
 	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
 		f := strings.Fields(line)
-		h := fnv.New32a()
-		io.WriteString(h, f[1])
-		b := int(h.Sum32() % clients)
+		b := int(trace.KeyHash(f[1]) % clients)
 		buckets[b] = append(buckets[b], line)
 	}
 

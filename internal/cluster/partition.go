@@ -15,18 +15,20 @@ import (
 	"fmt"
 
 	"kat/internal/trace"
+	"kat/internal/wire"
 )
 
-// DefaultSlots is the default partition granularity. 256 slots over a
+// minSlots is the partition granularity up to 256 members. 256 slots over a
 // handful of nodes keeps slices coarse enough to name in degradation
 // reports yet fine enough that nodes stay within ~1 slot of even.
-const DefaultSlots = 256
+const minSlots = 256
 
 // Partition maps keys to nodes via FNV-1a hashing into a fixed slot space,
-// with contiguous slot ranges assigned per node. It is immutable after
-// construction and safe for concurrent use. The same key hash drives
-// kavgen -replay's node-aware pre-routing, so a client that bypasses the
-// router lands every operation on the same member the router would pick.
+// with contiguous slot ranges assigned per node. The slot count follows the
+// member count alone, so everything that routes by key — the router and
+// kavgen -replay's node-list pre-routing — builds the same map from the same
+// member list and lands every operation of a key on the same member. It is
+// immutable after construction and safe for concurrent use.
 type Partition struct {
 	slots int
 	nodes int
@@ -35,18 +37,13 @@ type Partition struct {
 	bounds []int
 }
 
-// NewPartition builds a partition of `slots` slots over `nodes` nodes.
-// Slots <= 0 selects DefaultSlots. Nodes must be >= 1 and <= slots.
-func NewPartition(nodes, slots int) (*Partition, error) {
-	if slots <= 0 {
-		slots = DefaultSlots
-	}
+// NewPartition builds the partition over `nodes` nodes: max(256, nodes)
+// slots, so past 256 members each owns one slot. Nodes must be >= 1.
+func NewPartition(nodes int) (*Partition, error) {
 	if nodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, have %d", nodes)
 	}
-	if nodes > slots {
-		return nil, fmt.Errorf("cluster: %d nodes exceed %d slots", nodes, slots)
-	}
+	slots := max(minSlots, nodes)
 	p := &Partition{slots: slots, nodes: nodes, bounds: make([]int, nodes+1)}
 	for i := 0; i <= nodes; i++ {
 		p.bounds[i] = i * slots / nodes
@@ -57,32 +54,34 @@ func NewPartition(nodes, slots int) (*Partition, error) {
 // Slots reports the slot-space size.
 func (p *Partition) Slots() int { return p.slots }
 
-// Nodes reports the node count.
-func (p *Partition) Nodes() int { return p.nodes }
+// OwnerString reports the node owning the key.
+func (p *Partition) OwnerString(key string) int { return p.ownerOfSlot(p.slot(key)) }
 
-// SlotString hashes a key into its slot with trace.KeyHash — FNV-1a 32-bit,
-// the function the replay driver and the online server's
-// client-partitioning tests use too.
-func (p *Partition) SlotString(key string) int {
+// Split groups ops by owning node, preserving input order inside each
+// group: a key maps to exactly one node, so per-key operation order survives
+// the split exactly. The router splits each ingest batch with it, kavgen
+// -replay a node list's whole trace.
+func (p *Partition) Split(ops []wire.Op) [][]wire.Op {
+	groups := make([][]wire.Op, p.nodes)
+	for _, op := range ops {
+		n := p.OwnerString(op.Key)
+		groups[n] = append(groups[n], op)
+	}
+	return groups
+}
+
+// slot hashes a key into its slot with trace.KeyHash, the service's one
+// FNV-1a.
+func (p *Partition) slot(key string) int {
 	// Reduce in uint32 space: int(h) would go negative on 32-bit platforms.
 	return int(trace.KeyHash(key) % uint32(p.slots))
 }
 
-// OwnerString reports the node owning the key.
-func (p *Partition) OwnerString(key string) int { return p.OwnerOfSlot(p.SlotString(key)) }
-
-// OwnerOfSlot reports the node owning a slot: the largest n with
-// bounds[n] <= slot, which the equal contiguous ranges invert
+// ownerOfSlot reports the node owning a slot in [0, slots): the largest n
+// with bounds[n] <= slot, which the equal contiguous ranges invert
 // arithmetically (n*slots/nodes <= slot ⟺ n <= ⌈(slot+1)·nodes/slots⌉-1).
-func (p *Partition) OwnerOfSlot(slot int) int {
-	n := ((slot+1)*p.nodes+p.slots-1)/p.slots - 1
-	if n < 0 {
-		n = 0
-	}
-	if n >= p.nodes {
-		n = p.nodes - 1
-	}
-	return n
+func (p *Partition) ownerOfSlot(slot int) int {
+	return ((slot+1)*p.nodes+p.slots-1)/p.slots - 1
 }
 
 // Range reports node n's contiguous slot range [Lo, Hi).

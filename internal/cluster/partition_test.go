@@ -2,42 +2,51 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strings"
 	"testing"
 
 	"kat/internal/trace"
 )
 
-// TestSlotMatchesStdlibFNV pins the partition hash to hash/fnv's FNV-1a:
-// kavgen -replay and the online server's tests both partition keys with
-// fnv.New32a, and pre-routed clients must agree with the router exactly.
+// TestSlotMatchesStdlibFNV pins the partition hash to FNV-1a 32-bit (the
+// values hash/fnv's New32a gives): kavgen -replay pre-routes with the same
+// map, and pre-routed clients must agree with the router exactly.
 func TestSlotMatchesStdlibFNV(t *testing.T) {
-	p, err := NewPartition(3, 256)
+	p, err := NewPartition(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"", "a", "k0", "k17", "register-12345", "\x00\xff"} {
-		h := fnv.New32a()
-		h.Write([]byte(key))
-		want := int(h.Sum32() % 256)
-		if got := p.SlotString(key); got != want {
-			t.Fatalf("SlotString(%q) = %d, want %d", key, got, want)
+	for _, tc := range []struct {
+		key string
+		sum uint32
+	}{
+		{"", 0x811c9dc5}, {"a", 0xe40c292c}, {"foobar", 0xbf9cf968}, {"k0", 0x973d7f2e},
+		{"k17", 0x9ed20342}, {"register-12345", 0x87972916}, {"\x00\xff", 0xd277c7a0},
+	} {
+		want := int(tc.sum % 256)
+		if got := p.slot(tc.key); got != want {
+			t.Fatalf("slot(%q) = %d, want %d", tc.key, got, want)
 		}
 		// The byte view ingest shards hash must route like the string view.
-		if got := int(trace.KeyHash([]byte(key)) % 256); got != want {
-			t.Fatalf("KeyHash([]byte(%q)) %% 256 = %d, want %d", key, got, want)
+		if got := int(trace.KeyHash([]byte(tc.key)) % 256); got != want {
+			t.Fatalf("KeyHash([]byte(%q)) %% 256 = %d, want %d", tc.key, got, want)
 		}
 	}
 }
 
 // TestOwnerOfSlotMatchesRanges checks, exhaustively over several cluster
 // sizes, that the arithmetic slot→node inversion agrees with the declared
-// contiguous ranges and that the ranges tile the slot space.
+// contiguous ranges and that the ranges tile the slot space: 256 slots up to
+// 256 members, one slot each beyond.
 func TestOwnerOfSlotMatchesRanges(t *testing.T) {
-	for nodes := 1; nodes <= 9; nodes++ {
-		p, err := NewPartition(nodes, 256)
+	for _, nodes := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 300} {
+		p, err := NewPartition(nodes)
 		if err != nil {
 			t.Fatal(err)
+		}
+		slots := max(256, nodes)
+		if p.Slots() != slots {
+			t.Fatalf("%d nodes: %d slots, want %d", nodes, p.Slots(), slots)
 		}
 		next := 0
 		for n := 0; n < nodes; n++ {
@@ -49,14 +58,14 @@ func TestOwnerOfSlotMatchesRanges(t *testing.T) {
 				t.Fatalf("%d nodes: node %d has empty range %v", nodes, n, r)
 			}
 			for s := r.Lo; s < r.Hi; s++ {
-				if got := p.OwnerOfSlot(s); got != n {
-					t.Fatalf("%d nodes: OwnerOfSlot(%d) = %d, want %d", nodes, s, got, n)
+				if got := p.ownerOfSlot(s); got != n {
+					t.Fatalf("%d nodes: ownerOfSlot(%d) = %d, want %d", nodes, s, got, n)
 				}
 			}
 			next = r.Hi
 		}
-		if next != 256 {
-			t.Fatalf("%d nodes: ranges cover [0,%d), want [0,256)", nodes, next)
+		if next != slots {
+			t.Fatalf("%d nodes: ranges cover [0,%d), want [0,%d)", nodes, next, slots)
 		}
 	}
 }
@@ -64,7 +73,7 @@ func TestOwnerOfSlotMatchesRanges(t *testing.T) {
 // TestOwnerBalance: equal contiguous ranges keep nodes within one slot of
 // each other.
 func TestOwnerBalance(t *testing.T) {
-	p, err := NewPartition(3, 256)
+	p, err := NewPartition(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +92,15 @@ func TestOwnerBalance(t *testing.T) {
 }
 
 func TestNewPartitionErrors(t *testing.T) {
-	if _, err := NewPartition(0, 256); err == nil {
+	if _, err := NewPartition(0); err == nil {
 		t.Fatal("0 nodes accepted")
 	}
-	if _, err := NewPartition(10, 4); err == nil {
-		t.Fatal("more nodes than slots accepted")
-	}
-	p, err := NewPartition(2, 0)
+	p, err := NewPartition(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Slots() != DefaultSlots {
-		t.Fatalf("default slots = %d, want %d", p.Slots(), DefaultSlots)
+	if p.Slots() != 256 {
+		t.Fatalf("default slots = %d, want 256", p.Slots())
 	}
 }
 
@@ -108,7 +114,7 @@ func TestSlotRangeString(t *testing.T) {
 // a small cluster (catching a degenerate hash or an off-by-one that
 // funnels everything to one node).
 func TestOwnerDeterministic(t *testing.T) {
-	p, err := NewPartition(3, 256)
+	p, err := NewPartition(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,5 +134,51 @@ func TestOwnerDeterministic(t *testing.T) {
 		if hit[n] == 0 {
 			t.Fatalf("node %d received no keys out of 300: %v", n, hit)
 		}
+	}
+}
+
+// TestRouterAndReplaySplitAgree holds the router's owner of every key of a
+// generated trace to kavgen -replay's node-list split (NewPartition over the
+// node list, then Split) for 1–8 members and for 300, past the 256 slots a
+// small cluster has. A key the two placed differently would have its
+// history verified in two partial halves.
+func TestRouterAndReplaySplitAgree(t *testing.T) {
+	_, text := buildClusterTrace(t, 1000, 4, 0)
+	ops, err := ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range []int{1, 2, 3, 4, 5, 6, 7, 8, 300} {
+		urls := make([]string, nodes)
+		for i := range urls {
+			urls[i] = fmt.Sprintf("http://node-%d.invalid", i)
+		}
+		rt, err := NewRouter(Config{Nodes: urls})
+		if err != nil {
+			t.Fatalf("%d members: %v", nodes, err)
+		}
+		part, err := NewPartition(len(urls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen, used := 0, 0
+		for n, group := range part.Split(ops) {
+			for _, op := range group {
+				if owner := rt.Partition().OwnerString(op.Key); owner != n {
+					t.Fatalf("%d members: key %s split to node %d, router owner is %d", nodes, op.Key, n, owner)
+				}
+			}
+			seen += len(group)
+			if len(group) > 0 {
+				used++
+			}
+		}
+		if seen != len(ops) {
+			t.Fatalf("%d members: split holds %d ops, want %d", nodes, seen, len(ops))
+		}
+		if min(nodes, 8) > used {
+			t.Fatalf("%d members: only %d received keys", nodes, used)
+		}
+		rt.Close()
 	}
 }

@@ -26,23 +26,19 @@ type Config struct {
 	// clients that pre-route (kavgen -replay with a node list) must pass
 	// the same order to land on the same members.
 	Nodes []string
-	// Slots is the partition granularity (0 selects DefaultSlots).
-	Slots int
 	// HopTimeout bounds each forwarded request (0: DefaultHopTimeout).
 	HopTimeout time.Duration
-	// DrainTimeout bounds each member's coordinated drain (0:
-	// DefaultDrainTimeout) — drains flush verification pipelines and
-	// legitimately outlive hops.
-	DrainTimeout time.Duration
-	// ProbeInterval spaces health probes per member (0: 1s).
+	// ProbeInterval spaces health probes per member (0:
+	// DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// BreakerThreshold is the consecutive-failure trip count (0: 3).
+	// BreakerThreshold is the consecutive-failure trip count (0:
+	// DefaultBreakerThreshold).
 	BreakerThreshold int
-	// BreakerCooldown is the open-state dwell before a half-open trial
-	// (0: 3s).
+	// BreakerCooldown is the open-state dwell before a half-open trial (0:
+	// DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 	// ForwardRetries caps retry attempts per forwarded sub-batch beyond
-	// the first (0: 6).
+	// the first (0: DefaultForwardRetries).
 	ForwardRetries int
 	// Client overrides the forwarding HTTP client (tests inject one wired
 	// to httptest servers). Per-hop deadlines come from request contexts,
@@ -53,36 +49,35 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// The deadlines of one request to a server and of one drain, for anything
-// that has none of its own to give: the router's defaults, and what kavgen
-// -replay bounds its verdict fetches with.
+// The router's defaults, each stated once: withDefaults and kavserve's
+// -route flags both read them. The hop and drain deadlines also bound what
+// kavgen -replay fetches; a drain flushes every member's verification
+// pipeline, so it legitimately outlives a hop.
 const (
-	DefaultHopTimeout   = 5 * time.Second
-	DefaultDrainTimeout = 60 * time.Second
+	DefaultHopTimeout       = 5 * time.Second
+	DefaultDrainTimeout     = 60 * time.Second
+	DefaultProbeInterval    = time.Second
+	DefaultBreakerThreshold = 3
+	DefaultBreakerCooldown  = 3 * time.Second
+	DefaultForwardRetries   = 6
 )
 
 func (c *Config) withDefaults() Config {
 	d := *c
-	if d.Slots <= 0 {
-		d.Slots = DefaultSlots
-	}
 	if d.HopTimeout <= 0 {
 		d.HopTimeout = DefaultHopTimeout
 	}
-	if d.DrainTimeout <= 0 {
-		d.DrainTimeout = DefaultDrainTimeout
-	}
 	if d.ProbeInterval <= 0 {
-		d.ProbeInterval = time.Second
+		d.ProbeInterval = DefaultProbeInterval
 	}
 	if d.BreakerThreshold <= 0 {
-		d.BreakerThreshold = 3
+		d.BreakerThreshold = DefaultBreakerThreshold
 	}
 	if d.BreakerCooldown <= 0 {
-		d.BreakerCooldown = 3 * time.Second
+		d.BreakerCooldown = DefaultBreakerCooldown
 	}
 	if d.ForwardRetries <= 0 {
-		d.ForwardRetries = 6
+		d.ForwardRetries = DefaultForwardRetries
 	}
 	if d.Client == nil {
 		d.Client = &http.Client{}
@@ -134,7 +129,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: no member nodes")
 	}
-	part, err := NewPartition(len(cfg.Nodes), cfg.Slots)
+	part, err := NewPartition(len(cfg.Nodes))
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +184,8 @@ func NewRouter(cfg Config) (*Router, error) {
 }
 
 // Partition exposes the router's key→node map (kavserve's router mode logs
-// the slot layout at startup).
+// the slot layout at startup). It is NewPartition(len(Config.Nodes)), the map
+// kavgen -replay pre-routes a node list with.
 func (rt *Router) Partition() *Partition { return rt.part }
 
 // Start launches one health-probe goroutine per member.
@@ -298,14 +294,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		online.WriteReject(w, row, online.IngestReject{Code: row.Code, Error: err.Error(), Offset: off})
 		return
 	}
-	// Split by owner, preserving input order inside each sub-batch — a
-	// key maps to exactly one node, so per-key operation order survives
-	// the split exactly.
-	sub := make([][]wire.Op, len(rt.members))
-	for _, op := range ops {
-		n := rt.part.OwnerString(op.Key)
-		sub[n] = append(sub[n], op)
-	}
+	sub := rt.part.Split(ops)
 	results := make([]struct {
 		acked int64
 		row   online.Reject
@@ -433,7 +422,7 @@ func (rt *Router) handleVerdict(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	// Coordinated drain: every member flushes and finalizes; the merged
 	// document is final iff every member answered drained.
-	rt.clusterDoc(w, r, http.MethodPost, "/drain", rt.cfg.DrainTimeout)
+	rt.clusterDoc(w, r, http.MethodPost, "/drain", DefaultDrainTimeout)
 }
 
 func (rt *Router) clusterDoc(w http.ResponseWriter, r *http.Request, method, path string, timeout time.Duration) {

@@ -108,7 +108,7 @@ func Churn(cfg ChurnConfig) []KeyedOp {
 		valBase := int64(i+1) << 32
 		var ops []history.Operation
 		if cfg.NoQuiesce {
-			ops = chainedWrites(cfg.OpsPerLifetime)
+			ops = overlappingWrites(cfg.OpsPerLifetime)
 		} else {
 			h := KAtomic(Config{
 				Seed: cfg.Seed + int64(i), Ops: cfg.OpsPerLifetime,
@@ -131,14 +131,14 @@ func Churn(cfg ChurnConfig) []KeyedOp {
 	return out
 }
 
-// chainedWrites builds the never-quiescing lifetime: write-only (trivially
+// overlappingWrites builds the never-quiescing lifetime: write-only (trivially
 // k-atomic for any k, so the adversarial trace stays a *valid* workload),
 // with each interval overlapping the next — no quiescent point ever
 // forms, so no safe cut, no segment dispatch, and no retirement.
 // Timestamps are distinct by construction (starts ≡ 0, finishes ≡ 8 mod
 // lifeSpacing), so no normalization pass is needed that might shorten the
 // overlaps away.
-func chainedWrites(n int) []history.Operation {
+func overlappingWrites(n int) []history.Operation {
 	ops := make([]history.Operation, n)
 	for i := range ops {
 		s := int64(i) * lifeSpacing

@@ -113,7 +113,7 @@ r 2 65 75
 r 3 80 90
 `)
 	if res := check(t, p); !res.Atomic {
-		t.Error("chained epoch history rejected")
+		t.Error("epoch-chain history rejected")
 	}
 }
 

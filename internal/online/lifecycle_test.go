@@ -166,7 +166,7 @@ func TestReliefKeepsDeclaredTolerance(t *testing.T) {
 	})
 }
 
-// TestNoQuiesceChaosSheds replays the adversarial churn variant — chained
+// TestNoQuiesceChaosSheds replays the adversarial churn variant — linked
 // overlapping writes, so no key ever quiesces and nothing dispatches — against
 // a memory budget over the session's real buffered bytes, with no store to
 // spill to. The server must degrade into typed, resend-safe overload sheds

@@ -49,8 +49,7 @@ type Config struct {
 	// Opts tunes verification.
 	Opts core.Options
 	// Stream tunes the underlying session; Stream.Properties adds
-	// Δ-atomicity and regularity/safety verdicts to the same pass, and
-	// Stream.OnSegment is chained after the server's own bookkeeping.
+	// Δ-atomicity and regularity/safety verdicts to the same pass.
 	Stream trace.StreamOptions
 	// MemoryBudget, when > 0, bounds the bytes the session buffers
 	// operations in (trace.Session.BufferedBytes); each tenant of a Multi
@@ -423,7 +422,6 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 			"Reads violating Lamport safety, from segment verdicts (cross-boundary stale reads are folded into /verdict directly).")
 	}
 
-	chained := cfg.Stream.OnSegment
 	cfg.Stream.OnSegment = func(v trace.SegmentVerdict) {
 		s.segmentsClosed.Inc()
 		s.kSegments.Inc()
@@ -443,9 +441,6 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 		if bad := v.Err != nil || v.SmallestK > s.cfg.K; bad {
 			s.violations.Inc()
 			s.recordViolation(v)
-		}
-		if chained != nil {
-			chained(v)
 		}
 	}
 	s.sess = trace.NewSmallestKSession(cfg.Opts, cfg.Stream)

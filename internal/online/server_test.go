@@ -3,7 +3,6 @@ package online
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -462,7 +461,7 @@ func TestRestartWitnessNotStaleFloor(t *testing.T) {
 // the recovered server must drain to the verdicts of the one that never
 // stopped.
 func TestDurableRestartWithRetirement(t *testing.T) {
-	// 2400 staggered lifetimes of 40 chained, overlapping writes: a key never
+	// 2400 staggered lifetimes of 40 linked, overlapping writes: a key never
 	// quiesces while it lives, eight or so live at any time, and 96 000
 	// operations cross the default sweep interval on every shard.
 	const keys = 2400
@@ -791,9 +790,7 @@ func TestHundredConcurrentReplayClients(t *testing.T) {
 	buckets := make([][]string, clients)
 	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
 		f := strings.Fields(line)
-		h := fnv.New32a()
-		io.WriteString(h, f[1])
-		b := int(h.Sum32() % clients)
+		b := int(trace.KeyHash(f[1]) % clients)
 		buckets[b] = append(buckets[b], line)
 	}
 

@@ -82,12 +82,11 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 
 		// Router mode.
 		route       = fs.String("route", "", "router mode: comma-separated member base URLs; this process forwards by key hash instead of verifying locally")
-		routeSlots  = fs.Int("route-slots", 0, "router partition granularity in slots (0 = default)")
-		hopTimeout  = fs.Duration("hop-timeout", 5*time.Second, "router: deadline per forwarded request")
-		probeIval   = fs.Duration("probe-interval", time.Second, "router: member health-probe cadence")
-		brkThresh   = fs.Int("breaker-threshold", 3, "router: consecutive failures before a member's circuit breaker opens")
-		brkCooldown = fs.Duration("breaker-cooldown", 3*time.Second, "router: open-breaker dwell before a half-open trial")
-		fwdRetries  = fs.Int("forward-retries", 6, "router: retry attempts per forwarded sub-batch beyond the first")
+		hopTimeout  = fs.Duration("hop-timeout", cluster.DefaultHopTimeout, "router: deadline per forwarded request")
+		probeIval   = fs.Duration("probe-interval", cluster.DefaultProbeInterval, "router: member health-probe cadence")
+		brkThresh   = fs.Int("breaker-threshold", cluster.DefaultBreakerThreshold, "router: consecutive failures before a member's circuit breaker opens")
+		brkCooldown = fs.Duration("breaker-cooldown", cluster.DefaultBreakerCooldown, "router: open-breaker dwell before a half-open trial")
+		fwdRetries  = fs.Int("forward-retries", cluster.DefaultForwardRetries, "router: retry attempts per forwarded sub-batch beyond the first")
 
 		// HTTP server hardening (both modes).
 		readHeaderTO = fs.Duration("read-header-timeout", 10*time.Second, "cap on reading a request's headers (slowloris guard)")
@@ -112,7 +111,6 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 		}
 		err := n.router(cluster.Config{
 			Nodes:            splitList(*route),
-			Slots:            *routeSlots,
 			HopTimeout:       *hopTimeout,
 			ProbeInterval:    *probeIval,
 			BreakerThreshold: *brkThresh,

@@ -45,7 +45,7 @@ func TestFlagSetPinned(t *testing.T) {
 		"addr", "breaker-cooldown", "breaker-threshold", "checkpoint-interval", "data-dir", "epoch",
 		"forward-retries", "fsync", "hop-timeout", "horizon", "idle-timeout", "ingest-shards", "k",
 		"memory-budget", "min-segment-ops", "pprof", "probe-interval", "properties", "read-header-timeout",
-		"read-timeout", "retire-ttl", "route", "route-slots", "shutdown-timeout", "tenant-max-keys",
+		"read-timeout", "retire-ttl", "route", "shutdown-timeout", "tenant-max-keys",
 		"tenant-max-ops", "tenants", "workers",
 	}
 	var usage strings.Builder

@@ -323,7 +323,7 @@ func TestRejectLogsAcceptedPrefix(t *testing.T) {
 // operation. Replay must not sweep, and the replayed session, swept once at
 // the end, must equal the arrival-order run.
 func TestReplayNeverRetires(t *testing.T) {
-	// Staggered lifetimes of chained, overlapping writes: a key never
+	// Staggered lifetimes of linked, overlapping writes: a key never
 	// quiesces while it lives, and lives ~360 of the trace's ~2200 units.
 	text := churnTraceText(generator.ChurnConfig{Seed: 1, Lifetimes: 40, OpsPerLifetime: 20, NoQuiesce: true})
 	sopts := lifecycleOpts(100)
@@ -654,7 +654,7 @@ func TestSpillFailedFlushPopsDispatched(t *testing.T) {
 	s := NewSmallestKSession(core.Options{}, StreamOptions{
 		Workers: 1, IngestShards: 1, MinSegmentOps: 1, Horizon: 1000, Store: store,
 	})
-	// k holds a resident segment (w 1), a two-chunk segment of 80 chained
+	// k holds a resident segment (w 1), a two-chunk segment of 80 overlapping
 	// writes and an open window (w 100), a chunk each: relief to half of it
 	// spills the largest, the middle segment.
 	var b strings.Builder

@@ -557,7 +557,7 @@ func TestRelieveSpillsLargestFirst(t *testing.T) {
 	store := newMemStore()
 	sopts := StreamOptions{Workers: 1, IngestShards: 2, MinSegmentOps: 1, Horizon: 1000}
 	var b strings.Builder
-	for i := 0; i < 150; i++ { // chained: big's window never cuts
+	for i := 0; i < 150; i++ { // overlapping: big's window never cuts
 		fmt.Fprintf(&b, "w big %d %d %d\n", i+1, 10*i, 10*i+15)
 	}
 	for i := 0; i < 80; i++ { // closed by the quiescent write after it

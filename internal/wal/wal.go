@@ -428,23 +428,19 @@ func (l *Log) Rotate(epoch int) error {
 	return nil
 }
 
-// PurgeBefore removes all WAL files of epochs < epoch. Called only after a
-// checkpoint covering those epochs has been durably published. Removal
-// failures are ignored (stale files are harmless — recovery replays from
-// the checkpoint's epoch anyway).
+// PurgeBefore removes every WAL file of an epoch < epoch, found by name, so
+// the files of shards a restart with fewer shards no longer opens go too.
+// Called only after a checkpoint covering those epochs has been durably
+// published. Removal failures are ignored (stale files are harmless —
+// recovery replays from the checkpoint's epoch anyway).
 func (l *Log) PurgeBefore(epoch int) {
-	epochs, err := ListEpochs(l.fs, l.dir)
+	names, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return
 	}
-	for _, e := range epochs {
-		if e >= epoch {
-			continue
-		}
-		for s := range l.shards {
-			if l.fs.Remove(join(l.dir, FileName(e, s))) == nil {
-				l.purged.Add(1)
-			}
+	for _, name := range names {
+		if e, _, ok := ParseFileName(name); ok && e < epoch && l.fs.Remove(join(l.dir, name)) == nil {
+			l.purged.Add(1)
 		}
 	}
 }

@@ -75,7 +75,10 @@ echo "== replay through the router (chaos between router and member 1)"
 grep -q "replayed" "$work/replay.log"
 
 echo "== the router's /verdict must carry the members' epoch windows"
-if ! curl -sf "$router_url/verdict" | grep -q '"epochs"'; then
+# Read the whole document first: grep -q exits at its first match, and
+# under pipefail the curl it leaves writing into a closed pipe fails the check.
+curl -sf "$router_url/verdict" > "$work/verdict.json"
+if ! grep -q '"epochs"' "$work/verdict.json"; then
   echo "FAIL: router /verdict has no epochs" >&2
   exit 1
 fi
