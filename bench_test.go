@@ -410,8 +410,11 @@ func buildBigTrace(keys, opsPerKey int) *root.Trace {
 // Streaming multi-register parser throughput (1000 keys x 40 ops): the plain
 // five-field lines, and the same trace with a client= attribute on every
 // line, as a client-tagged log (and every durable server's own WAL of one)
-// carries them. single is the other form of the format: one 40 000-operation
-// register, no key column, through kat.ParseReader.
+// carries them. Both keep each key's lines together (Trace.String sorts by
+// key); arrival is the plain trace in start order, keys interleaved as in a
+// log, where grouping each block by key costs the most. single is the other
+// form of the format: one 40 000-operation register, no key column, through
+// kat.ParseReader.
 func BenchmarkTraceParse(b *testing.B) {
 	plain := buildBigTrace(1000, 40)
 	tagged := root.NewTrace()
@@ -421,10 +424,14 @@ func BenchmarkTraceParse(b *testing.B) {
 			tagged.Add(key, op)
 		}
 	}
+	var arrival strings.Builder
+	if err := root.WriteTraceArrivalOrder(&arrival, plain); err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		text string
-	}{{"plain", plain.String()}, {"attrs", tagged.String()}} {
+	}{{"plain", plain.String()}, {"attrs", tagged.String()}, {"arrival", arrival.String()}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(tc.text)))
 			b.ReportAllocs()

@@ -324,8 +324,10 @@ func TestStreamEmptyAndTiny(t *testing.T) {
 
 // A key larger than one parse chunk must come out as Trace.Add would have
 // built it — every operation, in arrival order, ID = arrival index — next to
-// a key that fits in one chunk and one that just fills it.
+// a key that fits in one chunk and one that just fills it. The trace spans
+// several read blocks.
 func TestParseReaderJoinsChunks(t *testing.T) {
+	const parseChunk = 1024
 	want := New()
 	var text strings.Builder
 	for i := 0; i < 3*parseChunk+17; i++ {

@@ -13,7 +13,6 @@ package trace
 import (
 	"bufio"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 
@@ -77,50 +76,17 @@ func ParseStreamBytes(r io.Reader, emit func(key []byte, op history.Operation) e
 	return history.ScanText(r, true, emit)
 }
 
-// parseChunk is the size at which ParseReader stops growing a key's
-// operation slice and starts a new one: append grows a large slice by a
-// quarter at a time, which would copy (and first zero the new home of) every
-// operation of a hot key four or five times.
-const parseChunk = 1024
-
-// ParseReader reads a whole multi-register trace from r in chunks, each read
-// once by history.TextDecoder.Scan, so memory is proportional to the
-// operations, not the raw text plus the operations. A key's operations collect
-// in chunks of about parseChunk joined once at end of input; a key that fits
-// in one keeps that slice. Use it for file and stdin inputs.
+// ParseReader reads a whole multi-register trace from r, so memory is
+// proportional to the operations, not the raw text plus the operations. Blocks
+// of the text are scanned in parallel and stitched per key in input order
+// (history.ParseKeyed), so the trace and any error are what a serial read
+// gives. Use it for file and stdin inputs.
 func ParseReader(r io.Reader) (*Trace, error) {
-	type chunked struct {
-		history.History                       // Ops is the chunk being filled
-		full            [][]history.Operation // sealed chunks, oldest first
-		n               int
-	}
-	keys := make(map[string]*chunked)
-	err := ParseStreamBytes(r, func(key []byte, op history.Operation) error {
-		c, ok := keys[string(key)]
-		if !ok {
-			c = &chunked{}
-			keys[string(key)] = c
-		}
-		if len(c.Ops) == cap(c.Ops) && len(c.Ops) >= parseChunk {
-			c.full = append(c.full, c.Ops)
-			c.Ops = make([]history.Operation, 0, parseChunk)
-		}
-		op.ID = c.n
-		c.n++
-		c.Ops = append(c.Ops, op)
-		return nil
-	})
+	keys, err := history.ParseKeyed(r)
 	if err != nil {
 		return nil, err
 	}
-	t := New()
-	for key, c := range keys {
-		if len(c.full) > 0 {
-			c.Ops, c.full = slices.Concat(append(c.full, c.Ops)...), nil
-		}
-		t.Keys[key] = &c.History
-	}
-	return t, nil
+	return &Trace{Keys: keys}, nil
 }
 
 // AppendKeyedOpText is history.AppendOpText under the name the serving layers

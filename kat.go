@@ -398,13 +398,13 @@ func NewTrace() *Trace { return trace.New() }
 // "w <key> <value> <start> <finish>" per line.
 func ParseTrace(text string) (*Trace, error) { return trace.Parse(text) }
 
-// ParseReader reads a single-register history from r through a buffered
-// line scanner, so memory is proportional to the operations rather than the
-// raw text.
+// ParseReader reads a single-register history from r, scanning each block of
+// lines once as it is read, so memory is proportional to the operations rather
+// than the raw text.
 func ParseReader(r io.Reader) (*History, error) { return history.ParseReader(r) }
 
-// ParseTraceReader is ParseTrace over an io.Reader (buffered, line at a
-// time).
+// ParseTraceReader is ParseTrace over an io.Reader, its blocks of lines scanned
+// in parallel; the trace and any error are those of a serial read.
 func ParseTraceReader(r io.Reader) (*Trace, error) { return trace.ParseReader(r) }
 
 // WriteTraceArrivalOrder renders the trace in the keyed text format ordered
