@@ -20,7 +20,7 @@ vet:
 # kat.go must equal LOC_BUDGET. Over it fails; under it fails too, so a PR
 # that shrinks them has to lower the constant to the new total and the
 # budget can neither grow nor lag.
-LOC_BUDGET := 8770
+LOC_BUDGET := 8758
 LOC_SET := internal/trace internal/core internal/online internal/serve internal/cluster internal/checkpoint
 loc:
 	@find $(LOC_SET) -name '*.go' ! -name '*_test.go' | xargs wc -l kat.go | awk -v budget=$(LOC_BUDGET) '{ print } END { if ($$1 > budget) { print "loc: " $$1 " non-test lines, over LOC_BUDGET " budget; exit 1 } if ($$1 < budget) { print "loc: budget is stale, lower LOC_BUDGET to " $$1; exit 1 } print "loc: " $$1 " of LOC_BUDGET " budget }'

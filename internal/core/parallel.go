@@ -329,18 +329,6 @@ func (v *Verifier) fzfChunks(p *history.Prepared) fzf.Result {
 		FailedChunk: -1,
 	}
 	nc := len(dec.Chunks)
-	// The chunks' orders share one backing array, chunk ci's in
-	// offs[ci]:offs[ci+1], sized by the operations of its clusters.
-	offs := make([]int, nc+1)
-	for ci, ch := range dec.Chunks {
-		offs[ci+1] = offs[ci] + len(ch.Forward) + len(ch.Backward)
-		for _, ws := range [2][]int{ch.Forward, ch.Backward} {
-			for _, w := range ws {
-				offs[ci+1] += len(p.DictatedReads[w])
-			}
-		}
-	}
-	backing := make([]int, offs[nc])
 	orders := make([][]int, nc)
 	reasons := make([]string, nc)
 	var tried atomic.Int64
@@ -360,7 +348,7 @@ func (v *Verifier) fzfChunks(p *history.Prepared) fzf.Result {
 				reasons[ci] = reason
 				atomicMin(&minFailed, int64(ci))
 			} else {
-				orders[ci] = append(backing[offs[ci]:offs[ci]:offs[ci+1]], ord...)
+				orders[ci] = slices.Clone(ord)
 			}
 		}
 	})

@@ -3,8 +3,7 @@ package history
 // The ordered block pipeline behind ParseKeyed: the caller reads blocks of
 // whole lines and scans them with the workers, each block's operations filed
 // under one run per key; the caller places the runs per key in input order,
-// and at the end of input all of them copy every operation into its key's one
-// history.
+// and at the end of input copies every operation into its key's one history.
 
 import (
 	"bytes"
@@ -13,7 +12,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // keyRun is one key's operations within a block: n of them, to be copied to
@@ -128,9 +126,9 @@ func (s *scanner) rehash() {
 	}
 }
 
-// read fills s with the decoder's next block, handing the decoder s's old
-// buffer in exchange, and reports whether there was one; at the end it
-// returns nil for io.EOF and the reader's error otherwise.
+// read copies the decoder's next block into s's own buffer and reports
+// whether there was one; at the end it returns nil for io.EOF and the
+// reader's error otherwise.
 func (s *scanner) read(d *TextDecoder) (bool, error) {
 	text, err := d.Next()
 	if err != nil {
@@ -139,8 +137,7 @@ func (s *scanner) read(d *TextDecoder) (bool, error) {
 		}
 		return false, err
 	}
-	d.take(s.text)
-	s.text = text
+	s.text = append(s.text[:0], text...)
 	return true, nil
 }
 
@@ -178,26 +175,28 @@ func (st *stitcher) stitch(s *scanner) error {
 	return nil
 }
 
-// histories sizes each key's history, to be filled by the kept blocks' place.
-func (st *stitcher) histories() (hs []History, out map[string]*History) {
-	hs = make([]History, len(st.keys))
-	out = make(map[string]*History, len(st.keys))
+// histories sizes each key's history and fills it from the kept blocks.
+func (st *stitcher) histories() map[string]*History {
+	hs := make([]History, len(st.keys))
+	out := make(map[string]*History, len(st.keys))
 	for k, key := range st.keys {
 		hs[k].Ops = make([]Operation, st.counts[k])
 		out[key] = &hs[k]
 	}
-	return hs, out
+	for _, b := range st.kept {
+		b.place(hs)
+	}
+	return out
 }
 
 // ParseKeyed reads the keyed text format from r to its end and returns each
 // key's history, its operations in input order with IDs their positions. The
 // caller's goroutine reads blocks of whole lines and scans them alongside
-// GOMAXPROCS-1 more goroutines, at most GOMAXPROCS+1 blocks in flight, and the
-// same goroutines copy the operations into place at the end. A one-block
-// input, or GOMAXPROCS=1, is parsed on the caller's goroutine alone. Errors
-// are what ScanText would return: the first bad segment in input order,
-// numbered across blocks, beats any later read error. Every goroutine started
-// has exited or is exiting when ParseKeyed returns.
+// GOMAXPROCS-1 more goroutines, at most GOMAXPROCS+1 blocks in flight. A
+// one-block input, or GOMAXPROCS=1, is parsed on the caller's goroutine
+// alone. Errors are what ScanText would return: the first bad segment in
+// input order, numbered across blocks, beats any later read error. Every
+// goroutine started has exited or is exiting when ParseKeyed returns.
 func ParseKeyed(r io.Reader) (map[string]*History, error) {
 	return parseKeyed(r, parseBlock, runtime.GOMAXPROCS(0)-1)
 }
@@ -213,17 +212,7 @@ func parseKeyed(r io.Reader, block, workers int) (map[string]*History, error) {
 	d := TextDecoder{Keyed: true}
 	d.Reset(r, block)
 	st := stitcher{index: make(map[string]int)}
-	// place copies kept blocks into hs, taking them in turn from next; hs is
-	// complete once every goroutine that calls it has returned.
-	var next atomic.Int64
-	place := func(hs []History) {
-		for i := int(next.Add(1)) - 1; i < len(st.kept); i = int(next.Add(1)) - 1 {
-			st.kept[i].place(hs)
-		}
-	}
-
-	// Sends never block: no more jobs are queued than blocks in flight, and
-	// the copying jobs come after the last scan.
+	// Sends never block: no more jobs are queued than blocks in flight.
 	jobs := make(chan func(), workers+2)
 	var wg sync.WaitGroup
 	defer func() {
@@ -286,16 +275,5 @@ func parseKeyed(r io.Reader, block, workers int) (map[string]*History, error) {
 	if rerr != nil {
 		return nil, rerr
 	}
-	hs, out := st.histories()
-	var placed sync.WaitGroup
-	placed.Add(started)
-	for w := 0; w < started; w++ {
-		jobs <- func() {
-			place(hs)
-			placed.Done()
-		}
-	}
-	place(hs)
-	placed.Wait()
-	return out, nil
+	return st.histories(), nil
 }

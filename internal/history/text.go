@@ -377,21 +377,6 @@ func (d *TextDecoder) Next() ([]byte, error) {
 	}
 }
 
-// take gives the decoder spare as its buffer in place of the one the block
-// Next returned is a view into, so that block stays valid past the next call.
-// What Next read past the block moves over; spare grows to the old size.
-func (d *TextDecoder) take(spare []byte) {
-	spare = spare[:cap(spare)]
-	if len(spare) < len(d.buf) {
-		spare = make([]byte, len(d.buf))
-	}
-	n := 0
-	if d.end == nil {
-		n = copy(spare, d.buf[d.lo:d.hi])
-	}
-	d.buf, d.lo, d.hi = spare, 0, n
-}
-
 func (d *TextDecoder) readErr(err error) error {
 	if d.Keyed {
 		return fmt.Errorf("trace: %w", err)

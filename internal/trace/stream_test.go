@@ -322,23 +322,25 @@ func TestStreamEmptyAndTiny(t *testing.T) {
 	}
 }
 
-// A key larger than one parse chunk must come out as Trace.Add would have
-// built it — every operation, in arrival order, ID = arrival index — next to
-// a key that fits in one chunk and one that just fills it. The trace spans
-// several read blocks.
+// A key whose operations span several 256 KiB read blocks must come out as
+// Trace.Add would have built it — every operation, in arrival order, ID =
+// arrival index — next to a key that ends part-way through and a small one.
 func TestParseReaderJoinsChunks(t *testing.T) {
-	const parseChunk = 1024
+	const lines = 40000
 	want := New()
 	var text strings.Builder
-	for i := 0; i < 3*parseChunk+17; i++ {
+	for i := 0; i < lines; i++ {
 		for _, key := range []string{"hot", "edge", "cold"} {
-			if key == "edge" && i >= parseChunk || key == "cold" && i >= 5 {
+			if key == "edge" && i >= lines/2 || key == "cold" && i >= 5 {
 				continue
 			}
 			op := history.Operation{Kind: history.KindWrite, Value: int64(i), Start: int64(2 * i), Finish: int64(2*i + 1)}
 			want.Add(key, op)
 			fmt.Fprintf(&text, "w %s %d %d %d\n", key, op.Value, op.Start, op.Finish)
 		}
+	}
+	if text.Len() < 4*256<<10 {
+		t.Fatalf("trace of %d bytes spans too few read blocks", text.Len())
 	}
 	got, err := ParseReader(strings.NewReader(text.String()))
 	if err != nil {

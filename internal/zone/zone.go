@@ -250,9 +250,9 @@ func DecomposeZones(zs []Zone) Decomposition {
 // decompositions of same-sized histories perform no allocations once the
 // buffers have grown to steady state.
 type Scratch struct {
-	zones      []Zone // forward zones from the front, backward ones from the back
-	fwdMembers []int  // flat Chunk.Forward storage, one contiguous run per chunk
-	bwdMembers []int  // flat Chunk.Backward storage
+	fwd, bwd   []Zone
+	fwdMembers []int // flat Chunk.Forward storage, one contiguous run per chunk
+	bwdMembers []int // flat Chunk.Backward storage
 	chunks     []Chunk
 	dangling   []int
 }
@@ -268,30 +268,18 @@ type Scratch struct {
 // so walking the writes in finish order (Prepared.ByFinish) lists the forward
 // zones sorted; only the backward ones are sorted here.
 func DecomposeScratch(p *history.Prepared, s *Scratch) Decomposition {
-	// Every buffer is sized from the write count before it is filled, so a
-	// fresh Scratch grows each one once instead of doubling it up.
-	nw := 0
-	for _, d := range p.DictatingWrite {
-		if d < 0 {
-			nw++
-		}
-	}
-	s.zones = slices.Grow(s.zones[:0], nw)[:nw]
-	nf, nb := 0, nw
+	s.fwd, s.bwd = s.fwd[:0], s.bwd[:0]
 	for _, w := range p.ByFinish {
 		if !p.H.Ops[w].IsWrite() {
 			continue
 		}
 		if z := zoneOf(p, w); z.Forward() {
-			s.zones[nf] = z
-			nf++
+			s.fwd = append(s.fwd, z)
 		} else {
-			nb--
-			s.zones[nb] = z
+			s.bwd = append(s.bwd, z)
 		}
 	}
-	fwd, bwd := s.zones[:nf], s.zones[nb:]
-	slices.SortFunc(bwd, func(a, b Zone) int {
+	slices.SortFunc(s.bwd, func(a, b Zone) int {
 		if c := cmp.Compare(a.Low(), b.Low()); c != 0 {
 			return c
 		}
@@ -301,13 +289,13 @@ func DecomposeScratch(p *history.Prepared, s *Scratch) Decomposition {
 	// Forward members in sorted-by-low order are exactly the chunks' Forward
 	// lists concatenated, so each chunk's list is a subslice of one flat
 	// buffer. Fill the buffer first so no append can move it afterwards.
-	s.fwdMembers = slices.Grow(s.fwdMembers[:0], nf)
-	for _, z := range fwd {
+	s.fwdMembers = s.fwdMembers[:0]
+	for _, z := range s.fwd {
 		s.fwdMembers = append(s.fwdMembers, z.Write)
 	}
-	s.chunks = slices.Grow(s.chunks[:0], nf)
+	s.chunks = s.chunks[:0]
 	runStart := 0
-	for i, z := range fwd {
+	for i, z := range s.fwd {
 		if n := len(s.chunks); n > 0 && z.Low() < s.chunks[n-1].Hi {
 			c := &s.chunks[n-1]
 			if z.High() > c.Hi {
@@ -324,10 +312,10 @@ func DecomposeScratch(p *history.Prepared, s *Scratch) Decomposition {
 	// assignments are consecutive appends into one flat buffer (dangling
 	// zones go to a separate slice and do not break the runs). Pre-grow the
 	// buffer so extending a chunk's subslice never moves it.
-	s.bwdMembers = slices.Grow(s.bwdMembers[:0], len(bwd))
+	s.bwdMembers = slices.Grow(s.bwdMembers[:0], len(s.bwd))
 	s.dangling = s.dangling[:0]
 	ci := 0
-	for _, z := range bwd {
+	for _, z := range s.bwd {
 		for ci < len(s.chunks) && s.chunks[ci].Hi < z.Low() {
 			ci++
 		}
