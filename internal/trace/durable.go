@@ -587,6 +587,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 	if e.epochLen != cp.EpochLength {
 		return fmt.Errorf("trace: checkpoint epoch length %d does not match session epoch length %d (restart with the original -epoch)", cp.EpochLength, e.epochLen)
 	}
+	var vals []int64 // one segment's values, for the value index
 	for _, st := range cp.Keys {
 		sh := e.shards[shardIndex(e, st.Key)]
 		if _, dup := sh.keys[st.Key]; dup {
@@ -602,16 +603,24 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		ks.cumWrites = st.CumWrites
 		ks.cumMaxFinish = st.CumMaxFinish
 		ks.totalClosed = st.TotalClosed
-		ks.values.Reserve(len(st.Values))
-		for _, pair := range st.Values {
-			// The open window's writes enter the index when it closes; the
-			// checkpoint lists them all the same (see buildCheckpoint), and
-			// taking them now would make that close a duplicate of itself.
-			if pair[1] < 0 || pair[1] > int64(st.Seq) {
-				return fmt.Errorf("trace: checkpoint value %d of %q names segment %d, outside 0..%d", pair[0], st.Key, pair[1], st.Seq)
+		// Each segment's values go back in one Add, in segment order, as its
+		// close entered them, so the index gathers the same runs. The open
+		// window's writes enter the index when it closes; the checkpoint lists
+		// them all the same (see buildCheckpoint), and taking them now would
+		// make that close a duplicate of itself.
+		pairs := slices.Clone(st.Values)
+		slices.SortFunc(pairs, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[1], b[1]), cmp.Compare(a[0], b[0])) })
+		for i := 0; i < len(pairs); {
+			seq := pairs[i][1]
+			if seq < 0 || seq > int64(st.Seq) {
+				return fmt.Errorf("trace: checkpoint value %d of %q names segment %d, outside 0..%d", pairs[i][0], st.Key, seq, st.Seq)
 			}
-			if pair[1] != int64(st.Seq) {
-				ks.values.Put(pair[0], int32(pair[1]))
+			vals = vals[:0]
+			for ; i < len(pairs) && pairs[i][1] == seq; i++ {
+				vals = append(vals, pairs[i][0])
+			}
+			if seq != int64(st.Seq) {
+				ks.values.Add(vals, int32(seq))
 			}
 		}
 		var err error

@@ -52,17 +52,20 @@ package trace
 //
 // Memory: per key, the open window plus at most `threshold` writes' worth
 // of closed segments, plus two index structures that are never pruned —
-// one entry per distinct written value (the value index that classifies
-// reads and detects cross-segment duplicate writes; dropping entries would
-// misreport a deep stale read as a dangling-read anomaly) and one
-// cumulative write count per closed segment. The value index is one flat
-// table per key (package valueindex), measured at 25 to 32 bytes per value
-// from 4 096 keys of 100 values to one key of a million (a map[int64]int32:
-// 24 to 38). It is updated when a window closes, not when a write arrives:
-// reads are only classified at a close, so nothing consults it in between,
-// and a window's writes enter it together, after one reservation, while the
-// key's table is in cache (a duplicate value is therefore reported when its
-// window closes, under that window's sequence number).
+// every distinct written value (the value index that classifies reads and
+// detects cross-segment duplicate writes; dropping values would misreport a
+// deep stale read as a dangling-read anomaly) and one cumulative write count
+// per closed segment. The value index (package valueindex) keeps each
+// window's stretches of consecutive values as one 16-byte run and every other
+// value in a flat table at 16 to 32 bytes, so a key writing a counter costs
+// well under a byte per value (0.25 on keys shaped like the
+// serve-wire-uniform benchmark's, about one run per window) and one writing
+// random values what a table does (a map[int64]int32: 24 to 38). It is
+// updated when a window closes, not when a write arrives: reads are only
+// classified at a close, so nothing consults it in between, and a window's
+// writes enter it in one call while the key's index is in cache (a duplicate
+// value is therefore reported when its window closes, under that window's
+// sequence number).
 //
 // Every buffered operation — open window, held segment, segment in flight —
 // is held packed in one store (engine.buf, package opbuf): a varint record of
@@ -409,7 +412,9 @@ type ingestShard struct {
 
 	// window is where a packed list is decoded for a pass over its operations
 	// (a closing window, a spill, a checkpoint): one per shard, so it is warm.
+	// values holds a closing window's written values for the value index.
 	window []history.Operation
+	values []int64
 
 	// lockTakes counts ingest-path acquisitions of mu (not monitoring or
 	// flush ones), the denominator of the locks-per-op measurement that
@@ -800,6 +805,31 @@ func (e *engine) addOp(ks *keyState, op history.Operation) error {
 	return nil
 }
 
+// duplicateWrite charges the key's closing window with its first write, in
+// operation order, that the value index did not store: one whose value an
+// earlier segment wrote, or an earlier write of this window. Every write's
+// value is in the index by now, so the two read apart by their segment.
+func (e *engine) duplicateWrite(ks *keyState, ops []history.Operation) {
+	seen := map[int64]bool{}
+	for i := range ops {
+		op := &ops[i]
+		if !op.IsWrite() {
+			continue
+		}
+		if s, _ := ks.values.Get(op.Value); int(s) != ks.seq || seen[op.Value] {
+			e.settle(ks, func() {
+				if ks.err == nil || ks.seq < ks.errSeq {
+					ks.err = fmt.Errorf("core: %w (value %d written twice on key %q)",
+						history.ErrDuplicateValue, op.Value, ks.key)
+					ks.errSeq = ks.seq
+				}
+			})
+			return
+		}
+		seen[op.Value] = true
+	}
+}
+
 // maxOpenAll folds the per-shard open-window maxima.
 func (e *engine) maxOpenAll() int64 {
 	var m int64
@@ -833,24 +863,19 @@ func (e *engine) closeOpen(ks *keyState) error {
 	ks.maxClosedFinish = ks.openMaxFinish
 	ks.closedAny = true
 
-	// The value index learns a window's writes here, all at once while the
-	// key's table is warm, not one cold probe per write as they arrive: reads
+	// The value index learns a window's writes here, in one call while the
+	// key's index is warm, not one cold probe per write as they arrive: reads
 	// are only ever classified at a close, against closed segments and this
-	// one. The table makes room for every write first, so it grows at most
-	// once. A value some earlier write (of any segment) stored is an anomaly.
-	ks.values.Reserve(writes)
+	// one. A value some earlier write (of any segment) stored is an anomaly.
+	vals := sh.values[:0]
 	for i := range ops {
-		op := &ops[i]
-		if !op.IsWrite() || ks.values.Put(op.Value, int32(ks.seq)) {
-			continue
+		if ops[i].IsWrite() {
+			vals = append(vals, ops[i].Value)
 		}
-		e.settle(ks, func() {
-			if ks.err == nil || ks.seq < ks.errSeq {
-				ks.err = fmt.Errorf("core: %w (value %d written twice on key %q)",
-					history.ErrDuplicateValue, op.Value, ks.key)
-				ks.errSeq = ks.seq
-			}
-		})
+	}
+	sh.values = vals
+	if ks.values.Add(vals, int32(ks.seq)) < len(vals) {
+		e.duplicateWrite(ks, ops)
 	}
 
 	// Classify reads: in-segment (seq match), deque (merge back), or

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,7 +16,8 @@ import (
 // written twice on one key: the error text and the sequence number it is
 // charged to, whether the two writes share a window, sit in two segments, or
 // straddle a checkpoint restore (the first write indexed before the
-// checkpoint, or still in the open window the checkpoint lists).
+// checkpoint, or still in the open window the checkpoint lists), and which
+// duplicate a window with several is charged with.
 func TestDuplicateValueErrors(t *testing.T) {
 	const dupOfOne = `core: history: duplicate written value (value 1 written twice on key "a")`
 	for _, tc := range []struct {
@@ -26,6 +29,11 @@ func TestDuplicateValueErrors(t *testing.T) {
 		{"two segments", "w a 1 0 10\nw a 2 20 30\nw a 1 40 50\nw a 3 60 70\n", "", 2},
 		{"indexed before a restore", "w a 1 0 10\nw a 2 20 30\n", "w a 1 40 50\nw a 3 60 70\n", 2},
 		{"open at a restore", "w a 2 0 10\nw a 1 20 30\n", "w a 1 40 50\nw a 3 60 70\n", 2},
+		// A window with more than one duplicate is charged with the first in
+		// operation order, not the smallest value.
+		{"first of two in one window", "w a 1 0 10\nw a -5 1 11\nw a 1 2 12\nw a -5 3 13\n", "", 0},
+		{"first of two earlier values", "w a -5 0 10\nw a 1 20 30\nw a 2 40 50\nw a 1 41 51\nw a -5 42 52\n", "", 2},
+		{"in the window before an earlier value", "w a -5 0 10\nw a 1 20 30\nw a 1 21 31\nw a -5 22 32\n", "", 1},
 	} {
 		sopts := StreamOptions{Workers: 1, MinSegmentOps: 1}
 		s := NewSmallestKSession(core.Options{}, sopts)
@@ -90,5 +98,77 @@ func TestCheckpointDeterministic(t *testing.T) {
 		} else if !bytes.Equal(b, first) {
 			t.Fatalf("checkpoint %d of a frozen session differs from the first", i)
 		}
+	}
+}
+
+// TestRestoreRebuildsValueIndex checks a restore against the session it was
+// checkpointed from, on a session shaped like the serve-wire-uniform
+// benchmark: many keys, each a register of two-way concurrent operations
+// with staleness depth 1 writing consecutive values. Checkpoint, restore
+// into a fresh session, checkpoint again: the two checkpoints marshal to the
+// same bytes, and the restored session's live heap is within 10 % of the
+// original's, so the restore gathered the runs of consecutive values the
+// closes did rather than one table slot per value.
+func TestRestoreRebuildsValueIndex(t *testing.T) {
+	const keys, perKey = 1024, 366
+	tr := New()
+	for i := 0; i < keys; i++ {
+		h := generator.KAtomic(generator.Config{Seed: int64(i + 1), Ops: perKey, Concurrency: 2, StalenessDepth: 1})
+		for _, op := range h.Ops {
+			tr.Add(fmt.Sprintf("key-%04d", i), op)
+		}
+	}
+	text := streamText(tr)
+	sopts := StreamOptions{Workers: 1, IngestShards: 4}
+
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	checkpoint := func(s *Session) (*SessionCheckpoint, []byte) {
+		cp, err := s.Checkpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp, b
+	}
+
+	base := heap()
+	s := NewSmallestKSession(core.Options{}, sopts)
+	if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
+		t.Fatal(err)
+	}
+	original := heap() - base
+	runtime.KeepAlive(text)
+	_, first := checkpoint(s)
+	runtime.KeepAlive(s)
+
+	// The restored session is built from the decoded bytes, as a restart reads
+	// them, so no part of it aliases the original.
+	base = heap()
+	cp := new(SessionCheckpoint)
+	if err := json.Unmarshal(first, cp); err != nil {
+		t.Fatal(err)
+	}
+	r := NewSmallestKSession(core.Options{}, sopts)
+	if err := r.RestoreCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	cp = nil
+	restored := heap() - base
+	if _, again := checkpoint(r); !bytes.Equal(again, first) {
+		t.Fatal("the restored session's checkpoint differs from the original's")
+	}
+	runtime.KeepAlive(r)
+	t.Logf("live heap: original %d B, restored %d B (%+.1f %%)", original, restored, 100*float64(restored-original)/float64(original))
+	if d := restored - original; 10*d > original || -10*d > original {
+		t.Fatalf("restored session holds %d B of live heap, the original %d B: more than 10 %% apart", restored, original)
 	}
 }

@@ -64,34 +64,31 @@ var ErrSticky = errors.New("wal: writer failed earlier; refusing further appends
 // that race into one quiet period cost one fsync.
 type Writer struct {
 	f       faultfs.File
-	scratch [headerSize]byte
-	written int64 // bytes appended
-	synced  int64 // bytes known durable
-	err     error // sticky first error
+	frame   []byte // one record, header and payload, framed for its one write
+	written int64  // bytes appended
+	synced  int64  // bytes known durable
+	err     error  // sticky first error
 }
 
 // NewWriter wraps an open file the writer takes ownership of.
 func NewWriter(f faultfs.File) *Writer { return &Writer{f: f} }
 
-// Append frames and writes one record. Errors are sticky.
+// Append frames one record and writes it in one call. Errors are sticky.
 func (w *Writer) Append(typ byte, payload []byte) error {
 	if w.err != nil {
 		return ErrSticky
 	}
 	crc := crc32.Update(0, castagnoli, []byte{typ})
 	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(w.scratch[0:4], crc)
-	binary.LittleEndian.PutUint32(w.scratch[4:8], uint32(len(payload)))
-	w.scratch[8] = typ
-	if _, err := w.f.Write(w.scratch[:]); err != nil {
+	b := binary.LittleEndian.AppendUint32(w.frame[:0], crc)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(append(b, typ), payload...)
+	w.frame = b
+	if _, err := w.f.Write(b); err != nil {
 		w.err = err
 		return err
 	}
-	if _, err := w.f.Write(payload); err != nil {
-		w.err = err
-		return err
-	}
-	w.written += int64(headerSize + len(payload))
+	w.written += int64(len(b))
 	return nil
 }
 

@@ -108,13 +108,13 @@ func TestCorruptMiddleStops(t *testing.T) {
 
 func TestWriterSticky(t *testing.T) {
 	mem := faultfs.NewMem()
-	ff := faultfs.NewFaulty(mem, faultfs.FailOnce(faultfs.OpWrite, 2, 3))
+	ff := faultfs.NewFaulty(mem, faultfs.FailOnce(faultfs.OpWrite, 1, 3))
 	f, _ := ff.Create("log")
 	w := NewWriter(f)
 	if err := w.Append(RecordBatch, []byte("ok")); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	// Second append: header write (op 1) passes, payload write (op 2) tears.
+	// Second append: its one write (op 1) tears after three bytes.
 	if err := w.Append(RecordBatch, []byte("doomed")); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("append err = %v, want injected", err)
 	}
