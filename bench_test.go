@@ -1,5 +1,5 @@
-// Benchmarks backing the experiment tables in EXPERIMENTS.md. Each family
-// corresponds to an experiment ID from DESIGN.md:
+// Benchmarks backing the experiment tables kavbench prints. Each family
+// corresponds to an experiment ID that kavbench -list names:
 //
 //	E2  BenchmarkLBTPractical      — LBT vs n at small c (Theorem 3.2)
 //	E3  BenchmarkLBTConcurrency    — LBT vs c at fixed n (Theorem 3.2)
@@ -606,7 +606,7 @@ func BenchmarkStream1M(b *testing.B) {
 
 // The multi-property headline: the marginal cost of verifying Δ-atomicity
 // and regularity in the SAME streaming pass as smallest-k — one parse, one
-// safe-cut segmentation, one work-stealing pool, extra checkers per segment.
+// safe-cut segmentation, one shared pool, extra checkers per segment.
 // props=k is the legacy single-property baseline; props=all adds Δ and
 // regularity. The 16k-op rows feed the benchcmp regression gate (in a
 // second pass at a low -benchtime: one iteration is a full streaming pass)
@@ -662,7 +662,7 @@ func BenchmarkMultiProperty(b *testing.B) {
 // fan-out collapses to a single core. workers=1 is the sequential single-key
 // path (CheckPreparedParallel delegates to the plain Verifier); workers=4
 // fans the register's chunk (k=2) and safe-cut segment (smallest-k) units
-// out over the work-stealing pool. On a multi-core host the 4-worker rows
+// out over the shared pool. On a multi-core host the 4-worker rows
 // show the intra-key speedup; verdicts are identical either way (proved by
 // TestCheckPreparedParallelMatchesSequential and FuzzSchedulerEquivalence).
 func BenchmarkHotKey(b *testing.B) {
@@ -697,8 +697,8 @@ func BenchmarkHotKey(b *testing.B) {
 
 // Zipf-skewed streaming verification: 32 keys, 128k ops, exponent 1.3 —
 // most traffic lands on a handful of hot keys, so worker counts beyond the
-// key count only help if chunk units steal across keys (exactly what the
-// unified pool provides).
+// key count only help if free workers claim chunk units across keys
+// (exactly what the unified pool provides).
 func BenchmarkStreamCheckZipf(b *testing.B) {
 	const keys, opsPerKey = 32, 4000
 	counts := root.ZipfKeyCounts(5, keys, keys*opsPerKey, 1.3)

@@ -1,10 +1,11 @@
-// Command kavbench regenerates every experiment table recorded in
-// EXPERIMENTS.md (the reproduction of the paper's figures and analytical
-// claims).
+// Command kavbench regenerates the reproduction's experiment tables: the
+// paper's figures and analytical claims, and the studies around them.
+// kavbench -list names every experiment; README's command table lists the
+// tool beside the others.
 //
 // Usage:
 //
-//	kavbench              # run all experiments (E1..E10)
+//	kavbench              # run every experiment
 //	kavbench -exp e4,e7   # run a subset
 //	kavbench -list        # list experiments
 package main
@@ -28,8 +29,10 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("kavbench", flag.ContinueOnError)
+	order := exp.Order()
+	idRange := order[0] + ".." + order[len(order)-1]
 	var (
-		which = fs.String("exp", "all", "comma-separated experiment IDs (e1..e10) or 'all'")
+		which = fs.String("exp", "all", "comma-separated experiment IDs ("+idRange+") or 'all'")
 		list  = fs.Bool("list", false, "list experiments and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -38,7 +41,7 @@ func run(args []string, out io.Writer) error {
 
 	reg := exp.Registry()
 	if *list {
-		for _, id := range exp.Order() {
+		for _, id := range order {
 			fmt.Fprintf(out, "%-4s %s\n", strings.ToUpper(id), exp.Describe(id))
 		}
 		return nil
@@ -46,12 +49,12 @@ func run(args []string, out io.Writer) error {
 
 	var ids []string
 	if *which == "all" {
-		ids = exp.Order()
+		ids = order
 	} else {
 		for _, id := range strings.Split(*which, ",") {
 			id = strings.ToLower(strings.TrimSpace(id))
 			if _, ok := reg[id]; !ok {
-				return fmt.Errorf("unknown experiment %q (want e1..e12)", id)
+				return fmt.Errorf("unknown experiment %q (want %s)", id, idRange)
 			}
 			ids = append(ids, id)
 		}

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"kat/internal/exp"
 )
 
 func TestBenchList(t *testing.T) {
@@ -10,9 +12,9 @@ func TestBenchList(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"E1", "E5", "E10"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("list missing %s:\n%s", want, out.String())
+	for _, id := range exp.Order() {
+		if !strings.Contains(out.String(), strings.ToUpper(id)+" ") {
+			t.Errorf("list missing %s:\n%s", id, out.String())
 		}
 	}
 }

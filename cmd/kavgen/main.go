@@ -16,8 +16,10 @@
 // counts Zipfian while preserving the total, producing the hot-key traffic
 // shape that exercises chunk-level (intra-key) parallel verification.
 // -format wire serializes the same trace as binary wire frames instead of
-// text (-compress DEFLATEs the payloads); kavcheck -stream and kavserve
-// sniff the format, so binary traces drop into the same pipelines.
+// text (-frame-ops sizes the frames, -compress DEFLATEs the payloads; both
+// are a usage error without -format wire or with -replay); kavcheck -stream
+// and kavserve sniff the format, so binary traces drop into the same
+// pipelines.
 //
 // With -churn N the keyspace itself churns: N key lifetimes are born at a
 // fixed cadence, each lives -ops operations, then quiesces forever — the
@@ -38,8 +40,9 @@
 // per second. Transient failures (connection drops, 503 shedding) retry with
 // exponential backoff and jitter, reconciling against /verdict so no op is
 // ingested twice; -resume continues an interrupted replay the same way.
-// -wire posts each batch as one binary wire frame instead of text, halving
-// (or better) the bytes on the wire and skipping the server-side parse.
+// -format wire posts each batch as one binary wire frame instead of text,
+// halving (or better) the bytes on the wire and skipping the server-side
+// parse.
 // -drain then asks the server for final verdicts and prints them.
 package main
 
@@ -85,7 +88,7 @@ func run(args []string, out io.Writer) error {
 		keys        = fs.Int("keys", 0, "emit a keyed trace with this many registers (-ops each), in arrival order")
 		zipf        = fs.Float64("zipf", 0, "with -keys: skew the per-key operation counts Zipfian with this exponent (> 1; total ops stays keys*ops, rank-0 key hottest)")
 		asJSON      = fs.Bool("json", false, "emit JSON instead of text")
-		format      = fs.String("format", "text", "with -keys: trace serialization, text|wire (binary frames; kavcheck -stream and kavserve sniff the format)")
+		format      = fs.String("format", "text", "trace serialization, text|wire: with -keys or -churn, binary frames (kavcheck -stream and kavserve sniff the format); with -replay, each batch posted as one binary frame (Content-Type application/x-kav-wire)")
 		frameOps    = fs.Int("frame-ops", 0, "with -format wire: operations per frame (0 = default)")
 		compress    = fs.Bool("compress", false, "with -format wire: DEFLATE-compress frame payloads")
 		replay      = fs.String("replay", "", "replay the trace against this kavserve base URL instead of printing it; a comma-separated URL list pre-routes per key hash across cluster member nodes (bypassing the router)")
@@ -95,7 +98,6 @@ func run(args []string, out io.Writer) error {
 		batchOps    = fs.Int("batch-ops", 512, "with -replay: operations per acknowledged ingest request; a key's next batch never leaves before the previous one is acked")
 		retries     = fs.Int("retries", 8, "with -replay: attempts per batch before giving up (transient failures back off exponentially with jitter, honoring Retry-After)")
 		resume      = fs.Bool("resume", false, "with -replay: reconcile against the server's /verdict first and skip per-key prefixes it already ingested (continue an interrupted replay)")
-		wireMode    = fs.Bool("wire", false, "with -replay: post batches as binary wire frames (Content-Type application/x-kav-wire) instead of text")
 		churn       = fs.Int("churn", 0, "churn mode: emit a keyed trace of this many key lifetimes born at a fixed cadence, each living -ops operations and then quiescing forever (the keyspace-lifecycle workload)")
 		churnPool   = fs.Int("churn-pool", 0, "with -churn: recycle this many key names round-robin, so retired names are later reborn and re-admitted (0 = fresh name per lifetime)")
 		churnGap    = fs.Int64("churn-gap", 0, "with -churn: trace-time between lifetime births (0 = auto)")
@@ -115,12 +117,18 @@ func run(args []string, out io.Writer) error {
 	if *format != "text" && *format != "wire" {
 		return fmt.Errorf("unknown format %q (want text or wire)", *format)
 	}
-	if *format == "wire" {
-		if *replay != "" {
-			return fmt.Errorf("-format wire does not apply to -replay; use -wire to post binary frames")
-		}
-		if *keys <= 0 && *churn <= 0 {
-			return fmt.Errorf("-format wire requires -keys or -churn (binary frames carry keyed traces)")
+	if *format == "wire" && *replay == "" && *keys <= 0 && *churn <= 0 {
+		return fmt.Errorf("-format wire requires -keys, -churn or -replay (binary frames carry keyed traces)")
+	}
+	if *format != "wire" || *replay != "" {
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "frame-ops" || f.Name == "compress" {
+				err = fmt.Errorf("-%s applies only to -format wire output, not to text or -replay", f.Name)
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if *churn > 0 && (*keys > 0 || *zipf != 0) {
@@ -228,7 +236,7 @@ func run(args []string, out io.Writer) error {
 			batchOps: *batchOps,
 			retries:  *retries,
 			resume:   *resume,
-			wire:     *wireMode,
+			wire:     *format == "wire",
 		}, out)
 	}
 

@@ -267,21 +267,32 @@ func TestGenerateWireTrace(t *testing.T) {
 	}
 }
 
+// TestWireFlagValidation checks the codec flags' usage errors. -frame-ops and
+// -compress shape -format wire output only, so text output and -replay, which
+// posts each batch as one frame of its own, refuse them instead of ignoring
+// them. Nothing is generated, printed or sent.
 func TestWireFlagValidation(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-format", "yaml"}, &out); err == nil {
-		t.Error("unknown -format accepted")
-	}
-	if err := run([]string{"-format", "wire"}, &out); err == nil {
-		t.Error("-format wire without -keys accepted")
-	}
-	if err := run([]string{"-format", "wire", "-keys", "2", "-replay", "http://x"}, &out); err == nil {
-		t.Error("-format wire with -replay accepted")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-format", "yaml"}, "unknown format"},
+		{[]string{"-format", "wire"}, "requires -keys"},
+		{[]string{"-keys", "2", "-ops", "3", "-compress"}, "-compress applies only"},
+		{[]string{"-keys", "2", "-ops", "3", "-frame-ops", "16"}, "-frame-ops applies only"},
+		{[]string{"-keys", "2", "-ops", "3", "-format", "text", "-compress"}, "-compress applies only"},
+		{[]string{"-keys", "2", "-replay", "http://127.0.0.1:1", "-format", "wire", "-compress"}, "-compress applies only"},
+		{[]string{"-keys", "2", "-replay", "http://127.0.0.1:1", "-format", "wire", "-frame-ops", "16"}, "-frame-ops applies only"},
+	} {
+		var out strings.Builder
+		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) || out.Len() != 0 {
+			t.Errorf("%v: err %v, output %q; want a usage error containing %q", c.args, err, out.String(), c.want)
+		}
 	}
 }
 
 // TestReplayWire replays a generated trace as binary wire frames and checks
-// the drained server agrees with the offline checker — the -wire twin of
+// the drained server agrees with the offline checker — the -format wire twin of
 // TestReplayAgainstServer.
 func TestReplayWire(t *testing.T) {
 	srv := online.New(online.Config{K: 2, Stream: trace.StreamOptions{Workers: 2, MinSegmentOps: 4}})
@@ -291,7 +302,7 @@ func TestReplayWire(t *testing.T) {
 	genArgs := []string{"-keys", "5", "-ops", "40", "-depth", "1", "-inject", "0.5", "-inject-depth", "2", "-seed", "11"}
 	var replayOut strings.Builder
 	args := append(append([]string{}, genArgs...),
-		"-replay", ts.URL, "-clients", "3", "-batch-ops", "32", "-wire", "-drain")
+		"-replay", ts.URL, "-clients", "3", "-batch-ops", "32", "-format", "wire", "-drain")
 	if err := run(args, &replayOut); err != nil {
 		t.Fatalf("wire replay run: %v\n%s", err, replayOut.String())
 	}

@@ -1,6 +1,6 @@
 // Command kavserve is the online continuous-verification service: it accepts
 // keyed operation streams from many concurrent clients over HTTP, verifies
-// them incrementally on a shared work-stealing pool, and serves live per-key
+// them incrementally on one shared worker pool, and serves live per-key
 // verdicts. On SIGINT/SIGTERM it drains and prints the final verdicts.
 //
 //	kavserve -addr :8080 -k 2

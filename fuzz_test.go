@@ -295,9 +295,9 @@ func FuzzOnlineSessionEquivalence(f *testing.F) {
 }
 
 // FuzzSchedulerEquivalence is the differential fuzz target for the (key,
-// chunk) work-stealing scheduler: for arbitrary keyed traces it checks that
-// chunk-scheduled verdicts and smallest-k values are identical to the
-// sequential path for every worker count, at both trace level
+// chunk) scheduler, one queue and a cursor per fork: for arbitrary keyed
+// traces it checks that chunk-scheduled verdicts and smallest-k values are
+// identical to the sequential path for every worker count, at both trace level
 // (CheckTraceParallel / SmallestKByKeyParallel) and single-register level
 // (CheckPreparedParallel / SmallestKPreparedParallel).
 func FuzzSchedulerEquivalence(f *testing.F) {

@@ -55,7 +55,7 @@ type Options struct {
 	// may edit; the next one drops that line and deletes field and type.
 	Memo *Memo
 	// MinParallelOps is the smallest history (in operations) whose units a
-	// pool worker forks for other workers to steal; smaller histories run
+	// pool worker forks for other workers to claim; smaller histories run
 	// the same units one after another on the calling worker, so tiny keys
 	// don't pay fork overhead. 0 uses DefaultMinParallelOps; negative forks
 	// regardless of size and worker count (equivalence tests and fuzzing).

@@ -55,8 +55,8 @@ import (
 	"kat/internal/zone"
 )
 
-// CheckPreparedParallel is CheckPrepared run from inside a work-stealing
-// pool of the given size (workers <= 0 uses GOMAXPROCS), so even a single
+// CheckPreparedParallel is CheckPrepared run from inside a pool of the
+// given size (workers <= 0 uses GOMAXPROCS), so even a single
 // big register spreads its units over several cores. The report equals
 // Verifier.CheckPrepared's for any worker count (see the comment above).
 //
@@ -71,8 +71,8 @@ func CheckPreparedParallel(p *history.Prepared, k int, opts Options, workers int
 	return rep, err
 }
 
-// SmallestKPreparedParallel is SmallestKPrepared run from inside a
-// work-stealing pool (workers <= 0 uses GOMAXPROCS).
+// SmallestKPreparedParallel is SmallestKPrepared run from inside a pool
+// (workers <= 0 uses GOMAXPROCS).
 func SmallestKPreparedParallel(p *history.Prepared, opts Options, workers int) (int, error) {
 	var k int
 	var err error
@@ -110,7 +110,7 @@ func resolveAlgo(k int, opts Options) Algorithm {
 
 // CheckPrepared is Check for histories already normalized and prepared: the
 // engine's one algorithm switch. On a pool worker it forks chunk and segment
-// units for idle workers to steal when the history is big enough to be worth
+// units for free workers to claim when the history is big enough to be worth
 // it.
 func (v *Verifier) CheckPrepared(p *history.Prepared, k int, opts Options) (Report, error) {
 	if k < 1 {
@@ -334,22 +334,19 @@ func (v *Verifier) fzfChunks(p *history.Prepared) fzf.Result {
 	var tried atomic.Int64
 	var minFailed atomic.Int64
 	minFailed.Store(math.MaxInt64)
-	batches := min(nc, 4*v.workers())
-	v.Fork(batches, func(wv *Verifier, b int) {
-		for ci := nc * b / batches; ci < nc*(b+1)/batches; ci++ {
-			if minFailed.Load() < int64(ci) {
-				// A strictly earlier chunk already failed; this chunk can
-				// no longer affect the (min-index) verdict.
-				continue
-			}
-			ord, tr, reason := fzf.CheckChunk(p, dec.Chunks[ci], &wv.fzf)
-			tried.Add(int64(tr))
-			if ord == nil {
-				reasons[ci] = reason
-				atomicMin(&minFailed, int64(ci))
-			} else {
-				orders[ci] = slices.Clone(ord)
-			}
+	v.Fork(nc, func(wv *Verifier, ci int) {
+		if minFailed.Load() < int64(ci) {
+			// A strictly earlier chunk already failed; this chunk can no
+			// longer affect the (min-index) verdict.
+			return
+		}
+		ord, tr, reason := fzf.CheckChunk(p, dec.Chunks[ci], &wv.fzf)
+		tried.Add(int64(tr))
+		if ord == nil {
+			reasons[ci] = reason
+			atomicMin(&minFailed, int64(ci))
+		} else {
+			orders[ci] = slices.Clone(ord)
 		}
 	})
 	res.OrdersTried = int(tried.Load())
@@ -392,14 +389,13 @@ func (v *Verifier) oracleSegments(p *history.Prepared, k int, opts Options) (boo
 
 // overSegments runs f on a view of each [lo, hi) range of p (p itself when
 // there is one range) and returns the first error in range order. The units
-// fork onto the pool when p is big enough (forks), batched only when their
-// count is extreme, which bounds scheduler bookkeeping without hurting load
-// balance; otherwise they run one after another on this worker. f writes its
-// result into a per-i slot. A view lives in the index buffers of the worker
-// that runs its unit and only as long as f does; views nest two deep at most
-// — a run of segments, then (inner) one segment of that run, which the
-// ladder never splits again — and a worker waiting on a fork runs no unit
-// but that fork's own, so one buffer per depth is enough.
+// fork onto the pool, one per range, when p is big enough (forks); otherwise
+// they run one after another on this worker. f writes its result into a
+// per-i slot. A view lives in the index buffers of the worker that runs its
+// unit and only as long as f does; views nest two deep at most — a run of
+// segments, then (inner) one segment of that run, which the ladder never
+// splits again — and a worker waiting on a fork runs no unit but that fork's
+// own, so one buffer per depth is enough.
 func (v *Verifier) overSegments(p *history.Prepared, segs [][2]int, opts Options, inner bool, f func(w *Verifier, i int, view *history.Prepared) error) error {
 	if len(segs) == 1 {
 		return f(v, 0, p)
@@ -417,20 +413,12 @@ func (v *Verifier) overSegments(p *history.Prepared, segs [][2]int, opts Options
 		}
 		errs[i] = f(w, i, view)
 	}
-	const maxUnits = 2048
-	switch n := len(segs); {
-	case !v.forks(p.Len(), opts):
+	if v.forks(p.Len(), opts) {
+		v.Fork(len(segs), unit)
+	} else {
 		for i := range segs {
 			unit(v, i)
 		}
-	case n <= maxUnits:
-		v.Fork(n, unit)
-	default:
-		v.Fork(maxUnits, func(w *Verifier, b int) {
-			for i := n * b / maxUnits; i < n*(b+1)/maxUnits; i++ {
-				unit(w, i)
-			}
-		})
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -4,14 +4,16 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForkRunsEveryIndex checks that Fork executes each index exactly once
 // for a spread of worker counts and fan-outs, including n much larger and
-// much smaller than the worker count.
+// much smaller than the worker count, and past 2 048 units, where forks were
+// once batched.
 func TestForkRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 2, 7, 64, 501} {
+		for _, n := range []int{0, 1, 2, 7, 64, 501, 4097} {
 			counts := make([]atomic.Int64, n)
 			Run(workers, func(v *Verifier) {
 				v.Fork(n, func(v *Verifier, i int) {
@@ -70,6 +72,42 @@ func TestForkJoinBarrier(t *testing.T) {
 	}
 }
 
+// TestForkHelpedWhenWorkerFreesUp checks that a worker busy when a fork
+// starts still helps with it once it comes free: help that only idle workers
+// could give at fork time would run a hot key's chunks serially. On two
+// workers, one submitted unit blocks until unit 0 of another's fork releases
+// it; unit 1 must then start on the other worker's Verifier.
+func TestForkHelpedWhenWorkerFreesUp(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	p.Submit(func(*Verifier) {
+		started <- struct{}{}
+		<-release
+	})
+	<-started
+	unit1 := make(chan *Verifier, 1)
+	p.Submit(func(v *Verifier) {
+		v.Fork(2, func(w *Verifier, i int) {
+			if i == 1 {
+				unit1 <- w
+				return
+			}
+			close(release)
+			select {
+			case u := <-unit1:
+				if u == w {
+					t.Error("unit 1 ran on the forking Verifier")
+				}
+				unit1 <- u
+			case <-time.After(10 * time.Second):
+				t.Error("unit 1 did not start within 10 s of the busy worker freeing up")
+			}
+		})
+	})
+}
+
 // TestSubmitDrain checks Close waits for externally submitted units and
 // everything they fork.
 func TestSubmitDrain(t *testing.T) {
@@ -86,6 +124,21 @@ func TestSubmitDrain(t *testing.T) {
 		if got := leaves.Load(); got != jobs*fan {
 			t.Fatalf("workers=%d: %d leaves after Close, want %d", workers, got, jobs*fan)
 		}
+	}
+}
+
+// TestSubmitZeroAlloc checks that a unit submitted to a queue workers keep
+// draining costs no allocation: the streaming engine submits one per segment.
+func TestSubmitZeroAlloc(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	done := make(chan struct{})
+	unit := func(*Verifier) { done <- struct{}{} }
+	if a := testing.AllocsPerRun(1000, func() {
+		p.Submit(unit)
+		<-done
+	}); a != 0 {
+		t.Fatalf("Submit allocates %v times a unit", a)
 	}
 }
 

@@ -60,10 +60,9 @@ type Verifier struct {
 	reg regularity.Scratch
 	// ladder counts what the smallest-k ladder did (TakeLadder).
 	ladder Ladder
-	// pool and id name the pool worker this Verifier is; pool is nil for a
-	// standalone one, whose units run inline.
+	// pool is the pool this Verifier is a worker of; nil for a standalone
+	// one, whose units run inline.
 	pool *Pool
-	id   int
 }
 
 // Ladder counts the smallest-k units the ladder decided at each rung — the
@@ -100,7 +99,7 @@ func (v *Verifier) workers() int {
 	if v.pool == nil {
 		return 1
 	}
-	return v.pool.nw
+	return len(v.pool.vs)
 }
 
 // Check decides whether the history is k-atomic. The input is normalized

@@ -1,11 +1,11 @@
-// Package exp implements the reproduction experiments E1–E10 catalogued in
-// DESIGN.md and EXPERIMENTS.md: correctness agreement matrices, the runtime
+// Package exp implements the reproduction experiments listed by Order
+// (kavbench -list prints them): correctness agreement matrices, the runtime
 // scaling claims of Theorems 3.2 and 4.6, the Figure 3 chunk decomposition,
 // the Theorem 5.1 reduction, the quorum-store staleness study the paper's
-// Section VII calls for, smallest-k distributions, and the iterative-
-// deepening ablation. The cmd/kavbench binary renders each experiment as a
-// table; bench_test.go at the repository root exposes the same workloads as
-// testing.B benchmarks.
+// Section VII calls for, smallest-k distributions, the iterative-deepening
+// ablation, and the safety/regularity and time-staleness (Δ) studies. The
+// cmd/kavbench binary renders each experiment as a table; bench_test.go at
+// the repository root exposes the same workloads as testing.B benchmarks.
 package exp
 
 import (

@@ -148,12 +148,12 @@ const maxIngestShards = 4096
 type StreamOptions struct {
 	// Workers sizes the verification pool; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Pool, when non-nil, runs segment verification on this shared
-	// work-stealing pool instead of a private one, so any number of
-	// concurrent streams and sessions (the online service, batch sweeps
-	// over many small traces) share one set of workers and their warm
-	// scratch arenas. Workers is then ignored, and the pool is left open
-	// when the stream finishes — whoever created it closes it.
+	// Pool, when non-nil, runs segment verification on this shared pool
+	// instead of a private one, so any number of concurrent streams and
+	// sessions (the online service, batch sweeps over many small traces)
+	// share one set of workers and their warm scratch arenas. Workers is
+	// then ignored, and the pool is left open when the stream finishes —
+	// whoever created it closes it.
 	Pool *core.Pool
 	// Horizon is the smallest-k dispatch horizon in writes (see
 	// DefaultHorizon). Fixed-k checks ignore it and use k itself: a read
@@ -506,7 +506,7 @@ type engine struct {
 	// shards stripe the per-key state (see ingestShard).
 	shards []*ingestShard
 
-	// vpool is the shared (key, chunk) work-stealing pool: segment jobs are
+	// vpool is the shared (key, chunk) pool: segment jobs are
 	// submitted from the ingest paths and may fork chunk sub-units, so one
 	// hot key's segments spread over every worker. sem bounds in-flight
 	// submissions (a producer blocks when verification falls behind,
@@ -1076,7 +1076,7 @@ func (e *engine) flush(ks *keyState) error {
 
 // verifySegment is one segment unit on the pool, run on its worker's
 // Verifier v. Large segments fork their chunk (and, for smallest-k, safe-cut
-// segment) sub-units back onto the same pool through v, so idle workers steal
+// segment) sub-units back onto the same pool through v, so free workers claim
 // intra-segment work instead of waiting for whole segments.
 func (e *engine) verifySegment(v *core.Verifier, j job) {
 	// The segment is unpacked into the worker's own buffer, IDs numbered, and

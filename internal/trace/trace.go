@@ -213,12 +213,12 @@ func Check(t *Trace, k int, opts core.Options) Report {
 	return CheckParallel(t, k, opts, 1)
 }
 
-// CheckParallel is Check with verification fanned out over one work-stealing
-// pool of (key, chunk) units. workers <= 0 uses GOMAXPROCS. Each key forks
-// as a unit that prepares the register and then forks its chunk (k=2) or
-// safe-cut segment (k >= 3) sub-units back onto the same pool, so a skewed
-// trace with one hot key still saturates every worker — idle workers steal
-// chunks instead of waiting at key boundaries. Every outcome is written into
+// CheckParallel is Check with verification fanned out over one pool of
+// (key, chunk) units. workers <= 0 uses GOMAXPROCS. Each key forks as a unit
+// that prepares the register and then forks its chunk (k=2) or safe-cut
+// segment (k >= 3) sub-units back onto the same pool, so a skewed trace with
+// one hot key still saturates every worker — free workers claim chunks
+// instead of waiting at key boundaries. Every outcome is written into
 // its key-sorted slot and all cross-unit combining is commutative, so the
 // Report is identical to the sequential one regardless of worker count.
 func CheckParallel(t *Trace, k int, opts core.Options, workers int) Report {
@@ -246,7 +246,7 @@ func SmallestKByKey(t *Trace, opts core.Options) map[string]int {
 }
 
 // SmallestKByKeyParallel is SmallestKByKey over the shared (key, chunk)
-// work-stealing pool (workers <= 0 uses GOMAXPROCS): each key's search forks
+// pool (workers <= 0 uses GOMAXPROCS): each key's search forks
 // per-segment smallest-k probes back onto the pool, so a single deep key no
 // longer serializes the sweep. The result is identical to the sequential
 // form for any worker count.
@@ -267,7 +267,7 @@ func SmallestKByKeyParallel(t *Trace, opts core.Options, workers int) map[string
 	return out
 }
 
-// forEachKey forks fn over the keys as units of one work-stealing pool:
+// forEachKey forks fn over the keys as units of one pool:
 // each unit runs on its worker's Verifier and may fork chunk sub-units;
 // results land in disjoint slots, so output is deterministic. workers <= 0
 // uses GOMAXPROCS.

@@ -36,14 +36,14 @@
 // results identical to the sequential forms.
 //
 // Parallelism does not stop at key granularity: every parallel entry point
-// schedules (key, chunk) work units on one shared work-stealing pool. A
-// prepared history decomposes into independently verifiable chunks (Stage 1
-// of FZF) and safe-cut segments, so a skewed trace with one hot key — or a
-// single huge register checked via CheckPreparedParallel /
-// SmallestKPreparedParallel — still saturates every worker: idle workers
-// steal chunk units instead of waiting at key boundaries. It is one engine
-// throughout: a standalone Verifier runs the same units inline, so verdicts
-// do not depend on the worker count.
+// schedules (key, chunk) work units on one shared pool: one queue, and a
+// cursor per fork. A prepared history decomposes into independently
+// verifiable chunks (Stage 1 of FZF) and safe-cut segments, so a skewed trace
+// with one hot key — or a single huge register checked via
+// CheckPreparedParallel / SmallestKPreparedParallel — still saturates every
+// worker: free workers claim chunk units instead of waiting at key
+// boundaries. It is one engine throughout: a standalone Verifier runs the
+// same units inline, so verdicts do not depend on the worker count.
 //
 // # Streaming
 //
@@ -144,7 +144,7 @@ func NewMemo() *Memo { return core.NewMemo() }
 
 // CheckPreparedParallel is Verifier.CheckPrepared with chunk-level parallelism: the
 // history's chunks (k=2) or safe-cut segments (k >= 3) verify
-// concurrently on a work-stealing pool of the given size (workers <= 0 uses
+// concurrently on a pool of the given size (workers <= 0 uses
 // GOMAXPROCS), so even a single register saturates multiple cores. Verdicts
 // are identical to Verifier.CheckPrepared for any worker count; for k=2 the witness
 // is byte-identical too.
@@ -152,8 +152,8 @@ func CheckPreparedParallel(p *Prepared, k int, opts Options, workers int) (Repor
 	return core.CheckPreparedParallel(p, k, opts, workers)
 }
 
-// SmallestKPreparedParallel is the smallest-k search run on a work-stealing
-// pool (workers <= 0 uses GOMAXPROCS): a big register's runs of safe-cut
+// SmallestKPreparedParallel is the smallest-k search run on a pool
+// (workers <= 0 uses GOMAXPROCS): a big register's runs of safe-cut
 // segments, and the segments that reach the oracle, spread over the workers.
 // The result and the oracle probes equal SmallestKPrepared's.
 func SmallestKPreparedParallel(p *Prepared, opts Options, workers int) (int, error) {
@@ -310,11 +310,11 @@ type (
 	RenderOptions = render.Options
 )
 
-// Pool is a shared verification worker pool: the work-stealing (key, chunk)
-// scheduler every parallel entry point runs on. Hand one to
-// StreamOptions.Pool so any number of concurrent streams and online
-// sessions share a single set of workers (and their warm scratch arenas)
-// instead of each spinning up its own; Close releases the workers.
+// Pool is a shared verification worker pool — one queue, and a cursor per
+// fork — that every parallel entry point schedules its (key, chunk) units
+// on. Hand one to StreamOptions.Pool so any number of concurrent streams and
+// online sessions share a single set of workers (and their warm scratch
+// arenas) instead of each spinning up its own; Close releases the workers.
 type Pool = core.Pool
 
 // NewPool starts a verification pool (workers <= 0 uses GOMAXPROCS).
