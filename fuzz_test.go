@@ -2,6 +2,7 @@ package kat_test
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
@@ -375,6 +376,151 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCheckUnitsEquivalence holds the offline keyed checks, which cut every
+// register at its safe cuts and verify the runs one by one, to one
+// whole-history check per key (kat.Check, kat.SmallestK). Each input is 1-4
+// generated keys of 300-3 000 operations in start order, at concurrency 2-8
+// and staleness depth 1-3 — well above the run floor, unlike
+// FuzzSchedulerEquivalence's — with mutations the fuzzer picks from mut's
+// bits, each on its own key: a duplicate value far from its first write, a
+// dangling read, a read that ends before its write starts across a quiescent
+// gap, an inverted interval, endpoints that touch at a would-be cut, and one
+// key shuffled out of start order. Atomic, the error text word for word and
+// the smallest k must match at k = 1, 2, 3, workers 1-4 and MinParallelOps 0
+// and -1. The oracle's state budget is kept small, so a hard segment is an
+// error on both sides, which also drives a run's error back to the whole key.
+func FuzzCheckUnitsEquivalence(f *testing.F) {
+	for mut := 0; mut < 1<<6; mut += 1 + mut/3 {
+		f.Add(int64(mut), uint16(mut*0x2b1), uint8(mut), uint16(mut*977))
+	}
+	f.Add(int64(7), uint16(0xffff), uint8(0x3f), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, seed int64, shape uint16, mut uint8, pos uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		opts := kat.Options{OracleStates: 20_000}
+		nkeys := 1 + int(shape%4)
+		tr := kat.NewTrace()
+		var keys []string
+		for i := 0; i < nkeys; i++ {
+			h := kat.GenerateKAtomic(kat.GenConfig{
+				Seed: seed + int64(i), Ops: 300 + rng.Intn(2_701), Concurrency: 2 + int(shape>>2)%7,
+				StalenessDepth: 1 + int(shape>>5)%3, ReadFraction: 0.5,
+			})
+			h.SortByStart()
+			key := fmt.Sprintf("key-%d", i)
+			tr.Keys[key], keys = h, append(keys, key)
+		}
+		for bit := 0; bit < 6; bit++ {
+			if mut&(1<<bit) != 0 {
+				mutateUnits(bit, tr.Keys[keys[(int(pos)+bit)%nkeys]].Ops, int(pos)*(bit+1), rng)
+			}
+		}
+		for _, k := range []int{1, 2, 3} {
+			want := kat.TraceReport{K: k}
+			for _, key := range keys {
+				h := tr.Keys[key]
+				r, err := kat.Check(h, k, opts)
+				want.Keys = append(want.Keys, trace.KeyReport{Key: key, Ops: h.Len(), Atomic: err == nil && r.Atomic, Err: err})
+			}
+			for workers := 1; workers <= 4; workers++ {
+				for _, minOps := range []int{0, -1} {
+					o := opts
+					o.MinParallelOps = minOps
+					got := kat.CheckTraceParallel(tr, k, o, workers)
+					for i, w := range want.Keys {
+						g := got.Keys[i]
+						if g.Key != w.Key || g.Ops != w.Ops || g.Atomic != w.Atomic || fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
+							t.Fatalf("k=%d workers=%d minOps=%d key %s: got %+v, whole key %+v", k, workers, minOps, w.Key, g, w)
+						}
+					}
+				}
+			}
+		}
+		wantK := map[string]int{}
+		for _, key := range keys {
+			k, err := kat.SmallestK(tr.Keys[key], opts)
+			if err != nil {
+				k = 0
+			}
+			wantK[key] = k
+		}
+		for workers := 1; workers <= 4; workers++ {
+			for _, minOps := range []int{0, -1} {
+				o := opts
+				o.MinParallelOps = minOps
+				for key, k := range kat.SmallestKByKeyParallel(tr, o, workers) {
+					if k != wantK[key] {
+						t.Fatalf("workers=%d minOps=%d key %s: smallest k %d, whole key %d", workers, minOps, key, k, wantK[key])
+					}
+				}
+			}
+		}
+	})
+}
+
+// mutateUnits applies FuzzCheckUnitsEquivalence's mutation number m to one
+// key's start-ordered operations, at a place picked by pos.
+func mutateUnits(m int, ops []history.Operation, pos int, rng *rand.Rand) {
+	var writes, reads, quiet []int // quiet: raw quiescent positions
+	var maxFinish int64
+	for i, op := range ops {
+		if i > 0 && maxFinish < op.Start {
+			quiet = append(quiet, i)
+		}
+		if i == 0 || op.Finish > maxFinish {
+			maxFinish = op.Finish
+		}
+		if op.IsWrite() {
+			writes = append(writes, i)
+		} else {
+			reads = append(reads, i)
+		}
+	}
+	switch m {
+	case 0: // a duplicate value far from its first write
+		if len(writes) > 1 {
+			a := writes[pos%(len(writes)/4+1)]
+			b := writes[len(writes)-1-pos%(len(writes)/4+1)]
+			ops[b].Value = ops[a].Value
+		}
+	case 1: // a dangling read
+		if len(reads) > 0 {
+			ops[reads[pos%len(reads)]].Value = 1 << 50
+		}
+	case 2: // a read ending before its write starts, across a quiescent gap
+		if len(quiet) > 0 {
+			c := quiet[pos%len(quiet)]
+			r, w := -1, -1
+			for i := c - 1; i >= 0 && r < 0; i-- {
+				if ops[i].IsRead() {
+					r = i
+				}
+			}
+			for i := c; i < len(ops) && w < 0; i++ {
+				if ops[i].IsWrite() {
+					w = i
+				}
+			}
+			if r >= 0 && w >= 0 {
+				ops[r].Value = ops[w].Value
+			}
+		}
+	case 3: // an inverted interval
+		i := pos % len(ops)
+		ops[i].Finish = ops[i].Start - 1
+	case 4: // endpoints that touch at a would-be cut
+		if len(quiet) > 0 {
+			c := quiet[pos%len(quiet)]
+			prev := ops[0].Finish
+			for _, op := range ops[:c] {
+				prev = max(prev, op.Finish)
+			}
+			ops[c].Start = prev
+		}
+	case 5: // out of start order
+		rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	}
 }
 
 func diffTraceReports(t *testing.T, k, workers int, seq, par kat.TraceReport, text string) {

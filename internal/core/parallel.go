@@ -16,6 +16,14 @@ package core
 // then FZF, both read off one decomposition) have failed to settle the unit.
 // Oracle state budgets (OracleStates) apply per segment.
 //
+// What a unit is handed. The streaming engine hands it one closed segment at
+// a time; the offline keyed checks (trace.CheckParallel and
+// SmallestKByKeyParallel) cut each register at its raw safe cuts before
+// anything is prepared and hand it one run of segments at a time, so the
+// histories prepared here, and the scratch they grow, are bounded by a run,
+// not by the register. Only a register out of start order or with an anomaly
+// reaches Check or SmallestK whole.
+//
 // When it forks. Whether units go onto the pool or run one after another is
 // decided by Verifier.forks — more than one worker and at least
 // Options.MinParallelOps operations — and by nothing else. It affects
@@ -63,7 +71,7 @@ import (
 // This one-shot form starts and tears down a pool (cold scratch arenas) per
 // call; callers verifying many histories should go through the trace entry
 // points, which amortize one pool — and its per-worker Verifiers — across
-// every key and chunk of the batch.
+// every run and chunk of the batch.
 func CheckPreparedParallel(p *history.Prepared, k int, opts Options, workers int) (Report, error) {
 	var rep Report
 	var err error

@@ -400,6 +400,8 @@ type PrepareScratch struct {
 	ext       []Extremes
 	raw       []span   // the general form's input endpoints, kept for ext
 	seen      []uint64 // endpointsDistinct's bitmap
+	cuts      []int    // SafeUnits' candidate cuts
+	later     []int    // SafeUnits' reads that start before their writes
 }
 
 // writeInfo is what the read-resolution pass learns about the write at the

@@ -130,7 +130,9 @@ const DefaultHorizon = 256
 // is sound but drowns the pipeline in tiny segments; since the
 // segment-equivalence lemma holds for any subset of safe cuts, the open
 // window instead accumulates at least this many operations before the next
-// quiescent instant commits a cut.
+// quiescent instant commits a cut. The offline checks group a register's
+// safe-cut segments into runs of at least this many operations the same way
+// (forEachUnit); 512 and 2 048 checked a check-keyed-shaped trace slower.
 const DefaultMinSegmentOps = 128
 
 // DefaultIngestShards is the session ingest shard count when

@@ -1,7 +1,9 @@
 // Package trace handles multi-register workloads. k-atomicity is a local
 // property (Section II-B of the paper): a multi-key trace satisfies a
 // consistency bound iff every per-key subhistory does, so verification
-// splits the trace by key and runs the single-register algorithms on each.
+// splits the trace by key and runs the single-register algorithms on each —
+// offline on each run of a key's safe-cut segments (forEachUnit), online on
+// each segment the streaming engine closes.
 //
 // Traces are read and written in the keyed form of the text format — the
 // single-register one with a key column after the kind — which package
@@ -15,6 +17,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"kat/internal/core"
 	"kat/internal/history"
@@ -207,35 +210,33 @@ func (r Report) FailingKeys() []string {
 }
 
 // Check verifies every register at bound k (locality: the trace is k-atomic
-// iff every register is). Keys are verified sequentially with one reused
-// Verifier; use CheckParallel to saturate multiple cores.
+// iff every register is). Registers are verified one unit after another with
+// one reused Verifier; use CheckParallel to saturate multiple cores.
 func Check(t *Trace, k int, opts core.Options) Report {
 	return CheckParallel(t, k, opts, 1)
 }
 
-// CheckParallel is Check with verification fanned out over one pool of
-// (key, chunk) units. workers <= 0 uses GOMAXPROCS. Each key forks as a unit
-// that prepares the register and then forks its chunk (k=2) or safe-cut
-// segment (k >= 3) sub-units back onto the same pool, so a skewed trace with
-// one hot key still saturates every worker — free workers claim chunks
-// instead of waiting at key boundaries. Every outcome is written into
-// its key-sorted slot and all cross-unit combining is commutative, so the
+// CheckParallel is Check with verification fanned out over one pool of units
+// (workers <= 0 uses GOMAXPROCS): one per run of a register's safe-cut
+// segments (forEachUnit), each of which may fork its chunk (k=2) or segment
+// (k >= 3) sub-units back onto the same pool. A register out of start order
+// or with an anomaly, or one a run of which fails with an error, is checked
+// whole, so every error reads word for word as the whole-register check gives
+// it. Every outcome is folded commutatively into its key-sorted slot, so the
 // Report is identical to the sequential one regardless of worker count.
 func CheckParallel(t *Trace, k int, opts core.Options, workers int) Report {
 	keys := t.SortedKeys()
-	rep := Report{K: k, Keys: make([]KeyReport, len(keys))}
-	forEachKey(keys, workers, func(v *core.Verifier, i int) {
-		key := keys[i]
-		h := t.Keys[key]
-		kr := KeyReport{Key: key, Ops: h.Len()}
-		r, err := v.Check(h, k, opts)
-		if err != nil {
-			kr.Err = err
-		} else {
-			kr.Atomic = r.Atomic
+	worst, errs := forEachUnit(t, keys, workers, func(v *core.Verifier, p *history.Prepared) (int, error) {
+		r, err := v.CheckPrepared(p, k, opts)
+		if r.Atomic {
+			return 0, err
 		}
-		rep.Keys[i] = kr
+		return 1, err
 	})
+	rep := Report{K: k, Keys: make([]KeyReport, len(keys))}
+	for i, key := range keys {
+		rep.Keys[i] = KeyReport{Key: key, Ops: t.Keys[key].Len(), Atomic: worst[i] == 0 && errs[i] == nil, Err: errs[i]}
+	}
 	return rep
 }
 
@@ -245,34 +246,96 @@ func SmallestKByKey(t *Trace, opts core.Options) map[string]int {
 	return SmallestKByKeyParallel(t, opts, 1)
 }
 
-// SmallestKByKeyParallel is SmallestKByKey over the shared (key, chunk)
-// pool (workers <= 0 uses GOMAXPROCS): each key's search forks
-// per-segment smallest-k probes back onto the pool, so a single deep key no
-// longer serializes the sweep. The result is identical to the sequential
-// form for any worker count.
+// SmallestKByKeyParallel is SmallestKByKey over the same units as
+// CheckParallel (workers <= 0 uses GOMAXPROCS): each run climbs the smallest-k
+// ladder on its own, and a register's answer is the maximum over its runs.
+// The result is identical to the sequential form for any worker count.
 func SmallestKByKeyParallel(t *Trace, opts core.Options, workers int) map[string]int {
 	keys := t.SortedKeys()
-	results := make([]int, len(keys))
-	forEachKey(keys, workers, func(v *core.Verifier, i int) {
-		k, err := v.SmallestK(t.Keys[keys[i]], opts)
-		if err != nil {
-			k = 0
-		}
-		results[i] = k
+	ks, errs := forEachUnit(t, keys, workers, func(v *core.Verifier, p *history.Prepared) (int, error) {
+		return v.SmallestKPrepared(p, opts)
 	})
 	out := make(map[string]int, len(keys))
 	for i, key := range keys {
-		out[key] = results[i]
+		if errs[i] != nil {
+			ks[i] = 0
+		}
+		out[key] = ks[i]
 	}
 	return out
 }
 
-// forEachKey forks fn over the keys as units of one pool:
-// each unit runs on its worker's Verifier and may fork chunk sub-units;
-// results land in disjoint slots, so output is deterministic. workers <= 0
-// uses GOMAXPROCS.
-func forEachKey(keys []string, workers int, fn func(v *core.Verifier, i int)) {
-	core.Run(workers, func(v *core.Verifier) { v.Fork(len(keys), fn) })
+// cutScratch holds the cut pass's value tables between keys and calls.
+var cutScratch = sync.Pool{New: func() any { return new(history.PrepareScratch) }}
+
+// forEachUnit is the one fork of the offline checks. It cuts every key at its
+// safe cuts into runs of at least DefaultMinSegmentOps operations, a linear
+// pass over the raw operations before anything is prepared
+// (history.PrepareScratch.SafeUnits), and forks the runs of every key over one
+// pool: each is copied into its worker's own buffer with IDs renumbered from 0,
+// so the builder takes its packed form, prepared there and handed to check.
+// The results are folded per key by maximum, which the segment-equivalence
+// lemma makes exact. A key the cut pass declines (out of start order, or an
+// anomaly) is one unit of all its operations as given — Verifier.Check's and
+// SmallestK's path — and so is, afterwards, a key one of whose runs returned
+// an error; that unit's error is the key's. Results land in disjoint slots,
+// so output is deterministic.
+func forEachUnit(t *Trace, keys []string, workers int, check func(v *core.Verifier, p *history.Prepared) (int, error)) ([]int, []error) {
+	type job struct {
+		key, lo, hi int
+		whole       bool
+	}
+	run := func(w *core.Verifier, jb job) (int, error) {
+		own := w.Owned()
+		own.Ops = append(own.Ops, t.Keys[keys[jb.key]].Ops[jb.lo:jb.hi]...)
+		if !jb.whole {
+			for x := range own.Ops {
+				own.Ops[x].ID = x
+			}
+		}
+		p, err := w.PrepareOwned(own, false)
+		if err != nil {
+			return 0, err
+		}
+		return check(w, p)
+	}
+	// A key's runs start in its slot of one, so a key of one run allocates
+	// no list of its own; a declined key's list stays empty.
+	cuts, one := make([][][2]int, len(keys)), make([][2]int, len(keys))
+	out, errs := make([]int, len(keys)), make([]error, len(keys))
+	core.Run(workers, func(v *core.Verifier) {
+		v.Fork(len(keys), func(_ *core.Verifier, i int) {
+			s := cutScratch.Get().(*history.PrepareScratch)
+			cuts[i], _ = s.SafeUnits(t.Keys[keys[i]].Ops, DefaultMinSegmentOps, one[i:i:i+1])
+			cutScratch.Put(s)
+		})
+		var jobs, redo []job
+		for i, us := range cuts {
+			if len(us) == 0 {
+				jobs = append(jobs, job{i, 0, t.Keys[keys[i]].Len(), true})
+			}
+			for _, u := range us {
+				jobs = append(jobs, job{i, u[0], u[1], false})
+			}
+		}
+		res, jerrs := make([]int, len(jobs)), make([]error, len(jobs))
+		v.Fork(len(jobs), func(w *core.Verifier, j int) { res[j], jerrs[j] = run(w, jobs[j]) })
+		for j, jb := range jobs {
+			switch {
+			case jerrs[j] == nil:
+				out[jb.key] = max(out[jb.key], res[j])
+			case jb.whole:
+				errs[jb.key] = jerrs[j]
+			case len(redo) == 0 || redo[len(redo)-1].key != jb.key:
+				redo = append(redo, job{jb.key, 0, t.Keys[keys[jb.key]].Len(), true})
+			}
+		}
+		v.Fork(len(redo), func(w *core.Verifier, r int) {
+			jb := redo[r]
+			out[jb.key], errs[jb.key] = run(w, jb)
+		})
+	})
+	return out, errs
 }
 
 // WorstK returns the maximum smallest-k across registers (the trace-level

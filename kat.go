@@ -30,20 +30,24 @@
 //
 // Batch callers should hold a Verifier: it owns the scratch arenas of the
 // k=2 FZF hot path, which is allocation-free at steady state when reused
-// across calls. Multi-register traces verify one register per key
-// (k-atomicity is local), and CheckTraceParallel / SmallestKByKeyParallel
-// fan the keys out over a worker pool — one Verifier per worker — with
-// results identical to the sequential forms.
+// across calls. Multi-register traces verify register by register
+// (k-atomicity is local), and within a register segment by segment: a
+// register is k-atomic iff each of its safe-cut segments is, for every k.
+// CheckTraceParallel / SmallestKByKeyParallel cut every register at its safe
+// cuts before anything is prepared and fan the runs of segments out over a
+// worker pool — one Verifier per worker, whose scratch grows to the largest
+// run, not to the hottest key — with results identical to the sequential
+// forms. A register out of start order, or with an anomaly, is checked
+// whole.
 //
-// Parallelism does not stop at key granularity: every parallel entry point
-// schedules (key, chunk) work units on one shared pool: one queue, and a
-// cursor per fork. A prepared history decomposes into independently
-// verifiable chunks (Stage 1 of FZF) and safe-cut segments, so a skewed trace
-// with one hot key — or a single huge register checked via
-// CheckPreparedParallel / SmallestKPreparedParallel — still saturates every
-// worker: free workers claim chunk units instead of waiting at key
-// boundaries. It is one engine throughout: a standalone Verifier runs the
-// same units inline, so verdicts do not depend on the worker count.
+// Parallelism does not stop there: every parallel entry point schedules its
+// units on one shared pool: one queue, and a cursor per fork. A prepared
+// history decomposes into independently verifiable chunks (Stage 1 of FZF)
+// and safe-cut segments, so a run with no cut in it — or a single huge
+// register checked via CheckPreparedParallel / SmallestKPreparedParallel —
+// still saturates every worker: free workers claim chunk units instead of
+// waiting for the run. It is one engine throughout: a standalone Verifier
+// runs the same units inline, so verdicts do not depend on the worker count.
 //
 // # Streaming
 //
@@ -457,9 +461,11 @@ func CheckTrace(t *Trace, k int, opts Options) TraceReport {
 	return trace.Check(t, k, opts)
 }
 
-// CheckTraceParallel is CheckTrace with per-key verification fanned out over
-// a bounded worker pool (workers <= 0 uses GOMAXPROCS). The report is
-// identical to CheckTrace's for any worker count.
+// CheckTraceParallel is CheckTrace with verification fanned out over a
+// bounded worker pool (workers <= 0 uses GOMAXPROCS), one unit per run of a
+// register's safe-cut segments; a register out of start order, or with an
+// anomaly, is one unit checked whole. The report is identical to
+// CheckTrace's for any worker count.
 func CheckTraceParallel(t *Trace, k int, opts Options, workers int) TraceReport {
 	return trace.CheckParallel(t, k, opts, workers)
 }
