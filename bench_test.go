@@ -412,9 +412,11 @@ func buildBigTrace(keys, opsPerKey int) *root.Trace {
 // line, as a client-tagged log (and every durable server's own WAL of one)
 // carries them. Both keep each key's lines together (Trace.String sorts by
 // key); arrival is the plain trace in start order, keys interleaved as in a
-// log, where grouping each block by key costs the most. single is the other
-// form of the format: one 40 000-operation register, no key column, through
-// kat.ParseReader.
+// log, where grouping each block by key costs the most. zipf is the
+// check-keyed workload's shape at a tenth of its size (zipfTrace) in arrival
+// order; it has no baseline row, so the gate does not hold it. single is the
+// other form of the format: one 40 000-operation register, no key column,
+// through kat.ParseReader.
 func BenchmarkTraceParse(b *testing.B) {
 	plain := buildBigTrace(1000, 40)
 	tagged := root.NewTrace()
@@ -424,14 +426,17 @@ func BenchmarkTraceParse(b *testing.B) {
 			tagged.Add(key, op)
 		}
 	}
-	var arrival strings.Builder
+	var arrival, zipf strings.Builder
 	if err := root.WriteTraceArrivalOrder(&arrival, plain); err != nil {
+		b.Fatal(err)
+	}
+	if err := root.WriteTraceArrivalOrder(&zipf, zipfTrace()); err != nil {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name string
 		text string
-	}{{"plain", plain.String()}, {"attrs", tagged.String()}, {"arrival", arrival.String()}} {
+	}{{"plain", plain.String()}, {"attrs", tagged.String()}, {"arrival", arrival.String()}, {"zipf", zipf.String()}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(tc.text)))
 			b.ReportAllocs()
@@ -456,15 +461,31 @@ func BenchmarkTraceParse(b *testing.B) {
 	})
 }
 
+// zipfTrace is the check-keyed workload's shape at a tenth of its size: 64
+// Zipf(1.2) keys, 40 000 operations, concurrency 4, depth 1, each key in
+// start order as a log delivers it.
+func zipfTrace() *root.Trace {
+	tr := root.NewTrace()
+	for key, n := range root.ZipfKeyCounts(1, 64, 40_000, 1.2) {
+		h := generator.KAtomic(generator.Config{
+			Seed: int64(1 + key), Ops: n, ReadFraction: 0.5,
+			Concurrency: 4, StalenessDepth: 1, ForceDepth: true,
+		})
+		h.SortByStart()
+		for _, op := range h.Ops {
+			tr.Add(fmt.Sprintf("key-%04d", key), op)
+		}
+	}
+	return tr
+}
+
 // Parallel multi-key verification on a 1000-key trace: workers=1 is the
 // sequential path (one reused Verifier), workers=0 is GOMAXPROCS. Its keys
 // are in generation order, not start order, so each is checked whole. zipf
-// is the check-keyed workload's shape at a tenth of its size — 64 Zipf(1.2)
-// keys, 40 000 operations, concurrency 4, depth 1, each key in start order
-// as a log delivers it — on GOMAXPROCS workers, where the keys are cut at
-// their safe cuts and the hot key's runs spread over the pool; its B/op is
-// what the workers' scratch grows to. It has no baseline row, so the gate
-// does not hold it.
+// (zipfTrace) runs on GOMAXPROCS workers, where the keys are cut at their
+// safe cuts and the hot key's runs spread over the pool; its B/op is what the
+// workers' scratch grows to. It has no baseline row, so the gate does not
+// hold it.
 func BenchmarkTraceCheckParallel(b *testing.B) {
 	tr := buildBigTrace(1000, 40)
 	for _, tc := range []struct {
@@ -485,17 +506,7 @@ func BenchmarkTraceCheckParallel(b *testing.B) {
 		})
 	}
 	b.Run("zipf", func(b *testing.B) {
-		zipf := root.NewTrace()
-		for key, n := range root.ZipfKeyCounts(1, 64, 40_000, 1.2) {
-			h := generator.KAtomic(generator.Config{
-				Seed: int64(1 + key), Ops: n, ReadFraction: 0.5,
-				Concurrency: 4, StalenessDepth: 1, ForceDepth: true,
-			})
-			h.SortByStart()
-			for _, op := range h.Ops {
-				zipf.Add(fmt.Sprintf("key-%04d", key), op)
-			}
-		}
+		zipf := zipfTrace()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -232,8 +232,9 @@ func openInput(args []string) (io.ReadCloser, error) {
 }
 
 // runKeyed verifies a materialized multi-register trace per key at bound k,
-// or computes each key's smallest k, fanning the keys out over a worker
-// pool. The input streams through a buffered parser (no whole-file read).
+// or computes each key's smallest k: each key is cut at its safe cuts and the
+// runs of every key are checked on a worker pool. The input streams through a
+// buffered parser (no whole-file read).
 func runKeyed(args []string, k int, smallest bool, workers int, out io.Writer) error {
 	in, err := openInput(args)
 	if err != nil {

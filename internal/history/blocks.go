@@ -1,9 +1,12 @@
 package history
 
 // The ordered block pipeline behind ParseKeyed: the caller reads blocks of
-// whole lines and scans them with the workers, each block's operations filed
-// under one run per key; the caller places the runs per key in input order,
-// and at the end of input copies every operation into its key's one history.
+// whole lines and scans them with the workers, each block's operations packed
+// as records (record.go) in input order, each tagged with its key's run; the
+// caller places the runs per key in input order, and at the end of input
+// sizes every key's one history and decodes the blocks into place, each block
+// on whichever of the caller and the workers claims it. An operation is held
+// once packed, about nine bytes, and once in its history.
 
 import (
 	"bytes"
@@ -12,30 +15,37 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
-// keyRun is one key's operations within a block: n of them, to be copied to
-// ops[off:off+n] of history dst.
+// keyRun is one key's operations within a block: n of them, to be decoded
+// into ops[off:off+n] of history dst.
 type keyRun struct {
 	key         []byte // a view into the block's text, until the block is stitched
 	hash        uint64
 	n, dst, off int
 }
 
-// scanned is a block's operations in input order, each one's ID the index of
-// its key's run, kept until the end of input.
+// scanned is a block's operations in input order, each one the varint index
+// of its key's run followed by its record, whose start is a delta from the
+// previous operation's; kept until the end of input.
 type scanned struct {
-	ops  []Operation
+	recs []byte
 	runs []keyRun
 }
 
-// place copies each operation into its key's history, numbered by its
-// position there.
-func (b *scanned) place(hs []History) {
-	for _, op := range b.ops {
-		r := &b.runs[op.ID]
+// decode writes each operation into its key's history, numbered by its
+// position there. Blocks write disjoint ranges, so they decode concurrently.
+func (b *scanned) decode(hs []History) {
+	var last int64
+	for i := 0; i < len(b.recs); {
+		var run uint64
+		run, i = uvarint(b.recs, i)
+		r := &b.runs[run]
+		op := &hs[r.dst].Ops[r.off]
+		i = ReadRecord(b.recs, i, op, last)
 		op.ID = r.off
-		hs[r.dst].Ops[r.off] = op
+		last = op.Start
 		r.off++
 	}
 }
@@ -47,7 +57,8 @@ type scanner struct {
 	segs  int   // segments scanned, the bad one included
 	err   error // the first bad segment, numbered from the block's start
 	out   *scanned
-	ops   []Operation // the block's operations, IDs their runs' indexes; fresh each block
+	recs  []byte // the block's records, as scanned.recs
+	prev  int64  // the start of the block's previous operation
 	runs  []keyRun
 	last  int     // the run the previous operation joined
 	table []int32 // open addressing over runs: index+1, 0 empty
@@ -62,23 +73,19 @@ func newScanner() *scanner {
 // scan parses the block and files each operation under its key's run, the
 // runs in order of their keys' first appearance.
 func (s *scanner) scan() {
-	// Reserve one operation a line, but no more than there can be: a segment
-	// that makes one takes ten bytes or more with its terminator. ops is then
-	// handed over whole, not copied, unless much of it went spare.
-	s.ops = make([]Operation, 0, min(bytes.Count(s.text, []byte{'\n'})+1, len(s.text)/10+1))
+	s.recs, s.prev = s.recs[:0], 0
 	s.runs, s.last = s.runs[:0], 0
 	clear(s.table)
 	d := TextDecoder{Keyed: true}
 	s.err = d.Scan(s.text, s.add)
 	s.segs = d.seg
 	if s.err == nil {
-		ops := s.ops
-		if 8*(cap(ops)-len(ops)) > cap(ops) {
-			ops = slices.Clone(ops) // comments, blank lines or ';' segments
-		}
-		s.out = &scanned{ops: ops, runs: slices.Clone(s.runs)}
+		s.out = &scanned{recs: bytes.Clone(s.recs), runs: slices.Clone(s.runs)}
 	}
 }
+
+// maxRunIndex bounds the varint of a run's index.
+const maxRunIndex = 10
 
 // add is scan's emit.
 func (s *scanner) add(key []byte, op Operation) error {
@@ -88,8 +95,13 @@ func (s *scanner) add(key []byte, op Operation) error {
 		s.last = i
 	}
 	s.runs[i].n++
-	op.ID = i
-	s.ops = append(s.ops, op)
+	b := slices.Grow(s.recs, maxRunIndex+MaxRecord)
+	j := len(b)
+	b = b[:cap(b)]
+	j = putUvarint(b, j, uint64(i))
+	j = PutRecord(b, j, &op, s.prev)
+	s.recs = b[:j]
+	s.prev = op.Start
 	return nil
 }
 
@@ -175,24 +187,40 @@ func (st *stitcher) stitch(s *scanner) error {
 	return nil
 }
 
-// histories sizes each key's history and fills it from the kept blocks.
-func (st *stitcher) histories() map[string]*History {
+// histories sizes each key's history and decodes the kept blocks into it:
+// the caller and up to helpers more goroutines, reached through jobs, each
+// claiming the next block until none is left.
+func (st *stitcher) histories(jobs chan<- func(), helpers int) map[string]*History {
 	hs := make([]History, len(st.keys))
 	out := make(map[string]*History, len(st.keys))
 	for k, key := range st.keys {
 		hs[k].Ops = make([]Operation, st.counts[k])
 		out[key] = &hs[k]
 	}
-	for _, b := range st.kept {
-		b.place(hs)
+	var next atomic.Int64
+	decode := func() {
+		for i := next.Add(1) - 1; i < int64(len(st.kept)); i = next.Add(1) - 1 {
+			st.kept[i].decode(hs)
+		}
 	}
+	var wg sync.WaitGroup
+	for h := 1; h <= helpers && h < len(st.kept); h++ {
+		wg.Add(1)
+		jobs <- func() {
+			defer wg.Done()
+			decode()
+		}
+	}
+	decode()
+	wg.Wait()
 	return out
 }
 
 // ParseKeyed reads the keyed text format from r to its end and returns each
 // key's history, its operations in input order with IDs their positions. The
 // caller's goroutine reads blocks of whole lines and scans them alongside
-// GOMAXPROCS-1 more goroutines, at most GOMAXPROCS+1 blocks in flight. A
+// GOMAXPROCS-1 more goroutines, at most GOMAXPROCS+1 blocks in flight, and
+// the same goroutines decode the packed blocks into place at the end. A
 // one-block input, or GOMAXPROCS=1, is parsed on the caller's goroutine
 // alone. Errors are what ScanText would return: the first bad segment in
 // input order, numbered across blocks, beats any later read error. Every
@@ -212,7 +240,8 @@ func parseKeyed(r io.Reader, block, workers int) (map[string]*History, error) {
 	d := TextDecoder{Keyed: true}
 	d.Reset(r, block)
 	st := stitcher{index: make(map[string]int)}
-	// Sends never block: no more jobs are queued than blocks in flight.
+	// Sends never block: no more jobs are queued than blocks in flight, and
+	// the end's decode jobs, one a worker, find the queue empty.
 	jobs := make(chan func(), workers+2)
 	var wg sync.WaitGroup
 	defer func() {
@@ -275,5 +304,5 @@ func parseKeyed(r io.Reader, block, workers int) (map[string]*History, error) {
 	if rerr != nil {
 		return nil, rerr
 	}
-	return st.histories(), nil
+	return st.histories(jobs, started), nil
 }

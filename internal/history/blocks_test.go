@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -50,6 +51,27 @@ func interleavedTrace(keys, perKey int) string {
 	return b.String()
 }
 
+// spanningTrace is a keyed trace whose hot key has an operation on every
+// other line, so in blocks of a few lines it spans every block: writes with
+// weight=, reads with client= of either sign, starts that fall back and leap
+// from one operation to the next and so across block boundaries, and int64
+// extremes in every numeric field.
+func spanningTrace() string {
+	var b strings.Builder
+	starts := []int64{5, 3, math.MinInt64, math.MaxInt64 - 1, -7, 1 << 40, 0, math.MinInt64 + 1}
+	for i := 0; i < 24; i++ {
+		s := starts[i%len(starts)]
+		op := Operation{Kind: KindWrite, Value: int64(i), Start: s, Finish: s + 1, Weight: int64(i % 3)}
+		if i%4 == 3 {
+			op = Operation{Kind: KindRead, Value: int64(i - 1), Start: s, Finish: math.MaxInt64, Client: 2 - i%5}
+		}
+		b.Write(AppendOpText(nil, "hot", op))
+		cold := Operation{Kind: KindWrite, Value: math.MinInt64 + int64(i), Start: -s, Finish: math.MaxInt64, Client: math.MinInt}
+		b.Write(AppendOpText(nil, fmt.Sprintf("k%d", i%3), cold))
+	}
+	return b.String()
+}
+
 // FuzzParseReaderEquivalence holds the block pipeline behind the offline
 // keyed reader (trace.ParseReader) to the serial parser over arbitrary bytes,
 // cut into blocks of 1 to 256 bytes and scanned by the caller and 0 to 3 more
@@ -61,6 +83,12 @@ func FuzzParseReaderEquivalence(f *testing.F) {
 		f.Add([]byte(seed), uint8(len(seed)/3), uint8(1))
 		f.Add([]byte(seed), uint8(15), uint8(3))
 	}
+	// The hot key decoded from 12 to 24 blocks, on the caller alone and with
+	// helpers.
+	span := []byte(spanningTrace())
+	f.Add(span, uint8(60), uint8(2))
+	f.Add(span, uint8(150), uint8(3))
+	f.Add(span, uint8(255), uint8(0))
 	f.Fuzz(func(t *testing.T, text []byte, block, workers uint8) {
 		b, w := 1+int(block), int(workers)%4
 		got, gerr := parseKeyed(bytes.NewReader(text), b, w)
@@ -148,5 +176,30 @@ func TestParseReaderGoroutines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParseKeyedBytesPerOp bounds what the parse allocates for a 200 000-op,
+// 64-key interleaved trace: the histories it returns (56 bytes an operation)
+// and not much more. Each block in flight holds its text and records, a fixed
+// cost per core that 200 000 operations amortise over a few cores only, so the
+// parse runs at GOMAXPROCS=2, the offline benchmark's.
+func TestParseKeyedBytesPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const keys, perKey = 64, 3125
+	text := interleavedTrace(keys, perKey)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	hs, err := ParseKeyed(strings.NewReader(text))
+	runtime.ReadMemStats(&after)
+	if err != nil || len(hs) != keys {
+		t.Fatalf("%d keys, err %v", len(hs), err)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / (keys * perKey); per > 80 {
+		t.Errorf("the parse allocates %.1f B/op, want <= 80", per)
 	}
 }

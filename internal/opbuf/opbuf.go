@@ -7,18 +7,13 @@
 // once, touched once when it arrives and once when its segment is verified.
 // A 56-byte history.Operation in an append-grown slice costs that cold store
 // one or two cache lines per operation and a copy per doubling; here an
-// operation is a varint record shaped like the wire codec's,
-//
-//	head · zigzag value · start − previous start · finish − start · [weight] · [client]
-//
-// about ten bytes on a plain trace, lossless for every field but ID (every
-// consumer renumbers). The head byte is 0x80 | read<<0 | weight≠0<<1 |
-// client≠0<<2 | other<<3, with the raw Kind byte following when the kind is
-// neither read nor write; it is never zero, so a zero byte where a head would
-// stand ends a chunk that is not full. The first record of a chunk takes its
-// start as a delta from zero, so every chunk decodes on its own and lists
-// splice at chunk boundaries without touching a record. The deltas wrap, so
-// any int64 timestamps round-trip.
+// operation is history's packed record (history.PutRecord: a head byte and
+// zigzag varints, about nine bytes on a plain trace), the same codec the
+// offline keyed parse holds its blocks in. The framing is opbuf's: a zero
+// byte where a head would stand ends a chunk that is not full, and the first
+// record of a chunk takes its start as a delta from zero, so every chunk
+// decodes on its own and lists splice at chunk boundaries without touching a
+// record.
 //
 // Records sit in fixed-size chunks that hold no pointers — the collector
 // never scans them and allocating one writes no type header — carved from
@@ -52,22 +47,11 @@ const (
 	ChunkBytes = 256
 	dataBytes  = ChunkBytes - 4
 
-	// maxRecord bounds one record: head, kind, and five ten-byte varints.
-	maxRecord = 52
-
 	// A chunk index is slab<<slabBits | offset. Slabs double from firstSlab
 	// chunks to 1<<slabBits, so a small session costs a few KB and a large one
 	// grows a MB at a time.
 	slabBits  = 11
 	firstSlab = 16
-)
-
-const (
-	headMark   = 0x80
-	headRead   = 1 << 0
-	headWeight = 1 << 1
-	headClient = 1 << 2
-	headKind   = 1 << 3
 )
 
 // chunk is one fixed-size run of records. next is atomic because a popper of
@@ -173,7 +157,7 @@ func (s *Store) grow() {
 // Push appends *op to l and reports whether the list took a new chunk. The
 // operation is only read; it comes by pointer to spare the hot path a copy.
 func (s *Store) Push(l *List, op *history.Operation) bool {
-	grew := l.tail == nil || l.fill > dataBytes-maxRecord && int(l.fill)+recordLen(op, l.last) > dataBytes
+	grew := l.tail == nil || l.fill > dataBytes-history.MaxRecord && int(l.fill)+history.RecordLen(op, l.last) > dataBytes
 	if grew {
 		i, c := s.alloc()
 		if l.tail == nil {
@@ -184,58 +168,15 @@ func (s *Store) Push(l *List, op *history.Operation) bool {
 		l.tail, l.fill, l.last = c, 0, 0
 		l.chunks++
 	}
-	b := l.tail.data[l.fill:]
-	head := byte(headMark)
-	switch op.Kind {
-	case history.KindWrite:
-	case history.KindRead:
-		head |= headRead
-	default:
-		head |= headKind
-	}
-	if op.Weight != 0 {
-		head |= headWeight
-	}
-	if op.Client != 0 {
-		head |= headClient
-	}
-	b[0] = head
-	i := 1
-	if head&headKind != 0 {
-		b[1] = byte(op.Kind)
-		i = 2
-	}
-	i = putUvarint(b, i, zigzag(op.Value))
-	i = putUvarint(b, i, zigzag(op.Start-l.last))
-	i = putUvarint(b, i, zigzag(op.Finish-op.Start))
-	if head&headWeight != 0 {
-		i = putUvarint(b, i, zigzag(op.Weight))
-	}
-	if head&headClient != 0 {
-		i = putUvarint(b, i, zigzag(int64(op.Client)))
-	}
+	b := l.tail.data[:]
+	i := history.PutRecord(b, int(l.fill), op, l.last)
 	if i < len(b) {
 		b[i] = 0 // ends the chunk until the next record overwrites it
 	}
-	l.fill += uint32(i)
+	l.fill = uint32(i)
 	l.last = op.Start
 	l.n++
 	return grew
-}
-
-// recordLen is the encoded size of op after a record that started at last.
-func recordLen(op *history.Operation, last int64) int {
-	n := 1 + uvarintLen(zigzag(op.Value)) + uvarintLen(zigzag(op.Start-last)) + uvarintLen(zigzag(op.Finish-op.Start))
-	if op.Kind != history.KindWrite && op.Kind != history.KindRead {
-		n++
-	}
-	if op.Weight != 0 {
-		n += uvarintLen(zigzag(op.Weight))
-	}
-	if op.Client != 0 {
-		n += uvarintLen(zigzag(int64(op.Client)))
-	}
-	return n
 }
 
 // Decode appends l's operations to dst, IDs numbered by position in dst, and
@@ -248,34 +189,10 @@ func (s *Store) Decode(l *List, dst []history.Operation) []history.Operation {
 		b := c.data[:]
 		var last int64
 		for i := 0; i < len(b) && b[i] != 0; j++ {
-			head := b[i]
-			i++
-			// Written field by field, in place: dst is a reused buffer, so the
-			// absent fields are cleared too.
 			op := &dst[j]
+			i = history.ReadRecord(b, i, op, last)
 			op.ID = j
-			op.Kind = history.KindWrite + history.Kind(head&headRead)
-			if head&headKind != 0 {
-				op.Kind = history.Kind(b[i])
-				i++
-			}
-			var u uint64
-			u, i = uvarint(b, i)
-			op.Value = unzigzag(u)
-			u, i = uvarint(b, i)
-			last += unzigzag(u)
-			op.Start = last
-			u, i = uvarint(b, i)
-			op.Finish = last + unzigzag(u)
-			op.Weight, op.Client = 0, 0
-			if head&headWeight != 0 {
-				u, i = uvarint(b, i)
-				op.Weight = unzigzag(u)
-			}
-			if head&headClient != 0 {
-				u, i = uvarint(b, i)
-				op.Client = int(unzigzag(u))
-			}
+			last = op.Start
 		}
 		ci = c.next.Load()
 	}
@@ -304,45 +221,4 @@ func (s *Store) Free(l *List) {
 		s.release(l.head, l.tail)
 	}
 	*l = List{}
-}
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for ; v >= 0x80; v >>= 7 {
-		n++
-	}
-	return n
-}
-
-// putUvarint writes v at b[i:] and returns the index after it. Both varint
-// loops are small enough to inline into Push and Decode, where nearly every
-// field of a real trace is one or two well-predicted turns.
-func putUvarint(b []byte, i int, v uint64) int {
-	for ; v >= 0x80; v >>= 7 {
-		b[i] = byte(v) | 0x80
-		i++
-	}
-	b[i] = byte(v)
-	return i + 1
-}
-
-// uvarint reads the varint at b[i:] and returns it with the index after it.
-// It only ever reads what putUvarint wrote, so it checks nothing.
-func uvarint(b []byte, i int) (uint64, int) {
-	v := uint64(b[i])
-	if v < 0x80 {
-		return v, i + 1
-	}
-	v &= 0x7f
-	for s := uint(7); ; s += 7 {
-		i++
-		c := uint64(b[i])
-		v |= (c & 0x7f) << (s & 63)
-		if c < 0x80 {
-			return v, i + 1
-		}
-	}
 }

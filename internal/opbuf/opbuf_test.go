@@ -2,6 +2,7 @@ package opbuf
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"slices"
 	"sync"
@@ -135,14 +136,14 @@ func (s *Store) freeChunks() int {
 }
 
 // TestRecordBounds pins the two sizes the chunk arithmetic stands on: no
-// record outgrows maxRecord, and a plain operation of a running trace packs
-// into about ten bytes.
+// record outgrows history.MaxRecord, and a plain operation of a running trace
+// packs into about ten bytes.
 func TestRecordBounds(t *testing.T) {
 	// Every field, both deltas included (0 − MinInt64 wraps to MinInt64), at
 	// the ten-byte zigzag.
 	worst := history.Operation{Kind: 77, Value: math.MinInt64, Start: math.MinInt64, Finish: 0, Weight: math.MinInt64, Client: math.MinInt}
-	if n := recordLen(&worst, 0); n != maxRecord {
-		t.Errorf("worst-case record is %d bytes, maxRecord %d", n, maxRecord)
+	if n := history.RecordLen(&worst, 0); n != history.MaxRecord {
+		t.Errorf("worst-case record is %d bytes, MaxRecord %d", n, history.MaxRecord)
 	}
 	var s Store
 	var l List
@@ -152,6 +153,49 @@ func TestRecordBounds(t *testing.T) {
 	}
 	if per := float64(l.Bytes()) / n; per > 8 {
 		t.Errorf("a plain operation costs %.1f bytes packed, want <= 8", per)
+	}
+}
+
+// TestRecordGolden pins the record bytes a list holds, so moving or
+// reworking the codec cannot change them: a write, then a read taking its
+// start from the write's; a kind that is neither, its raw byte after the head;
+// weight and client; a start before the previous one; and int64 extremes,
+// whose deltas wrap.
+func TestRecordGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  []history.Operation
+		hex  string
+	}{
+		{"write", []history.Operation{{Kind: history.KindWrite, Value: 7, Start: 100, Finish: 110}}, "800ec80114"},
+		{"write then read", []history.Operation{
+			{Kind: history.KindWrite, Value: 7, Start: 100, Finish: 110},
+			{Kind: history.KindRead, Value: 7, Start: 120, Finish: 125},
+		}, "800ec80114" + "810e280a"},
+		{"other kind", []history.Operation{{Kind: 200, Value: -1, Start: 3, Finish: 4}}, "88c8010602"},
+		{"weight and client", []history.Operation{{Kind: history.KindWrite, Value: 1, Start: 0, Finish: 1, Weight: 3, Client: 2}}, "860200020604"},
+		{"negative client", []history.Operation{{Kind: history.KindRead, Value: 1, Start: 5, Finish: 9, Client: -3}}, "85020a0805"},
+		{"negative start delta", []history.Operation{
+			{Kind: history.KindWrite, Value: 1, Start: 500, Finish: 510},
+			{Kind: history.KindRead, Value: 1, Start: 400, Finish: 505},
+		}, "8002e80714" + "8102c701d201"},
+		{"extremes", []history.Operation{
+			{Kind: history.KindWrite, Value: math.MaxInt64, Start: math.MinInt64, Finish: math.MaxInt64, Weight: math.MaxInt64, Client: math.MinInt},
+		}, "86" + "feffffffffffffffff01" + "ffffffffffffffffff01" + "01" + "feffffffffffffffff01" + "ffffffffffffffffff01"},
+		{"extremes, wrapping", []history.Operation{
+			{Kind: history.KindRead, Value: math.MinInt64, Start: math.MaxInt64, Finish: math.MinInt64},
+			{Kind: history.KindWrite, Value: 0, Start: math.MinInt64, Finish: math.MinInt64, Weight: math.MinInt64, Client: math.MaxInt},
+		}, "81" + "ffffffffffffffffff01" + "feffffffffffffffff01" + "02" +
+			"86" + "00" + "02" + "00" + "ffffffffffffffffff01" + "feffffffffffffffff01"},
+	} {
+		var s Store
+		l := pack(&s, tc.ops)
+		if got := hex.EncodeToString(s.chunk(l.head).data[:l.fill]); got != tc.hex {
+			t.Errorf("%s: records %s, want %s", tc.name, got, tc.hex)
+		}
+		if got, want := s.Decode(&l, nil), renumber(slices.Clone(tc.ops)); !slices.Equal(got, want) {
+			t.Errorf("%s: decodes to %v, want %v", tc.name, got, want)
+		}
 	}
 }
 

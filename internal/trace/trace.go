@@ -80,10 +80,10 @@ func ParseStreamBytes(r io.Reader, emit func(key []byte, op history.Operation) e
 }
 
 // ParseReader reads a whole multi-register trace from r, so memory is
-// proportional to the operations, not the raw text plus the operations. Blocks
-// of the text are scanned in parallel and stitched per key in input order
-// (history.ParseKeyed), so the trace and any error are what a serial read
-// gives. Use it for file and stdin inputs.
+// proportional to the operations, not the raw text plus the operations: blocks
+// are scanned in parallel into packed records of about nine bytes, stitched per
+// key in input order, and decoded in parallel into place (history.ParseKeyed).
+// The trace and any error are a serial read's. Use it for file and stdin.
 func ParseReader(r io.Reader) (*Trace, error) {
 	keys, err := history.ParseKeyed(r)
 	if err != nil {
