@@ -64,9 +64,9 @@ BASELINE_CORE := BenchmarkFZF|BenchmarkFZFScratch|BenchmarkVerifierReuse|Benchma
 # fresh pages (60 → 100 µs/op), which a 1 s run amortizes — baseline and gate
 # must see the same thing.
 #
-# BenchmarkSmallestK/segment=32 and segment=k3 (the streaming engine's
-# per-segment ladder on a warm Verifier: settled by zones and FZF, and by one
-# exact-oracle probe) are named alone: -bench splits its pattern at '/', so a
+# BenchmarkSmallestK/segment=32, segment=k3 and segment=k3open (the streaming
+# engine's per-segment ladder on a warm Verifier: settled by zones and FZF, by
+# a closed staleness bracket, and by one exact-oracle probe) are named alone: -bench splits its pattern at '/', so a
 # sub-benchmark cannot join the alternation above, and the rest of the family
 # must stay out of the gate — its depth rows are one-shot SmallestK calls that
 # prepare a private copy and allocate every buffer per call. They record
@@ -79,7 +79,7 @@ BASELINE_CORE := BenchmarkFZF|BenchmarkFZFScratch|BenchmarkVerifierReuse|Benchma
 # operation pass four times over would double the gate's run time.
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(BASELINE_CORE)' -benchmem -count 6 -timeout 60m . | tee BENCH_baseline.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSmallestK/segment=(32|k3)$$' -benchtime 20000x -benchmem -count 6 . | tee -a BENCH_baseline.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSmallestK/segment=(32|k3|k3open)$$' -benchtime 20000x -benchmem -count 6 . | tee -a BENCH_baseline.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSmallestDelta' -benchtime 500x -benchmem -count 6 . | tee -a BENCH_baseline.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkOnlineIngest' -benchtime 20000x -benchmem -count 6 -timeout 30m . | tee -a BENCH_baseline.txt
 	$(GO) test -short -run '^$$' -bench 'BenchmarkMultiProperty' -benchtime 20x -benchmem -count 6 -timeout 30m . | tee -a BENCH_baseline.txt
@@ -128,7 +128,7 @@ GATE_BENCHES := BenchmarkFZFScratch|BenchmarkVerifierReuse|BenchmarkPrepare|Benc
 
 benchcmp:
 	$(GO) test -short -run '^$$' -bench '$(GATE_BENCHES)' -benchtime 500x -benchmem -count 4 . > bench_current.txt || (cat bench_current.txt; exit 1)
-	$(GO) test -short -run '^$$' -bench 'BenchmarkSmallestK/segment=(32|k3)$$' -benchtime 20000x -benchmem -count 4 . >> bench_current.txt || (cat bench_current.txt; exit 1)
+	$(GO) test -short -run '^$$' -bench 'BenchmarkSmallestK/segment=(32|k3|k3open)$$' -benchtime 20000x -benchmem -count 4 . >> bench_current.txt || (cat bench_current.txt; exit 1)
 	$(GO) test -short -run '^$$' -bench 'BenchmarkSmallestDelta' -benchtime 500x -benchmem -count 4 . >> bench_current.txt || (cat bench_current.txt; exit 1)
 	$(GO) test -short -run '^$$' -bench 'BenchmarkOnlineIngest' -benchtime 20000x -benchmem -count 4 . >> bench_current.txt || (cat bench_current.txt; exit 1)
 	$(GO) test -short -run '^$$' -bench 'BenchmarkMultiProperty|BenchmarkStreamCheckZipf' -benchtime 20x -benchmem -count 4 . >> bench_current.txt || (cat bench_current.txt; exit 1)

@@ -322,24 +322,39 @@ func BenchmarkSmallestK(b *testing.B) {
 		}
 	})
 	// The same unit when FZF rejects it: a 32-operation segment (no safe cut
-	// inside) whose forced staleness is 3, so the climb settles it with one
-	// exact-oracle probe on the Verifier's warm oracle scratch.
+	// inside) whose forced staleness is 3, as is the staleness of its
+	// by-finish order, so the closed bracket settles it with no oracle call.
 	b.Run("segment=k3", func(b *testing.B) {
-		p := mustPrepare(b, generator.KAtomic(generator.Config{
+		smallestKSegment(b, generator.Config{
 			Seed: 2, Ops: 32, Concurrency: 3, StalenessDepth: 2, ForceDepth: true, ReadFraction: 0.5,
-		}))
-		v := root.NewVerifier()
-		if k, err := v.SmallestKPrepared(p, root.Options{}); err != nil || k != 3 || v.TakeLadder().OracleProbes != 1 {
-			b.Fatalf("SmallestKPrepared: k=%d, %v; want 3 after one oracle probe", k, err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if k, err := v.SmallestKPrepared(p, root.Options{}); err != nil || k != 3 {
-				b.Fatalf("SmallestKPrepared: k=%d, %v", k, err)
-			}
-		}
+		}, 0)
 	})
+	// A 32-operation segment whose bracket stays open — forced staleness 3, a
+	// by-finish order 4 stale — so the climb settles it with one exact-oracle
+	// probe on the Verifier's warm oracle scratch.
+	b.Run("segment=k3open", func(b *testing.B) {
+		smallestKSegment(b, generator.Config{
+			Seed: 22, Ops: 32, Concurrency: 3, StalenessDepth: 3, ForceDepth: true, ReadFraction: 0.5,
+		}, 1)
+	})
+}
+
+// smallestKSegment times SmallestKPrepared on a warm Verifier over the
+// prepared history cfg generates, after checking it is 3-atomic in probes
+// oracle calls.
+func smallestKSegment(b *testing.B, cfg generator.Config, probes int) {
+	p := mustPrepare(b, generator.KAtomic(cfg))
+	v := root.NewVerifier()
+	if k, err := v.SmallestKPrepared(p, root.Options{}); err != nil || k != 3 || v.TakeLadder().OracleProbes != probes {
+		b.Fatalf("SmallestKPrepared: k=%d, %v; want 3 after %d oracle probes", k, err, probes)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if k, err := v.SmallestKPrepared(p, root.Options{}); err != nil || k != 3 {
+			b.Fatalf("SmallestKPrepared: k=%d, %v", k, err)
+		}
+	}
 }
 
 // E10: LBT with iterative deepening disabled (the ablation). "benign" rows

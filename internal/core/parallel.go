@@ -196,27 +196,19 @@ func (v *Verifier) SmallestKPrepared(p *history.Prepared, opts Options) (int, er
 // decomposed once (FZF's Stage 1, in the Verifier's scratch), and healthy
 // units are settled off that one decomposition: the zone test (k = 1), then
 // FZF's Stage 2 verdict alone (k = 2; nothing here validates a witness). A
-// unit FZF rejects is split at its safe cuts: the answer is the maximum over
-// segments by the segment-equivalence lemma, and the oracle's cost is set by
-// segment size. Each segment climbs this ladder itself (segment set: it
-// cannot split again and skips the zone test, the maximum being known to
-// exceed 2). Only a unit that reaches the oracle computes the
-// forced-staleness lower bound lb (writes pinned between a read and its
-// dictating write by real time alone), and lb only prices the climb, which
-// starts at max(3, lb) and probes +1, +3, +7, ... until a probe succeeds,
-// then bisects the last gap: real staleness sits at or just above lb, so the
-// cost tracks the answer instead of the number of writes; answer == lb is
-// one oracle call. lb never exceeds the answer, so FZF accepts no unit with
-// lb > 2, and asking FZF before lb changes no answer and no oracle call
-// (TestLadderMatchesReferenceOrder).
+// unit FZF rejects is split at its safe cuts into segments (segmentK), the
+// answer their maximum by the segment-equivalence lemma; one that does not
+// split is bracketed and climbs here.
 func (v *Verifier) smallestK(p *history.Prepared, opts Options, segment bool) (int, error) {
 	if p.Len() == 0 {
 		v.ladder.Zone++
 		return 1, nil
 	}
-	// dec aliases v.zone, which a segment below decomposes into.
+	if segment {
+		return v.segmentK(p, opts)
+	}
 	dec := zone.DecomposeScratch(p, &v.zone)
-	if !segment && dec.OneAtomic() {
+	if dec.OneAtomic() {
 		v.ladder.Zone++
 		return 1, nil
 	}
@@ -224,16 +216,25 @@ func (v *Verifier) smallestK(p *history.Prepared, opts Options, segment bool) (i
 		v.ladder.FZF++
 		return 2, nil
 	}
-	if !segment {
-		if segs := v.segmentsOf(p); len(segs) > 1 {
-			return v.maxSmallestK(p, segs, opts, true)
-		}
+	if segs := v.segmentsOf(p); len(segs) > 1 {
+		return v.maxSmallestK(p, segs, opts, true)
 	}
-	k, err := v.climb(p, max(3, history.ForcedStalenessScratch(p, &v.stale)), opts)
-	if err == nil {
-		v.ladder.Climb++
+	lo, hi := history.StalenessBracket(p, &v.stale, 3)
+	return v.climb(p, lo, hi, opts)
+}
+
+// segmentK is the ladder on a segment of a unit FZF refuted, whose maximum
+// exceeds 2, so 2 answers for any segment at most 2-atomic. The segment is
+// bracketed first (floor 2): hi <= 2 settles it at 2, lo >= 3 means FZF would
+// refute it, and only in between is it decomposed for FZF's verdict — the
+// answers and rung counts of asking FZF first (TestLadderMatchesReferenceOrder).
+func (v *Verifier) segmentK(p *history.Prepared, opts Options) (int, error) {
+	lo, hi := history.StalenessBracket(p, &v.stale, 2)
+	if hi <= 2 || lo == 2 && fzf.Decide(p, zone.DecomposeScratch(p, &v.zone), &v.fzf) {
+		v.ladder.FZF++
+		return 2, nil
 	}
-	return k, err
+	return v.climb(p, max(lo, 3), hi, opts)
 }
 
 // maxSmallestK runs the ladder on each [lo, hi) range of p — runs of
@@ -281,12 +282,13 @@ func (v *Verifier) maxSmallestK(p *history.Prepared, segs [][2]int, opts Options
 	return k, err
 }
 
-// climb searches [lo, W] for the smallest k the oracle accepts, W the number
-// of writes: every anomaly-free history is W-atomic, and the search is
-// monotone because a k-atomic order is also (k+1)-atomic. lo-1 is the
-// largest k known not to work. An exhausted OracleStates budget is an error,
-// never a verdict.
-func (v *Verifier) climb(p *history.Prepared, lo int, opts Options) (int, error) {
+// climb settles a unit FZF refuted off its staleness bracket [lo, hi], lo >= 3
+// (history.StalenessBracket: hi is a witness, lo−1 is known not to work). lo >=
+// hi settles it at hi with no oracle call; otherwise it probes lo, lo+1, lo+3,
+// ... below hi until one succeeds, then bisects the last gap (k-atomic implies
+// (k+1)-atomic), so hi is never probed. An exhausted OracleStates budget is an
+// error, never a verdict.
+func (v *Verifier) climb(p *history.Prepared, lo, hi int, opts Options) (int, error) {
 	probe := func(k int) (bool, error) {
 		v.ladder.OracleProbes++
 		res, err := oracle.CheckKScratch(p, k, oracle.Options{MaxStates: opts.OracleStates}, &v.orc)
@@ -295,8 +297,7 @@ func (v *Verifier) climb(p *history.Prepared, lo int, opts Options) (int, error)
 		}
 		return res.Atomic, nil
 	}
-	hi := max(lo, p.H.Writes())
-	for k, step := lo, 1; ; k, step = min(k+step, hi), 2*step {
+	for k, step := lo, 1; k < hi; k, step = min(k+step, hi), 2*step {
 		ok, err := probe(k)
 		if err != nil {
 			return 0, err
@@ -304,9 +305,6 @@ func (v *Verifier) climb(p *history.Prepared, lo int, opts Options) (int, error)
 		if ok {
 			hi = k
 			break
-		}
-		if k == hi {
-			return 0, fmt.Errorf("core: history not even %d-atomic; input may violate model assumptions", hi)
 		}
 		lo = k + 1
 	}
@@ -322,7 +320,8 @@ func (v *Verifier) climb(p *history.Prepared, lo int, opts Options) (int, error)
 			lo = mid + 1
 		}
 	}
-	return lo, nil
+	v.ladder.Climb++
+	return hi, nil
 }
 
 // fzfChunks is the chunk-parallel form of fzf.CheckScratch: Stage 1 runs on

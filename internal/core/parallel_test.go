@@ -112,7 +112,7 @@ func TestSmallestKParallelMatchesSequential(t *testing.T) {
 type engine struct {
 	name   string
 	run    func(f func(v *Verifier))
-	probes func() int
+	ladder func() Ladder // takes the ladder counts of every Verifier it runs on
 }
 
 func poolEngine(t *testing.T, workers int) engine {
@@ -125,11 +125,11 @@ func poolEngine(t *testing.T, workers int) engine {
 			p.Submit(func(v *Verifier) { f(v); close(done) })
 			<-done
 		},
-		probes: func() (n int) {
+		ladder: func() (l Ladder) {
 			for i := range p.vs {
-				n += p.vs[i].TakeLadder().OracleProbes
+				l.Add(p.vs[i].TakeLadder())
 			}
-			return n
+			return l
 		},
 	}
 }
@@ -143,7 +143,7 @@ func poolEngine(t *testing.T, workers int) engine {
 func TestEngineInvariance(t *testing.T) {
 	v := NewVerifier()
 	engines := []engine{
-		{"verifier", func(f func(v *Verifier)) { f(v) }, func() int { return v.TakeLadder().OracleProbes }},
+		{"verifier", func(f func(v *Verifier)) { f(v) }, v.TakeLadder},
 		poolEngine(t, 1),
 		poolEngine(t, 4),
 	}
@@ -166,7 +166,7 @@ func TestEngineInvariance(t *testing.T) {
 				}
 			}
 		})
-		o.probes = e.probes()
+		o.probes = e.ladder().OracleProbes
 		return o
 	}
 	histories, searched := 0, 0

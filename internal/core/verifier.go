@@ -66,7 +66,8 @@ type Verifier struct {
 }
 
 // Ladder counts the smallest-k units the ladder decided at each rung — the
-// zone test (k = 1), FZF (k = 2), the oracle climb (k >= 3) — and the oracle
+// zone test (k = 1), FZF (k = 2), the k >= 3 rung (Climb: a closed staleness
+// bracket, which makes no oracle call, or the oracle climb) — and the oracle
 // calls the climbs made. A unit split at its safe cuts is counted through its
 // segments. Forked units count into the Verifier that forked them, so the
 // counts of one call land on the Verifier it was made on, for any pool.

@@ -106,13 +106,14 @@ func TestVerifierWitnessAliasing(t *testing.T) {
 
 // TestSmallestKLadderZeroAlloc: a warm Verifier settles a segment without
 // allocating, whichever rung decides it — the zone test (k = 1), FZF (k = 2),
-// or a climb the exact oracle accepts on its first probe (k = 3).
+// a closed staleness bracket (k = 3, no oracle call), or a climb the exact
+// oracle accepts on its first probe (k = 3 below a by-finish witness of 4).
 func TestSmallestKLadderZeroAlloc(t *testing.T) {
 	v := NewVerifier()
 	for _, c := range []struct {
-		seed               int64
-		conc, depth, wantK int
-	}{{7, 2, 0, 1}, {7, 2, 1, 2}, {2, 3, 2, 3}} {
+		seed                       int64
+		conc, depth, wantK, probes int
+	}{{7, 2, 0, 1, 0}, {7, 2, 1, 2, 0}, {2, 3, 2, 3, 0}, {22, 3, 3, 3, 1}} {
 		h := generator.KAtomic(generator.Config{
 			Seed: c.seed, Ops: 32, Concurrency: c.conc, StalenessDepth: c.depth, ForceDepth: true, ReadFraction: 0.5,
 		})
@@ -120,8 +121,8 @@ func TestSmallestKLadderZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: Prepare: %v", c.wantK, err)
 		}
-		if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != c.wantK || v.TakeLadder().OracleProbes > 1 {
-			t.Fatalf("k=%d: warm-up: smallest k %d, %v; want %d in at most one oracle probe", c.wantK, k, err, c.wantK)
+		if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != c.wantK || v.TakeLadder().OracleProbes != c.probes {
+			t.Fatalf("k=%d: warm-up: smallest k %d, %v; want %d in %d oracle probes", c.wantK, k, err, c.wantK, c.probes)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
 			if k, err := v.SmallestKPrepared(p, Options{}); err != nil || k != c.wantK {
@@ -137,51 +138,73 @@ func TestSmallestKLadderZeroAlloc(t *testing.T) {
 // TestSegmentAllPropertiesZeroAlloc: a warm worker verifying a 512-operation
 // depth-2 segment under k, delta and regularity — the build with its raw
 // extremes, the Δ summary, the regularity sweep and the smallest-k ladder,
-// split at the segment's safe cuts and climbing to oracle accepts on their
-// first probes — allocates nothing.
+// split at the segment's safe cuts — allocates nothing, whether some of its
+// pieces' staleness brackets stay open (seed 12: climbs the oracle accepts on
+// their first probes, over several segments) or every one closes (seed 1: no
+// oracle call).
 func TestSegmentAllPropertiesZeroAlloc(t *testing.T) {
-	h := generator.KAtomic(generator.Config{
-		Seed: 1, Ops: 512, Concurrency: 3, StalenessDepth: 2, ForceDepth: true, ReadFraction: 0.5,
-	})
-	h.SortByStart() // as the engine closes a segment: in arrival order
-	v := NewVerifier()
-	verify := func() (k int, d int64, unsafe, irregular int) {
-		own := v.Owned()
-		own.Ops = append(own.Ops, h.Ops...)
-		p, err := v.PrepareOwned(own, true)
+	var stale history.StalenessScratch
+	for _, c := range []struct {
+		seed int64
+		open int // segments whose bracket stays open
+	}{{12, 2}, {1, 0}} {
+		seed := c.seed
+		h := generator.KAtomic(generator.Config{
+			Seed: seed, Ops: 512, Concurrency: 3, StalenessDepth: 2, ForceDepth: true, ReadFraction: 0.5,
+		})
+		h.SortByStart() // as the engine closes a segment: in arrival order
+		v := NewVerifier()
+		verify := func() (k int, d int64, unsafe, irregular int) {
+			own := v.Owned()
+			own.Ops = append(own.Ops, h.Ops...)
+			p, err := v.PrepareOwned(own, true)
+			if err != nil {
+				t.Fatalf("seed %d: PrepareOwned: %v", seed, err)
+			}
+			if d, err = v.SmallestDelta(p); err != nil {
+				t.Fatalf("seed %d: SmallestDelta: %v", seed, err)
+			}
+			unsafe, irregular = v.Regularity(p)
+			if k, err = v.SmallestKPrepared(p, Options{}); err != nil {
+				t.Fatalf("seed %d: SmallestKPrepared: %v", seed, err)
+			}
+			return k, d, unsafe, irregular
+		}
+		k, d, unsafe, irregular := verify()
+		p, err := history.Build(h)
 		if err != nil {
-			t.Fatalf("PrepareOwned: %v", err)
+			t.Fatal(err)
 		}
-		if d, err = v.SmallestDelta(p); err != nil {
-			t.Fatalf("SmallestDelta: %v", err)
+		segs := segmentsOf(p)
+		open := 0
+		for _, s := range segs {
+			view, err := history.SubPrepared(p, s[0], s[1], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi := history.StalenessBracket(view, &stale, 3); lo < hi {
+				open++
+			}
 		}
-		unsafe, irregular = v.Regularity(p)
-		if k, err = v.SmallestKPrepared(p, Options{}); err != nil {
-			t.Fatalf("SmallestKPrepared: %v", err)
+		l := v.TakeLadder()
+		if k != 3 || open != c.open || l.OracleProbes != open || l.Climb <= open || len(segs) < 2 {
+			t.Fatalf("seed %d: k = %d, ladder %+v, %d segments, %d open brackets: want k = 3 over several segments, "+
+				"closed brackets and %d open ones each accepted on its first probe",
+				seed, k, l, len(segs), open, c.open)
 		}
-		return k, d, unsafe, irregular
-	}
-	k, d, unsafe, irregular := verify()
-	p, err := history.Build(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := v.TakeLadder(); k != 3 || l.Climb == 0 || l.OracleProbes != l.Climb || len(segmentsOf(p)) < 2 {
-		t.Fatalf("k = %d, ladder %+v, %d segments: want k = 3 from climbs each accepted on its first probe, over several segments",
-			k, l, len(segmentsOf(p)))
-	}
-	if want, err := delta.Smallest(h); err != nil || d != want {
-		t.Fatalf("SmallestDelta = %d; delta.Smallest %d, %v", d, want, err)
-	}
-	if r := regularity.Check(p); unsafe != len(r.UnsafeReads) || irregular != len(r.IrregularReads) {
-		t.Fatalf("Regularity = %d, %d; regularity.Check %s", unsafe, irregular, r.Summary())
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if k2, d2, u2, i2 := verify(); k2 != k || d2 != d || u2 != unsafe || i2 != irregular {
-			t.Fatalf("second verification differs: %d %d %d %d", k2, d2, u2, i2)
+		if want, err := delta.Smallest(h); err != nil || d != want {
+			t.Fatalf("seed %d: SmallestDelta = %d; delta.Smallest %d, %v", seed, d, want, err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs per segment on a warm worker, want 0", allocs)
+		if r := regularity.Check(p); unsafe != len(r.UnsafeReads) || irregular != len(r.IrregularReads) {
+			t.Fatalf("seed %d: Regularity = %d, %d; regularity.Check %s", seed, unsafe, irregular, r.Summary())
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if k2, d2, u2, i2 := verify(); k2 != k || d2 != d || u2 != unsafe || i2 != irregular {
+				t.Fatalf("seed %d: second verification differs: %d %d %d %d", seed, k2, d2, u2, i2)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("seed %d: %v allocs per segment on a warm worker, want 0", seed, allocs)
+		}
 	}
 }

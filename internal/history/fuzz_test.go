@@ -1,12 +1,16 @@
 package history
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzParse ensures the text parser never panics and that everything it
-// accepts survives a String/Parse round trip.
+// FuzzParse ensures the text parser never panics, that it returns exactly
+// the operations its scanner emits (numbered by position, every field through
+// the packed records ParseReader holds them in) or the scanner's error, and
+// that everything it accepts survives a String/Parse round trip.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"w 1 0 10",
@@ -19,12 +23,23 @@ func FuzzParse(f *testing.F) {
 		"",
 		";;;",
 		"w 1 0 10 weight=",
+		"w -9223372036854775808 9223372036854775807 -9223372036854775808 weight=-7 client=-3\nr 4 9223372036854775807 0",
+		"w 3 50 60 client=9223372036854775807; r 3 10 20 weight=9223372036854775807; w 4 -1 0",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		h, err := Parse(text)
+		var want []Operation
+		wantErr := ScanText(strings.NewReader(text), false, func(_ []byte, op Operation) error {
+			op.ID = len(want)
+			want = append(want, op)
+			return nil
+		})
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && !slices.Equal(h.Ops, want) {
+			t.Fatalf("Parse(%q) = %v, %v; the scan emits %v, %v", text, h, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}

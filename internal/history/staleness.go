@@ -16,9 +16,9 @@ import (
 //
 // Histories with no reads return 1. The bound is exact when operations are
 // totally ordered in real time and never exceeds the true smallest k.
-// core.Verifier.SmallestKPrepared reads it on the units FZF has rejected: it
-// climbs from max(3, bound) in doubling steps, so a history whose staleness
-// is all forced costs one oracle call.
+// StalenessBracket pairs it with an upper bound, which is what the smallest-k
+// ladder (core.Verifier.SmallestKPrepared) reads on the units FZF has
+// rejected.
 //
 // Cost: O(n log n) — one sweep over the writes, already in start order, with
 // a Fenwick tree counting write finish ranks, and no sort: a write's finish
@@ -48,19 +48,54 @@ type StalenessScratch struct {
 // writes that satisfy the first condition are added to the tree from the
 // latest start down as w's finish falls.
 func ForcedStalenessScratch(p *Prepared, s *StalenessScratch) int {
+	writes, _ := s.ranks(p)
+	if writes == 0 {
+		return 1
+	}
+	return s.forced(p, writes, writes+1)
+}
+
+// StalenessBracket returns hi, an upper bound on the smallest k for which the
+// prepared history is k-atomic, and lo = max(floor, ForcedStaleness), a lower
+// bound whenever that k is known to be at least floor (FZF refuted the
+// history: floor 3). hi is the staleness of the by-finish order:
+// each write placed at its finish and each read just after the later of its
+// start and its dictating write's finish. Every point lies inside its
+// operation's interval (a prepared history's timestamps are distinct, and a
+// write finishes before each of its reads does), so the order extends real
+// time and puts every read after its write, and a read r of w is then
+// 1 + max(0, rank[r] − rank[w] − 1) writes stale (ranks as in
+// ForcedStalenessScratch). When hi <= floor the sweep behind ForcedStaleness
+// is skipped and lo is floor: nothing lies between them to search.
+//
+// The smallest-k ladder (core) brackets each unit FZF refuted, floor 3, and
+// each segment of one, floor 2, before FZF: lo >= hi settles a unit at hi
+// without the exact oracle, otherwise the search probes only [lo, hi−1], and
+// a segment with hi <= 2 or lo >= 3 needs no FZF verdict.
+func StalenessBracket(p *Prepared, s *StalenessScratch, floor int) (lo, hi int) {
+	writes, hi := s.ranks(p)
+	if hi <= floor {
+		return floor, hi
+	}
+	return max(floor, s.forced(p, writes, hi)), hi
+}
+
+// ranks fills s.rank — a write's position among the write finishes, a read's
+// count of write finishes below its start — and returns the number of writes
+// and the staleness of the by-finish order (StalenessBracket), 1 without
+// reads. A read with no dictating write (forcedStalenessRaw's unresolved
+// ones) is ranked but not measured.
+func (s *StalenessScratch) ranks(p *Prepared) (writes, hi int) {
 	ops := p.H.Ops
 	s.rank = slices.Grow(s.rank[:0], len(ops))[:len(ops)]
-	writes := 0
 	for _, i := range p.ByFinish {
 		if ops[i].IsWrite() {
 			s.rank[i] = writes
 			writes++
 		}
 	}
-	if writes == 0 {
-		return 1
-	}
 	next, below := 0, 0
+	hi = 1
 	for r := range ops {
 		if !ops[r].IsRead() {
 			continue
@@ -71,7 +106,19 @@ func ForcedStalenessScratch(p *Prepared, s *StalenessScratch) int {
 			}
 		}
 		s.rank[r] = below
+		if w := p.DictatingWrite[r]; w >= 0 {
+			hi = max(hi, below-s.rank[w])
+		}
 	}
+	return writes, hi
+}
+
+// forced is the Fenwick sweep of ForcedStalenessScratch over the ranks, for a
+// history with writes > 0 writes. It stops once the bound reaches limit, which
+// StalenessBracket sets to hi: the bound never exceeds the by-finish
+// staleness, so the bracket has closed.
+func (s *StalenessScratch) forced(p *Prepared, writes, limit int) int {
+	ops := p.H.Ops
 	s.tree = slices.Grow(s.tree[:0], writes)[:writes]
 	clear(s.tree)
 	best, x := 0, len(ops)-1
@@ -80,13 +127,16 @@ func ForcedStalenessScratch(p *Prepared, s *StalenessScratch) int {
 		if len(p.DictatedReads[w]) == 0 {
 			continue
 		}
-		for ; x >= 0 && ops[x].Start > ops[w].Finish; x-- {
+		for f := ops[w].Finish; x >= 0 && ops[x].Start > f; x-- {
 			if ops[x].IsWrite() {
 				s.tree.add(s.rank[x])
 			}
 		}
 		for _, r := range p.DictatedReads[w] {
 			best = max(best, s.tree.sum(s.rank[r]-1))
+		}
+		if 1+best >= limit {
+			break
 		}
 	}
 	return 1 + best

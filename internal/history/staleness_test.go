@@ -1,14 +1,17 @@
 package history_test
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"kat/internal/core"
 	"kat/internal/generator"
 	"kat/internal/history"
+	"kat/internal/witness"
 	"kat/internal/zone"
 )
 
@@ -108,6 +111,62 @@ func bruteForcedPrepared(p *history.Prepared) int {
 	return bruteForced(p.H.Ops, func(i int) (int, bool) { return p.DictatingWrite[i], p.DictatingWrite[i] >= 0 })
 }
 
+// bruteByFinish is the staleness of StalenessBracket's by-finish order by its
+// definition, in O(n²): 1 plus the maximum, over the reads, of the writes
+// that finish after the read's dictating write and before the read starts.
+func bruteByFinish(p *history.Prepared) int {
+	ops, best := p.H.Ops, 0
+	for r, w := range p.DictatingWrite {
+		if w < 0 {
+			continue
+		}
+		n := 0
+		for _, x := range ops {
+			if x.IsWrite() && x.Finish > ops[w].Finish && x.Finish < ops[r].Start {
+				n++
+			}
+		}
+		best = max(best, n)
+	}
+	return 1 + best
+}
+
+// byFinishOrder is StalenessBracket's witness spelled out: each write at its
+// finish, each read just after the later of its start and its dictating
+// write's finish (reads at one point by index).
+func byFinishOrder(p *history.Prepared) []int {
+	type point struct {
+		t    int64
+		read bool
+		i    int
+	}
+	ops := p.H.Ops
+	pts := make([]point, len(ops))
+	for i, op := range ops {
+		pts[i] = point{op.Finish, false, i}
+		if w := p.DictatingWrite[i]; w >= 0 {
+			pts[i] = point{max(op.Start, ops[w].Finish), true, i}
+		}
+	}
+	slices.SortFunc(pts, func(a, b point) int {
+		if a.t != b.t {
+			return cmp.Compare(a.t, b.t)
+		}
+		if a.read != b.read {
+			if a.read {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	order := make([]int, len(pts))
+	for j, pt := range pts {
+		order[j] = pt.i
+	}
+	return order
+}
+
 // remapped returns a copy of p's history with every timestamp t moved to
 // t·scale + offset: the same order, so still a prepared history, but with
 // sparse timestamps far from the dense ranks Build leaves.
@@ -125,6 +184,10 @@ func remapped(p *history.Prepared, scale, offset int64) *history.History {
 // zero, safe-cut SubPrepared views whose timestamps start far from their own
 // size, and Measure's raw variant over arbitrary operations — unsorted
 // writes, repeated finishes, duplicate values and dangling reads included.
+// On the prepared shapes it holds StalenessBracket to its definition too: hi
+// is the by-finish order's staleness counted pair by pair, that order is a
+// witness Validate accepts at hi, and lo is max(floor, ForcedStaleness), the
+// bound never above hi.
 func FuzzForcedStaleness(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
 		raw := make([]byte, 4*(seed%24))
@@ -150,10 +213,23 @@ func FuzzForcedStaleness(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
+		var stale history.StalenessScratch
 		check := func(what string, p *history.Prepared) {
 			t.Helper()
-			if got, want := history.ForcedStaleness(p), bruteForcedPrepared(p); got != want {
-				t.Fatalf("seed %d, %s (%d ops): ForcedStaleness=%d, by definition %d", seed, what, p.Len(), got, want)
+			forced := bruteForcedPrepared(p)
+			if got := history.ForcedStaleness(p); got != forced {
+				t.Fatalf("seed %d, %s (%d ops): ForcedStaleness=%d, by definition %d", seed, what, p.Len(), got, forced)
+			}
+			hi := bruteByFinish(p)
+			for _, floor := range []int{1, 3} {
+				wantLo := max(floor, forced)
+				if lo, got := history.StalenessBracket(p, &stale, floor); lo != wantLo || got != hi || forced > hi {
+					t.Fatalf("seed %d, %s (%d ops), floor %d: StalenessBracket=[%d, %d], by definition [%d, %d]",
+						seed, what, p.Len(), floor, lo, got, wantLo, hi)
+				}
+			}
+			if err := witness.Validate(p, byFinishOrder(p), hi); err != nil {
+				t.Fatalf("seed %d, %s (%d ops): the by-finish order is no %d-atomic witness: %v", seed, what, p.Len(), hi, err)
 			}
 		}
 		check("dense", dense)

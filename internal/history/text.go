@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -466,16 +467,32 @@ func Parse(text string) (*History, error) {
 
 // ParseReader is Parse over an io.Reader: memory is proportional to the
 // parsed operations, not to the raw text plus the operations. Use it for file
-// and stdin inputs.
+// and stdin inputs. The scan packs each operation as a record (record.go),
+// about nine bytes, into one buffer that doubles as it fills; the end of
+// input decodes them into a history sized to fit.
 func ParseReader(r io.Reader) (*History, error) {
-	var ops []Operation
+	var recs []byte
+	var prev int64
+	n := 0
 	err := ScanText(r, false, func(_ []byte, op Operation) error {
-		op.ID = len(ops)
-		ops = append(ops, op)
+		if cap(recs)-len(recs) < MaxRecord {
+			recs = slices.Grow(recs, max(len(recs), 64*MaxRecord))
+		}
+		recs = recs[:PutRecord(recs[:cap(recs)], len(recs), &op, prev)]
+		prev, n = op.Start, n+1
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if n == 0 {
+		return &History{}, nil
+	}
+	ops := make([]Operation, n)
+	prev = 0
+	for i, j := 0, 0; i < n; i++ {
+		j = ReadRecord(recs, j, &ops[i], prev)
+		ops[i].ID, prev = i, ops[i].Start
 	}
 	return &History{Ops: ops}, nil
 }

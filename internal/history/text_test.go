@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -468,5 +469,38 @@ func TestScanZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = d.Scan(block, emit) }); allocs != 0 {
 		t.Fatalf("warm Scan allocates %.1f times per block, want 0", allocs)
+	}
+}
+
+// TestParseReaderBytesPerOp bounds what the single-register parse allocates
+// for 200 000 operations: the history it returns (56 bytes an operation), the
+// records it packs them into while scanning and its one text chunk.
+func TestParseReaderBytesPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n = 200_000
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		op := Operation{Kind: KindWrite, Value: int64(i), Start: int64(10 * i), Finish: int64(10*i + 15)}
+		if i%2 == 1 {
+			op.Kind, op.Value = KindRead, int64(i-1)
+		}
+		b.WriteString(op.String())
+		b.WriteByte('\n')
+	}
+	text := b.String()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	h, err := ParseReader(strings.NewReader(text))
+	runtime.ReadMemStats(&after)
+	if err != nil || h.Len() != n {
+		t.Fatalf("%d operations, err %v", h.Len(), err)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 96 {
+		t.Errorf("the parse allocates %.1f B/op, want <= 96", per)
+	} else {
+		t.Logf("%.1f B/op", per)
 	}
 }

@@ -499,7 +499,7 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 		func() float64 { return float64(s.sess.Stats().StaleReads) })
 	s.reg.Gauge("kavserve_saturated_keys", "Keys whose k (and Δ) verdicts are horizon floors rather than exact values.",
 		func() float64 { return float64(s.sess.Stats().SaturatedKeys) })
-	const ladderHelp = "Smallest-k units decided at each ladder rung: zone test (k = 1), FZF (k = 2), oracle climb (k >= 3)."
+	const ladderHelp = "Smallest-k units decided at each ladder rung: zone test (k = 1), FZF (k = 2), staleness bracket or oracle climb (k >= 3)."
 	s.reg.CounterFuncL("kavserve_ladder_decided_total", ladderHelp, `rung="zone"`,
 		func() float64 { return float64(s.sess.Stats().Ladder.Zone) })
 	s.reg.CounterFuncL("kavserve_ladder_decided_total", ladderHelp, `rung="fzf"`,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kat"
+	"kat/internal/generator"
 	"kat/internal/history"
 	"kat/internal/oracle"
 	"kat/internal/witness"
@@ -323,6 +324,59 @@ func TestOracleVsExactSearch(t *testing.T) {
 					h, k, res.Atomic, refK)
 			}
 		}
+	}
+}
+
+// TestStalenessBracketHoldsSmallestK: history.StalenessBracket's bounds hold
+// the exact smallest k — the first k the exact oracle accepts, and on
+// histories of at most MaxOps operations the permutation search's answer too
+// — on k-atomic histories of depth 0–4, concurrency 1–8 and up to 60
+// operations, with staleness injected into every other one.
+func TestStalenessBracketHoldsSmallestK(t *testing.T) {
+	var stale history.StalenessScratch
+	open := 0
+	for _, n := range []int{8, 24, 60} {
+		for depth := 0; depth <= 4; depth++ {
+			for conc := 1; conc <= 8; conc++ {
+				seed := int64(1000*n + 10*depth + conc)
+				h := generator.KAtomic(generator.Config{
+					Seed: seed, Ops: n, Concurrency: conc,
+					StalenessDepth: depth, ForceDepth: conc%2 == 0, ReadFraction: 0.5,
+				})
+				if conc%2 != 0 {
+					h = generator.InjectStaleness(h, seed, 0.2, 1+depth%3)
+				}
+				p, err := history.Build(h)
+				if err != nil {
+					t.Fatalf("n %d depth %d conc %d: Build: %v", n, depth, conc, err)
+				}
+				lo, hi := history.StalenessBracket(p, &stale, 1)
+				k := 1
+				for ; ; k++ {
+					res, err := oracle.CheckK(p, k, oracle.Options{})
+					if err != nil {
+						t.Fatalf("n %d depth %d conc %d: oracle.CheckK(%d): %v", n, depth, conc, k, err)
+					}
+					if res.Atomic {
+						break
+					}
+				}
+				if n <= MaxOps {
+					if ref, err := SmallestK(h); err != nil || ref != k {
+						t.Fatalf("n %d depth %d conc %d: oracle smallest k %d, permutation search %d, %v", n, depth, conc, k, ref, err)
+					}
+				}
+				if lo > k || k > hi {
+					t.Fatalf("history:\n%s\nsmallest k %d outside the bracket [%d, %d]", h, k, lo, hi)
+				}
+				if lo < hi {
+					open++
+				}
+			}
+		}
+	}
+	if open == 0 {
+		t.Fatal("every bracket closed; the sweep never tested an answer strictly inside one")
 	}
 }
 

@@ -350,7 +350,7 @@ func TestSessionSnapshotLifecycle(t *testing.T) {
 
 // TestLadderCountsSettlePerSegment: a segment's ladder counts reach
 // StreamStats once it has verified — one key decided by each rung, the
-// 3-atomic one in one oracle call.
+// 3-atomic one by its closed staleness bracket, with no oracle call.
 func TestLadderCountsSettlePerSegment(t *testing.T) {
 	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 2, MinSegmentOps: 1000})
 	text := "w one 1 0 10\nr one 1 20 30\n" +
@@ -362,7 +362,7 @@ func TestLadderCountsSettlePerSegment(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := core.Ladder{Zone: 1, FZF: 1, Climb: 1, OracleProbes: 1}
+	want := core.Ladder{Zone: 1, FZF: 1, Climb: 1}
 	if st := s.Stats(); st.Segments != 3 || st.Ladder != want {
 		t.Errorf("%d segments, ladder %+v; want 3, %+v", st.Segments, st.Ladder, want)
 	}
