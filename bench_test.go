@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -158,26 +159,46 @@ func BenchmarkVerifierReuse(b *testing.B) {
 // Verifier normalize and prepare it there (0 allocs/op). n=64 is an online
 // segment, n=4000 is BenchmarkVerifierReuse's history — `make benchcmp` holds
 // this row to at most that one's time, "prepare costs no more than the check
-// it prepares for" — and n=100000 an offline hot key.
+// it prepares for" — and n=100000 an offline hot key. The n=4000/random and
+// n=100000/random rows are the same histories with every written value drawn
+// at random instead of from one dense span, the value table's worst input;
+// they are recorded, not gated.
 func BenchmarkPrepare(b *testing.B) {
 	for _, n := range []int{64, 4000, 100000} {
 		h := generator.KAtomic(generator.Config{
 			Seed: 42, Ops: n, Concurrency: 4, StalenessDepth: 1, ReadFraction: 0.6,
 		})
 		h.SortByStart()
-		own := h.Clone()
-		v := root.NewVerifier()
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(own.Ops, h.Ops)
-				if _, err := v.PrepareOwned(own, false); err != nil {
-					b.Fatalf("PrepareOwned: %v", err)
-				}
+		benchPrepare(b, fmt.Sprintf("n=%d", n), h)
+		if n < 4000 {
+			continue
+		}
+		rng, random := rand.New(rand.NewSource(int64(n))), map[int64]int64{}
+		for _, op := range h.Ops {
+			if op.IsWrite() {
+				random[op.Value] = int64(rng.Uint64())
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/operation")
-		})
+		}
+		for i := range h.Ops {
+			h.Ops[i].Value = random[h.Ops[i].Value]
+		}
+		benchPrepare(b, fmt.Sprintf("n=%d/random", n), h)
 	}
+}
+
+// benchPrepare runs one BenchmarkPrepare row over the start-ordered h.
+func benchPrepare(b *testing.B, name string, h *root.History) {
+	own, v := h.Clone(), root.NewVerifier()
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(own.Ops, h.Ops)
+			if _, err := v.PrepareOwned(own, false); err != nil {
+				b.Fatalf("PrepareOwned: %v", err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(h.Len()), "ns/operation")
+	})
 }
 
 // E4 (crossover view): LBT vs FZF side by side on the same inputs.

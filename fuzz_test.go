@@ -390,7 +390,8 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 // key shuffled out of start order. Atomic, the error text word for word and
 // the smallest k must match at k = 1, 2, 3, workers 1-4 and MinParallelOps 0
 // and -1. The oracle's state budget is kept small, so a hard segment is an
-// error on both sides, which also drives a run's error back to the whole key.
+// error on both sides, and the error of the run that holds it must read as
+// the whole key's.
 func FuzzCheckUnitsEquivalence(f *testing.F) {
 	for mut := 0; mut < 1<<6; mut += 1 + mut/3 {
 		f.Add(int64(mut), uint16(mut*0x2b1), uint8(mut), uint16(mut*977))

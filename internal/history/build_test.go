@@ -311,29 +311,6 @@ func TestBuildLargeIndices(t *testing.T) {
 	}
 }
 
-// TestValueTableGenerationWrap: a table whose generation counter wraps must
-// not resurrect slots of the builds before it.
-func TestValueTableGenerationWrap(t *testing.T) {
-	var s PrepareScratch
-	if _, err := s.Build(MustParse("w 7 0 1; w 8 2 3")); err != nil {
-		t.Fatal(err)
-	}
-	s.values.gen = math.MaxUint32
-	for i := range s.values.slots {
-		s.values.slots[i].gen = 1 // what the build after the wrap will use
-	}
-	p, err := s.Build(MustParse("w 9 0 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.WriteFor(7); ok {
-		t.Fatal("a slot from before the wrap reads as live")
-	}
-	if w, ok := p.WriteFor(9); !ok || w != 0 {
-		t.Fatalf("WriteFor(9) = %d,%v", w, ok)
-	}
-}
-
 func ExamplePrepareScratch_Build() {
 	var s PrepareScratch
 	p, err := s.Build(MustParse("w 1 0 100; r 1 10 20; w 2 100 110"))

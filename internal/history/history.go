@@ -16,11 +16,12 @@
 // one sort of at most n packed words — the only sort of a segment's finishes
 // on the verification path — allocating nothing at steady state:
 //
-//   - Pass 1 (index) renumbers IDs, enters each write into an open-addressing
-//     value→write table and resolves each read once: its dictating write, that
-//     write's read count, and the write's first-finishing read. It also
-//     decides whether the history is anomalous. Only four anomalies can
-//     survive normalization — a finish before its own start, a duplicate
+//   - Pass 1 (index) renumbers IDs, enters each write into a value→write
+//     table (valueindex.Table, the module's one value map, which the cut pass
+//     and FindAnomalies fill too) and resolves each read once: its dictating
+//     write, that write's read count, and the write's first-finishing read.
+//     It also decides whether the history is anomalous. Only four anomalies
+//     can survive normalization — a finish before its own start, a duplicate
 //     value, a dangling read, a read finishing before its write starts — and
 //     all four are decidable on the timestamps as given: ranking preserves
 //     strict order and only separates ties, a start before a finish, so

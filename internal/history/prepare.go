@@ -5,8 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
+
+	"kat/internal/valueindex"
 )
 
 // Errors reported while preparing a history for verification.
@@ -85,34 +86,6 @@ func (a Anomaly) String() string {
 	return fmt.Sprintf("%s ops=%v", a.Kind, a.OpIDs)
 }
 
-// valueEntry pairs a written value with its write's index; sorted by value
-// (ties by index) it is the binary-searchable index of the full anomaly scan,
-// which names duplicate values in value order, and of Measure.
-type valueEntry struct {
-	value int64
-	write int
-}
-
-// sortValueEntries orders entries by value, ties by write index, so that a
-// run of duplicates starts at the earliest write.
-func sortValueEntries(vi []valueEntry) {
-	slices.SortFunc(vi, func(a, b valueEntry) int {
-		return cmp.Or(cmp.Compare(a.value, b.value), cmp.Compare(a.write, b.write))
-	})
-}
-
-// lookupValue binary-searches the sorted index and returns the position of
-// the first entry for value, or -1.
-func lookupValue(vi []valueEntry, value int64) int {
-	i, ok := slices.BinarySearchFunc(vi, value, func(e valueEntry, v int64) int {
-		return cmp.Compare(e.value, v)
-	})
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // FindAnomalies scans a history for all assumption violations of
 // Section II-C. Repairable violations (duplicate timestamps, long writes)
 // are fixed by Normalize; the rest make every k-AV answer trivially NO
@@ -120,35 +93,40 @@ func lookupValue(vi []valueEntry, value int64) int {
 // reporter behind every prepare error: the builder only decides *whether* a
 // history is anomalous (one flag, no allocation) and leaves which anomaly
 // comes first, and the text naming it, to this scan.
+//
+// It lists inverted intervals, duplicate values, duplicate timestamps, then
+// dangling reads and reads that precede their writes, then long writes, each
+// kind in h's order but for the duplicate values: those are in value order,
+// every later write of a value paired with the first one. A read, and a
+// write's length, is judged against the first write of its value.
 func FindAnomalies(h *History) []Anomaly {
-	writes := make([]valueEntry, 0, len(h.Ops))
-	for i, op := range h.Ops {
-		if op.IsWrite() {
-			writes = append(writes, valueEntry{op.Value, i})
-		}
+	var values valueindex.Table // value → the first write of it, by h's index
+	values.Reset(len(h.Ops))
+	type dup struct {
+		value        int64
+		first, later int
 	}
-	sortValueEntries(writes)
+	var dups []dup
 	var out []Anomaly
-	for _, op := range h.Ops {
+	for i, op := range h.Ops {
 		if op.Finish <= op.Start {
 			out = append(out, Anomaly{Kind: AnomalyInvertedInterval, OpIDs: []int{op.ID}})
 		}
-	}
-	// A run of equal values in the sorted index marks duplicates.
-	for i := 1; i < len(writes); i++ {
-		if writes[i].value == writes[i-1].value {
-			first := i - 1
-			for first > 0 && writes[first-1].value == writes[i].value {
-				first--
-			}
-			out = append(out, Anomaly{Kind: AnomalyDuplicateValue,
-				OpIDs: []int{h.Ops[writes[first].write].ID, h.Ops[writes[i].write].ID}})
+		if op.IsWrite() && !values.Put(op.Value, int32(i)) {
+			first, _ := values.Get(op.Value)
+			dups = append(dups, dup{op.Value, int(first), i})
 		}
+	}
+	slices.SortFunc(dups, func(a, b dup) int {
+		return cmp.Or(cmp.Compare(a.value, b.value), cmp.Compare(a.later, b.later))
+	})
+	for _, d := range dups {
+		out = append(out, Anomaly{Kind: AnomalyDuplicateValue, OpIDs: []int{h.Ops[d.first].ID, h.Ops[d.later].ID}})
 	}
 	out = appendDuplicateTimestamps(out, h)
 	// Read/write pairing anomalies, and per-write minimum dictated-read
 	// finish (for the long-write condition below).
-	minReadFinish := make([]int64, len(writes))
+	minReadFinish := make([]int64, len(h.Ops))
 	for i := range minReadFinish {
 		minReadFinish[i] = math.MaxInt64
 	}
@@ -156,18 +134,16 @@ func FindAnomalies(h *History) []Anomaly {
 		if !op.IsRead() {
 			continue
 		}
-		vi := lookupValue(writes, op.Value)
-		if vi < 0 {
+		wi, ok := values.Get(op.Value)
+		if !ok {
 			out = append(out, Anomaly{Kind: AnomalyDanglingRead, OpIDs: []int{op.ID}})
 			continue
 		}
-		w := h.Ops[writes[vi].write]
+		w := h.Ops[wi]
 		if op.Finish < w.Start {
 			out = append(out, Anomaly{Kind: AnomalyReadBeforeWrite, OpIDs: []int{op.ID, w.ID}})
 		}
-		if op.Finish < minReadFinish[vi] {
-			minReadFinish[vi] = op.Finish
-		}
+		minReadFinish[wi] = min(minReadFinish[wi], op.Finish)
 	}
 	// Long writes: a write must end before the minimum finish time of its
 	// dictated reads.
@@ -175,7 +151,7 @@ func FindAnomalies(h *History) []Anomaly {
 		if !op.IsWrite() {
 			continue
 		}
-		if vi := lookupValue(writes, op.Value); op.Finish >= minReadFinish[vi] {
+		if wi, _ := values.Get(op.Value); op.Finish >= minReadFinish[wi] {
 			out = append(out, Anomaly{Kind: AnomalyLongWrite, OpIDs: []int{op.ID}})
 		}
 	}
@@ -285,9 +261,10 @@ type Prepared struct {
 	// nil unless the prepare was asked for them (PrepareScratch.Extremes).
 	// Entries for reads are unspecified.
 	Extremes []Extremes
-	// values is the builder's value→write table (see WriteFor); a SubPrepared
-	// view shares its parent's and shifts the answers down by base.
-	values valueTable
+	// values maps each written value to its write's index (see WriteFor): the
+	// builder's table, filled by index. A SubPrepared view shares its
+	// parent's and shifts the answers down by base.
+	values valueindex.Table
 	base   int
 }
 
@@ -303,68 +280,11 @@ type Extremes struct {
 // no write did. Prepared histories have unique written values, so the answer
 // is unambiguous.
 func (p *Prepared) WriteFor(value int64) (w int, ok bool) {
-	w = p.values.lookup(value) - p.base
-	if w < 0 || w >= len(p.H.Ops) {
+	x, ok := p.values.Get(value)
+	if w = int(x) - p.base; !ok || w < 0 || w >= len(p.H.Ops) {
 		return -1, false
 	}
 	return w, true
-}
-
-// valueTable maps written values to write indices by open addressing with
-// linear probing over a power-of-two slot array at most half full. A slot is
-// live only while its gen equals the table's, so a reused table is emptied
-// by bumping gen instead of clearing it.
-type valueTable struct {
-	slots []valueSlot
-	gen   uint32
-}
-
-type valueSlot struct {
-	value int64
-	write int32
-	gen   uint32
-}
-
-// reset empties the table and sizes it for the given number of writes,
-// reusing the slot array when it is large enough. A small history probes
-// only a prefix of a large array, so it stays in cache.
-func (t *valueTable) reset(writes int) {
-	size := 0
-	if writes > 0 {
-		size = 1 << bits.Len(uint(2*writes-1))
-	}
-	if cap(t.slots) < size {
-		t.slots, t.gen = make([]valueSlot, size), 0
-	}
-	t.slots = t.slots[:size]
-	if t.gen++; t.gen == 0 { // wrapped: stale slots could read as live again
-		clear(t.slots[:cap(t.slots)])
-		t.gen = 1
-	}
-}
-
-// slot returns the slot holding value, or the empty one where it belongs.
-func (t *valueTable) slot(value int64) *valueSlot {
-	mask := uint64(len(t.slots) - 1)
-	i := uint64(value) * 0x9E3779B97F4A7C15 >> (bits.LeadingZeros64(mask) & 63)
-	for {
-		s := &t.slots[i&mask]
-		if s.gen != t.gen || s.value == value {
-			return s
-		}
-		i++
-	}
-}
-
-// lookup returns the write that stored value, or -1.
-func (t *valueTable) lookup(value int64) int {
-	if len(t.slots) == 0 {
-		return -1
-	}
-	if s := t.slot(value); s.gen == t.gen {
-		return int(s.write)
-	}
-	return -1
 }
 
 // Prepare validates the Section II assumptions, sorts the history by start
@@ -394,7 +314,7 @@ type PrepareScratch struct {
 	dictated  [][]int
 	flat      []int
 	writes    []writeInfo
-	values    valueTable
+	values    valueindex.Table
 	fin       []uint64 // rank's packed finish endpoints
 	order     []int    // Prepared.ByFinish
 	ext       []Extremes
@@ -496,7 +416,7 @@ func (s *PrepareScratch) index(ops []Operation, writes int) (clean bool) {
 	}
 	dictating, info := s.dictating[:n], s.writes[:n]
 	s.dictating, s.writes = dictating, info
-	s.values.reset(writes)
+	s.values.Reset(writes)
 	clean = true
 	for i := range ops {
 		op := &ops[i]
@@ -505,12 +425,8 @@ func (s *PrepareScratch) index(ops []Operation, writes int) (clean bool) {
 		if op.Finish < op.Start {
 			clean = false
 		}
-		if op.Kind == KindWrite {
-			if sl := s.values.slot(op.Value); sl.gen != s.values.gen {
-				*sl = valueSlot{op.Value, int32(i), s.values.gen}
-			} else {
-				clean = false // a second write of the value
-			}
+		if op.Kind == KindWrite && !s.values.Put(op.Value, int32(i)) {
+			clean = false // a second write of the value
 		}
 	}
 	for i := range ops {
@@ -518,10 +434,11 @@ func (s *PrepareScratch) index(ops []Operation, writes int) (clean bool) {
 		if op.Kind != KindRead {
 			continue
 		}
-		w := s.values.lookup(op.Value)
-		if w < 0 || op.Finish < ops[w].Start {
+		x, ok := s.values.Get(op.Value)
+		w := int(x)
+		if !ok || op.Finish < ops[w].Start {
 			clean = false
-			if w < 0 {
+			if !ok {
 				continue
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -298,6 +299,188 @@ func TestDuplicateTimestampListingMatchesReference(t *testing.T) {
 			t.Fatalf("ops %+v:\ngot  %v\nwant %v", h.Ops, got, want)
 		}
 	}
+}
+
+// The differential reference for the anomaly scan and Measure's raw
+// forced-staleness sweep (prepare.go, staleness.go): the sorted value index
+// they resolved values through before valueindex.Table, kept as it was.
+// refPrepare resolves through it too. FuzzFindAnomaliesEquivalence holds
+// both to it.
+
+// valueEntry pairs a written value with its write's index; sorted by value
+// (ties by index) it is the binary-searchable index of the old anomaly scan,
+// which names duplicate values in value order, and of Measure.
+type valueEntry struct {
+	value int64
+	write int
+}
+
+// sortValueEntries orders entries by value, ties by write index, so that a
+// run of duplicates starts at the earliest write.
+func sortValueEntries(vi []valueEntry) {
+	slices.SortFunc(vi, func(a, b valueEntry) int {
+		return cmp.Or(cmp.Compare(a.value, b.value), cmp.Compare(a.write, b.write))
+	})
+}
+
+// lookupValue binary-searches the sorted index and returns the position of
+// the first entry for value, or -1.
+func lookupValue(vi []valueEntry, value int64) int {
+	i, ok := slices.BinarySearchFunc(vi, value, func(e valueEntry, v int64) int {
+		return cmp.Compare(e.value, v)
+	})
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// refFindAnomalies is the old FindAnomalies.
+func refFindAnomalies(h *History) []Anomaly {
+	writes := make([]valueEntry, 0, len(h.Ops))
+	for i, op := range h.Ops {
+		if op.IsWrite() {
+			writes = append(writes, valueEntry{op.Value, i})
+		}
+	}
+	sortValueEntries(writes)
+	var out []Anomaly
+	for _, op := range h.Ops {
+		if op.Finish <= op.Start {
+			out = append(out, Anomaly{Kind: AnomalyInvertedInterval, OpIDs: []int{op.ID}})
+		}
+	}
+	// A run of equal values in the sorted index marks duplicates.
+	for i := 1; i < len(writes); i++ {
+		if writes[i].value == writes[i-1].value {
+			first := i - 1
+			for first > 0 && writes[first-1].value == writes[i].value {
+				first--
+			}
+			out = append(out, Anomaly{Kind: AnomalyDuplicateValue,
+				OpIDs: []int{h.Ops[writes[first].write].ID, h.Ops[writes[i].write].ID}})
+		}
+	}
+	out = refAppendDuplicateTimestamps(out, h)
+	minReadFinish := make([]int64, len(writes))
+	for i := range minReadFinish {
+		minReadFinish[i] = math.MaxInt64
+	}
+	for _, op := range h.Ops {
+		if !op.IsRead() {
+			continue
+		}
+		vi := lookupValue(writes, op.Value)
+		if vi < 0 {
+			out = append(out, Anomaly{Kind: AnomalyDanglingRead, OpIDs: []int{op.ID}})
+			continue
+		}
+		w := h.Ops[writes[vi].write]
+		if op.Finish < w.Start {
+			out = append(out, Anomaly{Kind: AnomalyReadBeforeWrite, OpIDs: []int{op.ID, w.ID}})
+		}
+		if op.Finish < minReadFinish[vi] {
+			minReadFinish[vi] = op.Finish
+		}
+	}
+	for _, op := range h.Ops {
+		if !op.IsWrite() {
+			continue
+		}
+		if vi := lookupValue(writes, op.Value); op.Finish >= minReadFinish[vi] {
+			out = append(out, Anomaly{Kind: AnomalyLongWrite, OpIDs: []int{op.ID}})
+		}
+	}
+	return out
+}
+
+// refForcedStalenessRaw is the old forcedStalenessRaw: a read resolves to
+// the first write of its value through the sorted index.
+func refForcedStalenessRaw(h *History) int {
+	n := len(h.Ops)
+	writes := make([]valueEntry, 0, n)
+	for i, op := range h.Ops {
+		if op.IsWrite() {
+			writes = append(writes, valueEntry{op.Value, i})
+		}
+	}
+	sortValueEntries(writes)
+	from := make([]int, n) // start order → h's index
+	for i := range from {
+		from[i] = i
+	}
+	slices.SortStableFunc(from, func(a, b int) int { return cmp.Compare(h.Ops[a].Start, h.Ops[b].Start) })
+	at := make([]int, n) // h's index → start order
+	ops := make([]Operation, n)
+	for j, i := range from {
+		at[i], ops[j] = j, h.Ops[i]
+	}
+	p := &Prepared{H: &History{Ops: ops}, DictatingWrite: make([]int, n), DictatedReads: make([][]int, n), ByFinish: make([]int, n)}
+	for j, op := range ops {
+		p.DictatingWrite[j], p.ByFinish[j] = -1, j
+		if !op.IsRead() {
+			continue
+		}
+		if vi := lookupValue(writes, op.Value); vi >= 0 {
+			w := at[writes[vi].write]
+			p.DictatingWrite[j] = w
+			p.DictatedReads[w] = append(p.DictatedReads[w], j)
+		}
+	}
+	slices.SortFunc(p.ByFinish, func(a, b int) int { return cmp.Compare(ops[a].Finish, ops[b].Finish) })
+	return ForcedStalenessScratch(p, &StalenessScratch{})
+}
+
+// FuzzFindAnomaliesEquivalence holds FindAnomalies and Measure's forced
+// staleness to the sorted-index reference on raw histories in any order,
+// four bytes an operation — kind, value, start, length — over few values, a
+// short time span and lengths down to -2: writes of one value two and three
+// times, dangling reads, reads that end before their write starts, long
+// writes, and tied and inverted intervals. IDs run backwards from seed, so a
+// scan that quotes an index for an ID shows. Same anomalies in the same
+// order, same forced staleness.
+func FuzzFindAnomaliesEquivalence(f *testing.F) {
+	op := func(kind, value, start, length byte) []byte { return []byte{kind, value, start, length} }
+	for _, seed := range [][]byte{
+		// Three writes of value 1, the second and third read.
+		slices.Concat(op(0, 1, 5, 6), op(0, 2, 1, 4), op(0, 1, 20, 6), op(1, 1, 30, 4), op(0, 1, 40, 6), op(1, 1, 9, 4)),
+		// A dangling read, and a read that ends before its write starts.
+		slices.Concat(op(1, 5, 0, 5), op(0, 3, 30, 5), op(1, 3, 2, 5), op(1, 3, 40, 5)),
+		// Long writes: each ends after a read of it finishes.
+		slices.Concat(op(0, 1, 0, 13), op(1, 1, 2, 5), op(0, 2, 8, 13), op(1, 2, 12, 3), op(1, 2, 14, 9)),
+		// Tied endpoints, zero-length and inverted intervals.
+		slices.Concat(op(0, 1, 4, 2), op(0, 2, 4, 6), op(1, 1, 8, 2), op(0, 3, 9, 0), op(1, 3, 20, 1)),
+	} {
+		f.Add(int64(len(seed)), seed)
+	}
+	for seed := int64(0); seed < 16; seed++ {
+		raw := make([]byte, 4*(4+seed))
+		for i := range raw {
+			raw[i] = byte(seed*53 + int64(i)*29)
+		}
+		f.Add(seed, raw)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
+		h := &History{}
+		for i := 0; i+4 <= len(raw); i += 4 {
+			kind := KindWrite
+			if raw[i]&1 != 0 {
+				kind = KindRead
+			}
+			start := int64(raw[i+2] % 64)
+			h.Ops = append(h.Ops, Operation{ID: int(seed) - len(h.Ops), Kind: kind, Value: int64(raw[i+1] % 6),
+				Start: start, Finish: start + int64(raw[i+3]%14) - 2})
+		}
+		if got, want := FindAnomalies(h), refFindAnomalies(h); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ops %v:\nFindAnomalies %v\nreference     %v", h.Ops, got, want)
+		}
+		if len(h.Ops) == 0 {
+			return
+		}
+		if got, want := Measure(h).ForcedStaleness, refForcedStalenessRaw(h); got != want {
+			t.Fatalf("ops %v: Measure.ForcedStaleness=%d, reference %d", h.Ops, got, want)
+		}
+	})
 }
 
 // The differential reference for the text parser (text.go): the string-based

@@ -3,6 +3,8 @@ package history
 import (
 	"cmp"
 	"slices"
+
+	"kat/internal/valueindex"
 )
 
 // ForcedStaleness returns a cheap lower bound on the smallest k for which
@@ -164,23 +166,23 @@ func (f fenwick) sum(i int) int {
 type span struct{ a, b int64 }
 
 // forcedStalenessRaw is the Measure-side variant over a raw, possibly
-// anomalous history: each read resolves to the first write of its value
-// through a sorted value index, and unresolved reads are skipped. It reports
-// on the un-normalized timestamps, so it may undercount relative to
-// ForcedStaleness on the normalized history (normalization only shortens
-// writes); it is informational, not a verification input. A raw history need
-// not be in start order and has no finish order, so both are sorted here and
-// the same sweep runs over them; ties need no care, since the sweep's
-// comparisons are strict and its cursors monotone.
+// anomalous history: each read resolves to the first write of its value, in
+// h's order, and unresolved reads are skipped. It reports on the
+// un-normalized timestamps, so it may undercount relative to ForcedStaleness
+// on the normalized history (normalization only shortens writes); it is
+// informational, not a verification input. A raw history need not be in
+// start order and has no finish order, so both are sorted here and the same
+// sweep runs over them; ties need no care, since the sweep's comparisons are
+// strict and its cursors monotone.
 func forcedStalenessRaw(h *History) int {
 	n := len(h.Ops)
-	writes := make([]valueEntry, 0, n)
+	var values valueindex.Table // value → h's index of its first write
+	values.Reset(n)
 	for i, op := range h.Ops {
 		if op.IsWrite() {
-			writes = append(writes, valueEntry{op.Value, i})
+			values.Put(op.Value, int32(i))
 		}
 	}
-	sortValueEntries(writes)
 	from := make([]int, n) // start order → h's index
 	for i := range from {
 		from[i] = i
@@ -197,8 +199,8 @@ func forcedStalenessRaw(h *History) int {
 		if !op.IsRead() {
 			continue
 		}
-		if vi := lookupValue(writes, op.Value); vi >= 0 {
-			w := at[writes[vi].write]
+		if x, ok := values.Get(op.Value); ok {
+			w := at[x]
 			p.DictatingWrite[j] = w
 			p.DictatedReads[w] = append(p.DictatedReads[w], j)
 		}

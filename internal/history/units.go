@@ -45,7 +45,7 @@ func (s *PrepareScratch) SafeUnits(ops []Operation, floor int, units [][2]int) (
 	// cut in (w, j]. A read at j whose write w comes after it retracts
 	// nothing: it ends no earlier than w starts, so no position in (j, w] is
 	// quiescent.
-	s.values.reset(writes)
+	s.values.Reset(writes)
 	cuts, later, maxFinish := s.cuts[:0], s.later[:0], int64(0)
 	defer func() { s.cuts, s.later = cuts, later }()
 	for i := range ops {
@@ -61,18 +61,16 @@ func (s *PrepareScratch) SafeUnits(ops []Operation, floor int, units [][2]int) (
 		}
 		switch op.Kind {
 		case KindWrite:
-			sl := s.values.slot(op.Value)
-			if sl.gen == s.values.gen {
+			if !s.values.Put(op.Value, int32(i)) {
 				return units, false // a second write of the value
 			}
-			*sl = valueSlot{op.Value, int32(i), s.values.gen}
 		case KindRead:
-			w := s.values.lookup(op.Value)
-			if w < 0 {
+			w, ok := s.values.Get(op.Value)
+			if !ok {
 				later = append(later, i)
 				continue
 			}
-			for len(cuts) > 0 && cuts[len(cuts)-1] > w {
+			for len(cuts) > 0 && cuts[len(cuts)-1] > int(w) {
 				cuts = cuts[:len(cuts)-1]
 			}
 		}
@@ -81,7 +79,7 @@ func (s *PrepareScratch) SafeUnits(ops []Operation, floor int, units [][2]int) (
 		// Every write is in the table now. One found here comes after the
 		// read (an earlier one would have resolved it above), so this is the
 		// only place a read can finish before its write starts.
-		if w := s.values.lookup(ops[i].Value); w < 0 || ops[i].Finish < ops[w].Start {
+		if w, ok := s.values.Get(ops[i].Value); !ok || ops[i].Finish < ops[w].Start {
 			return units, false
 		}
 	}

@@ -220,10 +220,10 @@ func Check(t *Trace, k int, opts core.Options) Report {
 // (workers <= 0 uses GOMAXPROCS): one per run of a register's safe-cut
 // segments (forEachUnit), each of which may fork its chunk (k=2) or segment
 // (k >= 3) sub-units back onto the same pool. A register out of start order
-// or with an anomaly, or one a run of which fails with an error, is checked
-// whole, so every error reads word for word as the whole-register check gives
-// it. Every outcome is folded commutatively into its key-sorted slot, so the
-// Report is identical to the sequential one regardless of worker count.
+// or with an anomaly is checked whole, and a run's error is its register's, so
+// every error reads word for word as the whole-register check gives it. Every
+// outcome is folded commutatively into its key-sorted slot, so the Report is
+// identical to the sequential one regardless of worker count.
 func CheckParallel(t *Trace, k int, opts core.Options, workers int) Report {
 	keys := t.SortedKeys()
 	worst, errs := forEachUnit(t, keys, workers, func(v *core.Verifier, p *history.Prepared) (int, error) {
@@ -277,27 +277,15 @@ var cutScratch = sync.Pool{New: func() any { return new(history.PrepareScratch) 
 // The results are folded per key by maximum, which the segment-equivalence
 // lemma makes exact. A key the cut pass declines (out of start order, or an
 // anomaly) is one unit of all its operations as given — Verifier.Check's and
-// SmallestK's path — and so is, afterwards, a key one of whose runs returned
-// an error; that unit's error is the key's. Results land in disjoint slots,
-// so output is deterministic.
+// SmallestK's path — and that unit's error is the key's. Otherwise the key's
+// error is its first erring run's: the cut pass has declined every anomaly, so
+// a run can only fail in the oracle's state budget, whose error names no
+// operation, on one of the key's own segments. Results land in disjoint
+// slots, so output is deterministic.
 func forEachUnit(t *Trace, keys []string, workers int, check func(v *core.Verifier, p *history.Prepared) (int, error)) ([]int, []error) {
 	type job struct {
 		key, lo, hi int
 		whole       bool
-	}
-	run := func(w *core.Verifier, jb job) (int, error) {
-		own := w.Owned()
-		own.Ops = append(own.Ops, t.Keys[keys[jb.key]].Ops[jb.lo:jb.hi]...)
-		if !jb.whole {
-			for x := range own.Ops {
-				own.Ops[x].ID = x
-			}
-		}
-		p, err := w.PrepareOwned(own, false)
-		if err != nil {
-			return 0, err
-		}
-		return check(w, p)
 	}
 	// A key's runs start in its slot of one, so a key of one run allocates
 	// no list of its own; a declined key's list stays empty.
@@ -309,7 +297,7 @@ func forEachUnit(t *Trace, keys []string, workers int, check func(v *core.Verifi
 			cuts[i], _ = s.SafeUnits(t.Keys[keys[i]].Ops, DefaultMinSegmentOps, one[i:i:i+1])
 			cutScratch.Put(s)
 		})
-		var jobs, redo []job
+		var jobs []job
 		for i, us := range cuts {
 			if len(us) == 0 {
 				jobs = append(jobs, job{i, 0, t.Keys[keys[i]].Len(), true})
@@ -319,21 +307,27 @@ func forEachUnit(t *Trace, keys []string, workers int, check func(v *core.Verifi
 			}
 		}
 		res, jerrs := make([]int, len(jobs)), make([]error, len(jobs))
-		v.Fork(len(jobs), func(w *core.Verifier, j int) { res[j], jerrs[j] = run(w, jobs[j]) })
+		v.Fork(len(jobs), func(w *core.Verifier, j int) {
+			jb, own := jobs[j], w.Owned()
+			own.Ops = append(own.Ops, t.Keys[keys[jb.key]].Ops[jb.lo:jb.hi]...)
+			if !jb.whole {
+				for x := range own.Ops {
+					own.Ops[x].ID = x
+				}
+			}
+			p, err := w.PrepareOwned(own, false)
+			if err == nil {
+				res[j], err = check(w, p)
+			}
+			jerrs[j] = err
+		})
 		for j, jb := range jobs {
-			switch {
-			case jerrs[j] == nil:
+			if jerrs[j] == nil {
 				out[jb.key] = max(out[jb.key], res[j])
-			case jb.whole:
+			} else if errs[jb.key] == nil {
 				errs[jb.key] = jerrs[j]
-			case len(redo) == 0 || redo[len(redo)-1].key != jb.key:
-				redo = append(redo, job{jb.key, 0, t.Keys[keys[jb.key]].Len(), true})
 			}
 		}
-		v.Fork(len(redo), func(w *core.Verifier, r int) {
-			jb := redo[r]
-			out[jb.key], errs[jb.key] = run(w, jb)
-		})
 	})
 	return out, errs
 }

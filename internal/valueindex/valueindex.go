@@ -1,12 +1,24 @@
-// Package valueindex is the streaming engine's per-key value index: for every
-// value a key's closed segments wrote, the sequence number of the segment
-// that wrote it. Written values are unique per key (the paper's §II
-// assumption), so a read finds its dictating write's segment by value alone,
-// and a value entered twice is a duplicate-write anomaly.
+// Package valueindex maps written values to the operations or segments that
+// wrote them. Written values are unique per register (the paper's §II
+// assumption), so a value names its write: a read finds its dictating write by
+// value alone, and a value entered twice is a duplicate-write anomaly. Every
+// value→write lookup of the module goes through this package, in one of two
+// forms:
 //
-// The index is never pruned before its key retires (a deep stale read must
-// still be told from a dangling one), so it is the term of a key's state
-// that grows with the trace. Most traces write consecutive values on a key —
+//   - Table, for one history: open addressing with linear probing over a
+//     power-of-two array of 12-byte slots — the value's two halves and the
+//     stored number plus one, zero marking an empty slot — so a lookup is a
+//     multiply, a shift and, almost always, one cache line. Reset sizes it at
+//     most half full for a known number of values and reuses its array, so
+//     the builder (history.PrepareScratch), the offline cut pass and the
+//     anomaly scan fill one per history and allocate nothing once it has
+//     grown. The first value stored stays.
+//   - Index, for the streaming store: for every value a key's closed segments
+//     wrote, the sequence number of the segment that wrote it.
+//
+// An Index is never pruned before its key retires (a deep stale read must
+// still be told from a dangling one), so it is the term of a key's state that
+// grows with the trace. Most traces write consecutive values on a key —
 // counters, per-key sequence numbers, a generator counting 1, 2, 3 — and a
 // window closes over a gap-free stretch of them, so the index has two parts:
 //
@@ -15,14 +27,10 @@
 //     above the highest one, so the slice stays sorted and disjoint with no
 //     insertion in the middle, and a lookup is a binary search. A run costs
 //     16 bytes however long it is.
-//   - a flat table for every other value: open addressing with linear
-//     probing over a power-of-two array of 12-byte slots — the value's two
-//     halves and the sequence number plus one, zero marking an empty slot —
-//     kept at most three quarters full, so a value costs 16 to 32 bytes and a
-//     lookup is a multiply, a shift and, almost always, one cache line. A
-//     single value, a value below the highest run (a straggler that crossed
-//     a cut) and a random value all land here. A key whose values all fall in
-//     runs never allocates the table.
+//   - a Table for every other value, grown to stay at most three quarters
+//     full, so a value costs 16 to 32 bytes. A single value, a value below
+//     the highest run (a straggler that crossed a cut) and a random value all
+//     land here. A key whose values all fall in runs never allocates it.
 //
 // The engine enters a closing window's writes in one call (Add), which sorts
 // them, gathers the runs, and grows the table at most once for the rest.
@@ -31,7 +39,8 @@
 // values back through Add, in segment order, rebuilds the same runs. There is
 // no delete: a key's index only ever learns values.
 //
-// An Index is not safe for concurrent use (its key's shard lock guards it).
+// Neither form is safe for concurrent use (a key's shard lock guards its
+// Index; a Table belongs to one scratch).
 package valueindex
 
 import (
@@ -39,18 +48,21 @@ import (
 	"slices"
 )
 
+// Table maps values to non-negative int32s: a write's index in one history,
+// or, inside an Index, a segment's sequence number. The zero Table is empty;
+// a Put into a table with no room grows it, so it needs no Reset before its
+// first use.
+type Table struct {
+	slots []slot
+	shift uint8 // 64 - log2(len(slots)): a hash's top bits pick the home slot
+	n     int   // values in slots
+}
+
 // Index maps written values to non-negative segment sequence numbers. The
 // zero Index is empty and holds no memory.
 type Index struct {
 	runs []run  // ascending and disjoint
-	tab  *table // nil until a value lands outside the runs
-}
-
-// table is the open-addressing part of an Index.
-type table struct {
-	slots []slot
-	shift uint8 // 64 - log2(len(slots)): a hash's top bits pick the home slot
-	n     int   // values in slots
+	tab  *Table // nil until a value lands outside the runs
 }
 
 // run is count consecutive values from lo, all written by segment seq.
@@ -60,31 +72,105 @@ type run struct {
 	seq   int32
 }
 
-// slot is one (value, seq) pair; seq1 is the sequence number plus one, so
-// a zero slot is empty.
+// slot is one stored pair; seq1 is the stored number plus one, so a zero
+// slot is empty.
 type slot struct {
 	lo, hi uint32
 	seq1   uint32
 }
 
-// minSlots is the size of a table's first array.
+// minSlots is the size of a table's smallest array.
 const minSlots = 8
+
+// Reset empties the table and sizes it to hold n values at most half full,
+// so the next n Puts of distinct values do not grow it and probe short
+// chains. It reuses the array when it is large enough and clears only the
+// prefix it will use: a small history probes a few cache lines of a large
+// array.
+func (t *Table) Reset(n int) {
+	size, shift := sized(n, 1, 2)
+	if cap(t.slots) < size {
+		t.slots = make([]slot, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.shift, t.n = shift, 0
+}
+
+// sized returns the smallest array size, a power of two from minSlots, that n
+// values fill at most num/den full, and its shift.
+func sized(n, num, den int) (int, uint8) {
+	size, shift := minSlots, uint8(61)
+	for den*n > num*size {
+		size, shift = 2*size, shift-1
+	}
+	return size, shift
+}
 
 // home returns v's first probe position: Fibonacci hashing, whose top bits
 // spread the runs of consecutive values a trace writes over the whole array.
-func (x *table) home(v int64) int {
-	return int(uint64(v) * 0x9E3779B97F4A7C15 >> x.shift)
+func (t *Table) home(v int64) int {
+	return int(uint64(v) * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
 // find returns the slot holding v, or the empty slot where it belongs. The
 // table must have slots, and at least one of them empty.
-func (x *table) find(v int64) *slot {
+func (t *Table) find(v int64) *slot {
 	lo, hi := uint32(v), uint32(uint64(v)>>32)
-	mask := len(x.slots) - 1
-	for i := x.home(v); ; i = (i + 1) & mask {
-		s := &x.slots[i]
+	mask := len(t.slots) - 1
+	for i := t.home(v); ; i = (i + 1) & mask {
+		s := &t.slots[i]
 		if s.seq1 == 0 || s.lo == lo && s.hi == hi {
 			return s
+		}
+	}
+}
+
+// Get returns the number stored for v.
+func (t *Table) Get(v int64) (w int32, ok bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	if s := t.find(v); s.seq1 != 0 {
+		return int32(s.seq1 - 1), true
+	}
+	return 0, false
+}
+
+// Put stores v under w unless v is there already, and reports whether it
+// stored it: the first number stored for a value stays. w must not be
+// negative. A table more than three quarters full grows first.
+func (t *Table) Put(v int64, w int32) bool {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow(t.n + 1)
+	}
+	s := t.find(v)
+	if s.seq1 != 0 {
+		return false
+	}
+	*s = slot{lo: uint32(v), hi: uint32(uint64(v) >> 32), seq1: uint32(w) + 1}
+	t.n++
+	return true
+}
+
+// reserve makes room for n more values, so the next n Puts do not grow the
+// table: at most one reallocation, however many values are coming.
+func (t *Table) reserve(n int) {
+	if need := t.n + n; 4*need > 3*len(t.slots) {
+		t.grow(need)
+	}
+}
+
+// grow moves the table into the smallest array that holds need values at
+// most three quarters full.
+func (t *Table) grow(need int) {
+	size, shift := sized(need, 3, 4)
+	old := t.slots
+	t.slots, t.shift = make([]slot, size), shift
+	for i := range old {
+		if s := old[i]; s.seq1 != 0 {
+			*t.find(int64(uint64(s.hi)<<32 | uint64(s.lo))) = s
 		}
 	}
 }
@@ -115,13 +201,10 @@ func (x *Index) Get(v int64) (seq int32, ok bool) {
 	if r := x.inRun(v); r != nil {
 		return r.seq, true
 	}
-	if x.tab == nil || x.tab.n == 0 {
+	if x.tab == nil {
 		return 0, false
 	}
-	if s := x.tab.find(v); s.seq1 != 0 {
-		return int32(s.seq1 - 1), true
-	}
-	return 0, false
+	return x.tab.Get(v)
 }
 
 // Add stores every value of vs under seq unless it is already present — in
@@ -181,54 +264,15 @@ func (x *Index) Add(vs []int64, seq int32) int {
 		return stored
 	}
 	if x.tab == nil {
-		x.tab = new(table)
+		x.tab = new(Table)
 	}
 	x.tab.reserve(singles)
 	for _, v := range vs[:singles] {
-		if x.tab.put(v, seq) {
+		if x.tab.Put(v, seq) {
 			stored++
 		}
 	}
 	return stored
-}
-
-// put stores v under seq in the table unless it is there already, and
-// reports whether it stored it.
-func (x *table) put(v int64, seq int32) bool {
-	if 4*(x.n+1) > 3*len(x.slots) {
-		x.grow(x.n + 1)
-	}
-	s := x.find(v)
-	if s.seq1 != 0 {
-		return false
-	}
-	*s = slot{lo: uint32(v), hi: uint32(uint64(v) >> 32), seq1: uint32(seq) + 1}
-	x.n++
-	return true
-}
-
-// reserve makes room in the table for n more values, so the next n puts do
-// not grow it: at most one reallocation, however many values are coming.
-func (x *table) reserve(n int) {
-	if need := x.n + n; 4*need > 3*len(x.slots) {
-		x.grow(need)
-	}
-}
-
-// grow moves the table into the smallest array that holds need values at
-// most three quarters full.
-func (x *table) grow(need int) {
-	size, shift := minSlots, uint8(61)
-	for 3*size < 4*need {
-		size, shift = 2*size, shift-1
-	}
-	old := x.slots
-	x.slots, x.shift = make([]slot, size), shift
-	for i := range old {
-		if s := old[i]; s.seq1 != 0 {
-			*x.find(int64(uint64(s.hi)<<32 | uint64(s.lo))) = s
-		}
-	}
 }
 
 // AppendPairs appends every (value, seq) pair of the index to dst, in no

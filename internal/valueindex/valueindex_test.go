@@ -19,6 +19,9 @@ const (
 	opGet
 	opReserve
 	opBatch
+	opTableReset
+	opTablePut
+	opTableGet
 	numOps
 )
 
@@ -31,8 +34,8 @@ func record(op byte, v int64, seq int32) []byte {
 // sharedHome returns n values whose home is slot 0 of a table of the given
 // size: every one of them probes past the others.
 func sharedHome(n, size int) []int64 {
-	var x table
-	x.grow(3 * size / 4)
+	var x Table
+	x.Reset(size / 2)
 	var vs []int64
 	for v := int64(-1 << 20); len(vs) < n; v++ {
 		if x.home(v) == 0 {
@@ -43,9 +46,9 @@ func sharedHome(n, size int) []int64 {
 }
 
 // table returns the index's table, made if it has none yet.
-func (x *Index) table() *table {
+func (x *Index) table() *Table {
 	if x.tab == nil {
-		x.tab = new(table)
+		x.tab = new(Table)
 	}
 	return x.tab
 }
@@ -66,7 +69,7 @@ func (x *Index) count() int {
 func (x *Index) bytes() int {
 	b := cap(x.runs) * int(unsafe.Sizeof(run{}))
 	if x.tab != nil {
-		b += int(unsafe.Sizeof(table{})) + cap(x.tab.slots)*int(unsafe.Sizeof(slot{}))
+		b += int(unsafe.Sizeof(Table{})) + cap(x.tab.slots)*int(unsafe.Sizeof(slot{}))
 	}
 	return b
 }
@@ -119,6 +122,12 @@ func window(rng *rand.Rand, next *int64, written []int64) []int64 {
 // call's sequence number was above the one before, replaying the pairs in
 // checkpoint order — each sequence number's values in one Add, in ascending
 // order — must rebuild the same runs.
+//
+// The same records drive a Table of their own, held to a second map that
+// each Reset empties: Reset to a size below or above the array it reuses,
+// Put and Get. A Reset must leave the smallest array that holds its count at
+// most half full, reuse an array that is large enough, and clear the prefix
+// it uses, so a reused table never answers for a value stored before it.
 func FuzzValueIndex(f *testing.F) {
 	f.Add([]byte{})
 	var seed []byte
@@ -152,7 +161,18 @@ func FuzzValueIndex(f *testing.F) {
 		seed = append(seed, record(opPut, math.MinInt64+int64(i), i)...)
 	}
 	f.Add(seed)
+	seed = nil
+	for _, n := range []int64{40, 3, 0, 300, 5} {
+		seed = append(seed, record(opTableReset, n, 0)...)
+		for v := int64(0); v < 50; v++ {
+			seed = append(seed, record(opTableGet, v, 0)...)
+			seed = append(seed, record(opTablePut, v*(n+1), int32(v))...)
+		}
+	}
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var tb Table
+		tbRef := map[int64]int32{}
 		var x Index
 		ref := map[int64]int32{}
 		var written []int64 // ref's values in the order they were stored
@@ -189,6 +209,38 @@ func FuzzValueIndex(f *testing.F) {
 				if got, ok := x.Get(v); got != want || ok != wok {
 					t.Fatalf("Get(%d) = %d, %v, want %d, %v", v, got, ok, want, wok)
 				}
+			case opTableReset:
+				n, old := int(uint64(v)%2048), tb.slots[:cap(tb.slots)]
+				tb.Reset(n)
+				clear(tbRef)
+				size := len(tb.slots)
+				if tb.n != 0 || size < minSlots || size < 2*n || size > minSlots && size >= 4*n || size&(size-1) != 0 {
+					t.Fatalf("Reset(%d): %d slots, %d values", n, size, tb.n)
+				}
+				if len(old) >= size && &old[:1][0] != &tb.slots[:1][0] {
+					t.Fatalf("Reset(%d) replaced an array of %d slots", n, len(old))
+				}
+				for i, sl := range tb.slots {
+					if sl != (slot{}) {
+						t.Fatalf("Reset(%d) left slot %d: %+v", n, i, sl)
+					}
+				}
+			case opTablePut:
+				_, had := tbRef[v]
+				if !had {
+					tbRef[v] = seq
+				}
+				if got := tb.Put(v, seq); got == had {
+					t.Fatalf("table Put(%d, %d) = %v with the value stored before: %v", v, seq, got, had)
+				}
+				if 4*tb.n > 3*len(tb.slots) || tb.n != len(tbRef) {
+					t.Fatalf("table: %d values in %d slots, want %d values", tb.n, len(tb.slots), len(tbRef))
+				}
+			case opTableGet:
+				want, wok := tbRef[v]
+				if got, ok := tb.Get(v); got != want || ok != wok {
+					t.Fatalf("table Get(%d) = %d, %v, want %d, %v", v, got, ok, want, wok)
+				}
 			case opReserve:
 				n, tab := int(uint64(v)%1024), x.table()
 				size := len(tab.slots)
@@ -197,6 +249,11 @@ func FuzzValueIndex(f *testing.F) {
 				if 4*(tab.n+n) > 3*len(tab.slots) || size != len(tab.slots) && 4*(tab.n+n) <= 3*size {
 					t.Fatalf("reserve(%d) with %d values: %d slots (was %d)", n, tab.n, len(tab.slots), size)
 				}
+			}
+		}
+		for v, w := range tbRef {
+			if got, ok := tb.Get(v); !ok || got != w {
+				t.Fatalf("table Get(%d) = %d, %v at the end, want %d", v, got, ok, w)
 			}
 		}
 		if got := x.count(); got != len(ref) {
@@ -282,7 +339,7 @@ func TestBytesPerValue(t *testing.T) {
 		{"random", func(int) int64 { return int64(rng.Uint64()) }, 32},
 	} {
 		var x Index
-		var tab table
+		var tab Table
 		vs := make([]int64, per)
 		for i := 0; i < n; i += per {
 			for j := range vs {
@@ -290,7 +347,7 @@ func TestBytesPerValue(t *testing.T) {
 			}
 			tab.reserve(per)
 			for _, v := range vs {
-				tab.put(v, int32(i/per))
+				tab.Put(v, int32(i/per))
 			}
 			rng.Shuffle(per, func(a, b int) { vs[a], vs[b] = vs[b], vs[a] })
 			if got := x.Add(vs, int32(i/per)); got != per {

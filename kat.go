@@ -357,8 +357,8 @@ func NewOnlineSmallestKSession(opts Options, sopts StreamOptions) *OnlineSession
 
 // Streaming verification types.
 type (
-	// StreamOptions tunes the streaming engine (workers, staleness
-	// horizon, buffer cap, ingest shards, segment callbacks).
+	// StreamOptions tunes the streaming engine (pool, horizon, segment size,
+	// shards, spill store, callback, properties, retirement, epochs).
 	StreamOptions = trace.StreamOptions
 	// StreamStats describes a finished streaming run: segments, merges,
 	// peak buffered operations, first-verdict position.
