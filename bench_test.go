@@ -517,7 +517,8 @@ func zipfTrace() *root.Trace {
 
 // Parallel multi-key verification on a 1000-key trace: workers=1 is the
 // sequential path (one reused Verifier), workers=0 is GOMAXPROCS. Its keys
-// are in generation order, not start order, so each is checked whole. zipf
+// are in generation order, not start order, and are cut like any other (each
+// is one run: 40 operations are under the run floor). zipf
 // (zipfTrace) runs on GOMAXPROCS workers, where the keys are cut at their
 // safe cuts and the hot key's runs spread over the pool; its B/op is what the
 // workers' scratch grows to. It has no baseline row, so the gate does not

@@ -59,7 +59,7 @@ func run(args []string, out io.Writer) error {
 		props    = fs.Bool("properties", false, "also report Lamport safety and regularity (with -stream: per-key smallest Δ and regularity verdicts from the same streaming pass)")
 		keyed    = fs.Bool("keyed", false, "input is a multi-register trace (w <key> <value> <start> <finish>)")
 		stream   = fs.Bool("stream", false, "streaming keyed verification: bounded memory, verdicts before EOF (implies -keyed)")
-		workers  = fs.Int("workers", 0, "verification pool size (0 = GOMAXPROCS); each key's safe-cut segments fan out for -keyed/-stream (with -keyed, a key out of start order or with an anomaly is one unit), chunks fan out within single registers. -keyed parses on GOMAXPROCS goroutines whatever this is; GOMAXPROCS=1 makes a run fully sequential")
+		workers  = fs.Int("workers", 0, "verification pool size (0 = GOMAXPROCS); each key's safe-cut segments fan out for -keyed/-stream (with -keyed, a key with an anomaly is one unit), chunks fan out within single registers. -keyed parses on GOMAXPROCS goroutines whatever this is; GOMAXPROCS=1 makes a run fully sequential")
 		horizon  = fs.Int("horizon", 0, "staleness horizon for -stream -smallest (0 = default)")
 		timeline = fs.Bool("timeline", false, "draw the history as an ASCII timeline")
 		showWit  = fs.Bool("witness", false, "print the witness total order on success")

@@ -386,17 +386,21 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 // FuzzSchedulerEquivalence's — with mutations the fuzzer picks from mut's
 // bits, each on its own key: a duplicate value far from its first write, a
 // dangling read, a read that ends before its write starts across a quiescent
-// gap, an inverted interval, endpoints that touch at a would-be cut, and one
-// key shuffled out of start order. Atomic, the error text word for word and
+// gap, an inverted interval, endpoints that touch at a would-be cut, one key
+// shuffled out of start order (no cut survives that), and one shuffled inside
+// each quiescent segment with the segments kept in order (out of start order,
+// cut where it was). Atomic, the error text word for word and
 // the smallest k must match at k = 1, 2, 3, workers 1-4 and MinParallelOps 0
 // and -1. The oracle's state budget is kept small, so a hard segment is an
 // error on both sides, and the error of the run that holds it must read as
 // the whole key's.
 func FuzzCheckUnitsEquivalence(f *testing.F) {
-	for mut := 0; mut < 1<<6; mut += 1 + mut/3 {
+	for mut := 0; mut < 1<<7; mut += 1 + mut/3 {
 		f.Add(int64(mut), uint16(mut*0x2b1), uint8(mut), uint16(mut*977))
 	}
 	f.Add(int64(7), uint16(0xffff), uint8(0x3f), uint16(0xffff))
+	f.Add(int64(7), uint16(0xffff), uint8(0x7f), uint16(0xffff))
+	f.Add(int64(8), uint16(0x2b1), uint8(0x40), uint16(3))
 	f.Fuzz(func(t *testing.T, seed int64, shape uint16, mut uint8, pos uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		opts := kat.Options{OracleStates: 20_000}
@@ -412,7 +416,7 @@ func FuzzCheckUnitsEquivalence(f *testing.F) {
 			key := fmt.Sprintf("key-%d", i)
 			tr.Keys[key], keys = h, append(keys, key)
 		}
-		for bit := 0; bit < 6; bit++ {
+		for bit := 0; bit < 7; bit++ {
 			if mut&(1<<bit) != 0 {
 				mutateUnits(bit, tr.Keys[keys[(int(pos)+bit)%nkeys]].Ops, int(pos)*(bit+1), rng)
 			}
@@ -521,6 +525,12 @@ func mutateUnits(m int, ops []history.Operation, pos int, rng *rand.Rand) {
 		}
 	case 5: // out of start order
 		rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	case 6: // out of start order inside each quiescent segment
+		bounds := append(append([]int{0}, quiet...), len(ops))
+		for b := 1; b < len(bounds); b++ {
+			seg := ops[bounds[b-1]:bounds[b]]
+			rng.Shuffle(len(seg), func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
+		}
 	}
 }
 

@@ -116,7 +116,7 @@ func Open(fsys faultfs.FS, dir string, cfg Config) (*Manager, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("checkpoint: create data dir: %w", err)
 	}
-	spillDir := join(dir, "spill")
+	spillDir := wal.Join(dir, "spill")
 	if err := fsys.MkdirAll(spillDir); err != nil {
 		return nil, fmt.Errorf("checkpoint: create spill dir: %w", err)
 	}
@@ -129,12 +129,12 @@ func Open(fsys faultfs.FS, dir string, cfg Config) (*Manager, error) {
 	}
 	for _, name := range names {
 		if strings.HasSuffix(name, ".tmp") {
-			fsys.Remove(join(dir, name))
+			fsys.Remove(wal.Join(dir, name))
 		}
 	}
 	if blobs, err := fsys.ReadDir(spillDir); err == nil {
 		for _, name := range blobs {
-			fsys.Remove(join(spillDir, name))
+			fsys.Remove(wal.Join(spillDir, name))
 		}
 	}
 	return m, nil
@@ -207,7 +207,7 @@ func (m *Manager) Recover(sess *trace.Session) (RecoveryStats, error) {
 		rs.ReplayedEpochs++
 		sort.Strings(walEpochs[e])
 		for _, name := range walEpochs[e] {
-			recs, torn, err := wal.ReadFile(m.fs, join(m.dir, name))
+			recs, torn, err := wal.ReadFile(m.fs, wal.Join(m.dir, name))
 			if err != nil {
 				return rs, fmt.Errorf("checkpoint: replay %s: %w", name, err)
 			}
@@ -388,7 +388,7 @@ type ckptFooter struct {
 // which it covers, is removed; removal failures are ignored (stale files are
 // harmless: recovery prefers the newest valid checkpoint).
 func (m *Manager) publish(cp *trace.SessionCheckpoint, epoch int) error {
-	tmp := join(m.dir, CkptFileName(epoch)+".tmp")
+	tmp := wal.Join(m.dir, CkptFileName(epoch)+".tmp")
 	f, err := m.fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("checkpoint: create %s: %w", tmp, err)
@@ -432,7 +432,7 @@ func (m *Manager) publish(cp *trace.SessionCheckpoint, epoch int) error {
 		m.fs.Remove(tmp)
 		return fmt.Errorf("checkpoint: close ckpt %d: %w", epoch, err)
 	}
-	if err := m.fs.Rename(tmp, join(m.dir, CkptFileName(epoch))); err != nil {
+	if err := m.fs.Rename(tmp, wal.Join(m.dir, CkptFileName(epoch))); err != nil {
 		m.fs.Remove(tmp)
 		return fmt.Errorf("checkpoint: publish ckpt %d: %w", epoch, err)
 	}
@@ -442,7 +442,7 @@ func (m *Manager) publish(cp *trace.SessionCheckpoint, epoch int) error {
 	names, _ := m.fs.ReadDir(m.dir)
 	for _, name := range names {
 		if e, ok := parseCkptName(name); ok && e < epoch {
-			m.fs.Remove(join(m.dir, name))
+			m.fs.Remove(wal.Join(m.dir, name))
 		}
 	}
 	return nil
@@ -452,7 +452,7 @@ func (m *Manager) publish(cp *trace.SessionCheckpoint, epoch int) error {
 // any structural defect: unreadable, torn framing, missing or mismatched
 // footer, undecodable records.
 func (m *Manager) readCheckpoint(epoch int) (*trace.SessionCheckpoint, bool) {
-	recs, torn, err := wal.ReadFile(m.fs, join(m.dir, CkptFileName(epoch)))
+	recs, torn, err := wal.ReadFile(m.fs, wal.Join(m.dir, CkptFileName(epoch)))
 	if err != nil || torn != 0 || len(recs) < 2 {
 		return nil, false
 	}
@@ -500,7 +500,7 @@ func (b *blobStore) name(id uint64) string { return fmt.Sprintf("seg-%016x.blob"
 
 func (b *blobStore) Put(data []byte) (uint64, error) {
 	id := b.next.Add(1)
-	f, err := b.fs.Create(join(b.dir, b.name(id)))
+	f, err := b.fs.Create(wal.Join(b.dir, b.name(id)))
 	if err != nil {
 		return 0, err
 	}
@@ -515,18 +515,9 @@ func (b *blobStore) Put(data []byte) (uint64, error) {
 }
 
 func (b *blobStore) Get(id uint64) ([]byte, error) {
-	return faultfs.ReadFile(b.fs, join(b.dir, b.name(id)))
+	return faultfs.ReadFile(b.fs, wal.Join(b.dir, b.name(id)))
 }
 
 func (b *blobStore) Del(id uint64) error {
-	return b.fs.Remove(join(b.dir, b.name(id)))
-}
-
-// join mirrors wal's flat path concatenation so both packages address the
-// same names on any faultfs implementation.
-func join(dir, name string) string {
-	if dir == "" || dir == "." {
-		return name
-	}
-	return dir + "/" + name
+	return b.fs.Remove(wal.Join(b.dir, b.name(id)))
 }

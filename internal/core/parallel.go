@@ -18,11 +18,11 @@ package core
 //
 // What a unit is handed. The streaming engine hands it one closed segment at
 // a time; the offline keyed checks (trace.CheckParallel and
-// SmallestKByKeyParallel) cut each register at its raw safe cuts before
-// anything is prepared and hand it one run of segments at a time, so the
-// histories prepared here, and the scratch they grow, are bounded by a run,
-// not by the register. Only a register out of start order or with an anomaly
-// reaches Check or SmallestK whole.
+// SmallestKByKeyParallel) cut each register, in whatever order it is listed,
+// at its raw safe cuts before anything is prepared and hand it one run of
+// segments at a time, so the histories prepared here, and the scratch they
+// grow, are bounded by a run, not by the register. Only a register with an
+// anomaly arrives whole, as one run that the builder rejects.
 //
 // When it forks. Whether units go onto the pool or run one after another is
 // decided by Verifier.forks — more than one worker and at least

@@ -98,7 +98,7 @@ func Churn(cfg ChurnConfig) []KeyedOp {
 			gap = min
 		}
 	}
-	var out []KeyedOp
+	out := make([]KeyedOp, 0, cfg.Lifetimes*cfg.OpsPerLifetime)
 	for i := 0; i < cfg.Lifetimes; i++ {
 		name := fmt.Sprintf("key-%06d", i)
 		if cfg.NamePool > 0 {

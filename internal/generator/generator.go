@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"kat/internal/history"
 )
@@ -53,6 +54,18 @@ func (cfg *Config) fill() {
 	}
 }
 
+// rngs holds the generators' random sources: seeding one resets its whole
+// state, so a reused source draws exactly the sequence a new one would,
+// without allocating its ≈ 5 KB table per call.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seeded takes a source from rngs, seeded; the caller puts it back.
+func seeded(seed int64) *rand.Rand {
+	rng := rngs.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
 // KAtomic generates a history guaranteed to be (StalenessDepth+1)-atomic:
 // every operation is given a commit point on a logical timeline, operation
 // intervals contain their commit points, and each read returns one of the
@@ -63,7 +76,8 @@ func (cfg *Config) fill() {
 // for Prepare.
 func KAtomic(cfg Config) *history.History {
 	cfg.fill()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := seeded(cfg.Seed)
+	defer rngs.Put(rng)
 	const spacing = 16
 	// Concurrency 1 keeps intervals strictly disjoint (commit order is then
 	// the unique valid order, so ForceDepth lower-bounds the smallest k);
@@ -71,7 +85,7 @@ func KAtomic(cfg Config) *history.History {
 	halfWidth := int64(6 + spacing*(cfg.Concurrency-1)/2)
 
 	var (
-		ops       []history.Operation
+		ops       = make([]history.Operation, 0, cfg.Ops)
 		committed []int64 // values in commit order
 		nextVal   int64   = 1
 		forced    bool
@@ -129,7 +143,8 @@ func Adversarial(cfg Config) *history.History {
 // anomaly-free.
 func Random(cfg Config) *history.History {
 	cfg.fill()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := seeded(cfg.Seed)
+	defer rngs.Put(rng)
 	span := int64(cfg.Ops) * 8
 	if span < 8 {
 		span = 8

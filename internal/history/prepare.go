@@ -318,10 +318,10 @@ type PrepareScratch struct {
 	fin       []uint64 // rank's packed finish endpoints
 	order     []int    // Prepared.ByFinish
 	ext       []Extremes
-	raw       []span   // the general form's input endpoints, kept for ext
-	seen      []uint64 // endpointsDistinct's bitmap
-	cuts      []int    // SafeUnits' candidate cuts
-	later     []int    // SafeUnits' reads that start before their writes
+	raw       []span         // the general form's input endpoints, kept for ext
+	seen      []uint64       // endpointsDistinct's bitmap
+	cuts      []candidateCut // SafeUnits' candidate cuts
+	later     []int          // SafeUnits' reads listed before their writes
 }
 
 // writeInfo is what the read-resolution pass learns about the write at the

@@ -1,25 +1,23 @@
 package history
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// rawCuts is the cut pass's definition spelled out quadratically: the
-// positions i where every earlier operation finishes strictly before ops[i]
-// starts and no read at or after i returns a value written before i.
+// rawCuts is the cut pass's definition spelled out quadratically, for ops in
+// any order: the positions i where every operation before i finishes strictly
+// before every operation at or after i starts, and no read at or after i
+// returns a value written before i.
 func rawCuts(ops []Operation) []int {
 	var cuts []int
 	for i := 1; i < len(ops); i++ {
 		quiet := true
-		for _, op := range ops[:i] {
-			quiet = quiet && op.Finish < ops[i].Start
-		}
-		for _, r := range ops[i:] {
-			for _, w := range ops[:i] {
-				quiet = quiet && !(r.Kind == KindRead && w.Kind == KindWrite && w.Value == r.Value)
+		for _, a := range ops[:i] {
+			for _, b := range ops[i:] {
+				quiet = quiet && a.Finish < b.Start
+				quiet = quiet && !(b.Kind == KindRead && a.Kind == KindWrite && a.Value == b.Value)
 			}
 		}
 		if quiet {
@@ -30,7 +28,8 @@ func rawCuts(ops []Operation) []int {
 }
 
 // preparedSafeCut is zone.SafeCut on a prepared history, which this package
-// cannot import.
+// cannot import. The builder sorts by start, so a real-time cut at i of the
+// raw operations is at i in the prepared history too.
 func preparedSafeCut(p *Prepared, i int) bool {
 	for _, op := range p.H.Ops[:i] {
 		if op.Finish >= p.H.Ops[i].Start {
@@ -46,27 +45,26 @@ func preparedSafeCut(p *Prepared, i int) bool {
 }
 
 // checkSafeUnits holds SafeUnits on ops to its definition: it declines
-// exactly the histories out of start order or that Build rejects; at floor 1
-// its boundaries are rawCuts, each a safe cut of the prepared history; at a
-// larger floor they are some of those, every run but a lone one at least
-// floor long.
+// exactly the histories Build rejects, and then hands back the one run
+// [0, n); at floor 1 its boundaries are rawCuts, each a safe cut of the
+// prepared history; at a larger floor they are some of those, every run but a
+// lone one at least floor long.
 func checkSafeUnits(t *testing.T, s *PrepareScratch, ops []Operation) {
 	t.Helper()
 	h := New(ops)
 	for i := range h.Ops {
 		h.Ops[i].ID = i // as the offline check hands a run to the builder
 	}
-	sorted := slices.IsSortedFunc(ops, func(a, b Operation) int { return cmp.Compare(a.Start, b.Start) })
 	p, err := new(PrepareScratch).Build(h.Clone())
 	prefix := [][2]int{{-1, -1}}
 	for _, floor := range []int{1, 3, 16} {
 		units, ok := s.SafeUnits(ops, floor, prefix)
-		if want := sorted && err == nil; ok != want {
-			t.Fatalf("floor %d: ok = %v, want %v (sorted %v, Build error %v)\nops: %+v", floor, ok, want, sorted, err, ops)
+		if want := err == nil; ok != want {
+			t.Fatalf("floor %d: ok = %v, want %v (Build error %v)\nops: %+v", floor, ok, want, err, ops)
 		}
 		if !ok {
-			if len(units) != 1 {
-				t.Fatalf("declined, but units grew to %v", units)
+			if !slices.Equal(units, [][2]int{prefix[0], {0, len(ops)}}) {
+				t.Fatalf("declined, but units are %v, not the prefix and [0, %d)", units, len(ops))
 			}
 			continue
 		}
@@ -103,7 +101,9 @@ func checkSafeUnits(t *testing.T, s *PrepareScratch, ops []Operation) {
 
 // TestSafeUnitsMatchDefinition runs checkSafeUnits on one reused scratch over
 // the builder's fuzz shapes (anomalies, ties, unsorted starts, the int64
-// ends) and over clean start-ordered histories with long writes.
+// ends), over clean start-ordered histories with long writes, and over those
+// again with the operations shuffled inside each quiescent segment, which
+// leaves them out of start order with their cuts in place.
 func TestSafeUnitsMatchDefinition(t *testing.T) {
 	var s PrepareScratch
 	rng := rand.New(rand.NewSource(44))
@@ -116,16 +116,42 @@ func TestSafeUnitsMatchDefinition(t *testing.T) {
 		checkSafeUnits(t, &s, opsFromBytes(buf[:1+5*rng.Intn(49)]))
 	}
 	for seed := int64(0); seed < 100; seed++ {
-		checkSafeUnits(t, &s, cleanOps(rand.New(rand.NewSource(seed)), 1+int(seed)))
+		rng := rand.New(rand.NewSource(seed))
+		ops := cleanOps(rng, 1+int(seed))
+		checkSafeUnits(t, &s, ops)
+		shuffleSegments(rng, ops)
+		checkSafeUnits(t, &s, ops)
 	}
 	// Hand-made: a gap a read reaches back across, a gap where endpoints
-	// only touch, and a read that starts before its write.
+	// only touch, a read that starts before its write; out of start order, a
+	// cut the set keeps, a cut a later operation's start retracts, and a read
+	// listed after its write that finishes before the write starts.
 	for _, text := range []string{
 		"w 1 0 10; r 1 20 30; w 2 40 50; r 1 60 70; w 3 80 90",
 		"w 1 0 10; r 1 10 20; w 2 20 30",
 		"w 1 0 10; r 2 11 30; w 2 12 20; r 2 40 50",
+		"w 1 0 10; r 1 20 30; w 3 80 90; w 2 40 50; r 2 60 70",
+		"w 1 0 10; w 2 20 30; w 3 5 8",
+		"w 1 50 60; r 1 0 10",
 		"",
 	} {
 		checkSafeUnits(t, &s, MustParse(text).Ops)
+	}
+}
+
+// shuffleSegments shuffles ops, in start order, inside each of its raw
+// quiescent segments, so the list leaves start order but every cut of the
+// operation set stays at its position.
+func shuffleSegments(rng *rand.Rand, ops []Operation) {
+	lo, maxFinish := 0, int64(0)
+	for i := 0; i <= len(ops); i++ {
+		if i == len(ops) || i > 0 && maxFinish < ops[i].Start {
+			seg := ops[lo:i]
+			rng.Shuffle(len(seg), func(a, b int) { seg[a], seg[b] = seg[b], seg[a] })
+			lo = i
+		}
+		if i < len(ops) && (i == 0 || ops[i].Finish > maxFinish) {
+			maxFinish = ops[i].Finish
+		}
 	}
 }

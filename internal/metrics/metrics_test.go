@@ -90,33 +90,3 @@ func TestReadStalenessErrors(t *testing.T) {
 		t.Error("read-before-write order accepted")
 	}
 }
-
-func TestParallelMatchesSequential(t *testing.T) {
-	var corpus []*history.History
-	for seed := int64(0); seed < 12; seed++ {
-		corpus = append(corpus, generator.KAtomic(generator.Config{
-			Seed: seed, Ops: 30, Concurrency: 2, StalenessDepth: int(seed % 3),
-		}))
-	}
-	corpus = append(corpus, history.MustParse("r 9 0 10")) // one error case
-	seq := SmallestKDistribution(corpus, core.Options{})
-	for _, workers := range []int{0, 1, 2, 4, 32} {
-		par := SmallestKDistributionParallel(corpus, core.Options{}, workers)
-		if par.Total != seq.Total || par.Errors != seq.Errors {
-			t.Fatalf("workers=%d: Total/Errors %d/%d vs %d/%d",
-				workers, par.Total, par.Errors, seq.Total, seq.Errors)
-		}
-		for k, c := range seq.Counts {
-			if par.Counts[k] != c {
-				t.Fatalf("workers=%d: Counts[%d] = %d, want %d", workers, k, par.Counts[k], c)
-			}
-		}
-	}
-}
-
-func TestParallelEmptyCorpus(t *testing.T) {
-	d := SmallestKDistributionParallel(nil, core.Options{}, 4)
-	if d.Total != 0 || d.Errors != 0 {
-		t.Errorf("empty corpus: %+v", d)
-	}
-}

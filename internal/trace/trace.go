@@ -219,11 +219,12 @@ func Check(t *Trace, k int, opts core.Options) Report {
 // CheckParallel is Check with verification fanned out over one pool of units
 // (workers <= 0 uses GOMAXPROCS): one per run of a register's safe-cut
 // segments (forEachUnit), each of which may fork its chunk (k=2) or segment
-// (k >= 3) sub-units back onto the same pool. A register out of start order
-// or with an anomaly is checked whole, and a run's error is its register's, so
-// every error reads word for word as the whole-register check gives it. Every
-// outcome is folded commutatively into its key-sorted slot, so the Report is
-// identical to the sequential one regardless of worker count.
+// (k >= 3) sub-units back onto the same pool. A register is cut whatever
+// order it lists its operations in; one with an anomaly is checked whole, and
+// a run's error is its register's, so every error reads word for word as the
+// whole-register check gives it. Every outcome is folded commutatively into
+// its key-sorted slot, so the Report is identical to the sequential one
+// regardless of worker count.
 func CheckParallel(t *Trace, k int, opts core.Options, workers int) Report {
 	keys := t.SortedKeys()
 	worst, errs := forEachUnit(t, keys, workers, func(v *core.Verifier, p *history.Prepared) (int, error) {
@@ -270,25 +271,22 @@ var cutScratch = sync.Pool{New: func() any { return new(history.PrepareScratch) 
 
 // forEachUnit is the one fork of the offline checks. It cuts every key at its
 // safe cuts into runs of at least DefaultMinSegmentOps operations, a linear
-// pass over the raw operations before anything is prepared
+// pass over the raw operations in any order before anything is prepared
 // (history.PrepareScratch.SafeUnits), and forks the runs of every key over one
-// pool: each is copied into its worker's own buffer with IDs renumbered from 0,
-// so the builder takes its packed form, prepared there and handed to check.
-// The results are folded per key by maximum, which the segment-equivalence
-// lemma makes exact. A key the cut pass declines (out of start order, or an
-// anomaly) is one unit of all its operations as given — Verifier.Check's and
-// SmallestK's path — and that unit's error is the key's. Otherwise the key's
-// error is its first erring run's: the cut pass has declined every anomaly, so
-// a run can only fail in the oracle's state budget, whose error names no
-// operation, on one of the key's own segments. Results land in disjoint
-// slots, so output is deterministic.
+// pool: each is copied into its worker's own buffer, prepared there and handed
+// to check. A key's first run keeps its IDs, positions already when the trace
+// came from Add or a parse; a later run's are renumbered from 0, so the
+// builder takes its packed form either way. The results are folded per key by maximum, which the segment-equivalence lemma
+// makes exact. A key with an anomaly is one run of all its operations as given
+// — Verifier.Check's and SmallestK's path — so its error is the whole key's.
+// Otherwise the key's error is its first erring run's: the cut pass has
+// declined every anomaly, so a run can only fail in the oracle's state budget,
+// whose error names no operation, on one of the key's own segments. Results
+// land in disjoint slots, so output is deterministic.
 func forEachUnit(t *Trace, keys []string, workers int, check func(v *core.Verifier, p *history.Prepared) (int, error)) ([]int, []error) {
-	type job struct {
-		key, lo, hi int
-		whole       bool
-	}
+	type job struct{ key, lo, hi int }
 	// A key's runs start in its slot of one, so a key of one run allocates
-	// no list of its own; a declined key's list stays empty.
+	// no list of its own.
 	cuts, one := make([][][2]int, len(keys)), make([][2]int, len(keys))
 	out, errs := make([]int, len(keys)), make([]error, len(keys))
 	core.Run(workers, func(v *core.Verifier) {
@@ -299,18 +297,15 @@ func forEachUnit(t *Trace, keys []string, workers int, check func(v *core.Verifi
 		})
 		var jobs []job
 		for i, us := range cuts {
-			if len(us) == 0 {
-				jobs = append(jobs, job{i, 0, t.Keys[keys[i]].Len(), true})
-			}
 			for _, u := range us {
-				jobs = append(jobs, job{i, u[0], u[1], false})
+				jobs = append(jobs, job{i, u[0], u[1]})
 			}
 		}
 		res, jerrs := make([]int, len(jobs)), make([]error, len(jobs))
 		v.Fork(len(jobs), func(w *core.Verifier, j int) {
 			jb, own := jobs[j], w.Owned()
 			own.Ops = append(own.Ops, t.Keys[keys[jb.key]].Ops[jb.lo:jb.hi]...)
-			if !jb.whole {
+			if jb.lo > 0 {
 				for x := range own.Ops {
 					own.Ops[x].ID = x
 				}

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"kat/internal/core"
@@ -142,9 +144,10 @@ func TestCheckParallelViolationInOneSegment(t *testing.T) {
 }
 
 // TestCheckParallelUncutKeys covers the two shapes that are not cut: a key
-// one write spans from end to end has no safe cut and is one run (which
-// still forks its chunks), and a key out of start order is checked whole.
-// Both report what the whole-key check reports.
+// one write spans from end to end has no safe cut, and a key shuffled end to
+// end out of start order has none of the operation set. Each is one run
+// (which still forks its chunks) and reports what the whole-key check
+// reports.
 func TestCheckParallelUncutKeys(t *testing.T) {
 	h := startOrdered(4, 5_000, 4, 2)
 	spanned := history.New(append([]history.Operation{{Kind: history.KindWrite, Value: 1 << 40, Start: -1, Finish: 1 << 20}}, h.Ops...))
@@ -158,12 +161,38 @@ func TestCheckParallelUncutKeys(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(shuffled.Len(), func(i, j int) {
 		shuffled.Ops[i], shuffled.Ops[j] = shuffled.Ops[j], shuffled.Ops[i]
 	})
-	if _, ok := units(shuffled); ok {
-		t.Fatal("a shuffled key was cut")
+	if us, ok := units(shuffled); !ok || len(us) != 1 {
+		t.Fatalf("shuffled key: runs %v, ok %v", us, ok)
 	}
 	tr := New()
 	tr.Keys["spanned"], tr.Keys["shuffled"], tr.Keys["plain"] = spanned, shuffled, h
 	sameAsWholeKeys(t, tr)
 	par := CheckParallel(tr, 3, core.Options{MinParallelOps: -1}, 2)
 	reportsEqual(t, wholeKeyReport(tr, 3), par)
+}
+
+// TestCheckParallelCutsKeysOutOfOrder shuffles start-ordered keys inside each
+// of their runs: the keys leave start order, but the cut pass cuts them at the
+// same places, since a cut is one of the operation set, and the checks report
+// what the whole-key check reports.
+func TestCheckParallelCutsKeysOutOfOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	tr := New()
+	for i, depth := range []int{0, 1, 2} {
+		h := startOrdered(int64(10+i), 6_000, 3, depth)
+		want, _ := units(h)
+		for _, u := range want {
+			run := h.Ops[u[0]:u[1]]
+			rng.Shuffle(len(run), func(a, b int) { run[a], run[b] = run[b], run[a] })
+		}
+		got, ok := units(h)
+		if !ok || len(want) < 10 || !slices.Equal(got, want) {
+			t.Fatalf("depth %d: runs %v (ok %v) after the shuffle, %v before", depth, got, ok, want)
+		}
+		tr.Keys[fmt.Sprintf("key-%d", i)] = h
+	}
+	sameAsWholeKeys(t, tr)
+	for _, k := range []int{1, 3} {
+		reportsEqual(t, wholeKeyReport(tr, k), CheckParallel(tr, k, core.Options{}, 2))
+	}
 }

@@ -305,11 +305,11 @@ func Open(fsys faultfs.FS, dir string, shards, epoch int, policy SyncPolicy) (*L
 func (l *Log) openEpoch(epoch int) error {
 	writers := make([]*Writer, len(l.shards))
 	for s := range l.shards {
-		f, err := l.fs.Create(join(l.dir, FileName(epoch, s)))
+		f, err := l.fs.Create(Join(l.dir, FileName(epoch, s)))
 		if err != nil {
 			for t := 0; t < s; t++ {
 				writers[t].Close()
-				l.fs.Remove(join(l.dir, FileName(epoch, t)))
+				l.fs.Remove(Join(l.dir, FileName(epoch, t)))
 			}
 			return fmt.Errorf("wal: open epoch %d: %w", epoch, err)
 		}
@@ -327,10 +327,12 @@ func (l *Log) openEpoch(epoch int) error {
 	return nil
 }
 
-// join is filepath.Join without pulling path/filepath into the hot-path
-// package surface; data-dir layouts are flat so simple concatenation works
-// across faultfs implementations (MemFS keys are plain strings).
-func join(dir, name string) string {
+// Join is the one path rule of a data directory, behind the WAL, the
+// checkpoints and the spill blobs: filepath.Join without pulling
+// path/filepath into the hot-path package surface; data-dir layouts are flat
+// so simple concatenation works across faultfs implementations (MemFS keys
+// are plain strings).
+func Join(dir, name string) string {
 	if dir == "" || dir == "." {
 		return name
 	}
@@ -436,7 +438,7 @@ func (l *Log) PurgeBefore(epoch int) {
 		return
 	}
 	for _, name := range names {
-		if e, _, ok := ParseFileName(name); ok && e < epoch && l.fs.Remove(join(l.dir, name)) == nil {
+		if e, _, ok := ParseFileName(name); ok && e < epoch && l.fs.Remove(Join(l.dir, name)) == nil {
 			l.purged.Add(1)
 		}
 	}

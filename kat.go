@@ -37,8 +37,8 @@
 // cuts before anything is prepared and fan the runs of segments out over a
 // worker pool — one Verifier per worker, whose scratch grows to the largest
 // run, not to the hottest key — with results identical to the sequential
-// forms. A register out of start order, or with an anomaly, is checked
-// whole.
+// forms. A cut is one of the operation set, so a register is cut whatever
+// order it is listed in; one with an anomaly is checked whole.
 //
 // Parallelism does not stop there: every parallel entry point schedules its
 // units on one shared pool: one queue, and a cursor per fork. A prepared
@@ -463,9 +463,9 @@ func CheckTrace(t *Trace, k int, opts Options) TraceReport {
 
 // CheckTraceParallel is CheckTrace with verification fanned out over a
 // bounded worker pool (workers <= 0 uses GOMAXPROCS), one unit per run of a
-// register's safe-cut segments; a register out of start order, or with an
-// anomaly, is one unit checked whole. The report is identical to
-// CheckTrace's for any worker count.
+// register's safe-cut segments, whatever order the register is listed in; a
+// register with an anomaly is one unit checked whole. The report is identical
+// to CheckTrace's for any worker count.
 func CheckTraceParallel(t *Trace, k int, opts Options, workers int) TraceReport {
 	return trace.CheckParallel(t, k, opts, workers)
 }

@@ -1,7 +1,10 @@
 package kat_test
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -283,5 +286,84 @@ func TestStreamSharedPrepareAcrossProperties(t *testing.T) {
 	}
 	if maxK < 3 || maxDelta == 0 || irregular == 0 {
 		t.Errorf("setup: max k %d, max Δ %d, %d irregular reads; the trace exercises no search", maxK, maxDelta, irregular)
+	}
+}
+
+// TestCheckTraceCustomIDsOutOfOrder hands the keyed checks a trace built by
+// hand, not by Add or a parse: its IDs are not positions, its timestamps tie
+// (the builder breaks a tie by ID, and an error names operations by their
+// place after that) and its keys are out of start order (each shuffled inside
+// its quiescent segments, so still cut). A key with a planted anomaly is
+// checked as one run with its own IDs, so its error reads word for word as
+// kat.Check's; the clean key agrees with kat.Check and kat.SmallestK too.
+func TestCheckTraceCustomIDsOutOfOrder(t *testing.T) {
+	keyed := func(seed int64, plant func(ops []history.Operation)) *kat.History {
+		h := kat.GenerateKAtomic(kat.GenConfig{Seed: seed, Ops: 3_000, Concurrency: 3, StalenessDepth: 1, ReadFraction: 0.5})
+		for i := range h.Ops { // widen every interval to multiples of 32
+			op := &h.Ops[i]
+			op.Start -= (op.Start%32 + 32) % 32
+			op.Finish += (32 - op.Finish%32) % 32
+		}
+		h.SortByStart()
+		plant(h.Ops)
+		units, _ := new(history.PrepareScratch).SafeUnits(h.Ops, 1, nil)
+		rng := rand.New(rand.NewSource(seed))
+		for _, u := range units {
+			run := h.Ops[u[0]:u[1]]
+			rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+		}
+		for i := range h.Ops {
+			h.Ops[i].ID = 7_000 - 3*i
+		}
+		return h
+	}
+	lastWrite := func(ops []history.Operation) int {
+		w := len(ops) - 1
+		for !ops[w].IsWrite() {
+			w--
+		}
+		return w
+	}
+	tr := kat.NewTrace()
+	tr.Keys["clean"] = keyed(1, func([]history.Operation) {})
+	tr.Keys["duplicate"] = keyed(2, func(ops []history.Operation) {
+		ops[lastWrite(ops)].Value = ops[0].Value
+	})
+	tr.Keys["early-read"] = keyed(3, func(ops []history.Operation) {
+		w := lastWrite(ops)
+		for r := range ops {
+			if ops[r].IsRead() && ops[r].Finish < ops[w].Start {
+				ops[r].Value = ops[w].Value
+				break
+			}
+		}
+	})
+	for key, h := range tr.Keys {
+		if slices.IsSortedFunc(h.Ops, func(a, b history.Operation) int { return cmp.Compare(a.Start, b.Start) }) {
+			t.Fatalf("key %s is in start order", key)
+		}
+	}
+	for _, k := range []int{1, 2} {
+		for _, workers := range []int{1, 2} {
+			for _, kr := range kat.CheckTraceParallel(tr, k, kat.Options{}, workers).Keys {
+				r, err := kat.Check(tr.Keys[kr.Key], k, kat.Options{})
+				if kr.Atomic != (err == nil && r.Atomic) || fmt.Sprint(kr.Err) != fmt.Sprint(err) {
+					t.Errorf("k=%d workers=%d key %s: atomic %v, error %v; kat.Check: atomic %v, error %v",
+						k, workers, kr.Key, kr.Atomic, kr.Err, r.Atomic, err)
+				}
+				if (kr.Key == "clean") != (err == nil) {
+					t.Errorf("key %s: error %v", kr.Key, err)
+				}
+			}
+		}
+	}
+	for key, got := range kat.SmallestKByKeyParallel(tr, kat.Options{}, 2) {
+		want, err := kat.SmallestK(tr.Keys[key], kat.Options{})
+		if err != nil {
+			want = 0
+		}
+		if got != want {
+			t.Errorf("key %s: smallest k %d, kat.SmallestK %d", key, got, want)
+		}
 	}
 }
