@@ -119,7 +119,7 @@ func KAtomic(cfg Config) *history.History {
 		committed = append(committed, nextVal)
 		nextVal++
 	}
-	return history.Normalize(history.New(ops))
+	return history.NormalizeInPlace(history.New(ops))
 }
 
 // Adversarial generates a 2-atomic history whose write concurrency is
@@ -194,7 +194,7 @@ func Random(cfg Config) *history.History {
 		ops[i].Start = start
 		ops[i].Finish = finish
 	}
-	return history.Normalize(history.New(ops))
+	return history.NormalizeInPlace(history.New(ops))
 }
 
 // LBTTrap builds the pathological input for literal Figure 2 LBT that
@@ -265,7 +265,7 @@ func LBTTrap(chain, goods int) *history.History {
 		add(history.KindWrite, val, 800+i%200, base+10*i)
 		val++
 	}
-	return history.Normalize(history.New(ops))
+	return history.NormalizeInPlace(history.New(ops))
 }
 
 // ZipfCounts distributes total operations over keys with Zipfian skew of
@@ -359,5 +359,5 @@ func InjectStaleness(h *history.History, seed int64, fraction float64, extraDept
 		}
 		op.Value = w.Value
 	}
-	return history.Normalize(cp)
+	return history.NormalizeInPlace(cp)
 }

@@ -3,7 +3,6 @@ package history
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // jsonOp is the wire form of an operation.
@@ -66,23 +65,4 @@ func (h *History) UnmarshalJSON(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the history as JSON.
-func WriteJSON(w io.Writer, h *History) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(h); err != nil {
-		return fmt.Errorf("history: write json: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON parses a history from JSON.
-func ReadJSON(r io.Reader) (*History, error) {
-	var h History
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("history: read json: %w", err)
-	}
-	return &h, nil
 }

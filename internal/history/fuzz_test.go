@@ -1,6 +1,7 @@
 package history
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -94,16 +95,16 @@ func FuzzJSONRoundTrip(f *testing.F) {
 	f.Add(`{"ops":[]}`)
 	f.Add(`{}`)
 	f.Fuzz(func(t *testing.T, text string) {
-		h, err := ReadJSON(strings.NewReader(text))
-		if err != nil {
+		var h History
+		if err := json.Unmarshal([]byte(text), &h); err != nil {
 			return
 		}
-		var out strings.Builder
-		if err := WriteJSON(&out, h); err != nil {
-			t.Fatalf("WriteJSON after accept: %v", err)
+		out, err := json.Marshal(&h)
+		if err != nil {
+			t.Fatalf("Marshal after accept: %v", err)
 		}
-		h2, err := ReadJSON(strings.NewReader(out.String()))
-		if err != nil || h2.Len() != h.Len() {
+		var h2 History
+		if err := json.Unmarshal(out, &h2); err != nil || h2.Len() != h.Len() {
 			t.Fatalf("round trip: %v (%d vs %d ops)", err, h2.Len(), h.Len())
 		}
 	})

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -426,13 +427,13 @@ func TestMeasure(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	h := MustParse("w 1 0 10 weight=4; r 1 5 20 client=2; w 2 15 25")
-	var buf strings.Builder
-	if err := WriteJSON(&buf, h); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	h2, err := ReadJSON(strings.NewReader(buf.String()))
+	data, err := json.Marshal(h)
 	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
+		t.Fatalf("Marshal: %v", err)
+	}
+	var h2 History
+	if err := json.Unmarshal(data, &h2); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
 	if len(h2.Ops) != len(h.Ops) {
 		t.Fatalf("ops count mismatch: %d vs %d", len(h2.Ops), len(h.Ops))
@@ -447,9 +448,9 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestJSONUnknownKind(t *testing.T) {
-	_, err := ReadJSON(strings.NewReader(`{"ops":[{"kind":"z","value":1,"start":0,"finish":1}]}`))
-	if err == nil {
-		t.Error("ReadJSON accepted unknown kind")
+	var h History
+	if err := json.Unmarshal([]byte(`{"ops":[{"kind":"z","value":1,"start":0,"finish":1}]}`), &h); err == nil {
+		t.Error("Unmarshal accepted unknown kind")
 	}
 }
 

@@ -114,19 +114,3 @@ func ReadStaleness(p *history.Prepared, order []int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// MaxStaleness returns the maximum entry of ReadStaleness, or 0 for
-// read-free histories.
-func MaxStaleness(p *history.Prepared, order []int) (int, error) {
-	st, err := ReadStaleness(p, order)
-	if err != nil {
-		return 0, err
-	}
-	max := 0
-	for _, s := range st {
-		if s > max {
-			max = s
-		}
-	}
-	return max, nil
-}

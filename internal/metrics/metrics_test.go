@@ -68,10 +68,6 @@ func TestReadStaleness(t *testing.T) {
 	if len(st) != 2 || st[0] != 1 || st[1] != 0 {
 		t.Errorf("staleness = %v, want [1 0]", st)
 	}
-	max, err := MaxStaleness(p, []int{0, 1, 2, 3})
-	if err != nil || max != 1 {
-		t.Errorf("MaxStaleness = %d, %v; want 1", max, err)
-	}
 }
 
 func TestReadStalenessErrors(t *testing.T) {

@@ -39,19 +39,16 @@ package trace
 // write-bearing segment after the value's), and regularity counts the read
 // as irregular definitively (the forced writes all fall between the read and
 // its dictating write) and as unsafe unless the read overlaps a write of its
-// own closing window (decided by staleReadSafety, which replays the window
-// through the real normalize/prepare machinery so write-shortening cannot
-// skew the concurrency answer).
+// own closing window (staleReadSafety, which applies normalization's
+// tie-break and write-shortening rules to the window's intervals directly).
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"kat/internal/core"
 	"kat/internal/history"
-	"kat/internal/regularity"
 )
 
 // Property identifies one consistency property the streaming engine can
@@ -251,96 +248,42 @@ func (e *engine) staleVerdict(ev staleReadEvidence) Verdict {
 }
 
 // staleReadSafety decides, for each dropped cross-boundary read, whether the
-// read is SAFE: concurrent — in the normalized sense the offline checker
-// uses, where writes may be shortened to just before their first dictated
-// read's finish — with at least one write of its closing window. Writes of
-// any other segment finish before the window's reads start (quiescence plus
-// the arrival-order invariant), so the window is the whole question.
-//
-// Rather than re-deriving normalize's shortening and tie-break rules here, a
-// synthetic history replays them: the window's kept operations, the dropped
-// reads, one synthetic write per distinct dropped value, and one extra
-// synthetic "fencepost" write, all placed strictly before the window origin.
-// Each dropped read then has a dictating write that precedes everything, and
-// the fencepost write sits between that write and the read, so the read is
-// definitively irregular in the synthetic history — which makes its
-// synthetic safety verdict exactly "concurrent with some window write".
-// The per-op Client field (informational, untouched by normalize/prepare)
-// carries each read's identity through the sort.
+// read is safe: concurrent, in the normalized sense the offline checker uses,
+// with at least one write of its closing window. Writes of any other segment
+// never overlap the window's reads (every cut is quiescent), and a dropped
+// read dictates no window write, so normalization (Section II-C) reduces to
+// two rules here: at equal times a start ranks before a finish, and a write
+// ends just before the first finish among its kept reads. A dropped read r
+// is therefore safe exactly when some kept write w has w.Start <= r.Finish
+// and r.Start <= min(w.Finish, first finish of a kept read of w's value).
+// Reads whose values are written outside the window (merges into held
+// segments) shorten nothing here. The window's writes, sorted by start (a
+// window's operations may arrive in any order) with a running maximum of
+// that effective finish, answer each read with one binary search.
 func staleReadSafety(kept, dropped []history.Operation) []bool {
-	safe := make([]bool, len(dropped))
-	// Window origin over every operation involved.
-	origin := int64(math.MaxInt64)
+	firstRead := make(map[int64]int64) // value → earliest finish of a kept read
 	for _, op := range kept {
-		origin = min(origin, op.Start)
-	}
-	for _, op := range dropped {
-		origin = min(origin, op.Start)
-	}
-	// Distinct dropped values, and every value in play (synthetic writes
-	// must not collide with window writes).
-	vals := make(map[int64]bool, len(dropped))
-	used := make(map[int64]bool, len(kept)+len(dropped)+1)
-	for _, op := range kept {
-		used[op.Value] = true
-	}
-	for _, op := range dropped {
-		used[op.Value] = true
-		vals[op.Value] = true
-	}
-	fence := int64(0)
-	for used[fence] {
-		fence++
-	}
-	nsynth := len(vals) + 1
-	if origin < math.MinInt64+2*int64(nsynth)+2 {
-		// No room below the origin to place synthetic writes (timestamps at
-		// the very bottom of int64). Fall back to the raw-interval scan:
-		// only exactly-touching shortened writes could disagree, and traces
-		// down here are already outside any realistic clock domain.
-		for i, r := range dropped {
-			for _, op := range kept {
-				if op.IsWrite() && op.ConcurrentWith(r) {
-					safe[i] = true
-					break
-				}
-			}
+		if f, ok := firstRead[op.Value]; op.IsRead() && (!ok || op.Finish < f) {
+			firstRead[op.Value] = op.Finish
 		}
-		return safe
 	}
-	synth := make([]history.Operation, 0, nsynth+len(kept)+len(dropped))
-	t := origin - 2*int64(nsynth)
-	valOrder := make([]int64, 0, len(vals))
-	for v := range vals {
-		valOrder = append(valOrder, v)
+	var writes []history.Operation // Start, and Finish as the running maximum
+	for _, op := range kept {
+		if op.IsWrite() {
+			if f, ok := firstRead[op.Value]; ok {
+				op.Finish = min(op.Finish, f)
+			}
+			writes = append(writes, op)
+		}
 	}
-	sort.Slice(valOrder, func(i, j int) bool { return valOrder[i] < valOrder[j] })
-	for _, v := range valOrder {
-		synth = append(synth, history.Operation{Kind: history.KindWrite, Value: v, Start: t, Finish: t + 1})
-		t += 2
+	sort.Slice(writes, func(i, j int) bool { return writes[i].Start < writes[j].Start })
+	for i := 1; i < len(writes); i++ {
+		writes[i].Finish = max(writes[i].Finish, writes[i-1].Finish)
 	}
-	// Fencepost write: follows every synthetic dictating write, precedes the
-	// window, read by nobody.
-	synth = append(synth, history.Operation{Kind: history.KindWrite, Value: fence, Start: t, Finish: t + 1})
-	base := len(synth)
-	synth = append(synth, kept...)
-	synth = append(synth, dropped...)
-	for i := range synth {
-		synth[i].ID = i
-		synth[i].Client = i
-	}
-	p, err := new(history.PrepareScratch).Build(&history.History{Ops: synth})
-	if err != nil {
-		// The window itself carries an anomaly (duplicate value, dangling
-		// read); the key's error verdict dominates any safety count.
-		return safe
-	}
-	unsafeAt := make(map[int]bool, len(p.H.Ops))
-	for _, r := range regularity.Check(p).UnsafeReads {
-		unsafeAt[p.Op(r).Client] = true
-	}
-	for i := range dropped {
-		safe[i] = !unsafeAt[base+len(kept)+i]
+	safe := make([]bool, len(dropped))
+	for i, r := range dropped {
+		n := sort.Search(len(writes), func(j int) bool { return writes[j].Start > r.Finish })
+		safe[i] = n > 0 && writes[n-1].Finish >= r.Start
 	}
 	return safe
 }

@@ -294,33 +294,73 @@ func TestStreamVerdictsByKeyMatchesOffline(t *testing.T) {
 // staleness against a tiny horizon) and asserts the evidence-based folds:
 // saturated k and Δ report sound non-trivial floors, and the regularity
 // counts stay exactly equal to the offline checker — the dropped reads are
-// definitively irregular, and their safety verdict is decided by the
-// synthetic-history replay of their closing window.
+// definitively irregular, and safe exactly when they overlap a write of their
+// closing window. At concurrency 1 no dropped read overlaps a write; at
+// concurrency 3 some do.
 func TestStreamVerdictsStaleFloors(t *testing.T) {
-	sawStale := false
-	for seed := int64(0); seed < 12; seed++ {
-		h := generator.KAtomic(generator.Config{
-			Seed: seed, Ops: 120, Concurrency: 1, StalenessDepth: 0, ReadFraction: 0.5,
-		})
-		h = generator.InjectStaleness(h, seed, 0.3, 6+int(seed%4))
-		keys := map[string]*history.History{"x": h}
-		want := offlineVerdictsOf(t, keys)
-		text := multiKeyArrival(keys)
+	for _, conc := range []int{1, 3} {
+		sawStale := false
+		for seed := int64(0); seed < 12; seed++ {
+			h := generator.KAtomic(generator.Config{
+				Seed: seed, Ops: 120, Concurrency: conc, StalenessDepth: 0, ReadFraction: 0.5,
+			})
+			h = generator.InjectStaleness(h, seed, 0.3, 6+int(seed%4))
+			keys := map[string]*history.History{"x": h}
+			want := offlineVerdictsOf(t, keys)
+			text := multiKeyArrival(keys)
 
-		sopts := StreamOptions{MinSegmentOps: 1, Horizon: 2, Properties: PropertySetAll, Workers: 2}
-		kvs, stats, err := StreamVerdictsByKey(strings.NewReader(text), core.Options{}, sopts)
-		if err != nil {
-			t.Fatalf("seed %d: StreamVerdictsByKey: %v", seed, err)
+			sopts := StreamOptions{MinSegmentOps: 1, Horizon: 2, Properties: PropertySetAll, Workers: 2}
+			kvs, stats, err := StreamVerdictsByKey(strings.NewReader(text), core.Options{}, sopts)
+			if err != nil {
+				t.Fatalf("concurrency %d seed %d: StreamVerdictsByKey: %v", conc, seed, err)
+			}
+			sawStale = sawStale || stats.StaleReads > 0
+			checkVerdictsAgainstOffline(t, fmt.Sprintf("concurrency %d stale seed %d", conc, seed), kvs, want)
+			if stats.StaleReads > 0 && (!kvs[0].Saturated || !kvs[0].DeltaSaturated) {
+				t.Fatalf("concurrency %d seed %d: %d stale reads but saturation flags k=%v Δ=%v",
+					conc, seed, stats.StaleReads, kvs[0].Saturated, kvs[0].DeltaSaturated)
+			}
 		}
-		sawStale = sawStale || stats.StaleReads > 0
-		checkVerdictsAgainstOffline(t, fmt.Sprintf("stale seed %d", seed), kvs, want)
-		if stats.StaleReads > 0 && (!kvs[0].Saturated || !kvs[0].DeltaSaturated) {
-			t.Fatalf("seed %d: %d stale reads but saturation flags k=%v Δ=%v",
-				seed, stats.StaleReads, kvs[0].Saturated, kvs[0].DeltaSaturated)
+		if !sawStale {
+			t.Fatalf("concurrency %d: no seed produced a cross-boundary stale read; the floors went untested", conc)
 		}
 	}
-	if !sawStale {
-		t.Fatal("no seed produced a cross-boundary stale read; the floors went untested")
+}
+
+// TestStaleReadSafetyMergingWindow: the last window holds w 3, r 2 and r 1.
+// r 2 merges the held segment of w 2; w 1 was dispatched at a horizon of one
+// write, so r 1 is dropped. r 1 overlaps w 3, so it is safe, and w 2 falls
+// between w 1 and r 1, so it is irregular. A window that also merges must
+// not turn the dropped read unsafe.
+func TestStaleReadSafetyMergingWindow(t *testing.T) {
+	const text = "w 1 0 1\nw 2 2 3\nw 3 4 7\nr 2 5 9\nr 1 6 8\n"
+	h, err := history.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refcheck.Properties(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSmallestKSession(core.Options{}, StreamOptions{
+		Horizon: 1, MinSegmentOps: 1, Properties: PropertySetRegularity,
+	})
+	for _, op := range h.Ops {
+		if err := sess.Append("x", op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.StaleReads != 1 || st.Merges == 0 {
+		t.Fatalf("stale reads %d, merges %d; want one stale read in a merging window", st.StaleReads, st.Merges)
+	}
+	kv := sess.Snapshot()[0]
+	if kv.Err != nil || kv.UnsafeReads != 0 || kv.IrregularReads != 1 ||
+		kv.UnsafeReads != len(ref.UnsafeReads) || kv.IrregularReads != len(ref.IrregularReads) {
+		t.Fatalf("online err=%v unsafe=%d irregular=%d; reference unsafe=%d irregular=%d, want 0 and 1",
+			kv.Err, kv.UnsafeReads, kv.IrregularReads, len(ref.UnsafeReads), len(ref.IrregularReads))
 	}
 }
 
@@ -405,9 +445,31 @@ func TestExhaustivePropertiesOnlineVsOffline(t *testing.T) {
 	if testing.Short() {
 		maxN = 3
 	}
+	sweepPropertiesOnlineVsOffline(t, maxN, 0)
+}
+
+// TestExhaustivePropertiesStaleHorizon is the same sweep at a horizon of one
+// write, up to 5 operations: a read reaching back past one closed write is a
+// cross-boundary stale read, so dropped reads, and windows that both drop
+// reads and merge held segments, appear throughout. Regularity counts stay
+// exact; k and Δ are exact unless saturated, and a saturated floor never
+// exceeds the reference.
+func TestExhaustivePropertiesStaleHorizon(t *testing.T) {
+	maxN := 5
+	if testing.Short() {
+		maxN = 4
+	}
+	sweepPropertiesOnlineVsOffline(t, maxN, 1)
+}
+
+// sweepPropertiesOnlineVsOffline feeds every enumerated history of up to maxN
+// operations, in start order, to a smallest-k session with every property at
+// the given horizon (0: the default, which no tiny history saturates), and
+// asserts each drained verdict against the brute-force references.
+func sweepPropertiesOnlineVsOffline(t *testing.T, maxN, horizon int) {
 	pool := core.NewPool(2)
 	defer pool.Close()
-	total := 0
+	total, stale := 0, int64(0)
 	for n := 1; n <= maxN; n++ {
 		refcheck.EnumerateHistories(n, func(h *history.History) {
 			total++
@@ -422,7 +484,7 @@ func TestExhaustivePropertiesOnlineVsOffline(t *testing.T) {
 			ops := append([]history.Operation(nil), h.Ops...)
 			sort.SliceStable(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 			sess := NewSmallestKSession(core.Options{}, StreamOptions{
-				Pool: pool, MinSegmentOps: 1, Properties: PropertySetAll,
+				Pool: pool, MinSegmentOps: 1, Horizon: horizon, Properties: PropertySetAll,
 			})
 			for _, op := range ops {
 				if err := sess.Append("x", op); err != nil {
@@ -432,6 +494,7 @@ func TestExhaustivePropertiesOnlineVsOffline(t *testing.T) {
 			if err := sess.Flush(); err != nil {
 				t.Fatalf("%s: Flush: %v", desc, err)
 			}
+			stale += sess.Stats().StaleReads
 			kvs := sess.Snapshot()
 			if len(kvs) != 1 {
 				t.Fatalf("%s: %d keys", desc, len(kvs))
@@ -443,14 +506,14 @@ func TestExhaustivePropertiesOnlineVsOffline(t *testing.T) {
 			if refErr != nil {
 				return
 			}
-			if kv.Saturated || kv.DeltaSaturated {
+			if horizon == 0 && (kv.Saturated || kv.DeltaSaturated) {
 				t.Fatalf("%s: tiny history saturated the horizon", desc)
 			}
-			if got := max(1, kv.SmallestK); got != refK {
-				t.Fatalf("%s: online k=%d, reference %d", desc, got, refK)
+			if got := max(1, kv.SmallestK); got != refK && !(kv.Saturated && got < refK) {
+				t.Fatalf("%s: online k=%d (saturated %v), reference %d", desc, got, kv.Saturated, refK)
 			}
-			if kv.SmallestDelta != refD {
-				t.Fatalf("%s: online Δ=%d, reference %d", desc, kv.SmallestDelta, refD)
+			if kv.SmallestDelta != refD && !(kv.DeltaSaturated && kv.SmallestDelta < refD) {
+				t.Fatalf("%s: online Δ=%d (saturated %v), reference %d", desc, kv.SmallestDelta, kv.DeltaSaturated, refD)
 			}
 			if kv.UnsafeReads != len(refP.UnsafeReads) || kv.IrregularReads != len(refP.IrregularReads) {
 				t.Fatalf("%s: online unsafe=%d irregular=%d, reference unsafe=%d irregular=%d",
@@ -461,5 +524,8 @@ func TestExhaustivePropertiesOnlineVsOffline(t *testing.T) {
 			t.FailNow()
 		}
 	}
-	t.Logf("swept %d histories online vs offline across all properties", total)
+	if horizon > 0 && stale == 0 {
+		t.Fatalf("no history produced a cross-boundary stale read at horizon %d", horizon)
+	}
+	t.Logf("swept %d histories online vs offline across all properties at horizon %d (%d stale reads)", total, horizon, stale)
 }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,27 +260,6 @@ func ParseFileName(name string) (epoch, shard int, ok bool) {
 		return 0, 0, false
 	}
 	return e, s, true
-}
-
-// ListEpochs scans dir for WAL files and returns the sorted distinct epoch
-// numbers present.
-func ListEpochs(fsys faultfs.FS, dir string) ([]int, error) {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int]bool{}
-	for _, name := range names {
-		if e, _, ok := ParseFileName(name); ok {
-			seen[e] = true
-		}
-	}
-	epochs := make([]int, 0, len(seen))
-	for e := range seen {
-		epochs = append(epochs, e)
-	}
-	sort.Ints(epochs)
-	return epochs, nil
 }
 
 // Open creates a Log writing epoch `epoch` files for `shards` ingest
