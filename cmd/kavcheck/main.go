@@ -178,20 +178,12 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
+	// -algo is one of the algorithms' own names.
 	opts := kat.Options{}
-	switch *algo {
-	case "auto":
-		opts.Algorithm = kat.AlgoAuto
-	case "zones":
-		opts.Algorithm = kat.AlgoZones
-	case "lbt":
-		opts.Algorithm = kat.AlgoLBT
-	case "fzf":
-		opts.Algorithm = kat.AlgoFZF
-	case "oracle":
-		opts.Algorithm = kat.AlgoOracle
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
+	for opts.Algorithm = kat.AlgoAuto; opts.Algorithm.String() != *algo; opts.Algorithm++ {
+		if opts.Algorithm == kat.AlgoOracle {
+			return fmt.Errorf("unknown algorithm %q", *algo)
+		}
 	}
 	p, err := prepare()
 	if err != nil {

@@ -172,7 +172,7 @@ func TestServeDurableRestart(t *testing.T) {
 	text := "w reg 1 0 2\nr reg 1 1 3\nw reg 2 4 6\nr reg 1 5 7\nr reg 2 8 9\n"
 
 	runOnce := func(ingest string) string {
-		n := startNode(t, faultfs.OS(), "-data-dir", dir, "-checkpoint-interval", "50ms", "-workers", "2", "-min-segment-ops", "1")
+		n := startNode(t, faultfs.OS(), "-data-dir", dir, "-checkpoint-interval", "50ms", "-workers", "2")
 		if ingest != "" {
 			if code, body := post(t, n.base+"/ingest", ingest); code != http.StatusOK {
 				t.Fatalf("ingest: %d %s", code, body)
@@ -207,7 +207,7 @@ func TestServeDurableRestart(t *testing.T) {
 // while the other keeps ingesting, and prints each tenant's final verdicts.
 func TestServeTenantsDurable(t *testing.T) {
 	fsys := faultfs.NewMem()
-	args := []string{"-tenants", "a,b", "-data-dir", "d", "-workers", "1", "-min-segment-ops", "1"}
+	args := []string{"-tenants", "a,b", "-data-dir", "d", "-workers", "1"}
 	var log strings.Builder
 	first, err := serve.New(args, &log, fsys)
 	if err != nil {
@@ -265,7 +265,7 @@ func TestServeRootQuota(t *testing.T) {
 // ingests a trace, triggers the signal-driven graceful drain, and checks the
 // final verdicts printed on shutdown match the offline checker.
 func TestServeDrainOnSignal(t *testing.T) {
-	n := startNode(t, nil, "-workers", "2", "-min-segment-ops", "4", "-pprof")
+	n := startNode(t, nil, "-workers", "2", "-pprof")
 
 	// -pprof mounts the profile index (mutex/block enabled) next to the
 	// service endpoints without shadowing them.
@@ -324,7 +324,7 @@ func TestServeDrainOnSignal(t *testing.T) {
 // TestServePropertiesDrain: a per-property session's final shutdown
 // printout and /verdict both carry the Δ and regularity verdicts.
 func TestServePropertiesDrain(t *testing.T) {
-	n := startNode(t, nil, "-workers", "1", "-min-segment-ops", "1", "-properties", "k,delta,regularity")
+	n := startNode(t, nil, "-workers", "1", "-properties", "k,delta,regularity")
 
 	if code, body := post(t, n.base+"/ingest", "w a 1 0 1\nr a 1 2 3\nw a 2 4 5\nr a 2 6 7\n"); code != http.StatusOK {
 		t.Fatalf("ingest: %d %s", code, body)
@@ -343,4 +343,39 @@ func TestServePropertiesDrain(t *testing.T) {
 	if !strings.Contains(output, "smallest Δ: 0") || !strings.Contains(output, "irregular: 0  unsafe: 0") {
 		t.Fatalf("final printout missing per-property verdicts:\n%s", output)
 	}
+}
+
+// TestServeDefaults: a node started without tuning runs the service's
+// constants — 16 ingest shards, and a 128-operation segment floor, so a
+// quiescent sequential history never holds a larger open window.
+func TestServeDefaults(t *testing.T) {
+	n := startNode(t, nil, "-workers", "1")
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(n.base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return string(b)
+	}
+	if m := get("/metrics"); !strings.Contains(m, "\nkavserve_ingest_shards 16\n") {
+		t.Errorf("/metrics lacks kavserve_ingest_shards 16:\n%s", m)
+	}
+	var text strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&text, "%c a %d %d %d\n", "wr"[i%2], i/2+1, 2*i, 2*i+1)
+	}
+	if code, body := post(t, n.base+"/ingest", text.String()); code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", code, body)
+	}
+	var doc struct{ Stats struct{ MaxOpenOps int } }
+	if err := json.Unmarshal([]byte(get("/verdict")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Stats.MaxOpenOps != 128 {
+		t.Errorf("largest open window %d ops, want the 128-op floor", doc.Stats.MaxOpenOps)
+	}
+	n.stop(t)
 }

@@ -175,6 +175,7 @@ func TestHundredConcurrentReplayClientsCluster(t *testing.T) {
 // clean full-cluster drain.
 func TestClusterFailoverAndReadmission(t *testing.T) {
 	fastRouterRetries(t)
+	setRouterBreaker(t, 2, 150*time.Millisecond)
 
 	// Members run on real listeners (not httptest) so one can die and come
 	// back on the same host:port, the way the router would see a restart.
@@ -209,8 +210,6 @@ func TestClusterFailoverAndReadmission(t *testing.T) {
 	var logMu sync.Mutex
 	var logs strings.Builder
 	cfg.ProbeInterval = 20 * time.Millisecond
-	cfg.BreakerThreshold = 2
-	cfg.BreakerCooldown = 150 * time.Millisecond
 	cfg.HopTimeout = 2 * time.Second
 	cfg.ForwardRetries = 2
 	cfg.Logf = func(format string, args ...any) {

@@ -31,12 +31,6 @@ type Config struct {
 	// ProbeInterval spaces health probes per member (0:
 	// DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// BreakerThreshold is the consecutive-failure trip count (0:
-	// DefaultBreakerThreshold).
-	BreakerThreshold int
-	// BreakerCooldown is the open-state dwell before a half-open trial (0:
-	// DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 	// ForwardRetries caps retry attempts per forwarded sub-batch beyond
 	// the first (0: DefaultForwardRetries).
 	ForwardRetries int
@@ -54,12 +48,10 @@ type Config struct {
 // kavgen -replay fetches; a drain flushes every member's verification
 // pipeline, so it legitimately outlives a hop.
 const (
-	DefaultHopTimeout       = 5 * time.Second
-	DefaultDrainTimeout     = 60 * time.Second
-	DefaultProbeInterval    = time.Second
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 3 * time.Second
-	DefaultForwardRetries   = 6
+	DefaultHopTimeout     = 5 * time.Second
+	DefaultDrainTimeout   = 60 * time.Second
+	DefaultProbeInterval  = time.Second
+	DefaultForwardRetries = 6
 )
 
 func (c *Config) withDefaults() Config {
@@ -69,12 +61,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if d.ProbeInterval <= 0 {
 		d.ProbeInterval = DefaultProbeInterval
-	}
-	if d.BreakerThreshold <= 0 {
-		d.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if d.BreakerCooldown <= 0 {
-		d.BreakerCooldown = DefaultBreakerCooldown
 	}
 	if d.ForwardRetries <= 0 {
 		d.ForwardRetries = DefaultForwardRetries
@@ -88,10 +74,15 @@ func (c *Config) withDefaults() Config {
 	return d
 }
 
-// Retry pacing for forwarded sub-batches; variables so tests shrink them.
+// Retry pacing for forwarded sub-batches, and each member's circuit
+// breaker: it opens after routerBreakerThreshold consecutive failures and
+// lets one trial through after routerBreakerCooldown. Variables so tests
+// shrink them.
 var (
-	routerRetryBase = 50 * time.Millisecond
-	routerRetryMax  = 2 * time.Second
+	routerRetryBase        = 50 * time.Millisecond
+	routerRetryMax         = 2 * time.Second
+	routerBreakerThreshold = 3
+	routerBreakerCooldown  = 3 * time.Second
 )
 
 // Router is the cluster-mode ingress: it owns no verification state of its
@@ -158,7 +149,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		}
 		m.HopTimeout = cfg.HopTimeout
 		m.RetryBase, m.RetryMax = routerRetryBase, routerRetryMax
-		m.Breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+		m.Breaker = NewBreaker(routerBreakerThreshold, routerBreakerCooldown)
 		lbl := `node="` + m.label + `"`
 		m.Batches = rt.reg.CounterL("kavserve_router_forward_batches_total",
 			"Sub-batches forwarded cleanly, per member.", lbl)

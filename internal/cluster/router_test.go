@@ -29,6 +29,15 @@ func fastRouterRetries(t *testing.T) {
 	t.Cleanup(func() { routerRetryBase, routerRetryMax = base, max })
 }
 
+// setRouterBreaker builds the routers of one test with the given breaker
+// tuning.
+func setRouterBreaker(t *testing.T, threshold int, cooldown time.Duration) {
+	t.Helper()
+	th, cd := routerBreakerThreshold, routerBreakerCooldown
+	routerBreakerThreshold, routerBreakerCooldown = threshold, cooldown
+	t.Cleanup(func() { routerBreakerThreshold, routerBreakerCooldown = th, cd })
+}
+
 // testCluster is N online members behind httptest servers plus a router
 // fronting them (probes not started; tests that need them call Start).
 type testCluster struct {
@@ -221,12 +230,28 @@ func TestRouterWireCodecPreserved(t *testing.T) {
 	}
 }
 
+// TestRouterBreakerDefaults: with no test tuning, every member's breaker
+// opens after 3 consecutive failures and admits a trial 3 s later.
+func TestRouterBreakerDefaults(t *testing.T) {
+	rt, err := NewRouter(Config{Nodes: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for i, m := range rt.members {
+		if b := m.Breaker; b.threshold != 3 || b.cooldown != 3*time.Second {
+			t.Errorf("member %d breaker: threshold %d, cooldown %v; want 3, 3s", i, b.threshold, b.cooldown)
+		}
+	}
+}
+
 // TestRouterDegradedIngest: with one member down, healthy slices keep
 // ingesting and the reject is typed "degraded" naming the dead slice, with
 // Ingested counting cross-node accepted ops (not a prefix).
 func TestRouterDegradedIngest(t *testing.T) {
 	fastRouterRetries(t)
-	tc := newTestCluster(t, 3, nil, Config{ForwardRetries: 1, BreakerThreshold: 2, HopTimeout: 2 * time.Second})
+	setRouterBreaker(t, 2, routerBreakerCooldown)
+	tc := newTestCluster(t, 3, nil, Config{ForwardRetries: 1, HopTimeout: 2 * time.Second})
 	tc.backends[1].Close() // node 1 is gone
 
 	text, want := clusterTrace(12, 5)
@@ -360,6 +385,7 @@ func TestRouterChaosForwardingIsExact(t *testing.T) {
 // ops as "already applied", losing them.
 func TestRouterAmbiguousForwardInvalidatesBaseline(t *testing.T) {
 	fastRouterRetries(t)
+	setRouterBreaker(t, 100, routerBreakerCooldown)
 	var mode atomic.Int32 // 0: normal; 1: ingest applies then dies + verdict 500s; 2: one pre-apply reset
 	tc := newTestCluster(t, 1, func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -384,7 +410,7 @@ func TestRouterAmbiguousForwardInvalidatesBaseline(t *testing.T) {
 				h.ServeHTTP(w, r)
 			}
 		})
-	}, Config{ForwardRetries: 2, BreakerThreshold: 100})
+	}, Config{ForwardRetries: 2})
 
 	// Warm-up establishes a clean acked baseline.
 	if resp, payload := postIngestText(t, tc.rts.URL, "w k 1 0 1\n"); resp.StatusCode != http.StatusOK {

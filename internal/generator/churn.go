@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"kat/internal/history"
+	"kat/internal/wire"
 )
 
 // ChurnConfig controls the churning-keyspace workload: a stream of key
@@ -50,10 +51,7 @@ type ChurnConfig struct {
 
 // KeyedOp pairs an operation with its register key; Churn returns them in
 // global arrival (start) order.
-type KeyedOp struct {
-	Key string
-	Op  history.Operation
-}
+type KeyedOp = wire.Op
 
 // lifeSpacing is KAtomic's commit spacing; lifeSpan bounds one lifetime's
 // timeline footprint (commits at (i+1)*spacing, interval half-widths of

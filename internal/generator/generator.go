@@ -119,7 +119,7 @@ func KAtomic(cfg Config) *history.History {
 		committed = append(committed, nextVal)
 		nextVal++
 	}
-	return history.NormalizeInPlace(history.New(ops))
+	return history.NormalizeInPlace(&history.History{Ops: ops})
 }
 
 // Adversarial generates a 2-atomic history whose write concurrency is
@@ -194,7 +194,7 @@ func Random(cfg Config) *history.History {
 		ops[i].Start = start
 		ops[i].Finish = finish
 	}
-	return history.NormalizeInPlace(history.New(ops))
+	return history.NormalizeInPlace(&history.History{Ops: ops})
 }
 
 // LBTTrap builds the pathological input for literal Figure 2 LBT that
@@ -265,7 +265,7 @@ func LBTTrap(chain, goods int) *history.History {
 		add(history.KindWrite, val, 800+i%200, base+10*i)
 		val++
 	}
-	return history.NormalizeInPlace(history.New(ops))
+	return history.NormalizeInPlace(&history.History{Ops: ops})
 }
 
 // ZipfCounts distributes total operations over keys with Zipfian skew of

@@ -183,3 +183,14 @@ func TestLBTTrapDegenerateParams(t *testing.T) {
 		prepare(t, h)
 	}
 }
+
+var benchSink *history.History
+
+// BenchmarkKAtomic is one small generated register: B/op and allocs/op show
+// what building and normalizing it costs beyond the operations themselves.
+func BenchmarkKAtomic(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = KAtomic(Config{Seed: int64(i), Ops: 32, Concurrency: 2, ReadFraction: 0.5})
+	}
+}

@@ -248,7 +248,7 @@ func Run(cfg Config) (*history.History, Stats, error) {
 		s.now = e.at
 		e.fn()
 	}
-	return history.Normalize(history.New(s.ops)), s.stats, nil
+	return history.NormalizeInPlace(&history.History{Ops: s.ops}), s.stats, nil
 }
 
 func (s *sim) schedule(at int64, fn func()) {

@@ -62,8 +62,6 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 		k        = fs.Int("k", 2, "staleness bound keys are judged against in /verdict")
 		workers  = fs.Int("workers", 0, "verification pool size (0 = GOMAXPROCS)")
 		horizon  = fs.Int("horizon", 0, "smallest-k staleness horizon in writes (0 = default)")
-		minSeg   = fs.Int("min-segment-ops", 0, "minimum open-window size before a quiescent cut (0 = default)")
-		shards   = fs.Int("ingest-shards", 0, "ingest shard count: concurrent producers contend only per key-hash shard (0 = default)")
 		propSet  = fs.String("properties", "k", "comma-separated properties verified in the same pass: k (always on), delta (smallest Δ), regularity (Lamport safety/regularity)")
 		pprofOn  = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ with mutex and block profiling enabled (ingest-contention observability)")
 		dataDir  = fs.String("data-dir", "", "durability directory: per-shard WAL + checkpoints; ingest survives crashes and restarts recover it (empty = in-memory only)")
@@ -81,12 +79,10 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 		tenantKeys = fs.Int64("tenant-max-keys", 0, "per-tenant distinct-key quota (0 = unlimited)")
 
 		// Router mode.
-		route       = fs.String("route", "", "router mode: comma-separated member base URLs; this process forwards by key hash instead of verifying locally")
-		hopTimeout  = fs.Duration("hop-timeout", cluster.DefaultHopTimeout, "router: deadline per forwarded request")
-		probeIval   = fs.Duration("probe-interval", cluster.DefaultProbeInterval, "router: member health-probe cadence")
-		brkThresh   = fs.Int("breaker-threshold", cluster.DefaultBreakerThreshold, "router: consecutive failures before a member's circuit breaker opens")
-		brkCooldown = fs.Duration("breaker-cooldown", cluster.DefaultBreakerCooldown, "router: open-breaker dwell before a half-open trial")
-		fwdRetries  = fs.Int("forward-retries", cluster.DefaultForwardRetries, "router: retry attempts per forwarded sub-batch beyond the first")
+		route      = fs.String("route", "", "router mode: comma-separated member base URLs; this process forwards by key hash instead of verifying locally")
+		hopTimeout = fs.Duration("hop-timeout", cluster.DefaultHopTimeout, "router: deadline per forwarded request")
+		probeIval  = fs.Duration("probe-interval", cluster.DefaultProbeInterval, "router: member health-probe cadence")
+		fwdRetries = fs.Int("forward-retries", cluster.DefaultForwardRetries, "router: retry attempts per forwarded sub-batch beyond the first")
 
 		// HTTP server hardening (both modes).
 		readHeaderTO = fs.Duration("read-header-timeout", 10*time.Second, "cap on reading a request's headers (slowloris guard)")
@@ -110,12 +106,10 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 			return nil, fmt.Errorf("-route and -tenants are mutually exclusive: tenancy lives on the member nodes")
 		}
 		err := n.router(cluster.Config{
-			Nodes:            splitList(*route),
-			HopTimeout:       *hopTimeout,
-			ProbeInterval:    *probeIval,
-			BreakerThreshold: *brkThresh,
-			BreakerCooldown:  *brkCooldown,
-			ForwardRetries:   *fwdRetries,
+			Nodes:          splitList(*route),
+			HopTimeout:     *hopTimeout,
+			ProbeInterval:  *probeIval,
+			ForwardRetries: *fwdRetries,
 		}, out)
 		if err != nil {
 			return nil, err
@@ -132,8 +126,6 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 	}
 	cfg := online.Config{K: *k}
 	cfg.Stream.Horizon = *horizon
-	cfg.Stream.MinSegmentOps = *minSeg
-	cfg.Stream.IngestShards = *shards
 	cfg.Stream.Properties = properties
 	if cfg.Stream.RetireTTL, err = parseTraceTime(*retireTTL, "-retire-ttl"); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -42,11 +43,10 @@ func TestParseByteSize(t *testing.T) {
 // is a visible diff here.
 func TestFlagSetPinned(t *testing.T) {
 	want := []string{
-		"addr", "breaker-cooldown", "breaker-threshold", "checkpoint-interval", "data-dir", "epoch",
-		"forward-retries", "fsync", "hop-timeout", "horizon", "idle-timeout", "ingest-shards", "k",
-		"memory-budget", "min-segment-ops", "pprof", "probe-interval", "properties", "read-header-timeout",
-		"read-timeout", "retire-ttl", "route", "shutdown-timeout", "tenant-max-keys",
-		"tenant-max-ops", "tenants", "workers",
+		"addr", "checkpoint-interval", "data-dir", "epoch", "forward-retries", "fsync",
+		"hop-timeout", "horizon", "idle-timeout", "k", "memory-budget", "pprof", "probe-interval",
+		"properties", "read-header-timeout", "read-timeout", "retire-ttl", "route",
+		"shutdown-timeout", "tenant-max-keys", "tenant-max-ops", "tenants", "workers",
 	}
 	var usage strings.Builder
 	if _, err := New([]string{"-h"}, &usage, faultfs.NewMem()); !errors.Is(err, flag.ErrHelp) {
@@ -61,5 +61,31 @@ func TestFlagSetPinned(t *testing.T) {
 	sort.Strings(got)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("kavserve flags:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRemovedFlagsRefused: the segment floor, the shard count and the
+// router's breaker tuning are constants of the service (library options of
+// kat.StreamOptions; unexported values in cluster), so their old flags fail
+// at parse time, in a verifying node and a router alike.
+func TestRemovedFlagsRefused(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-min-segment-ops", "1"},
+		{"-ingest-shards", "4"},
+		{"-breaker-threshold", "2"},
+		{"-breaker-cooldown", "150ms"},
+	} {
+		for _, args := range [][]string{
+			{tc.flag, tc.value},
+			{"-route", "http://localhost:1", tc.flag, tc.value},
+		} {
+			n, err := New(args, io.Discard, faultfs.NewMem())
+			if want := "flag provided but not defined: " + tc.flag; err == nil || err.Error() != want {
+				if n != nil {
+					n.Close()
+				}
+				t.Errorf("%v: err = %v, want %q", args, err, want)
+			}
+		}
 	}
 }

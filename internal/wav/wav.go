@@ -210,7 +210,7 @@ func Reduce(bp BinPacking) (*Reduction, error) {
 		red.ItemValues = append(red.ItemValues, v)
 	}
 
-	red.History = history.Normalize(history.New(ops))
+	red.History = history.NormalizeInPlace(&history.History{Ops: ops})
 	return red, nil
 }
 
