@@ -19,7 +19,9 @@ package trace
 // wire frame, textChunk for a parsed chunk of keyed text. Only the key's
 // representation differs: a string, or bytes where the decoder holds them (a
 // dictionary entry, a view into the read buffer), which the shard's key map
-// is probed with as they are.
+// is probed with as they are. Whatever the door, a durable session logs each
+// shard group as one self-contained wire frame (walRecord), so one batch
+// writes the same bytes through every door.
 //
 // Ordering: a key maps to exactly one shard and each shard's group
 // preserves input order, so per-key arrival order — the only order the
@@ -33,6 +35,7 @@ package trace
 // sticky either way.
 
 import (
+	"fmt"
 	"io"
 	"slices"
 
@@ -92,6 +95,7 @@ type batchScratch struct {
 	counts []int32             // per-shard group size
 	starts []int32             // counting-sort cursor, one per shard
 	order  []int32             // op indices grouped by shard
+	keys   []string            // the admitted keys of one shard group, for walRecord
 	wal    []byte              // write-ahead encoding of one shard group
 	one    [1]KeyedOp          // Append's batch
 	// collect appends one parsed op to text. It is built once per scratch:
@@ -119,11 +123,10 @@ func (s *Session) putScratch(sc *batchScratch) {
 // acquisition: gate recheck under the lock, one admission per operation in
 // input order, and the sticky-error unwind. With a ShardLogger attached, the
 // group's accepted prefix is logged before the lock releases — on the error
-// exits too, so the log never misses an operation the engine admitted — as a
-// self-contained wire frame when the batch arrived binary (src is the frame b
-// views), as keyed text otherwise. Every exit releases the shard through
-// unlockIngest, which publishes the group's counters. Returns the operations
-// appended and the first error.
+// exits too, so the log never misses an operation the engine admitted — as
+// one self-contained wire frame (walRecord; src is the wire frame b views, if
+// any). Every exit releases the shard through unlockIngest, which publishes
+// the group's counters. Returns the operations appended and the first error.
 func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, src *wire.Frame) (int, error) {
 	e := s.e
 	n := b.len()
@@ -137,6 +140,9 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 	}
 	sc.group(len(e.shards))
 	logger := s.shardLogger()
+	// A logged group names its keys by the admitted key's own string, unless
+	// the source frame's dictionary ids name them.
+	collect := logger != nil && src == nil
 	// The idleness clock of the sweep below: the whole batch arrived at once,
 	// so its own operations are no evidence that any key has gone quiet (see
 	// lifecycle.go, "Soundness"). Nothing sweeps without a TTL.
@@ -155,16 +161,21 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 		sh.lockIngest()
 		err := s.gate()
 		accepted := 0
+		sc.keys = sc.keys[:0]
 		for err == nil && accepted < len(group) {
 			key, op := b.at(int(group[accepted]))
-			if err = s.stick(add(e, sh, key, *op)); err == nil {
+			ks, aerr := add(e, sh, key, *op)
+			if err = s.stick(aerr); err == nil {
+				if collect {
+					sc.keys = append(sc.keys, ks.key)
+				}
 				accepted++
 			}
 		}
 		appended += accepted
 		if logger != nil && accepted > 0 {
 			// An admission error is already sticky and stays the one returned.
-			if lerr := s.logShard(logger, si, walRecord(sc, b, group[:accepted], src)); err == nil {
+			if lerr := logShard(s, logger, si, sc, b, group[:accepted], src); err == nil {
 				err = lerr
 			}
 		}
@@ -178,30 +189,31 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 }
 
 // walRecord encodes the operations of b at idx — one shard group's accepted
-// prefix — as one write-ahead record: when src is the wire frame b views, a
-// self-contained frame keyed by src's dictionary ids, so durable ingest logs
-// binary when it received binary and recovery replays each record alone;
-// keyed text otherwise.
-func walRecord[K string | []byte, B batchView[K]](sc *batchScratch, b B, idx []int32, src *wire.Frame) []byte {
-	sc.wal = sc.wal[:0]
-	if src == nil {
-		for _, i := range idx {
-			key, op := b.at(int(i))
-			sc.wal = history.AppendOpText(sc.wal, key, *op)
-		}
-		return sc.wal
-	}
+// prefix — as one write-ahead record: a self-contained wire frame, so
+// recovery replays each record alone. Keys are named by src's dictionary ids
+// when src is the wire frame b views, and by sc.keys, the admitted keys'
+// own strings, otherwise; either way no string is made per key or operation,
+// and one group encodes to the same bytes through every door.
+func walRecord[K string | []byte, B batchView[K]](sc *batchScratch, b B, idx []int32, src *wire.Frame) ([]byte, error) {
 	if sc.wenc == nil {
 		sc.wenc = wire.NewEncoder()
 		sc.wenc.SetSelfContained(true)
 	}
-	for _, i := range idx {
-		// Kinds came through the decoder, which enforces the kind set, so
-		// re-encoding cannot fail.
-		_ = sc.wenc.AddFrom(src, int(i))
+	for j, i := range idx {
+		var err error
+		if src != nil {
+			err = sc.wenc.AddFrom(src, int(i))
+		} else {
+			_, op := b.at(int(i))
+			err = sc.wenc.Add(sc.keys[j], *op)
+		}
+		if err != nil {
+			sc.wenc.Reset()
+			return nil, err
+		}
 	}
-	sc.wal = sc.wenc.AppendFrame(sc.wal)
-	return sc.wal
+	sc.wal = sc.wenc.AppendFrame(sc.wal[:0])
+	return sc.wal, nil
 }
 
 // group builds sc.order: a counting sort of sc.shard into per-shard,
@@ -244,11 +256,19 @@ func (s *Session) commitBatch(err *error) {
 // appended and the first error, which is sticky exactly like Append's.
 // Per-key input order is preserved; see the package comment in batch.go for
 // the cross-producer interleaving and non-transactionality fine print.
+//
+// With a ShardLogger attached, a batch holding an operation its write-ahead
+// record cannot carry — a key outside the trace grammar's alphabet, or a kind
+// that is neither read nor write — is refused whole before any of it is
+// admitted, and the session stays usable, as after a parse error.
 func (s *Session) AppendBatch(ops []KeyedOp) (n int, err error) {
 	if len(ops) == 0 {
 		return 0, nil
 	}
 	if err = s.gate(); err != nil {
+		return 0, err
+	}
+	if err = s.loggable(ops); err != nil {
 		return 0, err
 	}
 	sc := s.getScratch()
@@ -260,17 +280,41 @@ func (s *Session) AppendBatch(ops []KeyedOp) (n int, err error) {
 // Append routes one operation into its key's segment accumulator: a batch of
 // one, held in the pooled scratch so the call allocates nothing. The
 // operation's ID is assigned internally. Append blocks when verification
-// falls behind the configured in-flight budget (backpressure).
+// falls behind the configured in-flight budget (backpressure). A durable
+// session refuses an operation it cannot log, as AppendBatch does.
 func (s *Session) Append(key string, op history.Operation) (err error) {
 	if err = s.gate(); err != nil {
 		return err
 	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	defer s.commitBatch(&err)
 	sc.one[0] = KeyedOp{Key: key, Op: op}
+	if err = s.loggable(sc.one[:]); err != nil {
+		return err
+	}
+	defer s.commitBatch(&err)
 	_, err = feed(s, sc, keyedOps(sc.one[:]), nil)
 	return err
+}
+
+// loggable checks, when a ShardLogger is attached, that every operation of
+// ops can be written ahead: its key is in the trace grammar's alphabet and
+// its kind is read or write. The text and wire decoders enforce both, so only
+// the doors that take parsed operations ask.
+func (s *Session) loggable(ops []KeyedOp) error {
+	if s.shardLogger() == nil {
+		return nil
+	}
+	for i := range ops {
+		kop := &ops[i]
+		if !wire.ValidKey(kop.Key) {
+			return fmt.Errorf("trace: key %q cannot be logged: a durable session takes keys without whitespace, ';' or '#'", kop.Key)
+		}
+		if kind := kop.Op.Kind; kind != history.KindRead && kind != history.KindWrite {
+			return fmt.Errorf("trace: operation kind %v on key %q cannot be logged: a durable session takes reads and writes", kind, kop.Key)
+		}
+	}
+	return nil
 }
 
 // AppendWire streams binary wire frames from r into the session: each frame
@@ -283,9 +327,8 @@ func (s *Session) Append(key string, op history.Operation) (err error) {
 // path), while engine admission errors are sticky exactly like Append's.
 //
 // When a ShardLogger is attached, each shard group is re-framed as a
-// self-contained wire frame — durable ingest logs binary when it received
-// binary, never materializing text — and the call is the group-commit unit,
-// exactly as on AppendTraceBatch.
+// self-contained wire frame keyed by the source frame's dictionary ids, and
+// the call is the group-commit unit, exactly as on AppendTraceBatch.
 func (s *Session) AppendWire(r io.Reader) (n int64, err error) {
 	if err = s.gate(); err != nil {
 		return 0, err

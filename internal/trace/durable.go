@@ -4,13 +4,13 @@ package trace
 //
 // Three seams, all optional and all zero-cost when unused:
 //
-//   - ShardLogger: the ingest paths encode every *accepted* operation — in
-//     the keyed text format, or as self-contained wire frames when the batch
-//     arrived binary — and hand each shard's group to the logger under that
-//     shard's ingest lock, so per-shard log order is exactly per-shard ingest
-//     order. Replaying a shard's payloads through Replay reproduces the
-//     session state — keys re-route by hash on replay, so the ingest shard
-//     count may change across restarts.
+//   - ShardLogger: the ingest paths encode every *accepted* operation, each
+//     shard's group as one self-contained wire frame whatever door it came
+//     through, and hand it to the logger under that shard's ingest lock, so
+//     per-shard log order is exactly per-shard ingest order. Replaying a
+//     shard's payloads through Replay reproduces the session state — keys
+//     re-route by hash on replay, so the ingest shard count may change across
+//     restarts.
 //
 //   - BlobStore + Session.Relieve: spill-to-disk of held runs. An open
 //     window and a closed segment waiting out the dispatch horizon are both a
@@ -38,10 +38,12 @@ package trace
 // re-Prepare every segment (sorting and reassigning IDs), so identities
 // are verdict-neutral and reloaded operations simply renumber from zero.
 //
-// Keys are round-tripped through the keyed text format (history/text.go), so
-// durable sessions require keys without whitespace, ';', or '#' — the same
-// alphabet the trace grammar can express. Everything arriving via parsed
-// ingest satisfies this by construction.
+// Keys are round-tripped through the wire codec (the log) and the keyed text
+// format (history/text.go; spill blobs and checkpoints), so durable sessions
+// require keys without whitespace, ';', or '#' — the same alphabet the trace
+// grammar can express. Everything arriving via parsed ingest satisfies this
+// by construction; a durable session's AppendBatch and Append refuse the
+// rest.
 
 import (
 	"bytes"
@@ -58,9 +60,8 @@ import (
 
 // ShardLogger receives the write-ahead copy of accepted operations.
 // LogShardBatch is called with the shard's ingest lock held — one call per
-// (ingest call, shard) pair covering that call's accepted operations for
-// the shard, encoded in the keyed text format, or as a self-contained wire
-// frame when the call arrived binary (AppendWire). Commit is called once per
+// (ingest call, shard) pair covering that call's accepted operations for the
+// shard, encoded as one self-contained wire frame. Commit is called once per
 // ingest call after all locks are released; under a batch-fsync policy this
 // is the group-commit point. Errors from either become the session's sticky
 // ingest error.
@@ -93,8 +94,9 @@ func (s *Session) SetShardLogger(l ShardLogger) {
 }
 
 // Replay feeds one logged record — a ShardLogger payload — back into the
-// session, in whichever codec it was logged: keyed text, or a self-contained
-// wire frame when the batch arrived binary (the magic says which; no text
+// session, in whichever codec it was logged: a self-contained wire frame, or
+// keyed text, which every door but AppendWire logged in data directories
+// written before the log became one encoding (the magic says which; no text
 // record can start with it). No retirement sweep runs while it does: a log is
 // replayed shard file by shard file, so the watermark says nothing about the
 // keys whose operations are still to come, and a key retired on its word
@@ -126,13 +128,16 @@ type DurabilityError struct{ Err error }
 func (e *DurabilityError) Error() string { return e.Err.Error() }
 func (e *DurabilityError) Unwrap() error { return e.Err }
 
-// logShard hands one shard's accepted-op encoding to the logger (shard lock
-// held by the caller) and stickies any failure.
-func (s *Session) logShard(l ShardLogger, shard int, buf []byte) error {
-	if len(buf) == 0 {
-		return nil
+// logShard encodes one shard group's accepted prefix, b's operations at idx,
+// and hands the record to the logger (shard lock held by the caller); any
+// failure, the encoding's included, is sticky: the engine has admitted
+// operations its log does not hold.
+func logShard[K string | []byte, B batchView[K]](s *Session, l ShardLogger, shard int, sc *batchScratch, b B, idx []int32, src *wire.Frame) error {
+	rec, err := walRecord(sc, b, idx, src)
+	if err == nil {
+		err = l.LogShardBatch(shard, rec)
 	}
-	if err := l.LogShardBatch(shard, buf); err != nil {
+	if err != nil {
 		return s.stick(&DurabilityError{err})
 	}
 	return nil

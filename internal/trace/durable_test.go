@@ -315,6 +315,136 @@ func TestRejectLogsAcceptedPrefix(t *testing.T) {
 	}
 }
 
+// TestDurableRefusesUnloggable sends AppendBatch and Append, with a
+// ShardLogger attached, a batch holding one operation a write-ahead record
+// cannot carry: a key outside the trace grammar's alphabet, or a kind that is
+// neither read nor write. The batch must be refused whole, with an error that
+// names the key, and the session must take the batches after it. Replaying
+// the log must give back exactly the operations the session admitted.
+func TestDurableRefusesUnloggable(t *testing.T) {
+	op := func(kind history.Kind, v, start int64) history.Operation {
+		return history.Operation{Kind: kind, Value: v, Start: start, Finish: start + 5}
+	}
+	w, r := history.KindWrite, history.KindRead
+	before := []KeyedOp{{Key: "x", Op: op(w, 1, 0)}, {Key: "y", Op: op(w, 1, 0)}}
+	after := []KeyedOp{{Key: "x", Op: op(r, 1, 10)}, {Key: "y", Op: op(w, 2, 10)}}
+	cases := []struct {
+		name string
+		bad  KeyedOp
+	}{
+		{"key with a space", KeyedOp{Key: "a b", Op: op(w, 1, 20)}},
+		{"key with a semicolon", KeyedOp{Key: "a;b", Op: op(w, 1, 20)}},
+		{"empty key", KeyedOp{Key: "", Op: op(w, 1, 20)}},
+		{"neither read nor write", KeyedOp{Key: "z", Op: op(history.Kind(3), 1, 20)}},
+	}
+	doors := []struct {
+		name string
+		run  func(s *Session, ops []KeyedOp) error
+	}{
+		{"AppendBatch", func(s *Session, ops []KeyedOp) error { _, err := s.AppendBatch(ops); return err }},
+		{"Append", func(s *Session, ops []KeyedOp) error {
+			for _, kop := range ops {
+				if err := s.Append(kop.Key, kop.Op); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	sopts := StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 3}
+	for _, door := range doors {
+		for _, c := range cases {
+			t.Run(door.name+"/"+c.name, func(t *testing.T) {
+				logger := newCaptureLogger()
+				s := NewSmallestKSession(core.Options{}, sopts)
+				s.SetShardLogger(logger)
+				if err := door.run(s, before); err != nil {
+					t.Fatal(err)
+				}
+				// AppendBatch gets the refused operation among good ones of
+				// other keys; for Append a batch is one operation.
+				bad := []KeyedOp{c.bad}
+				if door.name == "AppendBatch" {
+					bad = []KeyedOp{{Key: "v", Op: op(w, 1, 20)}, c.bad, {Key: "x", Op: op(w, 3, 20)}}
+				}
+				refused := door.run(s, bad)
+				if err := door.run(s, after); err != nil {
+					t.Fatalf("the session refuses the next batch: %v", err)
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				replay := logger.replay(t, s.Shards(), sopts)
+				if err := replay.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := replay.Snapshot(), s.Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("the log replays to %+v, the session admitted %+v", got, want)
+				}
+				if refused == nil || !strings.Contains(refused.Error(), fmt.Sprintf("%q", c.bad.Key)) {
+					t.Fatalf("err = %v, want a refusal naming key %q", refused, c.bad.Key)
+				}
+				if st := s.Stats(); st.Ops != int64(len(before)+len(after)) {
+					t.Fatalf("the session holds %d operations, want the %d outside the refused batch", st.Ops, len(before)+len(after))
+				}
+			})
+		}
+	}
+}
+
+// TestDoorsLogIdenticalRecords sends one batch through AppendBatch,
+// AppendTraceBatch and AppendWire (one frame): each door feeds each shard
+// group once, so each must log the same bytes for every shard — one
+// self-contained wire frame per group, whatever codec the batch arrived in.
+func TestDoorsLogIdenticalRecords(t *testing.T) {
+	ops := keyedOpsOf(t, genSessionTrace(5, 9, 40))
+	var text []byte
+	for i := range ops {
+		ops[i].Op.Weight = int64(1 + i%3)
+		ops[i].Op.Client = i%5 - 2
+		text = history.AppendOpText(text, ops[i].Key, ops[i].Op)
+	}
+	frame, err := wire.EncodeSelfContained(nil, ops, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doors := []struct {
+		name string
+		run  func(s *Session) (int64, error)
+	}{
+		{"AppendBatch", func(s *Session) (int64, error) { n, err := s.AppendBatch(ops); return int64(n), err }},
+		{"AppendTraceBatch", func(s *Session) (int64, error) { return s.AppendTraceBatch(bytes.NewReader(text)) }},
+		{"AppendWire", func(s *Session) (int64, error) { return s.AppendWire(bytes.NewReader(frame)) }},
+	}
+	sopts := StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 4}
+	var want map[int][]byte
+	for _, door := range doors {
+		logger := newCaptureLogger()
+		s := NewSmallestKSession(core.Options{}, sopts)
+		s.SetShardLogger(logger)
+		if n, err := door.run(s); err != nil || n != int64(len(ops)) {
+			t.Fatalf("%s: %d of %d operations, %v", door.name, n, len(ops), err)
+		}
+		if len(logger.shards) != sopts.IngestShards {
+			t.Fatalf("%s logged %d shards, want %d", door.name, len(logger.shards), sopts.IngestShards)
+		}
+		for shard, rec := range logger.shards {
+			if !wire.IsMagic(rec) {
+				t.Fatalf("%s: shard %d logged %q..., want a wire frame", door.name, shard, rec[:min(16, len(rec))])
+			}
+		}
+		if want == nil {
+			want = logger.shards
+			continue
+		}
+		for shard, rec := range logger.shards {
+			if !bytes.Equal(rec, want[shard]) {
+				t.Fatalf("%s logged shard %d as %q\n%s logged %q", door.name, shard, rec, doors[0].name, want[shard])
+			}
+		}
+	}
+}
+
 // TestReplayNeverRetires replays a retiring session's log the way recovery
 // does — shard 0's payloads first, then shard 1's, ... — through
 // Session.Replay, with a TTL far smaller than the trace span: after shard 0

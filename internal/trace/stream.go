@@ -730,13 +730,14 @@ func (e *engine) finish() {
 // add admits one operation under its key, which may be a string or a view
 // into a read buffer; the caller holds sh.mu. The map lookup copies neither,
 // so the hot path allocates nothing, and only a key's first sighting clones a
-// view.
-func add[K string | []byte](e *engine, sh *ingestShard, key K, op history.Operation) error {
+// view. It returns the key's state, whose key string a logged group names the
+// key by.
+func add[K string | []byte](e *engine, sh *ingestShard, key K, op history.Operation) (*keyState, error) {
 	ks := sh.keys[string(key)]
 	if ks == nil {
 		ks = e.newKey(sh, string(key))
 	}
-	return e.addOp(ks, op)
+	return ks, e.addOp(ks, op)
 }
 
 func (e *engine) newKey(sh *ingestShard, key string) *keyState {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"testing"
 
@@ -224,52 +225,74 @@ func (w *walSink) LogShardBatch(_ int, encoded []byte) error {
 func (w *walSink) Commit() error { return nil }
 
 // TestAppendWireDurableSteadyStateAllocs is TestAppendWireSteadyStateAllocs
-// with a ShardLogger attached: re-framing each shard group for the
-// write-ahead log names keys by their dictionary ids, so durable binary
-// ingest allocates nothing either.
+// with a ShardLogger attached, through the wire door and the keyed text door:
+// re-framing each shard group for the write-ahead log names keys by their
+// dictionary ids or by the admitted keys' own strings, so durable ingest
+// allocates nothing either way, and logs wire frames either way.
 func TestAppendWireDurableSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on pool and lock operations")
 	}
-	s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, IngestShards: 4, MinSegmentOps: 1 << 30})
-	sink := &walSink{}
-	s.SetShardLogger(sink)
-	var clock, value int64
-	batch := func(n int) []byte {
-		enc := wire.NewEncoder()
-		enc.SetSelfContained(true)
-		for i := 0; i < n; i++ {
-			value++
-			if err := enc.Add(fmt.Sprintf("key-%d", i%6), history.Operation{
-				Kind: history.KindWrite, Value: value, Start: clock, Finish: clock + 10, Client: i % 3,
-			}); err != nil {
+	doors := []struct {
+		name   string
+		encode func(t *testing.T, ops []KeyedOp) []byte
+		append func(s *Session, r io.Reader) (int64, error)
+	}{
+		{"AppendWire", func(t *testing.T, ops []KeyedOp) []byte {
+			frame, err := wire.EncodeSelfContained(nil, ops, false)
+			if err != nil {
 				t.Fatal(err)
 			}
-			clock++
-		}
-		return enc.AppendFrame(nil)
+			return frame
+		}, (*Session).AppendWire},
+		{"AppendTraceBatch", func(_ *testing.T, ops []KeyedOp) []byte {
+			var text []byte
+			for _, kop := range ops {
+				text = history.AppendOpText(text, kop.Key, kop.Op)
+			}
+			return text
+		}, (*Session).AppendTraceBatch},
 	}
-	if _, err := s.AppendWire(bytes.NewReader(batch(80000))); err != nil {
-		t.Fatal(err)
-	}
-	payloads := make([][]byte, 25)
-	for i := range payloads {
-		payloads[i] = batch(256)
-	}
-	run := 0
-	r := bytes.NewReader(nil)
-	allocs := testing.AllocsPerRun(len(payloads)-1, func() {
-		r.Reset(payloads[run])
-		run++
-		if _, err := s.AppendWire(r); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("durable wire hot path allocates %.1f allocs/batch at steady state, want 0", allocs)
-	}
-	if !wire.IsMagic(sink.last) {
-		t.Fatalf("last WAL record is not a wire frame: %q", sink.last[:min(16, len(sink.last))])
+	for _, door := range doors {
+		t.Run(door.name, func(t *testing.T) {
+			s := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, IngestShards: 4, MinSegmentOps: 1 << 30})
+			sink := &walSink{}
+			s.SetShardLogger(sink)
+			var clock, value int64
+			batch := func(n int) []byte {
+				ops := make([]KeyedOp, n)
+				for i := range ops {
+					value++
+					ops[i] = KeyedOp{Key: fmt.Sprintf("key-%d", i%6), Op: history.Operation{
+						Kind: history.KindWrite, Value: value, Start: clock, Finish: clock + 10, Client: i % 3,
+					}}
+					clock++
+				}
+				return door.encode(t, ops)
+			}
+			if _, err := door.append(s, bytes.NewReader(batch(80000))); err != nil {
+				t.Fatal(err)
+			}
+			payloads := make([][]byte, 25)
+			for i := range payloads {
+				payloads[i] = batch(256)
+			}
+			run := 0
+			r := bytes.NewReader(nil)
+			allocs := testing.AllocsPerRun(len(payloads)-1, func() {
+				r.Reset(payloads[run])
+				run++
+				if _, err := door.append(s, r); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("durable %s hot path allocates %.1f allocs/batch at steady state, want 0", door.name, allocs)
+			}
+			if !wire.IsMagic(sink.last) {
+				t.Fatalf("last WAL record is not a wire frame: %q", sink.last[:min(16, len(sink.last))])
+			}
+		})
 	}
 }
 
