@@ -558,16 +558,24 @@ func FuzzCrashPointRecovery(f *testing.F) {
 	})
 }
 
-// TestParentWALRecordPinned pins one whole write-ahead record, frame and
-// keyed-text body: the 172 bytes below are wal-ep00000000-s0000.log as a
+// TestParentWALRecordPinned pins one whole write-ahead record, WAL framing
+// and body. The 172 bytes of record are wal-ep00000000-s0000.log as a
 // kavserve built at commit 802faec left it (`-ingest-shards 1`, one request
-// of seven lines, killed). They must recover to the seven operations, and the
-// same request must log the same bytes.
+// of seven lines, killed), with a keyed-text body: they must recover to the
+// seven operations. The same request now logs framed, the 62 bytes of
+// current: one self-contained wire frame of the seven operations, which
+// must recover to them too.
 func TestParentWALRecordPinned(t *testing.T) {
 	const body = "w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n" +
 		"w acct:7 2 30 40\nr acct:7 2 35 50 client=9\n" +
 		"w acct:7 3 60 70\nw acct:7 4 65 80 weight=5\nr acct:7 4 75 90\n"
 	const record = "\xd4\xb1\x42\x59" + "\xa3\x00\x00\x00" + "\x01" + body // crc, length, RecordBatch
+	// The frame: magic, version 1, the dict-reset flag, the payload length;
+	// one key, the operation count and the seven operations; CRC-32C.
+	const frame = "KAVW\x01\x02\x2a" + "\x01\x06acct:7\x07" +
+		"\x03\x02\x00\x14\x02\x06" + "\x05\x02\x0a\x1e\x07" + "\x00\x04\x32\x14" + "\x05\x04\x0a\x1e\x12" +
+		"\x00\x06\x32\x14" + "\x02\x08\x0a\x1e\x05" + "\x04\x08\x14\x1e" + "\xa1\x3c\xd6\x3f"
+	const current = "\x88\x9f\x33\x9b" + "\x35\x00\x00\x00" + "\x01" + frame // crc, length, RecordBatch
 	name := "data/" + wal.FileName(0, 0)
 	open := func(mem *faultfs.MemFS) (*Manager, *trace.Session, RecoveryStats) {
 		t.Helper()
@@ -607,7 +615,15 @@ func TestParentWALRecordPinned(t *testing.T) {
 	}
 	mgr.Close()
 	got, err := faultfs.ReadFile(fresh, name)
-	if err != nil || string(got) != record {
-		t.Fatalf("the same request logged %q (%v)\nwant %q", got, err, record)
+	if err != nil || string(got) != current {
+		t.Fatalf("the same request logged %q (%v)\nwant %q", got, err, current)
+	}
+	mgr, sess, rs = open(fresh)
+	defer mgr.Close()
+	if rs.ReplayedOps != 7 || rs.ReplayedRecords != 1 {
+		t.Fatalf("the framed record recovered %+v, want 7 operations from 1 record", rs)
+	}
+	if kv, ok := sess.SnapshotKey("acct:7"); !ok || kv.Ops != 7 {
+		t.Fatalf("the framed record recovered key: %+v %v", kv, ok)
 	}
 }

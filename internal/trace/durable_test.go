@@ -166,25 +166,24 @@ func smallestKOf(t *testing.T, text string, sopts StreamOptions) map[string]int 
 // TestShardLoggerReplayEquivalence checks the WAL invariant end to end at
 // the session layer: replaying the logged per-shard records through
 // Session.Replay into a fresh session with a different shard count
-// reproduces the original verdicts, for every ingest door — the text doors
-// log keyed text, AppendWire logs wire frames.
+// reproduces the original verdicts, for every ingest door, each of which logs
+// wire frames.
 func TestShardLoggerReplayEquivalence(t *testing.T) {
 	text := genSessionTrace(11, 5, 120)
 	base := StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 4}
 	want := smallestKOf(t, text, base)
 
 	feed := []struct {
-		name   string
-		framed bool // the door logs wire frames
-		run    func(t *testing.T, s *Session)
+		name string
+		run  func(t *testing.T, s *Session)
 	}{
-		{"Append", false, func(t *testing.T, s *Session) { feedPerOp(t, s, text) }},
-		{"AppendTraceBatch", false, func(t *testing.T, s *Session) {
+		{"Append", func(t *testing.T, s *Session) { feedPerOp(t, s, text) }},
+		{"AppendTraceBatch", func(t *testing.T, s *Session) {
 			if _, err := s.AppendTraceBatch(strings.NewReader(text)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"AppendBatch", false, func(t *testing.T, s *Session) {
+		{"AppendBatch", func(t *testing.T, s *Session) {
 			kops := keyedOpsOf(t, text)
 			for len(kops) > 0 {
 				n := min(37, len(kops))
@@ -194,7 +193,7 @@ func TestShardLoggerReplayEquivalence(t *testing.T) {
 				kops = kops[n:]
 			}
 		}},
-		{"AppendWire", true, func(t *testing.T, s *Session) {
+		{"AppendWire", func(t *testing.T, s *Session) {
 			stream := wireStreamOf(t, keyedOpsOf(t, text), 37, false)
 			if _, err := s.AppendWire(bytes.NewReader(stream)); err != nil {
 				t.Fatal(err)
@@ -218,8 +217,8 @@ func TestShardLoggerReplayEquivalence(t *testing.T) {
 				t.Fatal("logger never committed")
 			}
 			for shard, rec := range logger.shards {
-				if wire.IsMagic(rec) != f.framed {
-					t.Fatalf("shard %d logged %q..., want wire frames %v", shard, rec[:min(16, len(rec))], f.framed)
+				if !wire.IsMagic(rec) {
+					t.Fatalf("shard %d logged %q..., want wire frames", shard, rec[:min(16, len(rec))])
 				}
 			}
 			replay := logger.replay(t, s.Shards(), StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: 7})
@@ -1087,18 +1086,30 @@ func TestCheckpointAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestPersistedTextPinned pins the text a data directory holds, byte for
-// byte. The literals were read off the disk of a kavserve built at commit
+// TestPersistedTextPinned pins what a data directory holds, byte for byte.
+// The text literals were read off the disk of a kavserve built at commit
 // 802faec (`-data-dir d -ingest-shards 1 -min-segment-ops 1
 // -spill-threshold-ops 2`, fed the seven lines below in one request, killed):
 // the body of the write-ahead record, the three spill blobs, and the `open` /
 // `ops` strings of the checkpoint. Relief after each of the first three pairs
-// spills the same runs that threshold did. The running build must write the
-// same bytes for the same input and read them back to the same operations.
+// spills the same runs that threshold did. The write-ahead log has since
+// become wire frames: walFrames pins what the same input logs now, one
+// self-contained frame per AppendBatch call, and walText stays as a record
+// that Replay must still read. The running build must write the same bytes
+// for the same input and read them back to the same operations.
 func TestPersistedTextPinned(t *testing.T) {
-	const walRecord = "w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n" +
+	const walText = "w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n" +
 		"w acct:7 2 30 40\nr acct:7 2 35 50 client=9\n" +
 		"w acct:7 3 60 70\nw acct:7 4 65 80 weight=5\nr acct:7 4 75 90\n"
+	// Each frame: magic, version 1, the dict-reset flag, the payload length;
+	// one key, the operation count and the operations; CRC-32C.
+	walFrames := []string{
+		"KAVW\x01\x02\x14" + "\x01\x06acct:7\x02" + "\x03\x02\x00\x14\x02\x06" + "\x05\x02\x0a\x1e\x07" + "\xbf\x6d\x69\x59",
+		"KAVW\x01\x02\x12" + "\x01\x06acct:7\x02" + "\x00\x04\x3c\x14" + "\x05\x04\x0a\x1e\x12" + "\xe7\x17\x00\x03",
+		"KAVW\x01\x02\x12" + "\x01\x06acct:7\x02" + "\x00\x06\x78\x14" + "\x02\x08\x0a\x1e\x05" + "\xd7\xd0\xab\xaf",
+		"KAVW\x01\x02\x0e" + "\x01\x06acct:7\x01" + "\x04\x08\x96\x01\x1e" + "\x99\x4b\x2a\xe1",
+	}
+	walRecord := strings.Join(walFrames, "")
 	spillBlobs := []string{
 		"w acct:7 1 0 10 weight=2 client=3\nr acct:7 1 5 20 client=-4\n",
 		"w acct:7 2 30 40\nr acct:7 2 35 50 client=9\n",
@@ -1142,6 +1153,34 @@ func TestPersistedTextPinned(t *testing.T) {
 	if got := string(logger.shards[0]); got != walRecord {
 		t.Errorf("write-ahead record:\n got %q\nwant %q", got, walRecord)
 	}
+	var logged []history.Operation
+	d := wire.NewDecoder(strings.NewReader(walRecord))
+	for {
+		frame, err := d.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("decoding the write-ahead record: %v", err)
+		}
+		for _, kop := range frame {
+			if kop.Key != "acct:7" {
+				t.Fatalf("the write-ahead record names key %q", kop.Key)
+			}
+			kop.Op.ID = len(logged)
+			logged = append(logged, kop.Op)
+		}
+	}
+	if len(logged) != len(ops) {
+		t.Fatalf("the write-ahead record decodes to %d operations, want %d", len(logged), len(ops))
+	}
+	for i, op := range logged {
+		want := ops[i]
+		want.ID = i
+		if op != want {
+			t.Errorf("write-ahead record: operation %d = %+v, want %+v", i, op, want)
+		}
+	}
 	var blobs []string
 	for _, b := range store.blobs {
 		blobs = append(blobs, string(b))
@@ -1162,7 +1201,7 @@ func TestPersistedTextPinned(t *testing.T) {
 	// Decode: every literal reads back to the operations it was written from,
 	// and prints back to itself.
 	for text, want := range map[string][]history.Operation{
-		walRecord: ops, ckptOpen: ops[4:], spillBlobs[0]: ops[:2], spillBlobs[1]: ops[2:4], spillBlobs[2]: ops[4:6],
+		walText: ops, ckptOpen: ops[4:], spillBlobs[0]: ops[:2], spillBlobs[1]: ops[2:4], spillBlobs[2]: ops[4:6],
 	} {
 		got, err := parseOpsText([]byte(text), 0)
 		if err != nil || len(got) != len(want) {
@@ -1182,11 +1221,15 @@ func TestPersistedTextPinned(t *testing.T) {
 	if n, err := replayed.Replay([]byte(walRecord)); err != nil || n != int64(len(ops)) {
 		t.Fatalf("replaying the record: %d operations, %v", n, err)
 	}
+	replayedText := NewSmallestKSession(core.Options{}, StreamOptions{Workers: 1, MinSegmentOps: 1})
+	if n, err := replayedText.Replay([]byte(walText)); err != nil || n != int64(len(ops)) {
+		t.Fatalf("replaying the text record: %d operations, %v", n, err)
+	}
 	restored := NewSmallestKSession(core.Options{}, sopts)
 	if err := restored.RestoreCheckpoint(cp); err != nil {
 		t.Fatal(err)
 	}
-	for _, sess := range []*Session{s, replayed, restored} {
+	for _, sess := range []*Session{s, replayed, replayedText, restored} {
 		if err := sess.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -1195,7 +1238,7 @@ func TestPersistedTextPinned(t *testing.T) {
 	if len(want) != 1 || want[0].Ops != len(ops) || want[0].SmallestK != 1 || want[0].Err != nil {
 		t.Fatalf("verdict of the pinned input: %+v", want)
 	}
-	for name, sess := range map[string]*Session{"replayed": replayed, "restored": restored} {
+	for name, sess := range map[string]*Session{"replayed": replayed, "replayed text": replayedText, "restored": restored} {
 		if got := sess.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s session: %+v, want %+v", name, got, want)
 		}
