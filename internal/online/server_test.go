@@ -225,7 +225,8 @@ func statusSansViolation(ks KeyStatus) KeyStatus {
 
 // TestDurableServerCrashRestart runs a durable server over an in-memory
 // crash-imaged filesystem: ingest over HTTP (with a mid-stream checkpoint),
-// cut the disk at a byte boundary, restart a second server from the image,
+// cut the disk at a byte boundary inside the log written after the
+// checkpoint, restart a second server from the image,
 // and require its drained verdicts to be a per-key-prefix-consistent
 // subset verified against a fresh in-memory server fed the same text. Also
 // pins the durability metrics names into /metrics.
@@ -247,6 +248,7 @@ func TestDurableServerCrashRestart(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 
 	lines := strings.SplitAfter(strings.TrimSuffix(text, "\n"), "\n")
+	var mark int64 // bytes written when the checkpoint is in place
 	third := len(lines) / 3
 	chunks := []string{strings.Join(lines[:third], ""), strings.Join(lines[third:2*third], ""), strings.Join(lines[2*third:], "")}
 	for i, chunk := range chunks {
@@ -257,6 +259,7 @@ func TestDurableServerCrashRestart(t *testing.T) {
 			if err := mgr.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
+			mark = mem.TotalWriteBytes()
 		}
 	}
 
@@ -280,9 +283,11 @@ func TestDurableServerCrashRestart(t *testing.T) {
 	ts.Close()
 	mgr.Close()
 
-	// Crash: keep 80% of the written bytes; the tail (late WAL records) is
-	// torn away mid-record.
-	img := mem.CrashImage(mem.TotalWriteBytes() * 4 / 5)
+	// Crash: keep the checkpoint and 80% of the bytes written after it; the
+	// tail (late WAL records) is torn away mid-record. The cut is measured
+	// from the checkpoint so that the size of a record cannot move it before
+	// the checkpoint's rename.
+	img := mem.CrashImage(mark + (mem.TotalWriteBytes()-mark)*4/5)
 	mgr2, err := checkpoint.Open(img, "data", checkpoint.Config{Policy: wal.SyncBatch})
 	if err != nil {
 		t.Fatal(err)

@@ -174,9 +174,15 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 		}
 		appended += accepted
 		if logger != nil && accepted > 0 {
-			// An admission error is already sticky and stays the one returned.
-			if lerr := logShard(s, logger, si, sc, b, group[:accepted], src); err == nil {
-				err = lerr
+			// A failure here is sticky — the engine has admitted operations
+			// its log does not hold — but an admission error, already
+			// sticky, stays the one returned.
+			rec, lerr := walRecord(sc, b, group[:accepted], src)
+			if lerr == nil {
+				lerr = logger.LogShardBatch(si, rec)
+			}
+			if lerr != nil && err == nil {
+				err = s.stick(&DurabilityError{lerr})
 			}
 		}
 		e.unlockIngest(sh)

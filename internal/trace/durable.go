@@ -128,21 +128,6 @@ type DurabilityError struct{ Err error }
 func (e *DurabilityError) Error() string { return e.Err.Error() }
 func (e *DurabilityError) Unwrap() error { return e.Err }
 
-// logShard encodes one shard group's accepted prefix, b's operations at idx,
-// and hands the record to the logger (shard lock held by the caller); any
-// failure, the encoding's included, is sticky: the engine has admitted
-// operations its log does not hold.
-func logShard[K string | []byte, B batchView[K]](s *Session, l ShardLogger, shard int, sc *batchScratch, b B, idx []int32, src *wire.Frame) error {
-	rec, err := walRecord(sc, b, idx, src)
-	if err == nil {
-		err = l.LogShardBatch(shard, rec)
-	}
-	if err != nil {
-		return s.stick(&DurabilityError{err})
-	}
-	return nil
-}
-
 // commitLog runs the logger's group-commit point and stickies any failure.
 func (s *Session) commitLog(l ShardLogger) error {
 	if err := l.Commit(); err != nil {

@@ -82,9 +82,9 @@ package trace
 // reused, so the store stays at its high-water mark: the dominant term on
 // bounded traces. On unbounded streams with ever-fresh values the value index
 // is the asymptotic term, and Session.BufferedBytes — what a server's memory
-// budget bounds — counts only the operation buffering. Spill blobs,
-// checkpoints and the write-ahead log hold text and wire frames as before: the
-// packed form is memory only.
+// budget bounds — counts only the operation buffering. Spill blobs and
+// checkpoints hold keyed text, the write-ahead log wire frames: the packed
+// form is memory only.
 //
 // Counters: admitting an operation writes no memory another core reads. The
 // per-shard and engine-wide counts (operations ingested and buffered, the

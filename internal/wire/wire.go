@@ -49,7 +49,7 @@
 // session re-frames a shard group for its log by those ids (Encoder.AddFrom).
 //
 // Keys use the same alphabet as the keyed text grammar — non-empty, no
-// whitespace, ';', or '#' — so every durable path (text WAL records, spill
+// whitespace, ';', or '#' — so every durable path that holds text (spill
 // blobs, checkpoint segment bodies) can round-trip operations that arrived
 // in binary. The decoder rejects keys outside the alphabet.
 //
