@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // Normalize returns a copy of h transformed to satisfy the repairable
@@ -33,23 +32,14 @@ func Normalize(h *History) *History {
 // raw operations afterwards: it rewrites h's timestamps directly instead of
 // cloning first, and returns h. Operation order and IDs are kept (an ID of 0
 // becomes the operation's index). It is the builder's passes 1 and 2, without
-// the index Build goes on to finish, run out of a pooled scratch, so a
-// caller that normalizes history after history (the generators, the quorum
-// simulator, the reduction) reuses one set of index buffers.
+// the index Build goes on to finish.
 func NormalizeInPlace(h *History) *History {
-	s := normalizeScratch.Get().(*PrepareScratch)
-	defer normalizeScratch.Put(s)
-	ranked, from, _ := s.normalize(h)
+	ranked, from, _ := new(PrepareScratch).normalize(h)
 	for j, i := range from {
 		h.Ops[i].Start, h.Ops[i].Finish = ranked[j].Start, ranked[j].Finish
 	}
 	return h
 }
-
-// normalizeScratch recycles NormalizeInPlace's scratches. A scratch keeps no
-// reference to the history it normalized: its buffers hold indices, ranks and
-// values only.
-var normalizeScratch = sync.Pool{New: func() any { return new(PrepareScratch) }}
 
 // normalize is the builder's passes 1 and 2: it leaves s holding the index
 // of h's operations in start order, with IDs equal to indices and normalized
