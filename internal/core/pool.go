@@ -103,8 +103,8 @@ func (p *Pool) Workers() int { return len(p.vs) }
 
 // Submit enqueues a unit from outside the pool; it runs on the Verifier of
 // whichever worker picks it up. It never blocks; callers needing
-// backpressure (the streaming engine) bound their in-flight submissions
-// themselves. Submit must not be called after Close.
+// backpressure bound their own submissions (the streaming engine bounds its
+// dispatched, unverified operations). Submit must not be called after Close.
 func (p *Pool) Submit(fn func(*Verifier)) {
 	p.units.Add(1)
 	p.push(task{fn: fn}, 1)

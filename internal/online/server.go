@@ -452,6 +452,10 @@ func NewDurable(cfg Config, mgr *checkpoint.Manager) (*Server, checkpoint.Recove
 		func() float64 { return float64(s.sess.BufferedOps()) })
 	s.reg.Gauge("kavserve_buffered_bytes", "Memory those operations are held in: chunk bytes of open windows, held and in-flight segments.",
 		func() float64 { return float64(s.sess.BufferedBytes()) })
+	s.reg.Gauge("kavserve_verify_backlog_ops", "Operations dispatched to verification whose verdicts have not landed.",
+		func() float64 { return float64(s.sess.BacklogOps()) })
+	s.reg.CounterFunc("kavserve_verify_backlog_waits_total", "Segment dispatches that waited for room in the verification backlog.",
+		func() float64 { return float64(s.sess.BacklogWaits()) })
 	s.reg.Gauge("kavserve_ingest_shards", "Configured ingest shard count.",
 		func() float64 { return float64(s.sess.Shards()) })
 	s.reg.CounterFunc("kavserve_ingest_lock_acquisitions_total",

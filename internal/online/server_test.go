@@ -168,7 +168,9 @@ func TestIngestVerdictMetricsDrain(t *testing.T) {
 		`kavserve_shard_ingested_ops_total{shard="0"}`, `kavserve_shard_open_window_ops{shard="0"}`,
 		"# TYPE kavserve_shard_ingested_ops_total counter",
 		`kavserve_ingest_requests_by_size_total{bucket="le256"} 2`,
-		"# TYPE kavserve_ingest_lock_acquisitions_total counter"} {
+		"# TYPE kavserve_ingest_lock_acquisitions_total counter",
+		"# TYPE kavserve_verify_backlog_ops gauge", "kavserve_verify_backlog_ops 0", // drained above
+		"# TYPE kavserve_verify_backlog_waits_total counter", "kavserve_verify_backlog_waits_total 0"} {
 		if !strings.Contains(metricsText, frag) {
 			t.Fatalf("metrics output missing %q:\n%s", frag, metricsText)
 		}

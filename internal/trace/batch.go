@@ -286,8 +286,10 @@ func (s *Session) AppendBatch(ops []KeyedOp) (n int, err error) {
 // Append routes one operation into its key's segment accumulator: a batch of
 // one, held in the pooled scratch so the call allocates nothing. The
 // operation's ID is assigned internally. Append blocks when verification
-// falls behind the configured in-flight budget (backpressure). A durable
-// session refuses an operation it cannot log, as AppendBatch does.
+// falls behind: a segment it dispatches waits while it would carry the
+// operations dispatched and not yet verified past 16 384 a worker
+// (backpressure). A durable session refuses an operation it cannot log, as
+// AppendBatch does.
 func (s *Session) Append(key string, op history.Operation) (err error) {
 	if err = s.gate(); err != nil {
 		return err

@@ -409,8 +409,9 @@ func (s *Session) Checkpoint(frozen func() error) (*SessionCheckpoint, error) {
 		}
 	}()
 	// Workers never take shard locks, so waiting out in-flight segments
-	// while frozen cannot deadlock; producers blocked on our locks hold no
-	// semaphore slots the workers need to finish.
+	// while frozen cannot deadlock; a producer waiting on the verification
+	// backlog holds its shard lock until a verdict lands, which needs only
+	// the workers, and then lets the freeze in.
 	s.e.wg.Wait()
 	// Nothing is in flight under the freeze, so a retirement still waiting
 	// out its last verdict folds now: the key is written as the retired

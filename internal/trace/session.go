@@ -258,6 +258,15 @@ func (s *Session) BufferedOps() int64 { return s.e.buffered.Load() }
 // spills down to it. Lock-free.
 func (s *Session) BufferedBytes() int64 { return s.e.bufferedBytes.Load() }
 
+// BacklogOps returns the operations dispatched to verification whose
+// verdicts have not landed yet: at most 16 384 a worker, or one segment
+// larger than that dispatched alone. Lock-free.
+func (s *Session) BacklogOps() int64 { return s.e.backlog.Load() }
+
+// BacklogWaits returns how many dispatches so far had to wait for room in
+// the verification backlog. Lock-free.
+func (s *Session) BacklogWaits() int64 { return s.e.backlogWaits.Load() }
+
 // Keys returns the number of distinct keys seen so far. Lock-free, so
 // monitoring never queues behind a backpressured Append.
 func (s *Session) Keys() int64 { return s.e.keyCount.Load() }

@@ -296,7 +296,7 @@ func (s *StreamStats) Fold(o StreamStats) {
 
 // streamChunk is the text read-chunk size of a reader-driven run. Its one
 // producer parses a whole chunk before feeding any of it, so at the server's
-// defaultBatchChunk the 2×workers dispatch queue drains while the next chunk
+// defaultBatchChunk the verification backlog drains while the next chunk
 // parses, and a small run pays megabytes of one-shot scratch
 // (BenchmarkStreamCheckZipf/workers=1 +18 %, BenchmarkMultiProperty/props=k
 // 6.8 → 11 MB/op); 32 KiB keeps the workers fed and the scratch small.
@@ -510,16 +510,24 @@ type engine struct {
 
 	// vpool is the shared (key, chunk) pool: segment jobs are
 	// submitted from the ingest paths and may fork chunk sub-units, so one
-	// hot key's segments spread over every worker. sem bounds in-flight
-	// submissions (a producer blocks when verification falls behind,
-	// keeping buffered operations bounded). ownPool records whether the
-	// engine created vpool (and so must close it) or borrowed a shared one
-	// via StreamOptions.Pool; wg joins this engine's own dispatched segments,
-	// which is the only wait a borrowed pool allows.
+	// hot key's segments spread over every worker. ownPool records whether
+	// the engine created vpool (and so must close it) or borrowed a shared
+	// one via StreamOptions.Pool; wg joins this engine's own dispatched
+	// segments, which is the only wait a borrowed pool allows.
 	vpool   *core.Pool
 	ownPool bool
 	wg      sync.WaitGroup
-	sem     chan struct{}
+
+	// backlog counts the operations dispatched and not yet verified, at
+	// most backlogCap (see admit); it and backlogWaits are written under
+	// backlogMu and read lock-free by the gauges.
+	backlogMu      sync.Mutex
+	backlogFree    sync.Cond
+	backlogCap     int64
+	backlogNext    uint64
+	backlogServing uint64
+	backlog        atomic.Int64
+	backlogWaits   atomic.Int64
 
 	// Keyspace lifecycle (lifecycle.go): retirement TTL + sweep cadence,
 	// epoch windowing, and the epoch summary tracker. sinceSweepAll counts
@@ -672,14 +680,15 @@ func newEngine(k int, opts core.Options, sopts StreamOptions) *engine {
 		nshards = maxIngestShards
 	}
 	e := &engine{
-		k:         k,
-		threshold: threshold,
-		minSeg:    minSeg,
-		opts:      opts,
-		sopts:     sopts,
-		shards:    make([]*ingestShard, nshards),
-		sem:       make(chan struct{}, 2*workers),
+		k:          k,
+		threshold:  threshold,
+		minSeg:     minSeg,
+		opts:       opts,
+		sopts:      sopts,
+		shards:     make([]*ingestShard, nshards),
+		backlogCap: int64(workers) * backlogOpsPerWorker,
 	}
+	e.backlogFree.L = &e.backlogMu
 	for i := range e.shards {
 		e.shards[i] = &ingestShard{keys: make(map[string]*keyState), wmStart: math.MinInt64}
 		e.shards[i].maxStart.Store(math.MinInt64)
@@ -1058,12 +1067,58 @@ func (e *engine) dispatch(ks *keyState, seg closedSeg) {
 	e.segments.Add(1)
 	ks.inflight.Add(1)
 	j := job{ks: ks, seq: seg.loSeq, ops: seg.ops, scanOnly: ks.settled.Load(), cutAt: seg.cutAt}
-	e.sem <- struct{}{}
+	n := int64(seg.ops.Len())
+	e.admit(n)
 	e.wg.Add(1)
 	e.vpool.Submit(func(v *core.Verifier) {
-		defer func() { <-e.sem; e.wg.Done() }()
+		defer func() { e.release(n); e.wg.Done() }()
 		e.verifySegment(v, j)
 	})
+}
+
+// backlogOpsPerWorker sizes the verification backlog: w workers hold at most
+// w × backlogOpsPerWorker dispatched operations whose verdicts have not
+// landed. Counting operations, not jobs, lets a drain's or a sweep's
+// thousands of small segments queue at once while large ones still park
+// their producer, which keeps buffered operations bounded.
+const backlogOpsPerWorker = 16 << 10
+
+// admit adds n dispatched operations to the backlog. It waits, in ticket
+// order, while an earlier dispatch is still waiting or the backlog is
+// non-empty and n would carry it past backlogCap; a segment larger than the
+// cap therefore goes alone once the backlog is empty (it still forks its
+// chunks onto the pool). The producer waits under its shard lock, which is
+// safe because workers never take one.
+func (e *engine) admit(n int64) {
+	e.backlogMu.Lock()
+	t := e.backlogNext
+	e.backlogNext++
+	if e.mustWait(t, n) {
+		e.backlogWaits.Add(1)
+		for e.mustWait(t, n) {
+			e.backlogFree.Wait()
+		}
+	}
+	e.backlogServing++
+	e.backlog.Add(n)
+	e.backlogMu.Unlock()
+	e.backlogFree.Broadcast() // the next ticket's turn
+}
+
+// mustWait reports whether ticket t, dispatching n operations, has to wait;
+// the caller holds backlogMu.
+func (e *engine) mustWait(t uint64, n int64) bool {
+	b := e.backlog.Load()
+	return t != e.backlogServing || (b > 0 && b+n > e.backlogCap)
+}
+
+// release takes a job's n operations out of the backlog when its verdict
+// has landed and wakes the waiting dispatches.
+func (e *engine) release(n int64) {
+	e.backlogMu.Lock()
+	e.backlog.Add(-n)
+	e.backlogMu.Unlock()
+	e.backlogFree.Broadcast()
 }
 
 // flush closes the open window and dispatches everything still held; after
