@@ -1,6 +1,6 @@
 // Package wal implements the write-ahead log of the durable online
-// verifier: CRC-framed records in per-ingest-shard files, grouped into
-// epochs that rotate at each checkpoint.
+// verifier: CRC-framed records in one file per epoch, the epochs rotating at
+// each checkpoint.
 //
 // Record framing follows the leveldb log idiom (the ROADMAP exemplar),
 // simplified to unbounded records since our payloads are batch groups of
@@ -20,7 +20,11 @@
 //
 // File layout under the data directory:
 //
-//	wal-ep%08d-s%04d.log — epoch E, ingest shard S
+//	wal-ep%08d-s%04d.log — epoch E; S is 0000
+//
+// The S field is a shard number from data directories written with one file
+// per ingest shard and an epoch. Recovery reads and PurgeBefore removes those
+// files too; a log written today holds every shard's records in s0000.
 //
 // Epochs tie the log to checkpoints: checkpoint N snapshots exactly the
 // state produced by the operations in epochs < N, so recovery restores the
@@ -167,7 +171,7 @@ func ReadFile(fsys faultfs.FS, name string) ([]Record, int64, error) {
 	return ReadAll(f)
 }
 
-// SyncPolicy selects when the per-shard log files are fsynced.
+// SyncPolicy selects when the epoch's log file is fsynced.
 type SyncPolicy int
 
 const (
@@ -175,11 +179,12 @@ const (
 	// explicit syncs). Fastest; loses the page-cache tail on machine crash,
 	// nothing on process crash.
 	SyncNever SyncPolicy = iota
-	// SyncBatch fsyncs each dirty shard file once per committed ingest
-	// batch — group commit at batch granularity, the default for -fsync=batch.
+	// SyncBatch fsyncs the log file once per committed ingest batch — one
+	// group fsync per acknowledged batch, skipped when an earlier fsync
+	// already covered the batch's records; the default for -fsync=batch.
 	SyncBatch
-	// SyncAlways fsyncs on every shard append, before the ingest lock is
-	// released. Strongest and slowest.
+	// SyncAlways fsyncs after every shard-group append, before the ingest
+	// lock is released. Strongest and slowest.
 	SyncAlways
 )
 
@@ -218,20 +223,22 @@ type Stats struct {
 	EpochsPurged int64 // old epoch files garbage-collected
 }
 
-// Log is the per-shard, epoch-rotating write-ahead log. One shardWriter per
-// ingest shard; the ingest path appends to shard S's file under shard S's
-// ingest lock, so appends to one file never race. Rotation and Commit take
-// the log-wide mutex; appends only read the current writer pointer under a
-// per-shard mutex that rotation also takes, keeping the hot path
-// uncontended (the shard ingest lock already serializes callers per shard).
+// Log is the epoch-rotating write-ahead log: one Writer, one file per
+// epoch. AppendShard writes under mu, a short mutex that covers the write
+// alone; callers hold the shard's ingest lock, so each key's records are in
+// the file in the key's ingest order. No fsync holds mu: a committer notes
+// how many bytes are written and fsyncs under syncMu held shared, so
+// committers fsync in parallel while appends go on. Only Rotate and Close,
+// which swap or close the file, take syncMu exclusively.
 type Log struct {
 	fs     faultfs.FS
 	dir    string
 	policy SyncPolicy
-	shards []*shardWriter
 
-	mu    sync.Mutex // guards epoch/rotation
-	epoch int
+	syncMu sync.RWMutex // shared by fsyncs, exclusive to Rotate and Close
+	mu     sync.Mutex   // guards w's appends and counters, and epoch
+	w      *Writer
+	epoch  int
 
 	fsyncs     atomic.Int64
 	fsyncNanos atomic.Int64
@@ -241,13 +248,9 @@ type Log struct {
 	purged     atomic.Int64
 }
 
-type shardWriter struct {
-	mu sync.Mutex
-	w  *Writer
-}
-
 // FileName returns the log file name (relative to the data dir) of one
-// epoch+shard pair.
+// epoch+shard pair. The log writes shard 0 only; other shard numbers name the
+// files of older data directories (see the package comment).
 func FileName(epoch, shard int) string {
 	return fmt.Sprintf("wal-ep%08d-s%04d.log", epoch, shard)
 }
@@ -262,47 +265,16 @@ func ParseFileName(name string) (epoch, shard int, ok bool) {
 	return e, s, true
 }
 
-// Open creates a Log writing epoch `epoch` files for `shards` ingest
-// shards. The directory must already exist.
+// Open creates a Log writing epoch `epoch`'s file. The directory must
+// already exist. shards is unused — the log keeps one file whatever the
+// ingest shard count — and stays for bench/layers.go, which only a benchmark
+// PR may edit; the next one drops the argument.
 func Open(fsys faultfs.FS, dir string, shards, epoch int, policy SyncPolicy) (*Log, error) {
-	l := &Log{fs: fsys, dir: dir, policy: policy, epoch: epoch,
-		shards: make([]*shardWriter, shards)}
-	for s := range l.shards {
-		l.shards[s] = &shardWriter{}
+	f, err := fsys.Create(Join(dir, FileName(epoch, 0)))
+	if err != nil {
+		return nil, fmt.Errorf("wal: open epoch %d: %w", epoch, err)
 	}
-	if err := l.openEpoch(epoch); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// openEpoch creates all shard files of one epoch, closing any current
-// writers first. Create-all-first: if any create fails, the already-created
-// files of the new epoch are removed so a failed rotation leaves only whole
-// epochs on disk.
-func (l *Log) openEpoch(epoch int) error {
-	writers := make([]*Writer, len(l.shards))
-	for s := range l.shards {
-		f, err := l.fs.Create(Join(l.dir, FileName(epoch, s)))
-		if err != nil {
-			for t := 0; t < s; t++ {
-				writers[t].Close()
-				l.fs.Remove(Join(l.dir, FileName(epoch, t)))
-			}
-			return fmt.Errorf("wal: open epoch %d: %w", epoch, err)
-		}
-		writers[s] = NewWriter(f)
-	}
-	for s, sw := range l.shards {
-		sw.mu.Lock()
-		if sw.w != nil {
-			sw.w.Close()
-		}
-		sw.w = writers[s]
-		sw.mu.Unlock()
-	}
-	l.epoch = epoch
-	return nil
+	return &Log{fs: fsys, dir: dir, policy: policy, w: NewWriter(f), epoch: epoch}, nil
 }
 
 // Join is the one path rule of a data directory, behind the WAL, the
@@ -324,92 +296,112 @@ func (l *Log) Epoch() int {
 	return l.epoch
 }
 
-// AppendShard logs one batch-group payload for shard s. Called with shard
-// s's ingest lock held, so per-shard record order matches per-shard ingest
-// order exactly. Under SyncAlways the record is durable before return.
+// AppendShard logs one batch-group payload of shard s; s only names the
+// group in errors. Called with shard s's ingest lock held, so each key's
+// records keep its ingest order. Under SyncAlways the record is durable
+// before return.
 func (l *Log) AppendShard(s int, payload []byte) error {
-	sw := l.shards[s]
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	w := sw.w
-	if err := w.Append(RecordBatch, payload); err != nil {
+	l.mu.Lock()
+	err := l.w.Append(RecordBatch, payload)
+	l.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("wal: shard %d append: %w", s, err)
 	}
 	l.records.Add(1)
 	l.bytes.Add(int64(headerSize + len(payload)))
 	if l.policy == SyncAlways {
-		if err := l.syncWriter(w); err != nil {
+		l.syncMu.RLock()
+		defer l.syncMu.RUnlock()
+		if err := l.sync(); err != nil {
 			return fmt.Errorf("wal: shard %d sync: %w", s, err)
 		}
 	}
 	return nil
 }
 
-func (l *Log) syncWriter(w *Writer) error {
-	if !w.Dirty() {
-		return w.Sync() // surfaces sticky errors without timing a no-op
+// sync makes every record appended before the call durable, with no fsync
+// when an earlier one already covered them, and surfaces the sticky error.
+// The caller holds syncMu, shared or exclusive, so the file stays open.
+func (l *Log) sync() error {
+	l.mu.Lock()
+	w, n, done, err := l.w, l.w.written, l.w.synced >= l.w.written, l.w.err
+	l.mu.Unlock()
+	if err != nil {
+		return ErrSticky
+	}
+	if done {
+		return nil
 	}
 	start := time.Now()
-	err := w.Sync()
+	err = w.f.Sync()
 	l.fsyncNanos.Add(time.Since(start).Nanoseconds())
 	l.fsyncs.Add(1)
-	return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		return err
+	}
+	w.synced = max(w.synced, n)
+	return nil
 }
 
-// Commit makes every record appended so far durable under SyncBatch (and
-// surfaces sticky errors under all policies). Under SyncNever it does not
-// fsync. Safe to call concurrently with appends to other shards.
+// Commit makes every record appended so far durable under SyncBatch and
+// SyncAlways, in at most one fsync, and surfaces sticky errors under all
+// policies. Under SyncNever it does not fsync.
 func (l *Log) Commit() error {
-	for s, sw := range l.shards {
-		sw.mu.Lock()
-		w := sw.w
-		var err error
-		if l.policy == SyncNever {
-			err = w.Err()
-		} else {
-			err = l.syncWriter(w)
-		}
-		sw.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("wal: shard %d commit: %w", s, err)
-		}
+	l.syncMu.RLock()
+	defer l.syncMu.RUnlock()
+	var err error
+	if l.policy == SyncNever {
+		l.mu.Lock()
+		err = l.w.Err()
+		l.mu.Unlock()
+	} else {
+		err = l.sync()
+	}
+	if err != nil {
+		return fmt.Errorf("wal: commit: %w", err)
 	}
 	return nil
 }
 
-// Rotate syncs and closes the current epoch's files and opens epoch
-// `epoch`. The caller must guarantee no concurrent AppendShard (the
-// checkpoint freeze holds every ingest lock). Old epoch files stay on disk
-// until PurgeBefore.
+// Rotate syncs and closes the current epoch's file and opens epoch
+// `epoch`'s. The caller must guarantee no concurrent AppendShard (the
+// checkpoint freeze holds every ingest lock); a concurrent Commit waits.
+// If the new file cannot be created, the current epoch stays open and
+// writable. Old epoch files stay on disk until PurgeBefore.
 func (l *Log) Rotate(epoch int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if epoch <= l.epoch {
-		return fmt.Errorf("wal: rotate to epoch %d not after current %d", epoch, l.epoch)
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if cur := l.Epoch(); epoch <= cur {
+		return fmt.Errorf("wal: rotate to epoch %d not after current %d", epoch, cur)
 	}
 	// Seal the outgoing epoch: even under SyncNever, an epoch boundary is a
 	// durability boundary (the checkpoint that follows will claim to cover
 	// everything before it).
-	for s, sw := range l.shards {
-		sw.mu.Lock()
-		err := l.syncWriter(sw.w)
-		sw.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("wal: rotate seal shard %d: %w", s, err)
-		}
+	if err := l.sync(); err != nil {
+		return fmt.Errorf("wal: rotate seal: %w", err)
 	}
-	if err := l.openEpoch(epoch); err != nil {
-		return err
+	f, err := l.fs.Create(Join(l.dir, FileName(epoch, 0)))
+	if err != nil {
+		return fmt.Errorf("wal: open epoch %d: %w", epoch, err)
 	}
+	l.mu.Lock()
+	l.w.Close()
+	l.w, l.epoch = NewWriter(f), epoch
+	l.mu.Unlock()
 	l.rotations.Add(1)
 	return nil
 }
 
 // PurgeBefore removes every WAL file of an epoch < epoch, found by name, so
-// the files of shards a restart with fewer shards no longer opens go too.
-// Called only after a checkpoint covering those epochs has been durably
-// published. Removal failures are ignored (stale files are harmless —
-// recovery replays from the checkpoint's epoch anyway).
+// the files of an older directory's other shards go too. Called only after a
+// checkpoint covering those epochs has been durably published. Removal
+// failures are ignored (stale files are harmless — recovery replays from the
+// checkpoint's epoch anyway).
 func (l *Log) PurgeBefore(epoch int) {
 	names, err := l.fs.ReadDir(l.dir)
 	if err != nil {
@@ -434,18 +426,12 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Close closes all shard writers without rotating or syncing.
+// Close closes the epoch's file without rotating or syncing, once no fsync
+// is in flight.
 func (l *Log) Close() error {
-	var first error
-	for _, sw := range l.shards {
-		sw.mu.Lock()
-		if sw.w != nil {
-			if err := sw.w.Close(); err != nil && first == nil {
-				first = err
-			}
-			sw.w = nil
-		}
-		sw.mu.Unlock()
-	}
-	return first
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Close()
 }
