@@ -112,9 +112,6 @@ func (w *Writer) Sync() error {
 	return nil
 }
 
-// Dirty reports whether records were appended since the last Sync.
-func (w *Writer) Dirty() bool { return w.err == nil && w.synced != w.written }
-
 // Written returns the bytes appended so far (framing included).
 func (w *Writer) Written() int64 { return w.written }
 

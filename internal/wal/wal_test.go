@@ -37,13 +37,13 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if !w.Dirty() {
+	if w.synced == w.written {
 		t.Fatal("writer should be dirty before sync")
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	if w.Dirty() {
+	if w.synced != w.written {
 		t.Fatal("writer dirty after sync")
 	}
 
@@ -191,6 +191,9 @@ func TestFileNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLogEpochsRotatePurge: an epoch is one file holding every shard's
+// records in append order; rotation opens the next, PurgeBefore removes the
+// covered one.
 func TestLogEpochsRotatePurge(t *testing.T) {
 	mem := faultfs.NewMem()
 	mem.MkdirAll("d")
@@ -198,11 +201,13 @@ func TestLogEpochsRotatePurge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendShard(0, []byte("s0 e0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendShard(1, []byte("s1 e0")); err != nil {
-		t.Fatal(err)
+	for _, p := range []struct {
+		shard   int
+		payload string
+	}{{1, "s1 e0"}, {0, "s0 e0"}, {1, "s1 e0 again"}} {
+		if err := l.AppendShard(p.shard, []byte(p.payload)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
@@ -219,32 +224,35 @@ func TestLogEpochsRotatePurge(t *testing.T) {
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	epochs, err := walEpochs(mem, "d")
+	names, err := mem.ReadDir("d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(epochs) != "[0 1]" {
-		t.Fatalf("epochs = %v", epochs)
+	if want := []string{FileName(0, 0), FileName(1, 0)}; !slices.Equal(names, want) {
+		t.Fatalf("files = %v, want %v", names, want)
 	}
-	recs, _, err := ReadFile(mem, "d/"+FileName(0, 0))
-	if err != nil || len(recs) != 1 || string(recs[0].Payload) != "s0 e0" {
-		t.Fatalf("epoch0 shard0: %v %v", recs, err)
-	}
-	recs, _, err = ReadFile(mem, "d/"+FileName(1, 0))
-	if err != nil || len(recs) != 1 || string(recs[0].Payload) != "s0 e1" {
-		t.Fatalf("epoch1 shard0: %v %v", recs, err)
+	for _, c := range []struct {
+		epoch int
+		want  []string
+	}{{0, []string{"s1 e0", "s0 e0", "s1 e0 again"}}, {1, []string{"s0 e1"}}} {
+		recs, _, err := ReadFile(mem, "d/"+FileName(c.epoch, 0))
+		var got []string
+		for _, r := range recs {
+			got = append(got, string(r.Payload))
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Fatalf("epoch %d records = %q (%v), want %q", c.epoch, got, err, c.want)
+		}
 	}
 	l.PurgeBefore(1)
-	epochs, _ = walEpochs(mem, "d")
+	epochs, _ := walEpochs(mem, "d")
 	if fmt.Sprint(epochs) != "[1]" {
 		t.Fatalf("epochs after purge = %v", epochs)
 	}
+	// One fsync per Commit; the rotation's seal found epoch 0 synced.
 	st := l.Stats()
-	if st.Records != 3 || st.Rotations != 1 || st.EpochsPurged != 2 {
+	if st.Records != 4 || st.Rotations != 1 || st.EpochsPurged != 1 || st.Fsyncs != 2 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if st.Fsyncs == 0 {
-		t.Fatalf("stats.Fsyncs = 0 under SyncBatch")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -267,9 +275,9 @@ func TestRotateBackwardsRejected(t *testing.T) {
 
 func TestRotateCreateFailureLeavesWholeEpochs(t *testing.T) {
 	mem := faultfs.NewMem()
-	// Creates: epoch0 shard0+1 pass (ops 0,1); rotation's epoch1 shard1
-	// create fails (op 3), after shard0's create (op 2) succeeded.
-	ff := faultfs.NewFaulty(mem, faultfs.FailOnce(faultfs.OpCreate, 3, 0))
+	// Creates: epoch 0's file passes (op 0); the rotation's one create, of
+	// epoch 1's file, fails (op 1).
+	ff := faultfs.NewFaulty(mem, faultfs.FailOnce(faultfs.OpCreate, 1, 0))
 	l, err := Open(ff, ".", 2, 0, SyncNever)
 	if err != nil {
 		t.Fatal(err)
@@ -278,18 +286,20 @@ func TestRotateCreateFailureLeavesWholeEpochs(t *testing.T) {
 	if err := l.Rotate(1); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("rotate err = %v", err)
 	}
-	// The half-created epoch-1 file was cleaned up; epoch 0 still complete
-	// and writable (rotation failed before swapping writers).
+	// No epoch-1 file; epoch 0 still complete, current and writable.
 	epochs, _ := walEpochs(mem, ".")
-	if fmt.Sprint(epochs) != "[0]" {
-		t.Fatalf("epochs = %v", epochs)
+	if fmt.Sprint(epochs) != "[0]" || l.Epoch() != 0 {
+		t.Fatalf("epochs = %v, current %d", epochs, l.Epoch())
 	}
-	if err := l.AppendShard(0, []byte("still writable")); err != nil {
+	if err := l.AppendShard(1, []byte("still writable")); err != nil {
 		t.Fatalf("append after failed rotate: %v", err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatalf("commit after failed rotate: %v", err)
 	}
 	recs, _, _ := ReadFile(mem, FileName(0, 0))
 	if len(recs) != 2 {
-		t.Fatalf("epoch0 shard0 records = %d", len(recs))
+		t.Fatalf("epoch 0 records = %d", len(recs))
 	}
 }
 
