@@ -24,6 +24,7 @@ import (
 	"kat/internal/history"
 	"kat/internal/trace"
 	"kat/internal/wal"
+	"kat/internal/wire"
 )
 
 // genWorkload builds a deterministic multi-key workload: per-key operation
@@ -398,43 +399,90 @@ func TestDrainedRestart(t *testing.T) {
 	}
 }
 
-// TestShrinkPurgesDroppedShardWAL restarts an 8-shard directory at 2 shards
-// and checkpoints: the checkpoint covers epoch 1, so none of epoch 1's eight
-// shard files may stay behind — the six the 2-shard log never opens included.
+// TestShrinkPurgesDroppedShardWAL recovers a data directory written with one
+// WAL file per ingest shard — epoch 0 as four s000N files, keys routed by
+// trace.KeyHash % 4, self-contained wire frames and one keyed-text record —
+// into a 16-shard session, whose log writes one file per epoch and so never
+// opens s0001-s0003. The verdicts must equal the offline check's, and the
+// next checkpoint must leave no epoch-0 file behind.
 func TestShrinkPurgesDroppedShardWAL(t *testing.T) {
 	_, all := genWorkload(29, 16, 20, false)
 	mem := faultfs.NewMem()
-	run := func(shards int, ops []trace.KeyedOp) {
-		t.Helper()
-		mgr, err := Open(mem, "data", Config{Policy: wal.SyncBatch})
+	mem.MkdirAll("data")
+	const oldShards = 4
+	var files [oldShards]*wal.Writer
+	for s := range files {
+		f, err := mem.Create("data/" + wal.FileName(0, s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mgr.Close()
-		sess := trace.NewSmallestKSession(core.Options{}, trace.StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: shards})
-		if _, err := mgr.Recover(sess); err != nil {
-			t.Fatal(err)
+		files[s] = wal.NewWriter(f)
+	}
+	offline := trace.New()
+	enc := wire.NewEncoder()
+	enc.SetSelfContained(true)
+	for off := 0; off < len(all); off += 64 {
+		req := all[off:min(off+64, len(all))]
+		for s, w := range files {
+			var text []byte
+			for _, kop := range req {
+				if trace.KeyHash(kop.Key)%oldShards != uint32(s) {
+					continue
+				}
+				text = history.AppendOpText(text, kop.Key, kop.Op)
+				if err := enc.Add(kop.Key, kop.Op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec := enc.AppendFrame(nil)
+			if off == 0 && s == 0 {
+				rec = text // the directory predates wire-framed records
+			}
+			if len(text) > 0 {
+				if err := w.Append(wal.RecordBatch, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		if _, err := sess.AppendBatch(ops); err != nil {
-			t.Fatal(err)
-		}
-		if err := mgr.Checkpoint(); err != nil {
-			t.Fatal(err)
+		for _, kop := range req {
+			offline.Add(kop.Key, kop.Op)
 		}
 	}
-	run(8, all[:len(all)/2])
-	run(2, all[len(all)/2:])
+	for _, w := range files {
+		w.Close()
+	}
+
+	mgr, err := Open(mem, "data", Config{Policy: wal.SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	sess := trace.NewSmallestKSession(core.Options{}, trace.StreamOptions{Workers: 1, MinSegmentOps: 1, IngestShards: 16})
+	rs, err := mgr.Recover(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.ReplayedOps != int64(len(all)) || rs.ReplayedEpochs != 1 {
+		t.Fatalf("recovered %+v, want %d operations of one epoch", rs, len(all))
+	}
+	if err := mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	names, err := mem.ReadDir("data")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(names, " "), CkptFileName(3)) {
-		t.Fatalf("no checkpoint 3 in %v", names)
-	}
 	for _, name := range names {
-		if e, _, ok := wal.ParseFileName(name); ok && e < 3 {
-			t.Errorf("%s outlived checkpoint 3, which covers its epoch", name)
+		if e, _, ok := wal.ParseFileName(name); ok && e == 0 {
+			t.Errorf("%s outlived the checkpoints that cover its epoch (files %v)", name, names)
 		}
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := sess.SmallestKByKey()
+	if want := trace.SmallestKByKey(offline, core.Options{}); len(want) != 16 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered smallest k %v\noffline check  %v", got, want)
 	}
 }
 
