@@ -903,7 +903,7 @@ func BenchmarkOnlineIngest(b *testing.B) {
 			})
 		}
 	}
-	// Durability rows: the same ingest workload with a per-shard WAL
+	// Durability rows: the same ingest workload with the write-ahead log
 	// attached, one row per fsync policy, against real disk. Skipped under
 	// -short so the benchcmp regression gate (which pins the in-memory rows
 	// above against the committed baseline) is unaffected.

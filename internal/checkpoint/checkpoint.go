@@ -1,8 +1,8 @@
 // Package checkpoint is the durability orchestrator of the online
-// verifier: it owns a data directory holding the per-shard write-ahead log
-// (package wal), periodic checkpoint files (trace.SessionCheckpoint encoded
-// with the same CRC framing as the WAL), and the spill area for segment
-// bodies evicted from memory.
+// verifier: it owns a data directory holding the write-ahead log (package
+// wal, one file per epoch), periodic checkpoint files (trace.SessionCheckpoint
+// encoded with the same CRC framing as the WAL), and the spill area for
+// segment bodies evicted from memory.
 //
 // The epoch protocol ties the three together. WAL files are grouped into
 // epochs; checkpoint N snapshots exactly the session state produced by the
@@ -157,7 +157,7 @@ func (m *Manager) Recover(sess *trace.Session) (RecoveryStats, error) {
 		return rs, fmt.Errorf("checkpoint: scan data dir: %w", err)
 	}
 	var ckptEpochs []int
-	walEpochs := map[int][]string{} // epoch -> shard file names, sorted
+	walEpochs := map[int][]string{} // epoch -> its file names, sorted
 	for _, name := range names {
 		if e, ok := parseCkptName(name); ok {
 			ckptEpochs = append(ckptEpochs, e)
@@ -184,9 +184,9 @@ func (m *Manager) Recover(sess *trace.Session) (RecoveryStats, error) {
 	}
 
 	// Replay every WAL epoch the checkpoint does not cover, oldest first.
-	// Within an epoch a key's operations live in exactly one shard file (in
-	// append order), so file order within an epoch is irrelevant and per-key
-	// order is preserved across the whole replay.
+	// Within an epoch a key's operations are in one file (the epoch's, or
+	// its shard's in an older directory) in append order, so file order
+	// within an epoch is irrelevant and per-key order holds throughout.
 	replayFrom := 0
 	if rs.CheckpointEpoch >= 0 {
 		replayFrom = rs.CheckpointEpoch
@@ -267,8 +267,8 @@ func (m *Manager) LogShardBatch(shard int, encoded []byte) error {
 	return m.log.AppendShard(shard, encoded)
 }
 
-// Commit implements trace.ShardLogger: the group-commit point, fsyncing
-// dirty shard files under the batch policy.
+// Commit implements trace.ShardLogger: the group-commit point, one fsync of
+// the epoch's file under the batch policy.
 func (m *Manager) Commit() error { return m.log.Commit() }
 
 // Checkpoint takes and publishes a checkpoint of the attached session:

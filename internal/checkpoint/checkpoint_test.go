@@ -548,8 +548,8 @@ func TestCheckpointNameParsing(t *testing.T) {
 // TestCrashSweepLifecycle is TestCrashSweep over the composition: retirement
 // swept after every feed, epoch windows and every property, on a workload
 // whose staggered keys retire and come back before most of the crash points.
-// Recovery replays the log shard file by shard file; it must not retire on
-// the watermark the first file leaves behind.
+// Recovery replays the log one shard group at a time; it must not retire on
+// the watermark an early record leaves behind.
 func TestCrashSweepLifecycle(t *testing.T) {
 	for life := uint8(1); life <= 2; life++ {
 		sc := buildScenario(t, 7, 4, 2, 17, wal.SyncBatch, nil, false, life)
@@ -576,8 +576,8 @@ func FuzzCrashPointRecovery(f *testing.F) {
 	f.Add(int64(4), uint16(60000), uint8(3), uint8(2), uint8(5), uint8(1), uint16(2), uint8(0), uint8(1), uint8(0))
 	f.Add(int64(5), uint16(40000), uint8(2), uint8(3), uint8(3), uint8(2), uint16(7), uint8(0), uint8(1), uint8(0))
 	// Crash x retirement x epochs x properties. A replay that swept on the
-	// watermark of the shard files before it refused the second log
-	// ("operation starts at or before a committed cut").
+	// watermark of the records before it refused a later one ("operation
+	// starts at or before a committed cut").
 	f.Add(int64(6), uint16(65535), uint8(3), uint8(3), uint8(5), uint8(255), uint16(0), uint8(0), uint8(1), uint8(1))
 	f.Add(int64(7), uint16(45000), uint8(1), uint8(7), uint8(2), uint8(255), uint16(1), uint8(0), uint8(2), uint8(6))
 	// A checkpoint after every batch, so each is cut mid-window, with windows

@@ -460,10 +460,11 @@ func TestRestartWitnessNotStaleFloor(t *testing.T) {
 
 // TestDurableRestartWithRetirement is the flagship configuration — a data
 // directory and a retirement TTL, default shards and sweep cadence — killed
-// with every byte kept and restarted. The WAL is replayed shard file by shard
-// file, so after the first file the watermark stands at the end of the run:
-// a replay that swept on its word retired the later files' keys under their
-// own overlapping next operation, and the directory could never be opened
+// with every byte kept and restarted. The WAL's records are shard groups of
+// interleaved requests (written as one file per shard before one file per
+// epoch), so mid-replay the watermark stands past keys still to come: a
+// replay that swept on its word retired those keys under their own
+// overlapping next operation, and the directory could never be opened
 // again. The restart must succeed without retiring anything mid-replay, and
 // the recovered server must drain to the verdicts of the one that never
 // stopped.

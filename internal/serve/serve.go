@@ -64,7 +64,7 @@ func New(args []string, out io.Writer, fsys faultfs.FS) (*Node, error) {
 		horizon  = fs.Int("horizon", 0, "smallest-k staleness horizon in writes (0 = default)")
 		propSet  = fs.String("properties", "k", "comma-separated properties verified in the same pass: k (always on), delta (smallest Δ), regularity (Lamport safety/regularity)")
 		pprofOn  = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ with mutex and block profiling enabled (ingest-contention observability)")
-		dataDir  = fs.String("data-dir", "", "durability directory: per-shard WAL + checkpoints; ingest survives crashes and restarts recover it (empty = in-memory only)")
+		dataDir  = fs.String("data-dir", "", "durability directory: write-ahead log + checkpoints; ingest survives crashes and restarts recover it (empty = in-memory only)")
 		fsync    = fs.String("fsync", "batch", "WAL sync policy: batch (group fsync per ingest batch), always (fsync every record), never (OS page cache only)")
 		ckptIval = fs.Duration("checkpoint-interval", 5*time.Second, "cadence of background checkpoints that bound WAL replay length")
 		budget   = fs.String("memory-budget", "", "per-tenant bound on the bytes unverified operations are buffered in (kavserve_buffered_bytes; bytes, or with K/M/G/T suffix): from half of it ingest retires keys idle past -retire-ttl now and spills the largest held runs to -data-dir, and at it /ingest sheds with 503 overload + Retry-After (empty = unbounded)")

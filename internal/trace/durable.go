@@ -7,9 +7,9 @@ package trace
 //   - ShardLogger: the ingest paths encode every *accepted* operation, each
 //     shard's group as one self-contained wire frame whatever door it came
 //     through, and hand it to the logger under that shard's ingest lock, so
-//     per-shard log order is exactly per-shard ingest order. Replaying a
-//     shard's payloads through Replay reproduces the session state — keys
-//     re-route by hash on replay, so the ingest shard count may change across
+//     each key's log order is exactly its ingest order. Replaying the
+//     payloads through Replay reproduces the session state — keys re-route
+//     by hash on replay, so the ingest shard count may change across
 //     restarts.
 //
 //   - BlobStore + Session.Relieve: spill-to-disk of held runs. An open
@@ -97,12 +97,12 @@ func (s *Session) SetShardLogger(l ShardLogger) {
 // session, in whichever codec it was logged: a self-contained wire frame, or
 // keyed text, which every door but AppendWire logged in data directories
 // written before the log became one encoding (the magic says which; no text
-// record can start with it). No retirement sweep runs while it does: a log is
-// replayed shard file by shard file, so the watermark says nothing about the
-// keys whose operations are still to come, and a key retired on its word
-// would reject them as starting before a committed cut. The caller ends the
-// replay with RetireIdle(0), once every logged operation is back. Like
-// RestoreCheckpoint, Replay runs before concurrent ingest begins.
+// record can start with it). No retirement sweep runs meanwhile: records are
+// shard groups of interleaved requests, and older data directories replay
+// file by file, so the watermark says nothing about keys still to come, and a
+// key retired on its word would reject them as starting before a committed
+// cut. The caller ends the replay with RetireIdle(0), once every logged
+// operation is back. Like RestoreCheckpoint, Replay precedes concurrent ingest.
 func (s *Session) Replay(rec []byte) (int64, error) {
 	s.replaying.Store(true)
 	defer s.replaying.Store(false)

@@ -49,11 +49,11 @@ package trace
 //     turn. Sweeps therefore run only between feeds — sweepAllSticky, at the
 //     tail of feed, once no shard lock is held — against the watermark
 //     read before that feed began.
-//   - A replayed log never counts until its end. Recovery replays the
-//     write-ahead log shard file by shard file, so the watermark stands at
-//     the end of an epoch before the second shard's first operation arrives:
-//     no sweep runs inside Session.Replay, and the caller ends the replay
-//     with one RetireIdle(0) once every logged operation is back.
+//   - A replayed log never counts until its end. Its records are shard
+//     groups of interleaved requests, and older data directories replay
+//     file by file, so mid-replay the watermark runs ahead of keys still to
+//     come: no sweep runs inside Session.Replay, and the caller ends the
+//     replay with one RetireIdle(0) once every logged operation is back.
 //
 // Retirement also frees the value index, so re-admitted lifetimes must write
 // fresh values; a duplicate of a retired value goes undetected rather than

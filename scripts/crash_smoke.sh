@@ -9,10 +9,10 @@
 #     so any TTL is legal) — long enough to cross a retirement sweep interval
 #     on every ingest shard, so keys retire and are re-admitted live
 #  3. kill -9 the server — no drain, no terminal checkpoint
-#  4. restart from the same -data-dir: the whole WAL replays shard file by
-#     shard file (a replay that retires on the watermark the first file
-#     leaves behind dies here with "operation starts at or before a
-#     committed cut") and a re-anchor checkpoint is written
+#  4. restart from the same -data-dir: the whole WAL replays, one shard group
+#     of a request after another (a replay that retires on the watermark an
+#     early record leaves behind dies here with "operation starts at or
+#     before a committed cut") and a re-anchor checkpoint is written
 #  5. kill -9 and restart again: this time the checkpoint restores, retired
 #     records and all, and nothing replays
 #  6. re-replay with -resume: the server must already hold every op
