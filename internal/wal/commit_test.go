@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,14 +196,15 @@ func TestCommitCoversOwnAppend(t *testing.T) {
 
 // TestCommitRacingRotate: a committer loops while the log rotates under it.
 // MemFS refuses to sync a closed file, so a rotation that closed the old
-// epoch's file under an in-flight fsync would surface here as an error. Each
-// fsync is held in flight for a while, so a rotation has room to land inside
-// one.
+// epoch's file under an in-flight fsync would surface here as an error.
+// Fsyncs are held in flight for 0 to 150 µs, so a committer's long fsync of
+// the first records can still run when the rotation's own short seal of the
+// rest has ended.
 func TestCommitRacingRotate(t *testing.T) {
 	mem := faultfs.NewMem()
-	slowSync := faultfs.NewFaulty(mem, func(op faultfs.Op, _ string, _ int64) *faultfs.Fault {
+	slowSync := faultfs.NewFaulty(mem, func(op faultfs.Op, _ string, seq int64) *faultfs.Fault {
 		if op == faultfs.OpSync {
-			return &faultfs.Fault{Delay: func() { time.Sleep(20 * time.Microsecond) }}
+			return &faultfs.Fault{Delay: func() { time.Sleep(time.Duration(seq%4) * 50 * time.Microsecond) }}
 		}
 		return nil
 	})
@@ -228,6 +230,7 @@ func TestCommitRacingRotate(t *testing.T) {
 			if err := l.AppendShard(s, []byte(fmt.Sprint("epoch ", e-1, " shard ", s))); err != nil {
 				t.Fatal(err)
 			}
+			runtime.Gosched() // let the committer start an fsync mid-epoch
 		}
 		if err := l.Rotate(e); err != nil {
 			t.Fatal(err)

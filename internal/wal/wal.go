@@ -32,6 +32,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -225,17 +226,20 @@ type Stats struct {
 // alone; callers hold the shard's ingest lock, so each key's records are in
 // the file in the key's ingest order. No fsync holds mu: a committer notes
 // how many bytes are written and fsyncs under syncMu held shared, so
-// committers fsync in parallel while appends go on. Only Rotate and Close,
-// which swap or close the file, take syncMu exclusively.
+// committers fsync in parallel while appends go on, and one whose bytes an
+// fsync in flight covers waits for it instead. Only Rotate and Close, which
+// swap or close the file, take syncMu exclusively.
 type Log struct {
 	fs     faultfs.FS
 	dir    string
 	policy SyncPolicy
 
-	syncMu sync.RWMutex // shared by fsyncs, exclusive to Rotate and Close
-	mu     sync.Mutex   // guards w's appends and counters, and epoch
-	w      *Writer
-	epoch  int
+	syncMu  sync.RWMutex // shared by fsyncs, exclusive to Rotate and Close
+	mu      sync.Mutex   // guards w, syncing and epoch
+	w       *Writer
+	syncing int64     // the furthest an fsync of w was started to reach
+	synced  sync.Cond // on mu; broadcast when an fsync of w ends
+	epoch   int
 
 	fsyncs     atomic.Int64
 	fsyncNanos atomic.Int64
@@ -271,7 +275,9 @@ func Open(fsys faultfs.FS, dir string, shards, epoch int, policy SyncPolicy) (*L
 	if err != nil {
 		return nil, fmt.Errorf("wal: open epoch %d: %w", epoch, err)
 	}
-	return &Log{fs: fsys, dir: dir, policy: policy, w: NewWriter(f), epoch: epoch}, nil
+	l := &Log{fs: fsys, dir: dir, policy: policy, w: NewWriter(f), epoch: epoch}
+	l.synced.L = &l.mu
+	return l, nil
 }
 
 // Join is the one path rule of a data directory, behind the WAL, the
@@ -316,29 +322,33 @@ func (l *Log) AppendShard(s int, payload []byte) error {
 	return nil
 }
 
-// sync makes every record appended before the call durable, with no fsync
-// when an earlier one already covered them, and surfaces the sticky error.
-// The caller holds syncMu, shared or exclusive, so the file stays open.
+// sync makes every record appended before the call durable and surfaces the
+// sticky error. It issues no fsync when an earlier one covered the records,
+// and waits for one in flight that will. The caller holds syncMu, shared or
+// exclusive, so the file stays open.
 func (l *Log) sync() error {
 	l.mu.Lock()
-	w, n, done, err := l.w, l.w.written, l.w.synced >= l.w.written, l.w.err
-	l.mu.Unlock()
-	if err != nil {
+	defer l.mu.Unlock()
+	w, n := l.w, l.w.written
+	for w.err == nil && w.synced < n && l.syncing >= n {
+		l.synced.Wait()
+	}
+	if w.err != nil {
 		return ErrSticky
 	}
-	if done {
+	if w.synced >= n {
 		return nil
 	}
+	l.syncing = n
+	l.mu.Unlock()
 	start := time.Now()
-	err = w.f.Sync()
+	err := w.f.Sync()
 	l.fsyncNanos.Add(time.Since(start).Nanoseconds())
 	l.fsyncs.Add(1)
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.synced.Broadcast()
 	if err != nil {
-		if w.err == nil {
-			w.err = err
-		}
+		w.err = cmp.Or(w.err, err)
 		return err
 	}
 	w.synced = max(w.synced, n)
@@ -388,7 +398,7 @@ func (l *Log) Rotate(epoch int) error {
 	}
 	l.mu.Lock()
 	l.w.Close()
-	l.w, l.epoch = NewWriter(f), epoch
+	l.w, l.syncing, l.epoch = NewWriter(f), 0, epoch
 	l.mu.Unlock()
 	l.rotations.Add(1)
 	return nil
