@@ -20,8 +20,8 @@ package trace
 // representation differs: a string, or bytes where the decoder holds them (a
 // dictionary entry, a view into the read buffer), which the shard's key map
 // is probed with as they are. Whatever the door, a durable session logs each
-// shard group as one self-contained wire frame (walRecord), so one batch
-// writes the same bytes through every door.
+// shard group as one self-contained wire frame, encoded as the group is
+// admitted (logOp), so one batch writes the same bytes through every door.
 //
 // Ordering: a key maps to exactly one shard and each shard's group
 // preserves input order, so per-key arrival order — the only order the
@@ -90,12 +90,11 @@ type batchScratch struct {
 	dec    history.TextDecoder // AppendTraceBatch reader and parser; owns the read buffer
 	text   textChunk           // AppendTraceBatch's current chunk
 	wdec   *wire.Decoder       // AppendWire's frame decoder
-	wenc   *wire.Encoder       // re-frames a shard group for the write-ahead log
+	wenc   *wire.Encoder       // encodes a shard group for the write-ahead log
 	shard  []int32             // i-th op's shard index
 	counts []int32             // per-shard group size
 	starts []int32             // counting-sort cursor, one per shard
 	order  []int32             // op indices grouped by shard
-	keys   []string            // the admitted keys of one shard group, for walRecord
 	wal    []byte              // write-ahead encoding of one shard group
 	one    [1]KeyedOp          // Append's batch
 	// collect appends one parsed op to text. It is built once per scratch:
@@ -124,10 +123,10 @@ func (s *Session) putScratch(sc *batchScratch) {
 // input order, and the sticky-error unwind. With a ShardLogger attached, the
 // group's accepted prefix is logged before the lock releases — on the error
 // exits too, so the log never misses an operation the engine admitted — as
-// one self-contained wire frame (walRecord; src is the wire frame b views, if
-// any). Every exit releases the shard through unlockIngest, which publishes
-// the group's counters. Returns the operations appended and the first error.
-func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, src *wire.Frame) (int, error) {
+// one self-contained wire frame encoded in the admission loop (logOp). Every
+// exit releases the shard through unlockIngest, which publishes the group's
+// counters. Returns the operations appended and the first error.
+func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B) (int, error) {
 	e := s.e
 	n := b.len()
 	if n == 0 {
@@ -140,9 +139,10 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 	}
 	sc.group(len(e.shards))
 	logger := s.shardLogger()
-	// A logged group names its keys by the admitted key's own string, unless
-	// the source frame's dictionary ids name them.
-	collect := logger != nil && src == nil
+	if logger != nil && sc.wenc == nil {
+		sc.wenc = wire.NewEncoder()
+		sc.wenc.SetSelfContained(true)
+	}
 	// The idleness clock of the sweep below: the whole batch arrived at once,
 	// so its own operations are no evidence that any key has gone quiet (see
 	// lifecycle.go, "Soundness"). Nothing sweeps without a TTL.
@@ -159,29 +159,28 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 			continue
 		}
 		sh.lockIngest()
+		sh.walGroup++
 		err := s.gate()
 		accepted := 0
-		sc.keys = sc.keys[:0]
 		for err == nil && accepted < len(group) {
 			key, op := b.at(int(group[accepted]))
 			ks, aerr := add(e, sh, key, *op)
 			if err = s.stick(aerr); err == nil {
-				if collect {
-					sc.keys = append(sc.keys, ks.key)
-				}
 				accepted++
+				if logger != nil {
+					if lerr := logOp(sc.wenc, ks, *op); lerr != nil {
+						err = s.stick(&DurabilityError{lerr})
+					}
+				}
 			}
 		}
 		appended += accepted
-		if logger != nil && accepted > 0 {
-			// A failure here is sticky — the engine has admitted operations
-			// its log does not hold — but an admission error, already
-			// sticky, stays the one returned.
-			rec, lerr := walRecord(sc, b, group[:accepted], src)
-			if lerr == nil {
-				lerr = logger.LogShardBatch(si, rec)
-			}
-			if lerr != nil && err == nil {
+		if logger != nil && sc.wenc.Pending() > 0 {
+			// A failure here or above is sticky — the engine has admitted
+			// operations its log does not hold — but an admission error,
+			// already sticky, stays the one returned.
+			sc.wal = sc.wenc.AppendFrame(sc.wal[:0])
+			if lerr := logger.LogShardBatch(si, sc.wal); lerr != nil && err == nil {
 				err = s.stick(&DurabilityError{lerr})
 			}
 		}
@@ -194,32 +193,21 @@ func feed[K string | []byte, B batchView[K]](s *Session, sc *batchScratch, b B, 
 	return appended, s.sweepAllSticky(int64(appended), preWM)
 }
 
-// walRecord encodes the operations of b at idx — one shard group's accepted
-// prefix — as one write-ahead record: a self-contained wire frame, so
-// recovery replays each record alone. Keys are named by src's dictionary ids
-// when src is the wire frame b views, and by sc.keys, the admitted keys'
-// own strings, otherwise; either way no string is made per key or operation,
-// and one group encodes to the same bytes through every door.
-func walRecord[K string | []byte, B batchView[K]](sc *batchScratch, b B, idx []int32, src *wire.Frame) ([]byte, error) {
-	if sc.wenc == nil {
-		sc.wenc = wire.NewEncoder()
-		sc.wenc.SetSelfContained(true)
-	}
-	for j, i := range idx {
-		var err error
-		if src != nil {
-			err = sc.wenc.AddFrom(src, int(i))
-		} else {
-			_, op := b.at(int(i))
-			err = sc.wenc.Add(sc.keys[j], *op)
-		}
+// logOp appends op, just admitted to ks under its shard's lock, to the write-
+// ahead record of the shard group being fed. The key is named by the id
+// cached on ks, valid while ks.walTag is the shard's current group number:
+// the key's first operation in a group lists its bytes, so every record
+// decodes alone. The number is the shard's, bumped under its lock, because
+// the encoder's scratch moves between producers and so cannot number groups.
+func logOp(enc *wire.Encoder, ks *keyState, op history.Operation) error {
+	if ks.walTag != ks.sh.walGroup {
+		id, err := enc.ListKey(ks.key)
 		if err != nil {
-			sc.wenc.Reset()
-			return nil, err
+			return err
 		}
+		ks.walID, ks.walTag = id, ks.sh.walGroup
 	}
-	sc.wal = sc.wenc.AppendFrame(sc.wal[:0])
-	return sc.wal, nil
+	return enc.AddID(ks.walID, op)
 }
 
 // group builds sc.order: a counting sort of sc.shard into per-shard,
@@ -280,7 +268,7 @@ func (s *Session) AppendBatch(ops []KeyedOp) (n int, err error) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	defer s.commitBatch(&err)
-	return feed(s, sc, keyedOps(ops), nil)
+	return feed(s, sc, keyedOps(ops))
 }
 
 // Append routes one operation into its key's segment accumulator: a batch of
@@ -301,7 +289,7 @@ func (s *Session) Append(key string, op history.Operation) (err error) {
 		return err
 	}
 	defer s.commitBatch(&err)
-	_, err = feed(s, sc, keyedOps(sc.one[:]), nil)
+	_, err = feed(s, sc, keyedOps(sc.one[:]))
 	return err
 }
 
@@ -334,9 +322,9 @@ func (s *Session) loggable(ops []KeyedOp) error {
 // offset, rejecting only this request (like a parse error on the text
 // path), while engine admission errors are sticky exactly like Append's.
 //
-// When a ShardLogger is attached, each shard group is re-framed as a
-// self-contained wire frame keyed by the source frame's dictionary ids, and
-// the call is the group-commit unit, exactly as on AppendTraceBatch.
+// When a ShardLogger is attached, each shard group is logged as a
+// self-contained wire frame, and the call is the group-commit unit, exactly
+// as on AppendTraceBatch.
 func (s *Session) AppendWire(r io.Reader) (n int64, err error) {
 	if err = s.gate(); err != nil {
 		return 0, err
@@ -357,7 +345,7 @@ func (s *Session) AppendWire(r io.Reader) (n int64, err error) {
 		if err != nil {
 			return n, err
 		}
-		added, err := feed(s, sc, wireFrame{f}, f)
+		added, err := feed(s, sc, wireFrame{f})
 		n += int64(added)
 		if err != nil {
 			return n, err
@@ -410,7 +398,7 @@ func (s *Session) AppendTraceBatch(r io.Reader) (n int64, err error) {
 		}
 		sc.text.ops, sc.text.keys = sc.text.ops[:0], sc.text.keys[:0]
 		parseErr := sc.dec.Scan(block, sc.collect)
-		added, err := feed(s, sc, &sc.text, nil)
+		added, err := feed(s, sc, &sc.text)
 		n += int64(added)
 		if err == nil {
 			err = parseErr

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -441,6 +442,115 @@ func TestDoorsLogIdenticalRecords(t *testing.T) {
 				t.Fatalf("%s logged shard %d as %q\n%s logged %q", door.name, shard, rec, doors[0].name, want[shard])
 			}
 		}
+	}
+}
+
+// orderedLog is a ShardLogger that keeps every record in log order and
+// yields after each, so concurrent producers' calls overlap and their pooled
+// scratches trade places.
+type orderedLog struct {
+	mu   sync.Mutex
+	recs [][]byte
+}
+
+func (l *orderedLog) LogShardBatch(_ int, encoded []byte) error {
+	l.mu.Lock()
+	l.recs = append(l.recs, bytes.Clone(encoded))
+	l.mu.Unlock()
+	runtime.Gosched()
+	return nil
+}
+
+func (l *orderedLog) Commit() error { return nil }
+
+// TestRecordsStandAlone drives two concurrent producers, on disjoint keys that
+// share shards, through the wire, text and AppendBatch doors in turn, so each
+// key shows up in many consecutive shard groups, encoded by whichever scratch
+// the pool hands out — a fresh one numbers its groups from the start again. A
+// key's id cached for one group must never name it in another: every record
+// decodes alone, and replaying the records in log order rebuilds the live
+// session's verdicts.
+func TestRecordsStandAlone(t *testing.T) {
+	const batchOps = 12
+	var producers [2][]func(s *Session) error
+	for p := range producers {
+		ops := keyedOpsOf(t, genSessionTrace(int64(31+p), 6, 150))
+		for i := range ops {
+			ops[i].Key = fmt.Sprintf("p%d-%s", p, ops[i].Key)
+		}
+		for b := 0; len(ops) > 0; b++ {
+			batch := ops[:min(batchOps, len(ops))]
+			ops = ops[len(batch):]
+			var call func(s *Session) error
+			switch (b + p) % 3 {
+			case 0:
+				frame, err := wire.EncodeSelfContained(nil, batch, b%2 == 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				call = func(s *Session) error { _, err := s.AppendWire(bytes.NewReader(frame)); return err }
+			case 1:
+				var text []byte
+				for _, kop := range batch {
+					text = history.AppendOpText(text, kop.Key, kop.Op)
+				}
+				call = func(s *Session) error { _, err := s.AppendTraceBatch(bytes.NewReader(text)); return err }
+			default:
+				call = func(s *Session) error { _, err := s.AppendBatch(batch); return err }
+			}
+			producers[p] = append(producers[p], call)
+		}
+	}
+	for shards := 2; shards <= 4; shards++ {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sopts := StreamOptions{Workers: 2, MinSegmentOps: 1, IngestShards: shards}
+			log := &orderedLog{}
+			live := NewSmallestKSession(core.Options{}, sopts)
+			live.SetShardLogger(log)
+			var wg sync.WaitGroup
+			errs := make([]error, len(producers))
+			for p, calls := range producers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, call := range calls {
+						// Two collections empty the scratch pool: the call
+						// encodes with a fresh scratch or with one the other
+						// producer just put back.
+						runtime.GC()
+						runtime.GC()
+						if errs[p] = call(live); errs[p] != nil {
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			replay := NewSmallestKSession(core.Options{}, sopts)
+			for i, rec := range log.recs {
+				d := wire.NewDecoder(bytes.NewReader(rec))
+				if _, err := d.NextFrame(); err != nil {
+					t.Fatalf("record %d of %d does not decode alone: %v", i, len(log.recs), err)
+				}
+				if _, err := d.NextFrame(); err != io.EOF {
+					t.Fatalf("record %d holds more than one frame: %v", i, err)
+				}
+				if _, err := replay.Replay(rec); err != nil {
+					t.Fatalf("replay record %d: %v", i, err)
+				}
+			}
+			for _, s := range []*Session{live, replay} {
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := replay.Snapshot(), live.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("replayed verdicts differ from the live session's:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -439,6 +439,8 @@ type ingestShard struct {
 	// retired holds the compact records of this shard's retired keys,
 	// guarded by mu (see lifecycle.go).
 	retired map[string]*retiredKey
+	// walGroup numbers the shard groups fed under mu (see logOp).
+	walGroup uint64
 }
 
 // keyState is one register's accumulator plus its verdict aggregation.
@@ -461,6 +463,8 @@ type keyState struct {
 	cumMaxFinish      []int64          // cumMaxFinish[s] = max closed finish through seq s's close
 	totalClosed       int64
 	ops               int
+	walID             uint32 // the key's id in the write-ahead record of group walTag (logOp)
+	walTag            uint64
 
 	// retiring marks a key whose retirement sweep flushed it; finalization
 	// (fold + free) waits until inflight — dispatched segments whose

@@ -225,33 +225,49 @@ func (w *walSink) LogShardBatch(_ int, encoded []byte) error {
 func (w *walSink) Commit() error { return nil }
 
 // TestAppendWireDurableSteadyStateAllocs is TestAppendWireSteadyStateAllocs
-// with a ShardLogger attached, through the wire door and the keyed text door:
-// re-framing each shard group for the write-ahead log names keys by their
-// dictionary ids or by the admitted keys' own strings, so durable ingest
-// allocates nothing either way, and logs wire frames either way.
+// with a ShardLogger attached, through the wire door, the keyed text door and
+// AppendBatch: each shard group's write-ahead record is encoded as the group
+// is admitted, naming every key by the dictionary id cached on its keyState,
+// so durable ingest allocates nothing through any door, and logs wire frames
+// through every one.
 func TestAppendWireDurableSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on pool and lock operations")
 	}
+	// Each door turns a batch into a call that feeds it, built before the
+	// measurement so that building it is not counted.
+	reader := func(door func(*Session, io.Reader) (int64, error), payload []byte) func(*Session) error {
+		r := bytes.NewReader(nil)
+		return func(s *Session) error {
+			r.Reset(payload)
+			_, err := door(s, r)
+			return err
+		}
+	}
 	doors := []struct {
-		name   string
-		encode func(t *testing.T, ops []KeyedOp) []byte
-		append func(s *Session, r io.Reader) (int64, error)
+		name string
+		call func(t *testing.T, ops []KeyedOp) func(*Session) error
 	}{
-		{"AppendWire", func(t *testing.T, ops []KeyedOp) []byte {
+		{"AppendWire", func(t *testing.T, ops []KeyedOp) func(*Session) error {
 			frame, err := wire.EncodeSelfContained(nil, ops, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return frame
-		}, (*Session).AppendWire},
-		{"AppendTraceBatch", func(_ *testing.T, ops []KeyedOp) []byte {
+			return reader((*Session).AppendWire, frame)
+		}},
+		{"AppendTraceBatch", func(_ *testing.T, ops []KeyedOp) func(*Session) error {
 			var text []byte
 			for _, kop := range ops {
 				text = history.AppendOpText(text, kop.Key, kop.Op)
 			}
-			return text
-		}, (*Session).AppendTraceBatch},
+			return reader((*Session).AppendTraceBatch, text)
+		}},
+		{"AppendBatch", func(_ *testing.T, ops []KeyedOp) func(*Session) error {
+			return func(s *Session) error {
+				_, err := s.AppendBatch(ops)
+				return err
+			}
+		}},
 	}
 	for _, door := range doors {
 		t.Run(door.name, func(t *testing.T) {
@@ -259,7 +275,7 @@ func TestAppendWireDurableSteadyStateAllocs(t *testing.T) {
 			sink := &walSink{}
 			s.SetShardLogger(sink)
 			var clock, value int64
-			batch := func(n int) []byte {
+			batch := func(n int) func(*Session) error {
 				ops := make([]KeyedOp, n)
 				for i := range ops {
 					value++
@@ -268,23 +284,21 @@ func TestAppendWireDurableSteadyStateAllocs(t *testing.T) {
 					}}
 					clock++
 				}
-				return door.encode(t, ops)
+				return door.call(t, ops)
 			}
-			if _, err := door.append(s, bytes.NewReader(batch(80000))); err != nil {
+			if err := batch(80000)(s); err != nil {
 				t.Fatal(err)
 			}
-			payloads := make([][]byte, 25)
-			for i := range payloads {
-				payloads[i] = batch(256)
+			calls := make([]func(*Session) error, 25)
+			for i := range calls {
+				calls[i] = batch(256)
 			}
 			run := 0
-			r := bytes.NewReader(nil)
-			allocs := testing.AllocsPerRun(len(payloads)-1, func() {
-				r.Reset(payloads[run])
-				run++
-				if _, err := door.append(s, r); err != nil {
+			allocs := testing.AllocsPerRun(len(calls)-1, func() {
+				if err := calls[run](s); err != nil {
 					t.Fatal(err)
 				}
+				run++
 			})
 			if allocs > 0 {
 				t.Fatalf("durable %s hot path allocates %.1f allocs/batch at steady state, want 0", door.name, allocs)

@@ -25,14 +25,9 @@ type Encoder struct {
 	size    uint32 // dictionary entries so far: the next key's id
 	dictBuf []byte // pending additions: uvarint len + key bytes each
 	newKeys int
-	// remap[src] is one plus the id AddFrom gave the source frame's
-	// dictionary id src in the frame being built (zero: none yet); remapped
-	// lists the ids set, to clear when the frame is emitted.
-	remap    []uint32
-	remapped []uint32
-	opsBuf   []byte
-	nops     int
-	last     int64 // previous op's start (delta base), reset per frame
+	opsBuf  []byte
+	nops    int
+	last    int64 // previous op's start (delta base), reset per frame
 
 	selfContained bool
 	compress      bool
@@ -62,52 +57,34 @@ func (e *Encoder) Pending() int { return e.nops }
 func (e *Encoder) Add(key string, op history.Operation) error {
 	id, ok := e.dict[key]
 	if !ok {
-		if !ValidKey(key) {
-			return fmt.Errorf("wire: key %q is not expressible in the trace grammar", key)
+		var err error
+		if id, err = e.ListKey(key); err != nil {
+			return err
 		}
-		id = newKey(e, key)
 		e.dict[key] = id
 	}
-	return e.addOp(id, op)
+	return e.AddID(id, op)
 }
 
-// AddFrom buffers operation i of a decoded frame for the next frame, naming
-// its key through the source frame's dictionary id instead of its bytes: a
-// source id's first operation lists the key, the rest reuse the id it got.
-// The map from source ids lasts one output frame, which suits self-contained
-// frames (re-framing a decoded frame's operations for the write-ahead log);
-// in a dictionary-keeping stream a key would be listed again in every frame.
-// Re-framing costs no string per key or operation.
-func (e *Encoder) AddFrom(f *Frame, i int) error {
-	src := f.IDs[i]
-	if int(src) >= len(e.remap) {
-		e.remap = append(e.remap, make([]uint32, int(src)+1-len(e.remap))...)
+// ListKey lists key as the next dictionary entry and returns its id, for
+// AddID. It is the by-id door for callers that hold their own key-to-id map
+// for one frame — a durable session caches each key's id on the key's own
+// state while it encodes a shard group — so no key is hashed per operation.
+// The encoder's map does not learn the key: Add would list it again.
+func (e *Encoder) ListKey(key string) (uint32, error) {
+	if !ValidKey(key) {
+		return 0, fmt.Errorf("wire: key %q is not expressible in the trace grammar", key)
 	}
-	if e.remap[src] == 0 {
-		e.remap[src] = newKey(e, f.Key(src)) + 1
-		e.remapped = append(e.remapped, src)
-	}
-	return e.addOp(e.remap[src]-1, f.Ops[i])
-}
-
-// clearRemap forgets AddFrom's source ids.
-func (e *Encoder) clearRemap() {
-	for _, src := range e.remapped {
-		e.remap[src] = 0
-	}
-	e.remapped = e.remapped[:0]
-}
-
-// newKey lists key as the encoder's next dictionary entry and returns its id.
-func newKey[K string | []byte](e *Encoder, key K) uint32 {
 	e.dictBuf = binary.AppendUvarint(e.dictBuf, uint64(len(key)))
 	e.dictBuf = append(e.dictBuf, key...)
 	e.newKeys++
 	e.size++
-	return e.size - 1
+	return e.size - 1, nil
 }
 
-func (e *Encoder) addOp(id uint32, op history.Operation) error {
+// AddID buffers one operation for the next frame, naming its key by a
+// dictionary id that Add or ListKey gave it.
+func (e *Encoder) AddID(id uint32, op history.Operation) error {
 	var kindBit uint64
 	switch op.Kind {
 	case history.KindWrite:
@@ -182,7 +159,6 @@ func (e *Encoder) AppendFrame(dst []byte) []byte {
 	e.opsBuf = e.opsBuf[:0]
 	e.nops = 0
 	e.last = 0
-	e.clearRemap()
 	if e.selfContained {
 		clear(e.dict)
 		e.size = 0
@@ -208,7 +184,6 @@ func (e *Encoder) deflate(p []byte) []byte {
 func (e *Encoder) Reset() {
 	clear(e.dict)
 	e.size = 0
-	e.clearRemap()
 	e.dictBuf = e.dictBuf[:0]
 	e.newKeys = 0
 	e.opsBuf = e.opsBuf[:0]

@@ -45,8 +45,13 @@
 // The decoder copies a key's bytes once per stream, when its entry arrives,
 // into an arena of its own, and hands each frame out as operations plus
 // dictionary ids (Decoder.NextFrame): the session probes its key map with the
-// arena's bytes, so no string is made per key or per request, and a durable
-// session re-frames a shard group for its log by those ids (Encoder.AddFrom).
+// arena's bytes, so no string is made per key or per request.
+//
+// The encoder names keys two ways: Add looks each key up in its own map, and
+// ListKey/AddID leave the key-to-id map to the caller. A durable session
+// writes each shard group ahead through the latter as it admits the group,
+// caching a key's id on the key's own state, so through every ingest door a
+// key costs one listing per record and no hash per operation.
 //
 // Keys use the same alphabet as the keyed text grammar — non-empty, no
 // whitespace, ';', or '#' — so every durable path that holds text (spill

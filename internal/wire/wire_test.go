@@ -352,12 +352,13 @@ func TestZigzag(t *testing.T) {
 	}
 }
 
-// TestAddFromMatchesAdd checks the re-framing door: every subset of a
-// decoded frame's operations, re-encoded self-contained through AddFrom (keys
-// named by the source frame's dictionary ids), is byte for byte the frame Add
-// makes from the same operations with their keys as strings — across source
-// frames that keep the dictionary, so ids outlive the frame that listed them.
-func TestAddFromMatchesAdd(t *testing.T) {
+// TestAddIDMatchesAdd checks the by-id door: every subset of a decoded
+// frame's operations, re-encoded self-contained through ListKey and AddID
+// (keys named by ids the caller holds for one frame, a key listed at its
+// first operation), is byte for byte the frame Add makes from the same
+// operations — across source frames that keep the dictionary, so a source
+// id outlives the frame that listed it while the caller's ids do not.
+func TestAddIDMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := NewEncoder()
 	var stream []byte
@@ -382,16 +383,25 @@ func TestAddFromMatchesAdd(t *testing.T) {
 			t.Fatal(err)
 		}
 		for part := 0; part < 3; part++ {
+			ids := map[uint32]uint32{} // source id -> id in the frame being built
 			for i := part; i < len(f.Ops); i += 3 {
-				if err := byID.AddFrom(f, i); err != nil {
+				key := string(f.Key(f.IDs[i]))
+				id, ok := ids[f.IDs[i]]
+				if !ok {
+					if id, err = byID.ListKey(key); err != nil {
+						t.Fatal(err)
+					}
+					ids[f.IDs[i]] = id
+				}
+				if err := byID.AddID(id, f.Ops[i]); err != nil {
 					t.Fatal(err)
 				}
-				if err := byKey.Add(string(f.Key(f.IDs[i])), f.Ops[i]); err != nil {
+				if err := byKey.Add(key, f.Ops[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if got, want := byID.AppendFrame(nil), byKey.AppendFrame(nil); !bytes.Equal(got, want) {
-				t.Fatalf("AddFrom frame\n%x\nAdd frame\n%x", got, want)
+				t.Fatalf("AddID frame\n%x\nAdd frame\n%x", got, want)
 			}
 		}
 	}
